@@ -13,9 +13,15 @@
 //! * element storage is 64-bit words behind relaxed atomics (the
 //!   [`DevValue`] codec maps every element type onto words), so plain
 //!   reads/writes never take a lock;
-//! * the segment table is append-only and snapshot-swapped: allocation
-//!   clones the `Arc` table under a short mutex, while accessors go through
-//!   a cached [`GlobalView`] snapshot refreshed only when a lookup misses;
+//! * the segment table is a `Vec` of `Option<Arc<Segment>>` indexed by
+//!   segment id, behind one short mutex. Allocation pushes in place and
+//!   free clears the slot to `None` (8 bytes) — both O(1), however many
+//!   segments the device has ever made, since ids are never reused. A
+//!   block's [`GlobalView`] looks each segment up once (one lock, one
+//!   `Arc` clone on that cache miss) and keeps it in a short per-view
+//!   list, so every later access is a scan of a few ids plus an index,
+//!   with no lock and no refcount traffic. A cached segment shares its
+//!   `alive` flag with the table, so use after free still panics;
 //! * the first-touch (compulsory DRAM) tracker is striped by sector across
 //!   [`TOUCH_STRIPES`] mutexes — insert-exactly-once semantics keep the
 //!   *sum* of first touches deterministic under any block interleaving;
@@ -144,10 +150,9 @@ impl Segment {
     }
 }
 
-type SegTable = Arc<Vec<Arc<Segment>>>;
-
 struct Master {
-    segs: SegTable,
+    /// Indexed by segment id; `None` once freed.
+    segs: Vec<Option<Arc<Segment>>>,
     next_base: u64,
 }
 
@@ -181,7 +186,7 @@ impl GlobalMem {
     /// Create an empty global memory.
     pub fn new() -> GlobalMem {
         GlobalMem {
-            master: Mutex::new(Master { segs: Arc::new(Vec::new()), next_base: SEG_ALIGN }),
+            master: Mutex::new(Master { segs: Vec::new(), next_base: SEG_ALIGN }),
             live_bytes: AtomicU64::new(0),
             peak_bytes: AtomicU64::new(0),
             alloc_count: AtomicU64::new(0),
@@ -189,21 +194,14 @@ impl GlobalMem {
         }
     }
 
-    /// Current segment-table snapshot (cheap `Arc` clone).
-    pub(crate) fn snapshot(&self) -> SegTable {
-        Arc::clone(&lock(&self.master).segs)
-    }
-
-    /// A block-scoped accessor with a cached table snapshot and this
+    /// A block-scoped accessor with a per-view segment cache and this
     /// block's deterministic fallback arena.
     pub fn view(&self, block_id: u32) -> GlobalView<'_> {
         let arena = ARENA_BASE + block_id as u64 * ARENA_STRIDE;
         GlobalView {
             mem: self,
-            snap: self.snapshot(),
             touch: Arc::clone(&lock(&self.touched)),
-            cache_id: u32::MAX,
-            cache_seg: None,
+            segs: Vec::new(),
             arena_next: arena,
             arena_limit: arena + ARENA_STRIDE,
             arena_allocs: Vec::new(),
@@ -226,9 +224,10 @@ impl GlobalMem {
                 b
             }
         };
-        let seg = m.segs.len() as u32;
-        let mut table: Vec<Arc<Segment>> = m.segs.as_ref().clone();
-        table.push(Arc::new(Segment {
+        // Encode the id before pushing: an id past the slot encoding panics
+        // without leaving a segment behind.
+        let p = DPtr::new(m.segs.len() as u32, 0);
+        m.segs.push(Some(Arc::new(Segment {
             base,
             len: data.len(),
             elem_bytes: std::mem::size_of::<T>(),
@@ -236,13 +235,12 @@ impl GlobalMem {
             type_id: TypeId::of::<T>(),
             alive: AtomicBool::new(true),
             words,
-        }));
-        m.segs = Arc::new(table);
+        })));
         drop(m);
         self.live_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.peak_bytes.fetch_max(self.live_bytes.load(Ordering::Relaxed), Ordering::Relaxed);
         self.alloc_count.fetch_add(1, Ordering::Relaxed);
-        DPtr::new(seg, 0)
+        p
     }
 
     /// Allocate a segment initialized from host data (the H2D copy itself is
@@ -257,40 +255,36 @@ impl GlobalMem {
     }
 
     /// Free a segment. Accessing it afterwards panics (simulated
-    /// use-after-free detection). The word storage is replaced by a
-    /// tombstone so memory is reclaimed once outstanding block views drop
-    /// their snapshots.
+    /// use-after-free detection), also through a view that cached it
+    /// earlier. The word storage is reclaimed once such views drop.
     pub fn free<T: DevValue>(&self, p: DPtr<T>) {
-        let mut m = lock(&self.master);
-        let seg = m
-            .segs
-            .get(p.seg as usize)
-            .cloned()
-            .unwrap_or_else(|| panic!("free of invalid segment {}", p.seg));
-        if !seg.alive.swap(false, Ordering::Relaxed) {
-            panic!("double free of segment {}", p.seg);
-        }
-        let mut table: Vec<Arc<Segment>> = m.segs.as_ref().clone();
-        table[p.seg as usize] = Arc::new(Segment {
-            base: seg.base,
-            len: seg.len,
-            elem_bytes: seg.elem_bytes,
-            elem_words: seg.elem_words,
-            type_id: seg.type_id,
-            alive: AtomicBool::new(false),
-            words: Vec::new(),
-        });
-        m.segs = Arc::new(table);
-        drop(m);
+        self.free_seg(p.seg);
+    }
+
+    /// Free a segment by id (the element type only matters to the typed
+    /// `DPtr` surface): clear its table slot and its shared `alive` flag.
+    fn free_seg(&self, idx: u32) {
+        let seg = match lock(&self.master).segs.get_mut(idx as usize) {
+            Some(slot) => slot.take(),
+            None => panic!("free of invalid segment {idx}"),
+        };
+        let seg = seg.unwrap_or_else(|| panic!("double free of segment {idx}"));
+        seg.alive.store(false, Ordering::Relaxed);
         self.live_bytes.fetch_sub(seg.logical_bytes(), Ordering::Relaxed);
     }
 
+    /// Table slot of segment `idx`: `None` past the table, `Some(None)`
+    /// once freed.
+    fn slot(&self, idx: u32) -> Option<Option<Arc<Segment>>> {
+        lock(&self.master).segs.get(idx as usize).cloned()
+    }
+
     fn seg(&self, idx: u32) -> Arc<Segment> {
-        lock(&self.master)
-            .segs
-            .get(idx as usize)
-            .cloned()
-            .unwrap_or_else(|| panic!("access to invalid segment {idx}"))
+        match self.slot(idx) {
+            Some(Some(s)) => s,
+            Some(None) => panic!("use after free of segment {idx}"),
+            None => panic!("access to invalid segment {idx}"),
+        }
     }
 
     /// Read element `idx` relative to pointer `p` (functional access, no
@@ -380,13 +374,11 @@ impl GlobalMem {
     /// Word-level snapshot of every live segment — the oracle mode uses this
     /// to rewind device memory between the tree-walk and bytecode runs.
     pub fn checkpoint(&self) -> MemCheckpoint {
-        let table = self.snapshot();
-        let segs = table
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive.load(Ordering::Relaxed))
-            .map(|(i, s)| CkSeg {
-                seg: i as u32,
+        let segs = self
+            .live_segments()
+            .into_iter()
+            .map(|(seg, s)| CkSeg {
+                seg,
                 base: s.base,
                 words: s.words.iter().map(|w| w.load(Ordering::Relaxed)).collect(),
             })
@@ -394,58 +386,36 @@ impl GlobalMem {
         MemCheckpoint { segs }
     }
 
+    /// Every live segment with its id, in id order.
+    fn live_segments(&self) -> Vec<(u32, Arc<Segment>)> {
+        let m = lock(&self.master);
+        let live = m.segs.iter().enumerate();
+        live.filter_map(|(i, s)| Some((i as u32, Arc::clone(s.as_ref()?)))).collect()
+    }
+
     /// Rewind memory to `ck`: every segment captured in the checkpoint gets
     /// its words restored, and segments allocated (and still alive) since the
     /// checkpoint are freed. Panics if a checkpointed segment was freed in
-    /// the meantime — the oracle cannot resurrect tombstones.
+    /// the meantime — the oracle cannot resurrect freed segments.
     pub fn restore(&self, ck: &MemCheckpoint) {
-        let table = self.snapshot();
         let kept: HashSet<u32> = ck.segs.iter().map(|s| s.seg).collect();
-        for (i, s) in table.iter().enumerate() {
-            if s.alive.load(Ordering::Relaxed) && !kept.contains(&(i as u32)) {
-                self.free_untyped(i as u32);
+        for (i, _) in self.live_segments() {
+            if !kept.contains(&i) {
+                self.free_seg(i);
             }
         }
         for c in &ck.segs {
-            let s = table
-                .get(c.seg as usize)
-                .unwrap_or_else(|| panic!("restore of unknown segment {}", c.seg));
-            assert!(
-                s.alive.load(Ordering::Relaxed) && s.words.len() == c.words.len(),
-                "cannot restore segment {}: freed since the checkpoint",
-                c.seg
-            );
+            let s = match self.slot(c.seg) {
+                Some(Some(s)) => s,
+                Some(None) => {
+                    panic!("cannot restore segment {}: freed since the checkpoint", c.seg)
+                }
+                None => panic!("restore of unknown segment {}", c.seg),
+            };
             for (w, v) in s.words.iter().zip(&c.words) {
                 w.store(*v, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Free a segment without knowing its element type (the type check in
-    /// [`Self::free`] is only there for the typed `DPtr` surface).
-    fn free_untyped(&self, idx: u32) {
-        let mut m = lock(&self.master);
-        let seg = m
-            .segs
-            .get(idx as usize)
-            .cloned()
-            .unwrap_or_else(|| panic!("free of invalid segment {idx}"));
-        if !seg.alive.swap(false, Ordering::Relaxed) {
-            panic!("double free of segment {idx}");
-        }
-        let mut table: Vec<Arc<Segment>> = m.segs.as_ref().clone();
-        table[idx as usize] = Arc::new(Segment {
-            base: seg.base,
-            len: seg.len,
-            elem_bytes: seg.elem_bytes,
-            elem_words: seg.elem_words,
-            type_id: seg.type_id,
-            alive: AtomicBool::new(false),
-            words: Vec::new(),
-        });
-        m.segs = Arc::new(table);
-        drop(m);
-        self.live_bytes.fetch_sub(seg.logical_bytes(), Ordering::Relaxed);
     }
 }
 
@@ -512,20 +482,16 @@ impl FallbackRange {
     }
 }
 
-/// A block's accessor to shared global memory: caches a segment-table
-/// snapshot (refreshed on lookup miss — segment indices only grow) and owns
-/// the block's deterministic fallback arena.
+/// A block's accessor to shared global memory: caches every segment the
+/// block touches and owns the block's deterministic fallback arena.
 pub struct GlobalView<'g> {
     mem: &'g GlobalMem,
-    snap: SegTable,
     touch: Arc<TouchMap>,
-    /// One-entry segment cache for the hot access path: most super-steps
-    /// hammer one or two segments, so the id compare plus one `Arc` deref
-    /// beats the table walk. `u32::MAX` = empty. Safe across frees: the
-    /// cached `Arc` shares the segment's `alive` flag, so stale use still
-    /// panics exactly like a stale snapshot would.
-    cache_id: u32,
-    cache_seg: Option<Arc<Segment>>,
+    /// Segments this block has touched, each looked up in the table once.
+    /// A block touches a handful, so a linear scan beats any map. Safe
+    /// across frees: a cached `Arc` shares its segment's `alive` flag, so
+    /// stale use still panics.
+    segs: Vec<(u32, Arc<Segment>)>,
     arena_next: u64,
     arena_limit: u64,
     arena_allocs: Vec<FallbackRange>,
@@ -533,20 +499,19 @@ pub struct GlobalView<'g> {
 
 impl<'g> GlobalView<'g> {
     #[inline]
-    fn seg(&mut self, idx: u32) -> &Arc<Segment> {
-        if self.cache_id != idx {
-            if self.snap.get(idx as usize).is_none() {
-                self.snap = self.mem.snapshot();
-            }
-            let s = Arc::clone(
-                self.snap
-                    .get(idx as usize)
-                    .unwrap_or_else(|| panic!("access to invalid segment {idx}")),
-            );
-            self.cache_seg = Some(s);
-            self.cache_id = idx;
-        }
-        self.cache_seg.as_ref().unwrap()
+    fn seg(&mut self, idx: u32) -> &Segment {
+        let i = match self.segs.iter().position(|(id, _)| *id == idx) {
+            Some(i) => i,
+            None => self.cache_miss(idx),
+        };
+        &self.segs[i].1
+    }
+
+    #[cold]
+    fn cache_miss(&mut self, idx: u32) -> usize {
+        let s = self.mem.seg(idx);
+        self.segs.push((idx, s));
+        self.segs.len() - 1
     }
 
     /// Read element `idx` relative to `p`.
@@ -640,7 +605,6 @@ impl<'g> GlobalView<'g> {
         let base = self.arena_next;
         self.arena_next += aligned;
         let p = self.mem.push_segment(&vec![T::default(); n], Some(base));
-        self.snap = self.mem.snapshot();
         self.arena_allocs.push(FallbackRange { base, bytes, freed: false, seg: p.seg });
         p
     }
@@ -649,10 +613,10 @@ impl<'g> GlobalView<'g> {
     /// view are marked freed for the leak/race analysis.
     pub fn free<T: DevValue>(&mut self, p: DPtr<T>) {
         self.mem.free(p);
-        self.snap = self.mem.snapshot();
-        self.cache_id = u32::MAX;
-        self.cache_seg = None;
-        if let Some(r) = self.arena_allocs.iter_mut().find(|r| r.seg == p.seg) {
+        self.segs.retain(|(id, _)| *id != p.seg);
+        // A block frees a region's few fallbacks as the region ends, so the
+        // match sits near the back of a long-running block's list.
+        if let Some(r) = self.arena_allocs.iter_mut().rev().find(|r| r.seg == p.seg) {
             r.freed = true;
         }
     }
@@ -756,13 +720,44 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "use after free")]
-    fn stale_view_snapshot_sees_free() {
+    fn stale_view_cache_sees_free() {
         let g = GlobalMem::new();
         let p = g.alloc_zeroed::<f64>(3);
         let mut view = g.view(0);
-        assert_eq!(view.read(p, 0), 0.0); // caches the snapshot
+        assert_eq!(view.read(p, 0), 0.0); // caches the segment
         g.free(p);
-        view.read(p, 0); // stale snapshot, but the alive flag is shared
+        view.read(p, 0); // stale cache entry, but the alive flag is shared
+    }
+
+    #[test]
+    #[should_panic(expected = "use after free")]
+    fn view_lookup_of_freed_segment_panics() {
+        let g = GlobalMem::new();
+        let p = g.alloc_zeroed::<u64>(3);
+        g.free(p);
+        g.view(0).addr_of(p, 0); // never cached: the freed slot itself panics
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid segment")]
+    fn access_past_the_table_panics() {
+        let g = GlobalMem::new();
+        g.view(0).read(DPtr::<u64>::new(5, 0), 0);
+    }
+
+    #[test]
+    fn free_leaves_an_empty_slot_and_drops_the_view_cache_entry() {
+        let g = GlobalMem::new();
+        let mut v = g.view(0);
+        let a = v.alloc_zeroed::<u64>(2);
+        v.write(a, 0, 3);
+        let b = g.alloc_zeroed::<u64>(2);
+        assert_eq!(v.segs.len(), 1);
+        v.free(a);
+        assert!(v.segs.is_empty());
+        assert!(lock(&g.master).segs[a.seg as usize].is_none());
+        // Ids are never reused: the next segment gets a fresh one.
+        assert_eq!(g.alloc_zeroed::<u64>(1).segment(), b.segment() + 1);
     }
 
     #[test]
@@ -790,10 +785,10 @@ mod tests {
     }
 
     #[test]
-    fn view_refreshes_on_new_segment() {
+    fn view_sees_segments_allocated_after_it() {
         let g = GlobalMem::new();
         let mut view = g.view(0);
-        let p = g.alloc_from(&[5u64, 6]); // allocated after the view snapshot
+        let p = g.alloc_from(&[5u64, 6]); // allocated after the view was made
         assert_eq!(view.read(p, 1), 6);
     }
 
@@ -908,6 +903,16 @@ mod tests {
         // The post-checkpoint segment was freed by the rewind.
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.read(q, 0)));
         assert!(res.is_err(), "post-checkpoint segment should be dead");
+    }
+
+    #[test]
+    #[should_panic(expected = "freed since the checkpoint")]
+    fn restore_refuses_a_segment_freed_after_the_checkpoint() {
+        let g = GlobalMem::new();
+        let p = g.alloc_from(&[1u64, 2]);
+        let ck = g.checkpoint();
+        g.free(p);
+        g.restore(&ck);
     }
 
     #[test]

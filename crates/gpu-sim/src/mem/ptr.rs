@@ -21,6 +21,8 @@ use super::pod::DevValue;
 /// Bits reserved for the element offset inside a [`DPtr`] bit pattern.
 const OFF_BITS: u32 = 40;
 const OFF_MASK: u64 = (1u64 << OFF_BITS) - 1;
+/// Bits left for the segment id above the offset.
+const SEG_BITS: u32 = 64 - OFF_BITS;
 
 /// A typed pointer into simulated global memory: a segment id plus an
 /// element offset within the segment.
@@ -52,6 +54,11 @@ impl<T> fmt::Debug for DPtr<T> {
 
 impl<T: DevValue> DPtr<T> {
     pub(crate) fn new(seg: u32, off: u64) -> DPtr<T> {
+        // A wider id would alias a low one through `to_bits`.
+        assert!(
+            seg >> SEG_BITS == 0,
+            "segment id space exhausted: id {seg} needs over {SEG_BITS} bits"
+        );
         assert!(off <= OFF_MASK, "element offset exceeds encodable range");
         DPtr { seg, off, _pd: PhantomData }
     }
@@ -192,5 +199,18 @@ mod tests {
     #[should_panic]
     fn offset_range_is_enforced() {
         let _: DPtr<u8> = DPtr::new(0, 1u64 << 41);
+    }
+
+    #[test]
+    fn widest_segment_id_roundtrips() {
+        let p: DPtr<u8> = DPtr::new((1 << SEG_BITS) - 1, OFF_MASK);
+        assert_eq!(DPtr::<u8>::from_bits(p.to_bits()), p);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment id space exhausted")]
+    fn segment_id_past_the_encoding_panics_instead_of_aliasing() {
+        // Id 2^24 would encode as segment 0.
+        let _: DPtr<u8> = DPtr::new(1 << SEG_BITS, 0);
     }
 }

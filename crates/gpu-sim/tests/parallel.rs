@@ -287,10 +287,9 @@ fn cross_team_detector_has_no_false_positives() {
     );
 }
 
-/// A freed (balanced) fallback is not "leaked", so a late foreign write to
-/// its address range is reported as use-after-free by the memory layer —
-/// not silently, and not as a cross-team race. Covered indirectly: freeing
-/// removes the range from the cross-team join.
+/// A freed (balanced) fallback is not "leaked": freeing removes the range
+/// from the cross-team join, and a late foreign access panics in the memory
+/// layer instead (next two tests).
 #[test]
 fn cross_team_join_ignores_freed_fallbacks() {
     let mut dev = Device::new(DeviceArch::tiny());
@@ -307,4 +306,48 @@ fn cross_team_join_ignores_freed_fallbacks() {
         })
         .unwrap();
     assert!(stats.violations.is_empty(), "{:?}", stats.violations);
+}
+
+/// A block that reads a fallback its owner already freed panics with "use
+/// after free" (serial block order makes block 0 publish and free first).
+#[test]
+#[should_panic(expected = "use after free")]
+fn foreign_read_of_a_freed_fallback_panics() {
+    let mut dev = Device::new(DeviceArch::tiny());
+    dev.set_sim_threads(Some(1));
+    let mailbox = dev.global.alloc_zeroed::<u64>(1);
+    let cfg = LaunchConfig { num_blocks: 2, threads_per_block: 32, smem_bytes: 256 };
+    let _ = dev.launch(&cfg, move |team| {
+        if team.block_id == 0 {
+            let p: DPtr<u64> = team.alloc_shared_fallback(0, 4);
+            team.run_lanes(0, &[0], move |lane, _| {
+                lane.write(p, 0, 7);
+                lane.write(mailbox, 0, p.to_bits());
+            });
+            team.free_shared_fallback(p);
+        } else {
+            team.run_lanes(0, &[0], move |lane, _| {
+                let p = DPtr::<u64>::from_bits(lane.read(mailbox, 0));
+                let _ = lane.read(p, 0);
+            });
+        }
+    });
+}
+
+/// A block's view caches a host segment on first access; a free straight
+/// through `GlobalMem` afterwards must still fail the view's next access.
+#[test]
+#[should_panic(expected = "use after free")]
+fn stale_view_of_a_freed_host_segment_panics() {
+    let mut dev = Device::new(DeviceArch::tiny());
+    dev.set_sim_threads(Some(1));
+    let data = dev.global.alloc_from(&[1u64, 2]);
+    let cfg = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
+    let _ = dev.launch(&cfg, move |team| {
+        team.run_lanes(0, &[0], move |lane, _| assert_eq!(lane.read(data, 1), 2));
+        team.global_ref().free(data);
+        team.run_lanes(0, &[0], move |lane, _| {
+            let _ = lane.read(data, 1);
+        });
+    });
 }
