@@ -1,5 +1,5 @@
-//! `cargo bench -p simt-omp-bench --bench mem` — flat vs hierarchical
-//! memory-model sweep over the Fig 9 kernels.
+//! `cargo bench -p simt-omp-bench --bench mem` — memory-traffic counter
+//! sweep over the Fig 9 kernels.
 fn main() {
     let quick = simt_omp_bench::quick_from_args();
     let rows = simt_omp_bench::mem::run(quick);

@@ -19,9 +19,9 @@
 //! * [`simspeed`] — throughput of the simulator itself: wall-clock and
 //!   simulated-cycles-per-second across block-execution thread counts
 //!   (`SIMT_SIM_THREADS`) and sanitizer modes.
-//! * [`mem`] — flat vs hierarchical memory model (`SIMT_SIM_MEM`) across
-//!   the Fig 9 sweep, with the DRAM traffic/burst-atom counters the
-//!   hierarchical makespan consumes.
+//! * [`mem`] — the Fig 9 sweep's memory-traffic counters: DRAM sectors,
+//!   burst atoms, L1 hits and MLP stalls, the inputs the memory model's
+//!   makespan consumes.
 //! * [`serve`] — the multi-tenant launch service: throughput and virtual
 //!   latency across tenants × devices × kernel mix, plus the cold-vs-warm
 //!   warm-plan-cache ablation.

@@ -1,23 +1,21 @@
-//! mem — hierarchical vs flat memory-model sweep over the Fig 9 kernels.
+//! mem — memory-traffic counter sweep over the Fig 9 kernels.
 //!
 //! Runs every Fig 9 configuration (`sparse_matvec`, `SU3_bench`, ideal ×
-//! all SIMD group sizes plus the 2-level baselines) under both memory
-//! models (`gpu_sim::MemModel`) and reports, per row, the cycle count,
-//! the speedup over the same model's baseline, and the traffic counters
-//! the hierarchical makespan consumes: compulsory DRAM sectors, 64-byte
-//! burst atoms (with the effective sector count after the burst-
-//! granularity wall), L1 hits, and MLP stall cycles.
+//! all SIMD group sizes plus the 2-level baselines) and reports, per row,
+//! the cycle count, the speedup over the baseline, and the traffic
+//! counters the memory model's makespan consumes: compulsory DRAM
+//! sectors, 64-byte burst atoms (with the effective sector count after the
+//! burst-granularity wall), L1 hits, and MLP stall cycles.
 //!
-//! The interesting read is the *pair* of speedup columns: the flat model
-//! caps every kernel at the same two device-wide roofs, while the
-//! hierarchical model separates issue-bound from DRAM-wall-bound
-//! configurations — which is what pulls `SU3_bench`'s benefit down to the
-//! paper's ≤ 2× plateau while leaving `sparse_matvec`'s interior peak
-//! intact (see `tests/memmodel.rs` for the pinned shape contract).
+//! The counters explain the speedup column: the model separates
+//! issue-bound from DRAM-wall-bound configurations, which is what holds
+//! `SU3_bench`'s benefit at the paper's ≤ 2× plateau while leaving
+//! `sparse_matvec`'s interior peak intact (see `tests/memmodel.rs` for the
+//! pinned shape contract).
 //!
 //! Emits `target/figures/BENCH_mem.json`.
 
-use gpu_sim::{Device, LaunchStats, MemModel};
+use gpu_sim::{Device, LaunchStats};
 use omp_kernels::matrix::{CsrMatrix, RowProfile};
 use omp_kernels::{ideal, spmv, su3};
 
@@ -26,18 +24,16 @@ use crate::report::{print_table, save_json, JsonRow, JsonValue};
 /// SIMD group sizes swept (0 stands for the 2-level baseline row).
 pub const GROUP_SIZES: [u32; 5] = [2, 4, 8, 16, 32];
 
-/// One (kernel, group size, memory model) measurement.
+/// One (kernel, group size) measurement.
 #[derive(Clone, Debug)]
 pub struct MemRow {
     /// Kernel name.
     pub kernel: &'static str,
     /// SIMD group size (0 = the 2-level baseline).
     pub group_size: u32,
-    /// Memory model: `flat` or `hier`.
-    pub model: &'static str,
     /// Simulated cycles.
     pub cycles: u64,
-    /// Baseline cycles under the same model divided by `cycles`.
+    /// Baseline cycles divided by `cycles`.
     pub speedup: f64,
     /// Compulsory (first-touch) DRAM sectors.
     pub dram_sectors: u64,
@@ -48,8 +44,7 @@ pub struct MemRow {
     pub dram_effective: u64,
     /// L1 hit transactions (temporal reuse inside a warp's window).
     pub l1_hits: u64,
-    /// Cycles the hierarchical DRAM roof lost to the MLP cap (0 under the
-    /// flat model).
+    /// Cycles the DRAM roof lost to the memory-level-parallelism cap.
     pub mlp_stalls: u64,
 }
 
@@ -58,7 +53,6 @@ impl JsonRow for MemRow {
         vec![
             ("kernel", JsonValue::Str(self.kernel.to_string())),
             ("group_size", JsonValue::U64(self.group_size as u64)),
-            ("model", JsonValue::Str(self.model.to_string())),
             ("cycles", JsonValue::U64(self.cycles)),
             ("speedup", JsonValue::F64(self.speedup)),
             ("dram_sectors", JsonValue::U64(self.dram_sectors)),
@@ -101,20 +95,10 @@ fn sizes(quick: bool) -> Sizes {
     }
 }
 
-fn row(
-    kernel: &'static str,
-    group_size: u32,
-    model: MemModel,
-    base_cycles: u64,
-    s: &LaunchStats,
-) -> MemRow {
+fn row(kernel: &'static str, group_size: u32, base_cycles: u64, s: &LaunchStats) -> MemRow {
     MemRow {
         kernel,
         group_size,
-        model: match model {
-            MemModel::Flat => "flat",
-            MemModel::Hier => "hier",
-        },
         cycles: s.cycles,
         speedup: base_cycles as f64 / s.cycles as f64,
         dram_sectors: s.mem.dram_sectors,
@@ -125,13 +109,7 @@ fn row(
     }
 }
 
-fn a100(model: MemModel) -> Device {
-    let mut dev = Device::a100();
-    dev.set_mem_model(Some(model));
-    dev
-}
-
-/// Run the sweep: every Fig 9 configuration under both memory models.
+/// Run the sweep: every Fig 9 configuration.
 pub fn run(quick: bool) -> Vec<MemRow> {
     let sz = sizes(quick);
     let mut rows = Vec::new();
@@ -142,52 +120,49 @@ pub fn run(quick: bool) -> Vec<MemRow> {
     let su3_w = su3::Su3Workload::generate(sz.su3_sites, 7);
     let ideal_w = ideal::IdealWorkload::generate(sz.ideal_outer, 3);
 
-    for model in [MemModel::Flat, MemModel::Hier] {
-        // --- sparse_matvec ---------------------------------------------
-        let base = {
-            let mut dev = a100(model);
-            let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
-            let (_, s) = spmv::run(&mut dev, &spmv::build_two_level(sz.base_teams_spmv), &ops);
-            rows.push(row("sparse_matvec", 0, model, s.cycles, &s));
-            s.cycles
-        };
-        for gs in GROUP_SIZES {
-            let mut dev = a100(model);
-            let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
-            let (_, s) =
-                spmv::run(&mut dev, &spmv::build_three_level(sz.teams, sz.threads, gs), &ops);
-            rows.push(row("sparse_matvec", gs, model, base, &s));
-        }
+    // --- sparse_matvec ---------------------------------------------
+    let base = {
+        let mut dev = Device::a100();
+        let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
+        let (_, s) = spmv::run(&mut dev, &spmv::build_two_level(sz.base_teams_spmv), &ops);
+        rows.push(row("sparse_matvec", 0, s.cycles, &s));
+        s.cycles
+    };
+    for gs in GROUP_SIZES {
+        let mut dev = Device::a100();
+        let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
+        let (_, s) = spmv::run(&mut dev, &spmv::build_three_level(sz.teams, sz.threads, gs), &ops);
+        rows.push(row("sparse_matvec", gs, base, &s));
+    }
 
-        // --- SU3_bench (baseline = group size 1) ------------------------
-        let base = {
-            let mut dev = a100(model);
-            let ops = su3::Su3Dev::upload(&mut dev, &su3_w);
-            let (_, s) = su3::run(&mut dev, &su3::build(sz.teams, sz.threads, 1), &ops);
-            rows.push(row("su3_bench", 0, model, s.cycles, &s));
-            s.cycles
-        };
-        for gs in GROUP_SIZES {
-            let mut dev = a100(model);
-            let ops = su3::Su3Dev::upload(&mut dev, &su3_w);
-            let (_, s) = su3::run(&mut dev, &su3::build(sz.teams, sz.threads, gs), &ops);
-            rows.push(row("su3_bench", gs, model, base, &s));
-        }
+    // --- SU3_bench (baseline = group size 1) ------------------------
+    let base = {
+        let mut dev = Device::a100();
+        let ops = su3::Su3Dev::upload(&mut dev, &su3_w);
+        let (_, s) = su3::run(&mut dev, &su3::build(sz.teams, sz.threads, 1), &ops);
+        rows.push(row("su3_bench", 0, s.cycles, &s));
+        s.cycles
+    };
+    for gs in GROUP_SIZES {
+        let mut dev = Device::a100();
+        let ops = su3::Su3Dev::upload(&mut dev, &su3_w);
+        let (_, s) = su3::run(&mut dev, &su3::build(sz.teams, sz.threads, gs), &ops);
+        rows.push(row("su3_bench", gs, base, &s));
+    }
 
-        // --- ideal (baseline = group size 1) ----------------------------
-        let base = {
-            let mut dev = a100(model);
-            let ops = ideal::IdealDev::upload(&mut dev, &ideal_w);
-            let (_, s) = ideal::run(&mut dev, &ideal::build(sz.teams, sz.threads, 1), &ops);
-            rows.push(row("ideal", 0, model, s.cycles, &s));
-            s.cycles
-        };
-        for gs in GROUP_SIZES {
-            let mut dev = a100(model);
-            let ops = ideal::IdealDev::upload(&mut dev, &ideal_w);
-            let (_, s) = ideal::run(&mut dev, &ideal::build(sz.teams, sz.threads, gs), &ops);
-            rows.push(row("ideal", gs, model, base, &s));
-        }
+    // --- ideal (baseline = group size 1) ----------------------------
+    let base = {
+        let mut dev = Device::a100();
+        let ops = ideal::IdealDev::upload(&mut dev, &ideal_w);
+        let (_, s) = ideal::run(&mut dev, &ideal::build(sz.teams, sz.threads, 1), &ops);
+        rows.push(row("ideal", 0, s.cycles, &s));
+        s.cycles
+    };
+    for gs in GROUP_SIZES {
+        let mut dev = Device::a100();
+        let ops = ideal::IdealDev::upload(&mut dev, &ideal_w);
+        let (_, s) = ideal::run(&mut dev, &ideal::build(sz.teams, sz.threads, gs), &ops);
+        rows.push(row("ideal", gs, base, &s));
     }
     rows
 }
@@ -200,7 +175,6 @@ pub fn report(rows: &[MemRow]) {
             vec![
                 r.kernel.to_string(),
                 if r.group_size == 0 { "base".to_string() } else { r.group_size.to_string() },
-                r.model.to_string(),
                 r.cycles.to_string(),
                 format!("{:.2}x", r.speedup),
                 r.dram_sectors.to_string(),
@@ -212,11 +186,10 @@ pub fn report(rows: &[MemRow]) {
         })
         .collect();
     print_table(
-        "mem: flat vs hierarchical memory model across the Fig 9 sweep",
+        "mem: memory-traffic counters across the Fig 9 sweep",
         &[
             "kernel",
             "group",
-            "model",
             "cycles",
             "speedup",
             "dram_sect",
@@ -228,17 +201,12 @@ pub fn report(rows: &[MemRow]) {
         &table,
     );
     for kernel in ["sparse_matvec", "su3_bench", "ideal"] {
-        for model in ["flat", "hier"] {
-            if let Some(best) = rows
-                .iter()
-                .filter(|r| r.kernel == kernel && r.model == model && r.group_size != 0)
-                .max_by(|a, b| a.speedup.total_cmp(&b.speedup))
-            {
-                println!(
-                    "best {kernel} ({model}): {:.2}x at group size {}",
-                    best.speedup, best.group_size
-                );
-            }
+        if let Some(best) = rows
+            .iter()
+            .filter(|r| r.kernel == kernel && r.group_size != 0)
+            .max_by(|a, b| a.speedup.total_cmp(&b.speedup))
+        {
+            println!("best {kernel}: {:.2}x at group size {}", best.speedup, best.group_size);
         }
     }
     save_json("BENCH_mem", rows);

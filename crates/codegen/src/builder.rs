@@ -612,19 +612,15 @@ impl CompiledKernel {
     /// run the lint gate — the escape hatch for deliberately-broken plans
     /// (negative tests, sanitizer demos).
     ///
-    /// Engine selection: the flat-bytecode executor by default,
-    /// `SIMT_SIM_ENGINE=tree` for the tree-walk interpreter, and
-    /// `SIMT_SIM_ORACLE=1` for differential mode — every launch runs both
+    /// Engine selection: the flat-bytecode executor, or with
+    /// `SIMT_SIM_ORACLE=1` differential mode — every launch runs both
     /// engines and panics unless stats and memory images are bit-identical.
+    /// [`Self::launch_with_engine`] picks an engine explicitly.
     pub fn launch(&self, dev: &mut Device, args: &[Slot]) -> Result<LaunchStats, LaunchError> {
         if std::env::var("SIMT_SIM_ORACLE").map(|v| v == "1").unwrap_or(false) {
             return self.launch_oracle(dev, args);
         }
-        let engine = match std::env::var("SIMT_SIM_ENGINE").as_deref() {
-            Ok("tree") => Engine::Tree,
-            _ => Engine::Bytecode,
-        };
-        self.launch_with_engine(dev, args, engine)
+        self.launch_with_engine(dev, args, Engine::Bytecode)
     }
 
     /// Launch with an explicit engine choice. The bytecode engine hands

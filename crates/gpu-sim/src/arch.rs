@@ -24,34 +24,30 @@ pub enum Vendor {
     Amd,
 }
 
-/// Per-architecture memory-hierarchy geometry, consumed by the
-/// hierarchical memory model ([`crate::mem::hier`], `SIMT_SIM_MEM=hier`).
-///
-/// The flat model collapses all of this into the two device-wide
-/// sectors-per-cycle roofs in [`crate::cost::CostModel`]; the hierarchical
-/// model splits them into a per-SM LSU pipe, banked L2 slices, and a
-/// DRAM roofline whose effective bandwidth is capped by memory-level
+/// Per-architecture memory-hierarchy geometry, consumed by the memory
+/// model ([`crate::mem::hier`]): a per-SM LSU pipe, banked L2 slices, and
+/// a DRAM roofline whose effective bandwidth is capped by memory-level
 /// parallelism (Little's law over the launch's outstanding requests).
 #[derive(Clone, Debug)]
 pub struct CacheGeom {
     /// Number of independent L2 bank slices (address-hashed).
     pub l2_banks: u32,
     /// Sectors per cycle one L2 bank slice can serve. The aggregate
-    /// `l2_banks × l2_bank_sectors_per_cycle` matches the flat model's
-    /// [`crate::cost::CostModel::l2_sectors_per_cycle`] for a perfectly
-    /// balanced access stream; bank camping degrades from there.
+    /// `l2_banks × l2_bank_sectors_per_cycle` (80 on A100-class parts,
+    /// ~2.5× DRAM bandwidth) is reached only by a perfectly balanced
+    /// access stream; bank camping degrades from there.
     pub l2_bank_sectors_per_cycle: u64,
     /// Full-line L1-hit transactions one SM's LSU retires per cycle.
     /// Replays whose line is entirely valid in the warp's L1 window
     /// (temporal reuse) are serviced at L1 bandwidth off the issue
     /// path; partial fills and misses stay on the warp — they allocate
-    /// MSHRs and serialize like the flat model says.
+    /// MSHRs and serialize.
     pub lsu_hit_lines_per_cycle: u64,
     /// Minimum DRAM access granularity in 32-byte sectors (HBM burst
     /// atom = 64 B → 2). A fill carrying fewer useful sectors than this
     /// still occupies a whole atom of bandwidth, which is what makes
     /// uncoalesced streaming pay up to 2× its useful traffic at the
-    /// hierarchical DRAM roof.
+    /// DRAM roof.
     pub dram_burst_sectors: u64,
     /// Round-trip DRAM latency in cycles (Little's law input).
     pub dram_latency: u64,
@@ -94,7 +90,7 @@ pub struct DeviceArch {
     /// the wave64 LDS is modeled as one bank per lane (64), so a stride-1
     /// full-wavefront access is conflict-free on both families.
     pub smem_banks: u32,
-    /// Memory-hierarchy geometry for the hierarchical cost model.
+    /// Memory-hierarchy geometry for the memory cost model.
     pub cache: CacheGeom,
 }
 
@@ -114,7 +110,7 @@ impl DeviceArch {
             smem_per_sm: 164 * 1024,
             warp_sync_supported: true,
             smem_banks: 32,
-            // 40 L2 slices × 2 sectors/cycle = the flat model's 80
+            // 40 L2 slices × 2 sectors/cycle = 80 sectors/cycle
             // aggregate; ~400-cycle DRAM round trip per published A100
             // microbenchmarks.
             cache: CacheGeom {

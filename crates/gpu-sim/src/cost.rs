@@ -83,9 +83,6 @@ pub struct CostModel {
     /// Device-wide DRAM bandwidth roof, applied to *compulsory* traffic
     /// (first touch of each sector): sectors per cycle.
     pub dram_sectors_per_cycle: u64,
-    /// Device-wide L2 bandwidth roof, applied to all L1-miss traffic
-    /// (~2.5× DRAM bandwidth on A100-class parts): sectors per cycle.
-    pub l2_sectors_per_cycle: u64,
     /// Base cost of dispatching an outlined function through the if-cascade
     /// of known regions (paper §5.5): the branch to the first compare.
     pub cascade_dispatch_cycles: u64,
@@ -130,7 +127,6 @@ impl Default for CostModel {
             sm_issue_width: 2,
             sm_sector_cycles: 2,
             dram_sectors_per_cycle: 32,
-            l2_sectors_per_cycle: 80,
             cascade_dispatch_cycles: 4,
             cascade_level_cycles: 3,
             indirect_call_cycles: 40,

@@ -1119,7 +1119,6 @@ impl<'g> TeamCtx<'g> {
     /// block-index-order replay of [`Self::take_visits`] logs.
     pub fn finish(self, threads: u32, smem_bytes: u32) -> (BlockProfile, RtCounters) {
         let profile = BlockProfile {
-            cycles: self.warps.iter().map(|w| w.clock).max().unwrap_or(0),
             issue: self.warps.iter().map(|w| w.issue).sum(),
             sectors: self.warps.iter().map(|w| w.sectors).sum(),
             dram_sectors: self.warps.iter().map(|w| w.dram_sectors).sum(),
@@ -1500,7 +1499,7 @@ mod tests {
         t.charge_alu(0, 10);
         t.charge_alu(1, 30);
         let (prof, _) = t.finish(64, 2048);
-        assert_eq!(prof.cycles, 30);
+        assert_eq!(prof.resid_cycles, 30);
         assert_eq!(prof.issue, 40);
         assert_eq!(prof.threads, 64);
         assert_eq!(prof.smem_bytes, 2048);

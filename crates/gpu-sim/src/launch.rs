@@ -14,7 +14,6 @@ use crate::arch::DeviceArch;
 use crate::cost::CostModel;
 use crate::exec::{burst_atoms, TeamCtx, VisitLog};
 use crate::mem::global::{FallbackRange, GlobalMem};
-use crate::mem::hier::{self, MemModel};
 use crate::sanitize::{ForeignTouch, Sanitizer, Violation};
 use crate::sched;
 use crate::stats::{BlockProfile, LaunchStats, MemStats, RtCounters};
@@ -93,15 +92,13 @@ pub struct Device {
     trace_enabled: bool,
     trace_cap: usize,
     sanitize_enabled: bool,
-    /// Use the dense pre-compression sync table in the sanitizer (baseline
-    /// for the `simspeed` bench; also via `SIMT_SAN_DENSE=1`).
+    /// Use the dense pre-compression sync table in the sanitizer (the
+    /// reference the adaptive table is checked against, and the `simspeed`
+    /// bench baseline).
     san_dense: bool,
     /// Block-execution thread count override; `None` = `SIMT_SIM_THREADS`
     /// env or available parallelism (see [`sched::resolve_threads`]).
     sim_threads: Option<usize>,
-    /// Memory cost-model override; `None` = `SIMT_SIM_MEM` env or the
-    /// hierarchical default (see [`hier::resolve_mem_model`]).
-    mem_model: Option<MemModel>,
 }
 
 impl Device {
@@ -112,8 +109,6 @@ impl Device {
         // sanitized without touching individual call sites.
         let sanitize_env =
             std::env::var("SIMT_SANITIZE").map(|v| !v.is_empty() && v != "0").unwrap_or(false);
-        let dense_env =
-            std::env::var("SIMT_SAN_DENSE").map(|v| !v.is_empty() && v != "0").unwrap_or(false);
         Device {
             arch,
             cost: CostModel::default(),
@@ -122,9 +117,8 @@ impl Device {
             trace_enabled: false,
             trace_cap: 0,
             sanitize_enabled: sanitize_env,
-            san_dense: dense_env,
+            san_dense: false,
             sim_threads: None,
-            mem_model: None,
         }
     }
 
@@ -146,19 +140,6 @@ impl Device {
     /// Thread count the next launch will use.
     pub fn sim_threads(&self) -> usize {
         sched::resolve_threads(self.sim_threads)
-    }
-
-    /// Pin the memory cost model, overriding `SIMT_SIM_MEM`. `None`
-    /// returns to environment/default resolution. Tests needing the
-    /// legacy flat model must use this rather than mutating the
-    /// environment (env mutation races under a parallel test harness).
-    pub fn set_mem_model(&mut self, model: Option<MemModel>) {
-        self.mem_model = model;
-    }
-
-    /// Memory model the next launch will use.
-    pub fn mem_model(&self) -> MemModel {
-        hier::resolve_mem_model(self.mem_model)
     }
 
     /// Select the sanitizer's sync-history representation: `true` = the
@@ -355,8 +336,7 @@ impl Device {
         for v in &violations {
             eprintln!("simtcheck: {v}");
         }
-        let span =
-            sched::makespan_model(&self.arch, &self.cost, self.mem_model(), &profiles, resident);
+        let span = sched::makespan(&self.arch, &self.cost, &profiles, resident);
         // Block-index-order fold of the memory counters (profiles are
         // already sorted by block id) — bit-identical at any thread count.
         let mut mem = MemStats::default();

@@ -51,7 +51,6 @@ pub use exec::{BankAcc, DispatchKind, Lane, ObservedEffects, TeamCtx};
 pub use launch::{Device, LaunchConfig, LaunchError};
 pub use mask::LaneMask;
 pub use mem::global::{FallbackRange, GlobalMem, GlobalView, MemCheckpoint};
-pub use mem::hier::{MemModel, MEM_MODEL_ENV};
 pub use mem::ptr::{DPtr, Slot};
 pub use mem::shared::SharedMem;
 pub use sanitize::{ForeignTouch, Sanitizer, SharingLayout, Violation};

@@ -1,19 +1,17 @@
-//! The hierarchical memory cost model (`SIMT_SIM_MEM=hier`, the default).
+//! The hierarchical L1/L2/DRAM memory cost model.
 //!
-//! The flat model charges every transaction-replay cycle to the issuing
-//! warp and roofs the device with two aggregate sectors-per-cycle numbers.
-//! That overstates the cost of temporal-reuse baselines (the su3_bench
-//! deviation documented in EXPERIMENTS.md): a replay whose line is fully
+//! Block execution charges every transaction-replay cycle to the issuing
+//! warp. Left there, that would overstate the cost of temporal-reuse
+//! baselines (su3_bench, EXPERIMENTS.md): a replay whose line is fully
 //! valid in L1 retires at L1 bandwidth through the LSU pipe on real
 //! hardware instead of stalling instruction issue for a line-fill's worth
 //! of cycles. Replays that *miss* (or partially fill a line) genuinely do
 //! serialize — they allocate MSHRs and wait — so their cost stays on the
-//! warp in both models.
+//! warp.
 //!
-//! The hierarchical model keeps the per-block *charging* identical (so the
-//! two execution engines, the sanitizer and the counter tests are
-//! unaffected) and changes only how the per-block counters combine into a
-//! makespan ([`crate::sched::makespan_model`]):
+//! The per-block *charging* is engine-independent (both execution engines
+//! and the sanitizer see the same counters); this module decides how those
+//! counters combine into the makespan ([`crate::sched::makespan`]):
 //!
 //! * **L1/LSU (per SM)** — L1-hit replay cycles are *subtracted* from the
 //!   warp-issue total and the latency critical path: the whole
@@ -22,7 +20,7 @@
 //!   line port at [`CacheGeom::lsu_hit_lines_per_cycle`]), and all but
 //!   one issue cycle for a *partial-line* hit (the sector drains off the
 //!   in-flight fill buffer). A kernel with no temporal reuse
-//!   (`l1_hits == 0`) sees the flat per-SM wave unchanged.
+//!   (`l1_hits == 0`) keeps its whole replay charge on the issue path.
 //! * **L2 (device)** — L1-missing sectors hash to one of
 //!   [`CacheGeom::l2_banks`] slices; the slowest bank is the roof.
 //! * **DRAM (device)** — compulsory traffic crosses a bandwidth roof at
@@ -36,7 +34,7 @@
 //!   however wide the DRAM interface is. Cycles the cap adds are
 //!   reported as [`MemStats::mlp_stalls`].
 //!
-//! Determinism (DESIGN §11) is preserved by construction: all new
+//! Determinism (DESIGN §11) is preserved by construction: all memory
 //! counters are folded per block and merged in block-index order, and the
 //! makespan arithmetic consumes only launch totals.
 //!
@@ -44,36 +42,6 @@
 //! [`MemStats::mlp_stalls`]: crate::stats::MemStats::mlp_stalls
 
 use crate::arch::CacheGeom;
-
-/// Environment variable selecting the memory model for new devices:
-/// `flat` for the legacy single-tier roofs, anything else (or unset) for
-/// the hierarchical model. [`crate::Device::set_mem_model`] overrides it
-/// per device (tests must use the override — env mutation is racy under
-/// a parallel test harness).
-pub const MEM_MODEL_ENV: &str = "SIMT_SIM_MEM";
-
-/// Which memory cost model a device's makespan uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MemModel {
-    /// Legacy single-tier model: replay cycles on the warp critical path,
-    /// flat `l2_sectors_per_cycle`/`dram_sectors_per_cycle` device roofs.
-    Flat,
-    /// Hierarchical L1/L2/DRAM model (this module).
-    #[default]
-    Hier,
-}
-
-/// Resolve the memory model: an explicit per-device override wins, then
-/// [`MEM_MODEL_ENV`], then the hierarchical default.
-pub fn resolve_mem_model(override_model: Option<MemModel>) -> MemModel {
-    if let Some(m) = override_model {
-        return m;
-    }
-    match std::env::var(MEM_MODEL_ENV) {
-        Ok(v) if v.trim().eq_ignore_ascii_case("flat") => MemModel::Flat,
-        _ => MemModel::Hier,
-    }
-}
 
 /// Coalesce one warp instruction's per-lane accesses into the unique,
 /// sorted set of 32-byte sectors it touches — the transaction-generation
@@ -160,13 +128,6 @@ mod tests {
 
     fn geom() -> CacheGeom {
         crate::arch::DeviceArch::a100().cache
-    }
-
-    #[test]
-    fn env_default_is_hier_and_override_wins() {
-        assert_eq!(resolve_mem_model(Some(MemModel::Flat)), MemModel::Flat);
-        assert_eq!(resolve_mem_model(Some(MemModel::Hier)), MemModel::Hier);
-        assert_eq!(MemModel::default(), MemModel::Hier);
     }
 
     #[test]

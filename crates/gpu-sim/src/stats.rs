@@ -81,9 +81,6 @@ impl ResourceCycles {
 /// Resource profile of one executed thread block.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockProfile {
-    /// Critical-path cycles of the block (max over warp clocks, including
-    /// barrier waits and exposed memory latency).
-    pub cycles: u64,
     /// Total warp-instruction issue cycles across all warps.
     pub issue: u64,
     /// Total global-memory sectors transferred.
@@ -106,17 +103,18 @@ pub struct BlockProfile {
     /// block execution) so the per-visit burst grouping is bit-identical
     /// at any `SIMT_SIM_THREADS`.
     pub dram_atoms: u64,
-    /// L1-hit replay cycles included in `issue`/`cycles` that the
-    /// hierarchical model moves off the issue pipe into the LSU: the whole
+    /// L1-hit replay cycles included in `issue` and the warp clocks that
+    /// the makespan moves off the issue pipe into the LSU: the whole
     /// `line_cycles` charge per full-line hit, all but one `sector_cycles`
     /// beat per partial-line hit.
     pub tx_cycles: u64,
     /// Deduplicated sectors touched by warp instructions, L1 hits
-    /// included — LSU pipe occupancy in the hierarchical model.
+    /// included — LSU pipe occupancy.
     pub lsu_sectors: u64,
-    /// Critical-path cycles net of each warp's own transaction-replay
-    /// charges: `max` over warps of `clock − tx` — the latency term the
-    /// hierarchical makespan uses instead of `cycles`.
+    /// Critical-path cycles of the block net of each warp's own
+    /// offloadable replay charges: `max` over warps of `clock − tx`, where
+    /// a warp's clock includes barrier waits and exposed memory latency.
+    /// The makespan's latency term.
     pub resid_cycles: u64,
     /// L1-missing sectors per L2 bank slice (length =
     /// [`crate::arch::CacheGeom::l2_banks`]); sums to `sectors`.
@@ -130,8 +128,7 @@ pub struct BlockProfile {
 
 /// Memory-hierarchy counters aggregated over a launch, merged from the
 /// per-block profiles in block-index order (DESIGN §11) so they are
-/// bit-identical at any `SIMT_SIM_THREADS`. Filled for both memory
-/// models — only the makespan interpretation differs.
+/// bit-identical at any `SIMT_SIM_THREADS`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Warp-L1 window hits (every requested sector already valid).
@@ -155,12 +152,11 @@ pub struct MemStats {
     /// [`LaunchStats::total_dram_sectors`].
     pub dram_sectors: u64,
     /// 64-byte burst atoms the compulsory traffic occupies (HBM minimum
-    /// access granularity); the hierarchical DRAM roof charges
+    /// access granularity); the DRAM roof charges
     /// `max(dram_sectors, 2 × dram_atoms)` effective sectors.
     pub dram_atoms: u64,
     /// Cycles the DRAM roof grew because the launch's memory-level
-    /// parallelism could not sustain peak bandwidth (hierarchical model
-    /// only; always 0 under the flat model).
+    /// parallelism could not sustain peak bandwidth.
     pub mlp_stalls: u64,
 }
 

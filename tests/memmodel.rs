@@ -1,99 +1,87 @@
-//! Differential + golden-shape suite for the hierarchical memory model
+//! Differential + golden-shape suite for the memory model
 //! (`gpu_sim::mem::hier`).
 //!
 //! Three contracts:
 //!
-//! 1. **Differential**: every in-tree kernel runs under both memory models
-//!    (`Device::set_mem_model` — the env knob is racy under a parallel
-//!    test harness) × both execution engines × block-execution thread
-//!    counts {1, 4}. Within one model, all four runs must produce
-//!    bit-identical [`LaunchStats`] — including every [`MemStats`]
+//! 1. **Differential**: every in-tree kernel runs under both execution
+//!    engines × block-execution thread counts {1, 4}. All four runs must
+//!    produce bit-identical [`LaunchStats`] — including every [`MemStats`]
 //!    counter, whose block-index-order merge (DESIGN §11) is exactly what
-//!    this asserts. Across models, every *charge* counter must agree
-//!    (the models reinterpret the same per-block profiles; only the
-//!    makespan and its MLP-stall attribution may differ).
-//! 2. **Seed pin**: the flat-path results are pinned to the exact values
-//!    the pre-hierarchy seed produced, so `SIMT_SIM_MEM=flat` remains a
-//!    faithful escape hatch to the old model.
-//! 3. **Golden shape**: the Fig 9 speedup curves under the hierarchical
-//!    model hold their paper shape — su3's benefit capped at ≤ 2× with
-//!    small groups worst, sparse_matvec peaking at an interior group
-//!    size, ideal's group-32 factor within ±15% of the paper's 2.15× —
-//!    at a reduced size in tier-1 and at full Fig 9 size behind
-//!    `#[ignore]` (run with `cargo test --release -- --ignored`).
+//!    this asserts.
+//! 2. **Pins**: the charge counters (issue, sectors, L1 hits, DRAM
+//!    sectors, blocks) are pinned to the values the seed produced — the
+//!    makespan model never changed how blocks are charged — and the
+//!    makespan outputs (cycles, burst atoms, MLP stalls) to their measured
+//!    values, so neither can drift silently.
+//! 3. **Golden shape**: the Fig 9 speedup curves hold their paper shape —
+//!    su3's benefit capped at ≤ 2× with small groups worst, sparse_matvec
+//!    peaking at an interior group size, ideal's group-32 factor within
+//!    ±15% of the paper's 2.15× — at a reduced size in tier-1 and at full
+//!    Fig 9 size behind `#[ignore]` (run with `cargo test --release
+//!    --test memmodel -- --ignored golden_shape_full`).
+//!
+//! [`MemStats`]: simt_omp::gpu::MemStats
 
 use simt_omp::codegen::{CompiledKernel, Engine};
-use simt_omp::gpu::{Device, DeviceArch, LaunchStats, MemModel, Slot};
+use simt_omp::gpu::{Device, DeviceArch, LaunchStats, Slot};
 use simt_omp::kernels::harness::Fig10Variant;
 use simt_omp::kernels::matrix::{CsrMatrix, RowProfile};
 use simt_omp::kernels::stencil2d::Stencil2dVariant;
 use simt_omp::kernels::{batched, ideal, laplace3d, muram, spmv, stencil2d, su3};
 use simt_omp::rt::config::KernelConfig;
 
-/// Run one kernel across the model × engine × sim-thread matrix. Asserts
-/// bit-identical stats within each model and charge-counter agreement
-/// across models; returns the canonical `(flat, hier)` stats.
-fn model_matrix(
+/// Run one kernel across the engine × sim-thread matrix, assert
+/// bit-identical stats in every cell, and return the canonical stats.
+fn engine_matrix(
     label: &str,
     k: &CompiledKernel,
     arch: &DeviceArch,
     mut setup: impl FnMut(&mut Device) -> Vec<Slot>,
-) -> (LaunchStats, LaunchStats) {
-    let mut canon: Vec<LaunchStats> = Vec::new();
-    for model in [MemModel::Flat, MemModel::Hier] {
-        let mut first: Option<LaunchStats> = None;
-        for engine in [Engine::Bytecode, Engine::Tree] {
-            for threads in [1usize, 4] {
-                let mut dev = Device::new(arch.clone());
-                dev.set_mem_model(Some(model));
-                dev.set_sim_threads(Some(threads));
-                let args = setup(&mut dev);
-                let stats = k
-                    .launch_with_engine(&mut dev, &args, engine)
-                    .unwrap_or_else(|e| panic!("{label} {model:?} {engine:?}: {e:?}"));
-                match &first {
-                    None => first = Some(stats),
-                    Some(c) => assert_eq!(
-                        *c, stats,
-                        "{label} {model:?}: {engine:?} threads={threads} diverged"
-                    ),
+) -> LaunchStats {
+    let mut first: Option<LaunchStats> = None;
+    for engine in [Engine::Bytecode, Engine::Tree] {
+        for threads in [1usize, 4] {
+            let mut dev = Device::new(arch.clone());
+            dev.set_sim_threads(Some(threads));
+            let args = setup(&mut dev);
+            let stats = k
+                .launch_with_engine(&mut dev, &args, engine)
+                .unwrap_or_else(|e| panic!("{label} {engine:?}: {e:?}"));
+            match &first {
+                None => first = Some(stats),
+                Some(c) => {
+                    assert_eq!(*c, stats, "{label}: {engine:?} threads={threads} diverged")
                 }
             }
         }
-        canon.push(first.unwrap());
     }
-    let (flat, hier) = (canon.remove(0), canon.remove(0));
-    // The models share one charge path: every traffic counter agrees.
-    assert_eq!(flat.blocks, hier.blocks, "{label}: block count");
-    assert_eq!(flat.total_issue, hier.total_issue, "{label}: issue");
-    assert_eq!(flat.total_sectors, hier.total_sectors, "{label}: sectors");
-    assert_eq!(flat.total_l1_hits, hier.total_l1_hits, "{label}: l1 hits");
-    assert_eq!(flat.total_dram_sectors, hier.total_dram_sectors, "{label}: dram");
-    let mut flat_mem = flat.mem.clone();
-    flat_mem.mlp_stalls = hier.mem.mlp_stalls;
-    assert_eq!(flat_mem, hier.mem, "{label}: MemStats diverged beyond mlp_stalls");
-    (flat, hier)
+    first.unwrap()
 }
 
-/// Pin the flat-model stats to the seed's values (captured from the
+/// Pin the charge counters to the seed's values (captured from the
 /// pre-hierarchy tree at these exact configs).
-#[allow(clippy::too_many_arguments)]
-fn assert_seed(
+fn assert_charges(
     label: &str,
     s: &LaunchStats,
-    cycles: u64,
     issue: u64,
     sectors: u64,
     l1_hits: u64,
     dram: u64,
     blocks: u32,
 ) {
-    assert_eq!(s.cycles, cycles, "{label}: flat cycles drifted from seed");
-    assert_eq!(s.total_issue, issue, "{label}: flat issue drifted from seed");
-    assert_eq!(s.total_sectors, sectors, "{label}: flat sectors drifted from seed");
-    assert_eq!(s.total_l1_hits, l1_hits, "{label}: flat l1 hits drifted from seed");
-    assert_eq!(s.total_dram_sectors, dram, "{label}: flat dram drifted from seed");
-    assert_eq!(s.blocks, blocks, "{label}: flat block count drifted from seed");
+    assert_eq!(s.total_issue, issue, "{label}: issue drifted from seed");
+    assert_eq!(s.total_sectors, sectors, "{label}: sectors drifted from seed");
+    assert_eq!(s.total_l1_hits, l1_hits, "{label}: l1 hits drifted from seed");
+    assert_eq!(s.total_dram_sectors, dram, "{label}: dram drifted from seed");
+    assert_eq!(s.blocks, blocks, "{label}: block count drifted from seed");
+}
+
+/// Pin the makespan outputs: launch cycles, DRAM burst atoms and MLP
+/// stall cycles.
+fn assert_makespan(label: &str, s: &LaunchStats, cycles: u64, dram_atoms: u64, mlp_stalls: u64) {
+    assert_eq!(s.cycles, cycles, "{label}: cycles drifted");
+    assert_eq!(s.mem.dram_atoms, dram_atoms, "{label}: dram atoms drifted");
+    assert_eq!(s.mem.mlp_stalls, mlp_stalls, "{label}: mlp stalls drifted");
 }
 
 #[test]
@@ -101,67 +89,66 @@ fn spmv_models_differential() {
     let mat = CsrMatrix::generate(2048, 2048, RowProfile::Banded { min: 4, max: 44 }, 42);
     let x: Vec<f64> = (0..mat.ncols).map(|i| ((i * 13) % 31) as f64 * 0.0625).collect();
     let k = spmv::build_two_level(108);
-    let (flat, _) = model_matrix("spmv two-level", &k, &DeviceArch::a100(), |dev| {
+    let s = engine_matrix("spmv two-level", &k, &DeviceArch::a100(), |dev| {
         spmv::SpmvDev::upload(dev, &mat, &x).args().to_vec()
     });
-    assert_seed("spmv two-level", &flat, 21_669, 2_055_646, 46_738, 9_982, 26_153, 108);
+    assert_charges("spmv two-level", &s, 2_055_646, 46_738, 9_982, 26_153, 108);
+    assert_makespan("spmv two-level", &s, 21_669, 16_248, 0);
 
     let k = spmv::build_three_level(27, 64, 8);
-    let (flat, _) = model_matrix("spmv three-level gs=8", &k, &DeviceArch::a100(), |dev| {
+    let s = engine_matrix("spmv three-level gs=8", &k, &DeviceArch::a100(), |dev| {
         spmv::SpmvDev::upload(dev, &mat, &x).args().to_vec()
     });
-    assert_seed("spmv three-level gs=8", &flat, 18_668, 615_768, 43_512, 9_955, 26_153, 27);
+    assert_charges("spmv three-level gs=8", &s, 615_768, 43_512, 9_955, 26_153, 27);
+    assert_makespan("spmv three-level gs=8", &s, 17_654, 19_655, 0);
 }
 
 #[test]
 fn su3_models_differential() {
     let w = su3::Su3Workload::generate(1728, 7);
     let k = su3::build(27, 64, 1);
-    let (flat, hier) = model_matrix("su3 base", &k, &DeviceArch::a100(), |dev| {
+    let s = engine_matrix("su3 base", &k, &DeviceArch::a100(), |dev| {
         su3::Su3Dev::upload(dev, &w).args().to_vec()
     });
-    assert_seed("su3 base", &flat, 107_447, 5_456_378, 94_339, 776_573, 93_312, 27);
-    // The hierarchical model is the whole point for su3: its temporal
-    // reuse must stop being charged as issue-serialized replays.
-    assert!(
-        hier.cycles < flat.cycles,
-        "su3 base: hier ({}) should beat flat ({})",
-        hier.cycles,
-        flat.cycles
-    );
+    assert_charges("su3 base", &s, 5_456_378, 94_339, 776_573, 93_312, 27);
+    assert_makespan("su3 base", &s, 37_321, 93_312, 0);
 
     let k = su3::build(27, 64, 8);
-    let (flat, _) = model_matrix("su3 gs=8", &k, &DeviceArch::a100(), |dev| {
+    let s = engine_matrix("su3 gs=8", &k, &DeviceArch::a100(), |dev| {
         su3::Su3Dev::upload(dev, &w).args().to_vec()
     });
-    assert_seed("su3 gs=8", &flat, 34_548, 1_483_704, 93_312, 148_608, 93_312, 27);
+    assert_charges("su3 gs=8", &s, 1_483_704, 93_312, 148_608, 93_312, 27);
+    assert_makespan("su3 gs=8", &s, 19_988, 67_392, 0);
 }
 
 #[test]
 fn ideal_models_differential() {
     let w = ideal::IdealWorkload::generate(6912, 3);
     let k = ideal::build(27, 64, 8);
-    let (flat, _) = model_matrix("ideal gs=8", &k, &DeviceArch::a100(), |dev| {
+    let s = engine_matrix("ideal gs=8", &k, &DeviceArch::a100(), |dev| {
         ideal::IdealDev::upload(dev, &w).args().to_vec()
     });
-    assert_seed("ideal gs=8", &flat, 20_548, 687_960, 112_320, 0, 112_320, 27);
+    assert_charges("ideal gs=8", &s, 687_960, 112_320, 0, 112_320, 27);
+    assert_makespan("ideal gs=8", &s, 20_548, 57_024, 0);
 }
 
 #[test]
 fn laplace3d_models_differential() {
     let w = laplace3d::Laplace3dWorkload::generate(18);
+    // (variant, cycles, dram atoms, issue, l1 hits)
     let pins = [
-        (Fig10Variant::NoSimd, 6_456u64, 30_912u64, 1_132u64),
-        (Fig10Variant::SpmdSimd, 7_270, 40_960, 1_472),
-        (Fig10Variant::GenericSimd, 8_786, 65_216, 1_472),
+        (Fig10Variant::NoSimd, 6_056u64, 1_449u64, 30_912u64, 1_132u64),
+        (Fig10Variant::SpmdSimd, 6_724, 1_592, 40_960, 1_472),
+        (Fig10Variant::GenericSimd, 8_240, 1_592, 65_216, 1_472),
     ];
-    for (variant, cycles, issue, hits) in pins {
+    for (variant, cycles, atoms, issue, hits) in pins {
         let k = laplace3d::build(8, 64, variant);
         let label = format!("laplace3d {}", variant.label());
-        let (flat, _) = model_matrix(&label, &k, &DeviceArch::a100(), |dev| {
+        let s = engine_matrix(&label, &k, &DeviceArch::a100(), |dev| {
             laplace3d::Laplace3dDev::upload(dev, &w).args().to_vec()
         });
-        assert_seed(&label, &flat, cycles, issue, 5_024, hits, 2_610, 8);
+        assert_charges(&label, &s, issue, 5_024, hits, 2_610, 8);
+        assert_makespan(&label, &s, cycles, atoms, 0);
     }
 }
 
@@ -169,16 +156,18 @@ fn laplace3d_models_differential() {
 fn muram_models_differential() {
     let w = muram::MuramWorkload::generate(16);
     let k = muram::build(muram::MuramKernel::Transpose, 8, 64, Fig10Variant::SpmdSimd);
-    let (flat, _) = model_matrix("muram transpose", &k, &DeviceArch::a100(), |dev| {
+    let s = engine_matrix("muram transpose", &k, &DeviceArch::a100(), |dev| {
         muram::MuramDev::upload(dev, &w).args().to_vec()
     });
-    assert_seed("muram transpose", &flat, 6_652, 38_464, 2_048, 3_072, 2_048, 8);
+    assert_charges("muram transpose", &s, 38_464, 2_048, 3_072, 2_048, 8);
+    assert_makespan("muram transpose", &s, 5_788, 1_536, 0);
 
     let k = muram::build(muram::MuramKernel::Interpol, 8, 64, Fig10Variant::GenericSimd);
-    let (flat, _) = model_matrix("muram interpol", &k, &DeviceArch::a100(), |dev| {
+    let s = engine_matrix("muram interpol", &k, &DeviceArch::a100(), |dev| {
         muram::MuramDev::upload(dev, &w).args().to_vec()
     });
-    assert_seed("muram interpol", &flat, 6_960, 42_240, 2_048, 256, 2_048, 8);
+    assert_charges("muram interpol", &s, 42_240, 2_048, 256, 2_048, 8);
+    assert_makespan("muram interpol", &s, 6_864, 1_024, 0);
 }
 
 #[test]
@@ -191,20 +180,22 @@ fn stencil2d_models_differential() {
         KernelConfig::SHARING_SPACE_DEFAULT,
         Stencil2dVariant::HaloShared,
     );
-    let (flat, _) = model_matrix("stencil2d halo", &k, &DeviceArch::a100(), |dev| {
+    let s = engine_matrix("stencil2d halo", &k, &DeviceArch::a100(), |dev| {
         stencil2d::Stencil2dDev::upload(dev, &w, 8).args().to_vec()
     });
-    assert_seed("stencil2d halo", &flat, 5_703, 19_818, 504, 125, 241, 6);
+    assert_charges("stencil2d halo", &s, 19_818, 504, 125, 241, 6);
+    assert_makespan("stencil2d halo", &s, 5_703, 222, 1);
 }
 
 #[test]
 fn batched_models_differential() {
     let w = batched::BatchedWorkload::generate(4, 8, 8);
     let k = batched::build(2, 64, 8, w.n_bodies, batched::DispatchMode::Cascade);
-    let (flat, _) = model_matrix("batched cascade", &k, &DeviceArch::a100(), |dev| {
+    let s = engine_matrix("batched cascade", &k, &DeviceArch::a100(), |dev| {
         batched::BatchedDev::upload(dev, &w).args().to_vec()
     });
-    assert_seed("batched cascade", &flat, 4_926, 1_916, 128, 0, 128, 2);
+    assert_charges("batched cascade", &s, 1_916, 128, 0, 128, 2);
+    assert_makespan("batched cascade", &s, 4_926, 64, 9);
 }
 
 /// MemStats merge bit-identity at every supported worker count — the
@@ -229,7 +220,7 @@ fn memstats_merge_is_thread_count_invariant() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden-shape regression: Fig 9 curves under the hierarchical model.
+// Golden-shape regression: Fig 9 curves.
 // ---------------------------------------------------------------------------
 
 const GROUP_SIZES: [u32; 6] = [1, 2, 4, 8, 16, 32];
@@ -240,7 +231,6 @@ fn su3_sweep(sites: usize, teams: u32, threads: u32) -> Vec<u64> {
         .iter()
         .map(|&gs| {
             let mut dev = Device::a100();
-            dev.set_mem_model(Some(MemModel::Hier));
             let ops = su3::Su3Dev::upload(&mut dev, &w);
             su3::run(&mut dev, &su3::build(teams, threads, gs), &ops).1.cycles
         })
@@ -253,7 +243,6 @@ fn ideal_sweep(outer: usize, teams: u32, threads: u32) -> Vec<u64> {
         .iter()
         .map(|&gs| {
             let mut dev = Device::a100();
-            dev.set_mem_model(Some(MemModel::Hier));
             let ops = ideal::IdealDev::upload(&mut dev, &w);
             ideal::run(&mut dev, &ideal::build(teams, threads, gs), &ops).1.cycles
         })
@@ -267,13 +256,11 @@ fn spmv_sweep(rows: usize, base_teams: u32, teams: u32, threads: u32) -> Vec<u64
     let mut out = Vec::new();
     {
         let mut dev = Device::a100();
-        dev.set_mem_model(Some(MemModel::Hier));
         let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
         out.push(spmv::run(&mut dev, &spmv::build_two_level(base_teams), &ops).1.cycles);
     }
     for gs in [2u32, 4, 8, 16, 32] {
         let mut dev = Device::a100();
-        dev.set_mem_model(Some(MemModel::Hier));
         let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
         out.push(spmv::run(&mut dev, &spmv::build_three_level(teams, threads, gs), &ops).1.cycles);
     }
