@@ -137,6 +137,14 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// Sectors per L1 line, or `None` when the L1's 8-bit per-way sector
+    /// mask cannot represent the line: zero-byte sectors, or more than 8
+    /// sectors per line. [`crate::Device::validate`] rejects such models.
+    pub fn sectors_per_line(&self) -> Option<u64> {
+        let spl = self.line_bytes.checked_div(self.sector_bytes)?.max(1);
+        (spl <= 8).then_some(spl as u64)
+    }
+
     /// Number of sectors needed to cover `bytes` bytes starting at `addr`,
     /// assuming sector-aligned transaction boundaries.
     #[inline]

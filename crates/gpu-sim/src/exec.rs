@@ -311,8 +311,8 @@ impl FlatAcc {
     }
 }
 
-/// Per-warp accounting state, including the warp's L1 window: a
-/// direct-mapped map of recently touched sectors. Re-touching a cached
+/// Per-warp accounting state, including the warp's [`L1Window`] of
+/// recently touched lines and sectors. Re-touching a cached
 /// sector costs [`CostModel::l1_hit_cycles`] instead of a DRAM sector —
 /// this is what lets a thread streaming through its own block of memory
 /// (e.g. the serial inner loops of the two-level baselines) avoid paying
@@ -322,7 +322,6 @@ struct WarpState {
     clock: u64,
     issue: u64,
     sectors: u64,
-    dram_sectors: u64,
     smem_ops: u64,
     l1_hits: u64,
     /// L1-hit replay cycles included in `issue` and `clock` that the
@@ -339,32 +338,84 @@ struct WarpState {
     /// Deduplicated sectors touched per ordinal, L1 hits included (LSU
     /// pipe occupancy).
     lsu_sectors: u64,
-    /// 4-way set-associative tag store: `l1[set*4..set*4+4]`.
-    l1: Vec<u64>,
-    /// LRU ages parallel to `l1`.
-    l1_age: Vec<u8>,
-    /// Per-way sector-validity bitmasks (sectored cache: a line tag can be
-    /// present with only some of its sectors fetched).
-    l1_mask: Vec<u8>,
+    l1: L1Window,
 }
 
-/// Program-order log of the block's line visits, kept for the launch's
-/// deterministic first-touch replay (see `Device::launch`).
+/// A warp's L1 window: 4-way set-associative, line-granular tags, LRU.
+/// Empty until the warp's first commit, and for good when the cost model
+/// has fewer than 4 lines.
+#[derive(Clone, Debug, Default)]
+struct L1Window {
+    /// Tag store: set `s` is `tags[s*4..s*4+4]`.
+    tags: Vec<u64>,
+    /// LRU ages parallel to `tags`.
+    ages: Vec<u8>,
+    /// Per-way sector-validity bitmasks (sectored cache: a line tag can be
+    /// present with only some of its sectors fetched).
+    masks: Vec<u8>,
+}
+
+impl L1Window {
+    /// Take a warp's window out of `slot` for a commit (the commit puts it
+    /// back), allocating `lines` ways on first use.
+    fn take(slot: &mut L1Window, lines: u32) -> L1Window {
+        let n = lines as usize;
+        if slot.tags.is_empty() && n >= 4 {
+            return L1Window { tags: vec![u64::MAX; n], ages: vec![0; n], masks: vec![0; n] };
+        }
+        std::mem::take(slot)
+    }
+}
+
+/// `Hasher` for the `u64` line-id keys of the visit maps: one folded
+/// 64×64→128-bit multiply, so strided line ids still spread over every
+/// bucket. Line ids are simulator-generated, so SipHash's flooding
+/// resistance buys nothing on this per-access path.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct LineHasher(u64);
+
+impl std::hash::Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("LineHasher only hashes u64 line ids")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let p = (self.0 ^ x) as u128 * 0x9E37_79B9_7F4A_7C15u128;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+}
+
+/// Line id → sector mask, keyed through [`LineHasher`].
+pub(crate) type LineMap<V> =
+    std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<LineHasher>>;
+
+/// Program-order log of the block's line visits, the input of the
+/// launch's block-index-order replay (see `Device::launch`) — the only
+/// place compulsory DRAM traffic is counted.
 ///
 /// Which *visit* claims a sector's compulsory DRAM fill depends on how
 /// blocks interleave, and the 64-byte burst-atom charge is a nonlinear
-/// function of that per-visit grouping — so it cannot be computed online
-/// without becoming thread-count dependent. Instead every block records
-/// `(line, sector-bits first requested by this block in this visit)` in
-/// its own execution order; the launch replays the logs in block-index
-/// order against one sequential touched-set, which reproduces the
+/// function of that per-visit grouping — so neither `dram_sectors` nor
+/// `dram_atoms` can be computed online without the per-block split
+/// becoming thread-count dependent. Instead every block records `(line,
+/// sector-bits first requested by this block in this visit)` in its own
+/// execution order; the launch replays the logs in block-index order
+/// against one sequential touched-set, which reproduces the
 /// `SIMT_SIM_THREADS=1` attribution exactly at any thread count.
 ///
 /// Entries are packed `line << 8 | mask`; the per-block `seen` prefilter
 /// keeps the log bounded by the block's distinct (line, sector) footprint.
+/// [`line_walk`] records only L1 misses and tag hits that add sectors: a
+/// way's valid sectors were all recorded when they were fetched, so a
+/// pure hit could never add a bit here.
 #[derive(Default)]
 pub(crate) struct VisitLog {
-    seen: std::collections::HashMap<u64, u8>,
+    seen: LineMap<u8>,
     log: Vec<u64>,
 }
 
@@ -489,6 +540,8 @@ pub struct TeamCtx<'g> {
     pub smem: SharedMem,
     gview: GlobalView<'g>,
     cost: &'g CostModel,
+    /// Sectors per cache line ([`CostModel::sectors_per_line`]).
+    spl: u64,
     arch: &'g DeviceArch,
     warps: Vec<WarpState>,
     /// Runtime-behavior counters for this block.
@@ -523,6 +576,7 @@ impl<'g> TeamCtx<'g> {
         arch: &'g DeviceArch,
     ) -> TeamCtx<'g> {
         assert!(nwarps >= 1, "a block needs at least one warp");
+        let spl = cost.sectors_per_line().expect("a line of at most 8 sectors (Device::validate)");
         TeamCtx {
             block_id,
             num_blocks,
@@ -530,6 +584,7 @@ impl<'g> TeamCtx<'g> {
             smem: SharedMem::new(smem_bytes),
             gview: global.view(block_id),
             cost,
+            spl,
             arch,
             warps: vec![WarpState::default(); nwarps as usize],
             counters: RtCounters::default(),
@@ -759,26 +814,15 @@ impl<'g> TeamCtx<'g> {
         let mut issue_add = clock_add;
         let mut sectors_add = 0u64;
         let mut hits_add = 0u64;
-        let mut dram_add = 0u64;
         let mut lines_add = 0u64;
         let mut tx_add = 0u64;
         let mut full_hits_add = 0u64;
         let mut lsu_add = 0u64;
-        // Lazily initialize this warp's L1 window (4-way set associative,
-        // line-granular tags).
-        if self.warps[warp as usize].l1.is_empty() && cost.l1_lines >= 4 {
-            self.warps[warp as usize].l1 = vec![u64::MAX; cost.l1_lines as usize];
-            self.warps[warp as usize].l1_age = vec![0; cost.l1_lines as usize];
-            self.warps[warp as usize].l1_mask = vec![0; cost.l1_lines as usize];
-        }
-        let mut l1 = std::mem::take(&mut self.warps[warp as usize].l1);
-        let mut l1_age = std::mem::take(&mut self.warps[warp as usize].l1_age);
-        let mut l1_mask = std::mem::take(&mut self.warps[warp as usize].l1_mask);
+        let mut l1 = L1Window::take(&mut self.warps[warp as usize].l1, cost.l1_lines);
         let mut banks = std::mem::take(&mut self.l2_bank_sectors);
         let mut visits = std::mem::take(&mut self.visits);
-        let nsets = l1.len() / 4;
 
-        let spl = (cost.line_bytes / cost.sector_bytes).max(1) as u64;
+        let spl = self.spl;
         for k in 0..max_ord {
             scratch_sectors.clear();
             scratch_atomic.clear();
@@ -801,18 +845,8 @@ impl<'g> TeamCtx<'g> {
             }
             scratch_sectors.sort_unstable();
             scratch_sectors.dedup();
-            let (lines, sectors, hits, full) = line_walk(
-                &scratch_sectors,
-                spl,
-                nsets,
-                &mut l1,
-                &mut l1_age,
-                &mut l1_mask,
-                &self.gview,
-                &mut dram_add,
-                &mut visits,
-                &mut banks,
-            );
+            let (lines, sectors, hits, full) =
+                line_walk(&scratch_sectors, spl, &mut l1, &mut visits, &mut banks);
             let misses = sectors;
             let tx = lines * cost.line_cycles + sectors * cost.sector_cycles;
             let c = tx + atomic_serialize_cycles(&mut scratch_atomic, cost);
@@ -841,12 +875,9 @@ impl<'g> TeamCtx<'g> {
         }
         let w = &mut self.warps[warp as usize];
         w.l1 = l1;
-        w.l1_age = l1_age;
-        w.l1_mask = l1_mask;
         w.clock += clock_add;
         w.issue += issue_add;
         w.sectors += sectors_add;
-        w.dram_sectors += dram_add;
         w.smem_ops += max_smem;
         w.l1_hits += hits_add;
         w.tx += tx_add;
@@ -875,22 +906,13 @@ impl<'g> TeamCtx<'g> {
         let mut issue_add = clock_add;
         let mut sectors_add = 0u64;
         let mut hits_add = 0u64;
-        let mut dram_add = 0u64;
         let mut tx_add = 0u64;
         let mut full_hits_add = 0u64;
         let mut lsu_add = 0u64;
-        if self.warps[warp as usize].l1.is_empty() && cost.l1_lines >= 4 {
-            self.warps[warp as usize].l1 = vec![u64::MAX; cost.l1_lines as usize];
-            self.warps[warp as usize].l1_age = vec![0; cost.l1_lines as usize];
-            self.warps[warp as usize].l1_mask = vec![0; cost.l1_lines as usize];
-        }
-        let mut l1 = std::mem::take(&mut self.warps[warp as usize].l1);
-        let mut l1_age = std::mem::take(&mut self.warps[warp as usize].l1_age);
-        let mut l1_mask = std::mem::take(&mut self.warps[warp as usize].l1_mask);
+        let mut l1 = L1Window::take(&mut self.warps[warp as usize].l1, cost.l1_lines);
         let mut banks = std::mem::take(&mut self.l2_bank_sectors);
         let mut visits = std::mem::take(&mut self.visits);
-        let nsets = l1.len() / 4;
-        let spl = (cost.line_bytes / cost.sector_bytes).max(1) as u64;
+        let spl = self.spl;
 
         for o in &mut acc.ords[..acc.max_ord] {
             if o.sectors.is_empty() && o.atomics.is_empty() {
@@ -900,18 +922,8 @@ impl<'g> TeamCtx<'g> {
                 o.sectors.sort_unstable();
                 o.sectors.dedup();
             }
-            let (lines, sectors, hits, full) = line_walk(
-                &o.sectors,
-                spl,
-                nsets,
-                &mut l1,
-                &mut l1_age,
-                &mut l1_mask,
-                &self.gview,
-                &mut dram_add,
-                &mut visits,
-                &mut banks,
-            );
+            let (lines, sectors, hits, full) =
+                line_walk(&o.sectors, spl, &mut l1, &mut visits, &mut banks);
             let misses = sectors;
             let tx = lines * cost.line_cycles + sectors * cost.sector_cycles;
             let c = tx + atomic_serialize_cycles(&mut o.atomics, cost);
@@ -926,12 +938,9 @@ impl<'g> TeamCtx<'g> {
 
         let w = &mut self.warps[warp as usize];
         w.l1 = l1;
-        w.l1_age = l1_age;
-        w.l1_mask = l1_mask;
         w.clock += clock_add;
         w.issue += issue_add;
         w.sectors += sectors_add;
-        w.dram_sectors += dram_add;
         w.smem_ops += acc.max_smem_ops;
         w.l1_hits += hits_add;
         w.tx += tx_add;
@@ -1114,14 +1123,15 @@ impl<'g> TeamCtx<'g> {
 
     /// Finish the block: produce its resource profile. `threads` and
     /// `smem_bytes` are the occupancy inputs recorded by the launch.
-    /// `dram_atoms` is left at zero here — burst-atom attribution depends
-    /// on cross-block first-touch order, so the launch fills it during the
-    /// block-index-order replay of [`Self::take_visits`] logs.
+    /// `dram_sectors` and `dram_atoms` are left at zero here — compulsory
+    /// traffic depends on cross-block first-touch order, so the launch
+    /// fills both during the block-index-order replay of
+    /// [`Self::take_visits`] logs.
     pub fn finish(self, threads: u32, smem_bytes: u32) -> (BlockProfile, RtCounters) {
         let profile = BlockProfile {
             issue: self.warps.iter().map(|w| w.issue).sum(),
             sectors: self.warps.iter().map(|w| w.sectors).sum(),
-            dram_sectors: self.warps.iter().map(|w| w.dram_sectors).sum(),
+            dram_sectors: 0,
             dram_atoms: 0,
             smem_ops: self.warps.iter().map(|w| w.smem_ops).sum(),
             l1_hits: self.warps.iter().map(|w| w.l1_hits).sum(),
@@ -1172,47 +1182,51 @@ pub(crate) fn burst_atoms(mask: u8) -> u64 {
 /// sector already valid; it is a *full-line* hit when the way's entire
 /// sector mask is populated (temporal reuse of a completed fill, as
 /// opposed to re-touching a sector of a line whose fill is still in
-/// progress). Bumps `dram_add` for first-touched (compulsory) sectors,
-/// records the visit in `visits` for the launch's deterministic
-/// burst-atom replay (see [`VisitLog`]), and attributes every L1-missing
-/// sector to its L2 bank slice in `banks` (no-op when `banks` is empty).
+/// progress). Every L1 miss and every sector-adding tag hit is recorded in
+/// `visits` for the launch's replay, which derives the compulsory
+/// `dram_sectors` and burst atoms (see [`VisitLog`]); every L1-missing
+/// sector is attributed to its L2 bank slice in `banks` (no-op when
+/// `banks` is empty).
+///
+/// `spl` (sectors per line) is at most 8, the width of a way's sector
+/// mask (see [`CostModel::sectors_per_line`]). A power-of-two `spl`
+/// splits sector ids with a shift and a mask instead of a division.
 ///
 /// Shared by [`TeamCtx::commit`] and [`TeamCtx::commit_flat`] so the two
 /// execution engines agree on the memory model by construction — including
 /// the LRU victim rule (*last* max-age way wins ties, per `max_by_key`).
-#[allow(clippy::too_many_arguments)]
 fn line_walk(
     sectors: &[u64],
     spl: u64,
-    nsets: usize,
-    l1: &mut [u64],
-    l1_age: &mut [u8],
-    l1_mask: &mut [u8],
-    gview: &GlobalView<'_>,
-    dram_add: &mut u64,
+    l1: &mut L1Window,
     visits: &mut VisitLog,
     banks: &mut [u64],
 ) -> (u64, u64, u64, u64) {
+    let pow2 = spl.is_power_of_two();
+    let shift = spl.trailing_zeros();
+    let split = |s: u64| if pow2 { (s >> shift, s & (spl - 1)) } else { (s / spl, s % spl) };
+    let nsets = l1.tags.len() / 4;
     let mut dram_sectors = 0u64;
     let mut lines = 0u64;
     let mut hits = 0u64;
     let mut full_hits = 0u64;
-    let full_line_mask = ((1u16 << spl.min(8)) - 1) as u8;
+    let full_line_mask = ((1u16 << spl) - 1) as u8;
     let mut i = 0usize;
     while i < sectors.len() {
-        let line = sectors[i] / spl;
-        let mut smask = 0u8;
-        while i < sectors.len() && sectors[i] / spl == line {
-            let bit = 1u8 << (sectors[i] % spl).min(7);
-            if gview.first_touch(sectors[i]) {
-                *dram_add += 1;
+        let (line, first) = split(sectors[i]);
+        let mut smask = 1u8 << first;
+        i += 1;
+        while i < sectors.len() {
+            let (l, s) = split(sectors[i]);
+            if l != line {
+                break;
             }
-            smask |= bit;
+            smask |= 1u8 << s;
             i += 1;
         }
-        visits.record(line, smask);
         lines += 1;
         if nsets == 0 {
+            visits.record(line, smask);
             dram_sectors += smask.count_ones() as u64;
             bank_missing_sectors(smask, line, spl, banks);
             continue;
@@ -1221,9 +1235,9 @@ fn line_walk(
         // not alias into a handful of sets.
         let h = line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
         let set = (h % nsets as u64) as usize * 4;
-        let ways = &mut l1[set..set + 4];
-        let ages = &mut l1_age[set..set + 4];
-        let masks = &mut l1_mask[set..set + 4];
+        let ways = &mut l1.tags[set..set + 4];
+        let ages = &mut l1.ages[set..set + 4];
+        let masks = &mut l1.masks[set..set + 4];
         if let Some(w) = ways.iter().position(|&t| t == line) {
             // Tag hit: only sectors not yet fetched cost DRAM traffic
             // (sectored cache).
@@ -1234,6 +1248,7 @@ fn line_walk(
                     full_hits += 1;
                 }
             } else {
+                visits.record(line, smask);
                 dram_sectors += new.count_ones() as u64;
                 bank_missing_sectors(new, line, spl, banks);
                 masks[w] |= new;
@@ -1245,6 +1260,7 @@ fn line_walk(
                 }
             }
         } else {
+            visits.record(line, smask);
             dram_sectors += smask.count_ones() as u64;
             bank_missing_sectors(smask, line, spl, banks);
             let victim =
@@ -1533,12 +1549,14 @@ mod tests {
                     t.run_lanes(*warp, lanes, |lane, id| f(lane, id));
                 }
             }
-            t.finish(nwarps * 32, 4096)
+            let visits = t.take_visits().entries().to_vec();
+            (t.finish(nwarps * 32, 4096), visits)
         };
-        let (tree, tc) = run(false);
-        let (flat, fc) = run(true);
+        let ((tree, tc), tv) = run(false);
+        let ((flat, fc), fv) = run(true);
         assert_eq!(tree, flat, "profiles diverged");
         assert_eq!(tc, fc, "counters diverged");
+        assert_eq!(tv, fv, "line-visit logs diverged");
     }
 
     #[test]

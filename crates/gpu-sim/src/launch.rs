@@ -12,7 +12,7 @@
 
 use crate::arch::DeviceArch;
 use crate::cost::CostModel;
-use crate::exec::{burst_atoms, TeamCtx, VisitLog};
+use crate::exec::{burst_atoms, LineMap, TeamCtx, VisitLog};
 use crate::mem::global::{FallbackRange, GlobalMem};
 use crate::sanitize::{ForeignTouch, Sanitizer, Violation};
 use crate::sched;
@@ -57,6 +57,9 @@ pub enum LaunchError {
     SmemTooLarge { requested: u32, max: u32 },
     /// The block shape fits no SM (occupancy zero).
     ZeroOccupancy,
+    /// The device's cost model has zero-byte sectors, or more sectors per
+    /// line than the L1's 8-bit per-way sector mask holds.
+    BadSectorModel { line_bytes: u32, sector_bytes: u32 },
 }
 
 impl std::fmt::Display for LaunchError {
@@ -73,6 +76,10 @@ impl std::fmt::Display for LaunchError {
                 write!(f, "shared memory {requested} B exceeds per-block limit {max} B")
             }
             LaunchError::ZeroOccupancy => write!(f, "block shape fits no SM"),
+            LaunchError::BadSectorModel { line_bytes, sector_bytes } => write!(
+                f,
+                "{line_bytes} B lines of {sector_bytes} B sectors do not fit the 8-sector line mask"
+            ),
         }
     }
 }
@@ -187,6 +194,12 @@ impl Device {
 
     /// Validate a launch configuration against this device.
     pub fn validate(&self, cfg: &LaunchConfig) -> Result<u32, LaunchError> {
+        if self.cost.sectors_per_line().is_none() {
+            return Err(LaunchError::BadSectorModel {
+                line_bytes: self.cost.line_bytes,
+                sector_bytes: self.cost.sector_bytes,
+            });
+        }
         if cfg.num_blocks == 0 {
             return Err(LaunchError::ZeroBlocks);
         }
@@ -225,7 +238,6 @@ impl Device {
         F: Fn(&mut TeamCtx<'_>) + Sync,
     {
         let resident = self.validate(cfg)?;
-        self.global.reset_touched();
         let nwarps = cfg.threads_per_block / self.arch.warp_size;
         let threads = sched::resolve_threads(self.sim_threads);
         // Shared, immutable launch state the worker closure captures.
@@ -273,38 +285,36 @@ impl Device {
         let mut merged_trace = trace_enabled.then(|| Trace::with_capacity(trace_cap));
         let mut fallbacks_by_block: Vec<Vec<FallbackRange>> = Vec::with_capacity(outcomes.len());
         let mut foreign_by_block: Vec<Vec<ForeignTouch>> = Vec::with_capacity(outcomes.len());
-        let mut visits_by_block: Vec<VisitLog> = Vec::with_capacity(outcomes.len());
+        // Deterministic first-touch replay, folded into the merge: walk
+        // every block's line-visit log in block-index order against one
+        // sequential touched-set. Each visit's fresh sectors are
+        // compulsory DRAM traffic: the block counts them in `dram_sectors`
+        // and charges their 64-byte burst atoms to `dram_atoms`. Which
+        // visit wins a cross-block shared sector is interleaving-dependent
+        // online, and the burst-atom count is nonlinear in that grouping —
+        // replaying here reproduces the `SIMT_SIM_THREADS=1` attribution
+        // at any thread count. The map is pre-sized from the longest block
+        // log: the summed lengths over-reserve when blocks share lines.
+        let longest = outcomes.iter().map(|(_, o)| o.visits.entries().len()).max().unwrap_or(0);
+        let mut touched = LineMap::<u8>::with_capacity_and_hasher(longest, Default::default());
         for (_, o) in outcomes {
             counters.merge(&o.counters);
             violations.extend(o.violations);
             if let (Some(m), Some(t)) = (merged_trace.as_mut(), o.trace) {
                 m.absorb(t);
             }
-            profiles.push(o.profile);
-            fallbacks_by_block.push(o.fallbacks);
-            foreign_by_block.push(o.foreign);
-            visits_by_block.push(o.visits);
-        }
-        // Deterministic first-touch replay: walk every block's line-visit
-        // log in block-index order against one sequential touched-set and
-        // charge each compulsory fill's 64-byte DRAM burst atoms to the
-        // visit that claims it. Which visit wins a cross-block shared
-        // sector is interleaving-dependent online, and the burst-atom
-        // count is nonlinear in that grouping — replaying here reproduces
-        // the `SIMT_SIM_THREADS=1` attribution at any thread count.
-        let mut touched: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
-        for (p, visits) in profiles.iter_mut().zip(&visits_by_block) {
-            let mut atoms = 0u64;
-            for &packed in visits.entries() {
+            let mut p = o.profile;
+            for &packed in o.visits.entries() {
                 let (line, mask) = (packed >> 8, (packed & 0xff) as u8);
                 let seen = touched.entry(line).or_insert(0);
                 let fresh = mask & !*seen;
-                if fresh != 0 {
-                    *seen |= fresh;
-                    atoms += burst_atoms(fresh);
-                }
+                *seen |= fresh;
+                p.dram_sectors += fresh.count_ones() as u64;
+                p.dram_atoms += burst_atoms(fresh);
             }
-            p.dram_atoms = atoms;
+            profiles.push(p);
+            fallbacks_by_block.push(o.fallbacks);
+            foreign_by_block.push(o.foreign);
         }
         if let Some(m) = merged_trace {
             self.trace = m;
@@ -382,6 +392,27 @@ mod tests {
             d.validate(&LaunchConfig { smem_bytes: 1 << 20, ..ok }),
             Err(LaunchError::SmemTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn validation_rejects_sector_models_the_line_mask_cannot_hold() {
+        let ok = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
+        let mut d = Device::new(DeviceArch::tiny());
+        // 16 sectors of 8 B per 128 B line: bits 8.. of the u8 mask do not exist.
+        d.cost.sector_bytes = 8;
+        let err = LaunchError::BadSectorModel { line_bytes: 128, sector_bytes: 8 };
+        assert_eq!(d.validate(&ok), Err(err));
+        assert_eq!(d.launch(&ok, |_| {}).unwrap_err(), err);
+        d.cost.sector_bytes = 0;
+        assert!(matches!(
+            d.validate(&ok),
+            Err(LaunchError::BadSectorModel { line_bytes: 128, sector_bytes: 0 })
+        ));
+        // Exactly 8 sectors per line, and non-power-of-two sectors, still fit.
+        d.cost.sector_bytes = 16;
+        assert!(d.validate(&ok).is_ok());
+        d.cost.sector_bytes = 24;
+        assert!(d.validate(&ok).is_ok());
     }
 
     #[test]

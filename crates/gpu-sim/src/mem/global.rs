@@ -22,9 +22,10 @@
 //!   list, so every later access is a scan of a few ids plus an index,
 //!   with no lock and no refcount traffic. A cached segment shares its
 //!   `alive` flag with the table, so use after free still panics;
-//! * the first-touch (compulsory DRAM) tracker is striped by sector across
-//!   [`TOUCH_STRIPES`] mutexes — insert-exactly-once semantics keep the
-//!   *sum* of first touches deterministic under any block interleaving;
+//! * nothing here tracks which sectors a launch has touched: compulsory
+//!   DRAM traffic is counted by the launch's serial replay of the blocks'
+//!   line-visit logs (`exec::VisitLog`), so the access path carries no
+//!   per-launch state at all;
 //! * device-side fallback allocations land in per-block **arenas** at
 //!   deterministic synthetic addresses (`ARENA_BASE + block_id *
 //!   ARENA_STRIDE`), so cache-set hashing and coalescing never depend on
@@ -54,43 +55,26 @@ pub(crate) const ARENA_BASE: u64 = 1 << 44;
 /// allocations per block — far beyond what a sharing space can spill).
 pub(crate) const ARENA_STRIDE: u64 = 1 << 24;
 
-/// Number of first-touch tracker stripes (overflow sectors beyond the dense
-/// bitmap: per-block arenas and mid-launch allocations).
-const TOUCH_STRIPES: usize = 64;
-
-/// First-touch (compulsory DRAM) tracker for one launch. Host-segment
-/// sectors — the overwhelming majority of kernel traffic — are tracked in a
-/// dense lock-free bitmap sized at [`GlobalMem::reset_touched`] time;
-/// sectors past the bitmap (fallback arenas at [`ARENA_BASE`], segments
-/// allocated mid-launch) fall back to the original striped hash sets.
-/// Either way inserts are exactly-once across blocks, so per-launch totals
-/// stay interleaving-independent.
-pub(crate) struct TouchMap {
-    /// Sectors `< limit` use the bitmap; the rest the stripes.
-    limit: u64,
-    bits: Vec<AtomicU64>,
-    striped: Vec<Mutex<HashSet<u64>>>,
+/// The storage words of `values`, in one pass: `store_words` emits each
+/// value's words in index order.
+fn words_of<T: DevValue>(values: impl ExactSizeIterator<Item = T>) -> Vec<AtomicU64> {
+    let mut words = Vec::with_capacity(values.len() * T::WORDS);
+    values.for_each(|v| v.store_words(&mut |_, w| words.push(AtomicU64::new(w))));
+    words
 }
 
-impl TouchMap {
-    fn new(limit: u64) -> TouchMap {
-        TouchMap {
-            limit,
-            bits: (0..limit.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-            striped: (0..TOUCH_STRIPES).map(|_| Mutex::new(HashSet::new())).collect(),
-        }
+/// The storage of `n` default values. A default stored as all-zero words
+/// (every primitive, and arrays and pairs of them) comes from a zeroed
+/// allocation, whose pages stay untouched until the kernel writes them.
+fn default_words<T: DevValue + Default>(n: usize) -> Vec<AtomicU64> {
+    let mut zero = true;
+    T::default().store_words(&mut |_, w| zero &= w == 0);
+    if !zero {
+        return words_of(std::iter::repeat_n(T::default(), n));
     }
-
-    /// Record a sector touch; `true` exactly once per sector per launch.
-    #[inline]
-    pub(crate) fn first_touch(&self, sector: u64) -> bool {
-        if sector < self.limit {
-            let bit = 1u64 << (sector % 64);
-            self.bits[(sector / 64) as usize].fetch_or(bit, Ordering::Relaxed) & bit == 0
-        } else {
-            lock(&self.striped[(sector as usize) % TOUCH_STRIPES]).insert(sector)
-        }
-    }
+    // SAFETY: `AtomicU64` has the in-memory representation of `u64`, so
+    // all-zero bytes are a valid `AtomicU64` holding 0.
+    unsafe { Box::<[AtomicU64]>::new_zeroed_slice(n * T::WORDS).assume_init() }.into_vec()
 }
 
 /// One typed segment: metadata plus word storage behind relaxed atomics.
@@ -163,11 +147,6 @@ pub struct GlobalMem {
     live_bytes: AtomicU64,
     peak_bytes: AtomicU64,
     alloc_count: AtomicU64,
-    /// Sectors touched since the last launch began — distinguishes
-    /// compulsory DRAM traffic from L2-served re-reads. Swapped wholesale at
-    /// [`Self::reset_touched`]; views cache the `Arc` so the hot path never
-    /// takes this lock.
-    touched: Mutex<Arc<TouchMap>>,
 }
 
 impl Default for GlobalMem {
@@ -190,7 +169,6 @@ impl GlobalMem {
             live_bytes: AtomicU64::new(0),
             peak_bytes: AtomicU64::new(0),
             alloc_count: AtomicU64::new(0),
-            touched: Mutex::new(Arc::new(TouchMap::new(0))),
         }
     }
 
@@ -200,7 +178,6 @@ impl GlobalMem {
         let arena = ARENA_BASE + block_id as u64 * ARENA_STRIDE;
         GlobalView {
             mem: self,
-            touch: Arc::clone(&lock(&self.touched)),
             segs: Vec::new(),
             arena_next: arena,
             arena_limit: arena + ARENA_STRIDE,
@@ -208,13 +185,15 @@ impl GlobalMem {
         }
     }
 
-    fn push_segment<T: DevValue>(&self, data: &[T], base_override: Option<u64>) -> DPtr<T> {
-        let mut words: Vec<AtomicU64> = Vec::with_capacity(data.len() * T::WORDS);
-        words.resize_with(data.len() * T::WORDS, || AtomicU64::new(0));
-        for (i, v) in data.iter().enumerate() {
-            v.store_words(&mut |j, w| words[i * T::WORDS + j] = AtomicU64::new(w));
-        }
-        let bytes = std::mem::size_of_val(data) as u64;
+    /// Store `words`, the storage of `len` values, as a new segment at the
+    /// next host address, or at `base_override` (an arena address).
+    fn push_segment<T: DevValue>(
+        &self,
+        words: Vec<AtomicU64>,
+        len: usize,
+        base_override: Option<u64>,
+    ) -> DPtr<T> {
+        let bytes = (len * std::mem::size_of::<T>()) as u64;
         let mut m = lock(&self.master);
         let base = match base_override {
             Some(b) => b,
@@ -229,7 +208,7 @@ impl GlobalMem {
         let p = DPtr::new(m.segs.len() as u32, 0);
         m.segs.push(Some(Arc::new(Segment {
             base,
-            len: data.len(),
+            len,
             elem_bytes: std::mem::size_of::<T>(),
             elem_words: T::WORDS,
             type_id: TypeId::of::<T>(),
@@ -246,12 +225,12 @@ impl GlobalMem {
     /// Allocate a segment initialized from host data (the H2D copy itself is
     /// charged by the host runtime, not here).
     pub fn alloc_from<T: DevValue>(&self, data: &[T]) -> DPtr<T> {
-        self.push_segment(data, None)
+        self.push_segment(words_of(data.iter().copied()), data.len(), None)
     }
 
     /// Allocate a zero-initialized segment of `n` elements.
     pub fn alloc_zeroed<T: DevValue + Default>(&self, n: usize) -> DPtr<T> {
-        self.push_segment(&vec![T::default(); n], None)
+        self.push_segment(default_words::<T>(n), n, None)
     }
 
     /// Free a segment. Accessing it afterwards panics (simulated
@@ -349,26 +328,6 @@ impl GlobalMem {
     /// Total number of allocations performed.
     pub fn alloc_count(&self) -> u64 {
         self.alloc_count.load(Ordering::Relaxed)
-    }
-
-    /// Record a sector access; returns `true` on the first touch since the
-    /// last [`Self::reset_touched`] (compulsory DRAM traffic — later misses
-    /// of the same sector are served by the device-wide L2). Inserts are
-    /// exactly-once across all blocks, so per-launch *totals* are
-    /// interleaving-independent.
-    #[inline]
-    pub fn first_touch(&self, sector: u64) -> bool {
-        let map = Arc::clone(&lock(&self.touched));
-        map.first_touch(sector)
-    }
-
-    /// Clear the first-touch tracker (called at launch start). The fresh
-    /// tracker's dense bitmap covers every sector index a host segment can
-    /// produce under any cost-model sector size ≥ 8 bytes (`next_base / 8`
-    /// indices); views created after this point cache it lock-free.
-    pub fn reset_touched(&self) {
-        let limit = lock(&self.master).next_base / 8;
-        *lock(&self.touched) = Arc::new(TouchMap::new(limit));
     }
 
     /// Word-level snapshot of every live segment — the oracle mode uses this
@@ -486,7 +445,6 @@ impl FallbackRange {
 /// block touches and owns the block's deterministic fallback arena.
 pub struct GlobalView<'g> {
     mem: &'g GlobalMem,
-    touch: Arc<TouchMap>,
     /// Segments this block has touched, each looked up in the table once.
     /// A block touches a handful, so a linear scan beats any map. Safe
     /// across frees: a cached `Arc` shares its segment's `alive` flag, so
@@ -604,7 +562,7 @@ impl<'g> GlobalView<'g> {
         );
         let base = self.arena_next;
         self.arena_next += aligned;
-        let p = self.mem.push_segment(&vec![T::default(); n], Some(base));
+        let p = self.mem.push_segment(default_words::<T>(n), n, Some(base));
         self.arena_allocs.push(FallbackRange { base, bytes, freed: false, seg: p.seg });
         p
     }
@@ -626,14 +584,6 @@ impl<'g> GlobalView<'g> {
         let s = self.seg(p.seg);
         s.check::<T>(p.seg);
         s.len - p.off as usize
-    }
-
-    /// First-touch tracking (see [`GlobalMem::first_touch`]); goes through
-    /// the tracker cached at view creation, so the hot commit path never
-    /// takes the device-wide lock.
-    #[inline]
-    pub fn first_touch(&self, sector: u64) -> bool {
-        self.touch.first_touch(sector)
     }
 
     /// The underlying shared memory object.
@@ -660,6 +610,35 @@ mod tests {
         assert_eq!(g.read(p, 2), 3.0);
         g.write(p, 1, 9.5);
         assert_eq!(g.read_slice(p, 3), vec![1.0, 9.5, 3.0]);
+    }
+
+    #[test]
+    fn alloc_zeroed_holds_defaults_whatever_their_words() {
+        /// A value whose default is not all-zero words.
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        struct Seven(u64);
+        impl Default for Seven {
+            fn default() -> Seven {
+                Seven(7)
+            }
+        }
+        impl DevValue for Seven {
+            const WORDS: usize = 1;
+            fn store_words(self, put: &mut impl FnMut(usize, u64)) {
+                put(0, self.0);
+            }
+            fn load_words(get: &mut impl FnMut(usize) -> u64) -> Seven {
+                Seven(get(0))
+            }
+        }
+        let g = GlobalMem::new();
+        assert_eq!(g.read_slice(g.alloc_zeroed::<Seven>(3), 3), vec![Seven(7); 3]);
+        assert_eq!(g.read_slice(g.alloc_zeroed::<(f64, [i32; 2])>(5), 5), vec![(0.0, [0; 2]); 5]);
+        let p = g.alloc_from(&[(1.5f64, [-2i32, 3]), (4.0, [5, -6])]);
+        assert_eq!(g.read(p, 1), (4.0, [5, -6]));
+        let mut v = g.view(0);
+        let a = v.alloc_zeroed::<Seven>(2);
+        assert_eq!((v.read(a, 1), g.read(v.alloc_zeroed::<f32>(4), 3)), (Seven(7), 0.0));
     }
 
     #[test]
@@ -847,48 +826,6 @@ mod tests {
         assert!(ranges[0].freed);
         assert!(!ranges[1].freed);
         assert!(ranges[1].contains(b1));
-    }
-
-    #[test]
-    fn first_touch_is_exactly_once_across_threads() {
-        let g = GlobalMem::new();
-        let total = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let g = &g;
-                let total = &total;
-                s.spawn(move || {
-                    let mut mine = 0;
-                    for sector in 0..10_000u64 {
-                        if g.first_touch(sector) {
-                            mine += 1;
-                        }
-                    }
-                    total.fetch_add(mine, Ordering::Relaxed);
-                });
-            }
-        });
-        // Every sector is claimed by exactly one thread.
-        assert_eq!(total.load(Ordering::Relaxed), 10_000);
-        g.reset_touched();
-        assert!(g.first_touch(0));
-    }
-
-    #[test]
-    fn dense_touch_bitmap_matches_striped_semantics() {
-        let g = GlobalMem::new();
-        let _p = g.alloc_zeroed::<f64>(4096); // 32 KiB of host segments
-        g.reset_touched(); // sizes the dense bitmap from next_base
-        let v = g.view(0);
-        // Host sectors (dense path) and arena sectors (striped path) both
-        // report exactly-once.
-        for sector in [0u64, 1, 1000, ARENA_BASE / 32, ARENA_BASE / 32 + 7] {
-            assert!(v.first_touch(sector), "first touch of {sector}");
-            assert!(!v.first_touch(sector), "second touch of {sector}");
-        }
-        // A fresh reset forgets everything, and views made afterwards see it.
-        g.reset_touched();
-        assert!(g.view(0).first_touch(0));
     }
 
     #[test]

@@ -162,6 +162,64 @@ fn first_touch_resets_between_launches() {
 }
 
 #[test]
+fn cross_block_compulsory_traffic_survives_l1_refetches() {
+    // Four blocks b = 0..3 each walk lines b..=b+4 of one array (so
+    // neighbours overlap) through a single 4-way L1 set, which five lines
+    // thrash: pass 1 reads sector 0 of each line, pass 2 re-fetches every
+    // evicted line for sectors 2+3, pass 3 adds sector 1 to the still
+    // resident line b+4 (a tag hit that fetches). Replayed in block order:
+    //   block 0: 5 + 10 + 1 = 16 sectors in 5 + 5 + 1 = 11 atoms;
+    //   blocks 1-3: only line b+4 is fresh: 1 + 2 + 1 = 4 sectors,
+    //   3 atoms each.
+    // Totals: 28 DRAM sectors (= 8 lines x sectors {0,2,3} + lines 4..7
+    // x sector 1) in 20 atoms. L1 misses: every block pays 5 + 10 + 1.
+    let run = |threads: usize, flat: bool| {
+        let mut dev = device();
+        dev.cost.l1_lines = 4;
+        dev.set_sim_threads(Some(threads));
+        let p = dev.global.alloc_zeroed::<f64>(16 * 8);
+        let cfg = LaunchConfig { num_blocks: 4, threads_per_block: 32, smem_bytes: 0 };
+        dev.launch(&cfg, |team| {
+            let b = team.block_id as u64;
+            let step = |team: &mut gpu_sim::TeamCtx<'_>,
+                        lanes: &[u32],
+                        f: &dyn Fn(&mut gpu_sim::Lane<'_, '_>, u32)| {
+                if flat {
+                    team.run_lanes_flat(0, lanes, f);
+                } else {
+                    team.run_lanes(0, lanes, f);
+                }
+            };
+            step(team, &[0], &|lane, _| {
+                for l in b..=b + 4 {
+                    lane.read(p, 16 * l);
+                }
+            });
+            step(team, &[0, 1], &|lane, id| {
+                for l in b..=b + 4 {
+                    lane.read(p, 16 * l + 8 + 4 * id as u64);
+                }
+            });
+            step(team, &[0], &|lane, _| {
+                lane.read(p, 16 * (b + 4) + 4);
+            });
+        })
+        .unwrap()
+    };
+    for flat in [false, true] {
+        for threads in [1, 2, 4] {
+            let s = run(threads, flat);
+            let at = format!("threads {threads}, flat {flat}");
+            assert_eq!(s.total_dram_sectors, 28, "{at}");
+            assert_eq!(s.mem.dram_sectors, s.total_dram_sectors, "{at}");
+            assert_eq!(s.mem.dram_atoms, 20, "{at}");
+            assert_eq!(s.total_sectors, 4 * 16, "{at}: every refetch misses the L1");
+            assert_eq!(s.total_l1_hits, 0, "{at}");
+        }
+    }
+}
+
+#[test]
 fn smem_bank_conflicts_serialize() {
     // 32 lanes hitting 32 consecutive slots: each bank once → 1 wavefront.
     // 32 lanes striding by 32 slots: all in bank 0 → 32 wavefronts.

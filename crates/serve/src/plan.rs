@@ -106,9 +106,13 @@ impl PlanCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(plan);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(build_warm_plan(key));
-        Arc::clone(shard.write().unwrap().entry(*key).or_insert(plan))
+        let mut shard = shard.write().unwrap();
+        // A lookup that lost a concurrent cold fill adopts the published
+        // plan and counts as a hit, so `misses` stays one per key.
+        let counter = if shard.contains_key(key) { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(shard.entry(*key).or_insert(plan))
     }
 
     /// Drop one entry; returns whether it was present. Subsequent lookups
@@ -135,12 +139,15 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Lookups served from cache.
+    /// Lookups answered with an already-published plan, including the
+    /// losers of a concurrent cold fill.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to build.
+    /// Plans published: one per key between evictions, however many
+    /// workers raced to build it — so `hits + misses` is the lookup count
+    /// and both are independent of worker timing.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -228,5 +235,25 @@ mod tests {
             assert!(Arc::ptr_eq(&first, &got));
         }
         assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn concurrent_cold_misses_publish_once() {
+        // Eight workers racing on a cold key may all build, but only one
+        // plan is published; the losers adopt it and count as hits.
+        let cache = Arc::new(PlanCache::new());
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let (cache, start) = (Arc::clone(&cache), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    cache.get_or_build(&key(8))
+                })
+            })
+            .collect();
+        let plans: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
+        assert_eq!((cache.hits(), cache.misses()), (7, 1));
     }
 }

@@ -177,9 +177,11 @@ pub struct ServiceReport {
     pub jobs: Vec<JobReport>,
     /// Fleet-timeline aggregate of the canonical replay.
     pub timeline: TimelineStats,
-    /// Plan-cache lookups served warm.
+    /// Plan-cache lookups answered with a published plan
+    /// ([`crate::PlanCache::hits`]).
     pub plan_hits: u64,
-    /// Plan-cache lookups that compiled.
+    /// Plans the cache published, one per key between evictions
+    /// ([`crate::PlanCache::misses`]).
     pub plan_misses: u64,
     /// Kernel launches performed (units; batches count once).
     pub launches: u64,
