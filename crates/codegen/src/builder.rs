@@ -792,20 +792,36 @@ impl CompiledKernel {
     /// image, rewind, run the bytecode engine, and assert both produced
     /// bit-identical [`LaunchStats`] and host-visible memory. Panics on any
     /// divergence; returns the bytecode engine's result.
+    ///
+    /// A sanitized bytecode launch would be handed to the tree walker, so
+    /// on a sanitizing device the bytecode leg runs with the sanitizer off.
+    /// The comparison then ignores the tree leg's violations, and the tree
+    /// leg's stats are returned so callers still see them.
     pub fn launch_oracle(
         &self,
         dev: &mut Device,
         args: &[Slot],
     ) -> Result<LaunchStats, LaunchError> {
+        let sanitized = dev.sanitizer_enabled();
         let pre = dev.global.checkpoint();
         let tree = launch_target(dev, &self.config, &self.plan, &self.registry, args);
         let post_tree = dev.global.checkpoint();
         dev.global.restore(&pre);
+        if sanitized {
+            dev.disable_sanitizer();
+        }
         let flat = self.launch_with_engine(dev, args, Engine::Bytecode);
+        if sanitized {
+            dev.enable_sanitizer();
+        }
         let post_flat = dev.global.checkpoint();
         match (&tree, &flat) {
             (Ok(t), Ok(f)) => {
-                assert_eq!(t, f, "oracle: engines disagree on LaunchStats");
+                let mut t = t.clone();
+                if sanitized {
+                    t.violations.clear();
+                }
+                assert_eq!(&t, f, "oracle: engines disagree on LaunchStats");
                 if let Some(diff) = post_tree.host_mismatch(&post_flat) {
                     panic!("oracle: engines disagree on memory image:\n{diff}");
                 }
@@ -815,7 +831,11 @@ impl CompiledKernel {
                 "oracle: engines disagree on launch outcome (tree: {tree:?}, bytecode: {flat:?})"
             ),
         }
-        flat
+        if sanitized {
+            tree
+        } else {
+            flat
+        }
     }
 
     /// Lint, then launch; panics with the rendered report if simtlint

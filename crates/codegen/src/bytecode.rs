@@ -31,10 +31,11 @@
 //! of the tree-walk interpreter — same `charge_*` calls, same barriers and
 //! syncs, same lane visit order — so [`gpu_sim::LaunchStats`] are
 //! bit-identical by construction, not by accident. Lane work runs through
-//! [`gpu_sim::TeamCtx::run_lanes_flat`], the allocation-free accumulator
-//! path. The tree walker remains the differential oracle:
+//! [`gpu_sim::TeamCtx::run_lanes`], the one lane path both engines share,
+//! so coalescing, bank conflicts and L1 accounting have a single
+//! implementation. The tree walker remains the differential oracle:
 //! `SIMT_SIM_ORACLE=1` runs every launch through both engines and asserts
-//! identical stats, violations and memory images (see
+//! identical stats and memory images (see
 //! [`crate::CompiledKernel::launch_oracle`]).
 //!
 //! Scheduling arithmetic is shared, not cloned: iteration assignment and
@@ -1071,7 +1072,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
         let args = self.args;
         match self.main_warp {
             Some(mw) => {
-                self.tc.run_lanes_flat(mw, &[0], |lane, _| {
+                self.tc.run_lanes(mw, &[0], |lane, _| {
                     let mut vm = VarsMut { args, outer: &[], regs: team_regs };
                     f(lane, &mut vm);
                 });
@@ -1085,7 +1086,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                 let snap = &sc.snap;
                 let sregs = &mut sc.sregs;
                 for w in 0..self.worker_warps {
-                    self.tc.run_lanes_flat(w, &self.prog.all_lanes, |lane, l| {
+                    self.tc.run_lanes(w, &self.prog.all_lanes, |lane, l| {
                         if w == 0 && l == 0 {
                             let mut vm = VarsMut { args, outer: &[], regs: team_regs };
                             f(lane, &mut vm);
@@ -1116,13 +1117,13 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                 let mut out = 0u64;
                 match self.main_warp {
                     Some(mw) => {
-                        self.tc.run_lanes_flat(mw, &[0], |lane, _| {
+                        self.tc.run_lanes(mw, &[0], |lane, _| {
                             out = f(lane, &Vars { args, outer: &[], regs: team_regs });
                         });
                     }
                     None => {
                         for w in 0..self.worker_warps {
-                            self.tc.run_lanes_flat(w, &self.prog.all_lanes, |lane, _| {
+                            self.tc.run_lanes(w, &self.prog.all_lanes, |lane, _| {
                                 out = f(lane, &Vars { args, outer: &[], regs: team_regs });
                             });
                         }
@@ -1336,7 +1337,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
             let lanes = cohort_lanes(&mut sc.lanes, meta, spmd, w, wg);
             let g_base = w * gpw;
             let sregs = &mut sc.sregs;
-            self.tc.run_lanes_flat(w, lanes, |lane, l| {
+            self.tc.run_lanes(w, lanes, |lane, l| {
                 let g = (g_base + (l >> shift)) as usize;
                 if l & gid_mask == 0 {
                     let mut vm = VarsMut { args, outer: team_regs, regs: &mut regs[g] };
@@ -1389,7 +1390,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                     let lanes = cohort_lanes(&mut sc.lanes, meta, spmd, w, wg);
                     let g_base = w * gpw;
                     let strips = &mut sc.strips;
-                    self.tc.run_lanes_flat(w, lanes, |lane, l| {
+                    self.tc.run_lanes(w, lanes, |lane, l| {
                         let g = (g_base + (l >> shift)) as usize;
                         let v = f(lane, &Vars { args, outer: team_regs, regs: &regs[g] });
                         if l & gid_mask == 0 {
@@ -1421,7 +1422,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
         let levels = 64 - ng.saturating_sub(1).leading_zeros() as u64;
         self.tc.charge_alu(0, levels * REDUCE_STEP_CYCLES);
         let args = self.args;
-        self.tc.run_lanes_flat(0, &[0], |lane, _| {
+        self.tc.run_lanes(0, &[0], |lane, _| {
             let dst = args[dst_arg as usize].as_ptr::<f64>();
             lane.atomic_add_f64(dst, dst_idx, total);
         });
@@ -1515,7 +1516,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                     match body {
                         FlatBody::Plain(b) => {
                             let (f, _) = self.reg.get_body(b);
-                            self.tc.run_lanes_flat(w, leaders, |lane, l| {
+                            self.tc.run_lanes(w, leaders, |lane, l| {
                                 let g = (g_base + (l >> shift)) as usize;
                                 let vars = Vars { args, outer: team_regs, regs: &regs[g] };
                                 for gid in 0..gs {
@@ -1530,7 +1531,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                         FlatBody::Reduce(b) => {
                             let (f, _) = self.reg.get_red(b);
                             let partials = &mut partials;
-                            self.tc.run_lanes_flat(w, leaders, |lane, l| {
+                            self.tc.run_lanes(w, leaders, |lane, l| {
                                 let g = (g_base + (l >> shift)) as usize;
                                 let vars = Vars { args, outer: team_regs, regs: &regs[g] };
                                 for gid in 0..gs {
@@ -1557,7 +1558,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                         let leaders = leader_lane_list(&mut sc.leaders, meta, w, wg);
                         let sharing = &self.sharing;
                         let trips = &trips;
-                        self.tc.run_lanes_flat(w, leaders, |lane, l| {
+                        self.tc.run_lanes(w, leaders, |lane, l| {
                             let g = g_base + (l >> shift);
                             let (off, _) = sharing.group_slice(g);
                             lane.smem_write_slot(off, 0, Slot::from_u32(body_tag));
@@ -1577,7 +1578,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                         let leaders = leader_lane_list(&mut sc.leaders, meta, w, wg);
                         let trips = &trips;
                         let fallback = &*fallback;
-                        self.tc.run_lanes_flat(w, leaders, |lane, l| {
+                        self.tc.run_lanes(w, leaders, |lane, l| {
                             let g = (g_base + (l >> shift)) as usize;
                             let seg = fallback[g].expect("fallback allocated");
                             lane.write(seg, 0, body_tag as u64);
@@ -1654,7 +1655,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
         match body {
             FlatBody::Plain(b) => {
                 let (f, _) = self.reg.get_body(b);
-                self.tc.run_lanes_flat(w, lanes, |lane, l| {
+                self.tc.run_lanes(w, lanes, |lane, l| {
                     let g = (g_base + (l >> shift)) as usize;
                     let gid = l as u64 & gid_mask;
                     if gid != 0 {
@@ -1670,7 +1671,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
             }
             FlatBody::Reduce(b) => {
                 let (f, _) = self.reg.get_red(b);
-                self.tc.run_lanes_flat(w, lanes, |lane, l| {
+                self.tc.run_lanes(w, lanes, |lane, l| {
                     let g = (g_base + (l >> shift)) as usize;
                     let gid = l as u64 & gid_mask;
                     if gid != 0 {

@@ -16,6 +16,11 @@
 //!   the addresses are **coalesced** together into 32-byte sectors;
 //! * atomic accesses to the same address within a super-step serialize.
 //!
+//! Both execution engines (the tree walker in `simt-omp-core` and the
+//! bytecode executor in `simt-omp-codegen`) run lanes through this one
+//! `run_lanes`: each access folds into a per-ordinal accumulator as the
+//! lane runs, and an attached sanitizer records it at the same moment.
+//!
 //! Warp-level barriers, block-level barriers and direct runtime charges
 //! (state-machine posts, dispatch costs…) are explicit [`TeamCtx`] methods.
 
@@ -27,33 +32,13 @@ use crate::mem::ptr::{DPtr, Slot};
 use crate::mem::shared::{SharedMem, SmOff};
 use crate::stats::{BlockProfile, RtCounters};
 
-#[derive(Clone, Copy, Debug)]
-struct Access {
-    addr: u64,
-    bytes: u32,
-    atomic: bool,
-    write: bool,
-}
-
-/// How a lane touched a shared-memory slot (feeds the bank-conflict model
-/// and the sanitizer's race rules — atomics never race with each other).
+/// How a lane touched a shared-memory slot (the sanitizer's race rules:
+/// atomics never race with each other).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SmemKind {
+enum SmemKind {
     Read,
     Write,
     Atomic,
-}
-
-/// Per-lane cost trace captured while a lane program runs.
-#[derive(Default, Debug)]
-struct LaneTrace {
-    alu: u64,
-    smem_ops: u64,
-    /// Shared-memory slot indices with an access kind, in program order
-    /// (for bank-conflict analysis across lockstep lanes and the
-    /// sanitizer).
-    smem_slots: Vec<(u32, SmemKind)>,
-    accesses: Vec<Access>,
 }
 
 /// How an outlined-function dispatch reaches its target (§5.5): through the
@@ -83,55 +68,7 @@ pub struct ObservedEffects {
     pub global_atomics: bool,
 }
 
-impl LaneTrace {
-    fn clear(&mut self) {
-        self.alu = 0;
-        self.smem_ops = 0;
-        self.smem_slots.clear();
-        self.accesses.clear();
-    }
-}
-
-/// Where a [`Lane`]'s cost events go: the recording trace used by
-/// [`TeamCtx::run_lanes`] (kept byte-for-byte as before), or the online
-/// coalescing accumulator of the flat bytecode path, which computes the
-/// same per-super-step aggregates without materializing per-lane access
-/// lists.
-enum LaneSink<'a> {
-    Trace(&'a mut LaneTrace),
-    Flat(&'a mut FlatAcc),
-}
-
-impl LaneSink<'_> {
-    #[inline]
-    fn alu(&mut self, cycles: u64) {
-        match self {
-            LaneSink::Trace(t) => t.alu += cycles,
-            LaneSink::Flat(a) => a.lane_alu += cycles,
-        }
-    }
-
-    #[inline]
-    fn global(&mut self, addr: u64, bytes: u32, atomic: bool, write: bool) {
-        match self {
-            LaneSink::Trace(t) => t.accesses.push(Access { addr, bytes, atomic, write }),
-            LaneSink::Flat(a) => a.global(addr, bytes, atomic),
-        }
-    }
-
-    #[inline]
-    fn smem(&mut self, slot: u32, kind: SmemKind) {
-        match self {
-            LaneSink::Trace(t) => {
-                t.smem_ops += 1;
-                t.smem_slots.push((slot, kind));
-            }
-            LaneSink::Flat(a) => a.smem(slot),
-        }
-    }
-}
-
-/// One global-memory ordinal of the flat accumulator: the k-th access of
+/// One global-memory ordinal of the super-step accumulator: the k-th access of
 /// every lane in the super-step, reduced to its unique-sector set plus the
 /// atomic target addresses (kept with multiplicity for serialization).
 #[derive(Default)]
@@ -164,13 +101,9 @@ impl OrdAcc {
 /// access of every lane in a super-step), parameterized by the device's
 /// bank count ([`crate::arch::DeviceArch::smem_banks`]). Distinct slots
 /// landing in one bank serialize into wavefronts; same-slot accesses
-/// broadcast. This is the **single** implementation of the conflict walk —
-/// the trace path ([`TeamCtx::commit`]) and the flat path
-/// ([`TeamCtx::run_lanes_flat`]) both fold through it, which is what keeps
-/// their wavefront counts bit-identical by construction. (The old code
-/// duplicated the walk in three places over hard-coded `[_; 32]` arrays,
-/// folding wave64 archs into a 32-bank hash, and capped the per-bank depth
-/// at 255 via a `u8` `saturating_add`.)
+/// broadcast. Per-bank depth is a `u32`, so a deep conflict counts fully,
+/// and the bank count follows the arch, so a wave64 LDS is not folded onto
+/// 32 banks.
 #[derive(Clone, Debug, Default)]
 pub struct BankAcc {
     /// Last slot seen per bank (`u32::MAX` = none) — the broadcast filter.
@@ -219,11 +152,11 @@ impl BankAcc {
     }
 }
 
-/// Super-step accumulator for [`TeamCtx::run_lanes_flat`]: per-ordinal
-/// coalescing state plus running per-lane cursors, producing exactly the
-/// aggregates [`TeamCtx::commit`] derives from the recorded traces.
+/// Super-step accumulator for [`TeamCtx::run_lanes`]: per-ordinal
+/// coalescing state plus running per-lane cursors. Lanes fold their
+/// accesses in as they run, so no per-lane access list is ever built.
 #[derive(Default)]
-struct FlatAcc {
+struct StepAcc {
     ords: Vec<OrdAcc>,
     smem_ords: Vec<BankAcc>,
     max_alu: u64,
@@ -234,17 +167,28 @@ struct FlatAcc {
     lane_smem_ops: u64,
     lane_ord: usize,
     lane_smem_ord: usize,
-    /// `log2(sector_bytes)` — the flat path requires a power-of-two sector.
-    sector_shift: u32,
+    /// [`CostModel::sector_bytes`], and its log2 when it is a power of two
+    /// (the shift replaces the division on every access).
+    sector_bytes: u64,
+    sector_shift: Option<u32>,
     /// Shared-memory bank count new ordinal accumulators are sized to
     /// ([`crate::arch::DeviceArch::smem_banks`]).
     smem_banks: u32,
 }
 
-impl FlatAcc {
+impl StepAcc {
+    fn new(sector_bytes: u32, smem_banks: u32) -> StepAcc {
+        StepAcc {
+            sector_bytes: sector_bytes as u64,
+            sector_shift: sector_bytes.is_power_of_two().then(|| sector_bytes.trailing_zeros()),
+            smem_banks,
+            ..Default::default()
+        }
+    }
+
     /// Prepare for a new super-step: clear the ordinals the previous step
     /// used (untouched entries are already clear) and reset the maxima.
-    fn reset(&mut self, sector_shift: u32, smem_banks: u32) {
+    fn reset(&mut self) {
         for o in &mut self.ords[..self.max_ord] {
             o.sectors.clear();
             o.atomics.clear();
@@ -257,8 +201,6 @@ impl FlatAcc {
         self.max_smem_ops = 0;
         self.max_ord = 0;
         self.max_smem_ord = 0;
-        self.sector_shift = sector_shift;
-        self.smem_banks = smem_banks;
     }
 
     fn begin_lane(&mut self) {
@@ -282,9 +224,12 @@ impl FlatAcc {
         if k >= self.ords.len() {
             self.ords.push(OrdAcc { sectors: Vec::new(), atomics: Vec::new(), sorted: true });
         }
+        let end = addr + bytes as u64 - 1;
+        let (first, last) = match self.sector_shift {
+            Some(shift) => (addr >> shift, end >> shift),
+            None => (addr / self.sector_bytes, end / self.sector_bytes),
+        };
         let o = &mut self.ords[k];
-        let first = addr >> self.sector_shift;
-        let last = (addr + bytes as u64 - 1) >> self.sector_shift;
         if first == last {
             // Fast path: the access fits one sector (every aligned element
             // up to sector size does).
@@ -437,25 +382,72 @@ impl VisitLog {
 }
 
 /// Execution context handed to a per-lane program: typed access to global
-/// and shared memory, with every operation recorded for cost accounting.
+/// and shared memory, with every operation folded into the super-step's
+/// cost accumulator and, when a sanitizer is attached, recorded there as
+/// it happens.
 pub struct Lane<'a, 'g> {
     global: &'a mut GlobalView<'g>,
     smem: &'a mut SharedMem,
-    sink: LaneSink<'a>,
+    acc: &'a mut StepAcc,
+    sanitizer: Option<&'a mut crate::sanitize::Sanitizer>,
+    /// Block-global thread id of this lane (the sanitizer's access label).
+    tid: u32,
+    observed: &'a mut ObservedEffects,
 }
 
 impl<'a, 'g> Lane<'a, 'g> {
     /// Charge `cycles` of ALU work.
     #[inline]
     pub fn work(&mut self, cycles: u64) {
-        self.sink.alu(cycles);
+        self.acc.lane_alu += cycles;
+    }
+
+    #[inline]
+    fn global_access(&mut self, addr: u64, bytes: u32, atomic: bool, write: bool) {
+        self.acc.global(addr, bytes, atomic);
+        if self.sanitizer.is_some() {
+            self.sanitize_global(addr, atomic, write);
+        }
+    }
+
+    #[inline]
+    fn smem_access(&mut self, slot: u32, kind: SmemKind) {
+        self.acc.smem(slot);
+        if self.sanitizer.is_some() {
+            self.sanitize_smem(slot, kind);
+        }
+    }
+
+    // The recorders stay out of line: every lane closure inlines the
+    // accessors above, and a sanitized run is off the hot path.
+    #[cold]
+    #[inline(never)]
+    fn sanitize_global(&mut self, addr: u64, atomic: bool, write: bool) {
+        let Some(san) = self.sanitizer.as_deref_mut() else { return };
+        if atomic {
+            self.observed.global_atomics = true;
+        } else if write {
+            self.observed.global_writes = true;
+        }
+        san.record_global_access(self.tid, addr, write);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn sanitize_smem(&mut self, slot: u32, kind: SmemKind) {
+        let Some(san) = self.sanitizer.as_deref_mut() else { return };
+        match kind {
+            SmemKind::Read => san.record_smem(self.tid, slot, false),
+            SmemKind::Write => san.record_smem(self.tid, slot, true),
+            SmemKind::Atomic => san.record_smem_atomic(self.tid, slot),
+        }
     }
 
     /// Load element `idx` relative to `p` from global memory.
     #[inline]
     pub fn read<T: DevValue>(&mut self, p: DPtr<T>, idx: u64) -> T {
         let (addr, v) = self.global.read_at(p, idx);
-        self.sink.global(addr, std::mem::size_of::<T>() as u32, false, false);
+        self.global_access(addr, std::mem::size_of::<T>() as u32, false, false);
         v
     }
 
@@ -463,7 +455,7 @@ impl<'a, 'g> Lane<'a, 'g> {
     #[inline]
     pub fn write<T: DevValue>(&mut self, p: DPtr<T>, idx: u64, v: T) {
         let addr = self.global.write_at(p, idx, v);
-        self.sink.global(addr, std::mem::size_of::<T>() as u32, false, true);
+        self.global_access(addr, std::mem::size_of::<T>() as u32, false, true);
     }
 
     /// Atomic `fetch_add` on an `f64` in global memory; returns the old
@@ -472,7 +464,7 @@ impl<'a, 'g> Lane<'a, 'g> {
     #[inline]
     pub fn atomic_add_f64(&mut self, p: DPtr<f64>, idx: u64, v: f64) -> f64 {
         let (addr, old) = self.global.atomic_add_f64_at(p, idx, v);
-        self.sink.global(addr, 8, true, true);
+        self.global_access(addr, 8, true, true);
         old
     }
 
@@ -480,35 +472,35 @@ impl<'a, 'g> Lane<'a, 'g> {
     #[inline]
     pub fn atomic_add_u64(&mut self, p: DPtr<u64>, idx: u64, v: u64) -> u64 {
         let (addr, old) = self.global.atomic_add_u64_at(p, idx, v);
-        self.sink.global(addr, 8, true, true);
+        self.global_access(addr, 8, true, true);
         old
     }
 
     /// Read an 8-byte slot from shared memory.
     #[inline]
     pub fn smem_read_slot(&mut self, off: SmOff, idx: u32) -> Slot {
-        self.sink.smem(off.0 + idx, SmemKind::Read);
+        self.smem_access(off.0 + idx, SmemKind::Read);
         self.smem.read_slot(off, idx)
     }
 
     /// Write an 8-byte slot to shared memory.
     #[inline]
     pub fn smem_write_slot(&mut self, off: SmOff, idx: u32, v: Slot) {
-        self.sink.smem(off.0 + idx, SmemKind::Write);
+        self.smem_access(off.0 + idx, SmemKind::Write);
         self.smem.write_slot(off, idx, v);
     }
 
     /// Read a shared-memory slot as `f64`.
     #[inline]
     pub fn smem_read_f64(&mut self, off: SmOff, idx: u32) -> f64 {
-        self.sink.smem(off.0 + idx, SmemKind::Read);
+        self.smem_access(off.0 + idx, SmemKind::Read);
         self.smem.read_f64(off, idx)
     }
 
     /// Write a shared-memory slot as `f64`.
     #[inline]
     pub fn smem_write_f64(&mut self, off: SmOff, idx: u32, v: f64) {
-        self.sink.smem(off.0 + idx, SmemKind::Write);
+        self.smem_access(off.0 + idx, SmemKind::Write);
         self.smem.write_f64(off, idx, v);
     }
 
@@ -518,7 +510,7 @@ impl<'a, 'g> Lane<'a, 'g> {
     /// is a protocol violation (simtcheck's atomic/plain rule).
     #[inline]
     pub fn smem_atomic_add_f64(&mut self, off: SmOff, idx: u32, v: f64) -> f64 {
-        self.sink.smem(off.0 + idx, SmemKind::Atomic);
+        self.smem_access(off.0 + idx, SmemKind::Atomic);
         let old = self.smem.read_f64(off, idx);
         self.smem.write_f64(off, idx, old + v);
         old
@@ -546,18 +538,12 @@ pub struct TeamCtx<'g> {
     warps: Vec<WarpState>,
     /// Runtime-behavior counters for this block.
     pub counters: RtCounters,
-    trace_pool: Vec<LaneTrace>,
-    scratch_sectors: Vec<u64>,
-    scratch_atomic: Vec<u64>,
     /// Per-block L1-missing sectors per L2 bank slice (length =
-    /// `arch.cache.l2_banks`), folded by both commit paths.
+    /// `arch.cache.l2_banks`), folded by every commit.
     l2_bank_sectors: Vec<u64>,
     /// Line-visit log for the launch's deterministic first-touch replay.
     visits: VisitLog,
-    flat_acc: FlatAcc,
-    /// Reusable bank-conflict accumulator for the trace commit path, sized
-    /// to `arch.smem_banks` once at construction.
-    smem_bank_acc: BankAcc,
+    acc: StepAcc,
     event_trace: Option<crate::trace::Trace>,
     sanitizer: Option<Box<crate::sanitize::Sanitizer>>,
     observed: ObservedEffects,
@@ -588,13 +574,9 @@ impl<'g> TeamCtx<'g> {
             arch,
             warps: vec![WarpState::default(); nwarps as usize],
             counters: RtCounters::default(),
-            trace_pool: Vec::new(),
-            scratch_sectors: Vec::new(),
-            scratch_atomic: Vec::new(),
             l2_bank_sectors: vec![0; arch.cache.l2_banks as usize],
             visits: VisitLog::default(),
-            flat_acc: FlatAcc::default(),
-            smem_bank_acc: BankAcc::new(arch.smem_banks),
+            acc: StepAcc::new(cost.sector_bytes, arch.smem_banks),
             event_trace: None,
             sanitizer: None,
             observed: ObservedEffects::default(),
@@ -693,7 +675,8 @@ impl<'g> TeamCtx<'g> {
     /// Run a per-lane program on `lanes` of `warp` as one lockstep
     /// super-step: `f` is invoked once per lane (in ascending lane order for
     /// determinism); issue combines with max over lanes, the k-th accesses
-    /// of all lanes coalesce together.
+    /// of all lanes coalesce together. An attached sanitizer sees every
+    /// access as it happens, lane by lane in program order.
     pub fn run_lanes<F>(&mut self, warp: u32, lanes: &[u32], mut f: F)
     where
         F: FnMut(&mut Lane<'_, '_>, u32),
@@ -702,115 +685,40 @@ impl<'g> TeamCtx<'g> {
         if lanes.is_empty() {
             return;
         }
-        while self.trace_pool.len() < lanes.len() {
-            self.trace_pool.push(LaneTrace::default());
-        }
-        for (i, &lane_id) in lanes.iter().enumerate() {
-            debug_assert!(lane_id < self.arch.warp_size);
-            let trace = &mut self.trace_pool[i];
-            trace.clear();
-            let mut lane = Lane {
-                global: &mut self.gview,
-                smem: &mut self.smem,
-                sink: LaneSink::Trace(trace),
-            };
-            f(&mut lane, lane_id);
-        }
-        if let Some(mut san) = self.sanitizer.take() {
-            for (i, &lane_id) in lanes.iter().enumerate() {
-                let tid = warp * self.arch.warp_size + lane_id;
-                for &(slot, kind) in &self.trace_pool[i].smem_slots {
-                    match kind {
-                        SmemKind::Read => san.record_smem(tid, slot, false),
-                        SmemKind::Write => san.record_smem(tid, slot, true),
-                        SmemKind::Atomic => san.record_smem_atomic(tid, slot),
-                    }
-                }
-                for a in &self.trace_pool[i].accesses {
-                    if a.atomic {
-                        self.observed.global_atomics = true;
-                    } else if a.write {
-                        self.observed.global_writes = true;
-                    }
-                    san.record_global_access(tid, a.addr, a.write);
-                }
-            }
-            self.sanitizer = Some(san);
-        }
-        self.commit(warp, lanes.len());
-    }
-
-    /// [`run_lanes`] for the flat bytecode executor: identical lockstep cost
-    /// semantics, but coalescing aggregates are folded online into a
-    /// per-ordinal accumulator instead of materializing per-lane access
-    /// lists, skipping the trace/commit machinery entirely.
-    ///
-    /// Delegates to [`run_lanes`] whenever exact trace capture is needed —
-    /// sanitizer attached, event trace active, or a cost model whose sector
-    /// size is not a power of two — so the fast path never has to replicate
-    /// those observers.
-    ///
-    /// [`run_lanes`]: TeamCtx::run_lanes
-    pub fn run_lanes_flat<F>(&mut self, warp: u32, lanes: &[u32], mut f: F)
-    where
-        F: FnMut(&mut Lane<'_, '_>, u32),
-    {
-        if self.sanitizer.is_some()
-            || self.event_trace.is_some()
-            || !self.cost.sector_bytes.is_power_of_two()
-        {
-            return self.run_lanes(warp, lanes, f);
-        }
-        assert!(warp < self.nwarps, "warp {warp} out of range");
-        if lanes.is_empty() {
-            return;
-        }
-        let shift = self.cost.sector_bytes.trailing_zeros();
-        self.flat_acc.reset(shift, self.arch.smem_banks);
+        self.acc.reset();
         for &lane_id in lanes {
             debug_assert!(lane_id < self.arch.warp_size);
-            self.flat_acc.begin_lane();
+            self.acc.begin_lane();
             let mut lane = Lane {
                 global: &mut self.gview,
                 smem: &mut self.smem,
-                sink: LaneSink::Flat(&mut self.flat_acc),
+                acc: &mut self.acc,
+                sanitizer: self.sanitizer.as_deref_mut(),
+                tid: warp * self.arch.warp_size + lane_id,
+                observed: &mut self.observed,
             };
             f(&mut lane, lane_id);
-            self.flat_acc.end_lane();
+            self.acc.end_lane();
         }
-        self.commit_flat(warp);
+        self.commit(warp, lanes.len() as u32);
     }
 
-    /// Merge the first `n` traces of the pool into `warp`'s accounting.
-    fn commit(&mut self, warp: u32, n: usize) {
+    /// Fold the super-step in [`StepAcc`] into `warp`'s accounting: bank
+    /// wavefronts per smem ordinal, then per global ordinal the L1 line
+    /// walk, replay and atomic-serialization cycles.
+    fn commit(&mut self, warp: u32, lanes: u32) {
         let cost = self.cost;
-        let mut scratch_sectors = std::mem::take(&mut self.scratch_sectors);
-        let mut scratch_atomic = std::mem::take(&mut self.scratch_atomic);
-        let traces = &self.trace_pool[..n];
-
-        let max_alu = traces.iter().map(|t| t.alu).max().unwrap_or(0);
-        let max_smem = traces.iter().map(|t| t.smem_ops).max().unwrap_or(0);
-        let max_ord = traces.iter().map(|t| t.accesses.len()).max().unwrap_or(0);
+        let mut acc = std::mem::take(&mut self.acc);
 
         // Shared memory: the k-th smem access of all lanes is one
-        // instruction; distinct slots landing in the same bank (of the
-        // arch's `smem_banks`) serialize into wavefronts, same-slot
-        // accesses broadcast — the [`BankAcc`] walk, shared with the flat
-        // path.
-        let max_smem_ord = traces.iter().map(|t| t.smem_slots.len()).max().unwrap_or(0);
-        let mut bank_acc = std::mem::take(&mut self.smem_bank_acc);
+        // instruction; distinct slots landing in the same bank serialize
+        // into wavefronts, same-slot accesses broadcast.
         let mut smem_wavefronts = 0u64;
-        for k in 0..max_smem_ord {
-            bank_acc.clear();
-            for t in traces {
-                let Some(&(slot, _)) = t.smem_slots.get(k) else { continue };
-                bank_acc.visit(slot);
-            }
-            smem_wavefronts += bank_acc.worst().max(1) as u64;
+        for s in &acc.smem_ords[..acc.max_smem_ord] {
+            smem_wavefronts += s.worst().max(1) as u64;
         }
-        self.smem_bank_acc = bank_acc;
 
-        let mut clock_add = max_alu + smem_wavefronts * cost.smem_cycles;
+        let mut clock_add = acc.max_alu + smem_wavefronts * cost.smem_cycles;
         let mut issue_add = clock_add;
         let mut sectors_add = 0u64;
         let mut hits_add = 0u64;
@@ -821,103 +729,11 @@ impl<'g> TeamCtx<'g> {
         let mut l1 = L1Window::take(&mut self.warps[warp as usize].l1, cost.l1_lines);
         let mut banks = std::mem::take(&mut self.l2_bank_sectors);
         let mut visits = std::mem::take(&mut self.visits);
-
-        let spl = self.spl;
-        for k in 0..max_ord {
-            scratch_sectors.clear();
-            scratch_atomic.clear();
-            let mut any = false;
-            for t in traces {
-                let Some(a) = t.accesses.get(k) else { continue };
-                any = true;
-                let sb = cost.sector_bytes as u64;
-                let first = a.addr / sb;
-                let last = (a.addr + a.bytes as u64 - 1) / sb;
-                for s in first..=last {
-                    scratch_sectors.push(s);
-                }
-                if a.atomic {
-                    scratch_atomic.push(a.addr);
-                }
-            }
-            if !any {
-                continue;
-            }
-            scratch_sectors.sort_unstable();
-            scratch_sectors.dedup();
-            let (lines, sectors, hits, full) =
-                line_walk(&scratch_sectors, spl, &mut l1, &mut visits, &mut banks);
-            let misses = sectors;
-            let tx = lines * cost.line_cycles + sectors * cost.sector_cycles;
-            let c = tx + atomic_serialize_cycles(&mut scratch_atomic, cost);
-            issue_add += c;
-            clock_add += c + if misses > 0 { cost.exposed_latency } else { 0 };
-            sectors_add += sectors;
-            hits_add += hits;
-            lines_add += lines;
-            tx_add += hit_replay_offload(hits, full, cost);
-            full_hits_add += full;
-            lsu_add += scratch_sectors.len() as u64;
-        }
-
-        self.scratch_sectors = scratch_sectors;
-        self.scratch_atomic = scratch_atomic;
-        self.l2_bank_sectors = banks;
-        self.visits = visits;
-        if let Some(t) = &mut self.event_trace {
-            t.push(crate::trace::TraceEvent::SuperStep {
-                block: self.block_id,
-                warp,
-                lanes: n as u32,
-                issue: issue_add,
-                lines: lines_add,
-            });
-        }
-        let w = &mut self.warps[warp as usize];
-        w.l1 = l1;
-        w.clock += clock_add;
-        w.issue += issue_add;
-        w.sectors += sectors_add;
-        w.smem_ops += max_smem;
-        w.l1_hits += hits_add;
-        w.tx += tx_add;
-        w.full_hits += full_hits_add;
-        w.lsu_sectors += lsu_add;
-        let _ = max_smem;
-    }
-
-    /// [`commit`]-equivalent for the flat accumulator: derives the exact
-    /// same per-super-step charges from [`FlatAcc`]'s pre-coalesced state.
-    /// No event-trace branch — [`run_lanes_flat`] delegates to the trace
-    /// path whenever a trace or sanitizer is attached.
-    ///
-    /// [`commit`]: TeamCtx::commit
-    /// [`run_lanes_flat`]: TeamCtx::run_lanes_flat
-    fn commit_flat(&mut self, warp: u32) {
-        let cost = self.cost;
-        let mut acc = std::mem::take(&mut self.flat_acc);
-
-        let mut smem_wavefronts = 0u64;
-        for s in &acc.smem_ords[..acc.max_smem_ord] {
-            smem_wavefronts += s.worst().max(1) as u64;
-        }
-
-        let mut clock_add = acc.max_alu + smem_wavefronts * cost.smem_cycles;
-        let mut issue_add = clock_add;
-        let mut sectors_add = 0u64;
-        let mut hits_add = 0u64;
-        let mut tx_add = 0u64;
-        let mut full_hits_add = 0u64;
-        let mut lsu_add = 0u64;
-        let mut l1 = L1Window::take(&mut self.warps[warp as usize].l1, cost.l1_lines);
-        let mut banks = std::mem::take(&mut self.l2_bank_sectors);
-        let mut visits = std::mem::take(&mut self.visits);
         let spl = self.spl;
 
+        // Every ordinal below `max_ord` holds at least the longest lane's
+        // access, so none is empty.
         for o in &mut acc.ords[..acc.max_ord] {
-            if o.sectors.is_empty() && o.atomics.is_empty() {
-                continue;
-            }
             if !o.sorted {
                 o.sectors.sort_unstable();
                 o.sectors.dedup();
@@ -931,11 +747,21 @@ impl<'g> TeamCtx<'g> {
             clock_add += c + if misses > 0 { cost.exposed_latency } else { 0 };
             sectors_add += sectors;
             hits_add += hits;
+            lines_add += lines;
             tx_add += hit_replay_offload(hits, full, cost);
             full_hits_add += full;
             lsu_add += o.sectors.len() as u64;
         }
 
+        if let Some(t) = &mut self.event_trace {
+            t.push(crate::trace::TraceEvent::SuperStep {
+                block: self.block_id,
+                warp,
+                lanes,
+                issue: issue_add,
+                lines: lines_add,
+            });
+        }
         let w = &mut self.warps[warp as usize];
         w.l1 = l1;
         w.clock += clock_add;
@@ -948,7 +774,7 @@ impl<'g> TeamCtx<'g> {
         w.lsu_sectors += lsu_add;
         self.l2_bank_sectors = banks;
         self.visits = visits;
-        self.flat_acc = acc;
+        self.acc = acc;
     }
 
     /// Charge plain ALU cycles to a warp (runtime-internal work).
@@ -1158,8 +984,7 @@ impl<'g> TeamCtx<'g> {
 /// resident), and all but one `sector_cycles` beat for a partial-line hit
 /// — its sector drains off the in-flight fill buffer at sector cost on
 /// the issue path, while the fill's bandwidth cost is carried by the DRAM
-/// burst wall. Both engines bank this identically (it is pure arithmetic
-/// over `line_walk`'s counts), so the oracle contract extends to it.
+/// burst wall. It is pure arithmetic over `line_walk`'s counts.
 #[inline]
 fn hit_replay_offload(hits: u64, full_hits: u64, cost: &CostModel) -> u64 {
     let partial = hits - full_hits;
@@ -1192,9 +1017,8 @@ pub(crate) fn burst_atoms(mask: u8) -> u64 {
 /// mask (see [`CostModel::sectors_per_line`]). A power-of-two `spl`
 /// splits sector ids with a shift and a mask instead of a division.
 ///
-/// Shared by [`TeamCtx::commit`] and [`TeamCtx::commit_flat`] so the two
-/// execution engines agree on the memory model by construction — including
-/// the LRU victim rule (*last* max-age way wins ties, per `max_by_key`).
+/// The LRU victim rule: the *last* max-age way wins ties, per
+/// `max_by_key`.
 fn line_walk(
     sectors: &[u64],
     spl: u64,
@@ -1529,118 +1353,277 @@ mod tests {
         assert_eq!(t.warp_clock(0), 0);
     }
 
-    /// Run the same lane program through `run_lanes` and `run_lanes_flat`
-    /// on identical fresh contexts and assert the profiles match exactly.
-    fn assert_flat_matches<F>(nwarps: u32, steps: &[(u32, Vec<u32>)], build: F)
-    where
+    /// Run `steps` of one lane program on a fresh a100 block (4 KiB of
+    /// shared memory, the first 512 B allocated) and assert its profile,
+    /// counters and line-visit log. The expected values are literals, so
+    /// any change to the coalescing, bank, L1 or visit rules shows here.
+    fn assert_pinned<F>(
+        nwarps: u32,
+        steps: &[(u32, Vec<u32>)],
+        build: F,
+        profile: BlockProfile,
+        visits: &[u64],
+    ) where
         F: Fn(&GlobalMem) -> Box<dyn Fn(&mut Lane<'_, '_>, u32)>,
     {
         let c = CostModel::default();
         let a = DeviceArch::a100();
-        let run = |flat: bool| {
-            let g = GlobalMem::new();
-            let f = build(&g);
-            let mut t = TeamCtx::new(0, 1, nwarps, 4096, &g, &c, &a);
-            let _ = t.smem.alloc(512);
-            for (warp, lanes) in steps {
-                if flat {
-                    t.run_lanes_flat(*warp, lanes, |lane, id| f(lane, id));
-                } else {
-                    t.run_lanes(*warp, lanes, |lane, id| f(lane, id));
-                }
-            }
-            let visits = t.take_visits().entries().to_vec();
-            (t.finish(nwarps * 32, 4096), visits)
-        };
-        let ((tree, tc), tv) = run(false);
-        let ((flat, fc), fv) = run(true);
-        assert_eq!(tree, flat, "profiles diverged");
-        assert_eq!(tc, fc, "counters diverged");
-        assert_eq!(tv, fv, "line-visit logs diverged");
+        let g = GlobalMem::new();
+        let f = build(&g);
+        let mut t = TeamCtx::new(0, 1, nwarps, 4096, &g, &c, &a);
+        let _ = t.smem.alloc(512);
+        for (warp, lanes) in steps {
+            t.run_lanes(*warp, lanes, |lane, id| f(lane, id));
+        }
+        let got_visits = t.take_visits().entries().to_vec();
+        let (got, counters) = t.finish(nwarps * 32, 4096);
+        assert_eq!(got, profile, "profile");
+        assert_eq!(counters, RtCounters::default(), "lane work touches no runtime counter");
+        assert_eq!(got_visits, visits, "line-visit log");
     }
 
     #[test]
-    fn flat_matches_tree_on_mixed_access_patterns() {
+    fn pinned_mixed_access_patterns() {
         // Coalesced + strided + ragged lane participation + multi-ordinal.
-        assert_flat_matches(2, &[(0, (0..32).collect()), (1, (0..7).collect())], |g| {
-            let p = g.alloc_zeroed::<f64>(4096);
-            Box::new(move |lane, id| {
-                lane.work(3 + id as u64 % 5);
-                lane.read(p, id as u64); // coalesced
-                lane.read(p, id as u64 * 9 + 1); // strided
-                if id % 3 == 0 {
-                    lane.write(p, 2048 + id as u64, 1.0); // divergent ordinal
-                }
-            })
-        });
+        assert_pinned(
+            2,
+            &[(0, (0..32).collect()), (1, (0..7).collect())],
+            |g| {
+                let p = g.alloc_zeroed::<f64>(4096);
+                Box::new(move |lane, id| {
+                    lane.work(3 + id as u64 % 5);
+                    lane.read(p, id as u64); // coalesced
+                    lane.read(p, id as u64 * 9 + 1); // strided
+                    if id % 3 == 0 {
+                        lane.write(p, 2048 + id as u64, 1.0); // divergent ordinal
+                    }
+                })
+            },
+            BlockProfile {
+                issue: 290,
+                sectors: 54,
+                l1_hits: 2,
+                l1_full_hits: 2,
+                tx_cycles: 12,
+                lsu_sectors: 59,
+                resid_cycles: 233,
+                l2_bank_sectors: vec![
+                    0, 1, 3, 2, 1, 2, 1, 2, 2, 1, 3, 2, 2, 1, 2, 0, 2, 2, 0, 0, 0, 1, 1, 3, 2, 1,
+                    2, 1, 1, 0, 1, 1, 2, 1, 0, 1, 2, 3, 2, 0,
+                ],
+                threads: 64,
+                smem_bytes: 4096,
+                ..Default::default()
+            },
+            &[
+                527, 783, 1034, 1282, 1541, 1797, 2058, 2314, 2564, 2821, 3081, 3338, 3586, 3845,
+                4101, 4362, 4618, 4868, 33295, 33551,
+            ],
+        );
     }
 
     #[test]
-    fn flat_matches_tree_on_unsorted_and_duplicate_sectors() {
+    fn pinned_unsorted_and_duplicate_sectors() {
         // Descending addresses force the sort path; shared sectors dedup.
-        assert_flat_matches(1, &[(0, (0..16).collect())], |g| {
-            let p = g.alloc_zeroed::<f64>(1024);
-            Box::new(move |lane, id| {
-                lane.read(p, 600 - id as u64 * 16); // descending, unsorted
-                lane.read(p, (id as u64 / 4) * 4); // 4 lanes share a sector
-            })
-        });
+        assert_pinned(
+            1,
+            &[(0, (0..16).collect())],
+            |g| {
+                let p = g.alloc_zeroed::<f64>(1024);
+                Box::new(move |lane, id| {
+                    lane.read(p, 600 - id as u64 * 16); // descending, unsorted
+                    lane.read(p, (id as u64 / 4) * 4); // 4 lanes share a sector
+                })
+            },
+            BlockProfile {
+                issue: 142,
+                sectors: 20,
+                lsu_sectors: 20,
+                resid_cycles: 154,
+                l2_bank_sectors: vec![
+                    0, 2, 0, 0, 0, 2, 0, 0, 0, 1, 1, 0, 0, 2, 0, 0, 1, 2, 0, 0, 0, 2, 0, 1, 0, 2,
+                    0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0,
+                ],
+                threads: 32,
+                smem_bytes: 4096,
+                ..Default::default()
+            },
+            &[
+                6148, 6404, 6660, 6916, 7172, 7428, 7684, 7940, 8196, 8452, 8708, 8964, 9220, 9476,
+                9732, 9988, 527,
+            ],
+        );
     }
 
     #[test]
-    fn flat_matches_tree_on_atomics() {
-        assert_flat_matches(1, &[(0, (0..8).collect()), (0, (0..8).collect())], |g| {
-            let p = g.alloc_zeroed::<f64>(64);
-            let u = g.alloc_zeroed::<u64>(64);
-            Box::new(move |lane, id| {
-                lane.atomic_add_f64(p, 0, 1.0); // full conflict
-                lane.atomic_add_u64(u, id as u64 % 3, 1); // partial conflict
-            })
-        });
+    fn pinned_atomics() {
+        assert_pinned(
+            1,
+            &[(0, (0..8).collect()), (0, (0..8).collect())],
+            |g| {
+                let p = g.alloc_zeroed::<f64>(64);
+                let u = g.alloc_zeroed::<u64>(64);
+                Box::new(move |lane, id| {
+                    lane.atomic_add_f64(p, 0, 1.0); // full conflict
+                    lane.atomic_add_u64(u, id as u64 % 3, 1); // partial conflict
+                })
+            },
+            BlockProfile {
+                issue: 340,
+                sectors: 2,
+                l1_hits: 2,
+                tx_cycles: 8,
+                lsu_sectors: 4,
+                resid_cycles: 344,
+                l2_bank_sectors: vec![
+                    0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0,
+                    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                ],
+                threads: 32,
+                smem_bytes: 4096,
+                ..Default::default()
+            },
+            &[513, 1537],
+        );
     }
 
     #[test]
-    fn flat_matches_tree_on_smem_bank_conflicts() {
-        assert_flat_matches(1, &[(0, (0..32).collect())], |g| {
-            let _ = g;
-            Box::new(move |lane, id| {
-                let off = SmOff(0);
-                lane.smem_write_f64(off, id * 2, id as f64); // 2-way conflict
-                lane.smem_read_f64(off, 0); // broadcast
-                if id < 5 {
-                    lane.smem_atomic_add_f64(off, 40, 1.0);
-                }
-            })
-        });
+    fn pinned_smem_bank_conflicts() {
+        assert_pinned(
+            1,
+            &[(0, (0..32).collect())],
+            |_| {
+                Box::new(move |lane, id| {
+                    let off = SmOff(0);
+                    lane.smem_write_f64(off, id * 2, id as f64); // 2-way conflict
+                    lane.smem_read_f64(off, 0); // broadcast
+                    if id < 5 {
+                        lane.smem_atomic_add_f64(off, 40, 1.0);
+                    }
+                })
+            },
+            BlockProfile {
+                issue: 8,
+                smem_ops: 3,
+                resid_cycles: 8,
+                l2_bank_sectors: vec![0; 40],
+                threads: 32,
+                smem_bytes: 4096,
+                ..Default::default()
+            },
+            &[],
+        );
     }
 
     #[test]
-    fn flat_matches_tree_on_l1_reuse() {
+    fn pinned_l1_reuse() {
         // Re-reading the same block of memory exercises tag hits, sectored
-        // validity masks, and LRU aging identically in both engines.
-        assert_flat_matches(1, &[(0, (0..32).collect()), (0, (0..32).collect())], |g| {
-            let p = g.alloc_zeroed::<f64>(8192);
-            Box::new(move |lane, id| {
-                for rep in 0..4u64 {
-                    lane.read(p, id as u64 + rep * 16);
-                }
-                lane.read(p, 4096 + id as u64 * 113 % 3800);
-            })
-        });
+        // validity masks, and LRU aging.
+        assert_pinned(
+            1,
+            &[(0, (0..32).collect()), (0, (0..32).collect())],
+            |g| {
+                let p = g.alloc_zeroed::<f64>(8192);
+                Box::new(move |lane, id| {
+                    for rep in 0..4u64 {
+                        lane.read(p, id as u64 + rep * 16);
+                    }
+                    lane.read(p, 4096 + id as u64 * 113 % 3800);
+                })
+            },
+            BlockProfile {
+                issue: 584,
+                sectors: 52,
+                l1_hits: 43,
+                l1_full_hits: 11,
+                tx_cycles: 194,
+                lsu_sectors: 128,
+                resid_cycles: 420,
+                l2_bank_sectors: vec![
+                    1, 2, 2, 2, 2, 2, 1, 1, 2, 1, 1, 0, 0, 0, 3, 2, 2, 2, 3, 1, 1, 1, 1, 1, 0, 0,
+                    0, 0, 3, 2, 2, 2, 2, 2, 2, 1, 1, 1, 0, 0,
+                ],
+                threads: 32,
+                smem_bytes: 4096,
+                ..Default::default()
+            },
+            &[
+                527, 783, 1039, 1295, 1551, 66049, 67841, 69633, 71425, 73218, 75010, 76802, 78594,
+                80388, 82180, 83972, 85764, 87560, 89352, 91144, 92936, 94977, 96769, 98561,
+                100353, 102146, 103938, 105730, 107522, 109316, 111108, 112900, 114692, 116488,
+                118280, 120072, 121864,
+            ],
+        );
     }
 
     #[test]
-    fn flat_delegates_under_sanitizer() {
-        // With a sanitizer attached the flat path must take the exact trace
-        // route (it is the only one that feeds the race rules).
+    fn sanitizer_records_each_access_online() {
+        // Two lanes of warp 1 race on one smem slot and touch block 1's
+        // fallback arena: the sanitizer must see both lanes' accesses with
+        // their block-global thread ids, in lane order.
         let (g, c, a) = setup();
-        let p = g.alloc_zeroed::<f64>(64);
-        let mut t = TeamCtx::new(0, 1, 1, 4096, &g, &c, &a);
-        t.attach_sanitizer(Box::new(crate::sanitize::Sanitizer::new(0, 1, 32, 512)));
-        t.run_lanes_flat(0, &[0, 1], |lane, id| {
-            lane.write(p, id as u64, 1.0);
+        let mut owner = TeamCtx::new(1, 2, 1, 0, &g, &c, &a);
+        let q = owner.global().alloc_zeroed::<f64>(8);
+        let host = g.alloc_zeroed::<u64>(1);
+        let mut t = TeamCtx::new(0, 2, 2, 4096, &g, &c, &a);
+        let off = t.smem.alloc(64).unwrap();
+        t.attach_sanitizer(Box::new(crate::sanitize::Sanitizer::new(0, 2, 32, 512)));
+        t.run_lanes(1, &[0, 1], |lane, id| {
+            lane.smem_write_f64(off, 3, id as f64);
+            lane.write(q, id as u64, 1.0);
+            lane.atomic_add_u64(host, 0, 1);
+            if id == 1 {
+                lane.read(q, 0);
+            }
         });
-        assert!(t.take_observed().global_writes, "sanitizer observers must still fire");
+        assert_eq!(
+            t.take_observed(),
+            ObservedEffects { global_writes: true, global_atomics: true },
+        );
+        let mut san = t.detach_sanitizer().unwrap();
+        let arena = crate::mem::global::ARENA_BASE + crate::mem::global::ARENA_STRIDE;
+        let touch =
+            |thread, addr, write| crate::sanitize::ForeignTouch { owner: 1, thread, addr, write };
+        assert_eq!(
+            san.take_foreign(),
+            vec![touch(32, arena, true), touch(33, arena + 8, true), touch(33, arena, false)],
+        );
+        let write = |thread| crate::sanitize::AccessLabel { thread, write: true, epoch: 0 };
+        assert_eq!(
+            san.finish(),
+            vec![crate::sanitize::Violation::SharedMemRace {
+                block: 0,
+                slot: off.0 + 3,
+                first: write(32),
+                second: write(33),
+            }],
+        );
+    }
+
+    #[test]
+    fn attached_trace_records_each_super_step() {
+        // 32 coalesced f64 loads span 2 lines of 4 sectors each; 3 lanes of
+        // ALU work charge their max.
+        let (g, c, a) = setup();
+        let p = g.alloc_zeroed::<f64>(32);
+        let mut t = TeamCtx::new(0, 1, 2, 0, &g, &c, &a);
+        t.attach_trace(crate::trace::Trace::with_capacity(8));
+        let lanes: Vec<u32> = (0..32).collect();
+        t.run_lanes(1, &lanes, |lane, id| {
+            lane.read(p, id as u64);
+        });
+        t.run_lanes(0, &[0, 1, 2], |lane, id| lane.work(id as u64 + 1));
+        let step = |warp, lanes, issue, lines| crate::trace::TraceEvent::SuperStep {
+            block: 0,
+            warp,
+            lanes,
+            issue,
+            lines,
+        };
+        assert_eq!(
+            t.detach_trace().events(),
+            [step(1, 32, 2 * c.line_cycles + 8 * c.sector_cycles, 2), step(0, 3, 3, 0)],
+        );
     }
 
     #[test]
@@ -1680,54 +1663,65 @@ mod tests {
         // mi100 models the LDS with one bank per wavefront lane, so a dense
         // 64-lane stride-1 shared-memory instruction costs a single
         // wavefront — the old hard-coded 32-bank fold double-charged it.
-        // Both engines must agree.
         let c = CostModel::default();
-        let run = |arch: &DeviceArch, flat: bool| {
+        let run = |arch: &DeviceArch| {
             let g = GlobalMem::new();
             let mut t = TeamCtx::new(0, 1, 1, 4096, &g, &c, arch);
             let off = t.smem.alloc(64 * 8).unwrap();
             let lanes: Vec<u32> = (0..arch.warp_size).collect();
-            let body = |lane: &mut Lane<'_, '_>, id: u32| {
+            t.run_lanes(0, &lanes, |lane, id| {
                 lane.smem_write_f64(off, id, id as f64);
+            });
+            assert!(t.take_visits().entries().is_empty());
+            let clock = t.warp_clock(0);
+            let (profile, counters) = t.finish(64, 4096);
+            assert_eq!(counters, RtCounters::default());
+            let expect = BlockProfile {
+                issue: clock,
+                smem_ops: 1,
+                resid_cycles: clock,
+                l2_bank_sectors: vec![0; 32],
+                threads: 64,
+                smem_bytes: 4096,
+                ..Default::default()
             };
-            if flat {
-                t.run_lanes_flat(0, &lanes, body);
-            } else {
-                t.run_lanes(0, &lanes, body);
-            }
-            t.warp_clock(0)
+            assert_eq!(profile, expect);
+            clock
         };
-        let mi = DeviceArch::mi100();
-        assert_eq!(run(&mi, false), c.smem_cycles);
-        assert_eq!(run(&mi, true), c.smem_cycles);
+        assert_eq!(run(&DeviceArch::mi100()), c.smem_cycles);
         // Folding the same access onto 32 banks serializes into 2 waves.
         let mut folded = DeviceArch::mi100();
         folded.smem_banks = 32;
-        assert_eq!(run(&folded, false), 2 * c.smem_cycles);
-        assert_eq!(run(&folded, true), 2 * c.smem_cycles);
+        assert_eq!(run(&folded), 2 * c.smem_cycles);
     }
 
     #[test]
-    fn flat_falls_back_on_non_pow2_sector() {
-        // A non-power-of-two sector size cannot use the flat path.
+    fn non_pow2_sector_divides() {
+        // A 24-byte sector has no shift, so the accumulator divides.
         let c = CostModel { sector_bytes: 24, ..Default::default() };
         let a = DeviceArch::a100();
-        let run = |flat: bool| {
-            let g = GlobalMem::new();
-            let p = g.alloc_zeroed::<f64>(64);
-            let mut t = TeamCtx::new(0, 1, 1, 0, &g, &c, &a);
-            let lanes: Vec<u32> = (0..8).collect();
-            if flat {
-                t.run_lanes_flat(0, &lanes, |lane, id| {
-                    lane.read(p, id as u64);
-                });
-            } else {
-                t.run_lanes(0, &lanes, |lane, id| {
-                    lane.read(p, id as u64);
-                });
-            }
-            t.finish(32, 0).0
+        let g = GlobalMem::new();
+        let p = g.alloc_zeroed::<f64>(64);
+        let mut t = TeamCtx::new(0, 1, 1, 0, &g, &c, &a);
+        let lanes: Vec<u32> = (0..8).collect();
+        t.run_lanes(0, &lanes, |lane, id| {
+            lane.read(p, id as u64);
+        });
+        assert_eq!(t.take_visits().entries(), [527]);
+        let (profile, counters) = t.finish(32, 0);
+        assert_eq!(counters, RtCounters::default());
+        let expect = BlockProfile {
+            issue: 14,
+            sectors: 4,
+            lsu_sectors: 4,
+            resid_cycles: 20,
+            l2_bank_sectors: vec![
+                0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0,
+            ],
+            threads: 32,
+            ..Default::default()
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(profile, expect);
     }
 }

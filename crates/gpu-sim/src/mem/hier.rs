@@ -9,9 +9,11 @@
 //! serialize — they allocate MSHRs and wait — so their cost stays on the
 //! warp.
 //!
-//! The per-block *charging* is engine-independent (both execution engines
-//! and the sanitizer see the same counters); this module decides how those
-//! counters combine into the makespan ([`crate::sched::makespan`]):
+//! The per-block *charging* happens in [`crate::TeamCtx::run_lanes`], the
+//! one lane path both execution engines share, which also coalesces each
+//! access ordinal into its unique 32-byte sectors; this module decides how
+//! the resulting counters combine into the makespan
+//! ([`crate::sched::makespan`]):
 //!
 //! * **L1/LSU (per SM)** — L1-hit replay cycles are *subtracted* from the
 //!   warp-issue total and the latency critical path: the whole
@@ -42,31 +44,6 @@
 //! [`MemStats::mlp_stalls`]: crate::stats::MemStats::mlp_stalls
 
 use crate::arch::CacheGeom;
-
-/// Coalesce one warp instruction's per-lane accesses into the unique,
-/// sorted set of 32-byte sectors it touches — the transaction-generation
-/// rule both execution engines apply per access ordinal (an access
-/// straddling a sector boundary touches every sector it overlaps).
-///
-/// This is the pure-function mirror of the engines' in-line coalescing,
-/// exercised directly by the coalescing unit/property tests.
-pub fn coalesce_sectors(accesses: &[(u64, u32)], sector_bytes: u32) -> Vec<u64> {
-    let sb = sector_bytes.max(1) as u64;
-    let mut sectors = Vec::new();
-    for &(addr, bytes) in accesses {
-        if bytes == 0 {
-            continue;
-        }
-        let first = addr / sb;
-        let last = (addr + bytes as u64 - 1) / sb;
-        for s in first..=last {
-            sectors.push(s);
-        }
-    }
-    sectors.sort_unstable();
-    sectors.dedup();
-    sectors
-}
 
 /// L2 bank slice an L1-missing sector is served by. Fibonacci-hashed (with
 /// a different shift than the L1 set hash) so power-of-two strides spread

@@ -1,6 +1,7 @@
 //! Tests of the memory-hierarchy model: 128-byte LSU transactions, the
 //! sectored per-warp L1 window, and the L2/DRAM traffic split.
 
+use gpu_sim::mem::pod::DevValue;
 use gpu_sim::{Device, DeviceArch, LaunchConfig};
 
 fn device() -> Device {
@@ -173,7 +174,7 @@ fn cross_block_compulsory_traffic_survives_l1_refetches() {
     //   3 atoms each.
     // Totals: 28 DRAM sectors (= 8 lines x sectors {0,2,3} + lines 4..7
     // x sector 1) in 20 atoms. L1 misses: every block pays 5 + 10 + 1.
-    let run = |threads: usize, flat: bool| {
+    let run = |threads: usize| {
         let mut dev = device();
         dev.cost.l1_lines = 4;
         dev.set_sim_threads(Some(threads));
@@ -184,11 +185,7 @@ fn cross_block_compulsory_traffic_survives_l1_refetches() {
             let step = |team: &mut gpu_sim::TeamCtx<'_>,
                         lanes: &[u32],
                         f: &dyn Fn(&mut gpu_sim::Lane<'_, '_>, u32)| {
-                if flat {
-                    team.run_lanes_flat(0, lanes, f);
-                } else {
-                    team.run_lanes(0, lanes, f);
-                }
+                team.run_lanes(0, lanes, f);
             };
             step(team, &[0], &|lane, _| {
                 for l in b..=b + 4 {
@@ -206,16 +203,14 @@ fn cross_block_compulsory_traffic_survives_l1_refetches() {
         })
         .unwrap()
     };
-    for flat in [false, true] {
-        for threads in [1, 2, 4] {
-            let s = run(threads, flat);
-            let at = format!("threads {threads}, flat {flat}");
-            assert_eq!(s.total_dram_sectors, 28, "{at}");
-            assert_eq!(s.mem.dram_sectors, s.total_dram_sectors, "{at}");
-            assert_eq!(s.mem.dram_atoms, 20, "{at}");
-            assert_eq!(s.total_sectors, 4 * 16, "{at}: every refetch misses the L1");
-            assert_eq!(s.total_l1_hits, 0, "{at}");
-        }
+    for threads in [1, 2, 4] {
+        let s = run(threads);
+        let at = format!("threads {threads}");
+        assert_eq!(s.total_dram_sectors, 28, "{at}");
+        assert_eq!(s.mem.dram_sectors, s.total_dram_sectors, "{at}");
+        assert_eq!(s.mem.dram_atoms, 20, "{at}");
+        assert_eq!(s.total_sectors, 4 * 16, "{at}: every refetch misses the L1");
+        assert_eq!(s.total_l1_hits, 0, "{at}");
     }
 }
 
@@ -263,67 +258,83 @@ fn smem_broadcast_is_free_of_conflicts() {
 }
 
 // ---------------------------------------------------------------------------
-// Coalescing unit: `mem::hier::coalesce_sectors` is the pure mirror of the
-// transaction generation both engines perform per ordinal; these pin its
-// canonical shapes and its monotonicity in the active-lane set.
+// Coalescing: the transaction generation `run_lanes` performs per access
+// ordinal. Each case is one super-step on a fresh device, so these pin the
+// engine's own coalescing: its canonical shapes and its monotonicity in the
+// active-lane set.
 // ---------------------------------------------------------------------------
 
-use gpu_sim::mem::hier::coalesce_sectors;
+/// Run one super-step in which lanes `0..n` each read element `idx(lane)`
+/// of a zeroed `len`-element array of `T` (segments are 256-byte aligned,
+/// so element byte offsets are sector offsets). Returns the deduplicated
+/// sectors the LSU saw, after checking that the cold L1 sent every one of
+/// them to L2.
+fn step_sectors<T: DevValue + Default>(len: usize, n: u32, idx: impl Fn(u32) -> u64 + Sync) -> u64 {
+    let mut dev = device();
+    let p = dev.global.alloc_zeroed::<T>(len);
+    let lanes: Vec<u32> = (0..n).collect();
+    let stats = dev
+        .launch(&one_block(), |team| {
+            team.run_lanes(0, &lanes, |lane, id| {
+                lane.read(p, idx(id));
+            });
+        })
+        .unwrap();
+    assert_eq!(stats.total_sectors, stats.mem.lsu_sectors, "a cold L1 misses every sector");
+    stats.mem.lsu_sectors
+}
+
+/// A 12-byte element: at unit stride, every third one straddles a 32-byte
+/// sector boundary.
+type Triple = [u32; 3];
 
 #[test]
 fn coalesce_broadcast_is_one_sector() {
     // Every lane reads the same f64: one 32 B sector, however many lanes.
-    let accesses: Vec<(u64, u32)> = (0..32).map(|_| (128, 8)).collect();
-    assert_eq!(coalesce_sectors(&accesses, 32), vec![4]);
+    assert_eq!(step_sectors::<f64>(32, 32, |_| 16), 1);
 }
 
 #[test]
 fn coalesce_unit_stride_is_minimal() {
     // 32 consecutive f64 = 256 B = exactly 8 sectors, nothing duplicated.
-    let accesses: Vec<(u64, u32)> = (0..32).map(|i| (i * 8, 8)).collect();
-    assert_eq!(coalesce_sectors(&accesses, 32), (0..8).collect::<Vec<u64>>());
+    assert_eq!(step_sectors::<f64>(32, 32, |l| l as u64), 8);
 }
 
 #[test]
 fn coalesce_wide_stride_is_one_sector_per_lane() {
     // 128 B stride: every lane lands in its own line — worst case, one
     // sector per active lane.
-    let accesses: Vec<(u64, u32)> = (0..32).map(|i| (i * 128, 8)).collect();
-    let sectors = coalesce_sectors(&accesses, 32);
-    assert_eq!(sectors.len(), 32);
-    assert_eq!(sectors, (0..32).map(|i| i * 4).collect::<Vec<u64>>());
+    assert_eq!(step_sectors::<f64>(32 * 16, 32, |l| l as u64 * 16), 32);
 }
 
 #[test]
 fn coalesce_misaligned_warp_pays_one_extra_sector() {
-    // Shifting a unit-stride warp 4 bytes off sector alignment straddles
-    // one more 32 B sector (9 instead of 8); the lone straddling lane
-    // pays two sectors.
-    let aligned: Vec<(u64, u32)> = (0..32).map(|i| (i * 8, 8)).collect();
-    let shifted: Vec<(u64, u32)> = (0..32).map(|i| (4 + i * 8, 8)).collect();
-    assert_eq!(coalesce_sectors(&shifted, 32).len(), coalesce_sectors(&aligned, 32).len() + 1);
-    assert_eq!(coalesce_sectors(&[(28, 8)], 32), vec![0, 1]);
+    // 32 unit-stride 12 B elements span 384 B = 12 sectors; shifting the
+    // warp one element off sector alignment straddles one more (13). A
+    // lone straddling lane (bytes 24..36) pays two sectors.
+    assert_eq!(step_sectors::<Triple>(33, 32, |l| l as u64), 12);
+    assert_eq!(step_sectors::<Triple>(33, 32, |l| l as u64 + 1), 13);
+    assert_eq!(step_sectors::<Triple>(3, 1, |_| 2), 2);
 }
 
 #[test]
 fn coalesce_partial_mask_touches_only_active_sectors() {
     // Lanes 0..8 of a unit-stride warp: 64 B = 2 sectors; the inactive
     // lanes' sectors never appear.
-    let accesses: Vec<(u64, u32)> = (0..8).map(|i| (i * 8, 8)).collect();
-    assert_eq!(coalesce_sectors(&accesses, 32), vec![0, 1]);
+    assert_eq!(step_sectors::<f64>(32, 8, |l| l as u64), 2);
 }
 
 #[test]
 fn coalesce_is_monotone_in_active_lanes() {
-    // Enabling one more lane never shrinks the sector set, and only ever
-    // adds that lane's own sectors — for an arbitrary deterministic
-    // access pattern mixing strides, overlaps, and misalignment.
-    let pattern: Vec<(u64, u32)> = (0..32u64).map(|i| ((i * 37) % 61 * 8 + (i % 3), 8)).collect();
-    let mut prev: Vec<u64> = Vec::new();
-    for n in 0..=pattern.len() {
-        let cur = coalesce_sectors(&pattern[..n], 32);
-        assert!(cur.len() >= prev.len(), "sector count must be monotone in active lanes");
-        assert!(prev.iter().all(|s| cur.contains(s)), "sector set must grow monotonically");
+    // Enabling one more lane never shrinks the sector count, and adds at
+    // most that lane's own sectors (two for a straddling element) — for a
+    // deterministic pattern mixing strides, overlaps and misalignment.
+    let pattern = |l: u32| (l as u64 * 37) % 61;
+    let mut prev = 0;
+    for n in 0..=32 {
+        let cur = step_sectors::<Triple>(61, n, pattern);
+        assert!(cur >= prev, "sector count must be monotone in active lanes");
+        assert!(cur <= prev + 2, "a lane adds at most its own sectors");
         prev = cur;
     }
 }

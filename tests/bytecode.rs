@@ -4,9 +4,11 @@
 //! Every case goes through [`CompiledKernel::launch_oracle`], which runs
 //! the tree walker, snapshots the memory image, rewinds, runs the bytecode
 //! engine, and asserts bit-identical [`LaunchStats`] (cycles, every runtime
-//! counter, sanitizer violations) and host-visible memory. The matrix
-//! covers every in-tree kernel and a seeded stream of random plans, each ×
-//! block-execution thread counts {1, 4} × sanitizer {off, on}.
+//! counter) and host-visible memory. The matrix covers every in-tree kernel
+//! and a seeded stream of random plans, each × block-execution thread
+//! counts {1, 4} × sanitizer {off, on}. In the sanitized cells the bytecode
+//! leg runs unsanitized, so the tree walker's sanitized run is checked
+//! against the engine every default launch uses.
 
 use simt_omp::codegen::CompiledKernel;
 use simt_omp::gpu::{Device, DeviceArch, Slot};
