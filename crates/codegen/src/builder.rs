@@ -614,7 +614,8 @@ impl CompiledKernel {
     ///
     /// Engine selection: the flat-bytecode executor, or with
     /// `SIMT_SIM_ORACLE=1` differential mode — every launch runs both
-    /// engines and panics unless stats and memory images are bit-identical.
+    /// engines and panics unless stats (simtcheck violations included),
+    /// memory images and event traces are bit-identical.
     /// [`Self::launch_with_engine`] picks an engine explicitly.
     pub fn launch(&self, dev: &mut Device, args: &[Slot]) -> Result<LaunchStats, LaunchError> {
         if std::env::var("SIMT_SIM_ORACLE").map(|v| v == "1").unwrap_or(false) {
@@ -623,10 +624,9 @@ impl CompiledKernel {
         self.launch_with_engine(dev, args, Engine::Bytecode)
     }
 
-    /// Launch with an explicit engine choice. The bytecode engine hands
-    /// sanitizer and event-trace launches to the tree walker — instrumented
-    /// runs are observation tools, not hot paths, and delegating keeps one
-    /// authoritative implementation of lane-granular instrumentation.
+    /// Launch with an explicit engine choice. Both engines run sanitized
+    /// and traced launches themselves: each makes the same simtcheck calls
+    /// and records the same event trace.
     pub fn launch_with_engine(
         &self,
         dev: &mut Device,
@@ -635,9 +635,6 @@ impl CompiledKernel {
     ) -> Result<LaunchStats, LaunchError> {
         match engine {
             Engine::Tree => launch_target(dev, &self.config, &self.plan, &self.registry, args),
-            Engine::Bytecode if dev.sanitizer_enabled() || dev.trace_enabled() => {
-                launch_target(dev, &self.config, &self.plan, &self.registry, args)
-            }
             Engine::Bytecode => {
                 let prog = self.flat_program(&dev.arch, args.len());
                 launch_flat(dev, &self.config, &prog, &self.registry, args)
@@ -790,38 +787,29 @@ impl CompiledKernel {
 
     /// Differential-oracle launch: run the tree walker, snapshot the memory
     /// image, rewind, run the bytecode engine, and assert both produced
-    /// bit-identical [`LaunchStats`] and host-visible memory. Panics on any
-    /// divergence; returns the bytecode engine's result.
-    ///
-    /// A sanitized bytecode launch would be handed to the tree walker, so
-    /// on a sanitizing device the bytecode leg runs with the sanitizer off.
-    /// The comparison then ignores the tree leg's violations, and the tree
-    /// leg's stats are returned so callers still see them.
+    /// bit-identical [`LaunchStats`] (simtcheck violations included, in
+    /// order), host-visible memory and, on a traced device, event traces.
+    /// Panics on any divergence; returns the bytecode engine's result.
     pub fn launch_oracle(
         &self,
         dev: &mut Device,
         args: &[Slot],
     ) -> Result<LaunchStats, LaunchError> {
-        let sanitized = dev.sanitizer_enabled();
         let pre = dev.global.checkpoint();
         let tree = launch_target(dev, &self.config, &self.plan, &self.registry, args);
+        let tree_trace = std::mem::take(&mut dev.trace);
         let post_tree = dev.global.checkpoint();
         dev.global.restore(&pre);
-        if sanitized {
-            dev.disable_sanitizer();
-        }
         let flat = self.launch_with_engine(dev, args, Engine::Bytecode);
-        if sanitized {
-            dev.enable_sanitizer();
-        }
         let post_flat = dev.global.checkpoint();
         match (&tree, &flat) {
             (Ok(t), Ok(f)) => {
-                let mut t = t.clone();
-                if sanitized {
-                    t.violations.clear();
-                }
-                assert_eq!(&t, f, "oracle: engines disagree on LaunchStats");
+                assert_eq!(t, f, "oracle: engines disagree on LaunchStats");
+                assert_eq!(
+                    (tree_trace.events(), tree_trace.dropped()),
+                    (dev.trace.events(), dev.trace.dropped()),
+                    "oracle: engines disagree on the event trace"
+                );
                 if let Some(diff) = post_tree.host_mismatch(&post_flat) {
                     panic!("oracle: engines disagree on memory image:\n{diff}");
                 }
@@ -831,11 +819,7 @@ impl CompiledKernel {
                 "oracle: engines disagree on launch outcome (tree: {tree:?}, bytecode: {flat:?})"
             ),
         }
-        if sanitized {
-            tree
-        } else {
-            flat
-        }
+        flat
     }
 
     /// Lint, then launch; panics with the rendered report if simtlint

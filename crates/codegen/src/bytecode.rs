@@ -33,9 +33,20 @@
 //! bit-identical by construction, not by accident. Lane work runs through
 //! [`gpu_sim::TeamCtx::run_lanes`], the one lane path both engines share,
 //! so coalescing, bank conflicts and L1 accounting have a single
-//! implementation. The tree walker remains the differential oracle:
-//! `SIMT_SIM_ORACLE=1` runs every launch through both engines and asserts
-//! identical stats and memory images (see
+//! implementation.
+//!
+//! Sanitized and traced launches run here too. The executor makes the
+//! tree walker's simtcheck calls — the footprint bracket around every
+//! footprint-declared seq and simd body (the checks themselves are
+//! [`omp_core::dispatch::validate_reg_writes`] / `validate_observed`), the
+//! sharing layout at each parallel region, the sequential-simd divergence
+//! report — each behind one `sanitizing()` branch per op. Under an event
+//! trace it also records the super-steps it otherwise skips because they
+//! charge nothing: idle lanes stay in their cohort and const or pure trips
+//! replay the tree walker's lane-path evaluation. The tree walker remains
+//! the differential oracle: `SIMT_SIM_ORACLE=1` runs every launch through
+//! both engines and asserts identical stats (simtcheck violations
+//! included), memory images and event traces (see
 //! [`crate::CompiledKernel::launch_oracle`]).
 //!
 //! Scheduling arithmetic is shared, not cloned: iteration assignment and
@@ -51,7 +62,7 @@ use gpu_sim::{
     Device, DeviceArch, DispatchKind, LaneMask, LaunchError, LaunchStats, Slot, TeamCtx,
 };
 use omp_core::config::{ExecMode, KernelConfig};
-use omp_core::dispatch::{PureTripFn, Registry};
+use omp_core::dispatch::{validate_observed, validate_reg_writes, Footprint, PureTripFn, Registry};
 use omp_core::exec::{LOOP_OVERHEAD_CYCLES, REDUCE_STEP_CYCLES, TARGET_INIT_CYCLES};
 use omp_core::mapping::SimdMapping;
 use omp_core::plan::{
@@ -945,7 +956,8 @@ pub fn run_flat_block(
         tc.charge_alu(w, TARGET_INIT_CYCLES);
     }
 
-    let mut ex = FlatExec { tc, prog, reg, args, sharing, worker_warps, main_warp };
+    let trace = tc.tracing();
+    let mut ex = FlatExec { tc, prog, reg, args, sharing, worker_warps, main_warp, trace };
     // Reuse one scratch arena per sim thread across blocks: a block's worth
     // of working buffers costs ~10 allocations, which dominates host time
     // for small teams. A panicking kernel (simulated OOB etc.) just drops
@@ -1008,6 +1020,10 @@ struct FlatExec<'a, 'g> {
     sharing: SharingSpace,
     worker_warps: u32,
     main_warp: Option<u32>,
+    /// An event trace is attached: record every super-step the tree walker
+    /// records, including the ones that charge nothing (idle lanes, const
+    /// and pure trip evaluations), so both engines emit one sequence.
+    trace: bool,
 }
 
 impl<'a, 'g> FlatExec<'a, 'g> {
@@ -1019,6 +1035,21 @@ impl<'a, 'g> FlatExec<'a, 'g> {
         for w in 0..self.tc.nwarps() {
             self.tc.barrier_arrive(w);
         }
+    }
+
+    /// Open a simtcheck footprint bracket: while sanitizing, the declared
+    /// footprint `lookup` finds, with the effects observed so far drained.
+    /// Closed by validating what the call did against it.
+    fn open_bracket(
+        &mut self,
+        lookup: impl FnOnce(&'a Registry) -> Option<&'a Footprint>,
+    ) -> Option<&'a Footprint> {
+        if !self.tc.sanitizing() {
+            return None;
+        }
+        let fp = lookup(self.reg)?;
+        let _ = self.tc.take_observed();
+        Some(fp)
     }
 
     fn charge_team_cohort(&mut self, cycles: u64) {
@@ -1068,6 +1099,8 @@ impl<'a, 'g> FlatExec<'a, 'g> {
     }
 
     fn team_seq(&mut self, sc: &mut Scratch, id: SeqId, team_regs: &mut Vec<Slot>) {
+        let fp = self.open_bracket(|r| r.seq_footprint(id));
+        let before = fp.map(|_| team_regs.clone());
         let f = self.reg.get_seq(id);
         let args = self.args;
         match self.main_warp {
@@ -1099,39 +1132,46 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                 }
             }
         }
+        if let (Some(fp), Some(before)) = (fp, before) {
+            let obs = self.tc.take_observed();
+            let func = format!("team seq #{}", id.0);
+            validate_reg_writes(self.tc, &func, fp, &before, team_regs);
+            validate_observed(self.tc, &func, fp, obs);
+        }
     }
 
     /// Evaluate a team-scope trip source; the lane form replicates the
     /// interpreter's (uncharged for pure closures, fully charged for
     /// device-touching ones) cohort evaluation.
     fn team_trip(&mut self, src: TripSrc, team_regs: &[Slot]) -> u64 {
-        match src {
-            TripSrc::Const(n) => n,
+        let (f, mut out) = match src {
+            TripSrc::Const(n) => (None, n),
             TripSrc::Pure(i) => {
                 let v = Vars { args: self.args, outer: &[], regs: team_regs };
-                (self.prog.pures[i as usize])(&v)
+                (None, (self.prog.pures[i as usize])(&v))
             }
-            TripSrc::Lane(id) => {
-                let f = self.reg.get_trip(id);
-                let args = self.args;
-                let mut out = 0u64;
-                match self.main_warp {
-                    Some(mw) => {
-                        self.tc.run_lanes(mw, &[0], |lane, _| {
-                            out = f(lane, &Vars { args, outer: &[], regs: team_regs });
-                        });
-                    }
-                    None => {
-                        for w in 0..self.worker_warps {
-                            self.tc.run_lanes(w, &self.prog.all_lanes, |lane, _| {
-                                out = f(lane, &Vars { args, outer: &[], regs: team_regs });
-                            });
-                        }
-                    }
+            TripSrc::Lane(id) => (Some(self.reg.get_trip(id)), 0),
+        };
+        if f.is_none() && !self.trace {
+            return out;
+        }
+        // The lane path: a device-touching closure, or under a trace the
+        // tree walker's chargeless super-steps for a const or pure trip.
+        let args = self.args;
+        let mut eval = |lane: &mut gpu_sim::Lane<'_, '_>, _| {
+            if let Some(f) = f {
+                out = f(lane, &Vars { args, outer: &[], regs: team_regs });
+            }
+        };
+        match self.main_warp {
+            Some(mw) => self.tc.run_lanes(mw, &[0], &mut eval),
+            None => {
+                for w in 0..self.worker_warps {
+                    self.tc.run_lanes(w, &self.prog.all_lanes, &mut eval);
                 }
-                out
             }
         }
+        out
     }
 
     // ----- parallel regions -------------------------------------------
@@ -1149,6 +1189,9 @@ impl<'a, 'g> FlatExec<'a, 'g> {
         debug_assert_eq!(self.sharing.group_fits(meta.stage_slots), meta.group_fits);
         debug_assert_eq!(self.sharing.team_fits(meta.post_slots as u32), meta.team_fits);
         self.tc.counters.parallel_regions += 1;
+        if self.tc.sanitizing() {
+            self.tc.declare_sharing(self.sharing.declared_layout(meta.desc.simdlen));
+        }
 
         let post_slots = meta.post_slots;
         let region_kind = meta.region_kind;
@@ -1330,6 +1373,9 @@ impl<'a, 'g> FlatExec<'a, 'g> {
         let meta = &self.prog.pars[meta_i as usize];
         let (gpw, gs, shift, spmd) =
             (meta.gpw, meta.gs, meta.gs_shift, meta.desc.mode == ExecMode::Spmd);
+        let fp = self.open_bracket(|r| r.seq_footprint(id));
+        let before: Option<Vec<Vec<Slot>>> =
+            fp.map(|_| active.iter().map(|&g| regs[g as usize].clone()).collect());
         let f = self.reg.get_seq(id);
         let args = self.args;
         let gid_mask = gs - 1;
@@ -1349,6 +1395,14 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                     f(lane, &mut vm);
                 }
             });
+        }
+        if let (Some(fp), Some(before)) = (fp, before) {
+            let obs = self.tc.take_observed();
+            let func = format!("seq #{}", id.0);
+            for (before, &g) in before.iter().zip(active) {
+                validate_reg_writes(self.tc, &func, fp, before, &regs[g as usize]);
+            }
+            validate_observed(self.tc, &func, fp, obs);
         }
     }
 
@@ -1380,25 +1434,32 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                     sc.strips[g as usize] = f(&v);
                 }
             }
-            TripSrc::Lane(id) => {
-                let f = self.reg.get_trip(id);
-                let args = self.args;
-                let (gpw, gs, shift) = (meta.gpw, meta.gs, meta.gs_shift);
-                let spmd = meta.desc.mode == ExecMode::Spmd;
-                let gid_mask = gs - 1;
-                for (w, wg) in WarpRuns::new(active, gpw) {
-                    let lanes = cohort_lanes(&mut sc.lanes, meta, spmd, w, wg);
-                    let g_base = w * gpw;
-                    let strips = &mut sc.strips;
-                    self.tc.run_lanes(w, lanes, |lane, l| {
-                        let g = (g_base + (l >> shift)) as usize;
-                        let v = f(lane, &Vars { args, outer: team_regs, regs: &regs[g] });
-                        if l & gid_mask == 0 {
-                            strips[g] = v;
-                        }
-                    });
+            TripSrc::Lane(_) => {}
+        }
+        // The lane path: a device-touching closure, or under a trace the
+        // tree walker's chargeless super-steps for a const or pure trip.
+        let f = match src {
+            TripSrc::Lane(id) => Some(self.reg.get_trip(id)),
+            _ if self.trace => None,
+            _ => return,
+        };
+        let args = self.args;
+        let (gpw, gs, shift) = (meta.gpw, meta.gs, meta.gs_shift);
+        let spmd = meta.desc.mode == ExecMode::Spmd;
+        let gid_mask = gs - 1;
+        for (w, wg) in WarpRuns::new(active, gpw) {
+            let lanes = cohort_lanes(&mut sc.lanes, meta, spmd, w, wg);
+            let g_base = w * gpw;
+            let strips = &mut sc.strips;
+            self.tc.run_lanes(w, lanes, |lane, l| {
+                if let Some(f) = f {
+                    let g = (g_base + (l >> shift)) as usize;
+                    let v = f(lane, &Vars { args, outer: team_regs, regs: &regs[g] });
+                    if l & gid_mask == 0 {
+                        strips[g] = v;
+                    }
                 }
-            }
+            });
         }
     }
 
@@ -1468,7 +1529,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
 
             // Group size 1: plain sequential loop per thread (§5.4).
             if gs == 1 {
-                let lanes = active_lane_list(&mut sc.lanes, meta, w, wg, &trips);
+                let lanes = active_lane_list(&mut sc.lanes, meta, w, wg, &trips, self.trace);
                 self.exec_loop_lanes(
                     w,
                     lanes,
@@ -1486,7 +1547,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
             match meta.desc.mode {
                 ExecMode::Spmd => {
                     self.tc.charge_dispatch(w, kind);
-                    let lanes = active_lane_list(&mut sc.lanes, meta, w, wg, &trips);
+                    let lanes = active_lane_list(&mut sc.lanes, meta, w, wg, &trips, self.trace);
                     self.exec_loop_lanes(
                         w,
                         lanes,
@@ -1505,8 +1566,26 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                     // Legalized region (§5.4.1): sequential on each SIMD
                     // main, decided at lower time.
                     self.tc.counters.sequential_simd_fallbacks += wg.len() as u64;
-                    let leaders = leader_lane_list(&mut sc.leaders, meta, w, wg);
                     let g_base = w * gpw;
+                    if self.tc.sanitizing()
+                        && body_footprint(self.reg, body).is_some_and(|fp| fp.barriers)
+                    {
+                        // Only the SIMD mains run, so the rest of each group
+                        // never reaches the body's barrier (simtlint E-ARCH).
+                        let missing = wg
+                            .iter()
+                            .flat_map(|&g| {
+                                let leader = (g - g_base) * meta.gs;
+                                leader + 1..leader + meta.gs
+                            })
+                            .collect();
+                        self.tc.report_violation(gpu_sim::Violation::BarrierDivergence {
+                            block: self.tc.block_id,
+                            kind: gpu_sim::sanitize::BarrierKind::WarpSync { warp: w },
+                            missing,
+                        });
+                    }
+                    let leaders = leader_lane_list(&mut sc.leaders, meta, w, wg);
                     let shift = meta.gs_shift;
                     // Replay iterations in the state machine's issue order
                     // (each virtual lane's strided walk, lanes ascending):
@@ -1646,6 +1725,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
         body: FlatBody,
         fetch: Fetch<'_>,
     ) {
+        let fp = self.open_bracket(|r| body_footprint(r, body));
         let args = self.args;
         let gs = meta.gs as u64;
         let shift = meta.gs_shift;
@@ -1686,6 +1766,22 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                 });
             }
         }
+        if let Some(fp) = fp {
+            let obs = self.tc.take_observed();
+            let func = match body {
+                FlatBody::Plain(b) => format!("simd body #{}", b.0),
+                FlatBody::Reduce(b) => format!("reduce body #{}", b.0),
+            };
+            validate_observed(self.tc, &func, fp, obs);
+        }
+    }
+}
+
+/// The declared footprint of a simd body, if any.
+fn body_footprint(reg: &Registry, body: FlatBody) -> Option<&Footprint> {
+    match body {
+        FlatBody::Plain(b) => reg.body_footprint(b),
+        FlatBody::Reduce(b) => reg.red_footprint(b),
     }
 }
 
@@ -1759,14 +1855,21 @@ fn group_lane_list<'s>(buf: &'s mut Vec<u32>, meta: &'s ParMeta, w: u32, wg: &[u
 /// (the fetch-free paths only), so they record nothing through the lane
 /// machinery: dropping them from the cohort leaves every statistic —
 /// per-lane maxima, sectors, bank conflicts, L1 state — bit-identical,
-/// while skipping the per-lane visit cost entirely.
+/// while skipping the per-lane visit cost entirely. The skip also keeps
+/// every sanitizer verdict: an idle lane makes no access to check. Only an
+/// event trace sees it, in `SuperStep.lanes`, so a traced block keeps the
+/// full cohort.
 fn active_lane_list<'s>(
     buf: &'s mut Vec<u32>,
     meta: &'s ParMeta,
     w: u32,
     wg: &[u32],
     trips: &[u64],
+    trace: bool,
 ) -> &'s [u32] {
+    if trace {
+        return group_lane_list(buf, meta, w, wg);
+    }
     let gs = meta.gs as u64;
     if wg.len() == meta.gpw as usize && wg.iter().all(|&g| trips[g as usize] >= gs) {
         return &meta.all_lanes;

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use gpu_sim::Lane;
+use gpu_sim::{Lane, ObservedEffects, Slot, TeamCtx, Violation};
 
 use crate::plan::{BodyId, RedId, SeqId, TripId, Vars, VarsMut};
 
@@ -135,6 +135,53 @@ impl Footprint {
             && !self.atomics
             && !self.barriers
             && self.smem_written.is_empty()
+    }
+}
+
+/// Report every register `func` changed between `before` and `after` that
+/// its footprint does not list in `regs_written`. Both engines call this
+/// (only while sanitizing, for footprint-declared functions): the static
+/// analysis *trusts* these declarations when it SPMD-izes, so simtcheck
+/// verifies them dynamically.
+pub fn validate_reg_writes(
+    tc: &mut TeamCtx<'_>,
+    func: &str,
+    fp: &Footprint,
+    before: &[Slot],
+    after: &[Slot],
+) {
+    let block = tc.block_id;
+    for (i, (b, a)) in before.iter().zip(after).enumerate() {
+        if b.as_u64() != a.as_u64() && !fp.regs_written.contains(&i) {
+            tc.report_violation(Violation::FootprintViolation {
+                block,
+                func: func.to_string(),
+                detail: format!(
+                    "wrote register {i}, which is not in its declared regs_written {:?}",
+                    fp.regs_written
+                ),
+            });
+        }
+    }
+}
+
+/// Report global-memory effects `func` performed (drained with
+/// [`TeamCtx::take_observed`]) that its footprint does not declare.
+pub fn validate_observed(tc: &mut TeamCtx<'_>, func: &str, fp: &Footprint, obs: ObservedEffects) {
+    let block = tc.block_id;
+    if obs.global_writes && fp.args_written.is_empty() {
+        tc.report_violation(Violation::FootprintViolation {
+            block,
+            func: func.to_string(),
+            detail: "performed global-memory writes but declares no args_written".into(),
+        });
+    }
+    if obs.global_atomics && !fp.atomics {
+        tc.report_violation(Violation::FootprintViolation {
+            block,
+            func: func.to_string(),
+            detail: "performed atomic RMW but does not declare atomics".into(),
+        });
     }
 }
 

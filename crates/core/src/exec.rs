@@ -29,13 +29,10 @@
 //! the paper's group-size experiments (Fig 9) trade against parallelism.
 
 use gpu_sim::mem::ptr::DPtr;
-use gpu_sim::sanitize::Violation;
-use gpu_sim::{
-    Device, DispatchKind, LaunchConfig, LaunchError, LaunchStats, ObservedEffects, Slot, TeamCtx,
-};
+use gpu_sim::{Device, DispatchKind, LaunchConfig, LaunchError, LaunchStats, Slot, TeamCtx};
 
 use crate::config::{ExecMode, KernelConfig, ParallelDesc};
-use crate::dispatch::{Footprint, Registry};
+use crate::dispatch::{validate_observed, validate_reg_writes, Registry};
 use crate::mapping::SimdMapping;
 use crate::plan::{ParallelOp, SeqId, TargetPlan, TeamOp, ThreadOp, TripId, Vars, VarsMut};
 use crate::sharing::SharingSpace;
@@ -179,45 +176,6 @@ impl<'a, 'g> Interp<'a, 'g> {
         }
     }
 
-    /// Validate declared register writes against an observed before/after
-    /// snapshot (only called while sanitizing, for footprint-declared
-    /// functions): the static analysis *trusts* these declarations when it
-    /// SPMD-izes, so simtcheck verifies them dynamically.
-    fn validate_reg_writes(&mut self, func: &str, fp: &Footprint, before: &[Slot], after: &[Slot]) {
-        let block = self.tc.block_id;
-        for (i, (b, a)) in before.iter().zip(after).enumerate() {
-            if b.as_u64() != a.as_u64() && !fp.regs_written.contains(&i) {
-                self.tc.report_violation(Violation::FootprintViolation {
-                    block,
-                    func: func.to_string(),
-                    detail: format!(
-                        "wrote register {i}, which is not in its declared regs_written {:?}",
-                        fp.regs_written
-                    ),
-                });
-            }
-        }
-    }
-
-    /// Validate observed global-memory effects against a declaration.
-    fn validate_observed(&mut self, func: &str, fp: &Footprint, obs: ObservedEffects) {
-        let block = self.tc.block_id;
-        if obs.global_writes && fp.args_written.is_empty() {
-            self.tc.report_violation(Violation::FootprintViolation {
-                block,
-                func: func.to_string(),
-                detail: "performed global-memory writes but declares no args_written".into(),
-            });
-        }
-        if obs.global_atomics && !fp.atomics {
-            self.tc.report_violation(Violation::FootprintViolation {
-                block,
-                func: func.to_string(),
-                detail: "performed atomic RMW but does not declare atomics".into(),
-            });
-        }
-    }
-
     fn team_seq(&mut self, id: SeqId, team_regs: &mut Vec<Slot>) {
         let fp = if self.tc.sanitizing() { self.reg.seq_footprint(id).cloned() } else { None };
         let before = fp.as_ref().map(|_| team_regs.clone());
@@ -258,8 +216,8 @@ impl<'a, 'g> Interp<'a, 'g> {
         if let (Some(fp), Some(before)) = (fp, before) {
             let obs = self.tc.take_observed();
             let func = format!("team seq #{}", id.0);
-            self.validate_reg_writes(&func, &fp, &before, team_regs);
-            self.validate_observed(&func, &fp, obs);
+            validate_reg_writes(self.tc, &func, &fp, &before, team_regs);
+            validate_observed(self.tc, &func, &fp, obs);
         }
     }
 
@@ -293,15 +251,7 @@ impl<'a, 'g> Interp<'a, 'g> {
         self.sharing.configure_groups(m.num_groups());
         self.tc.counters.parallel_regions += 1;
         if self.tc.sanitizing() {
-            let (base, team_slots) = self.sharing.team_slice();
-            self.tc.declare_sharing(gpu_sim::SharingLayout {
-                base: base.0,
-                total_slots: self.sharing.total_slots(),
-                team_slots,
-                group_slots: self.sharing.group_slots(),
-                num_groups: m.num_groups(),
-                simdlen: desc.simdlen,
-            });
+            self.tc.declare_sharing(self.sharing.declared_layout(desc.simdlen));
         }
 
         // Reaching __parallel (§5.2): in generic team mode only the main
@@ -558,9 +508,9 @@ impl<'a, 'g> Interp<'a, 'g> {
             let obs = self.tc.take_observed();
             let func = format!("seq #{}", id.0);
             for (k, &g) in active.iter().enumerate() {
-                self.validate_reg_writes(&func, &fp, &before[k], &regs[g as usize]);
+                validate_reg_writes(self.tc, &func, &fp, &before[k], &regs[g as usize]);
             }
-            self.validate_observed(&func, &fp, obs);
+            validate_observed(self.tc, &func, &fp, obs);
         }
     }
 
@@ -956,7 +906,7 @@ impl<'a, 'g> Interp<'a, 'g> {
                 SimdBody::Plain(b) => format!("simd body #{}", b.0),
                 SimdBody::Reduce(b) => format!("reduce body #{}", b.0),
             };
-            self.validate_observed(&func, &fp, obs);
+            validate_observed(self.tc, &func, &fp, obs);
         }
     }
 }

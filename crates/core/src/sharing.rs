@@ -175,6 +175,21 @@ impl SharingSpace {
     pub fn total_slots(&self) -> u32 {
         self.total_slots
     }
+
+    /// The current region's layout as simtcheck needs it
+    /// ([`gpu_sim::TeamCtx::declare_sharing`]) for groups of `simdlen`
+    /// lanes. Panics if [`Self::configure_groups`] has not run.
+    pub fn declared_layout(&self, simdlen: u32) -> gpu_sim::SharingLayout {
+        let l = self.layout();
+        gpu_sim::SharingLayout {
+            base: self.base.0,
+            total_slots: self.total_slots,
+            team_slots: l.team_slots,
+            group_slots: l.group_slots,
+            num_groups: l.num_groups,
+            simdlen,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -612,6 +612,13 @@ impl<'g> TeamCtx<'g> {
         self.sanitizer.is_some()
     }
 
+    /// Whether an event trace is attached. The bytecode engine checks it
+    /// to emit the same super-steps as the tree walker where it would
+    /// otherwise skip lanes or trip evaluations that charge nothing.
+    pub fn tracing(&self) -> bool {
+        self.event_trace.is_some()
+    }
+
     /// Drain the side effects observed since the last call (only tracked
     /// while a sanitizer is attached). The runtime interpreter brackets
     /// footprint-declared outlined calls with this to validate the

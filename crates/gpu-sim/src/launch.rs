@@ -174,11 +174,6 @@ impl Device {
         self.sanitize_enabled
     }
 
-    /// Whether subsequent launches record an event trace.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace_enabled
-    }
-
     /// A100-like device — the paper's test bed (§6.1).
     pub fn a100() -> Device {
         Device::new(DeviceArch::a100())

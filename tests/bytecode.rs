@@ -6,9 +6,9 @@
 //! engine, and asserts bit-identical [`LaunchStats`] (cycles, every runtime
 //! counter) and host-visible memory. The matrix covers every in-tree kernel
 //! and a seeded stream of random plans, each × block-execution thread
-//! counts {1, 4} × sanitizer {off, on}. In the sanitized cells the bytecode
-//! leg runs unsanitized, so the tree walker's sanitized run is checked
-//! against the engine every default launch uses.
+//! counts {1, 4} × sanitizer {off, on}. In the sanitized cells both legs
+//! run sanitized and the oracle compares their violation lists too; a
+//! kernel simtlint accepts must also come out violation-free.
 
 use simt_omp::codegen::CompiledKernel;
 use simt_omp::gpu::{Device, DeviceArch, Slot};
@@ -20,6 +20,8 @@ use testkit::cases;
 
 /// Run one kernel through the oracle across the sim-thread / sanitizer
 /// matrix. `setup` uploads the workload and returns the argument payload.
+/// Lint-clean kernels must run violation-free; the rest (e.g. a zero-byte
+/// sharing space, whose team posts leak their fallbacks) must only agree.
 fn oracle_matrix(
     label: &str,
     k: &CompiledKernel,
@@ -34,8 +36,12 @@ fn oracle_matrix(
                 dev.enable_sanitizer();
             }
             let args = setup(&mut dev);
-            k.launch_oracle(&mut dev, &args)
+            let stats = k
+                .launch_oracle(&mut dev, &args)
                 .unwrap_or_else(|e| panic!("{label} (threads={threads}): {e:?}"));
+            if !k.lint(arch, args.len()).has_errors() {
+                assert!(stats.violations.is_empty(), "{label}: {:#?}", stats.violations);
+            }
         }
     }
 }
