@@ -958,11 +958,11 @@ pub fn run_flat_block(
 
     let trace = tc.tracing();
     let mut ex = FlatExec { tc, prog, reg, args, sharing, worker_warps, main_warp, trace };
-    // Reuse one scratch arena per sim thread across blocks: a block's worth
-    // of working buffers costs ~10 allocations, which dominates host time
-    // for small teams. A panicking kernel (simulated OOB etc.) just drops
-    // the pooled arena; the next block starts fresh.
-    let mut sc = SCRATCH.take().map_or_else(Scratch::default, |b| *b);
+    // Reuse one scratch arena per sim thread across blocks and launches: a
+    // block's worth of working buffers costs ~10 allocations, which
+    // dominates host time for small teams. A panicking kernel (simulated
+    // OOB etc.) just drops the pooled arena; the next block starts fresh.
+    let mut sc = SCRATCH.take().unwrap_or_default();
     let mut team_regs = std::mem::take(&mut sc.tregs);
     team_regs.clear();
     team_regs.resize(prog.team_regs, Slot(0));
@@ -975,11 +975,14 @@ pub fn run_flat_block(
         ex.tc.block_barrier();
     }
     sc.tregs = team_regs;
-    SCRATCH.set(Some(Box::new(sc)));
+    SCRATCH.set(Some(sc));
 }
 
 thread_local! {
-    /// Per-sim-thread [`Scratch`] arena, reused across blocks and launches.
+    /// Per-sim-thread [`Scratch`] arena, reused across blocks and launches:
+    /// a device's block pool keeps its worker threads parked between
+    /// launches, so this holds on the workers as well as on the launching
+    /// thread.
     static SCRATCH: std::cell::Cell<Option<Box<Scratch>>> = const { std::cell::Cell::new(None) };
 }
 

@@ -286,9 +286,21 @@ struct WarpState {
     l1: L1Window,
 }
 
+impl WarpState {
+    /// Zero the counters for a new block, keeping the L1 window's storage
+    /// and emptying it by epoch ([`L1Window::new_block`]).
+    fn reset(&mut self) {
+        let mut l1 = std::mem::take(&mut self.l1);
+        l1.new_block();
+        *self = WarpState { l1, ..WarpState::default() };
+    }
+}
+
 /// A warp's L1 window: 4-way set-associative, line-granular tags, LRU.
 /// Empty until the warp's first commit, and for good when the cost model
-/// has fewer than 4 lines.
+/// has fewer than 4 lines. A window outlives its block (see [`Spare`]):
+/// each set carries the epoch of the block that last filled it, and a
+/// set stamped with an older epoch is empty.
 #[derive(Clone, Debug, Default)]
 struct L1Window {
     /// Tag store: set `s` is `tags[s*4..s*4+4]`.
@@ -298,6 +310,12 @@ struct L1Window {
     /// Per-way sector-validity bitmasks (sectored cache: a line tag can be
     /// present with only some of its sectors fetched).
     masks: Vec<u8>,
+    /// Per-set epoch stamps: set `s` holds the current block's lines only
+    /// while `stamps[s] == epoch`; [`line_walk`] clears a stale set on its
+    /// first touch.
+    stamps: Vec<u32>,
+    /// The current block's epoch.
+    epoch: u32,
 }
 
 impl L1Window {
@@ -306,9 +324,42 @@ impl L1Window {
     fn take(slot: &mut L1Window, lines: u32) -> L1Window {
         let n = lines as usize;
         if slot.tags.is_empty() && n >= 4 {
-            return L1Window { tags: vec![u64::MAX; n], ages: vec![0; n], masks: vec![0; n] };
+            return L1Window {
+                tags: vec![u64::MAX; n],
+                ages: vec![0; n],
+                masks: vec![0; n],
+                stamps: vec![0; n / 4],
+                epoch: 0,
+            };
         }
         std::mem::take(slot)
+    }
+
+    /// Empty the window for a new block in O(1): bump the epoch, so every
+    /// set is stale. When the epoch wraps, an old stamp could match the
+    /// new epoch, so every set is cleared at once instead.
+    fn new_block(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.tags.fill(u64::MAX);
+            self.ages.fill(0);
+            self.masks.fill(0);
+            self.stamps.fill(0);
+        }
+    }
+
+    /// Set `s` for the current block: cleared first if another block's
+    /// epoch stamped it.
+    #[inline]
+    fn set(&mut self, s: usize) -> (&mut [u64], &mut [u8], &mut [u8]) {
+        let w = s * 4;
+        if self.stamps[s] != self.epoch {
+            self.stamps[s] = self.epoch;
+            self.tags[w..w + 4].fill(u64::MAX);
+            self.ages[w..w + 4].fill(0);
+            self.masks[w..w + 4].fill(0);
+        }
+        (&mut self.tags[w..w + 4], &mut self.ages[w..w + 4], &mut self.masks[w..w + 4])
     }
 }
 
@@ -359,7 +410,7 @@ pub(crate) type LineMap<V> =
 /// way's valid sectors were all recorded when they were fetched, so a
 /// pure hit could never add a bit here.
 #[derive(Default)]
-pub(crate) struct VisitLog {
+struct VisitLog {
     seen: LineMap<u8>,
     log: Vec<u64>,
 }
@@ -374,11 +425,46 @@ impl VisitLog {
             self.log.push((line << 8) | new as u64);
         }
     }
+}
 
-    /// Packed `(line << 8 | mask)` entries in block execution order.
-    pub(crate) fn entries(&self) -> &[u64] {
-        &self.log
+/// Block state a sim thread keeps from one block to the next: the warps
+/// with their L1 windows, the super-step accumulator and the visit-dedup
+/// map. [`TeamCtx::new`] takes it from [`SPARE`] and [`TeamCtx::finish`]
+/// puts it back, so a block allocates none of it.
+struct Spare {
+    warps: Vec<WarpState>,
+    acc: StepAcc,
+    seen: LineMap<u8>,
+    /// The [`CostModel::l1_lines`] the warps' windows were sized for.
+    l1_lines: u32,
+}
+
+impl Spare {
+    fn new(cost: &CostModel, arch: &DeviceArch) -> Spare {
+        Spare {
+            warps: Vec::new(),
+            acc: StepAcc::new(cost.sector_bytes, arch.smem_banks),
+            seen: LineMap::default(),
+            l1_lines: cost.l1_lines,
+        }
     }
+
+    /// Whether the state was built for this cost model and arch: the
+    /// sector size and bank count shape [`StepAcc`], the line count the
+    /// L1 windows.
+    fn fits(&self, cost: &CostModel, arch: &DeviceArch) -> bool {
+        self.l1_lines == cost.l1_lines
+            && self.acc.sector_bytes == cost.sector_bytes as u64
+            && self.acc.smem_banks == arch.smem_banks
+    }
+}
+
+thread_local! {
+    /// This sim thread's [`Spare`]. A device's block pool keeps its
+    /// workers alive, so the state is reused across blocks and launches
+    /// on every thread. A panicking block drops it; the next block builds
+    /// a fresh one.
+    static SPARE: std::cell::Cell<Option<Spare>> = const { std::cell::Cell::new(None) };
 }
 
 /// Execution context handed to a per-lane program: typed access to global
@@ -563,6 +649,14 @@ impl<'g> TeamCtx<'g> {
     ) -> TeamCtx<'g> {
         assert!(nwarps >= 1, "a block needs at least one warp");
         let spl = cost.sectors_per_line().expect("a line of at most 8 sectors (Device::validate)");
+        let Spare { mut warps, acc, mut seen, .. } =
+            SPARE.take().filter(|s| s.fits(cost, arch)).unwrap_or_else(|| Spare::new(cost, arch));
+        warps.truncate(nwarps as usize);
+        for w in &mut warps {
+            w.reset();
+        }
+        warps.resize_with(nwarps as usize, WarpState::default);
+        seen.clear();
         TeamCtx {
             block_id,
             num_blocks,
@@ -572,11 +666,11 @@ impl<'g> TeamCtx<'g> {
             cost,
             spl,
             arch,
-            warps: vec![WarpState::default(); nwarps as usize],
+            warps,
             counters: RtCounters::default(),
             l2_bank_sectors: vec![0; arch.cache.l2_banks as usize],
-            visits: VisitLog::default(),
-            acc: StepAcc::new(cost.sector_bytes, arch.smem_banks),
+            visits: VisitLog { seen, log: Vec::new() },
+            acc,
             event_trace: None,
             sanitizer: None,
             observed: ObservedEffects::default(),
@@ -948,10 +1042,11 @@ impl<'g> TeamCtx<'g> {
         self.gview.alloc_zeroed(n)
     }
 
-    /// Take the block's line-visit log for the launch's deterministic
+    /// Take the block's line-visit log, packed `(line << 8 | mask)`
+    /// entries in execution order, for the launch's deterministic
     /// first-touch replay (leaves an empty log behind).
-    pub(crate) fn take_visits(&mut self) -> VisitLog {
-        std::mem::take(&mut self.visits)
+    pub(crate) fn take_visits(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.visits.log)
     }
 
     /// Finish the block: produce its resource profile. `threads` and
@@ -959,7 +1054,8 @@ impl<'g> TeamCtx<'g> {
     /// `dram_sectors` and `dram_atoms` are left at zero here — compulsory
     /// traffic depends on cross-block first-touch order, so the launch
     /// fills both during the block-index-order replay of
-    /// [`Self::take_visits`] logs.
+    /// [`Self::take_visits`] logs. The warps, accumulator and visit-dedup
+    /// map go back to this thread's [`SPARE`] for its next block.
     pub fn finish(self, threads: u32, smem_bytes: u32) -> (BlockProfile, RtCounters) {
         let profile = BlockProfile {
             issue: self.warps.iter().map(|w| w.issue).sum(),
@@ -981,6 +1077,12 @@ impl<'g> TeamCtx<'g> {
             threads,
             smem_bytes,
         };
+        SPARE.set(Some(Spare {
+            warps: self.warps,
+            acc: self.acc,
+            seen: self.visits.seen,
+            l1_lines: self.cost.l1_lines,
+        }));
         (profile, self.counters)
     }
 }
@@ -1065,10 +1167,7 @@ fn line_walk(
         // Fibonacci-hash the set index so power-of-two array strides do
         // not alias into a handful of sets.
         let h = line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        let set = (h % nsets as u64) as usize * 4;
-        let ways = &mut l1.tags[set..set + 4];
-        let ages = &mut l1.ages[set..set + 4];
-        let masks = &mut l1.masks[set..set + 4];
+        let (ways, ages, masks) = l1.set((h % nsets as u64) as usize);
         if let Some(w) = ways.iter().position(|&t| t == line) {
             // Tag hit: only sectors not yet fetched cost DRAM traffic
             // (sectored cache).
@@ -1382,7 +1481,7 @@ mod tests {
         for (warp, lanes) in steps {
             t.run_lanes(*warp, lanes, |lane, id| f(lane, id));
         }
-        let got_visits = t.take_visits().entries().to_vec();
+        let got_visits = t.take_visits();
         let (got, counters) = t.finish(nwarps * 32, 4096);
         assert_eq!(got, profile, "profile");
         assert_eq!(counters, RtCounters::default(), "lane work touches no runtime counter");
@@ -1563,6 +1662,45 @@ mod tests {
         );
     }
 
+    /// Sector ids of `lines` whole lines at the default 4 sectors/line.
+    fn whole_lines(lines: std::ops::Range<u64>) -> Vec<u64> {
+        lines.flat_map(|l| l * 4..l * 4 + 4).collect()
+    }
+
+    #[test]
+    fn a_new_block_empties_the_l1_window_by_epoch() {
+        let mut l1 = L1Window::take(&mut L1Window::default(), 16);
+        let mut visits = VisitLog::default();
+        let walk = |l1: &mut L1Window, visits: &mut VisitLog| {
+            line_walk(&whole_lines(0..4), 4, l1, visits, &mut [])
+        };
+        assert_eq!(walk(&mut l1, &mut visits), (4, 16, 0, 0));
+        assert_eq!(walk(&mut l1, &mut visits), (4, 0, 4, 4), "same block: all hits");
+        l1.new_block();
+        assert_eq!(walk(&mut l1, &mut visits), (4, 16, 0, 0), "new block: all misses");
+    }
+
+    #[test]
+    fn epoch_wrap_clears_every_set() {
+        let mut l1 = L1Window::take(&mut L1Window::default(), 64);
+        let mut visits = VisitLog::default();
+        // 256 distinct lines over 16 sets of 4 ways: every set fills.
+        line_walk(&whole_lines(0..256), 4, &mut l1, &mut visits, &mut []);
+        assert!(l1.tags.iter().all(|&t| t != u64::MAX), "every way must hold a line");
+        // Every set current at the last epoch before the wrap.
+        l1.epoch = u32::MAX;
+        l1.stamps.fill(u32::MAX);
+        l1.new_block();
+        assert_eq!(l1.epoch, 0);
+        assert!(l1.tags.iter().all(|&t| t == u64::MAX));
+        assert!(l1.ages.iter().all(|&a| a == 0));
+        assert!(l1.masks.iter().all(|&m| m == 0));
+        assert!(l1.stamps.iter().all(|&s| s == 0));
+        let (lines, missing, hits, _) =
+            line_walk(&whole_lines(0..256), 4, &mut l1, &mut visits, &mut []);
+        assert_eq!((lines, missing, hits), (256, 1024, 0));
+    }
+
     #[test]
     fn sanitizer_records_each_access_online() {
         // Two lanes of warp 1 race on one smem slot and touch block 1's
@@ -1679,7 +1817,7 @@ mod tests {
             t.run_lanes(0, &lanes, |lane, id| {
                 lane.smem_write_f64(off, id, id as f64);
             });
-            assert!(t.take_visits().entries().is_empty());
+            assert!(t.take_visits().is_empty());
             let clock = t.warp_clock(0);
             let (profile, counters) = t.finish(64, 4096);
             assert_eq!(counters, RtCounters::default());
@@ -1714,7 +1852,7 @@ mod tests {
         t.run_lanes(0, &lanes, |lane, id| {
             lane.read(p, id as u64);
         });
-        assert_eq!(t.take_visits().entries(), [527]);
+        assert_eq!(t.take_visits(), [527]);
         let (profile, counters) = t.finish(32, 0);
         assert_eq!(counters, RtCounters::default());
         let expect = BlockProfile {

@@ -2,24 +2,25 @@
 //!
 //! A [`Device`] owns its global memory and executes kernel launches. Blocks
 //! are mutually independent (no inter-block synchronization exists within a
-//! launch), so they execute concurrently on a spawn-at-launch worker pool
-//! ([`crate::sched::run_blocks`], sized by `SIMT_SIM_THREADS`; 1 = serial),
-//! each against a fresh isolated [`TeamCtx`]. Per-block profiles, counters,
-//! traces and sanitizer findings are merged in block-index order, so the
-//! resulting [`LaunchStats`] is bit-identical to a serial run at any thread
-//! count; the launch result combines the per-block profiles into a
-//! simulated makespan via [`crate::sched`].
+//! launch), so they execute concurrently on the launching thread plus the
+//! device's resident pool of parked workers ([`crate::sched::BlockPool`],
+//! sized by `SIMT_SIM_THREADS`; 1 = serial, no worker threads), each in its
+//! own [`TeamCtx`] built from its thread's reused block state. Per-block
+//! profiles, counters, traces and sanitizer findings are merged in
+//! block-index order, so the resulting [`LaunchStats`] is bit-identical to
+//! a serial run at any thread count; the launch result combines the
+//! per-block profiles into a simulated makespan via [`crate::sched`].
 
 use crate::arch::DeviceArch;
 use crate::cost::CostModel;
-use crate::exec::{burst_atoms, LineMap, TeamCtx, VisitLog};
+use crate::exec::{burst_atoms, LineMap, TeamCtx};
 use crate::mem::global::{FallbackRange, GlobalMem};
 use crate::sanitize::{ForeignTouch, Sanitizer, Violation};
 use crate::sched;
 use crate::stats::{BlockProfile, LaunchStats, MemStats, RtCounters};
 use crate::trace::Trace;
 
-/// Everything one block's execution produced, collected by the worker pool
+/// Everything one block's execution produced, collected by the block pool
 /// and merged on the launching thread in block-index order.
 struct BlockOutcome {
     profile: BlockProfile,
@@ -28,7 +29,8 @@ struct BlockOutcome {
     foreign: Vec<ForeignTouch>,
     fallbacks: Vec<FallbackRange>,
     trace: Option<Trace>,
-    visits: VisitLog,
+    /// The block's line-visit log (see `TeamCtx::take_visits`).
+    visits: Vec<u64>,
 }
 
 /// Geometry of one kernel launch.
@@ -106,6 +108,8 @@ pub struct Device {
     /// Block-execution thread count override; `None` = `SIMT_SIM_THREADS`
     /// env or available parallelism (see [`sched::resolve_threads`]).
     sim_threads: Option<usize>,
+    /// Parked block workers, created by the first multi-thread launch.
+    pool: sched::BlockPool,
 }
 
 impl Device {
@@ -126,6 +130,7 @@ impl Device {
             sanitize_enabled: sanitize_env,
             san_dense: false,
             sim_threads: None,
+            pool: sched::BlockPool::default(),
         }
     }
 
@@ -242,7 +247,7 @@ impl Device {
         let (trace_enabled, trace_cap) = (self.trace_enabled, self.trace_cap);
         let (sanitize, dense) = (self.sanitize_enabled, self.san_dense);
         let warp_size = self.arch.warp_size;
-        let outcomes = sched::run_blocks(cfg.num_blocks, threads, |block_id| {
+        let outcomes = self.pool.run_blocks(cfg.num_blocks, threads, |block_id| {
             let mut team =
                 TeamCtx::new(block_id, cfg.num_blocks, nwarps, cfg.smem_bytes, global, cost, arch);
             if trace_enabled {
@@ -271,7 +276,7 @@ impl Device {
             BlockOutcome { profile, counters, violations, foreign, fallbacks, trace, visits }
         });
 
-        // Deterministic merge: `run_blocks` returns outcomes sorted by
+        // Deterministic merge: `BlockPool::run_blocks` returns outcomes sorted by
         // block id, so every reduction below sees them in the same order a
         // serial run would have produced them.
         let mut profiles = Vec::with_capacity(outcomes.len());
@@ -290,7 +295,7 @@ impl Device {
         // replaying here reproduces the `SIMT_SIM_THREADS=1` attribution
         // at any thread count. The map is pre-sized from the longest block
         // log: the summed lengths over-reserve when blocks share lines.
-        let longest = outcomes.iter().map(|(_, o)| o.visits.entries().len()).max().unwrap_or(0);
+        let longest = outcomes.iter().map(|(_, o)| o.visits.len()).max().unwrap_or(0);
         let mut touched = LineMap::<u8>::with_capacity_and_hasher(longest, Default::default());
         for (_, o) in outcomes {
             counters.merge(&o.counters);
@@ -299,7 +304,7 @@ impl Device {
                 m.absorb(t);
             }
             let mut p = o.profile;
-            for &packed in o.visits.entries() {
+            for &packed in &o.visits {
                 let (line, mask) = (packed >> 8, (packed & 0xff) as u8);
                 let seen = touched.entry(line).or_insert(0);
                 let fresh = mask & !*seen;

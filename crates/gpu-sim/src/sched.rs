@@ -1,8 +1,9 @@
 //! Block→SM scheduling and the kernel makespan model.
 //!
-//! Blocks execute functionally one at a time (determinism), producing
-//! per-block resource profiles. The *time* a launch takes is then computed
-//! analytically:
+//! Blocks execute functionally and independently on the device's
+//! resident [`BlockPool`], producing per-block resource profiles that are
+//! merged in block-index order (determinism). The *time* a launch takes is
+//! then computed analytically:
 //!
 //! 1. **Occupancy**: resident blocks per SM is limited by the architecture's
 //!    block/thread/shared-memory capacities. The extra team-main warp of
@@ -16,7 +17,11 @@
 //!    capped by the launch's memory-level parallelism
 //!    ([`crate::mem::hier`]).
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use crate::arch::DeviceArch;
 use crate::cost::CostModel;
@@ -44,52 +49,200 @@ pub fn resolve_threads(override_threads: Option<usize>) -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Execute `f(block_id)` for every block id in `0..num_blocks` on up to
-/// `threads` host threads (spawned for this launch, joined before return)
-/// and hand back the results **sorted by block id** — callers merge them in
-/// block-index order, which is what keeps parallel launches bit-identical
-/// to serial ones.
+/// A device's parked block-execution workers, kept resident across
+/// launches (gpucachesim keeps its `SIMTCore`s the same way) so a launch
+/// wakes threads instead of spawning and joining them.
 ///
-/// Blocks are claimed from a shared atomic counter, so imbalanced blocks
-/// don't idle workers. With `threads <= 1` (or a single block) everything
-/// runs inline on the caller's thread: exactly today's serial path, no pool
-/// at all. A panic in any block is re-raised on the caller.
-pub fn run_blocks<R, F>(num_blocks: u32, threads: usize, f: F) -> Vec<(u32, R)>
-where
-    R: Send,
-    F: Fn(u32) -> R + Sync,
-{
-    if threads <= 1 || num_blocks <= 1 {
-        return (0..num_blocks).map(|b| (b, f(b))).collect();
-    }
-    let workers = threads.min(num_blocks as usize);
-    let next = AtomicU32::new(0);
-    let mut out: Vec<(u32, R)> = Vec::with_capacity(num_blocks as usize);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= num_blocks {
-                            break;
-                        }
-                        local.push((b, f(b)));
-                    }
-                    local
-                })
+/// Empty until the first launch that runs on more than one thread;
+/// [`BlockPool::run_blocks`] then parks `threads − 1` workers beside the
+/// launching thread, rebuilds them when the resolved count changes, and
+/// dropping the pool joins them. Each worker keeps its thread-local block
+/// state (the `TeamCtx` spare and the bytecode engine's scratch arena)
+/// from one launch to the next.
+#[derive(Default)]
+pub struct BlockPool {
+    workers: Option<Workers>,
+}
+
+/// The parked threads of a [`BlockPool`] and their shared job slot.
+struct Workers {
+    shared: Arc<Shared>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+/// A launch's block loop with its lifetime erased (see [`Workers::run`]).
+type Job = &'static (dyn Fn() + Sync);
+
+struct Shared {
+    state: Mutex<JobState>,
+    /// Signalled when a job is posted or the pool shuts down.
+    posted: Condvar,
+    /// Signalled when the last running worker leaves the job.
+    finished: Condvar,
+}
+
+#[derive(Default)]
+struct JobState {
+    /// The current job, `None` once the caller has retracted it.
+    job: Option<Job>,
+    /// Bumped per posted job, so a worker joins each job at most once.
+    epoch: u64,
+    /// Workers that may still join the current job.
+    open: usize,
+    /// Workers inside the current job.
+    running: usize,
+    /// The first panic a worker caught in the current job.
+    panic: Option<Box<dyn Any + Send>>,
+    shutdown: bool,
+}
+
+fn lock(m: &Mutex<JobState>) -> MutexGuard<'_, JobState> {
+    // Jobs run outside the lock and their panics are caught, so the lock
+    // is never held across a panic; a poisoned guard is still consistent.
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Workers {
+    fn spawn(n: usize) -> Workers {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(JobState::default()),
+            posted: Condvar::new(),
+            finished: Condvar::new(),
+        });
+        let handles = (0..n)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("simt-block-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn block worker")
             })
             .collect();
-        for h in handles {
-            match h.join() {
-                Ok(local) => out.extend(local),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
+        Workers { shared, handles }
+    }
+
+    /// Run `job` on the calling thread and on up to `helpers` parked
+    /// workers, returning (or unwinding) only once every worker that
+    /// joined has left it. The first panic, the caller's own before any
+    /// worker's, is re-raised after that.
+    fn run(&self, helpers: usize, job: &(dyn Fn() + Sync)) {
+        // SAFETY: only the lifetime is erased. A worker copies the
+        // reference out of `JobState::job` under the lock and counts
+        // itself in `running`; the retraction below clears the slot, and
+        // this function returns or unwinds only after `running` is back
+        // to zero, so no copy of the reference outlives the borrow. The
+        // caller's own call to `job` is caught, and nothing between
+        // posting and waiting can panic.
+        let job: Job = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(job) };
+        {
+            let mut st = lock(&self.shared.state);
+            st.job = Some(job);
+            st.epoch += 1;
+            st.open = helpers;
         }
-    });
-    out.sort_by_key(|&(b, _)| b);
-    out
+        self.shared.posted.notify_all();
+        let mine = catch_unwind(AssertUnwindSafe(job));
+        let mut st = lock(&self.shared.state);
+        // Every block is claimed (or the caller's own block panicked and
+        // the launch fails anyway): workers that have not woken yet would
+        // find nothing to do, so they are not waited for.
+        st.job = None;
+        st.open = 0;
+        while st.running > 0 {
+            st = self.shared.finished.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        let theirs = st.panic.take();
+        drop(st);
+        if let Some(p) = mine.err().or(theirs) {
+            resume_unwind(p);
+        }
+    }
+}
+
+fn worker_loop(shared: &Shared) {
+    let mut seen = 0u64;
+    loop {
+        let job = {
+            let mut st = lock(&shared.state);
+            loop {
+                if st.shutdown {
+                    return;
+                }
+                if st.epoch != seen {
+                    seen = st.epoch;
+                    if let (Some(job), true) = (st.job, st.open > 0) {
+                        st.open -= 1;
+                        st.running += 1;
+                        break job;
+                    }
+                }
+                st = shared.posted.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let result = catch_unwind(AssertUnwindSafe(job));
+        let mut st = lock(&shared.state);
+        if let Err(p) = result {
+            st.panic.get_or_insert(p);
+        }
+        st.running -= 1;
+        if st.running == 0 {
+            shared.finished.notify_one();
+        }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        lock(&self.shared.state).shutdown = true;
+        self.shared.posted.notify_all();
+        for h in self.handles.drain(..) {
+            // Jobs catch their panics, so a worker exits only by returning.
+            let _ = h.join();
+        }
+    }
+}
+
+impl BlockPool {
+    /// Execute `f(block_id)` for every block id in `0..num_blocks` on
+    /// `threads` host threads — the caller plus `threads − 1` parked
+    /// workers — and hand back the results **sorted by block id**:
+    /// callers merge them in block-index order, which is what keeps
+    /// parallel launches bit-identical to serial ones.
+    ///
+    /// Every participant claims blocks from one shared atomic counter, so
+    /// imbalanced blocks don't idle workers. With `threads <= 1` (or a
+    /// single block) everything runs inline on the caller's thread and no
+    /// worker is created. A panic in any block is re-raised on the caller
+    /// once every worker has left the launch; the pool stays usable.
+    pub fn run_blocks<R, F>(&mut self, num_blocks: u32, threads: usize, f: F) -> Vec<(u32, R)>
+    where
+        R: Send,
+        F: Fn(u32) -> R + Sync,
+    {
+        if threads <= 1 || num_blocks <= 1 {
+            return (0..num_blocks).map(|b| (b, f(b))).collect();
+        }
+        if self.workers.as_ref().is_none_or(|w| w.handles.len() != threads - 1) {
+            // Join the old workers before parking the new ones.
+            self.workers = None;
+            self.workers = Some(Workers::spawn(threads - 1));
+        }
+        let workers = self.workers.as_ref().expect("just spawned");
+        let next = AtomicU32::new(0);
+        let out = Mutex::new(Vec::with_capacity(num_blocks as usize));
+        let job = || loop {
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            if b >= num_blocks {
+                break;
+            }
+            let r = f(b);
+            out.lock().unwrap_or_else(PoisonError::into_inner).push((b, r));
+        };
+        workers.run((threads - 1).min(num_blocks as usize - 1), &job);
+        let mut out = out.into_inner().unwrap_or_else(PoisonError::into_inner);
+        out.sort_by_key(|&(b, _)| b);
+        out
+    }
 }
 
 /// How many blocks of the given shape can be resident on one SM.
@@ -138,23 +291,25 @@ pub fn makespan(
     }
     let geom = &arch.cache;
     let nsms = arch.num_sms as usize;
-    // Round-robin assignment of blocks to SMs.
-    let mut sm_time = vec![0u64; nsms];
-    let mut per_sm: Vec<Vec<&BlockProfile>> = vec![Vec::new(); nsms];
-    for (i, p) in profiles.iter().enumerate() {
-        per_sm[i % nsms].push(p);
-    }
-    for (sm, blocks) in per_sm.iter().enumerate() {
+    // Round-robin assignment of blocks to SMs: SM `sm` runs blocks `sm`,
+    // `sm + nsms`, … in waves of `resident_per_sm`.
+    let resident = resident_per_sm as usize;
+    let mut device_time = 0u64;
+    for sm in 0..nsms.min(profiles.len()) {
         let mut t = 0u64;
-        for wave in blocks.chunks(resident_per_sm as usize) {
+        for start in (sm..profiles.len()).step_by(nsms * resident) {
+            let wave = profiles[start..].iter().step_by(nsms).take(resident);
             // Latency and issue net of the L1-hit replay cycles that
             // retire in the LSU pipe below, overlapped with issue. Misses
             // (and one sector beat per partial-line hit) stay on the issue
             // path.
-            let latency = wave.iter().map(|b| b.resid_cycles).max().unwrap_or(0);
-            let issue: u64 = wave.iter().map(|b| b.issue.saturating_sub(b.tx_cycles)).sum();
-            let full_hits: u64 = wave.iter().map(|b| b.l1_full_hits).sum();
-            let sectors: u64 = wave.iter().map(|b| b.sectors).sum();
+            let (mut latency, mut issue, mut full_hits, mut sectors) = (0u64, 0u64, 0u64, 0u64);
+            for b in wave {
+                latency = latency.max(b.resid_cycles);
+                issue += b.issue.saturating_sub(b.tx_cycles);
+                full_hits += b.l1_full_hits;
+                sectors += b.sectors;
+            }
             // Round up: a trailing partial issue group still costs a cycle.
             let issue_time = issue.div_ceil(cost.sm_issue_width.max(1));
             // The LSU's line port replays full-line hits at L1 bandwidth;
@@ -172,9 +327,8 @@ pub fn makespan(
             }
             t += w;
         }
-        sm_time[sm] = t;
+        device_time = device_time.max(t);
     }
-    let device_time = sm_time.into_iter().max().unwrap_or(0);
     // Device-wide roofs: all L1-miss traffic crosses the L2 banks; only
     // first-touch (compulsory) traffic crosses DRAM. Slowest L2 bank slice
     // first (block-index-order fold keeps the totals deterministic).
@@ -390,22 +544,78 @@ mod tests {
         assert_eq!(makespan(&a, &c, &[], 1), Makespan::default());
     }
 
+    /// Run `num_blocks` blocks on `pool`, checking that every block ran
+    /// exactly once and came back in order; returns the threads that ran
+    /// them.
+    fn launch_ids(
+        pool: &mut BlockPool,
+        num_blocks: u32,
+        threads: usize,
+    ) -> Vec<std::thread::ThreadId> {
+        let out = pool.run_blocks(num_blocks, threads, |b| (b * 10, std::thread::current().id()));
+        assert_eq!(out.len(), num_blocks as usize, "threads={threads}");
+        for (i, &(b, (v, _))) in out.iter().enumerate() {
+            assert_eq!(b, i as u32);
+            assert_eq!(v, b * 10);
+        }
+        out.into_iter().map(|(_, (_, id))| id).collect()
+    }
+
+    fn worker_ids(pool: &BlockPool) -> Vec<std::thread::ThreadId> {
+        pool.workers
+            .as_ref()
+            .map_or_else(Vec::new, |w| w.handles.iter().map(|h| h.thread().id()).collect())
+    }
+
     #[test]
     fn run_blocks_covers_every_block_in_order() {
         for threads in [1, 2, 4, 8] {
-            let out = run_blocks(37, threads, |b| b * 10);
-            assert_eq!(out.len(), 37, "threads={threads}");
-            for (i, &(b, v)) in out.iter().enumerate() {
-                assert_eq!(b, i as u32);
-                assert_eq!(v, b * 10);
+            launch_ids(&mut BlockPool::default(), 37, threads);
+        }
+    }
+
+    #[test]
+    fn pool_workers_stay_resident_across_launches() {
+        let caller = std::thread::current().id();
+        for threads in [2, 4, 8] {
+            let mut pool = BlockPool::default();
+            let mut workers = Vec::new();
+            for launch in 0..50 {
+                let ids = launch_ids(&mut pool, 37, threads);
+                if launch == 0 {
+                    workers = worker_ids(&pool);
+                    assert_eq!(workers.len(), threads - 1);
+                }
+                // The same parked threads serve every launch: a respawned
+                // worker would have a new id.
+                assert_eq!(worker_ids(&pool), workers, "threads={threads} launch={launch}");
+                assert!(ids.iter().all(|id| *id == caller || workers.contains(id)));
             }
         }
     }
 
     #[test]
+    fn pool_is_created_lazily_and_rebuilt_on_a_new_count() {
+        let mut pool = BlockPool::default();
+        launch_ids(&mut pool, 16, 1);
+        launch_ids(&mut pool, 1, 4);
+        assert!(pool.workers.is_none(), "inline launches must not park workers");
+        launch_ids(&mut pool, 16, 3);
+        let three = worker_ids(&pool);
+        assert_eq!(three.len(), 2);
+        launch_ids(&mut pool, 16, 1);
+        assert_eq!(worker_ids(&pool), three, "an inline launch keeps the pool");
+        launch_ids(&mut pool, 16, 5);
+        let five = worker_ids(&pool);
+        assert_eq!(five.len(), 4);
+        assert!(five.iter().all(|id| !three.contains(id)));
+    }
+
+    #[test]
     fn run_blocks_serial_path_stays_on_caller_thread() {
         let caller = std::thread::current().id();
-        let out = run_blocks(4, 1, |b| {
+        let mut pool = BlockPool::default();
+        let out = pool.run_blocks(4, 1, |b| {
             assert_eq!(std::thread::current().id(), caller);
             b
         });
@@ -414,21 +624,59 @@ mod tests {
 
     #[test]
     fn run_blocks_empty_grid() {
-        let out = run_blocks(0, 8, |b| b);
+        let out = BlockPool::default().run_blocks(0, 8, |b| b);
         assert!(out.is_empty());
     }
 
     #[test]
     fn run_blocks_propagates_panics() {
-        let r = std::panic::catch_unwind(|| {
-            run_blocks(8, 4, |b| {
+        let mut pool = BlockPool::default();
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_blocks(8, 4, |b| {
                 if b == 5 {
                     panic!("block 5 exploded");
                 }
                 b
             })
-        });
-        assert!(r.is_err());
+        }));
+        let msg = r.expect_err("the panic must reach the caller");
+        assert_eq!(msg.downcast_ref::<&str>(), Some(&"block 5 exploded"));
+    }
+
+    #[test]
+    fn a_panic_is_raised_after_every_sibling_finishes_and_the_pool_survives() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        // The launching thread claims block 0 first, so `panicker = 0`
+        // mostly panics on the caller and `panicker = 1` on a worker.
+        for (threads, panicker) in [(2, 0), (2, 1), (4, 0), (4, 1)] {
+            let mut pool = BlockPool::default();
+            let started = AtomicBool::new(false);
+            let finished = AtomicBool::new(false);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                pool.run_blocks(2, threads, |b| {
+                    if b != panicker {
+                        // The slow sibling: mid-block when the other panics.
+                        started.store(true, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(100));
+                        finished.store(true, Ordering::SeqCst);
+                    } else {
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while !started.load(Ordering::SeqCst) {
+                            assert!(Instant::now() < deadline, "the sibling never started");
+                            std::thread::yield_now();
+                        }
+                        panic!("block {b} exploded");
+                    }
+                })
+            }));
+            let case = format!("threads={threads} panicker={panicker}");
+            assert!(r.is_err(), "{case}");
+            assert!(finished.load(Ordering::SeqCst), "{case}: re-raised while a sibling still ran");
+            let workers = worker_ids(&pool);
+            launch_ids(&mut pool, 37, threads);
+            assert_eq!(worker_ids(&pool), workers, "{case}: the pool must survive a panic");
+        }
     }
 
     #[test]

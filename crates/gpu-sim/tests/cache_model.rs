@@ -371,3 +371,77 @@ fn burst_atoms_separate_strided_from_coalesced_fills() {
     assert_eq!(strided.mem.dram_sectors, 32);
     assert_eq!(strided.mem.dram_atoms, 32, "single-sector fills burn one atom each");
 }
+
+/// A launch of the reuse-isolation test. Every kind but `Target` needs
+/// block state of another shape than `Target`'s, so running it between
+/// two `Target` launches on one thread rebuilds that thread's reused
+/// warps, accumulator and L1 windows.
+#[derive(Clone, Copy, Debug)]
+enum Reuse {
+    /// a100: two warps per block each touch 2,048 distinct lines, enough
+    /// to fill every set of their 512-line L1 windows, then re-read some.
+    Target,
+    /// mi100: wave64 lanes and 64 shared-memory banks.
+    Wave64,
+    /// 24-byte sectors: the accumulator divides instead of shifting.
+    Sector24,
+    /// A 2-line L1: too small for one 4-way set, so no window at all.
+    TinyL1,
+}
+
+fn reuse_launch(kind: Reuse) -> gpu_sim::LaunchStats {
+    const LINES: u64 = 4096;
+    let mut dev = match kind {
+        Reuse::Wave64 => Device::new(DeviceArch::mi100()),
+        _ => device(),
+    };
+    match kind {
+        Reuse::Sector24 => dev.cost.sector_bytes = 24,
+        Reuse::TinyL1 => dev.cost.l1_lines = 2,
+        Reuse::Target | Reuse::Wave64 => {}
+    }
+    dev.set_sim_threads(Some(1));
+    let ws = dev.arch.warp_size;
+    let p = dev.global.alloc_zeroed::<f64>(LINES as usize * 16);
+    let cfg = LaunchConfig { num_blocks: 4, threads_per_block: 2 * ws, smem_bytes: 8 * ws };
+    let per_lane = 2048 / ws as u64;
+    dev.launch(&cfg, |team| {
+        let lanes: Vec<u32> = (0..ws).collect();
+        let off = team.smem.alloc(8 * ws).unwrap();
+        let base = team.block_id as u64 * 331;
+        for w in 0..team.nwarps() {
+            let first = base + w as u64 * 997;
+            team.run_lanes(w, &lanes, |lane, id| {
+                for k in 0..per_lane {
+                    let line = (first + id as u64 * per_lane + k) % LINES;
+                    lane.read(p, line * 16 + k % 16);
+                }
+                lane.smem_write_f64(off, (id * 7) % ws, id as f64);
+            });
+            team.run_lanes(w, &lanes, |lane, id| {
+                for k in per_lane - 8..per_lane {
+                    let line = (first + id as u64 * per_lane + k) % LINES;
+                    lane.read(p, line * 16 + k % 16);
+                }
+                lane.smem_read_f64(off, id);
+            });
+        }
+    })
+    .unwrap()
+}
+
+#[test]
+fn reused_block_state_is_isolated_across_launches_and_cost_models() {
+    let fresh = |kind| std::thread::spawn(move || reuse_launch(kind)).join().unwrap();
+    let kinds = [Reuse::Target, Reuse::Wave64, Reuse::Sector24, Reuse::TinyL1, Reuse::Target];
+    let want: Vec<_> = kinds.iter().map(|&k| fresh(k)).collect();
+    let target = &want[0];
+    assert!(target.total_l1_hits > 0 && target.total_dram_sectors > 0, "{target:?}");
+    assert!(target.total_dram_sectors < target.total_sectors, "blocks must share lines");
+    assert_ne!(want[3].total_l1_hits, target.total_l1_hits, "the tiny L1 must change hits");
+    // One thread, so every launch after the first reuses block state.
+    let got = std::thread::spawn(move || kinds.map(reuse_launch)).join().unwrap();
+    for ((kind, got), want) in kinds.iter().zip(&got).zip(&want) {
+        assert_eq!(got, want, "{kind:?} after reuse differs from a fresh thread");
+    }
+}
