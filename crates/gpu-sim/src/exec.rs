@@ -27,6 +27,7 @@
 use crate::arch::DeviceArch;
 use crate::cost::CostModel;
 use crate::mem::global::{FallbackRange, GlobalMem, GlobalView};
+use crate::mem::hier::L2BankIndex;
 use crate::mem::pod::DevValue;
 use crate::mem::ptr::{DPtr, Slot};
 use crate::mem::shared::{SharedMem, SmOff};
@@ -112,6 +113,9 @@ pub struct BankAcc {
     /// of a wide warp on one bank, ordinal after ordinal) must count
     /// fully, not saturate at 255.
     bank_waves: Vec<u32>,
+    /// `banks - 1` when the bank count is a power of two (the bank index
+    /// masks), `None` when it is not (the bank index divides).
+    bank_mask: Option<u32>,
     worst: u32,
 }
 
@@ -122,6 +126,7 @@ impl BankAcc {
         BankAcc {
             bank_slots: vec![u32::MAX; banks as usize],
             bank_waves: vec![0; banks as usize],
+            bank_mask: banks.is_power_of_two().then(|| banks - 1),
             worst: 0,
         }
     }
@@ -136,7 +141,10 @@ impl BankAcc {
     /// Fold in one lane's access to an 8-byte slot.
     #[inline]
     pub fn visit(&mut self, slot: u32) {
-        let b = (slot as usize) % self.bank_slots.len();
+        let b = match self.bank_mask {
+            Some(m) => slot & m,
+            None => slot % self.bank_slots.len() as u32,
+        } as usize;
         if self.bank_slots[b] != slot {
             // New distinct slot in this bank: one more wavefront
             // (approximate: tracks the last slot seen per bank).
@@ -296,39 +304,72 @@ impl WarpState {
     }
 }
 
-/// A warp's L1 window: 4-way set-associative, line-granular tags, LRU.
-/// Empty until the warp's first commit, and for good when the cost model
-/// has fewer than 4 lines. A window outlives its block (see [`Spare`]):
-/// each set carries the epoch of the block that last filled it, and a
-/// set stamped with an older epoch is empty.
+/// One 4-way set of an [`L1Window`]: line tags, saturating LRU ages and
+/// per-way sector-validity bitmasks (sectored cache: a line tag can be
+/// present with only some of its sectors fetched), packed together with
+/// the epoch of the block that last filled the set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct L1Set {
+    tags: [u64; 4],
+    ages: [u8; 4],
+    masks: [u8; 4],
+    /// The set holds the current block's lines only while `stamp` equals
+    /// the window's epoch; [`L1Window::set`] empties a stale set on its
+    /// first touch.
+    stamp: u32,
+}
+
+impl L1Set {
+    const EMPTY: L1Set = L1Set { tags: [u64::MAX; 4], ages: [0; 4], masks: [0; 4], stamp: 0 };
+
+    /// Make way `w` the most recently used: its age drops to zero and
+    /// every other way ages by one, saturating.
+    #[inline]
+    fn touch(&mut self, w: usize) {
+        for a in &mut self.ages {
+            *a = a.saturating_add(1);
+        }
+        self.ages[w] = 0;
+    }
+
+    /// The LRU victim: the oldest way, the *last* one when ages tie (the
+    /// rule `max_by_key` implements).
+    #[inline]
+    fn victim(&self) -> usize {
+        let mut v = 0;
+        for w in 1..4 {
+            if self.ages[w] >= self.ages[v] {
+                v = w;
+            }
+        }
+        v
+    }
+}
+
+/// A warp's L1 window: 4-way set-associative, line-granular tags, LRU,
+/// one [`L1Set`] per four lines. Empty until the warp's first commit, and
+/// for good when the cost model has fewer than 4 lines. A window outlives
+/// its block (see [`Spare`]): each set carries the epoch of the block that
+/// last filled it, and a set stamped with an older epoch is empty.
 #[derive(Clone, Debug, Default)]
 struct L1Window {
-    /// Tag store: set `s` is `tags[s*4..s*4+4]`.
-    tags: Vec<u64>,
-    /// LRU ages parallel to `tags`.
-    ages: Vec<u8>,
-    /// Per-way sector-validity bitmasks (sectored cache: a line tag can be
-    /// present with only some of its sectors fetched).
-    masks: Vec<u8>,
-    /// Per-set epoch stamps: set `s` holds the current block's lines only
-    /// while `stamps[s] == epoch`; [`line_walk`] clears a stale set on its
-    /// first touch.
-    stamps: Vec<u32>,
+    sets: Vec<L1Set>,
+    /// `sets.len() - 1` when the set count is a power of two (the set
+    /// index masks), `None` when it is not (the set index divides).
+    set_mask: Option<u64>,
     /// The current block's epoch.
     epoch: u32,
 }
 
 impl L1Window {
     /// Take a warp's window out of `slot` for a commit (the commit puts it
-    /// back), allocating `lines` ways on first use.
+    /// back), allocating `lines / 4` sets on first use.
     fn take(slot: &mut L1Window, lines: u32) -> L1Window {
-        let n = lines as usize;
-        if slot.tags.is_empty() && n >= 4 {
+        let n = lines as usize / 4;
+        if slot.sets.is_empty() && n >= 1 {
             return L1Window {
-                tags: vec![u64::MAX; n],
-                ages: vec![0; n],
-                masks: vec![0; n],
-                stamps: vec![0; n / 4],
+                sets: vec![L1Set::EMPTY; n],
+                set_mask: n.is_power_of_two().then(|| n as u64 - 1),
                 epoch: 0,
             };
         }
@@ -341,54 +382,47 @@ impl L1Window {
     fn new_block(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.tags.fill(u64::MAX);
-            self.ages.fill(0);
-            self.masks.fill(0);
-            self.stamps.fill(0);
+            self.sets.fill(L1Set::EMPTY);
         }
     }
 
-    /// Set `s` for the current block: cleared first if another block's
-    /// epoch stamped it.
+    /// The set `line` maps to, for the current block: cleared first if
+    /// another block's epoch stamped it. The line id is Fibonacci-hashed
+    /// so power-of-two array strides do not alias into a handful of sets.
     #[inline]
-    fn set(&mut self, s: usize) -> (&mut [u64], &mut [u8], &mut [u8]) {
-        let w = s * 4;
-        if self.stamps[s] != self.epoch {
-            self.stamps[s] = self.epoch;
-            self.tags[w..w + 4].fill(u64::MAX);
-            self.ages[w..w + 4].fill(0);
-            self.masks[w..w + 4].fill(0);
+    fn set(&mut self, line: u64) -> &mut L1Set {
+        let h = line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let s = match self.set_mask {
+            Some(m) => h & m,
+            None => h % self.sets.len() as u64,
+        };
+        let set = &mut self.sets[s as usize];
+        if set.stamp != self.epoch {
+            *set = L1Set { stamp: self.epoch, ..L1Set::EMPTY };
         }
-        (&mut self.tags[w..w + 4], &mut self.ages[w..w + 4], &mut self.masks[w..w + 4])
+        set
     }
 }
 
-/// `Hasher` for the `u64` line-id keys of the visit maps: one folded
-/// 64×64→128-bit multiply, so strided line ids still spread over every
-/// bucket. Line ids are simulator-generated, so SipHash's flooding
-/// resistance buys nothing on this per-access path.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct LineHasher(u64);
+/// Slots of a block's [`VisitLog`] filter.
+const FILTER_SLOTS: usize = 4096;
 
-impl std::hash::Hasher for LineHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// The visit filter's storage: one packed `line << 8 | mask` per slot,
+/// 0 when empty.
+type VisitFilter = Box<[u64; FILTER_SLOTS]>;
 
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("LineHasher only hashes u64 line ids")
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let p = (self.0 ^ x) as u128 * 0x9E37_79B9_7F4A_7C15u128;
-        self.0 = p as u64 ^ (p >> 64) as u64;
-    }
+/// An empty [`VisitFilter`], from a zeroed allocation.
+fn visit_filter() -> VisitFilter {
+    vec![0; FILTER_SLOTS].into_boxed_slice().try_into().expect("FILTER_SLOTS words")
 }
 
-/// Line id → sector mask, keyed through [`LineHasher`].
-pub(crate) type LineMap<V> =
-    std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<LineHasher>>;
+/// Filter slot of `line`: the low bits, folded with the next twelve so
+/// lines a power-of-two plane stride apart do not all share one slot.
+/// Lines of one aligned 4,096-line window never collide.
+#[inline]
+fn filter_slot(line: u64) -> usize {
+    (line ^ line >> 12) as usize & (FILTER_SLOTS - 1)
+}
 
 /// Program-order log of the block's line visits, the input of the
 /// launch's block-index-order replay (see `Device::launch`) — the only
@@ -404,47 +438,61 @@ pub(crate) type LineMap<V> =
 /// against one sequential touched-set, which reproduces the
 /// `SIMT_SIM_THREADS=1` attribution exactly at any thread count.
 ///
-/// Entries are packed `line << 8 | mask`; the per-block `seen` prefilter
-/// keeps the log bounded by the block's distinct (line, sector) footprint.
-/// [`line_walk`] records only L1 misses and tag hits that add sectors: a
-/// way's valid sectors were all recorded when they were fetched, so a
-/// pure hit could never add a bit here.
-#[derive(Default)]
+/// Entries are packed `line << 8 | mask`. A direct-mapped filter of
+/// [`FILTER_SLOTS`] packed slots drops bits this block already logged for
+/// the slot's line. It is lossy, and that is exact: a collision only
+/// forgets bits the block logged before, so a re-logged bit is already in
+/// the replay's touched set when its entry is replayed, and every entry's
+/// fresh mask — hence `dram_sectors` and `dram_atoms` — is what a
+/// lossless filter would give. [`line_walk`] records only L1 misses and
+/// tag hits that add sectors: a way's valid sectors were all recorded
+/// when they were fetched, so a pure hit could never add a bit here.
 struct VisitLog {
-    seen: LineMap<u8>,
+    filter: VisitFilter,
     log: Vec<u64>,
 }
 
 impl VisitLog {
     #[inline]
     fn record(&mut self, line: u64, smask: u8) {
-        let seen = self.seen.entry(line).or_insert(0);
-        let new = smask & !*seen;
+        let slot = &mut self.filter[filter_slot(line)];
+        let seen = if *slot >> 8 == line { *slot as u8 } else { 0 };
+        let new = smask & !seen;
         if new != 0 {
-            *seen |= new;
+            *slot = (line << 8) | (seen | new) as u64;
             self.log.push((line << 8) | new as u64);
+        }
+    }
+
+    /// Empty the filter by walking the log: every filled slot holds the
+    /// line of an entry the fill also logged.
+    fn clear_filter(&mut self) {
+        for &packed in &self.log {
+            self.filter[filter_slot(packed >> 8)] = 0;
         }
     }
 }
 
 /// Block state a sim thread keeps from one block to the next: the warps
-/// with their L1 windows, the super-step accumulator and the visit-dedup
-/// map. [`TeamCtx::new`] takes it from [`SPARE`] and [`TeamCtx::finish`]
+/// with their L1 windows, the super-step accumulator and the visit
+/// filter. [`TeamCtx::new`] takes it from [`SPARE`] and [`TeamCtx::finish`]
 /// puts it back, so a block allocates none of it.
 struct Spare {
     warps: Vec<WarpState>,
     acc: StepAcc,
-    seen: LineMap<u8>,
+    /// Empty whenever it is here. It does not depend on the cost model,
+    /// so a rebuild for another one keeps it.
+    filter: VisitFilter,
     /// The [`CostModel::l1_lines`] the warps' windows were sized for.
     l1_lines: u32,
 }
 
 impl Spare {
-    fn new(cost: &CostModel, arch: &DeviceArch) -> Spare {
+    fn new(cost: &CostModel, arch: &DeviceArch, filter: VisitFilter) -> Spare {
         Spare {
             warps: Vec::new(),
             acc: StepAcc::new(cost.sector_bytes, arch.smem_banks),
-            seen: LineMap::default(),
+            filter,
             l1_lines: cost.l1_lines,
         }
     }
@@ -627,6 +675,8 @@ pub struct TeamCtx<'g> {
     /// Per-block L1-missing sectors per L2 bank slice (length =
     /// `arch.cache.l2_banks`), folded by every commit.
     l2_bank_sectors: Vec<u64>,
+    /// The bank slice of a missing sector, divided by reciprocal.
+    l2_bank: L2BankIndex,
     /// Line-visit log for the launch's deterministic first-touch replay.
     visits: VisitLog,
     acc: StepAcc,
@@ -649,14 +699,16 @@ impl<'g> TeamCtx<'g> {
     ) -> TeamCtx<'g> {
         assert!(nwarps >= 1, "a block needs at least one warp");
         let spl = cost.sectors_per_line().expect("a line of at most 8 sectors (Device::validate)");
-        let Spare { mut warps, acc, mut seen, .. } =
-            SPARE.take().filter(|s| s.fits(cost, arch)).unwrap_or_else(|| Spare::new(cost, arch));
+        let Spare { mut warps, acc, filter, .. } = match SPARE.take() {
+            Some(s) if s.fits(cost, arch) => s,
+            Some(s) => Spare::new(cost, arch, s.filter),
+            None => Spare::new(cost, arch, visit_filter()),
+        };
         warps.truncate(nwarps as usize);
         for w in &mut warps {
             w.reset();
         }
         warps.resize_with(nwarps as usize, WarpState::default);
-        seen.clear();
         TeamCtx {
             block_id,
             num_blocks,
@@ -669,7 +721,8 @@ impl<'g> TeamCtx<'g> {
             warps,
             counters: RtCounters::default(),
             l2_bank_sectors: vec![0; arch.cache.l2_banks as usize],
-            visits: VisitLog { seen, log: Vec::new() },
+            l2_bank: L2BankIndex::new(arch.cache.l2_banks),
+            visits: VisitLog { filter, log: Vec::new() },
             acc,
             event_trace: None,
             sanitizer: None,
@@ -829,7 +882,6 @@ impl<'g> TeamCtx<'g> {
         let mut lsu_add = 0u64;
         let mut l1 = L1Window::take(&mut self.warps[warp as usize].l1, cost.l1_lines);
         let mut banks = std::mem::take(&mut self.l2_bank_sectors);
-        let mut visits = std::mem::take(&mut self.visits);
         let spl = self.spl;
 
         // Every ordinal below `max_ord` holds at least the longest lane's
@@ -840,7 +892,7 @@ impl<'g> TeamCtx<'g> {
                 o.sectors.dedup();
             }
             let (lines, sectors, hits, full) =
-                line_walk(&o.sectors, spl, &mut l1, &mut visits, &mut banks);
+                line_walk(&o.sectors, spl, &mut l1, &mut self.visits, &mut banks, self.l2_bank);
             let misses = sectors;
             let tx = lines * cost.line_cycles + sectors * cost.sector_cycles;
             let c = tx + atomic_serialize_cycles(&mut o.atomics, cost);
@@ -874,7 +926,6 @@ impl<'g> TeamCtx<'g> {
         w.full_hits += full_hits_add;
         w.lsu_sectors += lsu_add;
         self.l2_bank_sectors = banks;
-        self.visits = visits;
         self.acc = acc;
     }
 
@@ -1044,8 +1095,9 @@ impl<'g> TeamCtx<'g> {
 
     /// Take the block's line-visit log, packed `(line << 8 | mask)`
     /// entries in execution order, for the launch's deterministic
-    /// first-touch replay (leaves an empty log behind).
+    /// first-touch replay (leaves an empty log and filter behind).
     pub(crate) fn take_visits(&mut self) -> Vec<u64> {
+        self.visits.clear_filter();
         std::mem::take(&mut self.visits.log)
     }
 
@@ -1054,9 +1106,10 @@ impl<'g> TeamCtx<'g> {
     /// `dram_sectors` and `dram_atoms` are left at zero here — compulsory
     /// traffic depends on cross-block first-touch order, so the launch
     /// fills both during the block-index-order replay of
-    /// [`Self::take_visits`] logs. The warps, accumulator and visit-dedup
-    /// map go back to this thread's [`SPARE`] for its next block.
-    pub fn finish(self, threads: u32, smem_bytes: u32) -> (BlockProfile, RtCounters) {
+    /// [`Self::take_visits`] logs. The warps, accumulator and the emptied
+    /// visit filter go back to this thread's [`SPARE`] for its next block.
+    pub fn finish(mut self, threads: u32, smem_bytes: u32) -> (BlockProfile, RtCounters) {
+        self.visits.clear_filter();
         let profile = BlockProfile {
             issue: self.warps.iter().map(|w| w.issue).sum(),
             sectors: self.warps.iter().map(|w| w.sectors).sum(),
@@ -1080,7 +1133,7 @@ impl<'g> TeamCtx<'g> {
         SPARE.set(Some(Spare {
             warps: self.warps,
             acc: self.acc,
-            seen: self.visits.seen,
+            filter: self.visits.filter,
             l1_lines: self.cost.l1_lines,
         }));
         (profile, self.counters)
@@ -1125,25 +1178,26 @@ pub(crate) fn burst_atoms(mask: u8) -> u64 {
 /// `spl` (sectors per line) is at most 8, the width of a way's sector
 /// mask (see [`CostModel::sectors_per_line`]). A power-of-two `spl`
 /// splits sector ids with a shift and a mask instead of a division.
-///
-/// The LRU victim rule: the *last* max-age way wins ties, per
-/// `max_by_key`.
 fn line_walk(
     sectors: &[u64],
     spl: u64,
     l1: &mut L1Window,
     visits: &mut VisitLog,
     banks: &mut [u64],
+    bank: L2BankIndex,
 ) -> (u64, u64, u64, u64) {
     let pow2 = spl.is_power_of_two();
     let shift = spl.trailing_zeros();
     let split = |s: u64| if pow2 { (s >> shift, s & (spl - 1)) } else { (s / spl, s % spl) };
-    let nsets = l1.tags.len() / 4;
     let mut dram_sectors = 0u64;
     let mut lines = 0u64;
     let mut hits = 0u64;
     let mut full_hits = 0u64;
     let full_line_mask = ((1u16 << spl) - 1) as u8;
+    let mut missing = |mask: u8, line: u64| {
+        dram_sectors += mask.count_ones() as u64;
+        bank_missing_sectors(mask, line, spl, banks, bank);
+    };
     let mut i = 0usize;
     while i < sectors.len() {
         let (line, first) = split(sectors[i]);
@@ -1158,51 +1212,34 @@ fn line_walk(
             i += 1;
         }
         lines += 1;
-        if nsets == 0 {
+        if l1.sets.is_empty() {
             visits.record(line, smask);
-            dram_sectors += smask.count_ones() as u64;
-            bank_missing_sectors(smask, line, spl, banks);
+            missing(smask, line);
             continue;
         }
-        // Fibonacci-hash the set index so power-of-two array strides do
-        // not alias into a handful of sets.
-        let h = line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        let (ways, ages, masks) = l1.set((h % nsets as u64) as usize);
-        if let Some(w) = ways.iter().position(|&t| t == line) {
+        let set = l1.set(line);
+        if let Some(w) = set.tags.iter().position(|&t| t == line) {
             // Tag hit: only sectors not yet fetched cost DRAM traffic
             // (sectored cache).
-            let new = smask & !masks[w];
+            let new = smask & !set.masks[w];
             if new == 0 {
                 hits += 1;
-                if masks[w] == full_line_mask {
+                if set.masks[w] == full_line_mask {
                     full_hits += 1;
                 }
             } else {
+                set.masks[w] |= new;
                 visits.record(line, smask);
-                dram_sectors += new.count_ones() as u64;
-                bank_missing_sectors(new, line, spl, banks);
-                masks[w] |= new;
+                missing(new, line);
             }
-            ages[w] = 0;
-            for (k, a) in ages.iter_mut().enumerate() {
-                if k != w {
-                    *a = a.saturating_add(1);
-                }
-            }
+            set.touch(w);
         } else {
+            let victim = set.victim();
+            set.tags[victim] = line;
+            set.masks[victim] = smask;
+            set.touch(victim);
             visits.record(line, smask);
-            dram_sectors += smask.count_ones() as u64;
-            bank_missing_sectors(smask, line, spl, banks);
-            let victim =
-                ages.iter().enumerate().max_by_key(|(_, &a)| a).map(|(k, _)| k).unwrap_or(0);
-            ways[victim] = line;
-            ages[victim] = 0;
-            masks[victim] = smask;
-            for (k, a) in ages.iter_mut().enumerate() {
-                if k != victim {
-                    *a = a.saturating_add(1);
-                }
-            }
+            missing(smask, line);
         }
     }
     (lines, dram_sectors, hits, full_hits)
@@ -1213,16 +1250,15 @@ fn line_walk(
 /// L1-missing sector total, which is what the hierarchical makespan's
 /// per-bank L2 roof consumes.
 #[inline]
-fn bank_missing_sectors(mask: u8, line: u64, spl: u64, banks: &mut [u64]) {
+fn bank_missing_sectors(mask: u8, line: u64, spl: u64, banks: &mut [u64], bank: L2BankIndex) {
     if banks.is_empty() {
         return;
     }
-    let n = banks.len() as u32;
     let mut m = mask;
     while m != 0 {
         let bit = m.trailing_zeros() as u64;
         m &= m - 1;
-        banks[crate::mem::hier::l2_bank_of(line * spl + bit, n) as usize] += 1;
+        banks[bank.of(line * spl + bit) as usize] += 1;
     }
 }
 
@@ -1667,38 +1703,78 @@ mod tests {
         lines.flat_map(|l| l * 4..l * 4 + 4).collect()
     }
 
+    fn empty_log() -> VisitLog {
+        VisitLog { filter: visit_filter(), log: Vec::new() }
+    }
+
+    /// `line_walk` with no L2 banks to attribute.
+    fn walk(sectors: &[u64], l1: &mut L1Window, visits: &mut VisitLog) -> (u64, u64, u64, u64) {
+        line_walk(sectors, 4, l1, visits, &mut [], L2BankIndex::new(0))
+    }
+
     #[test]
     fn a_new_block_empties_the_l1_window_by_epoch() {
         let mut l1 = L1Window::take(&mut L1Window::default(), 16);
-        let mut visits = VisitLog::default();
-        let walk = |l1: &mut L1Window, visits: &mut VisitLog| {
-            line_walk(&whole_lines(0..4), 4, l1, visits, &mut [])
-        };
-        assert_eq!(walk(&mut l1, &mut visits), (4, 16, 0, 0));
-        assert_eq!(walk(&mut l1, &mut visits), (4, 0, 4, 4), "same block: all hits");
+        let mut visits = empty_log();
+        let lines = whole_lines(0..4);
+        assert_eq!(walk(&lines, &mut l1, &mut visits), (4, 16, 0, 0));
+        assert_eq!(walk(&lines, &mut l1, &mut visits), (4, 0, 4, 4), "same block: all hits");
         l1.new_block();
-        assert_eq!(walk(&mut l1, &mut visits), (4, 16, 0, 0), "new block: all misses");
+        assert_eq!(walk(&lines, &mut l1, &mut visits), (4, 16, 0, 0), "new block: all misses");
     }
 
     #[test]
     fn epoch_wrap_clears_every_set() {
         let mut l1 = L1Window::take(&mut L1Window::default(), 64);
-        let mut visits = VisitLog::default();
+        let mut visits = empty_log();
         // 256 distinct lines over 16 sets of 4 ways: every set fills.
-        line_walk(&whole_lines(0..256), 4, &mut l1, &mut visits, &mut []);
-        assert!(l1.tags.iter().all(|&t| t != u64::MAX), "every way must hold a line");
+        walk(&whole_lines(0..256), &mut l1, &mut visits);
+        assert!(l1.sets.iter().all(|s| !s.tags.contains(&u64::MAX)), "every way holds a line");
         // Every set current at the last epoch before the wrap.
         l1.epoch = u32::MAX;
-        l1.stamps.fill(u32::MAX);
+        for s in &mut l1.sets {
+            s.stamp = u32::MAX;
+        }
         l1.new_block();
         assert_eq!(l1.epoch, 0);
-        assert!(l1.tags.iter().all(|&t| t == u64::MAX));
-        assert!(l1.ages.iter().all(|&a| a == 0));
-        assert!(l1.masks.iter().all(|&m| m == 0));
-        assert!(l1.stamps.iter().all(|&s| s == 0));
-        let (lines, missing, hits, _) =
-            line_walk(&whole_lines(0..256), 4, &mut l1, &mut visits, &mut []);
+        assert!(l1.sets.iter().all(|&s| s == L1Set::EMPTY));
+        let (lines, missing, hits, _) = walk(&whole_lines(0..256), &mut l1, &mut visits);
         assert_eq!((lines, missing, hits), (256, 1024, 0));
+    }
+
+    #[test]
+    fn a_visit_filter_collision_relogs_only_logged_bits() {
+        let mut v = empty_log();
+        assert_eq!(filter_slot(4097), filter_slot(8194));
+        v.record(4097, 0b0011);
+        v.record(4097, 0b0110); // sector 1 is already logged
+        v.record(8194, 0b0001); // evicts 4097 from the shared slot
+        v.record(4097, 0b1001); // forgets sector 0, logs it again
+        let entry = |line: u64, mask: u64| line << 8 | mask;
+        let want = [entry(4097, 0b0011), entry(4097, 0b0100), entry(8194, 1), entry(4097, 0b1001)];
+        assert_eq!(v.log, want);
+        v.clear_filter();
+        assert!(v.filter.iter().all(|&slot| slot == 0), "walking the log empties the filter");
+    }
+
+    #[test]
+    fn lru_tie_evicts_the_last_oldest_way() {
+        let mut set = L1Set { ages: [7, 9, 9, 2], ..L1Set::EMPTY };
+        assert_eq!(set.victim(), 2, "ways 1 and 2 tie at the oldest age");
+        set.ages = [255; 4];
+        assert_eq!(set.victim(), 3);
+        set.touch(3);
+        assert_eq!(set.ages, [255, 255, 255, 0], "ages saturate");
+        // Four lines into one empty set: every fill ties among the oldest
+        // ways, so the ways fill from last to first.
+        let mut l1 = L1Window::take(&mut L1Window::default(), 4);
+        let mut visits = empty_log();
+        walk(&whole_lines(10..14), &mut l1, &mut visits);
+        assert_eq!(l1.sets[0].tags, [13, 12, 11, 10]);
+        assert_eq!(l1.sets[0].ages, [0, 1, 2, 3]);
+        // A fifth line evicts line 10, the oldest, from way 3.
+        walk(&whole_lines(14..15), &mut l1, &mut visits);
+        assert_eq!(l1.sets[0].tags, [13, 12, 11, 14]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::arch::DeviceArch;
 use crate::cost::CostModel;
-use crate::exec::{burst_atoms, LineMap, TeamCtx};
+use crate::exec::{burst_atoms, TeamCtx};
 use crate::mem::global::{FallbackRange, GlobalMem};
 use crate::sanitize::{ForeignTouch, Sanitizer, Violation};
 use crate::sched;
@@ -31,6 +31,94 @@ struct BlockOutcome {
     trace: Option<Trace>,
     /// The block's line-visit log (see `TeamCtx::take_visits`).
     visits: Vec<u64>,
+}
+
+/// `Hasher` for the `u64` page ids of [`Touched`]: one folded
+/// 64×64→128-bit multiply, so strided page ids still spread over every
+/// bucket. Page ids are simulator-generated, so SipHash's flooding
+/// resistance buys nothing here.
+#[derive(Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl std::hash::Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("LineHasher only hashes u64 page ids")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let p = (self.0 ^ x) as u128 * 0x9E37_79B9_7F4A_7C15u128;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+}
+
+/// Lines per page of [`Touched`].
+const PAGE_LINES: usize = 4096;
+
+/// The visit replay's touched set: one sector mask per line, in pages of
+/// [`PAGE_LINES`] consecutive lines found through a small page-id map,
+/// with the last page cached, so a run of entries within one page costs
+/// no lookup. Each launching thread keeps one ([`TOUCHED`]) and empties
+/// it after every replay by re-walking the replayed logs, keeping its
+/// pages for the next launch.
+struct Touched {
+    /// Every page allocated so far; the first `used` are this replay's.
+    pages: Vec<Box<[u8; PAGE_LINES]>>,
+    used: usize,
+    /// Page id (`line / PAGE_LINES`) → index into `pages`.
+    index: std::collections::HashMap<u64, usize, std::hash::BuildHasherDefault<LineHasher>>,
+    /// The page id and index of the last lookup (`u64::MAX`: none).
+    last: (u64, usize),
+}
+
+impl Default for Touched {
+    fn default() -> Touched {
+        Touched { pages: Vec::new(), used: 0, index: Default::default(), last: (u64::MAX, 0) }
+    }
+}
+
+impl Touched {
+    /// The mask of `line`, adding its page on first touch.
+    #[inline]
+    fn mask(&mut self, line: u64) -> &mut u8 {
+        let page = line / PAGE_LINES as u64;
+        if page != self.last.0 {
+            let (pages, used) = (&mut self.pages, &mut self.used);
+            let i = *self.index.entry(page).or_insert_with(|| {
+                if *used == pages.len() {
+                    pages.push(Box::new([0; PAGE_LINES]));
+                }
+                *used += 1;
+                *used - 1
+            });
+            self.last = (page, i);
+        }
+        &mut self.pages[self.last.1][line as usize % PAGE_LINES]
+    }
+
+    /// Empty the set after replaying `logs`: zero every mask they set,
+    /// then forget the pages' ids, keeping the zeroed pages.
+    fn clear(&mut self, logs: &[Vec<u64>]) {
+        for log in logs {
+            for &packed in log {
+                *self.mask(packed >> 8) = 0;
+            }
+        }
+        self.index.clear();
+        self.used = 0;
+        self.last = (u64::MAX, 0);
+    }
+}
+
+thread_local! {
+    /// This launching thread's replay [`Touched`] set, empty between
+    /// launches. A panicking replay drops it; the next launch builds a
+    /// fresh one.
+    static TOUCHED: std::cell::Cell<Option<Touched>> = const { std::cell::Cell::new(None) };
 }
 
 /// Geometry of one kernel launch.
@@ -293,10 +381,10 @@ impl Device {
         // visit wins a cross-block shared sector is interleaving-dependent
         // online, and the burst-atom count is nonlinear in that grouping —
         // replaying here reproduces the `SIMT_SIM_THREADS=1` attribution
-        // at any thread count. The map is pre-sized from the longest block
-        // log: the summed lengths over-reserve when blocks share lines.
-        let longest = outcomes.iter().map(|(_, o)| o.visits.len()).max().unwrap_or(0);
-        let mut touched = LineMap::<u8>::with_capacity_and_hasher(longest, Default::default());
+        // at any thread count. The logs are kept until the touched set has
+        // been emptied by walking them again.
+        let mut touched = TOUCHED.take().unwrap_or_default();
+        let mut logs = Vec::with_capacity(outcomes.len());
         for (_, o) in outcomes {
             counters.merge(&o.counters);
             violations.extend(o.violations);
@@ -305,9 +393,8 @@ impl Device {
             }
             let mut p = o.profile;
             for &packed in &o.visits {
-                let (line, mask) = (packed >> 8, (packed & 0xff) as u8);
-                let seen = touched.entry(line).or_insert(0);
-                let fresh = mask & !*seen;
+                let seen = touched.mask(packed >> 8);
+                let fresh = packed as u8 & !*seen;
                 *seen |= fresh;
                 p.dram_sectors += fresh.count_ones() as u64;
                 p.dram_atoms += burst_atoms(fresh);
@@ -315,7 +402,10 @@ impl Device {
             profiles.push(p);
             fallbacks_by_block.push(o.fallbacks);
             foreign_by_block.push(o.foreign);
+            logs.push(o.visits);
         }
+        touched.clear(&logs);
+        TOUCHED.set(Some(touched));
         if let Some(m) = merged_trace {
             self.trace = m;
         }

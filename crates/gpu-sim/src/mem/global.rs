@@ -84,8 +84,6 @@ pub(crate) struct Segment {
     len: usize,
     /// Logical bytes per element (drives synthetic addressing).
     elem_bytes: usize,
-    /// Storage words per element.
-    elem_words: usize,
     type_id: TypeId,
     alive: AtomicBool,
     words: Vec<AtomicU64>,
@@ -105,16 +103,18 @@ impl Segment {
     fn read<T: DevValue>(&self, seg: u32, i: usize) -> T {
         self.check::<T>(seg);
         assert!(i < self.len, "device OOB read: idx {i} >= len {}", self.len);
-        let base = i * self.elem_words;
-        T::load_words(&mut |j| self.words[base + j].load(Ordering::Relaxed))
+        let base = i * T::WORDS;
+        let words = &self.words[base..base + T::WORDS];
+        T::load_words(&mut |j| words[j].load(Ordering::Relaxed))
     }
 
     #[inline]
     fn write<T: DevValue>(&self, seg: u32, i: usize, v: T) {
         self.check::<T>(seg);
         assert!(i < self.len, "device OOB write: idx {i} >= len {}", self.len);
-        let base = i * self.elem_words;
-        v.store_words(&mut |j, w| self.words[base + j].store(w, Ordering::Relaxed));
+        let base = i * T::WORDS;
+        let words = &self.words[base..base + T::WORDS];
+        v.store_words(&mut |j, w| words[j].store(w, Ordering::Relaxed));
     }
 
     /// Atomic read-modify-write of the single storage word of element `i`.
@@ -123,7 +123,7 @@ impl Segment {
     fn rmw_word<T: DevValue>(&self, seg: u32, i: usize, f: impl Fn(u64) -> u64) -> u64 {
         self.check::<T>(seg);
         assert!(i < self.len, "device OOB write: idx {i} >= len {}", self.len);
-        debug_assert_eq!(self.elem_words, 1);
+        debug_assert_eq!(T::WORDS, 1);
         self.words[i]
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| Some(f(w)))
             .unwrap_or_else(|w| w)
@@ -210,7 +210,6 @@ impl GlobalMem {
             base,
             len,
             elem_bytes: std::mem::size_of::<T>(),
-            elem_words: T::WORDS,
             type_id: TypeId::of::<T>(),
             alive: AtomicBool::new(true),
             words,

@@ -50,11 +50,38 @@ use crate::arch::CacheGeom;
 /// instead of camping on one slice.
 #[inline]
 pub fn l2_bank_of(sector: u64, n_banks: u32) -> u32 {
-    if n_banks <= 1 {
-        return 0;
+    L2BankIndex::new(n_banks).of(sector)
+}
+
+/// [`l2_bank_of`] for one bank count, with the modulo turned into a
+/// multiply by a reciprocal computed once, so a block's line walk divides
+/// nowhere.
+///
+/// `recip = ⌊(2⁶⁴ − 1) / n⌋` underestimates `2⁶⁴ / n` by at most one, so
+/// for every 64-bit hash `h` the quotient `⌊h · recip / 2⁶⁴⌋` is `⌊h / n⌋`
+/// or one less; one conditional subtraction makes the remainder exact.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct L2BankIndex {
+    n: u64,
+    recip: u64,
+}
+
+impl L2BankIndex {
+    /// The index over `n_banks` slices (0 and 1 both map everything to
+    /// slice 0).
+    pub(crate) fn new(n_banks: u32) -> L2BankIndex {
+        let n = n_banks.max(1) as u64;
+        L2BankIndex { n, recip: u64::MAX / n }
     }
-    let h = sector.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 31;
-    (h % n_banks as u64) as u32
+
+    /// Bank slice of `sector`.
+    #[inline]
+    pub(crate) fn of(self, sector: u64) -> u32 {
+        let h = sector.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 31;
+        let q = ((h as u128 * self.recip as u128) >> 64) as u64;
+        let r = h - q * self.n;
+        (if r >= self.n { r - self.n } else { r }) as u32
+    }
 }
 
 /// Device-level L2 time: the slowest bank slice serves its sectors at
@@ -118,6 +145,27 @@ mod tests {
         let used = counts.iter().filter(|&&c| c > 0).count();
         assert!(used >= 20, "stride-4 pattern used only {used}/40 banks");
         assert_eq!(counts.iter().sum::<u64>(), 128);
+    }
+
+    #[test]
+    fn reciprocal_bank_index_equals_modulo() {
+        // Seeded sectors plus the edges: 0, u64::MAX and ids past 2^40.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut sectors = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 40, (1 << 40) + 7, 1 << 63];
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            sectors.extend([x, x >> 20, x | 1 << 40]);
+        }
+        for n in 1..=128u32 {
+            let idx = L2BankIndex::new(n);
+            for &s in &sectors {
+                let h = s.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 31;
+                assert_eq!(idx.of(s) as u64, h % n as u64, "sector {s}, {n} banks");
+            }
+        }
+        assert_eq!(L2BankIndex::new(0).of(12345), 0);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! sectored per-warp L1 window, and the L2/DRAM traffic split.
 
 use gpu_sim::mem::pod::DevValue;
-use gpu_sim::{Device, DeviceArch, LaunchConfig};
+use gpu_sim::stats::RtCounters;
+use gpu_sim::{Device, DeviceArch, LaunchConfig, LaunchStats, MemStats};
 
 fn device() -> Device {
     Device::new(DeviceArch::a100())
@@ -443,5 +444,148 @@ fn reused_block_state_is_isolated_across_launches_and_cost_models() {
     let got = std::thread::spawn(move || kinds.map(reuse_launch)).join().unwrap();
     for ((kind, got), want) in kinds.iter().zip(&got).zip(&want) {
         assert_eq!(got, want, "{kind:?} after reuse differs from a fresh thread");
+    }
+}
+
+/// The stats of a one-warp-per-block a100 launch with no shared memory,
+/// no runtime counters and no sanitizer findings: only the memory fields
+/// vary between the pins below.
+fn a100_stats(blocks: u32, cycles: u64, issue: u64, dram: u64, mem: MemStats) -> LaunchStats {
+    LaunchStats {
+        cycles,
+        blocks,
+        blocks_per_sm: 32,
+        total_issue: issue,
+        total_sectors: mem.l1_miss_sectors,
+        total_smem_ops: 0,
+        total_l1_hits: mem.l1_hits,
+        total_dram_sectors: dram,
+        mem,
+        counters: RtCounters::default(),
+        violations: Vec::new(),
+    }
+}
+
+/// Element index of `line` in an f64 array allocated first on a fresh
+/// device (based at byte 256, so line 2 holds elements 0..16).
+fn elem_of_line(line: u64) -> u64 {
+    (line - 2) * 16
+}
+
+/// Lines `4097·k` for `k = 1..=7`: distinct, but every one lands in the
+/// same slot of the per-block visit filter (their low twelve bits equal
+/// the next twelve), so the filter keeps only the last and re-logs bits a
+/// refetch brings back.
+const COLLIDING: [u64; 7] = [4097, 8194, 12291, 16388, 20485, 24582, 28679];
+
+fn colliding_lines_launch(threads: usize) -> LaunchStats {
+    let mut dev = device();
+    dev.cost.l1_lines = 4;
+    dev.set_sim_threads(Some(threads));
+    let p = dev.global.alloc_zeroed::<f64>(elem_of_line(28680) as usize);
+    let cfg = LaunchConfig { num_blocks: 4, threads_per_block: 64, smem_bytes: 0 };
+    dev.launch(&cfg, |team| {
+        let b = team.block_id as usize;
+        let lines = &COLLIDING[b % 3..b % 3 + 5];
+        for w in 0..2u32 {
+            // Sector 0, then sectors 2 and 3, then sector 0 again of five
+            // lines through one 4-way set: every pass refetches evicted
+            // lines, and the third re-requests bits the block logged.
+            team.run_lanes(w, &[0], |lane, _| {
+                for &l in lines {
+                    lane.read(p, elem_of_line(l));
+                }
+            });
+            team.run_lanes(w, &[0, 1], |lane, id| {
+                for &l in lines {
+                    lane.read(p, elem_of_line(l) + 8 + 4 * id as u64);
+                }
+            });
+            team.run_lanes(w, &[0, 1, 2], |lane, id| {
+                for &l in lines.iter().rev() {
+                    lane.read(p, elem_of_line(l) + id as u64);
+                }
+            });
+        }
+    })
+    .unwrap()
+}
+
+#[test]
+fn colliding_visit_filter_slots_keep_dram_exact() {
+    // Every access misses the thrashed set, so each warp re-requests every
+    // sector, and warp 1 repeats warp 0: the filter re-logs bits, and the
+    // replay must still charge each of the 7 lines' sectors {0, 2, 3}
+    // once, in one atom per pair.
+    let want = a100_stats(
+        4,
+        4240,
+        1040,
+        21,
+        MemStats {
+            l1_hits: 0,
+            l1_full_hits: 0,
+            l1_miss_sectors: 160,
+            lsu_sectors: 160,
+            tx_cycles: 0,
+            l2_bank_sectors: vec![
+                0, 0, 0, 22, 0, 0, 0, 16, 0, 8, 12, 0, 0, 4, 16, 0, 6, 0, 4, 0, 8, 8, 0, 0, 0, 10,
+                0, 0, 24, 0, 0, 4, 8, 0, 8, 0, 0, 0, 2, 0,
+            ],
+            dram_sectors: 21,
+            dram_atoms: 14,
+            mlp_stalls: 1,
+        },
+    );
+    for threads in [1, 4] {
+        assert_eq!(colliding_lines_launch(threads), want, "threads {threads}");
+    }
+}
+
+/// Three blocks step a warp through overlapping windows of 24 lines with a
+/// 12-line L1: three sets, not a power of two, so the set index divides.
+fn twelve_line_launch(threads: usize) -> LaunchStats {
+    let mut dev = device();
+    dev.cost.l1_lines = 12;
+    dev.set_sim_threads(Some(threads));
+    let p = dev.global.alloc_zeroed::<f64>(64 * 16);
+    let cfg = LaunchConfig { num_blocks: 3, threads_per_block: 32, smem_bytes: 0 };
+    dev.launch(&cfg, |team| {
+        let b = team.block_id as u64;
+        let lanes: Vec<u32> = (0..32).collect();
+        for rep in 0..4u64 {
+            team.run_lanes(0, &lanes, |lane, id| {
+                let line = (b * 3 + id as u64 / 2 + rep * 2) % 24;
+                lane.read(p, line * 16 + (id as u64 % 4) * 4);
+            });
+        }
+    })
+    .unwrap()
+}
+
+#[test]
+fn non_power_of_two_set_count_keeps_its_pinned_stats() {
+    let want = a100_stats(
+        3,
+        4674,
+        1824,
+        92,
+        MemStats {
+            l1_hits: 24,
+            l1_full_hits: 0,
+            l1_miss_sectors: 336,
+            lsu_sectors: 384,
+            tx_cycles: 96,
+            l2_bank_sectors: vec![
+                5, 14, 11, 7, 11, 2, 5, 11, 6, 14, 13, 5, 12, 5, 6, 14, 7, 10, 10, 1, 14, 7, 6, 13,
+                5, 11, 8, 6, 14, 6, 4, 10, 3, 11, 14, 7, 9, 6, 5, 8,
+            ],
+            dram_sectors: 92,
+            dram_atoms: 46,
+            mlp_stalls: 11,
+        },
+    );
+    for threads in [1, 4] {
+        assert_eq!(twelve_line_launch(threads), want, "threads {threads}");
     }
 }

@@ -42,13 +42,15 @@ fn block_workers() -> Option<usize> {
     Some(tasks.filter_map(Result::ok).filter(named).count())
 }
 
-/// `block_workers()` once it has dropped to at most `want`, polling for
-/// up to 10 s: a joined thread's task entry can outlive the join briefly.
+/// `block_workers()` once it equals `want`, polling for up to 10 s: a
+/// joined thread's task entry can outlive the join briefly, and a freshly
+/// spawned worker carries its name only once it has first run, which a
+/// launch its caller finished alone need not wait for.
 fn block_workers_settled(want: usize) -> Option<usize> {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let n = block_workers()?;
-        if n <= want || Instant::now() > deadline {
+        if n == want || Instant::now() > deadline {
             return Some(n);
         }
         std::thread::sleep(Duration::from_millis(1));
@@ -157,7 +159,11 @@ fn dropped_devices_join_their_block_workers() {
             devs.push(dev);
         }
         if let Some(base) = baseline {
-            assert_eq!(block_workers(), Some(base + 300), "three parked workers per device");
+            assert_eq!(
+                block_workers_settled(base + 300),
+                Some(base + 300),
+                "three parked workers per device"
+            );
         }
         drop(devs);
         assert_eq!(block_workers_settled(baseline.unwrap_or(0)), baseline, "workers leaked");
