@@ -83,18 +83,32 @@ struct OrdAcc {
 }
 
 impl OrdAcc {
-    #[inline]
+    /// Add sector `s`, skipping an adjacent duplicate and noting order.
+    #[inline(always)]
     fn push_sector(&mut self, s: u64) {
         match self.sectors.last() {
-            Some(&prev) if prev == s => {} // adjacent duplicate
-            Some(&prev) => {
-                if prev > s {
-                    self.sorted = false;
-                }
-                self.sectors.push(s);
-            }
-            None => self.sectors.push(s),
+            Some(&prev) if prev == s => return, // adjacent duplicate
+            Some(&prev) if prev > s => self.sorted = false,
+            _ => {}
         }
+        self.sectors.push(s);
+    }
+
+    /// Add sectors `first..=last`, the rest of an access that spans more
+    /// than one sector.
+    #[cold]
+    #[inline(never)]
+    fn push_span(&mut self, first: u64, last: u64) {
+        for s in first..=last {
+            self.push_sector(s);
+        }
+    }
+
+    /// Record an atomic access's target address.
+    #[cold]
+    #[inline(never)]
+    fn push_atomic(&mut self, addr: u64) {
+        self.atomics.push(addr);
     }
 }
 
@@ -225,31 +239,44 @@ impl StepAcc {
         self.max_smem_ord = self.max_smem_ord.max(self.lane_smem_ord);
     }
 
-    #[inline]
+    /// Fold one lane's global access into its ordinal. The common access
+    /// (an ordinal the step already has, one sector, not atomic) runs
+    /// inline; the rest branches to out-of-line helpers.
+    #[inline(always)]
     fn global(&mut self, addr: u64, bytes: u32, atomic: bool) {
         let k = self.lane_ord;
         self.lane_ord += 1;
         if k >= self.ords.len() {
-            self.ords.push(OrdAcc { sectors: Vec::new(), atomics: Vec::new(), sorted: true });
+            self.grow_ords();
         }
         let end = addr + bytes as u64 - 1;
         let (first, last) = match self.sector_shift {
             Some(shift) => (addr >> shift, end >> shift),
-            None => (addr / self.sector_bytes, end / self.sector_bytes),
+            None => self.divide_sectors(addr, end),
         };
         let o = &mut self.ords[k];
-        if first == last {
-            // Fast path: the access fits one sector (every aligned element
-            // up to sector size does).
-            o.push_sector(first);
-        } else {
-            for s in first..=last {
-                o.push_sector(s);
-            }
+        o.push_sector(first);
+        if first != last {
+            o.push_span(first + 1, last);
         }
         if atomic {
-            o.atomics.push(addr);
+            o.push_atomic(addr);
         }
+    }
+
+    /// The sectors of `addr` and `end` for a sector size that is not a
+    /// power of two.
+    #[cold]
+    #[inline(never)]
+    fn divide_sectors(&self, addr: u64, end: u64) -> (u64, u64) {
+        (addr / self.sector_bytes, end / self.sector_bytes)
+    }
+
+    /// Add the ordinal a lane's access reached first in this block.
+    #[cold]
+    #[inline(never)]
+    fn grow_ords(&mut self) {
+        self.ords.push(OrdAcc { sectors: Vec::new(), atomics: Vec::new(), sorted: true });
     }
 
     #[inline]
@@ -536,7 +563,7 @@ impl<'a, 'g> Lane<'a, 'g> {
         self.acc.lane_alu += cycles;
     }
 
-    #[inline]
+    #[inline(always)]
     fn global_access(&mut self, addr: u64, bytes: u32, atomic: bool, write: bool) {
         self.acc.global(addr, bytes, atomic);
         if self.sanitizer.is_some() {
@@ -578,7 +605,7 @@ impl<'a, 'g> Lane<'a, 'g> {
     }
 
     /// Load element `idx` relative to `p` from global memory.
-    #[inline]
+    #[inline(always)]
     pub fn read<T: DevValue>(&mut self, p: DPtr<T>, idx: u64) -> T {
         let (addr, v) = self.global.read_at(p, idx);
         self.global_access(addr, std::mem::size_of::<T>() as u32, false, false);
@@ -586,7 +613,7 @@ impl<'a, 'g> Lane<'a, 'g> {
     }
 
     /// Store to element `idx` relative to `p` in global memory.
-    #[inline]
+    #[inline(always)]
     pub fn write<T: DevValue>(&mut self, p: DPtr<T>, idx: u64, v: T) {
         let addr = self.global.write_at(p, idx, v);
         self.global_access(addr, std::mem::size_of::<T>() as u32, false, true);
@@ -595,7 +622,7 @@ impl<'a, 'g> Lane<'a, 'g> {
     /// Atomic `fetch_add` on an `f64` in global memory; returns the old
     /// value. Same-address conflicts within a super-step serialize for cost;
     /// the update itself is genuinely atomic across concurrent blocks.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_add_f64(&mut self, p: DPtr<f64>, idx: u64, v: f64) -> f64 {
         let (addr, old) = self.global.atomic_add_f64_at(p, idx, v);
         self.global_access(addr, 8, true, true);
@@ -603,7 +630,7 @@ impl<'a, 'g> Lane<'a, 'g> {
     }
 
     /// Atomic `fetch_add` on a `u64` in global memory; returns the old value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_add_u64(&mut self, p: DPtr<u64>, idx: u64, v: u64) -> u64 {
         let (addr, old) = self.global.atomic_add_u64_at(p, idx, v);
         self.global_access(addr, 8, true, true);

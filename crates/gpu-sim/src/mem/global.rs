@@ -55,26 +55,46 @@ pub(crate) const ARENA_BASE: u64 = 1 << 44;
 /// allocations per block — far beyond what a sharing space can spill).
 pub(crate) const ARENA_STRIDE: u64 = 1 << 24;
 
-/// The storage words of `values`, in one pass: `store_words` emits each
-/// value's words in index order.
+/// The storage words of `values`, sized once. A one-word type collects
+/// straight into an exact-size vector; a wider one index-stores each
+/// value's words into a zeroed allocation.
 fn words_of<T: DevValue>(values: impl ExactSizeIterator<Item = T>) -> Vec<AtomicU64> {
-    let mut words = Vec::with_capacity(values.len() * T::WORDS);
-    values.for_each(|v| v.store_words(&mut |_, w| words.push(AtomicU64::new(w))));
+    if T::WORDS == 1 {
+        return values.map(|v| AtomicU64::new(word_of(v))).collect();
+    }
+    let mut words = zeroed_words(values.len() * T::WORDS);
+    for (i, v) in values.enumerate() {
+        let base = i * T::WORDS;
+        v.store_words(&mut |j, w| *words[base + j].get_mut() = w);
+    }
     words
 }
 
+/// The single storage word of a one-word value.
+#[inline]
+fn word_of<T: DevValue>(v: T) -> u64 {
+    let mut word = 0;
+    v.store_words(&mut |_, w| word = w);
+    word
+}
+
+/// `n` words holding 0, from a zeroed allocation whose pages stay
+/// untouched until they are written.
+fn zeroed_words(n: usize) -> Vec<AtomicU64> {
+    // SAFETY: `AtomicU64` has the in-memory representation of `u64`, so
+    // all-zero bytes are a valid `AtomicU64` holding 0.
+    unsafe { Box::<[AtomicU64]>::new_zeroed_slice(n).assume_init() }.into_vec()
+}
+
 /// The storage of `n` default values. A default stored as all-zero words
-/// (every primitive, and arrays and pairs of them) comes from a zeroed
-/// allocation, whose pages stay untouched until the kernel writes them.
+/// (every primitive, and arrays and pairs of them) is [`zeroed_words`].
 fn default_words<T: DevValue + Default>(n: usize) -> Vec<AtomicU64> {
     let mut zero = true;
     T::default().store_words(&mut |_, w| zero &= w == 0);
     if !zero {
         return words_of(std::iter::repeat_n(T::default(), n));
     }
-    // SAFETY: `AtomicU64` has the in-memory representation of `u64`, so
-    // all-zero bytes are a valid `AtomicU64` holding 0.
-    unsafe { Box::<[AtomicU64]>::new_zeroed_slice(n * T::WORDS).assume_init() }.into_vec()
+    zeroed_words(n * T::WORDS)
 }
 
 /// One typed segment: metadata plus word storage behind relaxed atomics.
@@ -89,42 +109,64 @@ pub(crate) struct Segment {
     words: Vec<AtomicU64>,
 }
 
+// Every access runs `elem` inline: the `alive` load, the type compare and
+// the bounds compare on the way to the words. The panics they guard stay
+// out of line, so the whole path inlines into a lane closure.
 impl Segment {
+    /// Panic unless the segment is alive and holds `T`s.
+    #[inline(always)]
     fn check<T: DevValue>(&self, seg: u32) {
-        if !self.alive.load(Ordering::Relaxed) {
-            panic!("use after free of segment {seg}");
-        }
-        if self.type_id != TypeId::of::<T>() {
-            panic!("type confusion on segment {seg}: expected Vec<{}>", std::any::type_name::<T>());
+        let alive = self.alive.load(Ordering::Relaxed);
+        if !alive || self.type_id != TypeId::of::<T>() {
+            bad_access(seg, alive, std::any::type_name::<T>());
         }
     }
 
-    #[inline]
-    fn read<T: DevValue>(&self, seg: u32, i: usize) -> T {
+    /// The words of element `i`, after the alive, type and bounds checks;
+    /// `op` names the access in the out-of-bounds panic.
+    #[inline(always)]
+    fn elem<T: DevValue>(&self, seg: u32, i: usize, op: &'static str) -> &[AtomicU64] {
         self.check::<T>(seg);
-        assert!(i < self.len, "device OOB read: idx {i} >= len {}", self.len);
+        if i >= self.len {
+            out_of_bounds(op, i, self.len);
+        }
         let base = i * T::WORDS;
-        let words = &self.words[base..base + T::WORDS];
+        &self.words[base..base + T::WORDS]
+    }
+
+    /// The words of `len` elements from `p`, after the alive, type and
+    /// bounds checks; `oob` is the out-of-bounds panic message.
+    fn range<T: DevValue>(&self, p: DPtr<T>, len: usize, oob: &str) -> &[AtomicU64] {
+        self.check::<T>(p.seg);
+        let start = p.off as usize;
+        assert!(start + len <= self.len, "{oob}");
+        &self.words[start * T::WORDS..(start + len) * T::WORDS]
+    }
+
+    /// Synthetic byte address of element `i`.
+    #[inline(always)]
+    fn addr<T: DevValue>(&self, i: u64) -> u64 {
+        self.base + i * std::mem::size_of::<T>() as u64
+    }
+
+    #[inline(always)]
+    fn read<T: DevValue>(&self, seg: u32, i: usize) -> T {
+        let words = self.elem::<T>(seg, i, "read");
         T::load_words(&mut |j| words[j].load(Ordering::Relaxed))
     }
 
-    #[inline]
+    #[inline(always)]
     fn write<T: DevValue>(&self, seg: u32, i: usize, v: T) {
-        self.check::<T>(seg);
-        assert!(i < self.len, "device OOB write: idx {i} >= len {}", self.len);
-        let base = i * T::WORDS;
-        let words = &self.words[base..base + T::WORDS];
+        let words = self.elem::<T>(seg, i, "write");
         v.store_words(&mut |j, w| words[j].store(w, Ordering::Relaxed));
     }
 
     /// Atomic read-modify-write of the single storage word of element `i`.
     /// Only valid for 1-word element types (`f64`/`u64` atomics).
-    #[inline]
+    #[inline(always)]
     fn rmw_word<T: DevValue>(&self, seg: u32, i: usize, f: impl Fn(u64) -> u64) -> u64 {
-        self.check::<T>(seg);
-        assert!(i < self.len, "device OOB write: idx {i} >= len {}", self.len);
         debug_assert_eq!(T::WORDS, 1);
-        self.words[i]
+        self.elem::<T>(seg, i, "write")[0]
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| Some(f(w)))
             .unwrap_or_else(|w| w)
     }
@@ -132,6 +174,23 @@ impl Segment {
     fn logical_bytes(&self) -> u64 {
         (self.len * self.elem_bytes) as u64
     }
+}
+
+/// The use-after-free or type-confusion panic of [`Segment::check`].
+#[cold]
+#[inline(never)]
+fn bad_access(seg: u32, alive: bool, ty: &str) -> ! {
+    if !alive {
+        panic!("use after free of segment {seg}");
+    }
+    panic!("type confusion on segment {seg}: expected Vec<{ty}>");
+}
+
+/// The out-of-bounds panic of [`Segment::elem`].
+#[cold]
+#[inline(never)]
+fn out_of_bounds(op: &str, i: usize, len: usize) -> ! {
+    panic!("device OOB {op}: idx {i} >= len {len}");
 }
 
 struct Master {
@@ -282,8 +341,7 @@ impl GlobalMem {
     /// coalescing analysis.
     #[inline]
     pub fn addr_of<T: DevValue>(&self, p: DPtr<T>, idx: u64) -> u64 {
-        let s = self.seg(p.seg);
-        s.base + (p.off + idx) * std::mem::size_of::<T>() as u64
+        self.seg(p.seg).addr::<T>(p.off + idx)
     }
 
     /// Number of elements in the segment behind `p`, counted from `p`'s
@@ -294,23 +352,22 @@ impl GlobalMem {
         s.len - p.off as usize
     }
 
-    /// Copy `len` elements starting at `p` back to the host.
+    /// Copy `len` elements starting at `p` back to the host. The alive,
+    /// type and bounds checks run once for the whole range.
     pub fn read_slice<T: DevValue>(&self, p: DPtr<T>, len: usize) -> Vec<T> {
         let s = self.seg(p.seg);
-        s.check::<T>(p.seg);
-        let start = p.off as usize;
-        assert!(start + len <= s.len, "device OOB slice read");
-        (0..len).map(|i| s.read(p.seg, start + i)).collect()
+        let words = s.range::<T>(p, len, "device OOB slice read");
+        (0..len)
+            .map(|i| T::load_words(&mut |j| words[i * T::WORDS + j].load(Ordering::Relaxed)))
+            .collect()
     }
 
     /// Overwrite `data.len()` elements starting at `p` from host data.
     pub fn write_slice<T: DevValue>(&self, p: DPtr<T>, data: &[T]) {
         let s = self.seg(p.seg);
-        s.check::<T>(p.seg);
-        let start = p.off as usize;
-        assert!(start + data.len() <= s.len, "device OOB slice write");
+        let words = s.range::<T>(p, data.len(), "device OOB slice write");
         for (i, v) in data.iter().enumerate() {
-            s.write(p.seg, start + i, *v);
+            v.store_words(&mut |j, w| words[i * T::WORDS + j].store(w, Ordering::Relaxed));
         }
     }
 
@@ -455,55 +512,53 @@ pub struct GlobalView<'g> {
 }
 
 impl<'g> GlobalView<'g> {
-    #[inline]
+    /// The cached segment `idx`. A miss, the first access of a block to a
+    /// segment, takes the table lock out of line.
+    #[inline(always)]
     fn seg(&mut self, idx: u32) -> &Segment {
-        let i = match self.segs.iter().position(|(id, _)| *id == idx) {
-            Some(i) => i,
+        match self.segs.iter().position(|(id, _)| *id == idx) {
+            Some(i) => &self.segs[i].1,
             None => self.cache_miss(idx),
-        };
-        &self.segs[i].1
+        }
     }
 
     #[cold]
-    fn cache_miss(&mut self, idx: u32) -> usize {
+    #[inline(never)]
+    fn cache_miss(&mut self, idx: u32) -> &Segment {
         let s = self.mem.seg(idx);
         self.segs.push((idx, s));
-        self.segs.len() - 1
+        &self.segs[self.segs.len() - 1].1
     }
 
     /// Read element `idx` relative to `p`.
     #[inline]
     pub fn read<T: DevValue>(&mut self, p: DPtr<T>, idx: u64) -> T {
-        self.seg(p.seg).read(p.seg, (p.off + idx) as usize)
+        self.read_at(p, idx).1
     }
 
     /// Write element `idx` relative to `p`.
     #[inline]
     pub fn write<T: DevValue>(&mut self, p: DPtr<T>, idx: u64, v: T) {
-        self.seg(p.seg).write(p.seg, (p.off + idx) as usize, v);
+        self.write_at(p, idx, v);
     }
 
     /// Synthetic byte address of element `idx` relative to `p`.
     #[inline]
     pub fn addr_of<T: DevValue>(&mut self, p: DPtr<T>, idx: u64) -> u64 {
-        let s = self.seg(p.seg);
-        s.base + (p.off + idx) * std::mem::size_of::<T>() as u64
+        self.seg(p.seg).addr::<T>(p.off + idx)
     }
 
     /// Atomic `fetch_add` on an `f64` element; returns the old value.
     /// Genuinely atomic across concurrently executing blocks.
     #[inline]
     pub fn atomic_add_f64(&mut self, p: DPtr<f64>, idx: u64, v: f64) -> f64 {
-        let old = self
-            .seg(p.seg)
-            .rmw_word::<f64>(p.seg, (p.off + idx) as usize, |w| (f64::from_bits(w) + v).to_bits());
-        f64::from_bits(old)
+        self.atomic_add_f64_at(p, idx, v).1
     }
 
     /// Atomic `fetch_add` on a `u64` element; returns the old value.
     #[inline]
     pub fn atomic_add_u64(&mut self, p: DPtr<u64>, idx: u64, v: u64) -> u64 {
-        self.seg(p.seg).rmw_word::<u64>(p.seg, (p.off + idx) as usize, |w| w.wrapping_add(v))
+        self.atomic_add_u64_at(p, idx, v).1
     }
 
     // Combined accessors: one segment lookup yields both the synthetic byte
@@ -511,39 +566,38 @@ impl<'g> GlobalView<'g> {
     // these so every device access does a single table walk.
 
     /// Read element `idx` relative to `p`, returning its synthetic address.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn read_at<T: DevValue>(&mut self, p: DPtr<T>, idx: u64) -> (u64, T) {
+        let i = p.off + idx;
         let s = self.seg(p.seg);
-        let addr = s.base + (p.off + idx) * std::mem::size_of::<T>() as u64;
-        (addr, s.read(p.seg, (p.off + idx) as usize))
+        (s.addr::<T>(i), s.read(p.seg, i as usize))
     }
 
     /// Write element `idx` relative to `p`, returning its synthetic address.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn write_at<T: DevValue>(&mut self, p: DPtr<T>, idx: u64, v: T) -> u64 {
+        let i = p.off + idx;
         let s = self.seg(p.seg);
-        let addr = s.base + (p.off + idx) * std::mem::size_of::<T>() as u64;
-        s.write(p.seg, (p.off + idx) as usize, v);
-        addr
+        s.write(p.seg, i as usize, v);
+        s.addr::<T>(i)
     }
 
     /// [`Self::atomic_add_f64`] plus the element's synthetic address.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn atomic_add_f64_at(&mut self, p: DPtr<f64>, idx: u64, v: f64) -> (u64, f64) {
+        let i = p.off + idx;
         let s = self.seg(p.seg);
-        let addr = s.base + (p.off + idx) * 8;
-        let old =
-            s.rmw_word::<f64>(p.seg, (p.off + idx) as usize, |w| (f64::from_bits(w) + v).to_bits());
-        (addr, f64::from_bits(old))
+        let old = s.rmw_word::<f64>(p.seg, i as usize, |w| (f64::from_bits(w) + v).to_bits());
+        (s.addr::<f64>(i), f64::from_bits(old))
     }
 
     /// [`Self::atomic_add_u64`] plus the element's synthetic address.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn atomic_add_u64_at(&mut self, p: DPtr<u64>, idx: u64, v: u64) -> (u64, u64) {
+        let i = p.off + idx;
         let s = self.seg(p.seg);
-        let addr = s.base + (p.off + idx) * 8;
-        let old = s.rmw_word::<u64>(p.seg, (p.off + idx) as usize, |w| w.wrapping_add(v));
-        (addr, old)
+        let old = s.rmw_word::<u64>(p.seg, i as usize, |w| w.wrapping_add(v));
+        (s.addr::<u64>(i), old)
     }
 
     /// Allocate a zero-initialized fallback segment in this block's arena.
@@ -638,6 +692,19 @@ mod tests {
         let mut v = g.view(0);
         let a = v.alloc_zeroed::<Seven>(2);
         assert_eq!((v.read(a, 1), g.read(v.alloc_zeroed::<f32>(4), 3)), (Seven(7), 0.0));
+    }
+
+    #[test]
+    fn alloc_from_round_trips_multi_word_elements() {
+        let g = GlobalMem::new();
+        let tri: Vec<[f64; 3]> = (0..5).map(|i| [i as f64, -0.5 * i as f64, f64::MAX]).collect();
+        let p = g.alloc_from(&tri);
+        assert_eq!(g.read_slice(p, tri.len()), tri);
+        let pairs: Vec<(u32, f64)> = (0..7).map(|i| (u32::MAX - i, i as f64 + 0.25)).collect();
+        let q = g.alloc_from(&pairs);
+        assert_eq!(g.read_slice(q, pairs.len()), pairs);
+        assert_eq!(g.read(q, 6), (u32::MAX - 6, 6.25));
+        assert!(g.read_slice(g.alloc_from::<(u32, f64)>(&[]), 0).is_empty());
     }
 
     #[test]

@@ -68,6 +68,35 @@ struct TlInner {
     streams: Vec<StreamRec>,
     ops: Vec<OpRec>,
     completion_stamp: u64,
+    /// The last [`schedule`] of the log, with the [`TlInner::key`] it was
+    /// computed at.
+    cached: Option<(SchedKey, Arc<Sched>)>,
+}
+
+/// `(ops, completion stamp, streams)`: every change to the log changes
+/// it. An enqueue appends an op, a finished op bumps the stamp, and a new
+/// stream appends a stream.
+type SchedKey = (usize, u64, usize);
+
+impl TlInner {
+    fn key(&self) -> SchedKey {
+        (self.ops.len(), self.completion_stamp, self.streams.len())
+    }
+
+    /// The schedule of the log as it is now. Queries between two changes
+    /// share one [`schedule`] pass, so a sync storm costs one pass per
+    /// finished op instead of one per query.
+    fn sched(&mut self) -> Arc<Sched> {
+        let key = self.key();
+        if let Some((k, s)) = &self.cached {
+            if *k == key {
+                return Arc::clone(s);
+            }
+        }
+        let s = Arc::new(schedule(self));
+        self.cached = Some((key, Arc::clone(&s)));
+        s
+    }
 }
 
 /// Shared, cloneable handle to one timeline (one per [`crate::HostRuntime`],
@@ -182,6 +211,7 @@ impl Timeline {
                 streams: Vec::new(),
                 ops: Vec::new(),
                 completion_stamp: 0,
+                cached: None,
             })),
         }
     }
@@ -276,15 +306,20 @@ impl Timeline {
 
     /// Aggregate statistics over the currently schedulable prefix.
     pub fn stats(&self) -> TimelineStats {
-        let tl = self.inner.lock();
-        schedule(&tl).stats
+        self.inner.lock().sched().stats.clone()
+    }
+
+    /// `(start, finish)` of every op, indexed by [`OpId`]; `None` for an
+    /// op not yet schedulable.
+    pub fn op_times(&self) -> Vec<Option<(u64, u64)>> {
+        self.inner.lock().sched().times.clone()
     }
 
     /// The scheduled operations (ops whose cost is still unknown are
     /// omitted), in log order. Primarily for tests and tooling.
     pub fn scheduled_ops(&self) -> Vec<OpView> {
-        let tl = self.inner.lock();
-        let sched = schedule(&tl);
+        let mut tl = self.inner.lock();
+        let sched = tl.sched();
         tl.ops
             .iter()
             .enumerate()
@@ -311,8 +346,8 @@ impl Timeline {
     /// nothing scheduled yet). After `Stream::sync` this is the stream's
     /// completion point on the shared timeline.
     pub(crate) fn stream_finish(&self, stream: u32) -> u64 {
-        let tl = self.inner.lock();
-        let sched = schedule(&tl);
+        let mut tl = self.inner.lock();
+        let sched = tl.sched();
         tl.streams[stream as usize]
             .ops
             .iter()
@@ -582,6 +617,54 @@ mod tests {
         let vb = views.iter().find(|v| v.stream == b).unwrap();
         assert_eq!(va.start, 10);
         assert_eq!(vb.start, 50);
+    }
+
+    /// The cached schedule is exact: after every kind of change to the
+    /// log, in a seeded random order, each query answers what a fresh
+    /// `schedule` pass over the same log does.
+    #[test]
+    fn cached_schedule_matches_a_fresh_pass_after_every_change() {
+        let tl = Timeline::new();
+        let mut rng = testkit::SimRng::seed_from_u64(9);
+        let mut pending: Vec<OpId> = Vec::new();
+        let resources = [Resource::H2D, Resource::D2H, Resource::Compute];
+        tl.register_stream(0);
+        for step in 0..400 {
+            let streams = tl.inner.lock().streams.len() as u32;
+            let s = rng.range_u32(0, streams);
+            match rng.range_u32(0, 6) {
+                0 => {
+                    tl.register_stream(rng.range_u32(0, 3));
+                }
+                1 | 2 => pending.push(tl.begin_op(s, *rng.pick(&resources))),
+                3 if !pending.is_empty() => {
+                    let op = pending.swap_remove(rng.range_usize(0, pending.len()));
+                    tl.finish_op(op, rng.range_u64(1, 50));
+                }
+                4 => {
+                    let producer = rng.range_u32(0, streams);
+                    tl.begin_wait(s, (producer, tl.watermark(producer)));
+                }
+                _ => {
+                    tl.record_job(s, *rng.pick(&resources), rng.range_u64(1, 50), step);
+                }
+            }
+            let fresh = schedule(&tl.inner.lock());
+            for _ in 0..2 {
+                assert_eq!(tl.op_times(), fresh.times, "step {step}");
+                assert_eq!(
+                    format!("{:?}", tl.stats()),
+                    format!("{:?}", fresh.stats),
+                    "step {step}"
+                );
+            }
+            let finish = |s: u32| {
+                let tl = tl.inner.lock();
+                let ops = &tl.streams[s as usize].ops;
+                ops.iter().filter_map(|&id| fresh.times[id]).map(|(_, f)| f).max().unwrap_or(0)
+            };
+            assert_eq!(tl.stream_finish(s), finish(s), "step {step}");
+        }
     }
 
     #[test]

@@ -497,9 +497,8 @@ fn fold(
             )
         })
         .collect();
-    let sched = canonical.scheduled_ops();
-    let times: std::collections::HashMap<usize, (u64, u64)> =
-        sched.iter().map(|v| (v.id, (v.start, v.finish))).collect();
+    // One schedule per timeline: `stats` reuses the pass `op_times` ran.
+    let times = canonical.op_times();
     let timeline = canonical.stats();
 
     // Dispatch-order replay: serve units in drain order (what DRR and the
@@ -518,13 +517,13 @@ fn fold(
             o.unit.arrival_vt,
         );
     }
-    let dtimes: std::collections::HashMap<usize, (u64, u64)> =
-        dispatch.scheduled_ops().iter().map(|v| (v.id, (v.start, v.finish))).collect();
+    let dtimes = dispatch.op_times();
 
     let mut jobs: Vec<JobReport> = Vec::new();
     for (i, o) in outcomes.iter().enumerate() {
-        let (start_vt, finish_vt) = times[&ops[i]];
-        let (disp_start_vt, disp_finish_vt) = dtimes[&dop_of_outcome[i]];
+        let (start_vt, finish_vt) = times[ops[i]].expect("a recorded job is costed");
+        let (disp_start_vt, disp_finish_vt) =
+            dtimes[dop_of_outcome[i]].expect("a recorded job is costed");
         for (bi, m) in o.unit.members.iter().enumerate() {
             jobs.push(JobReport {
                 job_id: m.job_id,
