@@ -1,5 +1,5 @@
-//! `cargo bench -p simt-omp-bench --bench simspeed` — simulator throughput
-//! across block-execution thread counts and sanitizer modes.
+//! `cargo bench -p simt-omp-bench --bench simspeed` — the sanitizer's and
+//! the tree walker's cost in simulator wall-clock.
 fn main() {
     let quick = simt_omp_bench::quick_from_args();
     let rows = simt_omp_bench::simspeed::run(quick);

@@ -7,13 +7,13 @@
 //! state-machine penalty. Teams are always SPMD; teams/threads constant;
 //! SIMD group size 32.
 
-use crate::report::{JsonRow, JsonValue};
-use gpu_sim::Device;
+use gpu_sim::{ArchId, Device};
 use omp_kernels::harness::{max_abs_err, speedup, Fig10Variant};
 use omp_kernels::laplace3d;
 use omp_kernels::muram::{self, MuramKernel};
 
-use crate::report::{print_table, save_json};
+use crate::report::{print_table, save_json, JsonRow, JsonValue};
+use crate::{with_base, Point, Sizes};
 
 /// One bar of Fig 10.
 #[derive(Clone, Debug)]
@@ -43,76 +43,62 @@ impl JsonRow for Fig10Row {
     }
 }
 
-fn grid_n(quick: bool) -> usize {
-    // 112³ keeps the kernels in the issue-bound regime where the generic
-    // state machine's overhead is visible (very large grids become purely
-    // DRAM-bound and hide it; the paper's kernels show the overhead).
-    if quick {
-        64
-    } else {
-        112
-    }
-}
+/// The figure's launches on `arch`: per kernel, every execution-mode
+/// variant in [`Fig10Variant::ALL`] order ("No SIMD", the baseline, first),
+/// each on a fresh device.
+pub fn sweep(arch: ArchId, quick: bool) -> Vec<Point<Fig10Variant>> {
+    let sz = Sizes::of(quick);
+    let mut points = Vec::new();
 
-/// Run the full figure sweep.
-pub fn run(quick: bool) -> Vec<Fig10Row> {
-    let n = grid_n(quick);
-    let (teams, threads) = (108, 128);
-    let mut rows = Vec::new();
-
-    // laplace3d
-    {
-        let w = laplace3d::Laplace3dWorkload::generate(n);
-        let want = w.reference();
-        let mut cycles = [0u64; 3];
-        let mut errs = [0f64; 3];
-        for (i, variant) in Fig10Variant::ALL.iter().enumerate() {
-            let mut dev = Device::a100();
-            let ops = laplace3d::Laplace3dDev::upload(&mut dev, &w);
-            let k = laplace3d::build(teams, threads, *variant);
-            let (out, stats) = laplace3d::run(&mut dev, &k, &ops);
-            cycles[i] = stats.cycles;
-            errs[i] = max_abs_err(&out, &want);
-        }
-        for (i, variant) in Fig10Variant::ALL.iter().enumerate() {
-            rows.push(Fig10Row {
-                kernel: "laplace3d",
-                variant: variant.label(),
-                cycles: cycles[i],
-                relative: speedup(cycles[0], cycles[i]),
-                max_err: errs[i],
-            });
-        }
+    let w = laplace3d::Laplace3dWorkload::generate(sz.fig10_n);
+    let want = w.reference();
+    for variant in Fig10Variant::ALL {
+        let mut dev = Device::new(arch.arch());
+        let ops = laplace3d::Laplace3dDev::upload(&mut dev, &w);
+        let k = laplace3d::build(sz.teams, sz.threads, variant);
+        let (out, stats) = laplace3d::run(&mut dev, &k, &ops);
+        points.push(Point {
+            kernel: "laplace3d",
+            config: variant,
+            stats,
+            max_err: max_abs_err(&out, &want),
+        });
     }
 
-    // muram kernels
     for (name, which) in
         [("muram_transpose", MuramKernel::Transpose), ("muram_interpol", MuramKernel::Interpol)]
     {
-        let w = muram::MuramWorkload::generate(n);
+        let w = muram::MuramWorkload::generate(sz.fig10_n);
         let want = w.reference(which);
-        let mut cycles = [0u64; 3];
-        let mut errs = [0f64; 3];
-        for (i, variant) in Fig10Variant::ALL.iter().enumerate() {
-            let mut dev = Device::a100();
+        for variant in Fig10Variant::ALL {
+            let mut dev = Device::new(arch.arch());
             let ops = muram::MuramDev::upload(&mut dev, &w);
-            let k = muram::build(which, teams, threads, *variant);
+            let k = muram::build(which, sz.teams, sz.threads, variant);
             let (out, stats) = muram::run(&mut dev, &k, &ops);
-            cycles[i] = stats.cycles;
-            errs[i] = max_abs_err(&out, &want);
-        }
-        for (i, variant) in Fig10Variant::ALL.iter().enumerate() {
-            rows.push(Fig10Row {
+            points.push(Point {
                 kernel: name,
-                variant: variant.label(),
-                cycles: cycles[i],
-                relative: speedup(cycles[0], cycles[i]),
-                max_err: errs[i],
+                config: variant,
+                stats,
+                max_err: max_abs_err(&out, &want),
             });
         }
     }
 
-    rows
+    points
+}
+
+/// Run the figure: the a100 sweep, relative to each kernel's "No SIMD" bar.
+pub fn run(quick: bool) -> Vec<Fig10Row> {
+    let points = sweep(ArchId::A100, quick);
+    with_base(&points)
+        .map(|(base, p)| Fig10Row {
+            kernel: p.kernel,
+            variant: p.config.label(),
+            cycles: p.stats.cycles,
+            relative: speedup(base, p.stats.cycles),
+            max_err: p.max_err,
+        })
+        .collect()
 }
 
 /// Print the paper-style table and persist JSON.

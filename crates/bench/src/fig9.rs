@@ -9,15 +9,17 @@
 //! * the ideal kernel reaches about **2.15×** at group size **32**, with
 //!   16 very close.
 
-use crate::report::{JsonRow, JsonValue};
-use gpu_sim::Device;
+use gpu_sim::{ArchId, Device, LaunchStats};
+use omp_codegen::CompiledKernel;
 use omp_kernels::harness::{max_abs_err, speedup};
 use omp_kernels::matrix::{CsrMatrix, RowProfile};
 use omp_kernels::{ideal, spmv, su3};
 
-use crate::report::{print_table, save_json};
+use crate::report::{print_table, save_json, JsonRow, JsonValue};
+use crate::{with_base, Point, Sizes};
 
-/// SIMD group sizes swept by the figure.
+/// SIMD group sizes swept by the figure. Every entry divides both 32 and
+/// 64, so one kernel shape serves every backend.
 pub const GROUP_SIZES: [u32; 5] = [2, 4, 8, 16, 32];
 
 /// One bar of Fig 9.
@@ -50,129 +52,85 @@ impl JsonRow for Fig9Row {
     }
 }
 
-/// Problem sizes (quick mode shrinks everything for CI-style runs).
-struct Sizes {
-    spmv_rows: usize,
-    su3_sites: usize,
-    ideal_outer: usize,
-    teams: u32,
-    threads: u32,
-    base_teams_spmv: u32,
-}
-
-fn sizes(quick: bool) -> Sizes {
-    // Iteration counts are kept well above the worker counts of every
-    // configuration so all variants saturate the device (as the paper's
-    // full-size runs do): smallest group size 2 with 256 threads × 108
-    // teams gives 13 824 workers.
-    if quick {
-        Sizes {
-            spmv_rows: 32_768,
-            su3_sites: 27_648,
-            ideal_outer: 27_648,
-            teams: 108,
-            threads: 128,
-            base_teams_spmv: 1_728,
-        }
-    } else {
-        Sizes {
-            spmv_rows: 65_536,
-            su3_sites: 55_296,
-            ideal_outer: 55_296,
-            teams: 108,
-            threads: 128,
-            base_teams_spmv: 3_456,
-        }
-    }
-}
-
-/// Run the full figure sweep.
-pub fn run(quick: bool) -> Vec<Fig9Row> {
-    let sz = sizes(quick);
-    let mut rows = Vec::new();
+/// The figure's launches on `arch`: per kernel, the 2-level baseline
+/// (group size 0) and then every group size, each on a fresh device.
+pub fn sweep(arch: ArchId, quick: bool) -> Vec<Point<u32>> {
+    let sz = Sizes::of(quick);
+    let mut points = Vec::new();
+    let mut push = |kernel, config, (stats, max_err)| {
+        points.push(Point { kernel, config, stats, max_err });
+    };
 
     // --- sparse_matvec -------------------------------------------------
+    // The paper's 32-thread baseline team is half a wavefront on mi100,
+    // which the launch validator rejects; each backend gets a whole-warp
+    // baseline team of its native width.
     let mat =
         CsrMatrix::generate(sz.spmv_rows, sz.spmv_rows, RowProfile::Banded { min: 4, max: 44 }, 42);
     let x: Vec<f64> = (0..mat.ncols).map(|i| ((i * 13) % 31) as f64 * 0.0625).collect();
     let want = mat.spmv_ref(&x);
-
-    let base_cycles = {
-        let mut dev = Device::a100();
+    let launch = |k: &CompiledKernel| -> (LaunchStats, f64) {
+        let mut dev = Device::new(arch.arch());
         let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
-        let k = spmv::build_two_level(sz.base_teams_spmv);
-        let (y, stats) = spmv::run(&mut dev, &k, &ops);
-        assert!(max_abs_err(&y, &want) < 1e-9, "spmv baseline wrong");
-        stats.cycles
+        let (y, stats) = spmv::run(&mut dev, k, &ops);
+        (stats, max_abs_err(&y, &want))
     };
+    let base = launch(&spmv::build_two_level_on(sz.base_teams_spmv, arch.arch().warp_size));
+    assert!(base.1 < 1e-9, "spmv baseline wrong");
+    push("sparse_matvec", 0, base);
     for gs in GROUP_SIZES {
-        let mut dev = Device::a100();
-        let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
-        let k = spmv::build_three_level(sz.teams, sz.threads, gs);
-        let (y, stats) = spmv::run(&mut dev, &k, &ops);
-        rows.push(Fig9Row {
-            kernel: "sparse_matvec",
-            group_size: gs,
-            base_cycles,
-            simd_cycles: stats.cycles,
-            speedup: speedup(base_cycles, stats.cycles),
-            max_err: max_abs_err(&y, &want),
-        });
+        push("sparse_matvec", gs, launch(&spmv::build_three_level(sz.teams, sz.threads, gs)));
     }
 
-    // --- SU3_bench ------------------------------------------------------
+    // --- SU3_bench (baseline = group size 1) ----------------------------
     let w = su3::Su3Workload::generate(sz.su3_sites, 7);
     let want = w.reference();
-    let base_cycles = {
-        let mut dev = Device::a100();
+    let launch = |gs| -> (LaunchStats, f64) {
+        let mut dev = Device::new(arch.arch());
         let ops = su3::Su3Dev::upload(&mut dev, &w);
-        let k = su3::build(sz.teams, sz.threads, 1);
-        let (c, stats) = su3::run(&mut dev, &k, &ops);
-        assert!(max_abs_err(&c, &want) < 1e-9, "su3 baseline wrong");
-        stats.cycles
+        let (c, stats) = su3::run(&mut dev, &su3::build(sz.teams, sz.threads, gs), &ops);
+        (stats, max_abs_err(&c, &want))
     };
+    let base = launch(1);
+    assert!(base.1 < 1e-9, "su3 baseline wrong");
+    push("su3_bench", 0, base);
     for gs in GROUP_SIZES {
-        let mut dev = Device::a100();
-        let ops = su3::Su3Dev::upload(&mut dev, &w);
-        let k = su3::build(sz.teams, sz.threads, gs);
-        let (c, stats) = su3::run(&mut dev, &k, &ops);
-        rows.push(Fig9Row {
-            kernel: "su3_bench",
-            group_size: gs,
-            base_cycles,
-            simd_cycles: stats.cycles,
-            speedup: speedup(base_cycles, stats.cycles),
-            max_err: max_abs_err(&c, &want),
-        });
+        push("su3_bench", gs, launch(gs));
     }
 
-    // --- ideal kernel -----------------------------------------------------
+    // --- ideal kernel (baseline = group size 1) -------------------------
     let w = ideal::IdealWorkload::generate(sz.ideal_outer, 3);
     let want = w.reference();
-    let base_cycles = {
-        let mut dev = Device::a100();
+    let launch = |gs| -> (LaunchStats, f64) {
+        let mut dev = Device::new(arch.arch());
         let ops = ideal::IdealDev::upload(&mut dev, &w);
-        let k = ideal::build(sz.teams, sz.threads, 1);
-        let (o, stats) = ideal::run(&mut dev, &k, &ops);
-        assert!(max_abs_err(&o, &want) == 0.0, "ideal baseline wrong");
-        stats.cycles
+        let (o, stats) = ideal::run(&mut dev, &ideal::build(sz.teams, sz.threads, gs), &ops);
+        (stats, max_abs_err(&o, &want))
     };
+    let base = launch(1);
+    assert!(base.1 == 0.0, "ideal baseline wrong");
+    push("ideal", 0, base);
     for gs in GROUP_SIZES {
-        let mut dev = Device::a100();
-        let ops = ideal::IdealDev::upload(&mut dev, &w);
-        let k = ideal::build(sz.teams, sz.threads, gs);
-        let (o, stats) = ideal::run(&mut dev, &k, &ops);
-        rows.push(Fig9Row {
-            kernel: "ideal",
-            group_size: gs,
-            base_cycles,
-            simd_cycles: stats.cycles,
-            speedup: speedup(base_cycles, stats.cycles),
-            max_err: max_abs_err(&o, &want),
-        });
+        push("ideal", gs, launch(gs));
     }
 
-    rows
+    points
+}
+
+/// Run the figure: the a100 sweep's simd bars against their baselines.
+pub fn run(quick: bool) -> Vec<Fig9Row> {
+    let points = sweep(ArchId::A100, quick);
+    with_base(&points)
+        .filter(|(_, p)| p.config != 0)
+        .map(|(base_cycles, p)| Fig9Row {
+            kernel: p.kernel,
+            group_size: p.config,
+            base_cycles,
+            simd_cycles: p.stats.cycles,
+            speedup: speedup(base_cycles, p.stats.cycles),
+            max_err: p.max_err,
+        })
+        .collect()
 }
 
 /// Print the paper-style table and persist JSON.

@@ -1,11 +1,11 @@
-//! mem — memory-traffic counter sweep over the Fig 9 kernels.
+//! mem — memory-traffic counters of the Fig 9 sweep.
 //!
-//! Runs every Fig 9 configuration (`sparse_matvec`, `SU3_bench`, ideal ×
-//! all SIMD group sizes plus the 2-level baselines) and reports, per row,
-//! the cycle count, the speedup over the baseline, and the traffic
-//! counters the memory model's makespan consumes: compulsory DRAM
-//! sectors, 64-byte burst atoms (with the effective sector count after the
-//! burst-granularity wall), L1 hits, and MLP stall cycles.
+//! Projects every point of the a100 [`fig9::sweep`] (`sparse_matvec`,
+//! `SU3_bench`, ideal × all SIMD group sizes plus the 2-level baselines)
+//! and reports, per row, the cycle count, the speedup over the baseline,
+//! and the traffic counters the memory model's makespan consumes:
+//! compulsory DRAM sectors, 64-byte burst atoms (with the effective sector
+//! count after the burst-granularity wall), L1 hits, and MLP stall cycles.
 //!
 //! The counters explain the speedup column: the model separates
 //! issue-bound from DRAM-wall-bound configurations, which is what holds
@@ -15,14 +15,11 @@
 //!
 //! Emits `target/figures/BENCH_mem.json`.
 
-use gpu_sim::{Device, LaunchStats};
-use omp_kernels::matrix::{CsrMatrix, RowProfile};
-use omp_kernels::{ideal, spmv, su3};
+use gpu_sim::ArchId;
 
+use crate::fig9;
 use crate::report::{print_table, save_json, JsonRow, JsonValue};
-
-/// SIMD group sizes swept (0 stands for the 2-level baseline row).
-pub const GROUP_SIZES: [u32; 5] = [2, 4, 8, 16, 32];
+use crate::with_base;
 
 /// One (kernel, group size) measurement.
 #[derive(Clone, Debug)]
@@ -64,107 +61,25 @@ impl JsonRow for MemRow {
     }
 }
 
-struct Sizes {
-    spmv_rows: usize,
-    su3_sites: usize,
-    ideal_outer: usize,
-    teams: u32,
-    threads: u32,
-    base_teams_spmv: u32,
-}
-
-fn sizes(quick: bool) -> Sizes {
-    if quick {
-        Sizes {
-            spmv_rows: 32_768,
-            su3_sites: 27_648,
-            ideal_outer: 27_648,
-            teams: 108,
-            threads: 128,
-            base_teams_spmv: 1_728,
-        }
-    } else {
-        Sizes {
-            spmv_rows: 65_536,
-            su3_sites: 55_296,
-            ideal_outer: 55_296,
-            teams: 108,
-            threads: 128,
-            base_teams_spmv: 3_456,
-        }
-    }
-}
-
-fn row(kernel: &'static str, group_size: u32, base_cycles: u64, s: &LaunchStats) -> MemRow {
-    MemRow {
-        kernel,
-        group_size,
-        cycles: s.cycles,
-        speedup: base_cycles as f64 / s.cycles as f64,
-        dram_sectors: s.mem.dram_sectors,
-        dram_atoms: s.mem.dram_atoms,
-        dram_effective: s.mem.dram_sectors.max(2 * s.mem.dram_atoms),
-        l1_hits: s.mem.l1_hits,
-        mlp_stalls: s.mem.mlp_stalls,
-    }
-}
-
 /// Run the sweep: every Fig 9 configuration.
 pub fn run(quick: bool) -> Vec<MemRow> {
-    let sz = sizes(quick);
-    let mut rows = Vec::new();
-
-    let mat =
-        CsrMatrix::generate(sz.spmv_rows, sz.spmv_rows, RowProfile::Banded { min: 4, max: 44 }, 42);
-    let x: Vec<f64> = (0..mat.ncols).map(|i| ((i * 13) % 31) as f64 * 0.0625).collect();
-    let su3_w = su3::Su3Workload::generate(sz.su3_sites, 7);
-    let ideal_w = ideal::IdealWorkload::generate(sz.ideal_outer, 3);
-
-    // --- sparse_matvec ---------------------------------------------
-    let base = {
-        let mut dev = Device::a100();
-        let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
-        let (_, s) = spmv::run(&mut dev, &spmv::build_two_level(sz.base_teams_spmv), &ops);
-        rows.push(row("sparse_matvec", 0, s.cycles, &s));
-        s.cycles
-    };
-    for gs in GROUP_SIZES {
-        let mut dev = Device::a100();
-        let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
-        let (_, s) = spmv::run(&mut dev, &spmv::build_three_level(sz.teams, sz.threads, gs), &ops);
-        rows.push(row("sparse_matvec", gs, base, &s));
-    }
-
-    // --- SU3_bench (baseline = group size 1) ------------------------
-    let base = {
-        let mut dev = Device::a100();
-        let ops = su3::Su3Dev::upload(&mut dev, &su3_w);
-        let (_, s) = su3::run(&mut dev, &su3::build(sz.teams, sz.threads, 1), &ops);
-        rows.push(row("su3_bench", 0, s.cycles, &s));
-        s.cycles
-    };
-    for gs in GROUP_SIZES {
-        let mut dev = Device::a100();
-        let ops = su3::Su3Dev::upload(&mut dev, &su3_w);
-        let (_, s) = su3::run(&mut dev, &su3::build(sz.teams, sz.threads, gs), &ops);
-        rows.push(row("su3_bench", gs, base, &s));
-    }
-
-    // --- ideal (baseline = group size 1) ----------------------------
-    let base = {
-        let mut dev = Device::a100();
-        let ops = ideal::IdealDev::upload(&mut dev, &ideal_w);
-        let (_, s) = ideal::run(&mut dev, &ideal::build(sz.teams, sz.threads, 1), &ops);
-        rows.push(row("ideal", 0, s.cycles, &s));
-        s.cycles
-    };
-    for gs in GROUP_SIZES {
-        let mut dev = Device::a100();
-        let ops = ideal::IdealDev::upload(&mut dev, &ideal_w);
-        let (_, s) = ideal::run(&mut dev, &ideal::build(sz.teams, sz.threads, gs), &ops);
-        rows.push(row("ideal", gs, base, &s));
-    }
-    rows
+    let points = fig9::sweep(ArchId::A100, quick);
+    with_base(&points)
+        .map(|(base_cycles, p)| {
+            let s = &p.stats;
+            MemRow {
+                kernel: p.kernel,
+                group_size: p.config,
+                cycles: s.cycles,
+                speedup: base_cycles as f64 / s.cycles as f64,
+                dram_sectors: s.mem.dram_sectors,
+                dram_atoms: s.mem.dram_atoms,
+                dram_effective: s.mem.dram_sectors.max(2 * s.mem.dram_atoms),
+                l1_hits: s.mem.l1_hits,
+                mlp_stalls: s.mem.mlp_stalls,
+            }
+        })
+        .collect()
 }
 
 /// Print the sweep table and persist `BENCH_mem.json`.

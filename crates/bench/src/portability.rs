@@ -1,6 +1,6 @@
-//! portability — the Fig 9 / Fig 10 sweeps re-run on every registered
-//! backend (`gpu_sim::ArchId`), producing the per-backend numbers behind
-//! README's portability matrix.
+//! portability — the Fig 9 / Fig 10 sweeps ([`fig9::sweep`],
+//! [`fig10::sweep`]) on every registered backend (`gpu_sim::ArchId`),
+//! producing the per-backend numbers behind README's portability matrix.
 //!
 //! The a100 rows reproduce the paper's figures; the mi100 rows answer the
 //! §5.4.1 question the paper leaves open: what do the same sweeps look
@@ -17,21 +17,15 @@
 //! widths, so one kernel shape serves every backend. The one deviation is
 //! the sparse_matvec 2-level baseline: the paper's 32-thread team is not
 //! launchable on a wave64 device (blocks must be whole wavefronts), so
-//! mi100's baseline uses one full 64-lane wavefront per team.
+//! mi100's baseline uses one full 64-lane wavefront per team. The a100
+//! rows are the fig9 / fig10 / mem numbers of the same sweeps.
 //!
 //! Emits `target/figures/BENCH_portability.json`.
 
-use gpu_sim::{ArchId, Device, LaunchStats};
-use omp_kernels::harness::{max_abs_err, Fig10Variant};
-use omp_kernels::matrix::{CsrMatrix, RowProfile};
-use omp_kernels::muram::MuramKernel;
-use omp_kernels::{ideal, laplace3d, muram, spmv, su3};
+use gpu_sim::{ArchId, LaunchStats};
 
 use crate::report::{print_table, save_json, JsonRow, JsonValue};
-
-/// SIMD group sizes swept (0 stands for the 2-level / no-simd baseline).
-/// Every entry divides both 32 and 64, so the sweep is backend-portable.
-pub const GROUP_SIZES: [u32; 5] = [2, 4, 8, 16, 32];
+use crate::{fig10, fig9, with_base};
 
 /// The backends the matrix covers. `Tiny` is a test-only arch and stays
 /// out of the figures.
@@ -75,42 +69,6 @@ impl JsonRow for PortRow {
     }
 }
 
-struct Sizes {
-    spmv_rows: usize,
-    su3_sites: usize,
-    ideal_outer: usize,
-    fig10_n: usize,
-    teams: u32,
-    threads: u32,
-    base_teams_spmv: u32,
-}
-
-fn sizes(quick: bool) -> Sizes {
-    // Same problem sizes as the fig9/fig10 harnesses so the a100 column
-    // of this sweep is directly comparable to EXPERIMENTS.md's numbers.
-    if quick {
-        Sizes {
-            spmv_rows: 32_768,
-            su3_sites: 27_648,
-            ideal_outer: 27_648,
-            fig10_n: 64,
-            teams: 108,
-            threads: 128,
-            base_teams_spmv: 1_728,
-        }
-    } else {
-        Sizes {
-            spmv_rows: 65_536,
-            su3_sites: 55_296,
-            ideal_outer: 55_296,
-            fig10_n: 112,
-            teams: 108,
-            threads: 128,
-            base_teams_spmv: 3_456,
-        }
-    }
-}
-
 fn row(
     arch: ArchId,
     figure: &'static str,
@@ -134,167 +92,17 @@ fn row(
 
 /// Run the full matrix: both figures' sweeps on every backend.
 pub fn run(quick: bool) -> Vec<PortRow> {
-    let sz = sizes(quick);
     let mut rows = Vec::new();
-
-    let mat =
-        CsrMatrix::generate(sz.spmv_rows, sz.spmv_rows, RowProfile::Banded { min: 4, max: 44 }, 42);
-    let x: Vec<f64> = (0..mat.ncols).map(|i| ((i * 13) % 31) as f64 * 0.0625).collect();
-    let spmv_want = mat.spmv_ref(&x);
-    let su3_w = su3::Su3Workload::generate(sz.su3_sites, 7);
-    let su3_want = su3_w.reference();
-    let ideal_w = ideal::IdealWorkload::generate(sz.ideal_outer, 3);
-    let ideal_want = ideal_w.reference();
-
     for arch in ARCHS {
-        let dev = || Device::new(arch.arch());
-
-        // ---- Fig 9: sparse_matvec --------------------------------------
-        // The paper's 32-thread baseline team is half a wavefront on
-        // mi100, which the launch validator rejects; each backend gets a
-        // whole-warp baseline team of its native width.
-        let base = {
-            let mut d = dev();
-            let ops = spmv::SpmvDev::upload(&mut d, &mat, &x);
-            let k = spmv::build_two_level_on(sz.base_teams_spmv, arch.arch().warp_size);
-            let (y, s) = spmv::run(&mut d, &k, &ops);
-            rows.push(row(
-                arch,
-                "fig9",
-                "sparse_matvec",
-                "base".into(),
-                s.cycles,
-                &s,
-                max_abs_err(&y, &spmv_want),
-            ));
-            s.cycles
-        };
-        for gs in GROUP_SIZES {
-            let mut d = dev();
-            let ops = spmv::SpmvDev::upload(&mut d, &mat, &x);
-            let k = spmv::build_three_level(sz.teams, sz.threads, gs);
-            let (y, s) = spmv::run(&mut d, &k, &ops);
-            rows.push(row(
-                arch,
-                "fig9",
-                "sparse_matvec",
-                gs.to_string(),
-                base,
-                &s,
-                max_abs_err(&y, &spmv_want),
-            ));
+        let points = fig9::sweep(arch, quick);
+        for (base, p) in with_base(&points) {
+            let config = if p.config == 0 { "base".to_string() } else { p.config.to_string() };
+            rows.push(row(arch, "fig9", p.kernel, config, base, &p.stats, p.max_err));
         }
-
-        // ---- Fig 9: SU3_bench (baseline = group size 1) ----------------
-        let base = {
-            let mut d = dev();
-            let ops = su3::Su3Dev::upload(&mut d, &su3_w);
-            let (c, s) = su3::run(&mut d, &su3::build(sz.teams, sz.threads, 1), &ops);
-            rows.push(row(
-                arch,
-                "fig9",
-                "su3_bench",
-                "base".into(),
-                s.cycles,
-                &s,
-                max_abs_err(&c, &su3_want),
-            ));
-            s.cycles
-        };
-        for gs in GROUP_SIZES {
-            let mut d = dev();
-            let ops = su3::Su3Dev::upload(&mut d, &su3_w);
-            let (c, s) = su3::run(&mut d, &su3::build(sz.teams, sz.threads, gs), &ops);
-            rows.push(row(
-                arch,
-                "fig9",
-                "su3_bench",
-                gs.to_string(),
-                base,
-                &s,
-                max_abs_err(&c, &su3_want),
-            ));
-        }
-
-        // ---- Fig 9: ideal (baseline = group size 1) --------------------
-        let base = {
-            let mut d = dev();
-            let ops = ideal::IdealDev::upload(&mut d, &ideal_w);
-            let (o, s) = ideal::run(&mut d, &ideal::build(sz.teams, sz.threads, 1), &ops);
-            rows.push(row(
-                arch,
-                "fig9",
-                "ideal",
-                "base".into(),
-                s.cycles,
-                &s,
-                max_abs_err(&o, &ideal_want),
-            ));
-            s.cycles
-        };
-        for gs in GROUP_SIZES {
-            let mut d = dev();
-            let ops = ideal::IdealDev::upload(&mut d, &ideal_w);
-            let (o, s) = ideal::run(&mut d, &ideal::build(sz.teams, sz.threads, gs), &ops);
-            rows.push(row(
-                arch,
-                "fig9",
-                "ideal",
-                gs.to_string(),
-                base,
-                &s,
-                max_abs_err(&o, &ideal_want),
-            ));
-        }
-
-        // ---- Fig 10: laplace3d + muram across execution modes ----------
-        {
-            let w = laplace3d::Laplace3dWorkload::generate(sz.fig10_n);
-            let want = w.reference();
-            let mut base = 0u64;
-            for variant in Fig10Variant::ALL {
-                let mut d = dev();
-                let ops = laplace3d::Laplace3dDev::upload(&mut d, &w);
-                let k = laplace3d::build(sz.teams, sz.threads, variant);
-                let (out, s) = laplace3d::run(&mut d, &k, &ops);
-                if base == 0 {
-                    base = s.cycles;
-                }
-                rows.push(row(
-                    arch,
-                    "fig10",
-                    "laplace3d",
-                    variant.label().to_string(),
-                    base,
-                    &s,
-                    max_abs_err(&out, &want),
-                ));
-            }
-        }
-        for (name, which) in
-            [("muram_transpose", MuramKernel::Transpose), ("muram_interpol", MuramKernel::Interpol)]
-        {
-            let w = muram::MuramWorkload::generate(sz.fig10_n);
-            let want = w.reference(which);
-            let mut base = 0u64;
-            for variant in Fig10Variant::ALL {
-                let mut d = dev();
-                let ops = muram::MuramDev::upload(&mut d, &w);
-                let k = muram::build(which, sz.teams, sz.threads, variant);
-                let (out, s) = muram::run(&mut d, &k, &ops);
-                if base == 0 {
-                    base = s.cycles;
-                }
-                rows.push(row(
-                    arch,
-                    "fig10",
-                    name,
-                    variant.label().to_string(),
-                    base,
-                    &s,
-                    max_abs_err(&out, &want),
-                ));
-            }
+        let points = fig10::sweep(arch, quick);
+        for (base, p) in with_base(&points) {
+            let config = p.config.label().to_string();
+            rows.push(row(arch, "fig10", p.kernel, config, base, &p.stats, p.max_err));
         }
     }
     rows

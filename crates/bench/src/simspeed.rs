@@ -1,19 +1,16 @@
 //! simspeed — throughput of the simulator itself.
 //!
 //! Every other harness in this crate reports *simulated* cycles; this one
-//! measures how fast the host produces them. The parallel block execution
-//! engine (`SIMT_SIM_THREADS`, see `gpu_sim::sched`) executes independent
-//! blocks concurrently with bit-identical `LaunchStats`, so the interesting
-//! questions are (a) how wall-clock scales with worker threads and (b) what
-//! the simtcheck sanitizer costs — with its adaptive epoch representation
-//! versus the dense O(warps·lanes²) table it replaced.
+//! measures how fast the host produces them, on the two questions simbench
+//! (which measures simulated-cycle rates per workload, multi-threaded
+//! included) does not answer.
 //!
-//! The sweep runs {1,2,4,8} host threads × {ideal, spmv, laplace3d} ×
-//! sanitizer {off, adaptive, dense (1 thread, as the overhead baseline)}
-//! and emits `target/figures/BENCH_simspeed.json` with wall-clock,
-//! simulated-cycles-per-second, per-kernel speedup over the 1-thread run,
-//! and sanitizer overhead relative to the unsanitized run at the same
-//! thread count.
+//! The sanitizer leg asks what the simtcheck sanitizer costs — with its
+//! adaptive epoch representation versus the dense O(warps·lanes²) table it
+//! replaced. It runs {ideal, spmv, laplace3d} × sanitizer {off, adaptive,
+//! dense} on 1 host thread and emits `target/figures/BENCH_simspeed.json`
+//! with wall-clock, simulated-cycles-per-second and the sanitizer overhead
+//! relative to the unsanitized run.
 //!
 //! A second leg compares the two execution engines — the flat-bytecode
 //! interpreter (the default) against the tree-walk oracle — on
@@ -34,40 +31,29 @@ use omp_kernels::{ideal, laplace3d, spmv, stencil2d};
 
 use crate::report::{print_table, save_json, JsonRow, JsonValue};
 
-/// Host thread counts swept.
-pub const THREADS: [usize; 4] = [1, 2, 4, 8];
-
 /// One measured configuration.
 #[derive(Clone, Debug)]
 pub struct SimspeedRow {
     /// Kernel name.
     pub kernel: &'static str,
-    /// Block-execution host threads.
-    pub threads: usize,
     /// Sanitizer mode: `off`, `adaptive`, or `dense`.
     pub sanitizer: &'static str,
     /// Wall-clock milliseconds for the launch (best of the repetitions).
     pub wall_ms: f64,
-    /// Simulated cycles the launch produced (identical across threads).
+    /// Simulated cycles the launch produced (identical across sanitizer
+    /// modes and engines).
     pub cycles: u64,
     /// Simulated cycles per wall-clock second.
     pub cycles_per_sec: f64,
-    /// Wall-clock of the 1-thread run with the same kernel + sanitizer,
-    /// divided by this run's wall-clock.
-    pub speedup_vs_1t: f64,
-    /// Wall-clock relative to the unsanitized run at the same kernel and
-    /// thread count (1.0 for unsanitized rows).
+    /// Wall-clock relative to the unsanitized run of the same kernel (1.0
+    /// for unsanitized rows).
     pub overhead_vs_off: f64,
-    /// Host cores available to this process when the row was measured —
-    /// wall-clock speedup is bounded by this, so readers (and CI archives)
-    /// can tell a scheduler limit from an engine limit.
-    pub host_cores: usize,
     /// Execution engine that produced the row: `bytecode` (the default
     /// flat interpreter) or `tree` (the tree-walk oracle).
     pub engine: &'static str,
     /// Wall-clock of the tree-walk run at the same configuration divided
-    /// by this run's wall-clock. `NaN` (serialized as `null`) for sweep
-    /// rows, which only run the default engine.
+    /// by this run's wall-clock. `NaN` (serialized as `null`) for
+    /// sanitizer-leg rows, which only run the default engine.
     pub vs_tree: f64,
 }
 
@@ -75,14 +61,11 @@ impl JsonRow for SimspeedRow {
     fn json_fields(&self) -> Vec<(&'static str, JsonValue)> {
         vec![
             ("kernel", JsonValue::Str(self.kernel.to_string())),
-            ("threads", JsonValue::U64(self.threads as u64)),
             ("sanitizer", JsonValue::Str(self.sanitizer.to_string())),
             ("wall_ms", JsonValue::F64(self.wall_ms)),
             ("cycles", JsonValue::U64(self.cycles)),
             ("cycles_per_sec", JsonValue::F64(self.cycles_per_sec)),
-            ("speedup_vs_1t", JsonValue::F64(self.speedup_vs_1t)),
             ("overhead_vs_off", JsonValue::F64(self.overhead_vs_off)),
-            ("host_cores", JsonValue::U64(self.host_cores as u64)),
             ("engine", JsonValue::Str(self.engine.to_string())),
             ("vs_tree", JsonValue::F64(self.vs_tree)),
         ]
@@ -141,17 +124,13 @@ fn sizes(quick: bool) -> Sizes {
     }
 }
 
-/// A launch runner: returns the simulated cycle count of one full launch on
-/// a freshly prepared device (setup excluded from timing).
-type Runner<'a> = Box<dyn FnMut(usize, San) -> (u64, f64) + 'a>;
+/// A launch runner: returns the simulated cycle count and wall-clock
+/// milliseconds of one full launch on a freshly prepared device (setup
+/// excluded from timing).
+type Runner<'a> = Box<dyn FnMut(San) -> (u64, f64) + 'a>;
 
-fn time_one(
-    dev: &mut Device,
-    threads: usize,
-    san: San,
-    mut launch: impl FnMut(&mut Device) -> u64,
-) -> (u64, f64) {
-    dev.set_sim_threads(Some(threads));
+fn time_one(dev: &mut Device, san: San, mut launch: impl FnMut(&mut Device) -> u64) -> (u64, f64) {
+    dev.set_sim_threads(Some(1));
     match san {
         San::Off => dev.disable_sanitizer(),
         San::Adaptive => {
@@ -168,7 +147,7 @@ fn time_one(
     (cycles, t0.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Run the sweep. `quick` shrinks problem sizes and repetitions.
+/// Run both legs. `quick` shrinks problem sizes and repetitions.
 pub fn run(quick: bool) -> Vec<SimspeedRow> {
     let sz = sizes(quick);
 
@@ -187,54 +166,37 @@ pub fn run(quick: bool) -> Vec<SimspeedRow> {
     let mut runners: Vec<(&'static str, Runner<'_>)> = vec![
         (
             "ideal",
-            Box::new(|threads, san| {
+            Box::new(|san| {
                 let mut dev = Device::a100();
                 let ops = ideal::IdealDev::upload(&mut dev, &ideal_w);
-                time_one(&mut dev, threads, san, |d| ideal::run(d, &ideal_k, &ops).1.cycles)
+                time_one(&mut dev, san, |d| ideal::run(d, &ideal_k, &ops).1.cycles)
             }),
         ),
         (
             "spmv",
-            Box::new(|threads, san| {
+            Box::new(|san| {
                 let mut dev = Device::a100();
                 let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
-                time_one(&mut dev, threads, san, |d| spmv::run(d, &spmv_k, &ops).1.cycles)
+                time_one(&mut dev, san, |d| spmv::run(d, &spmv_k, &ops).1.cycles)
             }),
         ),
         (
             "laplace3d",
-            Box::new(|threads, san| {
+            Box::new(|san| {
                 let mut dev = Device::a100();
                 let ops = laplace3d::Laplace3dDev::upload(&mut dev, &lap_w);
-                time_one(&mut dev, threads, san, |d| laplace3d::run(d, &lap_k, &ops).1.cycles)
+                time_one(&mut dev, san, |d| laplace3d::run(d, &lap_k, &ops).1.cycles)
             }),
         ),
     ];
 
-    // --- the sweep -----------------------------------------------------
-    struct Raw {
-        kernel: &'static str,
-        threads: usize,
-        san: San,
-        wall_ms: f64,
-        cycles: u64,
-    }
-    let mut raw = Vec::new();
+    // --- the sanitizer leg ------------------------------------------------
+    let mut rows = Vec::new();
     for (kernel, runner) in &mut runners {
         // Warm-up: populate code/data caches before any timed run.
-        let _ = runner(1, San::Off);
-        // One cell per (sanitizer, threads) pair; the dense table is the
-        // serial-era baseline, so measuring it at 1 thread is enough for
-        // the overhead comparison.
-        let mut cells: Vec<(San, usize, f64, u64)> = Vec::new();
-        for san in [San::Off, San::Adaptive, San::Dense] {
-            for &threads in &THREADS {
-                if san == San::Dense && threads != 1 {
-                    continue;
-                }
-                cells.push((san, threads, f64::INFINITY, 0));
-            }
-        }
+        let _ = runner(San::Off);
+        // One cell per sanitizer mode: (mode, best wall, cycles).
+        let mut cells = [San::Off, San::Adaptive, San::Dense].map(|san| (san, f64::INFINITY, 0));
         // Measure the cells round-robin (not cell-by-cell) so slow host
         // minutes penalize every sanitizer mode equally instead of biasing
         // whichever cell happened to be up; best-of per cell across rounds.
@@ -242,47 +204,29 @@ pub fn run(quick: bool) -> Vec<SimspeedRow> {
         let mut rounds = 0u32;
         while rounds < sz.reps || (spent_ms < 4000.0 && rounds < 8 * sz.reps) {
             for cell in &mut cells {
-                let (c, ms) = runner(cell.1, cell.0);
-                assert!(cell.3 == 0 || cell.3 == c, "cycles must not depend on threads");
-                cell.3 = c;
-                cell.2 = cell.2.min(ms);
+                let (c, ms) = runner(cell.0);
+                assert!(cell.2 == 0 || cell.2 == c, "cycles must not depend on the run");
+                cell.2 = c;
+                cell.1 = cell.1.min(ms);
                 spent_ms += ms;
             }
             rounds += 1;
         }
-        for (san, threads, wall_ms, cycles) in cells {
-            raw.push(Raw { kernel, threads, san, wall_ms, cycles });
-        }
-    }
-
-    // --- derived columns ------------------------------------------------
-    let wall_of = |rows: &[Raw], kernel: &str, threads: usize, san: San| {
-        rows.iter()
-            .find(|r| r.kernel == kernel && r.threads == threads && r.san == san)
-            .map(|r| r.wall_ms)
-    };
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut rows: Vec<SimspeedRow> = raw
-        .iter()
-        .map(|r| {
-            let base_1t = wall_of(&raw, r.kernel, 1, r.san).unwrap_or(r.wall_ms);
-            let off_same = wall_of(&raw, r.kernel, r.threads, San::Off).unwrap_or(r.wall_ms);
-            SimspeedRow {
-                kernel: r.kernel,
-                threads: r.threads,
-                sanitizer: r.san.label(),
-                wall_ms: r.wall_ms,
-                cycles: r.cycles,
-                cycles_per_sec: r.cycles as f64 / (r.wall_ms / 1e3),
-                speedup_vs_1t: base_1t / r.wall_ms,
-                overhead_vs_off: r.wall_ms / off_same,
-                host_cores,
+        let off_ms = cells[0].1;
+        for (san, wall_ms, cycles) in cells {
+            rows.push(SimspeedRow {
+                kernel,
+                sanitizer: san.label(),
+                wall_ms,
+                cycles,
+                cycles_per_sec: cycles as f64 / (wall_ms / 1e3),
+                overhead_vs_off: wall_ms / off_ms,
                 engine: "bytecode",
                 vs_tree: f64::NAN,
-            }
-        })
-        .collect();
-    rows.extend(engine_leg(sz.reps, host_cores));
+            });
+        }
+    }
+    rows.extend(engine_leg(sz.reps));
     rows
 }
 
@@ -292,8 +236,8 @@ pub fn run(quick: bool) -> Vec<SimspeedRow> {
 /// most teams draw few or no chunks, so the per-construct walking cost —
 /// the thing the bytecode lowering removes — is the dominant term. Large
 /// access-bound problems land at 1.4–2× instead (the memory-access model
-/// is shared by both engines); the sweep rows above cover that regime.
-fn engine_leg(reps: u32, host_cores: usize) -> Vec<SimspeedRow> {
+/// is shared by both engines); the sanitizer-leg rows cover that regime.
+fn engine_leg(reps: u32) -> Vec<SimspeedRow> {
     let lap_w = laplace3d::Laplace3dWorkload::generate(6);
     let lap_k = laplace3d::build(108, 128, Fig10Variant::SpmdSimd);
     let st_w = stencil2d::Stencil2dWorkload::generate(26, 14);
@@ -343,14 +287,11 @@ fn engine_leg(reps: u32, host_cores: usize) -> Vec<SimspeedRow> {
         for (i, engine) in ["tree", "bytecode"].into_iter().enumerate() {
             rows.push(SimspeedRow {
                 kernel,
-                threads: 1,
                 sanitizer: "off",
                 wall_ms: walls[i],
                 cycles: cycles[i],
                 cycles_per_sec: cycles[i] as f64 / (walls[i] / 1e3),
-                speedup_vs_1t: 1.0,
                 overhead_vs_off: 1.0,
-                host_cores,
                 engine,
                 vs_tree: walls[0] / walls[i],
             });
@@ -367,29 +308,17 @@ pub fn report(rows: &[SimspeedRow]) {
             vec![
                 r.kernel.to_string(),
                 r.engine.to_string(),
-                r.threads.to_string(),
                 r.sanitizer.to_string(),
                 format!("{:.1}", r.wall_ms),
                 format!("{:.2e}", r.cycles_per_sec),
-                format!("{:.2}x", r.speedup_vs_1t),
                 format!("{:.2}x", r.overhead_vs_off),
                 if r.vs_tree.is_finite() { format!("{:.2}x", r.vs_tree) } else { "-".to_string() },
             ]
         })
         .collect();
     print_table(
-        "simspeed: simulator throughput (wall-clock, by host threads)",
-        &[
-            "kernel",
-            "engine",
-            "threads",
-            "sanitizer",
-            "wall_ms",
-            "sim_cycles/s",
-            "vs_1t",
-            "san_overhead",
-            "vs_tree",
-        ],
+        "simspeed: simulator throughput (wall-clock, 1 host thread)",
+        &["kernel", "engine", "sanitizer", "wall_ms", "sim_cycles/s", "san_overhead", "vs_tree"],
         &table,
     );
     for r in rows.iter().filter(|r| r.engine == "bytecode" && r.vs_tree.is_finite()) {
@@ -398,24 +327,7 @@ pub fn report(rows: &[SimspeedRow]) {
             r.kernel, r.vs_tree
         );
     }
-    if let Some(best) = rows
-        .iter()
-        .filter(|r| r.threads == 4 && r.sanitizer == "off")
-        .max_by(|a, b| a.speedup_vs_1t.total_cmp(&b.speedup_vs_1t))
-    {
-        println!(
-            "best 4-thread speedup: {:.2}x on {} ({} host core(s) available)",
-            best.speedup_vs_1t, best.kernel, best.host_cores
-        );
-        if best.host_cores < 4 {
-            println!(
-                "note: wall-clock speedup is capped by the {} available core(s); \
-                 blocks are independent, so the engine scales with cores",
-                best.host_cores
-            );
-        }
-    }
-    for r in rows.iter().filter(|r| r.threads == 1 && r.sanitizer != "off") {
+    for r in rows.iter().filter(|r| r.sanitizer != "off") {
         println!(
             "sanitizer {} on {}: {:.2}x overhead at 1 thread",
             r.sanitizer, r.kernel, r.overhead_vs_off
@@ -428,14 +340,15 @@ pub fn report(rows: &[SimspeedRow]) {
 mod tests {
     use super::*;
 
-    /// The quick sweep runs end to end, cycles are thread-invariant, and
-    /// every (kernel, threads, sanitizer) cell is present.
+    /// The quick run goes end to end, cycles are invariant across
+    /// sanitizer modes and engines, and every (kernel, sanitizer) cell is
+    /// present.
     #[test]
     fn quick_sweep_is_complete_and_consistent() {
         let rows = run(true);
-        // 3 kernels × (4 off + 4 adaptive + 1 dense) + 2 engine-leg
-        // kernels × {tree, bytecode}.
-        assert_eq!(rows.len(), 3 * 9 + 4);
+        // 3 kernels × {off, adaptive, dense} + 2 engine-leg kernels ×
+        // {tree, bytecode}.
+        assert_eq!(rows.len(), 3 * 3 + 2 * 2);
         for kernel in ["ideal", "spmv", "laplace3d", "laplace3d-n6", "stencil2d-26x14"] {
             let cycles: Vec<u64> =
                 rows.iter().filter(|r| r.kernel == kernel).map(|r| r.cycles).collect();

@@ -823,19 +823,13 @@ impl CompiledKernel {
     }
 
     /// Lint, then launch; panics with the rendered report if simtlint
-    /// found `Error`-severity diagnostics (set `SIMT_LINT=0` to skip the
-    /// gate), and panics on configuration errors (convenience for examples
-    /// and benches).
+    /// found `Error`-severity diagnostics, and panics on configuration
+    /// errors (convenience for examples and benches). [`Self::launch`] is
+    /// the ungated entry point.
     pub fn run(&self, dev: &mut Device, args: &[Slot]) -> LaunchStats {
-        let gate = std::env::var("SIMT_LINT").map(|v| v != "0").unwrap_or(true);
-        if gate {
-            let report = self.lint(&dev.arch, args.len());
-            if report.has_errors() {
-                panic!(
-                    "simtlint rejected the launch (set SIMT_LINT=0 to override):\n{}",
-                    report.render("kernel")
-                );
-            }
+        let report = self.lint(&dev.arch, args.len());
+        if report.has_errors() {
+            panic!("simtlint rejected the launch:\n{}", report.render("kernel"));
         }
         self.launch(dev, args).expect("kernel launch failed")
     }

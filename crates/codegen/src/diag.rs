@@ -13,8 +13,8 @@ pub enum Severity {
     /// Legal but guaranteed-suboptimal or degenerate (e.g. staging that
     /// always takes the global fallback, zero-trip loops).
     Warning,
-    /// A plan that is illegal or would misbehave at runtime; launches are
-    /// gated on these (overridable with `SIMT_LINT=0`).
+    /// A plan that is illegal or would misbehave at runtime;
+    /// `CompiledKernel::run` refuses to launch on these.
     Error,
 }
 

@@ -418,8 +418,7 @@ fn dead_stage_verdicts_match_runtime_staging_counters() {
 // ---------------------------------------------------------------------------
 
 /// `CompiledKernel::run` refuses to launch a plan with Error-severity
-/// diagnostics (the `SIMT_LINT=0` override is deliberately not exercised
-/// here: mutating the environment races with parallel tests).
+/// diagnostics.
 #[test]
 #[should_panic(expected = "simtlint rejected the launch")]
 fn run_gates_on_error_diagnostics() {

@@ -110,8 +110,10 @@ pub(crate) struct Segment {
 }
 
 // Every access runs `elem` inline: the `alive` load, the type compare and
-// the bounds compare on the way to the words. The panics they guard stay
-// out of line, so the whole path inlines into a lane closure.
+// the bounds compare on the way to the words. The bounds compare also
+// catches an `off + idx` that wraps past `u64::MAX`, so a wrapped index is
+// an OOB panic in every profile. The panics they guard stay out of line, so
+// the whole path inlines into a lane closure.
 impl Segment {
     /// Panic unless the segment is alive and holds `T`s.
     #[inline(always)]
@@ -122,16 +124,18 @@ impl Segment {
         }
     }
 
-    /// The words of element `i`, after the alive, type and bounds checks;
-    /// `op` names the access in the out-of-bounds panic.
+    /// The index of element `idx` relative to `p` and its words, after the
+    /// alive, type and bounds checks; `op` names the access in the
+    /// out-of-bounds panic.
     #[inline(always)]
-    fn elem<T: DevValue>(&self, seg: u32, i: usize, op: &'static str) -> &[AtomicU64] {
-        self.check::<T>(seg);
-        if i >= self.len {
-            out_of_bounds(op, i, self.len);
+    fn elem<T: DevValue>(&self, p: DPtr<T>, idx: u64, op: &'static str) -> (u64, &[AtomicU64]) {
+        self.check::<T>(p.seg);
+        let (i, wrapped) = p.off.overflowing_add(idx);
+        if wrapped | (i >= self.len as u64) {
+            out_of_bounds(op, p.off, idx, self.len);
         }
-        let base = i * T::WORDS;
-        &self.words[base..base + T::WORDS]
+        let base = i as usize * T::WORDS;
+        (i, &self.words[base..base + T::WORDS])
     }
 
     /// The words of `len` elements from `p`, after the alive, type and
@@ -139,8 +143,9 @@ impl Segment {
     fn range<T: DevValue>(&self, p: DPtr<T>, len: usize, oob: &str) -> &[AtomicU64] {
         self.check::<T>(p.seg);
         let start = p.off as usize;
-        assert!(start + len <= self.len, "{oob}");
-        &self.words[start * T::WORDS..(start + len) * T::WORDS]
+        let end = start.checked_add(len).filter(|&end| end <= self.len);
+        let Some(end) = end else { panic!("{oob}") };
+        &self.words[start * T::WORDS..end * T::WORDS]
     }
 
     /// Synthetic byte address of element `i`.
@@ -149,26 +154,43 @@ impl Segment {
         self.base + i * std::mem::size_of::<T>() as u64
     }
 
-    #[inline(always)]
-    fn read<T: DevValue>(&self, seg: u32, i: usize) -> T {
-        let words = self.elem::<T>(seg, i, "read");
-        T::load_words(&mut |j| words[j].load(Ordering::Relaxed))
+    /// Synthetic byte address of element `idx` relative to `p`, which may
+    /// lie past the end; an address that wraps `u64` is an OOB panic.
+    fn addr_rel<T: DevValue>(&self, p: DPtr<T>, idx: u64) -> u64 {
+        let bytes = std::mem::size_of::<T>() as u64;
+        let offset = p.off.checked_add(idx).and_then(|i| i.checked_mul(bytes));
+        match offset.and_then(|o| o.checked_add(self.base)) {
+            Some(addr) => addr,
+            None => out_of_bounds("address", p.off, idx, self.len),
+        }
     }
 
+    /// Read element `idx` relative to `p`; returns its synthetic address.
     #[inline(always)]
-    fn write<T: DevValue>(&self, seg: u32, i: usize, v: T) {
-        let words = self.elem::<T>(seg, i, "write");
+    fn read<T: DevValue>(&self, p: DPtr<T>, idx: u64) -> (u64, T) {
+        let (i, words) = self.elem(p, idx, "read");
+        (self.addr::<T>(i), T::load_words(&mut |j| words[j].load(Ordering::Relaxed)))
+    }
+
+    /// Write element `idx` relative to `p`; returns its synthetic address.
+    #[inline(always)]
+    fn write<T: DevValue>(&self, p: DPtr<T>, idx: u64, v: T) -> u64 {
+        let (i, words) = self.elem(p, idx, "write");
         v.store_words(&mut |j, w| words[j].store(w, Ordering::Relaxed));
+        self.addr::<T>(i)
     }
 
-    /// Atomic read-modify-write of the single storage word of element `i`.
+    /// Atomic read-modify-write of the single storage word of element `idx`
+    /// relative to `p`; returns its synthetic address and the old word.
     /// Only valid for 1-word element types (`f64`/`u64` atomics).
     #[inline(always)]
-    fn rmw_word<T: DevValue>(&self, seg: u32, i: usize, f: impl Fn(u64) -> u64) -> u64 {
+    fn rmw_word<T: DevValue>(&self, p: DPtr<T>, idx: u64, f: impl Fn(u64) -> u64) -> (u64, u64) {
         debug_assert_eq!(T::WORDS, 1);
-        self.elem::<T>(seg, i, "write")[0]
+        let (i, words) = self.elem(p, idx, "write");
+        let old = words[0]
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| Some(f(w)))
-            .unwrap_or_else(|w| w)
+            .unwrap_or_else(|w| w);
+        (self.addr::<T>(i), old)
     }
 
     fn logical_bytes(&self) -> u64 {
@@ -186,11 +208,16 @@ fn bad_access(seg: u32, alive: bool, ty: &str) -> ! {
     panic!("type confusion on segment {seg}: expected Vec<{ty}>");
 }
 
-/// The out-of-bounds panic of [`Segment::elem`].
+/// The out-of-bounds panic of [`Segment::elem`] and [`Segment::addr_rel`]:
+/// element `idx` relative to an offset `off` lies past `len`, or its index
+/// or address wraps.
 #[cold]
 #[inline(never)]
-fn out_of_bounds(op: &str, i: usize, len: usize) -> ! {
-    panic!("device OOB {op}: idx {i} >= len {len}");
+fn out_of_bounds(op: &str, off: u64, idx: u64, len: usize) -> ! {
+    match off.checked_add(idx) {
+        Some(i) => panic!("device OOB {op}: idx {i} >= len {len}"),
+        None => panic!("device OOB {op}: idx {off} + {idx} wraps (len {len})"),
+    }
 }
 
 struct Master {
@@ -328,20 +355,20 @@ impl GlobalMem {
     /// cycle cost — kernels charge through their `Lane` instead).
     #[inline]
     pub fn read<T: DevValue>(&self, p: DPtr<T>, idx: u64) -> T {
-        self.seg(p.seg).read(p.seg, (p.off + idx) as usize)
+        self.seg(p.seg).read(p, idx).1
     }
 
     /// Write element `idx` relative to pointer `p`.
     #[inline]
     pub fn write<T: DevValue>(&self, p: DPtr<T>, idx: u64, v: T) {
-        self.seg(p.seg).write(p.seg, (p.off + idx) as usize, v);
+        self.seg(p.seg).write(p, idx, v);
     }
 
     /// Synthetic byte address of element `idx` relative to `p`, used by the
     /// coalescing analysis.
     #[inline]
     pub fn addr_of<T: DevValue>(&self, p: DPtr<T>, idx: u64) -> u64 {
-        self.seg(p.seg).addr::<T>(p.off + idx)
+        self.seg(p.seg).addr_rel(p, idx)
     }
 
     /// Number of elements in the segment behind `p`, counted from `p`'s
@@ -545,7 +572,7 @@ impl<'g> GlobalView<'g> {
     /// Synthetic byte address of element `idx` relative to `p`.
     #[inline]
     pub fn addr_of<T: DevValue>(&mut self, p: DPtr<T>, idx: u64) -> u64 {
-        self.seg(p.seg).addr::<T>(p.off + idx)
+        self.seg(p.seg).addr_rel(p, idx)
     }
 
     /// Atomic `fetch_add` on an `f64` element; returns the old value.
@@ -568,36 +595,26 @@ impl<'g> GlobalView<'g> {
     /// Read element `idx` relative to `p`, returning its synthetic address.
     #[inline(always)]
     pub(crate) fn read_at<T: DevValue>(&mut self, p: DPtr<T>, idx: u64) -> (u64, T) {
-        let i = p.off + idx;
-        let s = self.seg(p.seg);
-        (s.addr::<T>(i), s.read(p.seg, i as usize))
+        self.seg(p.seg).read(p, idx)
     }
 
     /// Write element `idx` relative to `p`, returning its synthetic address.
     #[inline(always)]
     pub(crate) fn write_at<T: DevValue>(&mut self, p: DPtr<T>, idx: u64, v: T) -> u64 {
-        let i = p.off + idx;
-        let s = self.seg(p.seg);
-        s.write(p.seg, i as usize, v);
-        s.addr::<T>(i)
+        self.seg(p.seg).write(p, idx, v)
     }
 
     /// [`Self::atomic_add_f64`] plus the element's synthetic address.
     #[inline(always)]
     pub(crate) fn atomic_add_f64_at(&mut self, p: DPtr<f64>, idx: u64, v: f64) -> (u64, f64) {
-        let i = p.off + idx;
-        let s = self.seg(p.seg);
-        let old = s.rmw_word::<f64>(p.seg, i as usize, |w| (f64::from_bits(w) + v).to_bits());
-        (s.addr::<f64>(i), f64::from_bits(old))
+        let (addr, old) = self.seg(p.seg).rmw_word(p, idx, |w| (f64::from_bits(w) + v).to_bits());
+        (addr, f64::from_bits(old))
     }
 
     /// [`Self::atomic_add_u64`] plus the element's synthetic address.
     #[inline(always)]
     pub(crate) fn atomic_add_u64_at(&mut self, p: DPtr<u64>, idx: u64, v: u64) -> (u64, u64) {
-        let i = p.off + idx;
-        let s = self.seg(p.seg);
-        let old = s.rmw_word::<u64>(p.seg, i as usize, |w| w.wrapping_add(v));
-        (s.addr::<u64>(i), old)
+        self.seg(p.seg).rmw_word(p, idx, |w| w.wrapping_add(v))
     }
 
     /// Allocate a zero-initialized fallback segment in this block's arena.

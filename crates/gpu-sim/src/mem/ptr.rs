@@ -73,10 +73,11 @@ impl<T: DevValue> DPtr<T> {
         self.off
     }
 
-    /// Pointer to element `self.offset() + delta`.
+    /// Pointer to element `self.offset() + delta`. A sum past the
+    /// encodable range, wrapping included, panics in every profile.
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, delta: u64) -> DPtr<T> {
-        DPtr::new(self.seg, self.off + delta)
+        DPtr::new(self.seg, self.off.saturating_add(delta))
     }
 
     /// Encode into an 8-byte slot bit pattern.

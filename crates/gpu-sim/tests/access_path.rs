@@ -54,6 +54,62 @@ fn oob_atomic_add_f64_through_a_lane_panics() {
     });
 }
 
+// An index that wraps `offset + idx` past `u64::MAX` is out of bounds in
+// every profile: it neither aliases a low element nor trips the debug
+// profile's overflow check.
+
+#[test]
+#[should_panic(expected = "device OOB read: idx 5 + 18446744073709551613 wraps (len 8)")]
+fn wrapping_read_through_a_lane_panics() {
+    let mut dev = one_thread_device();
+    let p = dev.global.alloc_from(&(0..8).map(|i| i as f64).collect::<Vec<_>>());
+    let _ = dev.launch(&one_block(), move |team| {
+        team.run_lanes(0, &[0], |lane, _| {
+            lane.read(p.add(5), -3i64 as u64);
+        });
+    });
+}
+
+#[test]
+#[should_panic(expected = "device OOB write: idx 2 + 18446744073709551615 wraps (len 3)")]
+fn wrapping_write_through_a_lane_panics() {
+    let mut dev = one_thread_device();
+    let p = dev.global.alloc_zeroed::<u32>(3);
+    let _ = dev.launch(&one_block(), move |team| {
+        team.run_lanes(0, &[0], |lane, _| {
+            lane.write(p.add(2), u64::MAX, 1);
+        });
+    });
+}
+
+#[test]
+#[should_panic(expected = "device OOB write: idx 1 + 18446744073709551615 wraps (len 2)")]
+fn wrapping_atomic_through_a_lane_panics() {
+    let mut dev = one_thread_device();
+    let p = dev.global.alloc_zeroed::<u64>(2);
+    let _ = dev.launch(&one_block(), move |team| {
+        team.run_lanes(0, &[0], |lane, _| {
+            lane.atomic_add_u64(p.add(1), u64::MAX, 1);
+        });
+    });
+}
+
+#[test]
+#[should_panic(expected = "device OOB read: idx 4 + 18446744073709551615 wraps (len 8)")]
+fn wrapping_host_read_panics() {
+    let dev = one_thread_device();
+    let p = dev.global.alloc_from(&[0u64; 8]);
+    dev.global.read(p.add(4), -1i64 as u64);
+}
+
+#[test]
+#[should_panic(expected = "device OOB address: idx 2305843009213693952 >= len 4")]
+fn wrapping_host_address_panics() {
+    let dev = one_thread_device();
+    let p = dev.global.alloc_zeroed::<f64>(4);
+    dev.global.addr_of(p, 1 << 61);
+}
+
 #[test]
 #[should_panic(expected = "type confusion on segment 1: expected Vec<u32>")]
 fn type_confusion_through_a_lane_panics() {

@@ -7,8 +7,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// The knobs, each with exactly one reader.
-const KNOBS: [&str; 5] =
-    ["SIMT_LINT", "SIMT_SANITIZE", "SIMT_SIM_ARCH", "SIMT_SIM_ORACLE", "SIMT_SIM_THREADS"];
+const KNOBS: [&str; 4] = ["SIMT_SANITIZE", "SIMT_SIM_ARCH", "SIMT_SIM_ORACLE", "SIMT_SIM_THREADS"];
 
 /// Every `.rs` file under `dir`, skipping build output directories.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -39,7 +38,7 @@ fn knob_literals(src: &str) -> impl Iterator<Item = &str> {
 }
 
 #[test]
-fn env_knobs_are_exactly_the_documented_five() {
+fn env_knobs_are_exactly_the_documented_four() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     rust_files(&root.join("src"), &mut files);
