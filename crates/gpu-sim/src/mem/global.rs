@@ -371,14 +371,6 @@ impl GlobalMem {
         self.seg(p.seg).addr_rel(p, idx)
     }
 
-    /// Number of elements in the segment behind `p`, counted from `p`'s
-    /// offset.
-    pub fn len_of<T: DevValue>(&self, p: DPtr<T>) -> usize {
-        let s = self.seg(p.seg);
-        s.check::<T>(p.seg);
-        s.len - p.off as usize
-    }
-
     /// Copy `len` elements starting at `p` back to the host. The alive,
     /// type and bounds checks run once for the whole range.
     pub fn read_slice<T: DevValue>(&self, p: DPtr<T>, len: usize) -> Vec<T> {
@@ -649,13 +641,6 @@ impl<'g> GlobalView<'g> {
         }
     }
 
-    /// Number of elements in the segment behind `p`, from `p`'s offset.
-    pub fn len_of<T: DevValue>(&mut self, p: DPtr<T>) -> usize {
-        let s = self.seg(p.seg);
-        s.check::<T>(p.seg);
-        s.len - p.off as usize
-    }
-
     /// The underlying shared memory object.
     pub fn mem(&self) -> &'g GlobalMem {
         self.mem
@@ -729,7 +714,6 @@ mod tests {
         let g = GlobalMem::new();
         let p = g.alloc_zeroed::<u32>(5);
         assert_eq!(g.read_slice(p, 5), vec![0; 5]);
-        assert_eq!(g.len_of(p), 5);
     }
 
     #[test]
@@ -750,7 +734,6 @@ mod tests {
         let p = g.alloc_from(&[10u32, 20, 30, 40]);
         let q = p.add(2);
         assert_eq!(g.read(q, 0), 30);
-        assert_eq!(g.len_of(q), 2);
     }
 
     #[test]

@@ -49,10 +49,6 @@ struct OpRec {
     cost: Option<u64>,
     /// Dependences: `(producer stream, watermark)` pairs from events.
     deps: Vec<(u32, u32)>,
-    /// Earliest simulated start time (release/arrival constraint). 0 for
-    /// stream-enqueued ops; launch services record each job's virtual
-    /// arrival time here so queueing delay is observable on the timeline.
-    earliest: u64,
     /// Global real-completion stamp (order the helper threads finished in).
     completed_at: Option<u64>,
     /// Thread blocks the op launched (kernel launches only; 0 otherwise).
@@ -217,10 +213,7 @@ impl Timeline {
     }
 
     /// Register a stream bound to `device`; returns its timeline id.
-    ///
-    /// Public so launch services can carve out accounting streams on a
-    /// shared timeline without going through [`crate::HostRuntime`].
-    pub fn register_stream(&self, device: u32) -> u32 {
+    pub(crate) fn register_stream(&self, device: u32) -> u32 {
         let mut tl = self.inner.lock();
         tl.streams.push(StreamRec { device, ops: Vec::new() });
         (tl.streams.len() - 1) as u32
@@ -229,28 +222,13 @@ impl Timeline {
     /// Append a real operation to `stream`'s queue; its cost arrives later
     /// via [`Timeline::finish_op`].
     pub(crate) fn begin_op(&self, stream: u32, resource: Resource) -> OpId {
-        self.push(stream, Some(resource), None, Vec::new(), 0)
+        self.push(stream, Some(resource), None, Vec::new())
     }
 
     /// Append a wait marker: a zero-cost op depending on
     /// `(producer stream, watermark)`.
     pub(crate) fn begin_wait(&self, stream: u32, dep: (u32, u32)) -> OpId {
-        self.push(stream, None, Some(0), vec![dep], 0)
-    }
-
-    /// Record a fully-costed job on `stream` in one shot: appended, costed,
-    /// and release-constrained to start no earlier than `not_before`
-    /// simulated cycles. This is the dispatcher entry point — a launch
-    /// service that executed a job on a scratch device calls this once to
-    /// place the job's compute interval on the fleet timeline, and the gap
-    /// `start(op) − not_before` is the job's virtual queueing delay.
-    pub fn record_job(&self, stream: u32, resource: Resource, cost: u64, not_before: u64) -> OpId {
-        let id = self.push(stream, Some(resource), Some(cost), Vec::new(), not_before);
-        let mut tl = self.inner.lock();
-        let stamp = tl.completion_stamp;
-        tl.completion_stamp = stamp + 1;
-        tl.ops[id].completed_at = Some(stamp);
-        id
+        self.push(stream, None, Some(0), vec![dep])
     }
 
     fn push(
@@ -259,7 +237,6 @@ impl Timeline {
         resource: Option<Resource>,
         cost: Option<u64>,
         deps: Vec<(u32, u32)>,
-        earliest: u64,
     ) -> OpId {
         let mut tl = self.inner.lock();
         let id = tl.ops.len();
@@ -272,7 +249,6 @@ impl Timeline {
             resource,
             cost,
             deps,
-            earliest,
             completed_at: None,
             blocks: 0,
         });
@@ -307,12 +283,6 @@ impl Timeline {
     /// Aggregate statistics over the currently schedulable prefix.
     pub fn stats(&self) -> TimelineStats {
         self.inner.lock().sched().stats.clone()
-    }
-
-    /// `(start, finish)` of every op, indexed by [`OpId`]; `None` for an
-    /// op not yet schedulable.
-    pub fn op_times(&self) -> Vec<Option<(u64, u64)>> {
-        self.inner.lock().sched().times.clone()
     }
 
     /// The scheduled operations (ops whose cost is still unknown are
@@ -398,7 +368,7 @@ fn schedule(tl: &TlInner) -> Sched {
                 dep_ready = dep_ready.max(prefix_fin[ps][w]);
                 dep_cp = dep_cp.max(prefix_cp[ps][w]);
             }
-            let mut start = stream_ready[s].max(dep_ready).max(op.earliest);
+            let mut start = stream_ready[s].max(dep_ready);
             if let Some(r) = op.resource {
                 start = start.max(res_ready[op.device as usize][r.index()]);
             }
@@ -586,39 +556,6 @@ mod tests {
         assert_eq!(tl.stream_finish(b), 30);
     }
 
-    #[test]
-    fn record_job_honors_release_constraints() {
-        let tl = Timeline::new();
-        let s = tl.register_stream(0);
-        // A job arriving at t=0 runs immediately; a job arriving at t=500
-        // waits for its release even though the resource is free at 100.
-        tl.record_job(s, Resource::Compute, 100, 0);
-        tl.record_job(s, Resource::Compute, 50, 500);
-        let views = tl.scheduled_ops();
-        assert_eq!(views[0].start, 0);
-        assert_eq!(views[0].finish, 100);
-        assert_eq!(views[1].start, 500);
-        assert_eq!(views[1].finish, 550);
-        assert_eq!(tl.stats().makespan, 550);
-    }
-
-    #[test]
-    fn record_job_contends_after_release() {
-        let tl = Timeline::new();
-        let a = tl.register_stream(0);
-        let b = tl.register_stream(0);
-        // Both released at t=10 on the same compute resource: the lower
-        // stream id wins the tie, the other queues behind it. Queueing
-        // delay (start − release) is 0 and 40 respectively.
-        tl.record_job(a, Resource::Compute, 40, 10);
-        tl.record_job(b, Resource::Compute, 40, 10);
-        let views = tl.scheduled_ops();
-        let va = views.iter().find(|v| v.stream == a).unwrap();
-        let vb = views.iter().find(|v| v.stream == b).unwrap();
-        assert_eq!(va.start, 10);
-        assert_eq!(vb.start, 50);
-    }
-
     /// The cached schedule is exact: after every kind of change to the
     /// log, in a seeded random order, each query answers what a fresh
     /// `schedule` pass over the same log does.
@@ -646,12 +583,17 @@ mod tests {
                     tl.begin_wait(s, (producer, tl.watermark(producer)));
                 }
                 _ => {
-                    tl.record_job(s, *rng.pick(&resources), rng.range_u64(1, 50), step);
+                    let op = tl.begin_op(s, *rng.pick(&resources));
+                    tl.finish_op(op, rng.range_u64(1, 50));
                 }
             }
             let fresh = schedule(&tl.inner.lock());
             for _ in 0..2 {
-                assert_eq!(tl.op_times(), fresh.times, "step {step}");
+                let mut times = vec![None; fresh.times.len()];
+                for v in tl.scheduled_ops() {
+                    times[v.id] = Some((v.start, v.finish));
+                }
+                assert_eq!(times, fresh.times, "step {step}");
                 assert_eq!(
                     format!("{:?}", tl.stats()),
                     format!("{:?}", fresh.stats),

@@ -16,7 +16,7 @@
 //! no matter which worker runs it, in which order, concurrently with
 //! what — which is why stealing stays stats-neutral even on a
 //! **heterogeneous fleet** mixing backends. The fleet's *devices* exist
-//! as virtual-timeline accounting streams only (see the fold in
+//! only as in-order queues in the fold's virtual-time replay (see
 //! `service.rs`); they own no mutable execution state a steal could
 //! disturb. This is DESIGN §11's isolate-then-fold discipline lifted to
 //! the service layer.

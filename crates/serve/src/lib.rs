@@ -12,8 +12,8 @@
 //! * [`spec`] — [`JobSpec`]/[`JobKind`] (what tenants submit) and
 //!   [`PlanKey`] (how plans are content-addressed);
 //! * [`plan`] — the **warm-plan cache**: compile → simtlint → flat
-//!   lowering once per [`PlanKey`], shared via `Arc`; sharded and
-//!   read-mostly so warm launches never serialize;
+//!   lowering once per [`PlanKey`], shared via `Arc` behind one
+//!   read-mostly lock so warm launches never serialize;
 //! * [`queue`] — **admission control**: bounded per-tenant queues with
 //!   typed backpressure, micro-job coalescing sealed in submission order,
 //!   and a deficit-round-robin drain for per-tenant fairness;

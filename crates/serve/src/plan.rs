@@ -4,7 +4,7 @@
 //! This is the service's headline amortization (the serving-side analogue
 //! of the paper's runtime doing its setup once per kernel): a cold submit
 //! pays the full builder + lint fixpoint + lowering + verifier pipeline,
-//! a warm submit pays a sharded read-lock and an `Arc` clone. The cache is
+//! a warm submit pays a read-lock and an `Arc` clone. The cache is
 //! **content-addressed** on [`PlanKey`] — kernel identity, target arch,
 //! argument count, lint configuration — and stores nothing derived from
 //! input data, so it is a pure memoization: evicting and rebuilding any
@@ -15,7 +15,6 @@
 //! bytecode differs (warp width, sequential-simd legalization).
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -62,14 +61,12 @@ pub fn build_warm_plan(key: &PlanKey) -> WarmPlan {
     WarmPlan { kernel: Arc::new(kernel), flat, plan_hash }
 }
 
-/// Sharded, read-mostly plan cache. Lookups hash the key to one of
-/// [`PlanCache::SHARDS`] independent `RwLock<HashMap>` shards, so warm
-/// launches from many service workers neither serialize on one lock nor
-/// false-share across distinct plans; fills happen outside any lock and
-/// first-writer-wins, so concurrent cold misses converge on one shared
-/// `Arc`.
+/// Read-mostly plan cache: one `RwLock<HashMap>`, so warm launches from
+/// every service worker share the read lock. Fills happen outside the
+/// lock and first-writer-wins, so concurrent cold misses converge on one
+/// shared `Arc`.
 pub struct PlanCache {
-    shards: Vec<RwLock<HashMap<PlanKey, Arc<WarmPlan>>>>,
+    plans: RwLock<HashMap<PlanKey, Arc<WarmPlan>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -81,57 +78,45 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Shard count (fixed; keys spread by their std hash).
-    pub const SHARDS: usize = 8;
-
     /// Empty cache.
     pub fn new() -> PlanCache {
         PlanCache {
-            shards: (0..Self::SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            plans: RwLock::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &PlanKey) -> &RwLock<HashMap<PlanKey, Arc<WarmPlan>>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % Self::SHARDS]
-    }
-
     /// Look the key up; on a miss, build (outside the lock) and publish.
     pub fn get_or_build(&self, key: &PlanKey) -> Arc<WarmPlan> {
-        let shard = self.shard(key);
-        if let Some(plan) = shard.read().unwrap().get(key) {
+        if let Some(plan) = self.plans.read().unwrap().get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(plan);
         }
         let plan = Arc::new(build_warm_plan(key));
-        let mut shard = shard.write().unwrap();
+        let mut plans = self.plans.write().unwrap();
         // A lookup that lost a concurrent cold fill adopts the published
         // plan and counts as a hit, so `misses` stays one per key.
-        let counter = if shard.contains_key(key) { &self.hits } else { &self.misses };
+        let counter = if plans.contains_key(key) { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(shard.entry(*key).or_insert(plan))
+        Arc::clone(plans.entry(*key).or_insert(plan))
     }
 
     /// Drop one entry; returns whether it was present. Subsequent lookups
     /// rebuild it — by construction bit-identically.
     pub fn evict(&self, key: &PlanKey) -> bool {
-        self.shard(key).write().unwrap().remove(key).is_some()
+        self.plans.write().unwrap().remove(key).is_some()
     }
 
     /// Drop every entry (the mid-stream eviction the differential test
     /// exercises, and a memory valve for long-lived services).
     pub fn evict_all(&self) {
-        for shard in &self.shards {
-            shard.write().unwrap().clear();
-        }
+        self.plans.write().unwrap().clear();
     }
 
     /// Cached plan count.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
+        self.plans.read().unwrap().len()
     }
 
     /// Whether the cache is empty.

@@ -33,9 +33,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use gpu_sim::{ArchId, LaunchStats, Resource};
+use gpu_sim::{ArchId, LaunchStats, ResourceCycles};
 use omp_host::sync::{Condvar, Mutex};
-use omp_host::{Timeline, TimelineStats};
+use omp_host::{DeviceBusy, TimelineStats};
 
 use crate::dispatch::{execute_unit, UnitOutcome};
 use crate::plan::PlanCache;
@@ -110,10 +110,24 @@ struct Shared {
     outcomes: Mutex<Vec<UnitOutcome>>,
     cache: PlanCache,
     steals: AtomicU64,
+    /// Signalled under the admission lock by a worker that finds the
+    /// service [`Shared::quiescent`]; [`LaunchService::quiesce`] parks on it.
+    quiesced_cv: Condvar,
     /// Units moved from admission to the deques / units fully executed —
     /// equal iff nothing is in flight (quiescence detection).
     drained_units: AtomicU64,
     completed_units: AtomicU64,
+}
+
+impl Shared {
+    /// Admission holds no unit and every drained unit has executed (so the
+    /// deques are empty too). `adm` is the held admission lock, under
+    /// which `drained_units` moves.
+    fn quiescent(&self, adm: &Admission) -> bool {
+        adm.is_drained()
+            && self.drained_units.load(Ordering::Acquire)
+                == self.completed_units.load(Ordering::Acquire)
+    }
 }
 
 /// One job's folded result.
@@ -301,6 +315,7 @@ impl LaunchService {
             deques: (0..cfg.devices).map(|_| Mutex::new(VecDeque::new())).collect(),
             admission: Mutex::new(admission),
             work_cv: Condvar::new(),
+            quiesced_cv: Condvar::new(),
             outcomes: Mutex::new(Vec::new()),
             cache: PlanCache::new(),
             steals: AtomicU64::new(0),
@@ -336,30 +351,17 @@ impl LaunchService {
     }
 
     /// Block until every job admitted so far has fully executed: open
-    /// micro batches are sealed, then the call returns once admission is
-    /// drained, every deque is empty, and no unit is in flight. The
-    /// service stays open — benches use this to time the service phase
-    /// without the shutdown fold. Must not be called on a paused fleet
-    /// with queued work (it could never drain).
+    /// micro batches are sealed, then the caller parks until admission is
+    /// drained and no unit is in flight. The service stays open — benches
+    /// use this to time the service phase without the shutdown fold. Must
+    /// not be called on a paused fleet with queued work (it could never
+    /// drain).
     pub fn quiesce(&self) {
-        {
-            let mut adm = self.shared.admission.lock();
-            adm.seal_all_open();
-        }
+        let mut adm = self.shared.admission.lock();
+        adm.seal_all_open();
         self.shared.work_cv.notify_all();
-        loop {
-            let drained_empty = {
-                let adm = self.shared.admission.lock();
-                adm.is_drained()
-            };
-            if drained_empty
-                && self.shared.deques.iter().all(|d| d.lock().is_empty())
-                && self.shared.drained_units.load(Ordering::Acquire)
-                    == self.shared.completed_units.load(Ordering::Acquire)
-            {
-                return;
-            }
-            std::thread::yield_now();
+        while !self.shared.quiescent(&adm) {
+            self.shared.quiesced_cv.wait(&mut adm);
         }
     }
 
@@ -376,24 +378,12 @@ impl LaunchService {
 
     /// Close admission, run the fleet dry, join the workers, and fold.
     pub fn shutdown(self) -> ServiceReport {
-        {
-            let mut adm = self.shared.admission.lock();
-            adm.close();
-        }
+        self.shared.admission.lock().close();
         self.shared.work_cv.notify_all();
         for w in self.workers {
             w.join().expect("service worker panicked");
         }
-        let outcomes = std::mem::take(&mut *self.shared.outcomes.lock());
-        let rejected = self.shared.admission.lock().rejected();
-        fold(
-            outcomes,
-            self.shared.cfg.devices,
-            self.shared.cache.hits(),
-            self.shared.cache.misses(),
-            rejected,
-            self.shared.steals.load(Ordering::Relaxed),
-        )
+        fold(&self.shared)
     }
 }
 
@@ -453,6 +443,11 @@ fn worker_loop(shared: &Shared, worker: u32) {
             shared.work_cv.notify_all();
             continue;
         }
+        // The worker that ran the last in-flight unit gets here next, so a
+        // parked `quiesce` always hears of it.
+        if shared.quiescent(&adm) {
+            shared.quiesced_cv.notify_all();
+        }
         if adm.closed() {
             if adm.is_drained() {
                 break;
@@ -468,89 +463,160 @@ fn worker_loop(shared: &Shared, worker: u32) {
     shared.outcomes.lock().append(&mut local);
 }
 
-/// The deterministic fold: canonical per-device arrival-order replay on
-/// one timeline, dispatch-order replay on a second, then per-job reports
-/// sorted by id.
-fn fold(
-    mut outcomes: Vec<UnitOutcome>,
-    devices: u32,
-    plan_hits: u64,
-    plan_misses: u64,
-    rejected: u64,
-    steals: u64,
-) -> ServiceReport {
-    let launches = outcomes.len() as u64;
+/// The deterministic fold of a stopped fleet: the canonical replay (per
+/// device, in arrival order), the dispatch-order replay (in drain order),
+/// then per-job reports in job-id order.
+fn fold(shared: &Shared) -> ServiceReport {
+    let outcomes = std::mem::take(&mut *shared.outcomes.lock());
+    let devices = shared.cfg.devices;
 
     // Canonical replay: per device, serve units in (arrival, first-job-id)
     // order — a pure function of what was submitted.
-    outcomes.sort_by_key(|o| (o.unit.device, o.unit.arrival_vt, o.unit.members[0].job_id));
-    let canonical = Timeline::new();
-    let streams: Vec<u32> = (0..devices).map(|d| canonical.register_stream(d)).collect();
-    let ops: Vec<usize> = outcomes
-        .iter()
-        .map(|o| {
-            canonical.record_job(
-                streams[o.unit.device as usize],
-                Resource::Compute,
-                o.stats.cycles,
-                o.unit.arrival_vt,
-            )
-        })
-        .collect();
-    // One schedule per timeline: `stats` reuses the pass `op_times` ran.
-    let times = canonical.op_times();
-    let timeline = canonical.stats();
+    let mut order: Vec<usize> = (0..outcomes.len()).collect();
+    order.sort_unstable_by_key(|&i| {
+        let u = &outcomes[i].unit;
+        (u.device, u.arrival_vt, u.members[0].job_id)
+    });
+    let times = replay(&outcomes, &order, devices);
+    let timeline = timeline_stats(&outcomes, &times, devices);
 
     // Dispatch-order replay: serve units in drain order (what DRR and the
     // deques actually decided). Scheduling-dependent beyond one worker.
-    let mut by_drain: Vec<usize> = (0..outcomes.len()).collect();
-    by_drain.sort_by_key(|&i| outcomes[i].unit.drain_seq);
-    let dispatch = Timeline::new();
-    let dstreams: Vec<u32> = (0..devices).map(|d| dispatch.register_stream(d)).collect();
-    let mut dop_of_outcome = vec![0usize; outcomes.len()];
-    for &i in &by_drain {
-        let o = &outcomes[i];
-        dop_of_outcome[i] = dispatch.record_job(
-            dstreams[o.unit.device as usize],
-            Resource::Compute,
-            o.stats.cycles,
-            o.unit.arrival_vt,
-        );
-    }
-    let dtimes = dispatch.op_times();
+    order.sort_unstable_by_key(|&i| outcomes[i].unit.drain_seq);
+    let dtimes = replay(&outcomes, &order, devices);
 
-    let mut jobs: Vec<JobReport> = Vec::new();
-    for (i, o) in outcomes.iter().enumerate() {
-        let (start_vt, finish_vt) = times[ops[i]].expect("a recorded job is costed");
-        let (disp_start_vt, disp_finish_vt) =
-            dtimes[dop_of_outcome[i]].expect("a recorded job is costed");
-        for (bi, m) in o.unit.members.iter().enumerate() {
-            jobs.push(JobReport {
-                job_id: m.job_id,
+    // Sort small `(job id, unit, member)` keys, then build each report
+    // once, in its final place.
+    let mut members: Vec<(u64, u32, u32)> = outcomes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, o)| {
+            o.unit.members.iter().enumerate().map(move |(bi, m)| (m.job_id, i as u32, bi as u32))
+        })
+        .collect();
+    members.sort_unstable();
+    let jobs = members
+        .iter()
+        .map(|&(job_id, i, bi)| {
+            let i = i as usize;
+            let o = &outcomes[i];
+            let m = &o.unit.members[bi as usize];
+            JobReport {
+                job_id,
                 tenant: m.tenant,
                 device: o.unit.device,
                 arrival_vt: m.arrival_vt,
                 batch_size: o.unit.members.len() as u32,
-                batch_index: bi as u32,
+                batch_index: bi,
                 plan_hash: o.plan_hash,
                 stats: o.stats.clone(),
                 max_abs_err: o.max_abs_err,
-                start_vt,
-                finish_vt,
-                disp_start_vt,
-                disp_finish_vt,
+                start_vt: times[i].0,
+                finish_vt: times[i].1,
+                disp_start_vt: dtimes[i].0,
+                disp_finish_vt: dtimes[i].1,
                 executed_by: o.executed_by,
                 stolen: o.stolen,
-            });
-        }
+            }
+        })
+        .collect();
+    ServiceReport {
+        jobs,
+        timeline,
+        plan_hits: shared.cache.hits(),
+        plan_misses: shared.cache.misses(),
+        launches: outcomes.len() as u64,
+        rejected: shared.admission.lock().rejected(),
+        steals: shared.steals.load(Ordering::Relaxed),
     }
-    jobs.sort_by_key(|j| j.job_id);
-    ServiceReport { jobs, timeline, plan_hits, plan_misses, launches, rejected, steals }
+}
+
+/// Replay the units in `order` with each fleet device as one in-order
+/// queue: a unit starts once it has arrived and its device has finished
+/// the unit before it. Returns `(start, finish)` per outcome index.
+fn replay(outcomes: &[UnitOutcome], order: &[usize], devices: u32) -> Vec<(u64, u64)> {
+    let mut ready = vec![0u64; devices as usize];
+    let mut times = vec![(0, 0); outcomes.len()];
+    for &i in order {
+        let unit = &outcomes[i].unit;
+        let ready = &mut ready[unit.device as usize];
+        let start = (*ready).max(unit.arrival_vt);
+        *ready = start + outcomes[i].stats.cycles;
+        times[i] = (start, *ready);
+    }
+    times
+}
+
+/// The fleet aggregate of a replay. Every device is one queue on one
+/// compute resource with no dependence edges, so the critical path is the
+/// busiest device's total.
+fn timeline_stats(outcomes: &[UnitOutcome], times: &[(u64, u64)], devices: u32) -> TimelineStats {
+    let mut per_device: Vec<DeviceBusy> =
+        (0..devices).map(|device| DeviceBusy { device, busy: ResourceCycles::default() }).collect();
+    for o in outcomes {
+        per_device[o.unit.device as usize].busy.compute += o.stats.cycles;
+    }
+    let serialized: u64 = per_device.iter().map(|d| d.busy.compute).sum();
+    let makespan = times.iter().map(|&(_, finish)| finish).max().unwrap_or(0);
+    TimelineStats {
+        makespan,
+        serialized,
+        critical_path: per_device.iter().map(|d| d.busy.compute).max().unwrap_or(0),
+        overlap_ratio: if serialized > 0 { 1.0 - makespan as f64 / serialized as f64 } else { 0.0 },
+        ops: outcomes.len() as u64,
+        per_device,
+        ..TimelineStats::default()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn outcome(device: u32, arrival_vt: u64, cycles: u64) -> UnitOutcome {
+        let key = crate::spec::PlanKey {
+            kernel: crate::spec::PlanKernel::MicroBatch { k: 1 },
+            arch: ArchId::A100,
+            nargs: crate::spec::NARGS,
+            lint: true,
+        };
+        let member = crate::queue::Member { job_id: 0, tenant: 0, arrival_vt };
+        UnitOutcome {
+            unit: Unit {
+                device,
+                kind: crate::queue::UnitKind::Micro { rows: 1, inner: 8 },
+                key,
+                members: vec![member],
+                arrival_vt,
+                drain_seq: 0,
+            },
+            stats: LaunchStats { cycles, ..LaunchStats::default() },
+            plan_hash: 0,
+            max_abs_err: None,
+            executed_by: 0,
+            stolen: false,
+        }
+    }
+
+    #[test]
+    fn replay_queues_per_device_and_honors_arrivals() {
+        let outcomes = [
+            outcome(0, 0, 100),  // runs at once
+            outcome(0, 500, 50), // device idle from 100: waits for its arrival
+            outcome(0, 510, 40), // queues behind the previous unit
+            outcome(1, 10, 40),  // another device: no contention
+        ];
+        let times = replay(&outcomes, &[0, 1, 2, 3], 3);
+        assert_eq!(times, [(0, 100), (500, 550), (550, 590), (10, 50)]);
+        // Order decides who waits on a device.
+        let swapped = replay(&outcomes, &[2, 1, 0, 3], 3);
+        assert_eq!(swapped[..3], [(600, 700), (550, 600), (510, 550)]);
+
+        let st = timeline_stats(&outcomes, &times, 3);
+        assert_eq!((st.makespan, st.serialized, st.critical_path, st.ops), (590, 230, 190, 4));
+        let compute: Vec<u64> = st.per_device.iter().map(|d| d.busy.compute).collect();
+        assert_eq!(compute, [190, 40, 0], "an idle device is still reported");
+    }
 
     #[test]
     fn percentile_nearest_rank() {

@@ -222,3 +222,41 @@ fn warm_cache_compiles_once_per_geometry() {
     assert_eq!(report.plan_misses, 1, "one geometry, one compile");
     assert_eq!(report.plan_hits, 7);
 }
+
+#[test]
+fn quiesce_parks_until_idle_and_leaves_the_report_unchanged() {
+    let run = |quiesce: bool| {
+        let svc = LaunchService::start(ServiceConfig {
+            devices: 2,
+            workers: 2,
+            sim_threads: Some(1),
+            ..ServiceConfig::default()
+        });
+        let a = svc.client("a");
+        let b = svc.client("b");
+        for i in 0..60u64 {
+            a.submit(&ideal(1 + i as usize % 2, i, i * 7)).unwrap();
+            b.submit(&micro(1, 8, i * 7)).unwrap();
+        }
+        if quiesce {
+            svc.quiesce();
+            // Everything admitted has run, so every plan is resident; a
+            // second call finds the fleet idle and returns at once.
+            assert_eq!(svc.cached_plans(), 3);
+            svc.quiesce();
+        }
+        svc.shutdown().digest()
+    };
+    testkit::with_deadline("serve-quiesce", std::time::Duration::from_secs(120), move || {
+        assert_eq!(run(true), run(false), "quiescing must not change the folded report");
+    });
+}
+
+#[test]
+fn quiesce_returns_at_once_on_an_empty_fleet() {
+    testkit::with_deadline("serve-quiesce-empty", std::time::Duration::from_secs(60), || {
+        let svc = LaunchService::start(ServiceConfig { workers: 2, ..ServiceConfig::default() });
+        svc.quiesce();
+        assert!(svc.shutdown().jobs.is_empty());
+    });
+}
