@@ -5,12 +5,12 @@
 //! (which measures simulated-cycle rates per workload, multi-threaded
 //! included) does not answer.
 //!
-//! The sanitizer leg asks what the simtcheck sanitizer costs — with its
-//! adaptive epoch representation versus the dense O(warps·lanes²) table it
-//! replaced. It runs {ideal, spmv, laplace3d} × sanitizer {off, adaptive,
-//! dense} on 1 host thread and emits `target/figures/BENCH_simspeed.json`
-//! with wall-clock, simulated-cycles-per-second and the sanitizer overhead
-//! relative to the unsanitized run.
+//! The sanitizer leg asks what the simtcheck sanitizer, with its adaptive
+//! epoch representation, costs. It runs {ideal, spmv, laplace3d} ×
+//! sanitizer {off, adaptive} on 1 host thread and emits
+//! `target/figures/BENCH_simspeed.json` with wall-clock,
+//! simulated-cycles-per-second and the sanitizer overhead relative to the
+//! unsanitized run.
 //!
 //! A second leg compares the two execution engines — the flat-bytecode
 //! interpreter (the default) against the tree-walk oracle — on
@@ -36,7 +36,7 @@ use crate::report::{print_table, save_json, JsonRow, JsonValue};
 pub struct SimspeedRow {
     /// Kernel name.
     pub kernel: &'static str,
-    /// Sanitizer mode: `off`, `adaptive`, or `dense`.
+    /// Sanitizer mode: `off` or `adaptive`.
     pub sanitizer: &'static str,
     /// Wall-clock milliseconds for the launch (best of the repetitions).
     pub wall_ms: f64,
@@ -72,24 +72,6 @@ impl JsonRow for SimspeedRow {
     }
 }
 
-/// Sanitizer mode of one measurement.
-#[derive(Clone, Copy, PartialEq)]
-enum San {
-    Off,
-    Adaptive,
-    Dense,
-}
-
-impl San {
-    fn label(self) -> &'static str {
-        match self {
-            San::Off => "off",
-            San::Adaptive => "adaptive",
-            San::Dense => "dense",
-        }
-    }
-}
-
 struct Sizes {
     ideal_outer: usize,
     spmv_rows: usize,
@@ -115,32 +97,23 @@ fn sizes(quick: bool) -> Sizes {
             spmv_rows: 65_536,
             laplace_n: 48,
             teams: 216,
-            // Large blocks (16 warps) so the dense sanitizer baseline pays
-            // its O(warps * ws^2) per-barrier refill where the adaptive
-            // representation stays O(warps).
             threads_per_team: 512,
             reps: 3,
         }
     }
 }
 
-/// A launch runner: returns the simulated cycle count and wall-clock
-/// milliseconds of one full launch on a freshly prepared device (setup
-/// excluded from timing).
-type Runner<'a> = Box<dyn FnMut(San) -> (u64, f64) + 'a>;
+/// A launch runner: given whether the sanitizer is on, returns the
+/// simulated cycle count and wall-clock milliseconds of one full launch on
+/// a freshly prepared device (setup excluded from timing).
+type Runner<'a> = Box<dyn FnMut(bool) -> (u64, f64) + 'a>;
 
-fn time_one(dev: &mut Device, san: San, mut launch: impl FnMut(&mut Device) -> u64) -> (u64, f64) {
+fn time_one(dev: &mut Device, san: bool, mut launch: impl FnMut(&mut Device) -> u64) -> (u64, f64) {
     dev.set_sim_threads(Some(1));
-    match san {
-        San::Off => dev.disable_sanitizer(),
-        San::Adaptive => {
-            dev.enable_sanitizer();
-            dev.use_dense_sanitizer(false);
-        }
-        San::Dense => {
-            dev.enable_sanitizer();
-            dev.use_dense_sanitizer(true);
-        }
+    if san {
+        dev.enable_sanitizer();
+    } else {
+        dev.disable_sanitizer();
     }
     let t0 = Instant::now();
     let cycles = launch(dev);
@@ -194,9 +167,9 @@ pub fn run(quick: bool) -> Vec<SimspeedRow> {
     let mut rows = Vec::new();
     for (kernel, runner) in &mut runners {
         // Warm-up: populate code/data caches before any timed run.
-        let _ = runner(San::Off);
-        // One cell per sanitizer mode: (mode, best wall, cycles).
-        let mut cells = [San::Off, San::Adaptive, San::Dense].map(|san| (san, f64::INFINITY, 0));
+        let _ = runner(false);
+        // One cell per sanitizer mode: (on, best wall, cycles).
+        let mut cells = [false, true].map(|san| (san, f64::INFINITY, 0));
         // Measure the cells round-robin (not cell-by-cell) so slow host
         // minutes penalize every sanitizer mode equally instead of biasing
         // whichever cell happened to be up; best-of per cell across rounds.
@@ -216,7 +189,7 @@ pub fn run(quick: bool) -> Vec<SimspeedRow> {
         for (san, wall_ms, cycles) in cells {
             rows.push(SimspeedRow {
                 kernel,
-                sanitizer: san.label(),
+                sanitizer: if san { "adaptive" } else { "off" },
                 wall_ms,
                 cycles,
                 cycles_per_sec: cycles as f64 / (wall_ms / 1e3),
@@ -346,9 +319,9 @@ mod tests {
     #[test]
     fn quick_sweep_is_complete_and_consistent() {
         let rows = run(true);
-        // 3 kernels × {off, adaptive, dense} + 2 engine-leg kernels ×
+        // 3 kernels × {off, adaptive} + 2 engine-leg kernels ×
         // {tree, bytecode}.
-        assert_eq!(rows.len(), 3 * 3 + 2 * 2);
+        assert_eq!(rows.len(), 3 * 2 + 2 * 2);
         for kernel in ["ideal", "spmv", "laplace3d", "laplace3d-n6", "stencil2d-26x14"] {
             let cycles: Vec<u64> =
                 rows.iter().filter(|r| r.kernel == kernel).map(|r| r.cycles).collect();

@@ -8,11 +8,11 @@
 //! its legalization on.
 //!
 //! Architectures are **registered**, not ad-hoc: [`ArchId`] names every
-//! backend the simulator ships, [`ArchRegistry`] resolves names (including
-//! the `SIMT_SIM_ARCH` environment selection every harness honors), and the
-//! same `ArchId` keys the serve layer's warm-plan cache so one fleet can mix
-//! backends. Tests may still construct custom [`DeviceArch`] values directly
-//! — the registry is the named surface, not a straitjacket.
+//! backend the simulator ships (`ArchId::ALL`), resolves names (including
+//! the `SIMT_SIM_ARCH` environment selection, `ArchId::from_env`), and keys
+//! the serve layer's warm-plan cache so one fleet can mix backends. Tests
+//! may still construct custom [`DeviceArch`] values directly — the
+//! registry is the named surface, not a straitjacket.
 
 /// GPU vendor family; selects warp width conventions and capability defaults.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -190,9 +190,9 @@ impl DeviceArch {
     }
 
     /// The architecture `SIMT_SIM_ARCH` selects (default: `a100`).
-    /// Shorthand for [`ArchRegistry::from_env`]`.arch()`.
+    /// Shorthand for [`ArchId::from_env`]`.arch()`.
     pub fn from_env() -> DeviceArch {
-        ArchRegistry::from_env().arch()
+        ArchId::from_env().arch()
     }
 }
 
@@ -211,6 +211,35 @@ pub enum ArchId {
 }
 
 impl ArchId {
+    /// Every backend the simulator ships, in presentation order.
+    pub const ALL: [ArchId; 3] = [ArchId::A100, ArchId::Mi100, ArchId::Tiny];
+
+    /// Resolve a name to its id. Accepts the registry key (`"mi100"`) or
+    /// the descriptor name (`"sim-MI100"`), either case.
+    pub fn lookup(name: &str) -> Option<ArchId> {
+        let want = name.to_ascii_lowercase();
+        ArchId::ALL
+            .into_iter()
+            .find(|id| id.name() == want || id.arch().name.to_ascii_lowercase() == want)
+    }
+
+    /// The backend `SIMT_SIM_ARCH` names, defaulting to [`ArchId::A100`]
+    /// (the paper's test bed). An unknown name panics with the registry
+    /// listing — a silently substituted architecture would invalidate
+    /// every number a run produces.
+    pub fn from_env() -> ArchId {
+        match std::env::var("SIMT_SIM_ARCH") {
+            Ok(v) if !v.is_empty() => ArchId::lookup(&v).unwrap_or_else(|| {
+                panic!(
+                    "SIMT_SIM_ARCH={v:?} names no registered architecture \
+                     (known: {})",
+                    ArchId::ALL.map(ArchId::name).join(", ")
+                )
+            }),
+            _ => ArchId::A100,
+        }
+    }
+
     /// Registry name (what `SIMT_SIM_ARCH` matches).
     pub fn name(self) -> &'static str {
         match self {
@@ -245,47 +274,6 @@ impl std::fmt::Display for ArchId {
     }
 }
 
-/// The named backend registry: every architecture the simulator ships,
-/// resolvable by name (registry key or the descriptor's display name,
-/// case-insensitively) and via the `SIMT_SIM_ARCH` environment variable.
-pub struct ArchRegistry;
-
-impl ArchRegistry {
-    /// Every registered backend, in presentation order.
-    pub const ALL: [ArchId; 3] = [ArchId::A100, ArchId::Mi100, ArchId::Tiny];
-
-    /// Registry names, aligned with [`ArchRegistry::ALL`].
-    pub fn names() -> impl Iterator<Item = &'static str> {
-        Self::ALL.iter().map(|id| id.name())
-    }
-
-    /// Resolve a name to its registry id. Accepts the registry key
-    /// (`"mi100"`) or the descriptor name (`"sim-MI100"`), either case.
-    pub fn lookup(name: &str) -> Option<ArchId> {
-        let want = name.to_ascii_lowercase();
-        Self::ALL
-            .into_iter()
-            .find(|id| id.name() == want || id.arch().name.to_ascii_lowercase() == want)
-    }
-
-    /// The backend `SIMT_SIM_ARCH` names, defaulting to [`ArchId::A100`]
-    /// (the paper's test bed). An unknown name panics with the registry
-    /// listing — a silently substituted architecture would invalidate
-    /// every number a run produces.
-    pub fn from_env() -> ArchId {
-        match std::env::var("SIMT_SIM_ARCH") {
-            Ok(v) if !v.is_empty() => Self::lookup(&v).unwrap_or_else(|| {
-                panic!(
-                    "SIMT_SIM_ARCH={v:?} names no registered architecture \
-                     (known: {})",
-                    Self::names().collect::<Vec<_>>().join(", ")
-                )
-            }),
-            _ => ArchId::A100,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,13 +297,13 @@ mod tests {
 
     #[test]
     fn registry_resolves_names_and_aliases() {
-        assert_eq!(ArchRegistry::lookup("a100"), Some(ArchId::A100));
-        assert_eq!(ArchRegistry::lookup("MI100"), Some(ArchId::Mi100));
-        assert_eq!(ArchRegistry::lookup("sim-MI100"), Some(ArchId::Mi100));
-        assert_eq!(ArchRegistry::lookup("tiny"), Some(ArchId::Tiny));
-        assert_eq!(ArchRegistry::lookup("h100"), None);
-        for id in ArchRegistry::ALL {
-            assert_eq!(ArchRegistry::lookup(id.name()), Some(id));
+        assert_eq!(ArchId::lookup("a100"), Some(ArchId::A100));
+        assert_eq!(ArchId::lookup("MI100"), Some(ArchId::Mi100));
+        assert_eq!(ArchId::lookup("sim-MI100"), Some(ArchId::Mi100));
+        assert_eq!(ArchId::lookup("tiny"), Some(ArchId::Tiny));
+        assert_eq!(ArchId::lookup("h100"), None);
+        for id in ArchId::ALL {
+            assert_eq!(ArchId::lookup(id.name()), Some(id));
             assert_eq!(id.arch().warp_size, id.warp_size());
         }
     }

@@ -189,10 +189,6 @@ pub struct Device {
     trace_enabled: bool,
     trace_cap: usize,
     sanitize_enabled: bool,
-    /// Use the dense pre-compression sync table in the sanitizer (the
-    /// reference the adaptive table is checked against, and the `simspeed`
-    /// bench baseline).
-    san_dense: bool,
     /// Block-execution thread count override; `None` = `SIMT_SIM_THREADS`
     /// env or available parallelism (see [`sched::resolve_threads`]).
     sim_threads: Option<usize>,
@@ -216,7 +212,6 @@ impl Device {
             trace_enabled: false,
             trace_cap: 0,
             sanitize_enabled: sanitize_env,
-            san_dense: false,
             sim_threads: None,
             pool: sched::BlockPool::default(),
         }
@@ -240,13 +235,6 @@ impl Device {
     /// Thread count the next launch will use.
     pub fn sim_threads(&self) -> usize {
         sched::resolve_threads(self.sim_threads)
-    }
-
-    /// Select the sanitizer's sync-history representation: `true` = the
-    /// dense pre-compression `nwarps * ws^2` table (bench baseline),
-    /// `false` = the adaptive epoch representation (default).
-    pub fn use_dense_sanitizer(&mut self, dense: bool) {
-        self.san_dense = dense;
     }
 
     /// Enable the simtcheck sanitizer (see [`crate::sanitize`]) for
@@ -273,7 +261,7 @@ impl Device {
     }
 
     /// Device on the architecture `SIMT_SIM_ARCH` names (default `a100`;
-    /// see [`crate::arch::ArchRegistry::from_env`]). Harnesses that should
+    /// see [`crate::arch::ArchId::from_env`]). Harnesses that should
     /// participate in the CI arch axis construct their devices here; tests
     /// pinning backend-specific numbers keep naming the arch explicitly.
     pub fn from_env() -> Device {
@@ -333,7 +321,7 @@ impl Device {
         let cost = &self.cost;
         let arch = &self.arch;
         let (trace_enabled, trace_cap) = (self.trace_enabled, self.trace_cap);
-        let (sanitize, dense) = (self.sanitize_enabled, self.san_dense);
+        let sanitize = self.sanitize_enabled;
         let warp_size = self.arch.warp_size;
         let outcomes = self.pool.run_blocks(cfg.num_blocks, threads, |block_id| {
             let mut team =
@@ -342,11 +330,7 @@ impl Device {
                 team.attach_trace(Trace::with_capacity(trace_cap));
             }
             if sanitize {
-                let san = if dense {
-                    Sanitizer::new_dense(block_id, nwarps, warp_size, cfg.smem_bytes / 8)
-                } else {
-                    Sanitizer::new(block_id, nwarps, warp_size, cfg.smem_bytes / 8)
-                };
+                let san = Sanitizer::new(block_id, nwarps, warp_size, cfg.smem_bytes / 8);
                 team.attach_sanitizer(Box::new(san));
             }
             entry(&mut team);

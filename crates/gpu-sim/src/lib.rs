@@ -46,7 +46,7 @@ pub mod sched;
 pub mod stats;
 pub mod trace;
 
-pub use arch::{ArchId, ArchRegistry, CacheGeom, DeviceArch, Vendor};
+pub use arch::{ArchId, CacheGeom, DeviceArch, Vendor};
 pub use exec::{BankAcc, DispatchKind, Lane, ObservedEffects, TeamCtx};
 pub use launch::{Device, LaunchConfig, LaunchError};
 pub use mask::LaneMask;

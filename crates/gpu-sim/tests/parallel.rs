@@ -9,18 +9,11 @@
 //! exercises the cross-team fallback-race detector that only the parallel
 //! merge step can see.
 
+use gpu_sim::mem::shared::SmOff;
 use gpu_sim::{
-    DPtr, Device, DeviceArch, LaneMask, LaunchConfig, LaunchStats, TraceEvent, Violation,
+    DPtr, Device, DeviceArch, LaneMask, LaunchConfig, LaunchStats, Slot, TraceEvent, Violation,
 };
 use testkit::SimRng;
-
-/// Sanitizer mode for [`run_shape`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Sanitize {
-    Off,
-    Adaptive,
-    Dense,
-}
 
 /// Shape of one randomly generated kernel.
 #[derive(Clone, Copy, Debug)]
@@ -54,18 +47,14 @@ fn splitmix(mut x: u64) -> u64 {
 /// Run `shape` on a fresh device with `threads` block-execution threads.
 /// The kernel mixes every cost-bearing primitive: strided global
 /// reads/writes (disjoint per block), a shared atomic counter, shared
-/// memory, ALU work, full and masked warp syncs, and block barriers —
-/// all derived from the seed, never from execution order.
-fn run_shape(shape: KernelShape, threads: usize, sanitize: Sanitize) -> (LaunchStats, u64) {
+/// memory reads and writes on a few slots, ALU work, full and masked warp
+/// syncs, and block barriers — all derived from the seed, never from
+/// execution order.
+fn run_shape(shape: KernelShape, threads: usize, sanitize: bool) -> (LaunchStats, u64) {
     let mut dev = Device::new(DeviceArch::tiny());
     dev.set_sim_threads(Some(threads));
-    match sanitize {
-        Sanitize::Off => {}
-        Sanitize::Adaptive => dev.enable_sanitizer(),
-        Sanitize::Dense => {
-            dev.enable_sanitizer();
-            dev.use_dense_sanitizer(true);
-        }
+    if sanitize {
+        dev.enable_sanitizer();
     }
     let per_block = 64u64;
     let data = dev.global.alloc_zeroed::<u64>(shape.num_blocks as usize * per_block as usize);
@@ -85,11 +74,19 @@ fn run_shape(shape: KernelShape, threads: usize, sanitize: Sanitize) -> (LaunchS
                     let h = splitmix(seed ^ (bid << 32) ^ ((w as u64) << 16) ^ step as u64);
                     let nlanes = 1 + (h % 32) as u32;
                     let lanes: Vec<u32> = (0..nlanes).collect();
+                    // Shared slots derived from `h`: every lane reads one of
+                    // two, some lanes write a third, so sanitized runs
+                    // consult the sync table (and find races).
+                    let (rd, wr) = ((h >> 8) as u32 % 8, (h >> 12) as u32 % 8);
                     team.run_lanes(w, &lanes, move |lane, id| {
                         let i = bid * per_block + (h.wrapping_add(id as u64 * 7)) % per_block;
                         let v = lane.read(data, i);
+                        let s = lane.smem_read_slot(SmOff(0), rd + id % 2).as_u64();
                         lane.work(1 + h % 13);
-                        lane.write(data, i, v.wrapping_add(h | 1));
+                        lane.write(data, i, v.wrapping_add(h | 1).wrapping_add(s));
+                        if (h >> (id % 64)) & 1 == 1 {
+                            lane.smem_write_slot(SmOff(0), wr, Slot::from_u64(v ^ h));
+                        }
                         if h.is_multiple_of(3) {
                             lane.atomic_add_u64(hits, 0, 1);
                         }
@@ -119,7 +116,7 @@ fn run_shape(shape: KernelShape, threads: usize, sanitize: Sanitize) -> (LaunchS
 fn launch_stats_bit_identical_across_thread_counts() {
     testkit::cases("parallel-determinism", 12, |rng| {
         let shape = KernelShape::random(rng);
-        let sanitize = if rng.flip() { Sanitize::Adaptive } else { Sanitize::Off };
+        let sanitize = rng.flip();
         let (base, base_mem) = run_shape(shape, 1, sanitize);
         for threads in [2, 4, 8] {
             let (got, got_mem) = run_shape(shape, threads, sanitize);
@@ -159,20 +156,6 @@ fn traces_identical_across_thread_counts() {
     for threads in [2, 4, 8] {
         assert_eq!(trace_of(threads), serial, "trace diverged at {threads} threads");
     }
-}
-
-/// The adaptive (epoch-compressed) and dense sync tables must be
-/// observationally identical: same stats, same violation list, for the
-/// same workload, at any thread count.
-#[test]
-fn dense_and_adaptive_sanitizer_agree_under_parallelism() {
-    testkit::cases("dense-vs-adaptive", 6, |rng| {
-        let shape = KernelShape::random(rng);
-        let (adaptive, mem_a) = run_shape(shape, 4, Sanitize::Adaptive);
-        let (dense, mem_d) = run_shape(shape, 4, Sanitize::Dense);
-        assert_eq!(adaptive, dense, "representations disagree for {shape:?}");
-        assert_eq!(mem_a, mem_d);
-    });
 }
 
 /// Concurrent blocks hammering one shared atomic cell and allocating /

@@ -5,12 +5,9 @@
 //! here as a thin wrapper: `lock()` returns the guard directly (a poisoned
 //! mutex just yields the inner guard — the runtime's invariants do not
 //! depend on poisoning), and `Condvar::wait` takes `&mut MutexGuard` so
-//! wait loops read naturally. A small unbounded MPMC channel replaces
-//! `crossbeam::channel` for the hidden-helper-thread pool.
+//! wait loops read naturally.
 
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 
 /// Poison-free mutex: `lock()` returns the guard directly.
 pub struct Mutex<T> {
@@ -95,104 +92,10 @@ impl Condvar {
     }
 }
 
-/// Unbounded multi-producer multi-consumer channel, in the shape of
-/// `crossbeam::channel` as the task pool uses it.
-pub mod mpmc {
-    use super::*;
-
-    struct Chan<T> {
-        queue: Mutex<VecDeque<T>>,
-        cv: Condvar,
-        senders: std::sync::atomic::AtomicUsize,
-    }
-
-    /// Sending half; cloneable. Receivers unblock when all senders drop.
-    pub struct Sender<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    /// Receiving half; cloneable (competing consumers).
-    pub struct Receiver<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    /// Error returned by [`Sender::send`] when every receiver is gone.
-    pub struct SendError<T>(pub T);
-
-    impl<T> std::fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    /// Create an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let chan = Arc::new(Chan {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            senders: std::sync::atomic::AtomicUsize::new(1),
-        });
-        (Sender { chan: Arc::clone(&chan) }, Receiver { chan })
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueue a value.
-        pub fn send(&self, v: T) -> Result<(), SendError<T>> {
-            self.chan.queue.lock().push_back(v);
-            self.chan.cv.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.chan.senders.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            Sender { chan: Arc::clone(&self.chan) }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            if self.chan.senders.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) == 1 {
-                // Last sender: wake all receivers so blocked `recv`s end.
-                self.chan.cv.notify_all();
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            Receiver { chan: Arc::clone(&self.chan) }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Block until a value arrives; `None` once the channel is empty
-        /// and every sender has dropped.
-        pub fn recv(&self) -> Option<T> {
-            let mut q = self.chan.queue.lock();
-            loop {
-                if let Some(v) = q.pop_front() {
-                    return Some(v);
-                }
-                if self.chan.senders.load(std::sync::atomic::Ordering::SeqCst) == 0 {
-                    return None;
-                }
-                self.chan.cv.wait(&mut q);
-            }
-        }
-
-        /// Blocking iterator over received values (ends on disconnect).
-        pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-            std::iter::from_fn(move || self.recv())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn mutex_locks_and_mutates() {
@@ -229,30 +132,5 @@ mod tests {
         *g += 1;
         drop(g);
         assert_eq!(*m.lock(), 1);
-    }
-
-    #[test]
-    fn mpmc_fan_in_fan_out() {
-        let (tx, rx) = mpmc::unbounded::<usize>();
-        let total = Arc::new(AtomicUsize::new(0));
-        let workers: Vec<_> = (0..3)
-            .map(|_| {
-                let rx = rx.clone();
-                let total = Arc::clone(&total);
-                std::thread::spawn(move || {
-                    for v in rx.iter() {
-                        total.fetch_add(v, Ordering::SeqCst);
-                    }
-                })
-            })
-            .collect();
-        for v in 0..100 {
-            tx.send(v).unwrap();
-        }
-        drop(tx);
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(total.load(Ordering::SeqCst), (0..100).sum());
     }
 }

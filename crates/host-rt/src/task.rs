@@ -4,15 +4,16 @@
 //! OpenMP target tasks via *hidden helper threads* (reference \[26\] in the paper's
 //! references, §2). This module reproduces that substrate: a small pool of
 //! helper threads consumes target tasks from a channel (`target nowait`),
-//! and `taskwait` blocks until all submitted tasks completed.
+//! and `taskwait` blocks until all submitted tasks completed. The helpers
+//! share the channel's receiver behind a [`crate::sync::Mutex`].
 //!
 //! Devices are shared behind [`crate::sync::Mutex`]; a task locks its
 //! device for the duration of its kernel, which serializes same-device
 //! kernels exactly like a CUDA stream does.
 
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
-use crate::sync::mpmc::{unbounded, Sender};
 use crate::sync::{Condvar, Mutex};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -34,16 +35,20 @@ impl HelperPool {
     /// strict determinism).
     pub fn new(n: usize) -> HelperPool {
         assert!(n >= 1);
-        let (tx, rx) = unbounded::<Job>();
+        let (tx, rx) = channel::<Job>();
+        let rx = Arc::new(Mutex::new(rx));
         let pending = Arc::new(Pending { count: Mutex::new(0), cv: Condvar::new() });
         let handles = (0..n)
             .map(|i| {
-                let rx = rx.clone();
+                let rx = Arc::clone(&rx);
                 let pending = Arc::clone(&pending);
                 std::thread::Builder::new()
                     .name(format!("omp-hidden-helper-{i}"))
                     .spawn(move || {
-                        for job in rx.iter() {
+                        // The lock is held only while receiving; `recv`
+                        // fails once the pool drops its sender.
+                        loop {
+                            let Ok(job) = rx.lock().recv() else { break };
                             job();
                             let mut c = pending.count.lock();
                             *c -= 1;
@@ -113,6 +118,23 @@ mod tests {
         pool.wait_all();
         assert_eq!(counter.load(Ordering::Relaxed), (0..100).sum::<u64>());
         assert_eq!(pool.in_flight(), 0);
+    }
+
+    #[test]
+    fn helpers_run_tasks_concurrently() {
+        // Two tasks that meet at a barrier finish only if two helpers run
+        // them at once, so no helper may hold the receiver during a task.
+        testkit::with_deadline("helpers-concurrent", std::time::Duration::from_secs(30), || {
+            let pool = HelperPool::new(2);
+            let meet = Arc::new(std::sync::Barrier::new(2));
+            for _ in 0..2 {
+                let meet = Arc::clone(&meet);
+                pool.submit(move || {
+                    meet.wait();
+                });
+            }
+            pool.wait_all();
+        });
     }
 
     #[test]

@@ -221,18 +221,23 @@ impl Admission {
         }
     }
 
-    /// Admit one job for `tenant`. Returns the assigned job id, or the
-    /// typed backpressure error.
+    /// Admit one job for `tenant`. Returns the assigned job id, or why it
+    /// was not admitted. A job its home backend cannot run is refused
+    /// before it takes a job id, so it leaves no trace in the session.
     pub fn submit(&mut self, tenant: u32, spec: &JobSpec) -> Result<u64, SubmitError> {
         if self.closed {
             return Err(SubmitError::Closed);
+        }
+        let device = spec.affinity.unwrap_or(tenant % self.devices()) % self.devices();
+        let arch = self.archs[device as usize];
+        if !spec.kind.runs_on(arch) {
+            return Err(SubmitError::Unsupported { tenant, arch });
         }
         let ti = tenant as usize;
         if self.tenants[ti].queued_jobs >= self.tenant_queue_cap {
             self.rejected += 1;
             return Err(SubmitError::QueueFull { tenant, cap: self.tenant_queue_cap });
         }
-        let device = spec.affinity.unwrap_or(tenant % self.devices()) % self.devices();
         let job_id = self.tenants[ti].ids.next();
         let member = Member { job_id, tenant, arrival_vt: spec.arrival_vt };
         match spec.kind {
@@ -242,7 +247,7 @@ impl Admission {
                 self.seal_open(ti);
                 let key = PlanKey {
                     kernel: PlanKernel::Ideal { teams, threads, simdlen },
-                    arch: self.archs[device as usize],
+                    arch,
                     nargs: NARGS,
                     lint: self.lint,
                 };
@@ -377,6 +382,29 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(a.drain_round(&mut out), 2);
         a.submit(t, &ideal(0)).unwrap();
+    }
+
+    #[test]
+    fn geometry_the_home_backend_cannot_run_is_unsupported() {
+        let mut a = Admission::new(vec![ArchId::A100, ArchId::Mi100], true, 16, 4, 1_000_000);
+        let t = a.register("t");
+        let job = |teams, threads, simdlen, device| JobSpec {
+            kind: JobKind::Ideal { teams, threads, simdlen, outer: 1, seed: 1 },
+            arrival_vt: 0,
+            affinity: Some(device),
+        };
+        let on = |arch| Err(SubmitError::Unsupported { tenant: t, arch });
+        assert_eq!(a.submit(t, &job(1, 32, 8, 1)), on(ArchId::Mi100)); // half a wavefront
+        assert_eq!(a.submit(t, &job(0, 64, 8, 1)), on(ArchId::Mi100)); // no teams
+        assert_eq!(a.submit(t, &job(1, 0, 8, 0)), on(ArchId::A100));
+        assert_eq!(a.submit(t, &job(1, 2048, 8, 0)), on(ArchId::A100)); // above the block limit
+        assert_eq!(a.submit(t, &job(1, 64, 0, 0)), on(ArchId::A100));
+        assert_eq!(a.submit(t, &job(1, 64, 3, 0)), on(ArchId::A100)); // does not divide 32
+        assert_eq!(a.submit(t, &job(1, 64, 64, 0)), on(ArchId::A100)); // wider than a warp
+        assert_eq!(a.rejected(), 0, "unsupported jobs are not backpressure");
+        // Refused jobs take no id: the tenant's first admitted job is job 0.
+        assert_eq!(a.submit(t, &job(1, 32, 8, 0)), Ok(0));
+        assert_eq!(a.submit(t, &job(1, 64, 64, 1)), Ok(1));
     }
 
     #[test]

@@ -71,6 +71,25 @@ impl JobKind {
             JobKind::Micro { rows, inner } => (rows * inner) as u64,
         }
     }
+
+    /// Whether `arch` can launch this job. An ideal job needs teams, a
+    /// thread count that is a whole number of warps within the block
+    /// limit, and a SIMD length dividing the warp size. Micro jobs use the
+    /// fixed micro geometry, which every backend runs.
+    pub(crate) fn runs_on(&self, arch: ArchId) -> bool {
+        match *self {
+            JobKind::Ideal { teams, threads, simdlen, .. } => {
+                let ws = arch.warp_size();
+                teams > 0
+                    && threads > 0
+                    && threads.is_multiple_of(ws)
+                    && threads <= arch.arch().max_threads_per_block
+                    && simdlen > 0
+                    && ws.is_multiple_of(simdlen)
+            }
+            JobKind::Micro { .. } => true,
+        }
+    }
 }
 
 /// One submitted job: the kernel, its virtual arrival time, and an
@@ -151,7 +170,8 @@ pub struct PlanKey {
     pub lint: bool,
 }
 
-/// Typed backpressure: why a submission was not admitted.
+/// Why a submission was not admitted: typed backpressure, a closed
+/// service, or a job its home backend cannot run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
     /// The tenant's bounded admission queue is at capacity; retry after
@@ -164,6 +184,14 @@ pub enum SubmitError {
     },
     /// The service is shutting down; no further jobs are accepted.
     Closed,
+    /// The job's home device cannot launch its geometry (see
+    /// [`JobKind::Ideal`]); resubmitting it will never succeed.
+    Unsupported {
+        /// Submitting tenant's lane index.
+        tenant: u32,
+        /// Backend of the job's home device.
+        arch: ArchId,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -173,6 +201,9 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "tenant {tenant}: admission queue full (cap {cap})")
             }
             SubmitError::Closed => write!(f, "service is closed"),
+            SubmitError::Unsupported { tenant, arch } => {
+                write!(f, "tenant {tenant}: job geometry cannot run on {arch}")
+            }
         }
     }
 }

@@ -202,6 +202,47 @@ fn heterogeneous_fleet_verifies_on_both_backends() {
 }
 
 #[test]
+fn job_its_home_backend_cannot_run_is_refused_without_a_trace() {
+    // Device 1 is an mi100: a 32-thread team is half a wavefront, which
+    // the runtime's SIMD mapping cannot split into warps.
+    let half_wave = JobSpec {
+        kind: JobKind::Ideal { teams: 1, threads: 32, simdlen: 8, outer: 1, seed: 0 },
+        arrival_vt: 25,
+        affinity: Some(1),
+    };
+    let run = move |with_half_wave: bool| {
+        let svc = LaunchService::start(ServiceConfig {
+            devices: 2,
+            device_archs: vec![ArchId::A100, ArchId::Mi100],
+            workers: 2,
+            sim_threads: Some(1),
+            ..ServiceConfig::default()
+        });
+        let c = svc.client("mixed");
+        for i in 0..8u64 {
+            if with_half_wave && i == 3 {
+                let err = c.submit(&half_wave).unwrap_err();
+                assert_eq!(err, SubmitError::Unsupported { tenant: 0, arch: ArchId::Mi100 });
+            }
+            c.submit(&JobSpec {
+                kind: JobKind::Ideal { teams: 1, threads: 64, simdlen: 8, outer: 1, seed: i },
+                arrival_vt: i * 10,
+                affinity: Some(i as u32 % 2),
+            })
+            .unwrap();
+            c.submit(&micro(1, 8, i * 10)).unwrap();
+        }
+        let report = svc.shutdown();
+        assert_eq!(report.jobs.len(), 16);
+        assert_eq!(report.rejected, 0, "an unsupported job is not backpressure");
+        report.digest()
+    };
+    testkit::with_deadline("serve-unsupported", std::time::Duration::from_secs(120), move || {
+        assert_eq!(run(true), run(false), "the refused job must leave the session unchanged");
+    });
+}
+
+#[test]
 fn warm_cache_compiles_once_per_geometry() {
     let svc = LaunchService::start(ServiceConfig {
         devices: 1,
