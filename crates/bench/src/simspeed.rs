@@ -19,6 +19,13 @@
 //! the shared memory-access model) dominates host time. Both engines
 //! produce bit-identical `LaunchStats`; the leg asserts the cycle counts
 //! match and reports the wall-clock ratio as `vs_tree`.
+//!
+//! The launch-floor leg measures what a launch costs outside its blocks:
+//! an empty 108×128 A100 launch, and the same two strong-scaling launches,
+//! repeated on a long-lived device at 1 and 2 sim threads with the
+//! sanitizer off and on. It reports microseconds per launch
+//! (`us_per_launch`); every other row reports its single launch's time
+//! there too.
 
 use std::time::Instant;
 
@@ -53,8 +60,13 @@ pub struct SimspeedRow {
     pub engine: &'static str,
     /// Wall-clock of the tree-walk run at the same configuration divided
     /// by this run's wall-clock. `NaN` (serialized as `null`) for
-    /// sanitizer-leg rows, which only run the default engine.
+    /// sanitizer-leg and launch-floor rows, which only run the default
+    /// engine.
     pub vs_tree: f64,
+    /// Host threads that executed blocks (1 outside the launch-floor leg).
+    pub sim_threads: usize,
+    /// Wall-clock microseconds per launch.
+    pub us_per_launch: f64,
 }
 
 impl JsonRow for SimspeedRow {
@@ -68,6 +80,8 @@ impl JsonRow for SimspeedRow {
             ("overhead_vs_off", JsonValue::F64(self.overhead_vs_off)),
             ("engine", JsonValue::Str(self.engine.to_string())),
             ("vs_tree", JsonValue::F64(self.vs_tree)),
+            ("sim_threads", JsonValue::U64(self.sim_threads as u64)),
+            ("us_per_launch", JsonValue::F64(self.us_per_launch)),
         ]
     }
 }
@@ -196,10 +210,13 @@ pub fn run(quick: bool) -> Vec<SimspeedRow> {
                 overhead_vs_off: wall_ms / off_ms,
                 engine: "bytecode",
                 vs_tree: f64::NAN,
+                sim_threads: 1,
+                us_per_launch: wall_ms * 1e3,
             });
         }
     }
     rows.extend(engine_leg(sz.reps));
+    rows.extend(launch_floor_leg(quick));
     rows
 }
 
@@ -267,10 +284,95 @@ fn engine_leg(reps: u32) -> Vec<SimspeedRow> {
                 overhead_vs_off: 1.0,
                 engine,
                 vs_tree: walls[0] / walls[i],
+                sim_threads: 1,
+                us_per_launch: walls[i] * 1e3,
             });
         }
     }
     rows
+}
+
+/// The strong-scaling laplace3d (6³) and stencil2d (26×14) kernels on the
+/// full 108×128 A100 grid, as the engine leg builds them.
+fn strong_kernels() -> [(&'static str, CompiledKernel, Vec<gpu_sim::Slot>, Device); 2] {
+    let lap_w = laplace3d::Laplace3dWorkload::generate(6);
+    let lap_k = laplace3d::build(108, 128, Fig10Variant::SpmdSimd);
+    let mut lap_dev = Device::a100();
+    let lap_args = laplace3d::Laplace3dDev::upload(&mut lap_dev, &lap_w).args().to_vec();
+    let st_w = stencil2d::Stencil2dWorkload::generate(26, 14);
+    let st_k = stencil2d::build(108, 128, 8, 0, stencil2d::Stencil2dVariant::SpmdRef);
+    let mut st_dev = Device::a100();
+    let st_args = stencil2d::Stencil2dDev::upload(&mut st_dev, &st_w, 8).args().to_vec();
+    [("laplace3d-n6", lap_k, lap_args, lap_dev), ("stencil2d-26x14", st_k, st_args, st_dev)]
+}
+
+/// The launch-floor leg: microseconds per launch of an empty 108×128 A100
+/// grid and of the two strong-scaling kernels, each on one long-lived
+/// device (as a time-stepping host loop keeps it), at sim threads {1, 2}
+/// × sanitizer {off, on}. Cells run round-robin, a batch of launches per
+/// cell per round, and each keeps its fastest batch.
+fn launch_floor_leg(quick: bool) -> Vec<SimspeedRow> {
+    let (rounds, batch) = if quick { (3, 20) } else { (8, 200) };
+    let empty = gpu_sim::LaunchConfig { num_blocks: 108, threads_per_block: 128, smem_bytes: 0 };
+    type Launch<'a> = Box<dyn FnMut(&mut Device) -> u64 + 'a>;
+    let mut kernels: Vec<(&'static str, Launch<'_>, Device)> = vec![(
+        "empty-108x128",
+        Box::new(|d| d.launch(&empty, |_| {}).unwrap().cycles),
+        Device::a100(),
+    )];
+    for (name, k, args, dev) in strong_kernels() {
+        let launch =
+            move |d: &mut Device| k.launch_with_engine(d, &args, Engine::Bytecode).unwrap().cycles;
+        kernels.push((name, Box::new(launch), dev));
+    }
+    // (kernel, threads, sanitizer) → (best µs per launch, cycles).
+    let mut cells = Vec::new();
+    for k in 0..kernels.len() {
+        for threads in [1, 2] {
+            for san in [false, true] {
+                cells.push((k, threads, san, f64::INFINITY, 0u64));
+            }
+        }
+    }
+    for round in 0..=rounds {
+        for (k, threads, san, best, cycles) in &mut cells {
+            let (_, launch, dev) = &mut kernels[*k];
+            dev.set_sim_threads(Some(*threads));
+            if *san {
+                dev.enable_sanitizer();
+            } else {
+                dev.disable_sanitizer();
+            }
+            let t0 = Instant::now();
+            for _ in 0..batch {
+                let c = launch(dev);
+                assert!(*cycles == 0 || *cycles == c, "cycles must not depend on the run");
+                *cycles = c;
+            }
+            // Round 0 warms each cell up: pool, caches, compiled program.
+            if round > 0 {
+                *best = best.min(t0.elapsed().as_secs_f64() * 1e6 / batch as f64);
+            }
+        }
+    }
+    let us_of = |k: usize, threads: usize| {
+        cells.iter().find(|c| c.0 == k && c.1 == threads && !c.2).map_or(f64::NAN, |c| c.3)
+    };
+    cells
+        .iter()
+        .map(|&(k, threads, san, us, cycles)| SimspeedRow {
+            kernel: kernels[k].0,
+            sanitizer: if san { "adaptive" } else { "off" },
+            wall_ms: us / 1e3,
+            cycles,
+            cycles_per_sec: cycles as f64 / (us / 1e6),
+            overhead_vs_off: us / us_of(k, threads),
+            engine: "bytecode",
+            vs_tree: f64::NAN,
+            sim_threads: threads,
+            us_per_launch: us,
+        })
+        .collect()
 }
 
 /// Print the table and persist `BENCH_simspeed.json`.
@@ -282,7 +384,8 @@ pub fn report(rows: &[SimspeedRow]) {
                 r.kernel.to_string(),
                 r.engine.to_string(),
                 r.sanitizer.to_string(),
-                format!("{:.1}", r.wall_ms),
+                r.sim_threads.to_string(),
+                format!("{:.1}", r.us_per_launch),
                 format!("{:.2e}", r.cycles_per_sec),
                 format!("{:.2}x", r.overhead_vs_off),
                 if r.vs_tree.is_finite() { format!("{:.2}x", r.vs_tree) } else { "-".to_string() },
@@ -290,8 +393,17 @@ pub fn report(rows: &[SimspeedRow]) {
         })
         .collect();
     print_table(
-        "simspeed: simulator throughput (wall-clock, 1 host thread)",
-        &["kernel", "engine", "sanitizer", "wall_ms", "sim_cycles/s", "san_overhead", "vs_tree"],
+        "simspeed: simulator throughput (wall-clock)",
+        &[
+            "kernel",
+            "engine",
+            "sanitizer",
+            "threads",
+            "us/launch",
+            "sim_cycles/s",
+            "san_overhead",
+            "vs_tree",
+        ],
         &table,
     );
     for r in rows.iter().filter(|r| r.engine == "bytecode" && r.vs_tree.is_finite()) {
@@ -300,7 +412,7 @@ pub fn report(rows: &[SimspeedRow]) {
             r.kernel, r.vs_tree
         );
     }
-    for r in rows.iter().filter(|r| r.sanitizer != "off") {
+    for r in rows.iter().filter(|r| r.sanitizer != "off" && r.sim_threads == 1) {
         println!(
             "sanitizer {} on {}: {:.2}x overhead at 1 thread",
             r.sanitizer, r.kernel, r.overhead_vs_off
@@ -314,21 +426,26 @@ mod tests {
     use super::*;
 
     /// The quick run goes end to end, cycles are invariant across
-    /// sanitizer modes and engines, and every (kernel, sanitizer) cell is
-    /// present.
+    /// sanitizer modes, engines and sim threads, and every (kernel,
+    /// sanitizer) cell is present.
     #[test]
     fn quick_sweep_is_complete_and_consistent() {
         let rows = run(true);
         // 3 kernels × {off, adaptive} + 2 engine-leg kernels ×
-        // {tree, bytecode}.
-        assert_eq!(rows.len(), 3 * 2 + 2 * 2);
-        for kernel in ["ideal", "spmv", "laplace3d", "laplace3d-n6", "stencil2d-26x14"] {
+        // {tree, bytecode} + 3 launch-floor kernels × threads {1, 2} ×
+        // {off, adaptive}.
+        assert_eq!(rows.len(), 3 * 2 + 2 * 2 + 3 * 2 * 2);
+        assert_eq!(rows.iter().filter(|r| r.kernel == "empty-108x128").count(), 4);
+        for kernel in
+            ["ideal", "spmv", "laplace3d", "laplace3d-n6", "stencil2d-26x14", "empty-108x128"]
+        {
             let cycles: Vec<u64> =
                 rows.iter().filter(|r| r.kernel == kernel).map(|r| r.cycles).collect();
             assert!(cycles.windows(2).all(|w| w[0] == w[1]), "{kernel}: {cycles:?}");
         }
         for r in &rows {
             assert!(r.wall_ms >= 0.0 && r.cycles > 0);
+            assert!(r.us_per_launch.is_finite() && r.us_per_launch > 0.0);
             if r.sanitizer == "off" && r.vs_tree.is_nan() {
                 assert!((r.overhead_vs_off - 1.0).abs() < 1e-9);
             }

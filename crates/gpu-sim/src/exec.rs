@@ -26,11 +26,12 @@
 
 use crate::arch::DeviceArch;
 use crate::cost::CostModel;
-use crate::mem::global::{FallbackRange, GlobalMem, GlobalView};
+use crate::mem::global::{GlobalMem, GlobalView, ViewStore};
 use crate::mem::hier::L2BankIndex;
 use crate::mem::pod::DevValue;
 use crate::mem::ptr::{DPtr, Slot};
 use crate::mem::shared::{SharedMem, SmOff};
+use crate::sanitize::Sanitizer;
 use crate::stats::{BlockProfile, RtCounters};
 
 /// How a lane touched a shared-memory slot (the sanitizer's race rules:
@@ -476,7 +477,11 @@ fn filter_slot(line: u64) -> usize {
 /// when they were fetched, so a pure hit could never add a bit here.
 struct VisitLog {
     filter: VisitFilter,
+    /// During a launch, the participant's log, which keeps every block's
+    /// entries until the launch takes it back ([`TeamCtx::swap_visit_log`]).
     log: Vec<u64>,
+    /// The current block's first entry in `log`.
+    start: usize,
 }
 
 impl VisitLog {
@@ -491,46 +496,92 @@ impl VisitLog {
         }
     }
 
-    /// Empty the filter by walking the log: every filled slot holds the
-    /// line of an entry the fill also logged.
+    /// Empty the filter by walking the block's entries: every filled slot
+    /// holds the line of an entry the fill also logged.
     fn clear_filter(&mut self) {
-        for &packed in &self.log {
+        for &packed in &self.log[self.start..] {
             self.filter[filter_slot(packed >> 8)] = 0;
         }
     }
 }
 
-/// Block state a sim thread keeps from one block to the next: the warps
-/// with their L1 windows, the super-step accumulator and the visit
-/// filter. [`TeamCtx::new`] takes it from [`SPARE`] and [`TeamCtx::finish`]
-/// puts it back, so a block allocates none of it.
-struct Spare {
+/// Block state a sim thread keeps from one block to the next, so a block
+/// allocates none of it. Each part is empty whenever it is here, or is
+/// emptied when the next block starts, in time proportional to the
+/// block's threads or to what the block touched:
+///
+/// * the warps' counters are zeroed and their L1 windows emptied by epoch
+///   ([`L1Window::new_block`]);
+/// * the super-step accumulator clears what each step used;
+/// * the visit filter is emptied by walking the block's log entries;
+///   during a launch the log is the participant's batch log;
+/// * shared memory zeroes its written prefix ([`SharedMem`]);
+/// * the L2 bank counts are zeroed (one word per bank);
+/// * the sanitizer is [`Sanitizer::reset`]: per-thread and per-warp state
+///   rewritten, shared-memory slots emptied by stamp;
+/// * the global-memory view's segment cache is launch-scoped: it stays
+///   filled from block to block of one launch and is dropped when the
+///   thread leaves the launch ([`Spare::put_back`]).
+///
+/// During a launch the state stays in one [`TeamCtx`] that serves the
+/// thread's blocks in turn ([`TeamCtx::begin`], [`TeamCtx::end`]).
+///
+/// [`Sanitizer::reset`]: crate::sanitize::Sanitizer::reset
+pub(crate) struct Spare {
     warps: Vec<WarpState>,
     acc: StepAcc,
-    /// Empty whenever it is here. It does not depend on the cost model,
-    /// so a rebuild for another one keeps it.
+    /// It does not depend on the cost model, so a rebuild for another one
+    /// keeps it, as it keeps every part below `l1_lines`.
     filter: VisitFilter,
     /// The [`CostModel::l1_lines`] the warps' windows were sized for.
     l1_lines: u32,
+    log: Vec<u64>,
+    smem: SharedMem,
+    l2_bank_sectors: Vec<u64>,
+    view: ViewStore,
+    sanitizer: Option<Box<Sanitizer>>,
 }
 
 impl Spare {
-    fn new(cost: &CostModel, arch: &DeviceArch, filter: VisitFilter) -> Spare {
-        Spare {
-            warps: Vec::new(),
-            acc: StepAcc::new(cost.sector_bytes, arch.smem_banks),
-            filter,
-            l1_lines: cost.l1_lines,
+    /// This thread's spare state, rebuilt where it does not fit the cost
+    /// model and arch: the sector size and bank count shape [`StepAcc`],
+    /// the line count the L1 windows.
+    pub(crate) fn take(cost: &CostModel, arch: &DeviceArch) -> Spare {
+        let fresh = || (Vec::new(), StepAcc::new(cost.sector_bytes, arch.smem_banks));
+        match SPARE.take() {
+            Some(s) if s.fits(cost, arch) => s,
+            Some(s) => {
+                let (warps, acc) = fresh();
+                Spare { warps, acc, l1_lines: cost.l1_lines, ..s }
+            }
+            None => {
+                let (warps, acc) = fresh();
+                Spare {
+                    warps,
+                    acc,
+                    filter: visit_filter(),
+                    l1_lines: cost.l1_lines,
+                    log: Vec::new(),
+                    smem: SharedMem::default(),
+                    l2_bank_sectors: Vec::new(),
+                    view: ViewStore::default(),
+                    sanitizer: None,
+                }
+            }
         }
     }
 
-    /// Whether the state was built for this cost model and arch: the
-    /// sector size and bank count shape [`StepAcc`], the line count the
-    /// L1 windows.
     fn fits(&self, cost: &CostModel, arch: &DeviceArch) -> bool {
         self.l1_lines == cost.l1_lines
             && self.acc.sector_bytes == cost.sector_bytes as u64
             && self.acc.smem_banks == arch.smem_banks
+    }
+
+    /// Give the state back to this thread for its next launch, dropping
+    /// the launch's cached segments.
+    pub(crate) fn put_back(mut self) {
+        self.view.leave_launch();
+        SPARE.set(Some(self));
     }
 }
 
@@ -681,8 +732,9 @@ impl<'a, 'g> Lane<'a, 'g> {
 /// The per-block execution context: warps, shared memory, a mutable view of
 /// global memory, cost model and counters.
 ///
-/// Created by [`crate::launch::Device::launch`] for each block, passed to
-/// the kernel entry function.
+/// [`crate::launch::Device::launch`] builds one per sim thread from the
+/// thread's [`Spare`] and runs the thread's blocks in it one after
+/// another, passing it to the kernel entry function once per block.
 pub struct TeamCtx<'g> {
     /// Id of this block within the launch grid.
     pub block_id: u32,
@@ -708,7 +760,9 @@ pub struct TeamCtx<'g> {
     visits: VisitLog,
     acc: StepAcc,
     event_trace: Option<crate::trace::Trace>,
-    sanitizer: Option<Box<crate::sanitize::Sanitizer>>,
+    sanitizer: Option<Box<Sanitizer>>,
+    /// The thread's reused sanitizer while none is attached.
+    idle_sanitizer: Option<Box<Sanitizer>>,
     observed: ObservedEffects,
 }
 
@@ -724,37 +778,74 @@ impl<'g> TeamCtx<'g> {
         cost: &'g CostModel,
         arch: &'g DeviceArch,
     ) -> TeamCtx<'g> {
+        let spare = Spare::take(cost, arch);
+        let mut team =
+            TeamCtx::from_spare(spare, num_blocks, nwarps, smem_bytes, global, cost, arch);
+        team.begin(block_id);
+        team
+    }
+
+    /// A context on `spare` for blocks of one launch, each started with
+    /// [`Self::begin`] and ended with [`Self::end`]. The spare's segment
+    /// cache must be empty or hold segments of `global`.
+    pub(crate) fn from_spare(
+        spare: Spare,
+        num_blocks: u32,
+        nwarps: u32,
+        smem_bytes: u32,
+        global: &'g GlobalMem,
+        cost: &'g CostModel,
+        arch: &'g DeviceArch,
+    ) -> TeamCtx<'g> {
         assert!(nwarps >= 1, "a block needs at least one warp");
         let spl = cost.sectors_per_line().expect("a line of at most 8 sectors (Device::validate)");
-        let Spare { mut warps, acc, filter, .. } = match SPARE.take() {
-            Some(s) if s.fits(cost, arch) => s,
-            Some(s) => Spare::new(cost, arch, s.filter),
-            None => Spare::new(cost, arch, visit_filter()),
-        };
+        let Spare {
+            mut warps,
+            acc,
+            filter,
+            log,
+            mut smem,
+            mut l2_bank_sectors,
+            view,
+            sanitizer,
+            ..
+        } = spare;
         warps.truncate(nwarps as usize);
-        for w in &mut warps {
-            w.reset();
-        }
         warps.resize_with(nwarps as usize, WarpState::default);
+        smem.reuse(smem_bytes);
+        l2_bank_sectors.resize(arch.cache.l2_banks as usize, 0);
         TeamCtx {
-            block_id,
+            block_id: 0,
             num_blocks,
             nwarps,
-            smem: SharedMem::new(smem_bytes),
-            gview: global.view(block_id),
+            smem,
+            gview: global.view_in(view),
             cost,
             spl,
             arch,
             warps,
             counters: RtCounters::default(),
-            l2_bank_sectors: vec![0; arch.cache.l2_banks as usize],
+            l2_bank_sectors,
             l2_bank: L2BankIndex::new(arch.cache.l2_banks),
-            visits: VisitLog { filter, log: Vec::new() },
+            visits: VisitLog { filter, log, start: 0 },
             acc,
             event_trace: None,
             sanitizer: None,
+            idle_sanitizer: sanitizer,
             observed: ObservedEffects::default(),
         }
+    }
+
+    /// Start block `block_id` in place. The previous block, if any, was
+    /// [`Self::end`]ed: this empties what it left behind (warp counters and
+    /// L1 windows, shared memory, the fallback arena).
+    pub(crate) fn begin(&mut self, block_id: u32) {
+        self.block_id = block_id;
+        for w in &mut self.warps {
+            w.reset();
+        }
+        self.smem.reuse(self.smem.capacity_bytes());
+        self.gview.begin_block(block_id);
     }
 
     /// Attach an event trace (taken over from the device during a traced
@@ -771,12 +862,33 @@ impl<'g> TeamCtx<'g> {
     /// Attach a simtcheck sanitizer for this block (see
     /// [`crate::sanitize`]). All synchronization events and shared-memory
     /// accesses from here on are validated.
-    pub fn attach_sanitizer(&mut self, s: Box<crate::sanitize::Sanitizer>) {
+    pub fn attach_sanitizer(&mut self, s: Box<Sanitizer>) {
         self.sanitizer = Some(s);
     }
 
+    /// Attach the thread's reused sanitizer, reset for this block with
+    /// `smem_slots` shared-memory slots (the launch path's
+    /// [`Self::attach_sanitizer`]).
+    pub(crate) fn sanitize(&mut self, smem_slots: u32) {
+        let mut s = self.sanitizer.take().or(self.idle_sanitizer.take()).unwrap_or_default();
+        s.reset(self.block_id, self.nwarps, self.arch.warp_size, smem_slots);
+        self.sanitizer = Some(s);
+    }
+
+    /// Append the attached sanitizer's findings and foreign-arena touches
+    /// (see `Sanitizer::drain`); no-op when not sanitizing.
+    pub(crate) fn drain_findings(
+        &mut self,
+        out: &mut Vec<crate::sanitize::Violation>,
+        foreign: &mut Vec<crate::sanitize::ForeignTouch>,
+    ) {
+        if let Some(s) = &mut self.sanitizer {
+            s.drain(out, foreign);
+        }
+    }
+
     /// Detach the sanitizer again (e.g. to collect its findings).
-    pub fn detach_sanitizer(&mut self) -> Option<Box<crate::sanitize::Sanitizer>> {
+    pub fn detach_sanitizer(&mut self) -> Option<Box<Sanitizer>> {
         self.sanitizer.take()
     }
 
@@ -840,12 +952,6 @@ impl<'g> TeamCtx<'g> {
     /// Shared access to global memory.
     pub fn global_ref(&self) -> &GlobalMem {
         self.gview.mem()
-    }
-
-    /// Fallback allocations this block performed, for the launch merge
-    /// step's cross-team race analysis.
-    pub fn fallback_ranges(&self) -> Vec<FallbackRange> {
-        self.gview.fallback_ranges().to_vec()
     }
 
     /// Current clock of a warp, cycles.
@@ -1120,50 +1226,89 @@ impl<'g> TeamCtx<'g> {
         self.gview.alloc_zeroed(n)
     }
 
-    /// Take the block's line-visit log, packed `(line << 8 | mask)`
+    /// The block's line-visit log so far, packed `(line << 8 | mask)`
     /// entries in execution order, for the launch's deterministic
-    /// first-touch replay (leaves an empty log and filter behind).
-    pub(crate) fn take_visits(&mut self) -> Vec<u64> {
-        self.visits.clear_filter();
-        std::mem::take(&mut self.visits.log)
+    /// first-touch replay.
+    #[cfg(test)]
+    fn visits(&self) -> &[u64] {
+        &self.visits.log[self.visits.start..]
+    }
+
+    /// Where the block's entries sit in the visit log, which keeps every
+    /// ended block's entries until [`Self::swap_visit_log`].
+    pub(crate) fn visit_range(&self) -> std::ops::Range<usize> {
+        self.visits.start..self.visits.log.len()
+    }
+
+    /// Swap the visit log for `log`, an empty one. A launch swaps in its
+    /// participant's log before the first block and swaps it back, with
+    /// every block's entries, after the last: the entries are never
+    /// copied, and one buffer per participant holds them.
+    pub(crate) fn swap_visit_log(&mut self, log: &mut Vec<u64>) {
+        debug_assert!(log.is_empty());
+        std::mem::swap(&mut self.visits.log, log);
+        self.visits.start = 0;
+    }
+
+    /// The block's L1-missing sectors per L2 bank slice so far.
+    pub(crate) fn l2_bank_sectors(&self) -> &[u64] {
+        &self.l2_bank_sectors
     }
 
     /// Finish the block: produce its resource profile. `threads` and
     /// `smem_bytes` are the occupancy inputs recorded by the launch.
     /// `dram_sectors` and `dram_atoms` are left at zero here — compulsory
     /// traffic depends on cross-block first-touch order, so the launch
-    /// fills both during the block-index-order replay of
-    /// [`Self::take_visits`] logs. The warps, accumulator and the emptied
-    /// visit filter go back to this thread's [`SPARE`] for its next block.
+    /// fills both during the block-index-order replay of the
+    /// line-visit logs. The block's storage goes back to this
+    /// thread's [`SPARE`] for its next block.
     pub fn finish(mut self, threads: u32, smem_bytes: u32) -> (BlockProfile, RtCounters) {
+        let done = self.end(threads, smem_bytes);
+        self.into_spare().put_back();
+        done
+    }
+
+    /// [`Self::finish`] in place: the block's profile and counters, with
+    /// its visit filter and L2 bank counts emptied for the next
+    /// [`Self::begin`]. Its visit-log entries stay in the thread's log.
+    pub(crate) fn end(&mut self, threads: u32, smem_bytes: u32) -> (BlockProfile, RtCounters) {
         self.visits.clear_filter();
+        self.visits.start = self.visits.log.len();
+        self.l2_bank_sectors.fill(0);
+        self.observed = ObservedEffects::default();
+        let w = &self.warps;
         let profile = BlockProfile {
-            issue: self.warps.iter().map(|w| w.issue).sum(),
-            sectors: self.warps.iter().map(|w| w.sectors).sum(),
+            issue: w.iter().map(|w| w.issue).sum(),
+            sectors: w.iter().map(|w| w.sectors).sum(),
             dram_sectors: 0,
             dram_atoms: 0,
-            smem_ops: self.warps.iter().map(|w| w.smem_ops).sum(),
-            l1_hits: self.warps.iter().map(|w| w.l1_hits).sum(),
-            l1_full_hits: self.warps.iter().map(|w| w.full_hits).sum(),
-            tx_cycles: self.warps.iter().map(|w| w.tx).sum(),
-            lsu_sectors: self.warps.iter().map(|w| w.lsu_sectors).sum(),
-            resid_cycles: self
-                .warps
-                .iter()
-                .map(|w| w.clock.saturating_sub(w.tx))
-                .max()
-                .unwrap_or(0),
-            l2_bank_sectors: self.l2_bank_sectors,
+            smem_ops: w.iter().map(|w| w.smem_ops).sum(),
+            l1_hits: w.iter().map(|w| w.l1_hits).sum(),
+            l1_full_hits: w.iter().map(|w| w.full_hits).sum(),
+            tx_cycles: w.iter().map(|w| w.tx).sum(),
+            lsu_sectors: w.iter().map(|w| w.lsu_sectors).sum(),
+            resid_cycles: w.iter().map(|w| w.clock.saturating_sub(w.tx)).max().unwrap_or(0),
             threads,
             smem_bytes,
         };
-        SPARE.set(Some(Spare {
+        (profile, std::mem::take(&mut self.counters))
+    }
+
+    /// The context's storage, for the thread's [`SPARE`] or its next
+    /// launch's blocks.
+    pub(crate) fn into_spare(mut self) -> Spare {
+        self.visits.log.clear();
+        Spare {
             warps: self.warps,
             acc: self.acc,
             filter: self.visits.filter,
             l1_lines: self.cost.l1_lines,
-        }));
-        (profile, self.counters)
+            log: self.visits.log,
+            smem: self.smem,
+            l2_bank_sectors: self.l2_bank_sectors,
+            view: self.gview.into_store(),
+            sanitizer: self.sanitizer.or(self.idle_sanitizer),
+        }
     }
 }
 
@@ -1524,13 +1669,14 @@ mod tests {
 
     /// Run `steps` of one lane program on a fresh a100 block (4 KiB of
     /// shared memory, the first 512 B allocated) and assert its profile,
-    /// counters and line-visit log. The expected values are literals, so
+    /// counters, L2 bank counts and line-visit log. The expected values are literals, so
     /// any change to the coalescing, bank, L1 or visit rules shows here.
     fn assert_pinned<F>(
         nwarps: u32,
         steps: &[(u32, Vec<u32>)],
         build: F,
         profile: BlockProfile,
+        banks: &[u64],
         visits: &[u64],
     ) where
         F: Fn(&GlobalMem) -> Box<dyn Fn(&mut Lane<'_, '_>, u32)>,
@@ -1544,11 +1690,11 @@ mod tests {
         for (warp, lanes) in steps {
             t.run_lanes(*warp, lanes, |lane, id| f(lane, id));
         }
-        let got_visits = t.take_visits();
+        assert_eq!(t.visits(), visits, "line-visit log");
+        assert_eq!(t.l2_bank_sectors(), banks, "L2 bank counts");
         let (got, counters) = t.finish(nwarps * 32, 4096);
         assert_eq!(got, profile, "profile");
         assert_eq!(counters, RtCounters::default(), "lane work touches no runtime counter");
-        assert_eq!(got_visits, visits, "line-visit log");
     }
 
     #[test]
@@ -1576,14 +1722,14 @@ mod tests {
                 tx_cycles: 12,
                 lsu_sectors: 59,
                 resid_cycles: 233,
-                l2_bank_sectors: vec![
-                    0, 1, 3, 2, 1, 2, 1, 2, 2, 1, 3, 2, 2, 1, 2, 0, 2, 2, 0, 0, 0, 1, 1, 3, 2, 1,
-                    2, 1, 1, 0, 1, 1, 2, 1, 0, 1, 2, 3, 2, 0,
-                ],
                 threads: 64,
                 smem_bytes: 4096,
                 ..Default::default()
             },
+            &[
+                0, 1, 3, 2, 1, 2, 1, 2, 2, 1, 3, 2, 2, 1, 2, 0, 2, 2, 0, 0, 0, 1, 1, 3, 2, 1, 2, 1,
+                1, 0, 1, 1, 2, 1, 0, 1, 2, 3, 2, 0,
+            ],
             &[
                 527, 783, 1034, 1282, 1541, 1797, 2058, 2314, 2564, 2821, 3081, 3338, 3586, 3845,
                 4101, 4362, 4618, 4868, 33295, 33551,
@@ -1609,14 +1755,14 @@ mod tests {
                 sectors: 20,
                 lsu_sectors: 20,
                 resid_cycles: 154,
-                l2_bank_sectors: vec![
-                    0, 2, 0, 0, 0, 2, 0, 0, 0, 1, 1, 0, 0, 2, 0, 0, 1, 2, 0, 0, 0, 2, 0, 1, 0, 2,
-                    0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0,
-                ],
                 threads: 32,
                 smem_bytes: 4096,
                 ..Default::default()
             },
+            &[
+                0, 2, 0, 0, 0, 2, 0, 0, 0, 1, 1, 0, 0, 2, 0, 0, 1, 2, 0, 0, 0, 2, 0, 1, 0, 2, 0, 0,
+                0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0,
+            ],
             &[
                 6148, 6404, 6660, 6916, 7172, 7428, 7684, 7940, 8196, 8452, 8708, 8964, 9220, 9476,
                 9732, 9988, 527,
@@ -1644,14 +1790,14 @@ mod tests {
                 tx_cycles: 8,
                 lsu_sectors: 4,
                 resid_cycles: 344,
-                l2_bank_sectors: vec![
-                    0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0,
-                    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                ],
                 threads: 32,
                 smem_bytes: 4096,
                 ..Default::default()
             },
+            &[
+                0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
             &[513, 1537],
         );
     }
@@ -1675,11 +1821,11 @@ mod tests {
                 issue: 8,
                 smem_ops: 3,
                 resid_cycles: 8,
-                l2_bank_sectors: vec![0; 40],
                 threads: 32,
                 smem_bytes: 4096,
                 ..Default::default()
             },
+            &[0; 40],
             &[],
         );
     }
@@ -1708,14 +1854,14 @@ mod tests {
                 tx_cycles: 194,
                 lsu_sectors: 128,
                 resid_cycles: 420,
-                l2_bank_sectors: vec![
-                    1, 2, 2, 2, 2, 2, 1, 1, 2, 1, 1, 0, 0, 0, 3, 2, 2, 2, 3, 1, 1, 1, 1, 1, 0, 0,
-                    0, 0, 3, 2, 2, 2, 2, 2, 2, 1, 1, 1, 0, 0,
-                ],
                 threads: 32,
                 smem_bytes: 4096,
                 ..Default::default()
             },
+            &[
+                1, 2, 2, 2, 2, 2, 1, 1, 2, 1, 1, 0, 0, 0, 3, 2, 2, 2, 3, 1, 1, 1, 1, 1, 0, 0, 0, 0,
+                3, 2, 2, 2, 2, 2, 2, 1, 1, 1, 0, 0,
+            ],
             &[
                 527, 783, 1039, 1295, 1551, 66049, 67841, 69633, 71425, 73218, 75010, 76802, 78594,
                 80388, 82180, 83972, 85764, 87560, 89352, 91144, 92936, 94977, 96769, 98561,
@@ -1731,7 +1877,7 @@ mod tests {
     }
 
     fn empty_log() -> VisitLog {
-        VisitLog { filter: visit_filter(), log: Vec::new() }
+        VisitLog { filter: visit_filter(), log: Vec::new(), start: 0 }
     }
 
     /// `line_walk` with no L2 banks to attribute.
@@ -1920,7 +2066,8 @@ mod tests {
             t.run_lanes(0, &lanes, |lane, id| {
                 lane.smem_write_f64(off, id, id as f64);
             });
-            assert!(t.take_visits().is_empty());
+            assert!(t.visits().is_empty());
+            assert_eq!(t.l2_bank_sectors(), [0; 32]);
             let clock = t.warp_clock(0);
             let (profile, counters) = t.finish(64, 4096);
             assert_eq!(counters, RtCounters::default());
@@ -1928,7 +2075,6 @@ mod tests {
                 issue: clock,
                 smem_ops: 1,
                 resid_cycles: clock,
-                l2_bank_sectors: vec![0; 32],
                 threads: 64,
                 smem_bytes: 4096,
                 ..Default::default()
@@ -1955,7 +2101,14 @@ mod tests {
         t.run_lanes(0, &lanes, |lane, id| {
             lane.read(p, id as u64);
         });
-        assert_eq!(t.take_visits(), [527]);
+        assert_eq!(t.visits(), [527]);
+        assert_eq!(
+            t.l2_bank_sectors(),
+            [
+                0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0,
+            ]
+        );
         let (profile, counters) = t.finish(32, 0);
         assert_eq!(counters, RtCounters::default());
         let expect = BlockProfile {
@@ -1963,10 +2116,6 @@ mod tests {
             sectors: 4,
             lsu_sectors: 4,
             resid_cycles: 20,
-            l2_bank_sectors: vec![
-                0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0,
-            ],
             threads: 32,
             ..Default::default()
         };

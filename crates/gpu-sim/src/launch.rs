@@ -4,33 +4,144 @@
 //! are mutually independent (no inter-block synchronization exists within a
 //! launch), so they execute concurrently on the launching thread plus the
 //! device's resident pool of parked workers ([`crate::sched::BlockPool`],
-//! sized by `SIMT_SIM_THREADS`; 1 = serial, no worker threads), each in its
-//! own [`TeamCtx`] built from its thread's reused block state. Per-block
-//! profiles, counters, traces and sanitizer findings are merged in
-//! block-index order, so the resulting [`LaunchStats`] is bit-identical to
-//! a serial run at any thread count; the launch result combines the
-//! per-block profiles into a simulated makespan via [`crate::sched`].
+//! sized by `SIMT_SIM_THREADS`; 1 = serial, no worker threads). Each
+//! thread runs the blocks it claims one after another in one [`TeamCtx`]
+//! built from its reused block state, and keeps what they produce in one
+//! batch that it hands back once. Per-block profiles, traces and sanitizer
+//! findings are merged in block-index order, and counters are summed, so
+//! the resulting [`LaunchStats`] is bit-identical to a serial run at any
+//! thread count; the launch result combines the per-block profiles into a
+//! simulated makespan via [`crate::sched`].
+
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 use crate::arch::DeviceArch;
 use crate::cost::CostModel;
-use crate::exec::{burst_atoms, TeamCtx};
+use crate::exec::{burst_atoms, Spare, TeamCtx};
 use crate::mem::global::{FallbackRange, GlobalMem};
-use crate::sanitize::{ForeignTouch, Sanitizer, Violation};
+use crate::sanitize::{ForeignTouch, Violation};
 use crate::sched;
 use crate::stats::{BlockProfile, LaunchStats, MemStats, RtCounters};
 use crate::trace::Trace;
 
-/// Everything one block's execution produced, collected by the block pool
-/// and merged on the launching thread in block-index order.
-struct BlockOutcome {
+/// One block's record in its [`Batch`]: its profile and trace, and where
+/// its entries sit in the batch's logs.
+struct Done {
+    block: u32,
     profile: BlockProfile,
-    counters: RtCounters,
+    violations: Range<usize>,
+    foreign: Range<usize>,
+    fallbacks: Range<usize>,
+    /// The block's entries in the batch's visit log.
+    visits: Range<usize>,
+    trace: Option<Trace>,
+}
+
+/// Visit-log entries (512 KiB) a [`Batch`] keeps from one launch to the
+/// next.
+const KEPT_VISITS: usize = 1 << 16;
+
+/// Everything one participant of a launch produced, block after block in
+/// its claim order. The participant takes the batch from the launching
+/// thread's [`Merge`] and puts it back when it leaves the launch, so
+/// nothing crosses threads per block, and the launching thread clears and
+/// reuses it instead of freeing it. Counters and L2 bank counts are `u64`
+/// sums, so the batch keeps only its partial sums of them.
+#[derive(Default)]
+struct Batch {
+    blocks: Vec<Done>,
     violations: Vec<Violation>,
     foreign: Vec<ForeignTouch>,
     fallbacks: Vec<FallbackRange>,
-    trace: Option<Trace>,
-    /// The block's line-visit log (see `TeamCtx::take_visits`).
+    /// The participant's visit log: its `TeamCtx` logs into it, and swaps
+    /// it back when it leaves the launch.
     visits: Vec<u64>,
+    counters: RtCounters,
+    l2_bank_sectors: Vec<u64>,
+}
+
+impl Batch {
+    fn clear(&mut self, l2_banks: usize) {
+        self.blocks.clear();
+        self.violations.clear();
+        self.foreign.clear();
+        self.fallbacks.clear();
+        self.visits.clear();
+        self.counters = RtCounters::default();
+        self.l2_bank_sectors.clear();
+        self.l2_bank_sectors.resize(l2_banks, 0);
+    }
+
+    /// Keep at most [`KEPT_VISITS`] entries of visit-log storage for the
+    /// next launch. A launch that logs more does far more work than the
+    /// allocation costs, and a thread that once ran one should not hold
+    /// its memory through the smaller launches that follow.
+    fn trim(&mut self) {
+        self.visits.clear();
+        self.visits.shrink_to(KEPT_VISITS);
+    }
+
+    /// Record the finished block `team` and end it.
+    fn record(&mut self, team: &mut TeamCtx<'_>, cfg: &LaunchConfig) {
+        let trace = team.tracing().then(|| team.detach_trace());
+        let (violations, foreign) = (self.violations.len(), self.foreign.len());
+        team.drain_findings(&mut self.violations, &mut self.foreign);
+        let fallbacks = self.fallbacks.len();
+        extend(&mut self.fallbacks, team.global().fallback_ranges());
+        for (sum, &n) in self.l2_bank_sectors.iter_mut().zip(team.l2_bank_sectors()) {
+            *sum += n;
+        }
+        let (block, visits) = (team.block_id, team.visit_range());
+        let (profile, counters) = team.end(cfg.threads_per_block, cfg.smem_bytes);
+        self.counters.merge(&counters);
+        self.blocks.push(Done {
+            block,
+            profile,
+            violations: violations..self.violations.len(),
+            foreign: foreign..self.foreign.len(),
+            fallbacks: fallbacks..self.fallbacks.len(),
+            visits,
+            trace,
+        });
+    }
+}
+
+/// `dst.extend_from_slice(src)`, skipped when `src` is empty. An empty
+/// `Vec`'s pointer is dangling, and the C library's copy routine can take
+/// a slow path on it even for zero bytes (about 80 ns on an AVX-512 Xeon,
+/// more than the rest of an empty block's teardown).
+fn extend<T: Clone>(dst: &mut Vec<T>, src: &[T]) {
+    if !src.is_empty() {
+        dst.extend_from_slice(src);
+    }
+}
+
+/// The batches of a launch: each participant takes one from `free` and
+/// hands it back to `done`, so a late participant never takes one that
+/// an earlier one filled.
+#[derive(Default)]
+struct Batches {
+    free: Vec<Batch>,
+    done: Vec<Batch>,
+}
+
+/// The launching thread's merge state, reused from launch to launch: the
+/// participants' batches, the block-order index into them, the profiles
+/// in block order and the visit replay's touched set. A panicking launch
+/// drops it; the next launch builds a fresh one.
+#[derive(Default)]
+struct Merge {
+    batches: Mutex<Batches>,
+    /// Block id → (batch, index into its `blocks`).
+    order: Vec<(usize, usize)>,
+    profiles: Vec<BlockProfile>,
+    touched: Touched,
+}
+
+thread_local! {
+    /// This launching thread's [`Merge`], `None` while a launch runs.
+    static MERGE: std::cell::Cell<Option<Merge>> = const { std::cell::Cell::new(None) };
 }
 
 /// `Hasher` for the `u64` page ids of [`Touched`]: one folded
@@ -62,9 +173,9 @@ const PAGE_LINES: usize = 4096;
 /// The visit replay's touched set: one sector mask per line, in pages of
 /// [`PAGE_LINES`] consecutive lines found through a small page-id map,
 /// with the last page cached, so a run of entries within one page costs
-/// no lookup. Each launching thread keeps one ([`TOUCHED`]) and empties
-/// it after every replay by re-walking the replayed logs, keeping its
-/// pages for the next launch.
+/// no lookup. Each launching thread keeps one (in its [`Merge`]) and
+/// empties it after every replay by re-walking the replayed logs, keeping
+/// its pages for the next launch.
 struct Touched {
     /// Every page allocated so far; the first `used` are this replay's.
     pages: Vec<Box<[u8; PAGE_LINES]>>,
@@ -102,7 +213,7 @@ impl Touched {
 
     /// Empty the set after replaying `logs`: zero every mask they set,
     /// then forget the pages' ids, keeping the zeroed pages.
-    fn clear(&mut self, logs: &[Vec<u64>]) {
+    fn clear<'a>(&mut self, logs: impl Iterator<Item = &'a [u64]>) {
         for log in logs {
             for &packed in log {
                 *self.mask(packed >> 8) = 0;
@@ -112,13 +223,6 @@ impl Touched {
         self.used = 0;
         self.last = (u64::MAX, 0);
     }
-}
-
-thread_local! {
-    /// This launching thread's replay [`Touched`] set, empty between
-    /// launches. A panicking replay drops it; the next launch builds a
-    /// fresh one.
-    static TOUCHED: std::cell::Cell<Option<Touched>> = const { std::cell::Cell::new(None) };
 }
 
 /// Geometry of one kernel launch.
@@ -316,47 +420,81 @@ impl Device {
         let resident = self.validate(cfg)?;
         let nwarps = cfg.threads_per_block / self.arch.warp_size;
         let threads = sched::resolve_threads(self.sim_threads);
-        // Shared, immutable launch state the worker closure captures.
+        let n = cfg.num_blocks as usize;
+        let l2_banks = self.arch.cache.l2_banks as usize;
+        let mut merge = MERGE.take().unwrap_or_default();
+        {
+            let free = &mut merge.batches.get_mut().unwrap_or_else(PoisonError::into_inner).free;
+            free.resize_with(
+                free.len().max(sched::participants(cfg.num_blocks, threads)),
+                Batch::default,
+            );
+            for b in free.iter_mut() {
+                b.clear(l2_banks);
+            }
+        }
+        // Shared, immutable launch state the participants capture.
         let global = &self.global;
         let cost = &self.cost;
         let arch = &self.arch;
         let (trace_enabled, trace_cap) = (self.trace_enabled, self.trace_cap);
         let sanitize = self.sanitize_enabled;
-        let warp_size = self.arch.warp_size;
-        let outcomes = self.pool.run_blocks(cfg.num_blocks, threads, |block_id| {
-            let mut team =
-                TeamCtx::new(block_id, cfg.num_blocks, nwarps, cfg.smem_bytes, global, cost, arch);
-            if trace_enabled {
-                team.attach_trace(Trace::with_capacity(trace_cap));
-            }
-            if sanitize {
-                let san = Sanitizer::new(block_id, nwarps, warp_size, cfg.smem_bytes / 8);
-                team.attach_sanitizer(Box::new(san));
-            }
-            entry(&mut team);
-            let trace = trace_enabled.then(|| team.detach_trace());
-            let (violations, foreign) = match team.detach_sanitizer() {
-                Some(mut san) => {
-                    let foreign = san.take_foreign();
-                    (san.finish(), foreign)
+        let batches = &merge.batches;
+        self.pool.run_blocks(cfg.num_blocks, threads, |claims| {
+            let lock = || batches.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut batch = lock().free.pop().expect("a batch per participant");
+            // One context serves the thread's blocks in turn: its segment
+            // cache looks each segment up once per launch.
+            let spare = Spare::take(cost, arch);
+            let mut team = TeamCtx::from_spare(
+                spare,
+                cfg.num_blocks,
+                nwarps,
+                cfg.smem_bytes,
+                global,
+                cost,
+                arch,
+            );
+            // The blocks log their visits straight into the batch's log.
+            team.swap_visit_log(&mut batch.visits);
+            for block_id in claims {
+                team.begin(block_id);
+                if trace_enabled {
+                    team.attach_trace(Trace::with_capacity(trace_cap));
                 }
-                None => (Vec::new(), Vec::new()),
-            };
-            let fallbacks = team.fallback_ranges();
-            let visits = team.take_visits();
-            let (profile, counters) = team.finish(cfg.threads_per_block, cfg.smem_bytes);
-            BlockOutcome { profile, counters, violations, foreign, fallbacks, trace, visits }
+                if sanitize {
+                    team.sanitize(cfg.smem_bytes / 8);
+                }
+                entry(&mut team);
+                batch.record(&mut team, cfg);
+            }
+            team.swap_visit_log(&mut batch.visits);
+            team.into_spare().put_back();
+            lock().done.push(batch);
         });
 
-        // Deterministic merge: `BlockPool::run_blocks` returns outcomes sorted by
-        // block id, so every reduction below sees them in the same order a
-        // serial run would have produced them.
-        let mut profiles = Vec::with_capacity(outcomes.len());
+        // Deterministic merge: walk the blocks in block-index order through
+        // the batches, so every reduction below sees them in the order a
+        // serial run would have produced them. Counters and L2 bank counts
+        // are sums, folded per batch.
+        let Merge { batches, order, profiles, touched } = &mut merge;
+        let Batches { free, done: batches } =
+            batches.get_mut().unwrap_or_else(PoisonError::into_inner);
+        order.clear();
+        order.resize(n, (0, 0));
         let mut counters = RtCounters::default();
+        let mut l2_bank_sectors = vec![0; l2_banks];
+        for (bi, b) in batches.iter().enumerate() {
+            for (i, d) in b.blocks.iter().enumerate() {
+                order[d.block as usize] = (bi, i);
+            }
+            counters.merge(&b.counters);
+            for (sum, &s) in l2_bank_sectors.iter_mut().zip(&b.l2_bank_sectors) {
+                *sum += s;
+            }
+        }
         let mut violations = Vec::new();
         let mut merged_trace = trace_enabled.then(|| Trace::with_capacity(trace_cap));
-        let mut fallbacks_by_block: Vec<Vec<FallbackRange>> = Vec::with_capacity(outcomes.len());
-        let mut foreign_by_block: Vec<Vec<ForeignTouch>> = Vec::with_capacity(outcomes.len());
         // Deterministic first-touch replay, folded into the merge: walk
         // every block's line-visit log in block-index order against one
         // sequential touched-set. Each visit's fresh sectors are
@@ -365,18 +503,18 @@ impl Device {
         // visit wins a cross-block shared sector is interleaving-dependent
         // online, and the burst-atom count is nonlinear in that grouping —
         // replaying here reproduces the `SIMT_SIM_THREADS=1` attribution
-        // at any thread count. The logs are kept until the touched set has
-        // been emptied by walking them again.
-        let mut touched = TOUCHED.take().unwrap_or_default();
-        let mut logs = Vec::with_capacity(outcomes.len());
-        for (_, o) in outcomes {
-            counters.merge(&o.counters);
-            violations.extend(o.violations);
-            if let (Some(m), Some(t)) = (merged_trace.as_mut(), o.trace) {
+        // at any thread count. The touched set is emptied afterwards by
+        // walking the logs again.
+        profiles.clear();
+        for &(bi, i) in order.iter() {
+            let b = &mut batches[bi];
+            let d = &mut b.blocks[i];
+            extend(&mut violations, &b.violations[d.violations.clone()]);
+            if let (Some(m), Some(t)) = (merged_trace.as_mut(), d.trace.take()) {
                 m.absorb(t);
             }
-            let mut p = o.profile;
-            for &packed in &o.visits {
+            let mut p = d.profile;
+            for &packed in &b.visits[d.visits.clone()] {
                 let seen = touched.mask(packed >> 8);
                 let fresh = packed as u8 & !*seen;
                 *seen |= fresh;
@@ -384,12 +522,8 @@ impl Device {
                 p.dram_atoms += burst_atoms(fresh);
             }
             profiles.push(p);
-            fallbacks_by_block.push(o.fallbacks);
-            foreign_by_block.push(o.foreign);
-            logs.push(o.visits);
         }
-        touched.clear(&logs);
-        TOUCHED.set(Some(touched));
+        touched.clear(batches.iter().map(|b| &b.visits[..]));
         if let Some(m) = merged_trace {
             self.trace = m;
         }
@@ -397,14 +531,14 @@ impl Device {
         // the owner's leaked (never-freed) fallback ranges. Blocks never
         // synchronize with each other, so any such write raced with the
         // owner. Accessor-major order keeps the report deterministic.
-        for (accessor, touches) in foreign_by_block.iter().enumerate() {
-            for t in touches {
-                if !t.write {
-                    continue;
-                }
-                let leaked = fallbacks_by_block
-                    .get(t.owner as usize)
-                    .is_some_and(|fb| fb.iter().any(|r| !r.freed && r.contains(t.addr)));
+        for (accessor, &(bi, i)) in order.iter().enumerate() {
+            let b = &batches[bi];
+            for t in b.foreign[b.blocks[i].foreign.clone()].iter().filter(|t| t.write) {
+                let leaked = order.get(t.owner as usize).is_some_and(|&(oi, oj)| {
+                    let o = &batches[oi];
+                    let ranges = &o.fallbacks[o.blocks[oj].fallbacks.clone()];
+                    ranges.iter().any(|r| !r.freed && r.contains(t.addr))
+                });
                 if leaked {
                     violations.push(Violation::CrossTeamFallbackRace {
                         owner: t.owner,
@@ -420,15 +554,15 @@ impl Device {
         for v in &violations {
             eprintln!("simtcheck: {v}");
         }
-        let span = sched::makespan(&self.arch, &self.cost, &profiles, resident);
+        let span = sched::makespan(&self.arch, &self.cost, profiles, &l2_bank_sectors, resident);
         // Block-index-order fold of the memory counters (profiles are
         // already sorted by block id) — bit-identical at any thread count.
-        let mut mem = MemStats::default();
-        for p in &profiles {
+        let mut mem = MemStats { l2_bank_sectors, ..MemStats::default() };
+        for p in profiles.iter() {
             mem.merge_block(p);
         }
         mem.mlp_stalls = span.mlp_stalls;
-        Ok(LaunchStats {
+        let stats = LaunchStats {
             cycles: span.cycles + self.cost.launch_overhead,
             blocks: cfg.num_blocks,
             blocks_per_sm: resident,
@@ -440,7 +574,13 @@ impl Device {
             mem,
             counters,
             violations,
-        })
+        };
+        for b in batches.iter_mut() {
+            b.trim();
+        }
+        free.append(batches);
+        MERGE.set(Some(merge));
+        Ok(stats)
     }
 }
 

@@ -17,11 +17,15 @@
 //!   segment id, behind one short mutex. Allocation pushes in place and
 //!   free clears the slot to `None` (8 bytes) — both O(1), however many
 //!   segments the device has ever made, since ids are never reused. A
-//!   block's [`GlobalView`] looks each segment up once (one lock, one
-//!   `Arc` clone on that cache miss) and keeps it in a short per-view
-//!   list, so every later access is a scan of a few ids plus an index,
-//!   with no lock and no refcount traffic. A cached segment shares its
-//!   `alive` flag with the table, so use after free still panics;
+//!   [`GlobalView`] looks each segment up once (one lock, one `Arc` clone
+//!   on that cache miss) and keeps it in a short list, so every later
+//!   access is a scan of a few ids plus an index, with no lock and no
+//!   refcount traffic. During a launch the list is launch-scoped per sim
+//!   thread: one view serves all of the thread's blocks in turn
+//!   ([`GlobalView::begin_block`]), so a thread looks a segment up once
+//!   per launch, and drops the `Arc`s when it leaves the launch. A cached
+//!   segment shares its `alive` flag with the table, so use after free
+//!   still panics;
 //! * nothing here tracks which sectors a launch has touched: compulsory
 //!   DRAM traffic is counted by the launch's serial replay of the blocks'
 //!   line-visit logs (`exec::VisitLog`), so the access path carries no
@@ -261,13 +265,22 @@ impl GlobalMem {
     /// A block-scoped accessor with a per-view segment cache and this
     /// block's deterministic fallback arena.
     pub fn view(&self, block_id: u32) -> GlobalView<'_> {
-        let arena = ARENA_BASE + block_id as u64 * ARENA_STRIDE;
+        let mut view = self.view_in(ViewStore::default());
+        view.begin_block(block_id);
+        view
+    }
+
+    /// A view on reused storage, for [`GlobalView::begin_block`] to place
+    /// at a block. The store's segment cache must come from a view of this
+    /// memory in the same launch, or be empty: segment ids restart at 0 on
+    /// every `GlobalMem`.
+    pub(crate) fn view_in(&self, store: ViewStore) -> GlobalView<'_> {
         GlobalView {
             mem: self,
-            segs: Vec::new(),
-            arena_next: arena,
-            arena_limit: arena + ARENA_STRIDE,
-            arena_allocs: Vec::new(),
+            segs: store.segs,
+            arena_next: 0,
+            arena_limit: 0,
+            arena_allocs: store.arena_allocs,
         }
     }
 
@@ -516,11 +529,29 @@ impl FallbackRange {
     }
 }
 
+/// The storage of a [`GlobalView`] kept from one launch to the next on a
+/// sim thread: the segment cache, emptied when the thread leaves a launch,
+/// and the fallback-range list.
+#[derive(Default)]
+pub(crate) struct ViewStore {
+    segs: Vec<(u32, Arc<Segment>)>,
+    arena_allocs: Vec<FallbackRange>,
+}
+
+impl ViewStore {
+    /// Drop every cached segment: the thread leaves the launch, and the
+    /// next launch may be on another `GlobalMem`.
+    pub(crate) fn leave_launch(&mut self) {
+        self.segs.clear();
+    }
+}
+
 /// A block's accessor to shared global memory: caches every segment the
 /// block touches and owns the block's deterministic fallback arena.
 pub struct GlobalView<'g> {
     mem: &'g GlobalMem,
-    /// Segments this block has touched, each looked up in the table once.
+    /// Segments this view has touched (during a launch, for every block
+    /// its thread has run so far), each looked up in the table once.
     /// A block touches a handful, so a linear scan beats any map. Safe
     /// across frees: a cached `Arc` shares its segment's `alive` flag, so
     /// stale use still panics.
@@ -650,6 +681,19 @@ impl<'g> GlobalView<'g> {
     /// reads these for cross-team race analysis).
     pub fn fallback_ranges(&self) -> &[FallbackRange] {
         &self.arena_allocs
+    }
+
+    /// Serve block `block_id` next: its fallback arena, no fallback
+    /// ranges yet, and the segment cache as it is.
+    pub(crate) fn begin_block(&mut self, block_id: u32) {
+        self.arena_next = ARENA_BASE + block_id as u64 * ARENA_STRIDE;
+        self.arena_limit = self.arena_next + ARENA_STRIDE;
+        self.arena_allocs.clear();
+    }
+
+    /// The view's storage, segment cache included.
+    pub(crate) fn into_store(self) -> ViewStore {
+        ViewStore { segs: self.segs, arena_allocs: self.arena_allocs }
     }
 }
 
@@ -827,6 +871,36 @@ mod tests {
         g.free(q);
         assert_eq!(g.live_bytes(), 0);
         assert_eq!(g.alloc_count(), 2);
+    }
+
+    #[test]
+    fn a_buffer_freed_after_a_launch_is_released() {
+        // Each sim thread caches the segments a launch touches and must
+        // drop them when it leaves the launch: a buffer freed afterwards
+        // loses its last `Arc`, so its storage goes.
+        use crate::launch::{Device, LaunchConfig};
+        for threads in [1, 2] {
+            let mut d = Device::new(crate::arch::DeviceArch::tiny());
+            d.set_sim_threads(Some(threads));
+            let p = d.global.alloc_zeroed::<u64>(64);
+            let weak = Arc::downgrade(&d.global.seg(p.seg));
+            let cfg = LaunchConfig { num_blocks: 16, threads_per_block: 32, smem_bytes: 0 };
+            // On 2 threads, blocks 0 and 1 meet here, so both threads
+            // take part in the launch and cache the segment.
+            let both = std::sync::Barrier::new(2);
+            d.launch(&cfg, |team| {
+                let b = team.block_id as u64;
+                team.run_lanes(0, &[0, 1], |lane, id| {
+                    lane.read(p, b * 2 + id as u64);
+                });
+                if threads == 2 && b < 2 {
+                    both.wait();
+                }
+            })
+            .unwrap();
+            d.global.free(p);
+            assert!(weak.upgrade().is_none(), "threads={threads}: a cache kept the segment");
+        }
     }
 
     #[test]

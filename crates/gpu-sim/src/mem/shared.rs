@@ -16,20 +16,41 @@ use super::ptr::Slot;
 pub struct SmOff(pub u32);
 
 /// Per-block shared memory: an 8-byte-slot array with a bump allocator.
+#[derive(Default)]
 pub struct SharedMem {
     slots: Vec<u64>,
     /// Bump-allocation cursor, in slots.
     cursor: u32,
     /// High-water mark of the cursor, in slots.
     peak: u32,
+    /// One past the highest slot written: every slot from here on is
+    /// still zero, so emptying the memory for reuse zeroes only the
+    /// prefix below it.
+    dirty: usize,
 }
 
 impl SharedMem {
     /// Create shared memory with `capacity_bytes` bytes (rounded up to
     /// whole 8-byte slots).
     pub fn new(capacity_bytes: u32) -> SharedMem {
-        let nslots = (capacity_bytes as usize).div_ceil(8);
-        SharedMem { slots: vec![0; nslots], cursor: 0, peak: 0 }
+        let mut sm = SharedMem::default();
+        sm.reuse(capacity_bytes);
+        sm
+    }
+
+    /// Empty the memory for another block with `capacity_bytes` bytes,
+    /// keeping its storage: zero the written prefix and reset the
+    /// allocator, as if freshly created.
+    pub(crate) fn reuse(&mut self, capacity_bytes: u32) {
+        // Nothing written, nothing to zero: the test also keeps a zero-byte
+        // fill off a dangling pointer, which the C library can make slow.
+        if self.dirty > 0 {
+            self.slots[..self.dirty].fill(0);
+        }
+        self.slots.resize((capacity_bytes as usize).div_ceil(8), 0);
+        self.cursor = 0;
+        self.peak = 0;
+        self.dirty = 0;
     }
 
     /// Capacity in bytes.
@@ -77,7 +98,13 @@ impl SharedMem {
     /// Write the slot at `off + idx`.
     #[inline]
     pub fn write_slot(&mut self, off: SmOff, idx: u32, v: Slot) {
-        self.slots[(off.0 + idx) as usize] = v.0;
+        self.store((off.0 + idx) as usize, v.0);
+    }
+
+    #[inline]
+    fn store(&mut self, i: usize, word: u64) {
+        self.slots[i] = word;
+        self.dirty = self.dirty.max(i + 1);
     }
 
     /// Read a slot as an `f64` (for user shared arrays of doubles).
@@ -89,13 +116,14 @@ impl SharedMem {
     /// Write a slot as an `f64`.
     #[inline]
     pub fn write_f64(&mut self, off: SmOff, idx: u32, v: f64) {
-        self.slots[(off.0 + idx) as usize] = v.to_bits();
+        self.store((off.0 + idx) as usize, v.to_bits());
     }
 
     /// Clear all contents and the allocator (block re-use between launches).
     pub fn reset_all(&mut self) {
         self.slots.fill(0);
         self.cursor = 0;
+        self.dirty = 0;
     }
 }
 
@@ -143,6 +171,17 @@ mod tests {
         assert_eq!(sm.read_slot(off, 0).as_f64(), 2.5);
         sm.write_slot(off, 1, Slot::from_u64(77));
         assert_eq!(sm.read_slot(off, 1).as_u64(), 77);
+    }
+
+    #[test]
+    fn reuse_zeroes_what_was_written_and_resizes() {
+        let mut sm = SharedMem::new(64);
+        sm.write_f64(SmOff(0), 5, 3.0);
+        sm.alloc(16).unwrap();
+        sm.reuse(32);
+        assert_eq!((sm.capacity_bytes(), sm.mark(), sm.peak_bytes()), (32, SmOff(0), 0));
+        sm.reuse(64);
+        assert!((0..8).all(|i| sm.read_slot(SmOff(0), i).as_u64() == 0));
     }
 
     #[test]

@@ -147,6 +147,14 @@ pub enum Violation {
         /// What the declaration missed.
         detail: String,
     },
+    /// The block found more violations than the per-block cap keeps; the
+    /// launch reports this count right after the block's kept findings.
+    FindingsDropped {
+        /// Block id.
+        block: u32,
+        /// Findings found past the cap and not kept.
+        dropped: u64,
+    },
 }
 
 impl std::fmt::Display for Violation {
@@ -204,6 +212,9 @@ impl std::fmt::Display for Violation {
             Violation::FootprintViolation { block, func, detail } => {
                 write!(f, "block {block}: {func} violated its declared footprint: {detail}")
             }
+            Violation::FindingsDropped { block, dropped } => {
+                write!(f, "block {block}: {dropped} more finding(s) past the per-block cap")
+            }
         }
     }
 }
@@ -235,6 +246,20 @@ struct SlotState {
     /// Most recent atomic RMW on the slot (atomics never race with each
     /// other, only with unordered plain accesses).
     last_atomic: Option<AccessLabel>,
+    /// The history belongs to the current block only while this equals
+    /// the sanitizer's [`Sanitizer::block_stamp`]; an older stamp means
+    /// empty.
+    stamp: u32,
+}
+
+impl SlotState {
+    /// Forget the history, keeping the readers' storage.
+    fn clear(&mut self, stamp: u32) {
+        self.last_write = None;
+        self.readers.clear();
+        self.last_atomic = None;
+        self.stamp = stamp;
+    }
 }
 
 /// Cap on stored violations per block (further ones are counted, not kept).
@@ -267,13 +292,19 @@ struct WarpSyncState {
     /// Epoch of the last sync covering every lane of the warp.
     last_full: u64,
     /// `pair[a * ws + b]`: epoch of the last partial sync covering lanes
-    /// `a` and `b`. `None` until the first partial masked sync on the warp.
-    pair: Option<Box<[u64]>>,
+    /// `a` and `b`. Meaningful only while `inflated`; its storage outlives
+    /// the block that allocated it.
+    pair: Box<[u64]>,
+    /// Whether a partial masked sync on the warp inflated `pair` in the
+    /// current block.
+    inflated: bool,
 }
 
-/// The per-block sanitizer state. Created by the launch path when
+/// The per-block sanitizer state. Attached by the launch path when
 /// [`crate::Device::enable_sanitizer`] is on; fed by [`crate::TeamCtx`].
-#[derive(Debug)]
+/// A sim thread keeps one from block to block and [`Sanitizer::reset`]s
+/// it, so its tables are allocated once.
+#[derive(Debug, Default)]
 pub struct Sanitizer {
     block: u32,
     warp_size: u32,
@@ -294,6 +325,9 @@ pub struct Sanitizer {
     /// Id of the most recent block barrier.
     last_block_barrier: u64,
     slots: Vec<SlotState>,
+    /// The current block's stamp: a slot stamped otherwise is empty, so a
+    /// reset empties every slot by bumping it.
+    block_stamp: u32,
     sharing: Option<SharingLayout>,
     /// Warps that announced arrival at the upcoming block barrier.
     arrived_warps: Vec<bool>,
@@ -309,24 +343,58 @@ impl Sanitizer {
     /// representation: O(warps) state until a partial masked warp sync
     /// inflates a per-warp pairwise table.
     pub fn new(block: u32, nwarps: u32, warp_size: u32, smem_slots: u32) -> Sanitizer {
-        Sanitizer {
-            block,
-            warp_size,
-            nwarps,
-            epochs: vec![0; (nwarps * warp_size) as usize],
-            next_epoch: 0,
-            sync: vec![WarpSyncState::default(); nwarps as usize],
-            pair_inflations: 0,
-            foreign: Vec::new(),
-            last_block_barrier: 0,
-            slots: vec![SlotState::default(); smem_slots as usize],
-            sharing: None,
-            arrived_warps: vec![false; nwarps as usize],
-            any_arrival: false,
-            outstanding_fallbacks: 0,
-            violations: Vec::new(),
-            dropped: 0,
+        let mut s = Sanitizer::default();
+        s.reset(block, nwarps, warp_size, smem_slots);
+        s
+    }
+
+    /// Make this the fresh sanitizer [`Sanitizer::new`] builds, keeping
+    /// the storage: per-thread and per-warp state is rewritten (O(threads)),
+    /// shared-memory slots are emptied by stamp, and findings and foreign
+    /// touches are cleared.
+    pub(crate) fn reset(&mut self, block: u32, nwarps: u32, warp_size: u32, smem_slots: u32) {
+        self.block = block;
+        self.warp_size = warp_size;
+        self.nwarps = nwarps;
+        self.epochs.clear();
+        self.epochs.resize((nwarps * warp_size) as usize, 0);
+        self.next_epoch = 0;
+        self.sync.truncate(nwarps as usize);
+        for w in &mut self.sync {
+            w.last_full = 0;
+            w.inflated = false;
         }
+        self.sync.resize_with(nwarps as usize, WarpSyncState::default);
+        self.pair_inflations = 0;
+        self.foreign.clear();
+        self.last_block_barrier = 0;
+        // Stamp 0 is never current, so slots added by `resize` start empty.
+        self.block_stamp = self.block_stamp.wrapping_add(1);
+        if self.block_stamp == 0 {
+            self.block_stamp = 1;
+            for s in &mut self.slots {
+                s.stamp = 0;
+            }
+        }
+        self.slots.resize_with(smem_slots as usize, SlotState::default);
+        self.sharing = None;
+        self.arrived_warps.clear();
+        self.arrived_warps.resize(nwarps as usize, false);
+        self.any_arrival = false;
+        self.outstanding_fallbacks = 0;
+        self.violations.clear();
+        self.dropped = 0;
+    }
+
+    /// Slot `slot`'s history in the current block, emptied first if an
+    /// earlier block left it; `None` past the block's shared memory.
+    fn slot(&mut self, slot: u32) -> Option<&mut SlotState> {
+        let stamp = self.block_stamp;
+        let state = self.slots.get_mut(slot as usize)?;
+        if state.stamp != stamp {
+            state.clear(stamp);
+        }
+        Some(state)
     }
 
     fn report(&mut self, v: Violation) {
@@ -347,7 +415,7 @@ impl Sanitizer {
     /// no partial masked syncs (regression guard against the old eager
     /// `nwarps * ws^2` allocation).
     pub fn sync_words(&self) -> usize {
-        self.sync.iter().map(|w| 1 + w.pair.as_ref().map_or(0, |p| p.len())).sum()
+        self.sync.iter().map(|w| 1 + if w.inflated { w.pair.len() } else { 0 }).sum()
     }
 
     /// Number of per-warp pairwise tables inflated by partial masked syncs.
@@ -370,7 +438,7 @@ impl Sanitizer {
         let lo = layout.base as usize;
         let hi = ((layout.base + layout.total_slots) as usize).min(self.slots.len());
         for s in &mut self.slots[lo..hi.max(lo)] {
-            *s = SlotState::default();
+            s.clear(self.block_stamp);
         }
         self.sharing = Some(layout);
     }
@@ -430,27 +498,32 @@ impl Sanitizer {
     fn advance_lanes(&mut self, warp: u32, lanes: LaneMask) {
         self.next_epoch += 1;
         let ws = self.warp_size;
-        let participants: Vec<u32> = lanes.iter().filter(|&l| l < ws).collect();
-        for &a in &participants {
+        let participants = lanes.and(LaneMask::full(ws));
+        for a in participants.iter() {
             if let Some(e) = self.epochs.get_mut((warp * ws + a) as usize) {
                 *e = self.next_epoch;
             }
         }
         let Some(state) = self.sync.get_mut(warp as usize) else { return };
-        if participants.len() as u32 == ws {
+        if participants.count() == ws {
             // Full sync: one scalar update, no pairwise table.
             state.last_full = self.next_epoch;
         } else {
             // Partial masked sync: inflate the warp's pairwise table on
-            // first use.
-            if state.pair.is_none() {
-                state.pair = Some(vec![0u64; (ws * ws) as usize].into_boxed_slice());
+            // first use in the block, reusing an earlier block's storage.
+            if !state.inflated {
+                let len = (ws * ws) as usize;
+                if state.pair.len() == len {
+                    state.pair.fill(0);
+                } else {
+                    state.pair = vec![0u64; len].into_boxed_slice();
+                }
+                state.inflated = true;
                 self.pair_inflations += 1;
             }
-            let pair = state.pair.as_mut().expect("just inflated");
-            for &a in &participants {
-                for &b in &participants {
-                    pair[(a * ws + b) as usize] = self.next_epoch;
+            for a in participants.iter() {
+                for b in participants.iter() {
+                    state.pair[(a * ws + b) as usize] = self.next_epoch;
                 }
             }
         }
@@ -468,10 +541,11 @@ impl Sanitizer {
         let mut latest_common = self.last_block_barrier;
         if w_thread / ws == thread / ws {
             let sw = self.sync.get((thread / ws) as usize).map_or(0, |state| {
-                let pairwise = state
-                    .pair
-                    .as_ref()
-                    .map_or(0, |p| p[((thread % ws) * ws + w_thread % ws) as usize]);
+                let pairwise = if state.inflated {
+                    state.pair[((thread % ws) * ws + w_thread % ws) as usize]
+                } else {
+                    0
+                };
                 state.last_full.max(pairwise)
             });
             latest_common = latest_common.max(sw);
@@ -498,7 +572,10 @@ impl Sanitizer {
             }
         }
 
-        let Some(state) = self.slots.get(slot as usize) else { return };
+        if self.slot(slot).is_none() {
+            return;
+        }
+        let state = &self.slots[slot as usize];
         let mut found: Vec<Violation> = Vec::new();
         // Plain access vs an unordered atomic RMW: the atomic/plain rule.
         if let Some(a) = state.last_atomic {
@@ -568,7 +645,10 @@ impl Sanitizer {
         if let Some(v) = self.check_overflow(thread, slot) {
             self.report(v);
         }
-        let Some(state) = self.slots.get(slot as usize) else { return };
+        if self.slot(slot).is_none() {
+            return;
+        }
+        let state = &self.slots[slot as usize];
         let mut found: Vec<Violation> = Vec::new();
         if let Some(w) = state.last_write {
             if !self.ordered_before(w.thread, w.epoch, thread) {
@@ -656,16 +736,39 @@ impl Sanitizer {
         self.outstanding_fallbacks = self.outstanding_fallbacks.saturating_sub(1);
     }
 
-    /// End of the block (`__target_deinit` has run): check for leaked
-    /// fallbacks and return all findings. A leak is kept even past
-    /// [`MAX_VIOLATIONS`]: there is at most one per block.
-    pub fn finish(mut self) -> Vec<Violation> {
+    /// The launch's teardown of a block, leaving the storage for the next
+    /// one: append [`Self::finish`]'s findings to `out`, then one
+    /// [`Violation::FindingsDropped`] if the cap dropped any, and the
+    /// foreign-arena touches to `foreign`.
+    pub(crate) fn drain(&mut self, out: &mut Vec<Violation>, foreign: &mut Vec<ForeignTouch>) {
+        self.report_leak();
+        // Empty vectors are skipped: a zero-byte copy from an empty
+        // vector's dangling pointer can be slow (see `launch::extend`).
+        if !self.violations.is_empty() {
+            out.append(&mut self.violations);
+        }
+        if self.dropped > 0 {
+            out.push(Violation::FindingsDropped { block: self.block, dropped: self.dropped });
+        }
+        if !self.foreign.is_empty() {
+            foreign.append(&mut self.foreign);
+        }
+    }
+
+    fn report_leak(&mut self) {
         if self.outstanding_fallbacks > 0 {
             self.violations.push(Violation::LeakedFallback {
                 block: self.block,
                 outstanding: self.outstanding_fallbacks,
             });
         }
+    }
+
+    /// End of the block (`__target_deinit` has run): check for leaked
+    /// fallbacks and return all findings. A leak is kept even past
+    /// [`MAX_VIOLATIONS`]: there is at most one per block.
+    pub fn finish(mut self) -> Vec<Violation> {
+        self.report_leak();
         self.violations
     }
 }

@@ -202,47 +202,61 @@ impl Drop for Workers {
     }
 }
 
+/// The block ids one participant of a launch claims, in increasing order,
+/// from the counter every participant shares.
+pub struct Claims<'a> {
+    next: &'a AtomicU32,
+    num_blocks: u32,
+}
+
+impl Iterator for Claims<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let b = self.next.fetch_add(1, Ordering::Relaxed);
+        (b < self.num_blocks).then_some(b)
+    }
+}
+
 impl BlockPool {
-    /// Execute `f(block_id)` for every block id in `0..num_blocks` on
-    /// `threads` host threads — the caller plus `threads − 1` parked
-    /// workers — and hand back the results **sorted by block id**:
-    /// callers merge them in block-index order, which is what keeps
-    /// parallel launches bit-identical to serial ones.
+    /// Execute every block id in `0..num_blocks` on `threads` host
+    /// threads — the caller plus `threads − 1` parked workers. Each
+    /// thread that joins the launch calls `participant` once with its
+    /// [`Claims`]: every participant claims blocks from one shared atomic
+    /// counter, so imbalanced blocks don't idle workers, and a participant
+    /// sees its own blocks in increasing id order. At most
+    /// [`participants`] calls happen. Whatever a participant produces it
+    /// keeps per participant and hands back once, so nothing crosses
+    /// threads per block; callers merge in block-index order, which is
+    /// what keeps parallel launches bit-identical to serial ones.
     ///
-    /// Every participant claims blocks from one shared atomic counter, so
-    /// imbalanced blocks don't idle workers. With `threads <= 1` (or a
-    /// single block) everything runs inline on the caller's thread and no
-    /// worker is created. A panic in any block is re-raised on the caller
-    /// once every worker has left the launch; the pool stays usable.
-    pub fn run_blocks<R, F>(&mut self, num_blocks: u32, threads: usize, f: F) -> Vec<(u32, R)>
+    /// With `threads <= 1` (or a single block) the caller is the only
+    /// participant and no worker is created. A panic in any block is
+    /// re-raised on the caller once every worker has left the launch; the
+    /// pool stays usable.
+    pub fn run_blocks<F>(&mut self, num_blocks: u32, threads: usize, participant: F)
     where
-        R: Send,
-        F: Fn(u32) -> R + Sync,
+        F: Fn(Claims<'_>) + Sync,
     {
-        if threads <= 1 || num_blocks <= 1 {
-            return (0..num_blocks).map(|b| (b, f(b))).collect();
+        let next = AtomicU32::new(0);
+        let job = || participant(Claims { next: &next, num_blocks });
+        let helpers = participants(num_blocks, threads) - 1;
+        if helpers == 0 {
+            return job();
         }
         if self.workers.as_ref().is_none_or(|w| w.handles.len() != threads - 1) {
             // Join the old workers before parking the new ones.
             self.workers = None;
             self.workers = Some(Workers::spawn(threads - 1));
         }
-        let workers = self.workers.as_ref().expect("just spawned");
-        let next = AtomicU32::new(0);
-        let out = Mutex::new(Vec::with_capacity(num_blocks as usize));
-        let job = || loop {
-            let b = next.fetch_add(1, Ordering::Relaxed);
-            if b >= num_blocks {
-                break;
-            }
-            let r = f(b);
-            out.lock().unwrap_or_else(PoisonError::into_inner).push((b, r));
-        };
-        workers.run((threads - 1).min(num_blocks as usize - 1), &job);
-        let mut out = out.into_inner().unwrap_or_else(PoisonError::into_inner);
-        out.sort_by_key(|&(b, _)| b);
-        out
+        self.workers.as_ref().expect("just spawned").run(helpers, &job);
     }
+}
+
+/// The most threads that join a launch of `num_blocks` blocks on `threads`
+/// threads: one per block, and always the caller.
+pub fn participants(num_blocks: u32, threads: usize) -> usize {
+    threads.min(num_blocks as usize).max(1)
 }
 
 /// How many blocks of the given shape can be resident on one SM.
@@ -268,7 +282,8 @@ pub struct Makespan {
 
 /// Compute the device makespan (excluding launch overhead) for a set of
 /// executed blocks under the hierarchical memory model
-/// ([`crate::mem::hier`]).
+/// ([`crate::mem::hier`]). `l2_bank_sectors` holds the launch's
+/// L1-missing sectors per L2 bank slice, summed over its blocks.
 ///
 /// Each SM runs its blocks in waves of `resident_per_sm`; a wave costs
 /// `max(latency, issue/width, LSU)` plus the imperfect-overlap term.
@@ -283,6 +298,7 @@ pub fn makespan(
     arch: &DeviceArch,
     cost: &CostModel,
     profiles: &[BlockProfile],
+    l2_bank_sectors: &[u64],
     resident_per_sm: u32,
 ) -> Makespan {
     assert!(resident_per_sm >= 1, "occupancy must allow at least one block");
@@ -331,14 +347,8 @@ pub fn makespan(
     }
     // Device-wide roofs: all L1-miss traffic crosses the L2 banks; only
     // first-touch (compulsory) traffic crosses DRAM. Slowest L2 bank slice
-    // first (block-index-order fold keeps the totals deterministic).
-    let mut banks = vec![0u64; geom.l2_banks.max(1) as usize];
-    for p in profiles {
-        for (acc, &b) in banks.iter_mut().zip(&p.l2_bank_sectors) {
-            *acc += b;
-        }
-    }
-    let l2_time = hier::l2_bank_time(&banks, geom);
+    // first.
+    let l2_time = hier::l2_bank_time(l2_bank_sectors, geom);
     // Outstanding DRAM sectors the launch can sustain: resident warps
     // across the SMs it actually occupies.
     let warps_per_block =
@@ -357,30 +367,41 @@ pub fn makespan(
 mod tests {
     use super::*;
 
-    /// A fabricated 4-warp (128-thread) block on `arch`: `resid_cycles`
-    /// of latency, `issue` cycles with no L1-hit replays, and `sectors`
-    /// compulsory sectors spread round-robin over the L2 bank slices.
-    fn block(arch: &DeviceArch, resid_cycles: u64, issue: u64, sectors: u64) -> BlockProfile {
+    /// A fabricated 4-warp (128-thread) block: `resid_cycles` of latency,
+    /// `issue` cycles with no L1-hit replays, and `sectors` compulsory
+    /// sectors.
+    fn block(resid_cycles: u64, issue: u64, sectors: u64) -> BlockProfile {
         BlockProfile {
             resid_cycles,
             issue,
             sectors,
             dram_sectors: sectors,
-            l2_bank_sectors: spread(sectors, arch.cache.l2_banks),
             threads: 128,
             ..Default::default()
         }
     }
 
-    /// `sectors` dealt round-robin over `banks` slices: the first
-    /// `sectors % banks` slices get one more than the rest.
-    fn spread(sectors: u64, banks: u32) -> Vec<u64> {
+    /// The L2 bank totals of `profiles` when each block's sectors are
+    /// dealt round-robin over `banks` slices: the first `sectors % banks`
+    /// slices get one more than the rest.
+    fn spread(profiles: &[BlockProfile], banks: u32) -> Vec<u64> {
         let n = banks as u64;
-        (0..n).map(|b| sectors / n + u64::from(b < sectors % n)).collect()
+        let mut totals = vec![0; n as usize];
+        for p in profiles {
+            for (b, t) in totals.iter_mut().enumerate() {
+                *t += p.sectors / n + u64::from((b as u64) < p.sectors % n);
+            }
+        }
+        totals
+    }
+
+    /// [`makespan`] with every block's sectors spread over `arch`'s banks.
+    fn span(arch: &DeviceArch, c: &CostModel, p: &[BlockProfile], resident: u32) -> Makespan {
+        makespan(arch, c, p, &spread(p, arch.cache.l2_banks), resident)
     }
 
     fn cycles(arch: &DeviceArch, c: &CostModel, p: &[BlockProfile], resident: u32) -> u64 {
-        makespan(arch, c, p, resident).cycles
+        span(arch, c, p, resident).cycles
     }
 
     #[test]
@@ -415,7 +436,7 @@ mod tests {
         let a = DeviceArch::tiny();
         let c = CostModel::default();
         // One wave: max(latency 1000, issue 10/2 = 5, LSU 0) + min(5, 0)/4.
-        let p = vec![block(&a, 1000, 10, 0)];
+        let p = vec![block(1000, 10, 0)];
         assert_eq!(cycles(&a, &c, &p, 4), 1000);
     }
 
@@ -425,7 +446,7 @@ mod tests {
         let c = CostModel::default();
         // 8 identical latency-bound blocks, residency 1: two 500-cycle
         // waves per SM.
-        let p: Vec<_> = (0..8).map(|_| block(&a, 500, 10, 0)).collect();
+        let p: Vec<_> = (0..8).map(|_| block(500, 10, 0)).collect();
         assert_eq!(cycles(&a, &c, &p, 1), 1000);
         // With residency 2 both blocks share one wave (latency hidden).
         assert_eq!(cycles(&a, &c, &p, 2), 500);
@@ -437,10 +458,10 @@ mod tests {
         let c = CostModel::default(); // issue width 2
                                       // 4 blocks over 4 SMs (one each): each wave is issue-bound,
                                       // 10_000 / 2 = 5_000 cycles, not latency-bound.
-        let p = vec![block(&a, 10, 10_000, 0); 4];
+        let p = vec![block(10, 10_000, 0); 4];
         assert_eq!(cycles(&a, &c, &p, 4), 10_000 / c.sm_issue_width);
         // 8 blocks, residency 4: two blocks per SM in one wave sum issue.
-        let p8 = vec![block(&a, 10, 10_000, 0); 8];
+        let p8 = vec![block(10, 10_000, 0); 8];
         assert_eq!(cycles(&a, &c, &p8, 4), 2 * 10_000 / c.sm_issue_width);
     }
 
@@ -453,7 +474,7 @@ mod tests {
             issue: 10_000,
             tx_cycles: 6_000,
             l1_full_hits: 1_000,
-            ..block(&a, 10, 10_000, 0)
+            ..block(10, 10_000, 0)
         }];
         // Issue net of replays: (10_000 − 6_000) / 2 = 2_000. LSU:
         // 1_000 / 2 = 500. Wave: 2_000 + min(2_000, 500) / 4 = 2_125.
@@ -466,7 +487,7 @@ mod tests {
         let c = CostModel::default(); // issue width 2
                                       // The odd trailing instruction still occupies an issue cycle:
                                       // 10_001 instructions on a 2-wide SM take 5_001 cycles, not 5_000.
-        let p = vec![block(&a, 1, 10_001, 0)];
+        let p = vec![block(1, 10_001, 0)];
         assert_eq!(cycles(&a, &c, &p, 1), 5_001);
     }
 
@@ -479,20 +500,15 @@ mod tests {
         // 3 blocks × 101 sectors spread over 8 banks: 101 = 8 × 12 + 5, so
         // banks 0..5 carry 3 × 13 = 39 sectors — 20 cycles at 2 per
         // cycle, not 19.
-        let p: Vec<_> = (0..3).map(|_| l2_only(block(&a, 1, 0, 101))).collect();
+        let p: Vec<_> = (0..3).map(|_| l2_only(block(1, 0, 101))).collect();
         assert_eq!(cycles(&a, &c, &p, 1), 39u64.div_ceil(2));
         assert_eq!(cycles(&a, &c, &p, 1), 20);
         // The same 303 sectors camped on bank 0 take 303 / 2 → 152
         // cycles: the slowest slice, not the aggregate 16 sectors/cycle,
         // is the roof.
-        let camped: Vec<_> = (0..3)
-            .map(|_| {
-                let mut b = l2_only(block(&a, 1, 0, 101));
-                b.l2_bank_sectors = spread(101, 1);
-                b
-            })
-            .collect();
-        assert_eq!(cycles(&a, &c, &camped, 1), 152);
+        let mut camped = vec![0; a.cache.l2_banks as usize];
+        camped[0] = 303;
+        assert_eq!(makespan(&a, &c, &p, &camped, 1).cycles, 152);
     }
 
     #[test]
@@ -505,8 +521,8 @@ mod tests {
         // atoms) take 108_000_108 / 32 → 3_375_004 cycles: the final
         // partial beat costs a full cycle. Per SM 1_000_001 × 2 =
         // 2_000_002, L2 108 × 25_001 / 2 = 1_350_054: DRAM binds.
-        let p: Vec<_> = (0..108).map(|_| block(&a, 10, 0, 1_000_001)).collect();
-        let span = makespan(&a, &c, &p, 1);
+        let p: Vec<_> = (0..108).map(|_| block(10, 0, 1_000_001)).collect();
+        let span = span(&a, &c, &p, 1);
         assert_eq!(span.cycles, 108_000_108u64.div_ceil(32));
         assert_eq!(span, Makespan { cycles: 3_375_004, mlp_stalls: 0 });
     }
@@ -520,18 +536,15 @@ mod tests {
         // 108_000_108 sectors take 13_500_014 cycles; the 10_125_010
         // beyond the 3_375_004 peak-rate time are MLP stalls.
         let p: Vec<_> =
-            (0..108).map(|_| BlockProfile { threads: 32, ..block(&a, 10, 0, 1_000_001) }).collect();
-        assert_eq!(
-            makespan(&a, &c, &p, 1),
-            Makespan { cycles: 13_500_014, mlp_stalls: 10_125_010 }
-        );
+            (0..108).map(|_| BlockProfile { threads: 32, ..block(10, 0, 1_000_001) }).collect();
+        assert_eq!(span(&a, &c, &p, 1), Makespan { cycles: 13_500_014, mlp_stalls: 10_125_010 });
     }
 
     #[test]
     fn dram_roof_binds() {
         let a = DeviceArch::a100();
         let c = CostModel::default();
-        let p: Vec<_> = (0..108).map(|_| block(&a, 10, 10, 1_000_000)).collect();
+        let p: Vec<_> = (0..108).map(|_| block(10, 10, 1_000_000)).collect();
         // Per SM: 1M sectors × 2 cycles + min(5, 2M) / 4 = 2_000_001.
         // DRAM at peak: 108M sectors / 32 = 3_375_000.
         assert_eq!(cycles(&a, &c, &p, 1), 3_375_000);
@@ -541,18 +554,42 @@ mod tests {
     fn empty_launch_is_zero() {
         let a = DeviceArch::tiny();
         let c = CostModel::default();
-        assert_eq!(makespan(&a, &c, &[], 1), Makespan::default());
+        assert_eq!(makespan(&a, &c, &[], &[], 1), Makespan::default());
+    }
+
+    /// Run `f` on every block of a `num_blocks` launch on `pool` and
+    /// return `(block, result)` sorted by block id, checking that no more
+    /// than [`participants`] threads joined and that each saw its claims
+    /// in increasing order.
+    fn collect<R: Send>(
+        pool: &mut BlockPool,
+        num_blocks: u32,
+        threads: usize,
+        f: impl Fn(u32) -> R + Sync,
+    ) -> Vec<(u32, R)> {
+        use std::sync::atomic::AtomicUsize;
+        let out = Mutex::new(Vec::new());
+        let joined = AtomicUsize::new(0);
+        pool.run_blocks(num_blocks, threads, |claims| {
+            joined.fetch_add(1, Ordering::Relaxed);
+            let mine: Vec<(u32, R)> = claims.map(|b| (b, f(b))).collect();
+            assert!(mine.windows(2).all(|w| w[0].0 < w[1].0), "claims must increase");
+            out.lock().unwrap().extend(mine);
+        });
+        assert!(joined.into_inner() <= participants(num_blocks, threads));
+        let mut out = out.into_inner().unwrap();
+        out.sort_by_key(|&(b, _)| b);
+        out
     }
 
     /// Run `num_blocks` blocks on `pool`, checking that every block ran
-    /// exactly once and came back in order; returns the threads that ran
-    /// them.
+    /// exactly once; returns the threads that ran them, in block order.
     fn launch_ids(
         pool: &mut BlockPool,
         num_blocks: u32,
         threads: usize,
     ) -> Vec<std::thread::ThreadId> {
-        let out = pool.run_blocks(num_blocks, threads, |b| (b * 10, std::thread::current().id()));
+        let out = collect(pool, num_blocks, threads, |b| (b * 10, std::thread::current().id()));
         assert_eq!(out.len(), num_blocks as usize, "threads={threads}");
         for (i, &(b, (v, _))) in out.iter().enumerate() {
             assert_eq!(b, i as u32);
@@ -615,7 +652,7 @@ mod tests {
     fn run_blocks_serial_path_stays_on_caller_thread() {
         let caller = std::thread::current().id();
         let mut pool = BlockPool::default();
-        let out = pool.run_blocks(4, 1, |b| {
+        let out = collect(&mut pool, 4, 1, |b| {
             assert_eq!(std::thread::current().id(), caller);
             b
         });
@@ -624,7 +661,7 @@ mod tests {
 
     #[test]
     fn run_blocks_empty_grid() {
-        let out = BlockPool::default().run_blocks(0, 8, |b| b);
+        let out = collect(&mut BlockPool::default(), 0, 8, |b| b);
         assert!(out.is_empty());
     }
 
@@ -632,7 +669,7 @@ mod tests {
     fn run_blocks_propagates_panics() {
         let mut pool = BlockPool::default();
         let r = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_blocks(8, 4, |b| {
+            collect(&mut pool, 8, 4, |b| {
                 if b == 5 {
                     panic!("block 5 exploded");
                 }
@@ -654,7 +691,7 @@ mod tests {
             let started = AtomicBool::new(false);
             let finished = AtomicBool::new(false);
             let r = catch_unwind(AssertUnwindSafe(|| {
-                pool.run_blocks(2, threads, |b| {
+                collect(&mut pool, 2, threads, |b| {
                     if b != panicker {
                         // The slow sibling: mid-block when the other panics.
                         started.store(true, Ordering::SeqCst);

@@ -78,8 +78,10 @@ impl ResourceCycles {
     }
 }
 
-/// Resource profile of one executed thread block.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Resource profile of one executed thread block. Its L1-missing sectors
+/// per L2 bank slice are not kept per block: the launch sums them per
+/// participating thread ([`MemStats::l2_bank_sectors`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BlockProfile {
     /// Total warp-instruction issue cycles across all warps.
     pub issue: u64,
@@ -116,9 +118,6 @@ pub struct BlockProfile {
     /// a warp's clock includes barrier waits and exposed memory latency.
     /// The makespan's latency term.
     pub resid_cycles: u64,
-    /// L1-missing sectors per L2 bank slice (length =
-    /// [`crate::arch::CacheGeom::l2_banks`]); sums to `sectors`.
-    pub l2_bank_sectors: Vec<u64>,
     /// Threads the block occupies (occupancy input; includes the extra
     /// team-main warp in generic mode).
     pub threads: u32,
@@ -146,7 +145,10 @@ pub struct MemStats {
     /// (full `line_cycles` per full-line hit, all but one `sector_cycles`
     /// beat per partial-line hit).
     pub tx_cycles: u64,
-    /// L1-missing sectors per L2 bank slice; sums to `l1_miss_sectors`.
+    /// L1-missing sectors per L2 bank slice (length =
+    /// [`crate::arch::CacheGeom::l2_banks`]); sums to `l1_miss_sectors`.
+    /// `u64` sums, so the launch's per-thread partial sums add up to the
+    /// same totals at any `SIMT_SIM_THREADS`.
     pub l2_bank_sectors: Vec<u64>,
     /// Compulsory (first-touch) sectors — DRAM traffic. Equals
     /// [`LaunchStats::total_dram_sectors`].
@@ -161,9 +163,10 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Fold one block's profile in. Callers iterate profiles in
-    /// block-index order, which is what keeps the merge bit-identical
-    /// across block-execution thread counts.
+    /// Fold one block's profile in (every field but the L2 bank counts,
+    /// which blocks do not carry). Callers iterate profiles in block-index
+    /// order, which is what keeps the merge bit-identical across
+    /// block-execution thread counts.
     pub fn merge_block(&mut self, p: &BlockProfile) {
         self.l1_hits += p.l1_hits;
         self.l1_full_hits += p.l1_full_hits;
@@ -172,12 +175,6 @@ impl MemStats {
         self.tx_cycles += p.tx_cycles;
         self.dram_sectors += p.dram_sectors;
         self.dram_atoms += p.dram_atoms;
-        if self.l2_bank_sectors.len() < p.l2_bank_sectors.len() {
-            self.l2_bank_sectors.resize(p.l2_bank_sectors.len(), 0);
-        }
-        for (acc, &b) in self.l2_bank_sectors.iter_mut().zip(&p.l2_bank_sectors) {
-            *acc += b;
-        }
     }
 }
 

@@ -56,6 +56,12 @@ fn run_shape(shape: KernelShape, threads: usize, sanitize: bool) -> (LaunchStats
     if sanitize {
         dev.enable_sanitizer();
     }
+    run_shape_on(&mut dev, shape)
+}
+
+/// [`run_shape`] on `dev` as it is configured; the kernel's buffers are
+/// allocated for the launch and freed after it.
+fn run_shape_on(dev: &mut Device, shape: KernelShape) -> (LaunchStats, u64) {
     let per_block = 64u64;
     let data = dev.global.alloc_zeroed::<u64>(shape.num_blocks as usize * per_block as usize);
     let hits = dev.global.alloc_zeroed::<u64>(1);
@@ -109,7 +115,10 @@ fn run_shape(shape: KernelShape, threads: usize, sanitize: bool) -> (LaunchStats
         .read_slice(data, shape.num_blocks as usize * per_block as usize)
         .iter()
         .fold(0u64, |a, &v| a.wrapping_add(v));
-    (stats, sum.wrapping_add(dev.global.read(hits, 0)))
+    let sum = sum.wrapping_add(dev.global.read(hits, 0));
+    dev.global.free(data);
+    dev.global.free(hits);
+    (stats, sum)
 }
 
 #[test]
@@ -333,4 +342,139 @@ fn stale_view_of_a_freed_host_segment_panics() {
             let _ = lane.read(data, 1);
         });
     });
+}
+
+/// Per-thread block state (shared memory, L1 windows, visit logs, the
+/// sanitizer's tables, the segment cache, the merge batches) is reused
+/// from block to block and launch to launch. A launch whose block panics
+/// must leave none of it behind: the next launch on the device matches
+/// the same launch on a fresh device, stats and memory.
+#[test]
+fn a_panicking_launch_leaves_no_state_behind() {
+    /// A kernel on a device that first ran (and survived) a 2-thread
+    /// launch whose block 5 reads out of bounds, or with `panic_first`
+    /// false, only allocated and freed that launch's buffer.
+    fn after_panic(panic_first: bool, sanitize: bool) -> (LaunchStats, u64) {
+        let shape = KernelShape { num_blocks: 16, nwarps: 3, steps: 4, seed: 0xBAD5EED };
+        let mut dev = Device::new(DeviceArch::tiny());
+        dev.set_sim_threads(Some(2));
+        if sanitize {
+            dev.enable_sanitizer();
+        }
+        let small = dev.global.alloc_zeroed::<u64>(4);
+        if panic_first {
+            let cfg = LaunchConfig { num_blocks: 12, threads_per_block: 96, smem_bytes: 512 };
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dev.launch(&cfg, |team| {
+                    // Dirty every per-block structure before the panic.
+                    let b = team.block_id;
+                    for w in 0..team.nwarps() {
+                        team.run_lanes(w, &[0, 1, 2, 3], move |lane, id| {
+                            lane.smem_write_slot(SmOff(0), w * 4 + id, Slot::from_u64(7));
+                            lane.write(small, id as u64, b as u64);
+                        });
+                        team.warp_sync_masked(w, LaneMask::full(32), LaneMask::contiguous(0, 8));
+                    }
+                    if b == 5 {
+                        team.run_lanes(0, &[0], move |lane, _| {
+                            lane.read(small, 99);
+                        });
+                    }
+                })
+            }));
+            assert!(r.is_err(), "block 5 must panic");
+        }
+        dev.global.free(small);
+        run_shape_on(&mut dev, shape)
+    }
+    for sanitize in [false, true] {
+        assert_eq!(
+            after_panic(true, sanitize),
+            after_panic(false, sanitize),
+            "sanitize={sanitize}"
+        );
+    }
+}
+
+/// Segment ids restart at 0 on every device, so a cached segment must never
+/// outlive its launch: two devices whose segment 0 differs in type and
+/// length, launched alternately from one thread, each give the stats and
+/// memory they give alone.
+#[test]
+fn alternating_devices_never_share_cached_segments() {
+    let shapes = [
+        KernelShape { num_blocks: 9, nwarps: 2, steps: 3, seed: 11 },
+        KernelShape { num_blocks: 14, nwarps: 1, steps: 5, seed: 22 },
+    ];
+    for threads in [1, 2] {
+        let device = |i: usize| {
+            let mut dev = Device::new(DeviceArch::tiny());
+            dev.set_sim_threads(Some(threads));
+            // Device 1's layout starts with an f64 segment of another
+            // length, so a stale segment 0 would be caught as type
+            // confusion or read the wrong words.
+            if i == 1 {
+                dev.global.alloc_from(&[1.5f64; 3]);
+            }
+            dev
+        };
+        let alone: Vec<Vec<(LaunchStats, u64)>> = (0..2)
+            .map(|i| {
+                let mut dev = device(i);
+                (0..3).map(|_| run_shape_on(&mut dev, shapes[i])).collect()
+            })
+            .collect();
+        let mut devs = [device(0), device(1)];
+        let mut alternated = vec![Vec::new(), Vec::new()];
+        for _ in 0..3 {
+            for (i, dev) in devs.iter_mut().enumerate() {
+                alternated[i].push(run_shape_on(dev, shapes[i]));
+            }
+        }
+        assert_eq!(alternated, alone, "threads={threads}");
+    }
+}
+
+/// More findings than a block keeps: each block reports its first 64 and
+/// then one `FindingsDropped` with the rest, at every thread count.
+#[test]
+fn findings_past_the_cap_are_counted() {
+    let run = |threads: usize| {
+        let mut dev = Device::new(DeviceArch::tiny());
+        dev.set_sim_threads(Some(threads));
+        dev.enable_sanitizer();
+        let cfg = LaunchConfig { num_blocks: 3, threads_per_block: 64, smem_bytes: 1024 };
+        let lanes: Vec<u32> = (0..32).collect();
+        dev.launch(&cfg, |team| {
+            // Warps 0 and 1 write the same 128 slots with no barrier
+            // between them: 128 write-write races per block.
+            for w in 0..2 {
+                team.run_lanes(w, &lanes, |lane, id| {
+                    for k in 0..4 {
+                        lane.smem_write_slot(SmOff(0), k * 32 + id, Slot::from_u64(w as u64));
+                    }
+                });
+            }
+        })
+        .unwrap()
+    };
+    let serial = run(1);
+    for block in 0..3 {
+        let mine: Vec<&Violation> = serial
+            .violations
+            .iter()
+            .filter(|v| match v {
+                Violation::SharedMemRace { block: b, .. } => *b == block,
+                Violation::FindingsDropped { block: b, .. } => *b == block,
+                _ => false,
+            })
+            .collect();
+        assert_eq!(mine.len(), 65, "block {block}");
+        assert!(mine[..64].iter().all(|v| matches!(v, Violation::SharedMemRace { .. })));
+        assert_eq!(*mine[64], Violation::FindingsDropped { block, dropped: 64 });
+    }
+    assert_eq!(serial.violations.len(), 3 * 65);
+    for threads in [2, 4] {
+        assert_eq!(run(threads), serial, "threads={threads}");
+    }
 }
