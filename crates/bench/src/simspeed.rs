@@ -26,6 +26,12 @@
 //! sanitizer off and on. It reports microseconds per launch
 //! (`us_per_launch`); every other row reports its single launch's time
 //! there too.
+//!
+//! The warp-form leg runs su3 twice per configuration: its per-lane
+//! reference twin and its warp-form body (`form` `lane` / `warp`), at
+//! 108×128 with group sizes {1, 8, 32} on a100 and mi100, at 1 sim
+//! thread. The twins must produce identical `LaunchStats` (asserted);
+//! `vs_lane` is the per-lane twin's wall-clock over this row's.
 
 use std::time::Instant;
 
@@ -34,7 +40,7 @@ use omp_codegen::bytecode::Engine;
 use omp_codegen::CompiledKernel;
 use omp_kernels::harness::Fig10Variant;
 use omp_kernels::matrix::{CsrMatrix, RowProfile};
-use omp_kernels::{ideal, laplace3d, spmv, stencil2d};
+use omp_kernels::{ideal, laplace3d, spmv, stencil2d, su3};
 
 use crate::report::{print_table, save_json, JsonRow, JsonValue};
 
@@ -67,6 +73,11 @@ pub struct SimspeedRow {
     pub sim_threads: usize,
     /// Wall-clock microseconds per launch.
     pub us_per_launch: f64,
+    /// Form of the kernel's simd body: `lane` (per lane) or `warp`.
+    pub form: &'static str,
+    /// Wall-clock of the per-lane twin at the same configuration divided
+    /// by this run's wall-clock. `NaN` outside the warp-form leg.
+    pub vs_lane: f64,
 }
 
 impl JsonRow for SimspeedRow {
@@ -82,6 +93,8 @@ impl JsonRow for SimspeedRow {
             ("vs_tree", JsonValue::F64(self.vs_tree)),
             ("sim_threads", JsonValue::U64(self.sim_threads as u64)),
             ("us_per_launch", JsonValue::F64(self.us_per_launch)),
+            ("form", JsonValue::Str(self.form.to_string())),
+            ("vs_lane", JsonValue::F64(self.vs_lane)),
         ]
     }
 }
@@ -90,6 +103,7 @@ struct Sizes {
     ideal_outer: usize,
     spmv_rows: usize,
     laplace_n: usize,
+    su3_sites: usize,
     teams: u32,
     threads_per_team: u32,
     reps: u32,
@@ -101,6 +115,7 @@ fn sizes(quick: bool) -> Sizes {
             ideal_outer: 13_824,
             spmv_rows: 16_384,
             laplace_n: 24,
+            su3_sites: 1_728,
             teams: 108,
             threads_per_team: 128,
             reps: 1,
@@ -110,6 +125,7 @@ fn sizes(quick: bool) -> Sizes {
             ideal_outer: 55_296,
             spmv_rows: 65_536,
             laplace_n: 48,
+            su3_sites: 13_824,
             teams: 216,
             threads_per_team: 512,
             reps: 3,
@@ -212,11 +228,14 @@ pub fn run(quick: bool) -> Vec<SimspeedRow> {
                 vs_tree: f64::NAN,
                 sim_threads: 1,
                 us_per_launch: wall_ms * 1e3,
+                form: "lane",
+                vs_lane: f64::NAN,
             });
         }
     }
     rows.extend(engine_leg(sz.reps));
     rows.extend(launch_floor_leg(quick));
+    rows.extend(warp_form_leg(sz.su3_sites, sz.reps));
     rows
 }
 
@@ -286,6 +305,8 @@ fn engine_leg(reps: u32) -> Vec<SimspeedRow> {
                 vs_tree: walls[0] / walls[i],
                 sim_threads: 1,
                 us_per_launch: walls[i] * 1e3,
+                form: "lane",
+                vs_lane: f64::NAN,
             });
         }
     }
@@ -371,8 +392,64 @@ fn launch_floor_leg(quick: bool) -> Vec<SimspeedRow> {
             vs_tree: f64::NAN,
             sim_threads: threads,
             us_per_launch: us,
+            form: "lane",
+            vs_lane: f64::NAN,
         })
         .collect()
+}
+
+/// The warp-form leg: su3's per-lane twin against its warp-form body on
+/// a 108×128 grid, group sizes {1, 8, 32}, a100 and mi100, 1 sim thread,
+/// sanitizer off. The two forms run alternately over several rounds and
+/// each keeps its fastest launch; their stats must be identical.
+fn warp_form_leg(sites: usize, reps: u32) -> Vec<SimspeedRow> {
+    let w = su3::Su3Workload::generate(sites, 7);
+    let mut rows = Vec::new();
+    for (arch, names) in [
+        (gpu_sim::DeviceArch::a100(), ["su3-a100-gs1", "su3-a100-gs8", "su3-a100-gs32"]),
+        (gpu_sim::DeviceArch::mi100(), ["su3-mi100-gs1", "su3-mi100-gs8", "su3-mi100-gs32"]),
+    ] {
+        for (gs, kernel) in [1, 8, 32].into_iter().zip(names) {
+            let forms = [su3::build_per_lane(108, 128, gs), su3::build(108, 128, gs)];
+            let mut walls = [f64::INFINITY; 2];
+            let mut stats = [None, None];
+            for round in 0..(2 + 2 * reps) {
+                for (i, k) in forms.iter().enumerate() {
+                    let mut dev = Device::new(arch.clone());
+                    dev.set_sim_threads(Some(1));
+                    dev.disable_sanitizer();
+                    let ops = su3::Su3Dev::upload(&mut dev, &w);
+                    if round == 0 {
+                        // Warm-up: caches and the compiled flat program.
+                        k.launch_with_engine(&mut dev, &ops.args(), Engine::Bytecode).unwrap();
+                    }
+                    let t0 = Instant::now();
+                    let s = k.launch_with_engine(&mut dev, &ops.args(), Engine::Bytecode).unwrap();
+                    walls[i] = walls[i].min(t0.elapsed().as_secs_f64() * 1e3);
+                    stats[i] = Some(s);
+                }
+            }
+            let [lane, warp] = stats.map(|s| s.expect("every round launches both forms"));
+            assert_eq!(lane, warp, "{kernel}: the twins' LaunchStats differ");
+            for (i, form) in ["lane", "warp"].into_iter().enumerate() {
+                rows.push(SimspeedRow {
+                    kernel,
+                    sanitizer: "off",
+                    wall_ms: walls[i],
+                    cycles: lane.cycles,
+                    cycles_per_sec: lane.cycles as f64 / (walls[i] / 1e3),
+                    overhead_vs_off: 1.0,
+                    engine: "bytecode",
+                    vs_tree: f64::NAN,
+                    sim_threads: 1,
+                    us_per_launch: walls[i] * 1e3,
+                    form,
+                    vs_lane: walls[0] / walls[i],
+                });
+            }
+        }
+    }
+    rows
 }
 
 /// Print the table and persist `BENCH_simspeed.json`.
@@ -385,6 +462,7 @@ pub fn report(rows: &[SimspeedRow]) {
                 r.engine.to_string(),
                 r.sanitizer.to_string(),
                 r.sim_threads.to_string(),
+                r.form.to_string(),
                 format!("{:.1}", r.us_per_launch),
                 format!("{:.2e}", r.cycles_per_sec),
                 format!("{:.2}x", r.overhead_vs_off),
@@ -399,6 +477,7 @@ pub fn report(rows: &[SimspeedRow]) {
             "engine",
             "sanitizer",
             "threads",
+            "form",
             "us/launch",
             "sim_cycles/s",
             "san_overhead",
@@ -410,6 +489,12 @@ pub fn report(rows: &[SimspeedRow]) {
         println!(
             "bytecode engine on {}: {:.2}x over tree-walk (1 thread, identical cycles)",
             r.kernel, r.vs_tree
+        );
+    }
+    for r in rows.iter().filter(|r| r.form == "warp") {
+        println!(
+            "warp form on {}: {:.2}x over its per-lane twin (1 thread, identical stats)",
+            r.kernel, r.vs_lane
         );
     }
     for r in rows.iter().filter(|r| r.sanitizer != "off" && r.sim_threads == 1) {
@@ -433,9 +518,13 @@ mod tests {
         let rows = run(true);
         // 3 kernels × {off, adaptive} + 2 engine-leg kernels ×
         // {tree, bytecode} + 3 launch-floor kernels × threads {1, 2} ×
-        // {off, adaptive}.
-        assert_eq!(rows.len(), 3 * 2 + 2 * 2 + 3 * 2 * 2);
+        // {off, adaptive} + 2 archs × 3 su3 group sizes × {lane, warp}.
+        assert_eq!(rows.len(), 3 * 2 + 2 * 2 + 3 * 2 * 2 + 2 * 3 * 2);
         assert_eq!(rows.iter().filter(|r| r.kernel == "empty-108x128").count(), 4);
+        assert_eq!(rows.iter().filter(|r| r.form == "warp").count(), 6);
+        for r in rows.iter().filter(|r| r.kernel.starts_with("su3-")) {
+            assert!(r.vs_lane.is_finite() && r.vs_lane > 0.0, "{}", r.kernel);
+        }
         for kernel in
             ["ideal", "spmv", "laplace3d", "laplace3d-n6", "stencil2d-26x14", "empty-108x128"]
         {

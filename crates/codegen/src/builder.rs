@@ -18,10 +18,10 @@
 
 use gpu_sim::{Device, DeviceArch, LaunchError, LaunchStats, Slot};
 use omp_core::config::{ExecMode, KernelConfig, ParallelDesc};
-use omp_core::dispatch::{Footprint, Registry};
+use omp_core::dispatch::{BodyForm, Footprint, Registry};
 use omp_core::exec::launch_target;
 pub use omp_core::plan::Schedule;
-use omp_core::plan::{ParallelOp, TargetPlan, TeamOp, ThreadOp, TripId, Vars, VarsMut};
+use omp_core::plan::{ParallelOp, TargetPlan, TeamOp, ThreadOp, TripId, Vars, VarsMut, WarpVars};
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -501,6 +501,25 @@ impl<'b> ParScope<'b> {
         self.ops.push(ThreadOp::Simd { trip: trip.id, body: id, known: true });
     }
 
+    /// `simd` with a warp-form body: `body` runs once per round of the
+    /// loop for the round's active lanes, `|w, ivs, v|`, where `ivs[l]` is
+    /// active lane `l`'s iteration and `v.regs(l)` its registers, and each
+    /// `w.read` / `w.write` is one warp instruction (see
+    /// [`omp_core::dispatch::WarpBodyFn`]). It costs exactly what the same
+    /// body written per lane costs; the engine just no longer has to
+    /// gather each instruction's addresses lane by lane.
+    pub fn simd_warp(
+        &mut self,
+        trip: TripH,
+        body: impl Fn(&mut gpu_sim::Warp<'_, '_>, &[u64], &WarpVars<'_>) + Send + Sync + 'static,
+    ) {
+        if !trip.uniform {
+            self.nonuniform_trip = true;
+        }
+        let id = self.reg.body_warp(body);
+        self.ops.push(ThreadOp::Simd { trip: trip.id, body: id, known: true });
+    }
+
     /// `simd` with a declared effect [`Footprint`] on the body: simtlint
     /// checks the declared register reads against what is actually staged,
     /// and simtcheck validates the global-memory claims at runtime.
@@ -626,13 +645,17 @@ impl CompiledKernel {
 
     /// Launch with an explicit engine choice. Both engines run sanitized
     /// and traced launches themselves: each makes the same simtcheck calls
-    /// and records the same event trace.
+    /// and records the same event trace. The launch is validated before
+    /// either engine sees it, so a device the lowering cannot serve (say,
+    /// warps wider than [`gpu_sim::MAX_LANES`]) is a [`LaunchError`], not a
+    /// panic.
     pub fn launch_with_engine(
         &self,
         dev: &mut Device,
         args: &[Slot],
         engine: Engine,
     ) -> Result<LaunchStats, LaunchError> {
+        dev.validate(&self.config.launch_config(&dev.arch))?;
         match engine {
             Engine::Tree => launch_target(dev, &self.config, &self.plan, &self.registry, args),
             Engine::Bytecode => {
@@ -668,8 +691,8 @@ impl CompiledKernel {
 
     /// A content fingerprint of the compiled kernel: an FNV-1a walk over
     /// the launch configuration, the plan tree (op discriminants,
-    /// schedules, register indices, outlined-function ids, dispatch
-    /// classes), and the registry's cascade length. Two kernels with equal
+    /// schedules, register indices, outlined-function ids and body forms,
+    /// dispatch classes), and the registry's cascade length. Two kernels with equal
     /// hashes lower to the same bytecode for any given launch geometry, so
     /// a launch service can content-address its warm-plan cache on
     /// `(plan_hash, warp_size, nargs)` instead of trusting caller-supplied
@@ -707,7 +730,7 @@ impl CompiledKernel {
                 }
             }
         }
-        fn thread_ops(h: &mut Fnv, ops: &[ThreadOp]) {
+        fn thread_ops(h: &mut Fnv, ops: &[ThreadOp], reg: &Registry) {
             for op in ops {
                 match op {
                     ThreadOp::Seq(id) => {
@@ -720,7 +743,7 @@ impl CompiledKernel {
                         sched_tag(h, *sched);
                         h.u64(*iv_reg as u64);
                         h.u64(*across_teams as u64);
-                        thread_ops(h, ops);
+                        thread_ops(h, ops, reg);
                         h.u64(12); // close marker: nesting is part of the shape
                     }
                     ThreadOp::Simd { trip, body, known } => {
@@ -728,6 +751,12 @@ impl CompiledKernel {
                         h.u32(trip.0);
                         h.u32(body.0);
                         h.u64(*known as u64);
+                        // The form is baked into the lowering. Only the warp
+                        // form adds a word, so per-lane kernels keep the
+                        // hashes (and service digests) they always had.
+                        if reg.body_form(*body) == BodyForm::Warp {
+                            h.u64(16);
+                        }
                     }
                     ThreadOp::SimdReduce { trip, body, known, dst_reg } => {
                         h.u64(14);
@@ -745,7 +774,7 @@ impl CompiledKernel {
                 }
             }
         }
-        fn team_ops(h: &mut Fnv, ops: &[TeamOp]) {
+        fn team_ops(h: &mut Fnv, ops: &[TeamOp], reg: &Registry) {
             for op in ops {
                 match op {
                     TeamOp::Seq(id) => {
@@ -757,7 +786,7 @@ impl CompiledKernel {
                         h.u32(trip.0);
                         sched_tag(h, *sched);
                         h.u64(*iv_reg as u64);
-                        team_ops(h, ops);
+                        team_ops(h, ops, reg);
                         h.u64(22);
                     }
                     TeamOp::Parallel(p) => {
@@ -767,7 +796,7 @@ impl CompiledKernel {
                         h.u64(p.known as u64);
                         h.u64(p.nregs as u64);
                         h.u64(p.stage_regs as u64);
-                        thread_ops(h, &p.ops);
+                        thread_ops(h, &p.ops, reg);
                         h.u64(24);
                     }
                 }
@@ -780,7 +809,7 @@ impl CompiledKernel {
         h.u32(self.config.sharing_space_bytes);
         h.u32(self.config.extra_smem_bytes);
         h.u64(self.plan.team_regs as u64);
-        team_ops(&mut h, &self.plan.ops);
+        team_ops(&mut h, &self.plan.ops, &self.registry);
         h.u32(self.registry.cascade_len());
         h.0
     }

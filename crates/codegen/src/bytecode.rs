@@ -16,7 +16,8 @@
 //! time:
 //!
 //! * **dispatch**: each `simd` op's [`DispatchKind`] — cascade position
-//!   from the module registry, or the indirect-call fallback (§5.5);
+//!   from the module registry, or the indirect-call fallback (§5.5) — and
+//!   its body form, per lane or warp ([`BodyForm`]);
 //! * **staging geometry**: `post_slots` / `stage_slots` and whether they
 //!   fit the team / group slices, via the same [`SlotLayout`] arithmetic
 //!   simtlint's `Analysis::staging_report` uses (§5.3.1);
@@ -57,16 +58,19 @@
 use std::sync::Arc;
 
 use gpu_sim::mem::ptr::DPtr;
-use gpu_sim::mem::shared::SmOff;
 use gpu_sim::{
-    Device, DeviceArch, DispatchKind, LaneMask, LaunchError, LaunchStats, Slot, TeamCtx,
+    Device, DeviceArch, DispatchKind, LaneMask, LaunchError, LaunchStats, Slot, TeamCtx, MAX_LANES,
 };
 use omp_core::config::{ExecMode, KernelConfig};
-use omp_core::dispatch::{validate_observed, validate_reg_writes, Footprint, PureTripFn, Registry};
+use omp_core::dispatch::{
+    validate_observed, validate_reg_writes, warp_body_on_lane, BodyForm, Footprint, PureTripFn,
+    Registry, SimdFn, WarpBodyFn,
+};
 use omp_core::exec::{LOOP_OVERHEAD_CYCLES, REDUCE_STEP_CYCLES, TARGET_INIT_CYCLES};
 use omp_core::mapping::SimdMapping;
 use omp_core::plan::{
-    BodyId, ParallelOp, RedId, Schedule, SeqId, TargetPlan, TeamOp, ThreadOp, TripId, Vars, VarsMut,
+    BodyId, ParallelOp, RedId, Schedule, SeqId, TargetPlan, TeamOp, ThreadOp, TripId, Vars,
+    VarsMut, WarpVars,
 };
 use omp_core::sharing::{SharingSpace, SlotLayout};
 use omp_core::workshare::{assign, is_chunk_start};
@@ -179,6 +183,9 @@ struct SimdMeta {
     /// Pre-resolved dispatch: cascade position from the registry for known
     /// bodies, indirect-call fallback otherwise (§5.5).
     kind: DispatchKind,
+    /// The body's form. A warp-form body issues warp instructions where
+    /// its lanes need not run one by one (see `FlatExec::exec_loop_lanes`).
+    form: BodyForm,
 }
 
 /// A [`TargetPlan`] compiled to a flat op stream with pre-resolved operand
@@ -250,7 +257,8 @@ impl FlatProgram {
     ///   owns exactly the contiguous, non-overlapping PC range of its plan
     ///   body, and the stream ends where the plan does;
     /// * **dispatch**: every `simd` op's [`DispatchKind`] matches the §5.5
-    ///   rule against the registry's cascade order;
+    ///   rule against the registry's cascade order, and its body form
+    ///   matches the registered body's;
     /// * **staging geometry**: `post_slots` / `stage_slots` and both fit
     ///   flags equal the [`SlotLayout`] + [`omp_core::sharing`] arithmetic
     ///   recomputed from the plan and config;
@@ -336,8 +344,9 @@ impl FlatProgram {
     /// Seeded single-fault mutants of this program, each paired with a
     /// label, for negative-testing [`FlatProgram::verify`]. The documented
     /// mutation set covers the verifier's acceptance criteria: overlapping
-    /// / truncated PC ranges, wrong cascade positions, off-by-one staging
-    /// geometry, dropped mapping tables and misclassified trip sources.
+    /// / truncated PC ranges, wrong cascade positions, a flipped body
+    /// form, off-by-one staging geometry, dropped mapping tables and
+    /// misclassified trip sources.
     /// Mutations without an applicable site in this program are omitted.
     #[doc(hidden)]
     pub fn seeded_mutations(&self) -> Vec<(&'static str, FlatProgram)> {
@@ -404,6 +413,14 @@ impl FlatProgram {
             let mut m = self.clone();
             m.simds[at].kind = DispatchKind::Cascade { position: 0 };
             out.push(("indirect-to-cascade", m));
+        }
+        if let Some(at) = self.simds.iter().position(|s| matches!(s.body, FlatBody::Plain(_))) {
+            let mut m = self.clone();
+            m.simds[at].form = match m.simds[at].form {
+                BodyForm::Lane => BodyForm::Warp,
+                BodyForm::Warp => BodyForm::Lane,
+            };
+            out.push(("body-form-flip", m));
         }
         // Trip-source mutations hit the first applicable site among loop
         // ops and simd metas.
@@ -733,16 +750,22 @@ impl<'a> Verifier<'a> {
             .get(meta_i as usize)
             .ok_or_else(|| format!("op {pc}: SimdMeta index {meta_i} out of range"))?;
         self.simds_seen += 1;
-        let (want_kind, bodies_match) = match (body, sm.body) {
+        let (want_kind, want_form, bodies_match) = match (body, sm.body) {
             (FlatBody::Plain(b), FlatBody::Plain(fb)) => {
-                (resolve_dispatch(self.reg.get_body(b).1, known), b == fb)
+                let kind = resolve_dispatch(self.reg.get_body(b).1, known);
+                (kind, self.reg.body_form(b), b == fb)
             }
             (FlatBody::Reduce(b), FlatBody::Reduce(fb)) => {
-                (resolve_dispatch(self.reg.get_red(b).1, known), b == fb)
+                (resolve_dispatch(self.reg.get_red(b).1, known), BodyForm::Lane, b == fb)
             }
             _ => return Err(format!("op {pc}: simd body kind mismatch")),
         };
         ensure!(bodies_match, "op {pc}: simd body id mismatch");
+        ensure!(
+            sm.form == want_form,
+            "op {pc}: body form {:?} != registered form {want_form:?}",
+            sm.form
+        );
         ensure!(
             sm.kind == want_kind,
             "op {pc}: dispatch {:?} != registry rule {want_kind:?} (cascade order)",
@@ -872,6 +895,7 @@ impl<'a> Lowerer<'a> {
                         trip: self.trip_src(*trip),
                         body: FlatBody::Plain(*body),
                         kind: resolve_dispatch(self.reg.get_body(*body).1, *known),
+                        form: self.reg.body_form(*body),
                     };
                     self.prog.simds.push(meta);
                     let i = self.prog.simds.len() as u32 - 1;
@@ -882,6 +906,7 @@ impl<'a> Lowerer<'a> {
                         trip: self.trip_src(*trip),
                         body: FlatBody::Reduce(*body),
                         kind: resolve_dispatch(self.reg.get_red(*body).1, *known),
+                        form: BodyForm::Lane,
                     };
                     self.prog.simds.push(meta);
                     let i = self.prog.simds.len() as u32 - 1;
@@ -1541,7 +1566,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                     regs,
                     team_regs,
                     &mut partials,
-                    body,
+                    (body, sm.form),
                     Fetch::None,
                 );
                 continue;
@@ -1559,7 +1584,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                         regs,
                         team_regs,
                         &mut partials,
-                        body,
+                        (body, sm.form),
                         Fetch::None,
                     );
                     let mask = warp_mask(meta, w, wg);
@@ -1596,20 +1621,36 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                     // host-visible bits — match the warp-synchronous
                     // backends exactly.
                     match body {
-                        FlatBody::Plain(b) => {
-                            let (f, _) = self.reg.get_body(b);
-                            self.tc.run_lanes(w, leaders, |lane, l| {
-                                let g = (g_base + (l >> shift)) as usize;
-                                let vars = Vars { args, outer: team_regs, regs: &regs[g] };
-                                for gid in 0..gs {
-                                    let mut iv = gid;
-                                    while iv < trips[g] {
-                                        f(lane, iv, &vars);
-                                        iv += gs;
+                        FlatBody::Plain(b) => match (sm.form, self.reg.get_body(b).0) {
+                            (BodyForm::Lane, SimdFn::Lane(f)) => {
+                                self.tc.run_lanes(w, leaders, |lane, l| {
+                                    let g = (g_base + (l >> shift)) as usize;
+                                    let vars = Vars { args, outer: team_regs, regs: &regs[g] };
+                                    for gid in 0..gs {
+                                        let mut iv = gid;
+                                        while iv < trips[g] {
+                                            f(lane, iv, &vars);
+                                            iv += gs;
+                                        }
                                     }
-                                }
-                            });
-                        }
+                                });
+                            }
+                            (BodyForm::Warp, SimdFn::Warp(f)) => {
+                                self.tc.run_lanes(w, leaders, |lane, l| {
+                                    let g = g_base + (l >> shift);
+                                    let group = [g];
+                                    let vars = WarpVars::new(args, team_regs, regs, &group);
+                                    for gid in 0..gs {
+                                        let mut iv = gid;
+                                        while iv < trips[g as usize] {
+                                            warp_body_on_lane(f, lane, iv, &vars);
+                                            iv += gs;
+                                        }
+                                    }
+                                });
+                            }
+                            _ => unreachable!("{}", FORM_VERIFIED),
+                        },
                         FlatBody::Reduce(b) => {
                             let (f, _) = self.reg.get_red(b);
                             let partials = &mut partials;
@@ -1690,7 +1731,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
                         regs,
                         team_regs,
                         &mut partials,
-                        body,
+                        (body, sm.form),
                         fetch,
                     );
                     self.tc.warp_sync_masked(w, mask, mask);
@@ -1715,6 +1756,10 @@ impl<'a, 'g> FlatExec<'a, 'g> {
 
     /// `__simd_loop` (Fig 8) over `lanes` of warp `w`: lane strides by the
     /// group size from its group id; generic workers fetch staged state.
+    /// A warp-form body runs in warp mode ([`warp_rounds`]) unless its
+    /// lanes must run one by one: under the sanitizer or an event trace,
+    /// whose records follow lane order, or when workers fetch staged state
+    /// first, which shifts their accesses' ordinals.
     #[allow(clippy::too_many_arguments)]
     fn exec_loop_lanes(
         &mut self,
@@ -1725,7 +1770,7 @@ impl<'a, 'g> FlatExec<'a, 'g> {
         regs: &[Vec<Slot>],
         team_regs: &[Slot],
         partials: &mut [f64],
-        body: FlatBody,
+        (body, form): (FlatBody, BodyForm),
         fetch: Fetch<'_>,
     ) {
         let fp = self.open_bracket(|r| body_footprint(r, body));
@@ -1736,22 +1781,46 @@ impl<'a, 'g> FlatExec<'a, 'g> {
         let g_base = w * meta.gpw;
         let sharing = &self.sharing;
         match body {
-            FlatBody::Plain(b) => {
-                let (f, _) = self.reg.get_body(b);
-                self.tc.run_lanes(w, lanes, |lane, l| {
-                    let g = (g_base + (l >> shift)) as usize;
-                    let gid = l as u64 & gid_mask;
-                    if gid != 0 {
-                        fetch.fetch(lane, sharing, g as u32);
-                    }
-                    let vars = Vars { args, outer: team_regs, regs: &regs[g] };
-                    let mut iv = gid;
-                    while iv < trips[g] {
-                        f(lane, iv, &vars);
-                        iv += gs;
-                    }
-                });
-            }
+            FlatBody::Plain(b) => match (form, self.reg.get_body(b).0) {
+                (BodyForm::Lane, SimdFn::Lane(f)) => {
+                    self.tc.run_lanes(w, lanes, |lane, l| {
+                        let g = (g_base + (l >> shift)) as usize;
+                        let gid = l as u64 & gid_mask;
+                        if gid != 0 {
+                            fetch.fetch(lane, sharing, g as u32);
+                        }
+                        let vars = Vars { args, outer: team_regs, regs: &regs[g] };
+                        let mut iv = gid;
+                        while iv < trips[g] {
+                            f(lane, iv, &vars);
+                            iv += gs;
+                        }
+                    });
+                }
+                (BodyForm::Warp, SimdFn::Warp(f))
+                    if matches!(fetch, Fetch::None) && !self.trace && !self.tc.sanitizing() =>
+                {
+                    let vars = (args, team_regs, regs);
+                    warp_rounds(self.tc, w, lanes, meta, trips, vars, f);
+                }
+                (BodyForm::Warp, SimdFn::Warp(f)) => {
+                    self.tc.run_lanes(w, lanes, |lane, l| {
+                        let g = g_base + (l >> shift);
+                        let gid = l as u64 & gid_mask;
+                        if gid != 0 {
+                            fetch.fetch(lane, sharing, g);
+                        }
+                        let group = [g];
+                        let vars = WarpVars::new(args, team_regs, regs, &group);
+                        let mut iv = gid;
+                        while iv < trips[g as usize] {
+                            warp_body_on_lane(f, lane, iv, &vars);
+                            iv += gs;
+                        }
+                    });
+                }
+                _ => unreachable!("{}", FORM_VERIFIED),
+            },
             FlatBody::Reduce(b) => {
                 let (f, _) = self.reg.get_red(b);
                 self.tc.run_lanes(w, lanes, |lane, l| {
@@ -1778,6 +1847,62 @@ impl<'a, 'g> FlatExec<'a, 'g> {
             validate_observed(self.tc, &func, fp, obs);
         }
     }
+}
+
+/// Why a `simd` op's baked body form always matches its registry entry.
+const FORM_VERIFIED: &str = "the verifier checks each simd op's body form against the registry";
+
+/// A warp-form body's `__simd_loop` over `lanes` of warp `w`, as one
+/// [`TeamCtx::run_warp`] super-step: in round `r` the lanes with
+/// `gid + r·gs < trip` of their group run the body together, in ascending
+/// lane order. A lane active in round `r` was active in every earlier
+/// round, which `run_warp` relies on. `vars` holds the payload, the team
+/// registers and every group's registers.
+fn warp_rounds(
+    tc: &mut TeamCtx<'_>,
+    w: u32,
+    lanes: &[u32],
+    meta: &ParMeta,
+    trips: &[u64],
+    vars: (&[Slot], &[Slot], &[Vec<Slot>]),
+    f: &WarpBodyFn,
+) {
+    let n_lanes = lanes.len();
+    let gid_mask = (meta.gs - 1) as u64;
+    let g_base = w * meta.gpw;
+    // Each lane's group, first iteration and trip count.
+    let mut group = [0u32; MAX_LANES];
+    let mut first = [0u64; MAX_LANES];
+    let mut trip = [0u64; MAX_LANES];
+    for (k, &l) in lanes.iter().enumerate() {
+        group[k] = g_base + (l >> meta.gs_shift);
+        first[k] = l as u64 & gid_mask;
+        trip[k] = trips[group[k] as usize];
+    }
+    let gs = meta.gs as u64;
+    let mut ivs = [0u64; MAX_LANES];
+    let mut groups = [0u32; MAX_LANES];
+    tc.run_warp(w, n_lanes as u32, |rounds| {
+        let mut step = 0u64;
+        loop {
+            let mut n = 0;
+            for k in 0..n_lanes {
+                let iv = first[k] + step;
+                if iv < trip[k] {
+                    ivs[n] = iv;
+                    groups[n] = group[k];
+                    n += 1;
+                }
+            }
+            if n == 0 {
+                break;
+            }
+            let (args, outer, regs) = vars;
+            let round_vars = WarpVars::new(args, outer, regs, &groups[..n]);
+            f(rounds.round(n), &ivs[..n], &round_vars);
+            step += gs;
+        }
+    });
 }
 
 /// The declared footprint of a simd body, if any.
@@ -1937,8 +2062,3 @@ impl Fetch<'_> {
         }
     }
 }
-
-// Quiet an unused-import warning portability: SmOff is used only through
-// sharing.group_slice's return type in closures.
-#[allow(unused)]
-fn _smoff_used(_: SmOff) {}

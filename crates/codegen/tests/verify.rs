@@ -1,15 +1,15 @@
 //! Flat-bytecode verifier suite: every in-tree kernel and a seeded random
 //! stream must verify unmutated, and every seeded single-fault mutant
-//! (wrong cascade position, overlapping/truncated PC ranges, off-by-one
-//! staging geometry, misclassified trip sources, dropped mapping tables)
-//! must be rejected.
+//! (wrong cascade position, flipped body form, overlapping/truncated PC
+//! ranges, off-by-one staging geometry, misclassified trip sources,
+//! dropped mapping tables) must be rejected.
 
 use std::collections::BTreeSet;
 
 use gpu_sim::DeviceArch;
 use omp_codegen::CompiledKernel;
 use omp_kernels::plangen::random_kernel;
-use omp_kernels::{ideal, spmv, stencil2d};
+use omp_kernels::{ideal, spmv, stencil2d, su3};
 use testkit::cases;
 
 /// Verify the kernel's lowering clean, then assert every seeded mutant is
@@ -43,6 +43,8 @@ fn in_tree_kernels_verify_and_reject_all_mutants() {
         ("ideal gs=1", ideal::build(4, 64, 1)),
         ("ideal gs=8", ideal::build(4, 64, 8)),
         ("ideal forced-generic", ideal::build_forced_generic(2, 64, 8)),
+        ("su3 warp form", su3::build(4, 64, 8)),
+        ("su3 per lane", su3::build_per_lane(4, 64, 8)),
         ("spmv two-level", spmv::build_two_level(8)),
         ("spmv three-level", spmv::build_three_level(8, 64, 8)),
         ("spmv three-level-reduce", spmv::build_three_level_reduce(8, 64, 8)),
@@ -94,10 +96,20 @@ fn random_plans_verify_and_reject_all_mutants() {
         "cascade-pos-up",
         "cascade-to-indirect",
         "indirect-to-cascade",
+        "body-form-flip",
         "trip-const-up",
         "trip-pure-to-const",
         "trip-lane-to-const",
     ] {
         assert!(covered.contains(class), "mutation class '{class}' never had an applicable site");
     }
+}
+
+#[test]
+fn plan_hash_folds_the_body_form() {
+    // The twins share every plan shape and registry position; only the
+    // body form, which the lowering bakes in, tells them apart.
+    let warp = su3::build(4, 64, 8).plan_hash();
+    assert_eq!(warp, su3::build(4, 64, 8).plan_hash(), "the hash is a pure function of the kernel");
+    assert_ne!(warp, su3::build_per_lane(4, 64, 8).plan_hash());
 }

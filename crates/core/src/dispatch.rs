@@ -19,9 +19,9 @@
 
 use std::sync::Arc;
 
-use gpu_sim::{Lane, ObservedEffects, Slot, TeamCtx, Violation};
+use gpu_sim::{Lane, ObservedEffects, Slot, TeamCtx, Violation, Warp};
 
-use crate::plan::{BodyId, RedId, SeqId, TripId, Vars, VarsMut};
+use crate::plan::{BodyId, RedId, SeqId, TripId, Vars, VarsMut, WarpVars};
 
 /// Thread-sequential chunk: arbitrary lane work plus register updates.
 pub type SeqFn = Box<dyn Fn(&mut Lane<'_, '_>, &mut VarsMut<'_>) + Send + Sync>;
@@ -39,6 +39,14 @@ pub type PureTripFn = Arc<dyn Fn(&Vars<'_>) -> u64 + Send + Sync>;
 /// once per iteration with the iteration number, like Fig 8's
 /// `WorkFn(omp_iv, Args)`.
 pub type BodyFn = Box<dyn Fn(&mut Lane<'_, '_>, u64, &Vars<'_>) + Send + Sync>;
+/// Warp-form loop body: invoked once per round of a simd loop with the
+/// round's active lanes, their iterations (`ivs[l]` is active lane `l`'s)
+/// and their scopes. Every access covers every active lane (see
+/// [`gpu_sim::Warp`]), so the body cannot branch per lane; its lanes'
+/// iterations must not depend on each other, since the engine may run the
+/// lanes round by round or one after another. Atomics and shared memory
+/// stay in the per-lane form ([`BodyFn`]).
+pub type WarpBodyFn = Box<dyn Fn(&mut Warp<'_, '_>, &[u64], &WarpVars<'_>) + Send + Sync>;
 /// Reducing loop body: returns the iteration's additive contribution.
 pub type RedFn = Box<dyn Fn(&mut Lane<'_, '_>, u64, &Vars<'_>) -> f64 + Send + Sync>;
 
@@ -185,6 +193,45 @@ pub fn validate_observed(tc: &mut TeamCtx<'_>, func: &str, fp: &Footprint, obs: 
     }
 }
 
+/// A registered simd body in one of its two forms.
+pub enum SimdFn {
+    /// Per-lane: one call per lane per iteration.
+    Lane(BodyFn),
+    /// Warp form: one call per round for the round's active lanes.
+    Warp(WarpBodyFn),
+}
+
+/// The form of a registered simd body, which the bytecode lowering bakes
+/// into each `simd` op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum BodyForm {
+    /// [`SimdFn::Lane`].
+    Lane,
+    /// [`SimdFn::Warp`].
+    Warp,
+}
+
+impl SimdFn {
+    /// This body's form.
+    pub fn form(&self) -> BodyForm {
+        match self {
+            SimdFn::Lane(_) => BodyForm::Lane,
+            SimdFn::Warp(_) => BodyForm::Warp,
+        }
+    }
+}
+
+/// Run a warp-form body's iteration `iv` on one lane, in lane mode: its
+/// accesses are `lane`'s own ([`Warp::lane`]), and `vars` holds the
+/// lane's scopes as active lane 0. The engines run a warp-form body this
+/// way wherever lanes run one after another: the tree walker always, the
+/// bytecode engine under the sanitizer or an event trace, when workers
+/// fetch staged state, and in sequential-simd legalization.
+#[inline(always)]
+pub fn warp_body_on_lane(f: &WarpBodyFn, lane: &mut Lane<'_, '_>, iv: u64, vars: &WarpVars<'_>) {
+    f(&mut Warp::lane(lane), std::slice::from_ref(&iv), vars);
+}
+
 /// Static metadata about a registered trip-count callback.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TripMeta {
@@ -206,7 +253,7 @@ pub struct TripMeta {
 pub struct Registry {
     seqs: Vec<(SeqFn, Option<Footprint>)>,
     trips: Vec<(TripFn, TripMeta, Option<PureTripFn>)>,
-    bodies: Vec<(BodyFn, Option<u32>, Option<Footprint>)>,
+    bodies: Vec<(SimdFn, Option<u32>, Option<Footprint>)>,
     reds: Vec<(RedFn, Option<u32>, Option<Footprint>)>,
     cascade_len: u32,
 }
@@ -297,7 +344,18 @@ impl Registry {
         f: impl Fn(&mut Lane<'_, '_>, u64, &Vars<'_>) + Send + Sync + 'static,
     ) -> BodyId {
         let pos = self.next_cascade_position();
-        self.bodies.push((Box::new(f), Some(pos), None));
+        self.bodies.push((SimdFn::Lane(Box::new(f)), Some(pos), None));
+        BodyId(self.bodies.len() as u32 - 1)
+    }
+
+    /// Register a warp-form loop body reachable through the if-cascade
+    /// (see [`WarpBodyFn`]).
+    pub fn body_warp(
+        &mut self,
+        f: impl Fn(&mut Warp<'_, '_>, &[u64], &WarpVars<'_>) + Send + Sync + 'static,
+    ) -> BodyId {
+        let pos = self.next_cascade_position();
+        self.bodies.push((SimdFn::Warp(Box::new(f)), Some(pos), None));
         BodyId(self.bodies.len() as u32 - 1)
     }
 
@@ -308,7 +366,7 @@ impl Registry {
         f: impl Fn(&mut Lane<'_, '_>, u64, &Vars<'_>) + Send + Sync + 'static,
     ) -> BodyId {
         let pos = self.next_cascade_position();
-        self.bodies.push((Box::new(f), Some(pos), Some(fp)));
+        self.bodies.push((SimdFn::Lane(Box::new(f)), Some(pos), Some(fp)));
         BodyId(self.bodies.len() as u32 - 1)
     }
 
@@ -319,7 +377,7 @@ impl Registry {
         &mut self,
         f: impl Fn(&mut Lane<'_, '_>, u64, &Vars<'_>) + Send + Sync + 'static,
     ) -> BodyId {
-        self.bodies.push((Box::new(f), None, None));
+        self.bodies.push((SimdFn::Lane(Box::new(f)), None, None));
         BodyId(self.bodies.len() as u32 - 1)
     }
 
@@ -373,9 +431,14 @@ impl Registry {
     /// Look up a loop body and its cascade position (`Some(p)` for a known
     /// entry `p` compares deep in the chain, `None` for an extern entry
     /// reached through the indirect-call fallback).
-    pub fn get_body(&self, id: BodyId) -> (&BodyFn, Option<u32>) {
+    pub fn get_body(&self, id: BodyId) -> (&SimdFn, Option<u32>) {
         let (f, pos, _) = &self.bodies[id.0 as usize];
         (f, *pos)
+    }
+
+    /// The form of a loop body.
+    pub fn body_form(&self, id: BodyId) -> BodyForm {
+        self.bodies[id.0 as usize].0.form()
     }
 
     /// Declared footprint of a loop body, if any.

@@ -32,9 +32,13 @@ use gpu_sim::mem::ptr::DPtr;
 use gpu_sim::{Device, DispatchKind, LaunchConfig, LaunchError, LaunchStats, Slot, TeamCtx};
 
 use crate::config::{ExecMode, KernelConfig, ParallelDesc};
-use crate::dispatch::{validate_observed, validate_reg_writes, Registry};
+use crate::dispatch::{
+    validate_observed, validate_reg_writes, warp_body_on_lane, Registry, SimdFn,
+};
 use crate::mapping::SimdMapping;
-use crate::plan::{ParallelOp, SeqId, TargetPlan, TeamOp, ThreadOp, TripId, Vars, VarsMut};
+use crate::plan::{
+    ParallelOp, SeqId, TargetPlan, TeamOp, ThreadOp, TripId, Vars, VarsMut, WarpVars,
+};
 use crate::sharing::SharingSpace;
 use crate::workshare::{assign, is_chunk_start};
 
@@ -716,13 +720,17 @@ impl<'a, 'g> Interp<'a, 'g> {
                             let (f, _) = self.reg.get_body(b);
                             self.tc.run_lanes(w, &leaders, |lane, l| {
                                 let g = m.simd_group(w * ws + l) as usize;
-                                let vars = Vars { args, outer: team_regs, regs: &regs[g] };
                                 for gid in 0..gs {
-                                    let mut iv = gid;
-                                    while iv < trips[g] {
-                                        f(lane, iv, &vars);
-                                        iv += gs;
-                                    }
+                                    run_body_lane(
+                                        f,
+                                        lane,
+                                        gid..trips[g],
+                                        gs,
+                                        args,
+                                        team_regs,
+                                        regs,
+                                        g,
+                                    );
                                 }
                             });
                         }
@@ -874,12 +882,7 @@ impl<'a, 'g> Interp<'a, 'g> {
                     if gid != 0 {
                         fetch.fetch(lane, sharing, g as u32);
                     }
-                    let vars = Vars { args, outer: team_regs, regs: &regs[g] };
-                    let mut iv = gid;
-                    while iv < trips[g] {
-                        f(lane, iv, &vars);
-                        iv += gs;
-                    }
+                    run_body_lane(f, lane, gid..trips[g], gs, args, team_regs, regs, g);
                 });
             }
             SimdBody::Reduce(b) => {
@@ -907,6 +910,42 @@ impl<'a, 'g> Interp<'a, 'g> {
                 SimdBody::Reduce(b) => format!("reduce body #{}", b.0),
             };
             validate_observed(self.tc, &func, &fp, obs);
+        }
+    }
+}
+
+/// Run iterations `ivs` (stepping by `stride`) of a simd body on one lane
+/// of group `g`. A warp-form body runs in lane mode: the tree walker never
+/// issues warp instructions, which keeps it an independent oracle for the
+/// bytecode engine's warp mode.
+#[allow(clippy::too_many_arguments)]
+fn run_body_lane(
+    f: &SimdFn,
+    lane: &mut gpu_sim::Lane<'_, '_>,
+    ivs: std::ops::Range<u64>,
+    stride: u64,
+    args: &[Slot],
+    outer: &[Slot],
+    regs: &[Vec<Slot>],
+    g: usize,
+) {
+    match f {
+        SimdFn::Lane(f) => {
+            let vars = Vars { args, outer, regs: &regs[g] };
+            let mut iv = ivs.start;
+            while iv < ivs.end {
+                f(lane, iv, &vars);
+                iv += stride;
+            }
+        }
+        SimdFn::Warp(f) => {
+            let group = [g as u32];
+            let vars = WarpVars::new(args, outer, regs, &group);
+            let mut iv = ivs.start;
+            while iv < ivs.end {
+                warp_body_on_lane(f, lane, iv, &vars);
+                iv += stride;
+            }
         }
     }
 }

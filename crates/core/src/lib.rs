@@ -30,7 +30,7 @@ pub mod sharing;
 pub mod workshare;
 
 pub use config::{ExecMode, KernelConfig, ParallelDesc};
-pub use dispatch::{Footprint, Registry, TripMeta};
+pub use dispatch::{BodyForm, Footprint, Registry, SimdFn, TripMeta};
 pub use exec::{launch_target, run_target_block};
 pub use mapping::SimdMapping;
-pub use plan::{Schedule, TargetPlan, TeamOp, ThreadOp, Vars, VarsMut};
+pub use plan::{Schedule, TargetPlan, TeamOp, ThreadOp, Vars, VarsMut, WarpVars};

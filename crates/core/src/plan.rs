@@ -37,6 +37,40 @@ pub struct Vars<'e> {
     pub regs: &'e [Slot],
 }
 
+/// Read-only scopes of a warp-form simd body's active lanes (see
+/// [`crate::dispatch::WarpBodyFn`]). The payload and the enclosing scope
+/// are the same for every lane; the private registers are the lane's SIMD
+/// group's, and one warp holds several groups.
+pub struct WarpVars<'e> {
+    /// Kernel argument payload.
+    pub args: &'e [Slot],
+    /// Enclosing-scope registers.
+    pub outer: &'e [Slot],
+    /// Every group's private registers.
+    regs: &'e [Vec<Slot>],
+    /// The group of each active lane (an index into `regs`).
+    groups: &'e [u32],
+}
+
+impl<'e> WarpVars<'e> {
+    /// Scopes of lanes whose groups are `groups`, over every group's
+    /// registers `regs`.
+    pub fn new(
+        args: &'e [Slot],
+        outer: &'e [Slot],
+        regs: &'e [Vec<Slot>],
+        groups: &'e [u32],
+    ) -> WarpVars<'e> {
+        WarpVars { args, outer, regs, groups }
+    }
+
+    /// The private registers of active lane `l`.
+    #[inline(always)]
+    pub fn regs(&self, l: usize) -> &'e [Slot] {
+        &self.regs[self.groups[l] as usize]
+    }
+}
+
 /// Mutable view for thread-sequential chunks (may write private registers).
 pub struct VarsMut<'e> {
     /// Kernel argument payload.

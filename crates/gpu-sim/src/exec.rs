@@ -197,6 +197,8 @@ struct StepAcc {
     /// Shared-memory bank count new ordinal accumulators are sized to
     /// ([`crate::arch::DeviceArch::smem_banks`]).
     smem_banks: u32,
+    /// A warp instruction's line set under construction ([`LineSet`]).
+    lines: Vec<u64>,
 }
 
 impl StepAcc {
@@ -250,11 +252,7 @@ impl StepAcc {
         if k >= self.ords.len() {
             self.grow_ords();
         }
-        let end = addr + bytes as u64 - 1;
-        let (first, last) = match self.sector_shift {
-            Some(shift) => (addr >> shift, end >> shift),
-            None => self.divide_sectors(addr, end),
-        };
+        let (first, last) = self.sectors(addr, bytes);
         let o = &mut self.ords[k];
         o.push_sector(first);
         if first != last {
@@ -262,6 +260,16 @@ impl StepAcc {
         }
         if atomic {
             o.push_atomic(addr);
+        }
+    }
+
+    /// The first and last sector of a `bytes`-wide access at `addr`.
+    #[inline(always)]
+    fn sectors(&self, addr: u64, bytes: u32) -> (u64, u64) {
+        let end = addr + bytes as u64 - 1;
+        match self.sector_shift {
+            Some(shift) => (addr >> shift, end >> shift),
+            None => self.divide_sectors(addr, end),
         }
     }
 
@@ -358,6 +366,18 @@ impl L1Set {
             *a = a.saturating_add(1);
         }
         self.ages[w] = 0;
+    }
+
+    /// The way holding `line`, if any, from one mask of all four tag
+    /// compares instead of a search that stops at the first match. A
+    /// line sits in at most one way, and no line is the empty tag.
+    #[inline(always)]
+    fn way_by_mask(&self, line: u64) -> Option<usize> {
+        let m = (self.tags[0] == line) as u32
+            | ((self.tags[1] == line) as u32) << 1
+            | ((self.tags[2] == line) as u32) << 2
+            | ((self.tags[3] == line) as u32) << 3;
+        (m != 0).then(|| m.trailing_zeros() as usize)
     }
 
     /// The LRU victim: the oldest way, the *last* one when ages tie (the
@@ -608,6 +628,18 @@ pub struct Lane<'a, 'g> {
 }
 
 impl<'a, 'g> Lane<'a, 'g> {
+    /// The same lane, borrowed for a shorter while.
+    fn reborrow(&mut self) -> Lane<'_, 'g> {
+        Lane {
+            global: &mut *self.global,
+            smem: &mut *self.smem,
+            acc: &mut *self.acc,
+            sanitizer: self.sanitizer.as_deref_mut(),
+            tid: self.tid,
+            observed: &mut *self.observed,
+        }
+    }
+
     /// Charge `cycles` of ALU work.
     #[inline]
     pub fn work(&mut self, cycles: u64) {
@@ -727,6 +759,250 @@ impl<'a, 'g> Lane<'a, 'g> {
         self.smem.write_f64(off, idx, old + v);
         old
     }
+}
+
+/// Most lanes a warp can have: the width of a [`crate::LaneMask`] and of
+/// a warp instruction's per-lane arrays. [`crate::Device::validate`]
+/// rejects wider warps.
+pub const MAX_LANES: usize = 64;
+
+/// The accessor of a warp-form simd body: the active lanes of one round
+/// at once. Lane `l` is the round's `l`-th active lane; every access
+/// names each active lane's element through an index closure over `l`.
+///
+/// A warp-form body has no per-lane branch, so every access covers every
+/// active lane, and the k-th access of a round is one instruction for all
+/// of them — the ordinal rule of [`TeamCtx::run_lanes`]. In warp mode
+/// ([`TeamCtx::run_warp`]) each [`Warp::read`] or [`Warp::write`] is that
+/// instruction: one segment lookup with one alive and type check, a bounds
+/// check per lane (with the per-lane path's panic messages), and the
+/// lanes' addresses reduced to a sorted line set that walks the warp's L1
+/// window at once. In lane mode ([`Warp::lane`]) it is one lane's
+/// [`Lane`] access, which lets a warp-form body run wherever a per-lane
+/// one does: under the sanitizer and the event trace, and lane by lane in
+/// the tree walker. Both modes give the same statistics for the same
+/// rounds.
+pub struct Warp<'a, 'g> {
+    /// Active lanes of the current round.
+    n: usize,
+    form: WarpForm<'a, 'g>,
+}
+
+enum WarpForm<'a, 'g> {
+    Lane(Lane<'a, 'g>),
+    Issue(Issue<'a, 'g>),
+}
+
+/// Warp-mode state of a [`TeamCtx::run_warp`] super-step.
+struct Issue<'a, 'g> {
+    tc: &'a mut TeamCtx<'g>,
+    warp: u32,
+    /// The warp's L1 window, taken for the super-step.
+    l1: L1Window,
+    step: StepCost,
+    /// ALU cycles charged so far. A round's lanes are a subset of the
+    /// previous round's, so a lane of the first round that is active in
+    /// every round did all of it: this sum is the per-lane maximum.
+    alu: u64,
+}
+
+impl<'a, 'g> Warp<'a, 'g> {
+    /// Lane mode: a one-lane accessor over `lane`, whose accesses are
+    /// `lane`'s own.
+    pub fn lane(lane: &'a mut Lane<'_, 'g>) -> Warp<'a, 'g> {
+        Warp { n: 1, form: WarpForm::Lane(lane.reborrow()) }
+    }
+
+    /// Charge `cycles` of ALU work to every active lane.
+    #[inline]
+    pub fn work(&mut self, cycles: u64) {
+        match &mut self.form {
+            WarpForm::Lane(lane) => lane.work(cycles),
+            WarpForm::Issue(issue) => issue.alu += cycles,
+        }
+    }
+
+    /// Load element `idx(l)` relative to `p` for every active lane `l`;
+    /// lane `l`'s value is entry `l` of the result.
+    #[inline(always)]
+    pub fn read<T: DevValue + Default>(
+        &mut self,
+        p: DPtr<T>,
+        idx: impl Fn(usize) -> u64,
+    ) -> [T; MAX_LANES] {
+        let mut out = [T::default(); MAX_LANES];
+        match &mut self.form {
+            WarpForm::Lane(lane) => out[0] = lane.read(p, idx(0)),
+            WarpForm::Issue(issue) => {
+                let seg = issue.tc.gview.checked(p);
+                let mut set = LineSet::new(&mut issue.tc.acc, issue.tc.spl);
+                for (l, o) in out[..self.n].iter_mut().enumerate() {
+                    let (addr, v) = seg.load(p, idx(l));
+                    *o = v;
+                    set.access(addr, std::mem::size_of::<T>() as u32);
+                }
+                set.finish();
+                issue.commit();
+            }
+        }
+        out
+    }
+
+    /// Store `v(l)` to element `idx(l)` relative to `p` for every active
+    /// lane `l`, in lane order.
+    #[inline(always)]
+    pub fn write<T: DevValue>(
+        &mut self,
+        p: DPtr<T>,
+        idx: impl Fn(usize) -> u64,
+        v: impl Fn(usize) -> T,
+    ) {
+        match &mut self.form {
+            WarpForm::Lane(lane) => lane.write(p, idx(0), v(0)),
+            WarpForm::Issue(issue) => {
+                let seg = issue.tc.gview.checked(p);
+                let mut set = LineSet::new(&mut issue.tc.acc, issue.tc.spl);
+                for l in 0..self.n {
+                    let addr = seg.store(p, idx(l), v(l));
+                    set.access(addr, std::mem::size_of::<T>() as u32);
+                }
+                set.finish();
+                issue.commit();
+            }
+        }
+    }
+}
+
+/// The rounds of a [`TeamCtx::run_warp`] super-step.
+pub struct WarpRounds<'a, 'g> {
+    warp: Warp<'a, 'g>,
+}
+
+impl<'a, 'g> WarpRounds<'a, 'g> {
+    /// Start the next round with `lanes` active lanes (at most
+    /// [`MAX_LANES`]) and return the accessor its body runs on.
+    pub fn round(&mut self, lanes: usize) -> &mut Warp<'a, 'g> {
+        assert!(
+            (1..=MAX_LANES).contains(&lanes),
+            "a round has 1 to {MAX_LANES} lanes, not {lanes}"
+        );
+        self.warp.n = lanes;
+        &mut self.warp
+    }
+}
+
+impl Issue<'_, '_> {
+    /// Walk the instruction's line set ([`StepAcc::lines`], closed by
+    /// [`LineSet::finish`]) and fold its cost into the step.
+    #[inline(always)]
+    fn commit(&mut self) {
+        let tc = &mut *self.tc;
+        let spl = tc.spl;
+        let mut walk = Walk::default();
+        let mut lsu = 0u64;
+        for &packed in &tc.acc.lines {
+            let mask = packed as u8;
+            lsu += mask.count_ones() as u64;
+            walk_line::<true>(
+                &mut walk,
+                packed >> 8,
+                mask,
+                spl,
+                &mut self.l1,
+                &mut tc.visits,
+                &mut tc.l2_bank_sectors,
+                tc.l2_bank,
+            );
+        }
+        self.step.instr(walk, lsu, 0, tc.cost);
+    }
+}
+
+/// A warp instruction's requested lines, built lane by lane into
+/// [`StepAcc::lines`] as packed `line << 8 | sector-mask` entries. A
+/// sector of the line the previous lane touched merges into its entry, so
+/// a coalesced instruction builds its sorted set as it goes; anything
+/// else is sorted and merged once, in [`LineSet::finish`].
+struct LineSet<'s> {
+    acc: &'s mut StepAcc,
+    /// Sectors per line, and its log2 when it is a power of two.
+    spl: u64,
+    spl_shift: Option<u32>,
+    /// The entry being built (its mask is 0 before the first access).
+    line: u64,
+    mask: u8,
+    /// The entries pushed so far ascend.
+    sorted: bool,
+}
+
+impl<'s> LineSet<'s> {
+    #[inline(always)]
+    fn new(acc: &'s mut StepAcc, spl: u64) -> LineSet<'s> {
+        acc.lines.clear();
+        let spl_shift = spl.is_power_of_two().then(|| spl.trailing_zeros());
+        LineSet { acc, spl, spl_shift, line: 0, mask: 0, sorted: true }
+    }
+
+    /// Add the sectors of a `bytes`-wide access at `addr`.
+    #[inline(always)]
+    fn access(&mut self, addr: u64, bytes: u32) {
+        let (first, last) = self.acc.sectors(addr, bytes);
+        self.sector(first);
+        if first != last {
+            self.span(first + 1, last);
+        }
+    }
+
+    /// The rest of an access that spans more than one sector.
+    #[cold]
+    #[inline(never)]
+    fn span(&mut self, first: u64, last: u64) {
+        for s in first..=last {
+            self.sector(s);
+        }
+    }
+
+    #[inline(always)]
+    fn sector(&mut self, s: u64) {
+        let (line, bit) = match self.spl_shift {
+            Some(shift) => (s >> shift, s & (self.spl - 1)),
+            None => (s / self.spl, s % self.spl),
+        };
+        if line == self.line {
+            self.mask |= 1 << bit;
+            return;
+        }
+        if self.mask != 0 {
+            self.sorted &= line > self.line;
+            self.acc.lines.push(self.line << 8 | self.mask as u64);
+        }
+        self.line = line;
+        self.mask = 1 << bit;
+    }
+
+    /// Close the set: [`StepAcc::lines`] then holds one entry per line,
+    /// in ascending line order.
+    #[inline(always)]
+    fn finish(self) {
+        self.acc.lines.push(self.line << 8 | self.mask as u64);
+        if !self.sorted {
+            sort_lines(&mut self.acc.lines);
+        }
+    }
+}
+
+/// Sort packed line entries and merge each line's entries into one.
+#[cold]
+#[inline(never)]
+fn sort_lines(lines: &mut Vec<u64>) {
+    lines.sort_unstable();
+    lines.dedup_by(|next, kept| {
+        let same = *next >> 8 == *kept >> 8;
+        if same {
+            *kept |= *next & 0xff;
+        }
+        same
+    });
 }
 
 /// The per-block execution context: warps, shared memory, a mutable view of
@@ -990,6 +1266,38 @@ impl<'g> TeamCtx<'g> {
         self.commit(warp, lanes.len() as u32);
     }
 
+    /// Run a warp-form body on `warp` as one lockstep super-step of
+    /// `lanes` lanes: `f` starts each round with [`WarpRounds::round`] and
+    /// runs the body on the accessor it returns. Each access is a warp
+    /// instruction committed at once, in the order [`Self::run_lanes`]
+    /// commits its ordinals, so the super-step costs what the same lanes'
+    /// per-lane run would: the k-th access of round r is ordinal `r·A + k`
+    /// when every round makes `A` accesses, and ALU work is maxed over
+    /// lanes. That holds when each round's lanes are a subset of the
+    /// previous round's, as in a simd loop whose lanes stride through
+    /// their iterations. A sanitized super-step takes [`Self::run_lanes`]
+    /// and [`Warp::lane`] instead, so findings keep their lane order.
+    pub fn run_warp<F>(&mut self, warp: u32, lanes: u32, f: F)
+    where
+        F: FnOnce(&mut WarpRounds<'_, 'g>),
+    {
+        assert!(warp < self.nwarps, "warp {warp} out of range");
+        assert!(self.sanitizer.is_none(), "a sanitized super-step runs lane by lane");
+        if lanes == 0 {
+            return;
+        }
+        let l1 = L1Window::take(&mut self.warps[warp as usize].l1, self.cost.l1_lines);
+        let issue = Issue { tc: self, warp, l1, step: StepCost::default(), alu: 0 };
+        let mut rounds = WarpRounds { warp: Warp { n: 0, form: WarpForm::Issue(issue) } };
+        f(&mut rounds);
+        let WarpForm::Issue(Issue { tc, warp, l1, mut step, alu }) = rounds.warp.form else {
+            unreachable!("a warp-mode super-step keeps its issue state")
+        };
+        step.alu(alu);
+        tc.warps[warp as usize].l1 = l1;
+        tc.end_step(warp, lanes, step, 0);
+    }
+
     /// Fold the super-step in [`StepAcc`] into `warp`'s accounting: bank
     /// wavefronts per smem ordinal, then per global ordinal the L1 line
     /// walk, replay and atomic-serialization cycles.
@@ -1005,14 +1313,8 @@ impl<'g> TeamCtx<'g> {
             smem_wavefronts += s.worst().max(1) as u64;
         }
 
-        let mut clock_add = acc.max_alu + smem_wavefronts * cost.smem_cycles;
-        let mut issue_add = clock_add;
-        let mut sectors_add = 0u64;
-        let mut hits_add = 0u64;
-        let mut lines_add = 0u64;
-        let mut tx_add = 0u64;
-        let mut full_hits_add = 0u64;
-        let mut lsu_add = 0u64;
+        let mut step = StepCost::default();
+        step.alu(acc.max_alu + smem_wavefronts * cost.smem_cycles);
         let mut l1 = L1Window::take(&mut self.warps[warp as usize].l1, cost.l1_lines);
         let mut banks = std::mem::take(&mut self.l2_bank_sectors);
         let spl = self.spl;
@@ -1024,42 +1326,40 @@ impl<'g> TeamCtx<'g> {
                 o.sectors.sort_unstable();
                 o.sectors.dedup();
             }
-            let (lines, sectors, hits, full) =
+            let (lines, missing, hits, full_hits) =
                 line_walk(&o.sectors, spl, &mut l1, &mut self.visits, &mut banks, self.l2_bank);
-            let misses = sectors;
-            let tx = lines * cost.line_cycles + sectors * cost.sector_cycles;
-            let c = tx + atomic_serialize_cycles(&mut o.atomics, cost);
-            issue_add += c;
-            clock_add += c + if misses > 0 { cost.exposed_latency } else { 0 };
-            sectors_add += sectors;
-            hits_add += hits;
-            lines_add += lines;
-            tx_add += hit_replay_offload(hits, full, cost);
-            full_hits_add += full;
-            lsu_add += o.sectors.len() as u64;
+            let walk = Walk { lines, missing, hits, full_hits };
+            let atomic = atomic_serialize_cycles(&mut o.atomics, cost);
+            step.instr(walk, o.sectors.len() as u64, atomic, cost);
         }
 
+        self.warps[warp as usize].l1 = l1;
+        self.l2_bank_sectors = banks;
+        self.end_step(warp, lanes, step, acc.max_smem_ops);
+        self.acc = acc;
+    }
+
+    /// Close a super-step of `lanes` lanes on `warp`: record it in the
+    /// event trace and add its cost to the warp's counters.
+    fn end_step(&mut self, warp: u32, lanes: u32, step: StepCost, smem_ops: u64) {
         if let Some(t) = &mut self.event_trace {
             t.push(crate::trace::TraceEvent::SuperStep {
                 block: self.block_id,
                 warp,
                 lanes,
-                issue: issue_add,
-                lines: lines_add,
+                issue: step.issue,
+                lines: step.lines,
             });
         }
         let w = &mut self.warps[warp as usize];
-        w.l1 = l1;
-        w.clock += clock_add;
-        w.issue += issue_add;
-        w.sectors += sectors_add;
-        w.smem_ops += acc.max_smem_ops;
-        w.l1_hits += hits_add;
-        w.tx += tx_add;
-        w.full_hits += full_hits_add;
-        w.lsu_sectors += lsu_add;
-        self.l2_bank_sectors = banks;
-        self.acc = acc;
+        w.clock += step.clock;
+        w.issue += step.issue;
+        w.sectors += step.sectors;
+        w.smem_ops += smem_ops;
+        w.l1_hits += step.hits;
+        w.tx += step.tx;
+        w.full_hits += step.full_hits;
+        w.lsu_sectors += step.lsu;
     }
 
     /// Charge plain ALU cycles to a warp (runtime-internal work).
@@ -1325,6 +1625,51 @@ fn hit_replay_offload(hits: u64, full_hits: u64, cost: &CostModel) -> u64 {
     full_hits * cost.line_cycles + partial * cost.line_cycles.saturating_sub(cost.sector_cycles)
 }
 
+/// A super-step's cost so far, folded instruction by instruction with
+/// [`StepCost::instr`] by both the per-lane commit and the warp
+/// instruction, so the two price a memory instruction one way.
+#[derive(Clone, Copy, Debug, Default)]
+struct StepCost {
+    clock: u64,
+    issue: u64,
+    /// DRAM-bound (L1-missing) sectors.
+    sectors: u64,
+    hits: u64,
+    lines: u64,
+    /// L1-hit replay cycles the LSU pipe may retire ([`WarpState::tx`]).
+    tx: u64,
+    full_hits: u64,
+    /// Distinct sectors requested, hits included.
+    lsu: u64,
+}
+
+impl StepCost {
+    /// Add `cycles` of issue-bound work (ALU, bank wavefronts).
+    #[inline]
+    fn alu(&mut self, cycles: u64) {
+        self.clock += cycles;
+        self.issue += cycles;
+    }
+
+    /// Fold in one memory instruction: its line walk, its `lsu` distinct
+    /// sectors and its `atomic` serialization cycles. Every line is one
+    /// transaction and every missing sector one replay beat; an
+    /// instruction that misses also exposes the memory latency once.
+    #[inline]
+    fn instr(&mut self, walk: Walk, lsu: u64, atomic: u64, cost: &CostModel) {
+        let tx = walk.lines * cost.line_cycles + walk.missing * cost.sector_cycles;
+        let c = tx + atomic;
+        self.issue += c;
+        self.clock += c + if walk.missing > 0 { cost.exposed_latency } else { 0 };
+        self.sectors += walk.missing;
+        self.hits += walk.hits;
+        self.lines += walk.lines;
+        self.tx += hit_replay_offload(walk.hits, walk.full_hits, cost);
+        self.full_hits += walk.full_hits;
+        self.lsu += lsu;
+    }
+}
+
 /// Number of 64-byte DRAM burst atoms (pairs of adjacent 32-byte sectors)
 /// a fill's sector mask occupies — the HBM minimum-access-granularity
 /// rule: a single-sector fill still spends a whole atom of bandwidth.
@@ -1333,19 +1678,23 @@ pub(crate) fn burst_atoms(mask: u8) -> u64 {
     ((mask | (mask >> 1)) & 0b0101_0101).count_ones() as u64
 }
 
-/// Walk one ordinal's unique, sorted sector set grouped by cache line:
-/// each distinct line is one LSU transaction; a line missing the warp's L1
-/// window (4-way LRU, line tags, sectored validity) sends its
-/// not-yet-fetched sectors to DRAM. Returns `(lines, dram-bound sectors,
-/// line hits, full-line hits)` — a *hit* is a tag hit with every requested
-/// sector already valid; it is a *full-line* hit when the way's entire
-/// sector mask is populated (temporal reuse of a completed fill, as
-/// opposed to re-touching a sector of a line whose fill is still in
-/// progress). Every L1 miss and every sector-adding tag hit is recorded in
-/// `visits` for the launch's replay, which derives the compulsory
-/// `dram_sectors` and burst atoms (see [`VisitLog`]); every L1-missing
-/// sector is attributed to its L2 bank slice in `banks` (no-op when
-/// `banks` is empty).
+/// What walking one instruction's lines through a warp's L1 window found.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Walk {
+    /// Distinct lines: one LSU transaction each.
+    lines: u64,
+    /// Requested sectors the window did not hold (DRAM-bound).
+    missing: u64,
+    /// Line hits: a tag hit with every requested sector already valid.
+    hits: u64,
+    /// Full-line hits (subset of `hits`): the way's whole sector mask is
+    /// populated.
+    full_hits: u64,
+}
+
+/// Walk one ordinal's unique, sorted sector set grouped by cache line,
+/// each line through [`walk_line`]. Returns `(lines, dram-bound sectors,
+/// line hits, full-line hits)`.
 ///
 /// `spl` (sectors per line) is at most 8, the width of a way's sector
 /// mask (see [`CostModel::sectors_per_line`]). A power-of-two `spl`
@@ -1361,15 +1710,7 @@ fn line_walk(
     let pow2 = spl.is_power_of_two();
     let shift = spl.trailing_zeros();
     let split = |s: u64| if pow2 { (s >> shift, s & (spl - 1)) } else { (s / spl, s % spl) };
-    let mut dram_sectors = 0u64;
-    let mut lines = 0u64;
-    let mut hits = 0u64;
-    let mut full_hits = 0u64;
-    let full_line_mask = ((1u16 << spl) - 1) as u8;
-    let mut missing = |mask: u8, line: u64| {
-        dram_sectors += mask.count_ones() as u64;
-        bank_missing_sectors(mask, line, spl, banks, bank);
-    };
+    let mut walk = Walk::default();
     let mut i = 0usize;
     while i < sectors.len() {
         let (line, first) = split(sectors[i]);
@@ -1383,38 +1724,74 @@ fn line_walk(
             smask |= 1u8 << s;
             i += 1;
         }
-        lines += 1;
-        if l1.sets.is_empty() {
-            visits.record(line, smask);
-            missing(smask, line);
-            continue;
-        }
-        let set = l1.set(line);
-        if let Some(w) = set.tags.iter().position(|&t| t == line) {
-            // Tag hit: only sectors not yet fetched cost DRAM traffic
-            // (sectored cache).
-            let new = smask & !set.masks[w];
-            if new == 0 {
-                hits += 1;
-                if set.masks[w] == full_line_mask {
-                    full_hits += 1;
-                }
-            } else {
-                set.masks[w] |= new;
-                visits.record(line, smask);
-                missing(new, line);
-            }
-            set.touch(w);
-        } else {
-            let victim = set.victim();
-            set.tags[victim] = line;
-            set.masks[victim] = smask;
-            set.touch(victim);
-            visits.record(line, smask);
-            missing(smask, line);
-        }
+        walk_line::<false>(&mut walk, line, smask, spl, l1, visits, banks, bank);
     }
-    (lines, dram_sectors, hits, full_hits)
+    (walk.lines, walk.missing, walk.hits, walk.full_hits)
+}
+
+/// Walk one line of an instruction, requesting the sectors in `smask`,
+/// and fold the outcome into `walk`. The line is one LSU transaction; a
+/// line missing the warp's L1 window (4-way LRU, line tags, sectored
+/// validity) sends its not-yet-fetched sectors to DRAM. A *hit* is a tag
+/// hit with every requested sector already valid; it is a *full-line* hit
+/// when the way's entire sector mask is populated (temporal reuse of a
+/// completed fill, as opposed to re-touching a sector of a line whose fill
+/// is still in progress). Every L1 miss and every sector-adding tag hit is
+/// recorded in `visits` for the launch's replay, which derives the
+/// compulsory `dram_sectors` and burst atoms (see [`VisitLog`]); every
+/// L1-missing sector is attributed to its L2 bank slice in `banks` (no-op
+/// when `banks` is empty).
+///
+/// The per-lane commit ([`line_walk`]) and the warp instruction
+/// ([`Warp::read`]) both walk their lines here, in ascending line order.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn walk_line<const TAG_MASK: bool>(
+    walk: &mut Walk,
+    line: u64,
+    smask: u8,
+    spl: u64,
+    l1: &mut L1Window,
+    visits: &mut VisitLog,
+    banks: &mut [u64],
+    bank: L2BankIndex,
+) {
+    walk.lines += 1;
+    let mut missing = |mask: u8| {
+        walk.missing += mask.count_ones() as u64;
+        bank_missing_sectors(mask, line, spl, banks, bank);
+    };
+    if l1.sets.is_empty() {
+        visits.record(line, smask);
+        missing(smask);
+        return;
+    }
+    let set = l1.set(line);
+    let way =
+        if TAG_MASK { set.way_by_mask(line) } else { set.tags.iter().position(|&t| t == line) };
+    if let Some(w) = way {
+        // Tag hit: only sectors not yet fetched cost DRAM traffic
+        // (sectored cache).
+        let new = smask & !set.masks[w];
+        if new == 0 {
+            walk.hits += 1;
+            if set.masks[w] == ((1u16 << spl) - 1) as u8 {
+                walk.full_hits += 1;
+            }
+        } else {
+            set.masks[w] |= new;
+            visits.record(line, smask);
+            missing(new);
+        }
+        set.touch(w);
+    } else {
+        let victim = set.victim();
+        set.tags[victim] = line;
+        set.masks[victim] = smask;
+        set.touch(victim);
+        visits.record(line, smask);
+        missing(smask);
+    }
 }
 
 /// Attribute each set bit of `mask` (an L1-missing sector within `line`)
@@ -1695,6 +2072,75 @@ mod tests {
         let (got, counters) = t.finish(nwarps * 32, 4096);
         assert_eq!(got, profile, "profile");
         assert_eq!(counters, RtCounters::default(), "lane work touches no runtime counter");
+    }
+
+    /// One round of a warp-form body over the active lanes `ids`: a
+    /// descending (unsorted) read, sector-sharing reads, a write, reads of
+    /// 40-byte elements that span sectors and lines, and reuse across
+    /// rounds.
+    fn warp_body(w: &mut Warp<'_, '_>, ids: &[u32], r: u64, p: DPtr<f64>, q: DPtr<[f64; 5]>) {
+        let id = |l: usize| ids[l] as u64;
+        let a = w.read(p, |l| 600 - id(l) * 16 + r);
+        w.work(3 + r);
+        let b = w.read(p, |l| id(l) / 4 * 4 + 64 * r);
+        w.write(p, |l| 1000 + id(l) * 8 + r, |l| a[l] + b[l] + 1.0);
+        let c = w.read(q, |l| (id(l) * 5 + r) % 23);
+        w.write(p, |l| 2000 + id(l) * 40, |l| c[l][r as usize % 5]);
+        w.work(2);
+    }
+
+    #[test]
+    fn warp_instructions_cost_what_their_lanes_do() {
+        // Lane `id` runs `trips[id]` rounds, so each round's lanes are a
+        // subset of the previous round's. Both modes must leave the same
+        // profile, visit log, bank counts and memory, on a power-of-two
+        // geometry and on sectors and lines that are not.
+        let trips: Vec<u64> = (0..32u64).map(|id| 5 - id % 6).collect();
+        let odd = CostModel { sector_bytes: 40, line_bytes: 120, ..CostModel::default() };
+        for cost in [CostModel::default(), odd] {
+            let a = DeviceArch::a100();
+            let mut runs = Vec::new();
+            for warp_mode in [false, true] {
+                let g = GlobalMem::new();
+                let p = g.alloc_from(&(0..4096).map(|i| i as f64).collect::<Vec<_>>());
+                let q = g.alloc_from(&(0..23).map(|i| [i as f64; 5]).collect::<Vec<_>>());
+                let mut t = TeamCtx::new(0, 1, 2, 0, &g, &cost, &a);
+                let lanes: Vec<u32> = (0..32).collect();
+                for warp in 0..2 {
+                    if warp_mode {
+                        t.run_warp(warp, 32, |rounds| {
+                            for r in 0.. {
+                                let ids: Vec<u32> = lanes
+                                    .iter()
+                                    .copied()
+                                    .filter(|&id| r < trips[id as usize])
+                                    .collect();
+                                if ids.is_empty() {
+                                    break;
+                                }
+                                warp_body(rounds.round(ids.len()), &ids, r, p, q);
+                            }
+                        });
+                    } else {
+                        t.run_lanes(warp, &lanes, |lane, id| {
+                            for r in 0..trips[id as usize] {
+                                warp_body(&mut Warp::lane(lane), &[id], r, p, q);
+                            }
+                        });
+                    }
+                }
+                let visits = t.visits().to_vec();
+                let banks = t.l2_bank_sectors().to_vec();
+                let profile = t.finish(64, 0);
+                runs.push((profile, visits, banks, g.read_slice(p, 4096)));
+            }
+            let geometry = format!("sector {} B, line {} B", cost.sector_bytes, cost.line_bytes);
+            assert_eq!(runs[0].0, runs[1].0, "{geometry}: profile");
+            assert_eq!(runs[0].1, runs[1].1, "{geometry}: visit log");
+            assert_eq!(runs[0].2, runs[1].2, "{geometry}: bank counts");
+            assert_eq!(runs[0].3, runs[1].3, "{geometry}: memory");
+            assert!(runs[0].0 .0.l1_hits > 0 && runs[0].0 .0.sectors > 0);
+        }
     }
 
     #[test]

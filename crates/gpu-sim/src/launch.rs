@@ -254,6 +254,9 @@ pub enum LaunchError {
     /// The device's cost model has zero-byte sectors, or more sectors per
     /// line than the L1's 8-bit per-way sector mask holds.
     BadSectorModel { line_bytes: u32, sector_bytes: u32 },
+    /// The device's warps are wider than a [`crate::LaneMask`]
+    /// ([`crate::exec::MAX_LANES`] lanes).
+    BadWarpSize { warp: u32 },
 }
 
 impl std::fmt::Display for LaunchError {
@@ -273,6 +276,11 @@ impl std::fmt::Display for LaunchError {
             LaunchError::BadSectorModel { line_bytes, sector_bytes } => write!(
                 f,
                 "{line_bytes} B lines of {sector_bytes} B sectors do not fit the 8-sector line mask"
+            ),
+            LaunchError::BadWarpSize { warp } => write!(
+                f,
+                "warp size {warp} exceeds the {} lanes of a lane mask",
+                crate::exec::MAX_LANES
             ),
         }
     }
@@ -379,6 +387,9 @@ impl Device {
                 line_bytes: self.cost.line_bytes,
                 sector_bytes: self.cost.sector_bytes,
             });
+        }
+        if self.arch.warp_size as usize > crate::exec::MAX_LANES {
+            return Err(LaunchError::BadWarpSize { warp: self.arch.warp_size });
         }
         if cfg.num_blocks == 0 {
             return Err(LaunchError::ZeroBlocks);

@@ -134,6 +134,13 @@ impl Segment {
     #[inline(always)]
     fn elem<T: DevValue>(&self, p: DPtr<T>, idx: u64, op: &'static str) -> (u64, &[AtomicU64]) {
         self.check::<T>(p.seg);
+        self.bound(p, idx, op)
+    }
+
+    /// [`Self::elem`] without the alive and type checks, for a segment
+    /// already [`Self::check`]ed for `T`: the bounds check alone.
+    #[inline(always)]
+    fn bound<T: DevValue>(&self, p: DPtr<T>, idx: u64, op: &'static str) -> (u64, &[AtomicU64]) {
         let (i, wrapped) = p.off.overflowing_add(idx);
         if wrapped | (i >= self.len as u64) {
             out_of_bounds(op, p.off, idx, self.len);
@@ -172,14 +179,30 @@ impl Segment {
     /// Read element `idx` relative to `p`; returns its synthetic address.
     #[inline(always)]
     fn read<T: DevValue>(&self, p: DPtr<T>, idx: u64) -> (u64, T) {
-        let (i, words) = self.elem(p, idx, "read");
-        (self.addr::<T>(i), T::load_words(&mut |j| words[j].load(Ordering::Relaxed)))
+        self.check::<T>(p.seg);
+        self.load(p, idx)
     }
 
     /// Write element `idx` relative to `p`; returns its synthetic address.
     #[inline(always)]
     fn write<T: DevValue>(&self, p: DPtr<T>, idx: u64, v: T) -> u64 {
-        let (i, words) = self.elem(p, idx, "write");
+        self.check::<T>(p.seg);
+        self.store(p, idx, v)
+    }
+
+    /// [`Self::read`] on a segment already checked for `T`
+    /// ([`GlobalView::checked`]): a warp instruction checks the segment
+    /// once and each lane's index here.
+    #[inline(always)]
+    pub(crate) fn load<T: DevValue>(&self, p: DPtr<T>, idx: u64) -> (u64, T) {
+        let (i, words) = self.bound(p, idx, "read");
+        (self.addr::<T>(i), T::load_words(&mut |j| words[j].load(Ordering::Relaxed)))
+    }
+
+    /// [`Self::write`] on a segment already checked for `T`.
+    #[inline(always)]
+    pub(crate) fn store<T: DevValue>(&self, p: DPtr<T>, idx: u64, v: T) -> u64 {
+        let (i, words) = self.bound(p, idx, "write");
         v.store_words(&mut |j, w| words[j].store(w, Ordering::Relaxed));
         self.addr::<T>(i)
     }
@@ -609,6 +632,16 @@ impl<'g> GlobalView<'g> {
     #[inline]
     pub fn atomic_add_u64(&mut self, p: DPtr<u64>, idx: u64, v: u64) -> u64 {
         self.atomic_add_u64_at(p, idx, v).1
+    }
+
+    /// The segment `p` points into, after the alive and type checks, for
+    /// a warp instruction's per-lane [`Segment::load`]s and
+    /// [`Segment::store`]s.
+    #[inline(always)]
+    pub(crate) fn checked<T: DevValue>(&mut self, p: DPtr<T>) -> &Segment {
+        let s = self.seg(p.seg);
+        s.check::<T>(p.seg);
+        s
     }
 
     // Combined accessors: one segment lookup yields both the synthetic byte

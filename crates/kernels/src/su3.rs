@@ -14,7 +14,7 @@
 //! Complex values are stored interleaved (re, im), matrices row-major,
 //! links consecutive per site — so one site's operand block is 72 `f64`s.
 
-use gpu_sim::{DPtr, Device, LaunchStats, Slot};
+use gpu_sim::{DPtr, Device, LaunchStats, Slot, MAX_LANES};
 use omp_codegen::builder::{Schedule, TargetBuilder};
 use omp_codegen::CompiledKernel;
 use testkit::SimRng;
@@ -123,13 +123,61 @@ impl Su3Dev {
 const CFMA_CYCLES: u64 = 6;
 
 /// Build the SU3 kernel. `simdlen == 1` is the paper's serial-inner-loop
-/// baseline; larger group sizes vectorize the 36-iteration loop.
+/// baseline; larger group sizes vectorize the 36-iteration loop. The simd
+/// body is warp-form: each operand load and product store is one warp
+/// instruction over the round's active lanes.
 pub fn build(num_teams: u32, threads: u32, simdlen: u32) -> CompiledKernel {
+    build_in(num_teams, threads, simdlen, true)
+}
+
+/// [`build`] with the same body written per lane: the reference twin,
+/// which gives bit-identical statistics and results.
+pub fn build_per_lane(num_teams: u32, threads: u32, simdlen: u32) -> CompiledKernel {
+    build_in(num_teams, threads, simdlen, false)
+}
+
+fn build_in(num_teams: u32, threads: u32, simdlen: u32, warp_form: bool) -> CompiledKernel {
     let mut b = TargetBuilder::new().num_teams(num_teams).threads(threads);
     let sites = b.trip_uniform(|v| v.args[A_SITES].as_u64());
     let inner = b.trip_const(INNER_TRIP);
     b.build(|t| {
         t.distribute_parallel_for(sites, Schedule::Cyclic(1), simdlen, |p, site| {
+            if warp_form {
+                p.simd_warp(inner, move |w, ivs, v| {
+                    let a = v.args[A_A].as_ptr::<f64>();
+                    let bm = v.args[A_B].as_ptr::<f64>();
+                    let c = v.args[A_C].as_ptr::<f64>();
+                    let n = ivs.len();
+                    // Per lane: the row of `a` and column of `b` it
+                    // multiplies, and its product element.
+                    let (mut row, mut col, mut out) =
+                        ([0u64; MAX_LANES], [0; MAX_LANES], [0; MAX_LANES]);
+                    for l in 0..n {
+                        let s = v.regs(l)[site.0].as_u64() as usize;
+                        let (link, o) = ((ivs[l] / 9) as usize, (ivs[l] % 9) as usize);
+                        let (i, j) = (o / 3, o % 3);
+                        row[l] = elem(s, link, i, 0) as u64;
+                        col[l] = elem(s, link, 0, j) as u64;
+                        out[l] = elem(s, link, i, j) as u64;
+                    }
+                    let (mut re, mut im) = ([0.0f64; MAX_LANES], [0.0f64; MAX_LANES]);
+                    for k in 0..3u64 {
+                        // elem(s, l, i, k) and elem(s, l, k, j).
+                        let ar = w.read(a, |l| row[l] + 2 * k);
+                        let aim = w.read(a, |l| row[l] + 2 * k + 1);
+                        let br = w.read(bm, |l| col[l] + 6 * k);
+                        let bim = w.read(bm, |l| col[l] + 6 * k + 1);
+                        w.work(CFMA_CYCLES);
+                        for l in 0..n {
+                            re[l] += ar[l] * br[l] - aim[l] * bim[l];
+                            im[l] += ar[l] * bim[l] + aim[l] * br[l];
+                        }
+                    }
+                    w.write(c, |l| out[l], |l| re[l]);
+                    w.write(c, |l| out[l] + 1, |l| im[l]);
+                });
+                return;
+            }
             p.simd(inner, move |lane, iv, v| {
                 let a = v.args[A_A].as_ptr::<f64>();
                 let bm = v.args[A_B].as_ptr::<f64>();

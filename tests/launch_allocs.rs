@@ -16,6 +16,7 @@ use simt_omp::gpu::mem::shared::SmOff;
 use simt_omp::gpu::{DPtr, Device, LaneMask, LaunchConfig, Slot, TeamCtx};
 use simt_omp::kernels::harness::Fig10Variant;
 use simt_omp::kernels::laplace3d::{self, Laplace3dDev, Laplace3dWorkload};
+use simt_omp::kernels::su3::{self, Su3Dev, Su3Workload};
 
 /// Heap allocations (fresh or resized) made so far by the process.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -106,6 +107,8 @@ fn launch_allocations_do_not_grow_with_the_grid() {
     // One laplace3d kernel compiled for each grid size.
     let lap = [108, 432].map(|teams| laplace3d::build(teams, 128, Fig10Variant::SpmdSimd));
     let lap_w = Laplace3dWorkload::generate(8);
+    let su3 = [108, 432].map(|teams| su3::build(teams, 128, 8));
+    let su3_w = Su3Workload::generate(432, 3);
     let mut counts = Vec::new();
     for threads in [1, 2] {
         for sanitize in [false, true] {
@@ -146,6 +149,19 @@ fn launch_allocations_do_not_grow_with_the_grid() {
             let small = allocs_of(5, || run_lap(&mut dev, 0));
             let large = allocs_of(5, || run_lap(&mut dev, 1));
             counts.push(("laplace3d", threads, sanitize, small, large));
+
+            // su3's warp-form body: warp instructions unsanitized, the
+            // lane-mode adapter sanitized.
+            let su3_args = Su3Dev::upload(&mut dev, &su3_w).args();
+            let run_su3 = |dev: &mut Device, k: usize| {
+                let stats = su3[k].launch_with_engine(dev, &su3_args, Engine::Bytecode).unwrap();
+                assert!(stats.violations.is_empty(), "{:?}", stats.violations);
+            };
+            run_su3(&mut dev, 1);
+            run_su3(&mut dev, 0);
+            let small = allocs_of(5, || run_su3(&mut dev, 0));
+            let large = allocs_of(5, || run_su3(&mut dev, 1));
+            counts.push(("su3", threads, sanitize, small, large));
         }
     }
     for (kernel, threads, sanitize, small, large) in &counts {
