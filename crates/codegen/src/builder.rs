@@ -631,15 +631,9 @@ impl CompiledKernel {
     /// run the lint gate — the escape hatch for deliberately-broken plans
     /// (negative tests, sanitizer demos).
     ///
-    /// Engine selection: the flat-bytecode executor, or with
-    /// `SIMT_SIM_ORACLE=1` differential mode — every launch runs both
-    /// engines and panics unless stats (simtcheck violations included),
-    /// memory images and event traces are bit-identical.
-    /// [`Self::launch_with_engine`] picks an engine explicitly.
+    /// Runs the flat-bytecode executor. [`Self::launch_with_engine`] picks
+    /// an engine explicitly, and [`Self::launch_oracle`] runs both.
     pub fn launch(&self, dev: &mut Device, args: &[Slot]) -> Result<LaunchStats, LaunchError> {
-        if std::env::var("SIMT_SIM_ORACLE").map(|v| v == "1").unwrap_or(false) {
-            return self.launch_oracle(dev, args);
-        }
         self.launch_with_engine(dev, args, Engine::Bytecode)
     }
 

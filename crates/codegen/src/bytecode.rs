@@ -45,10 +45,9 @@
 //! trace it also records the super-steps it otherwise skips because they
 //! charge nothing: idle lanes stay in their cohort and const or pure trips
 //! replay the tree walker's lane-path evaluation. The tree walker remains
-//! the differential oracle: `SIMT_SIM_ORACLE=1` runs every launch through
-//! both engines and asserts identical stats (simtcheck violations
-//! included), memory images and event traces (see
-//! [`crate::CompiledKernel::launch_oracle`]).
+//! the differential oracle: [`crate::CompiledKernel::launch_oracle`] runs a
+//! launch through both engines and asserts identical stats (simtcheck
+//! violations included), memory images and event traces.
 //!
 //! Scheduling arithmetic is shared, not cloned: iteration assignment and
 //! chunk-grab charging go through [`omp_core::workshare::assign`] /

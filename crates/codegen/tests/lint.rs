@@ -14,10 +14,12 @@ use omp_codegen::builder::{Schedule, TargetBuilder};
 use omp_core::config::ExecMode;
 use omp_core::dispatch::Footprint;
 use omp_kernels::stencil2d;
-use testkit::{cases, SimRng};
+use testkit::{cases, Cell, SimRng, CELLS};
 
-fn sanitized() -> Device {
+/// A sanitized a100 device with `cell`'s sim threads.
+fn sanitized(cell: &Cell) -> Device {
     let mut d = Device::a100();
+    d.set_sim_threads(cell.threads);
     d.enable_sanitizer();
     d
 }
@@ -32,28 +34,30 @@ fn sanitized() -> Device {
 /// simtcheck sees as unsynchronized same-slot shared-memory writes.
 #[test]
 fn spmd_effect_error_pairs_with_runtime_race() {
-    let mut b = TargetBuilder::new().num_teams(1).threads(64).force_teams_mode(ExecMode::Spmd);
-    let inner = b.trip_const(8);
-    let k = b.build(|t| {
-        t.seq_footprint(Footprint::new().writes_args(&[0]), |lane, _| {
-            lane.smem_write_slot(SmOff(0), 0, Slot::from_u64(1));
+    for cell in &CELLS {
+        let mut b = TargetBuilder::new().num_teams(1).threads(64).force_teams_mode(ExecMode::Spmd);
+        let inner = b.trip_const(8);
+        let k = b.build(|t| {
+            t.seq_footprint(Footprint::new().writes_args(&[0]), |lane, _| {
+                lane.smem_write_slot(SmOff(0), 0, Slot::from_u64(1));
+            });
+            t.parallel(8, |p| {
+                p.simd(inner, |lane, _, _| lane.work(1));
+            });
         });
-        t.parallel(8, |p| {
-            p.simd(inner, |lane, _, _| lane.work(1));
-        });
-    });
-    let report = k.lint(&DeviceArch::a100(), 1);
-    assert_eq!(report.with_code("E-SPMD-EFFECT").count(), 1, "{}", report.render("kernel"));
-    assert!(report.has_errors());
+        let report = k.lint(&DeviceArch::a100(), 1);
+        assert_eq!(report.with_code("E-SPMD-EFFECT").count(), 1, "{}", report.render("kernel"));
+        assert!(report.has_errors());
 
-    let mut dev = sanitized();
-    let out = dev.global.alloc_zeroed::<f64>(1);
-    let stats = k.launch(&mut dev, &[Slot::from_ptr(out)]).unwrap();
-    assert!(
-        stats.violations.iter().any(|v| matches!(v, Violation::SharedMemRace { slot: 0, .. })),
-        "expected a shared-memory race on slot 0: {:#?}",
-        stats.violations
-    );
+        let mut dev = sanitized(cell);
+        let out = dev.global.alloc_zeroed::<f64>(1);
+        let stats = k.launch(&mut dev, &[Slot::from_ptr(out)]).unwrap();
+        assert!(
+            stats.violations.iter().any(|v| matches!(v, Violation::SharedMemRace { slot: 0, .. })),
+            "expected a shared-memory race on slot 0: {:#?}",
+            stats.violations
+        );
+    }
 }
 
 /// A `distribute parallel for` nested inside a `distribute` loop: team
@@ -83,30 +87,32 @@ fn nested_worksharing_is_rejected() {
 /// are never freed and simtcheck reports the leak at `__target_deinit`.
 #[test]
 fn team_post_overflow_error_pairs_with_runtime_leak() {
-    let mut b = TargetBuilder::new().num_teams(1).threads(64);
-    let inner = b.trip_const(4);
-    let k = b.build(|t| {
-        t.seq(|lane, _| lane.work(1));
-        // 40 team registers: 1 + 1 arg + 40 = 42 slots > the 32-slot slice.
-        for _ in 0..40 {
-            t.alloc_reg();
-        }
-        t.parallel(1, |p| {
-            p.simd(inner, |lane, _, _| lane.work(1));
+    for cell in &CELLS {
+        let mut b = TargetBuilder::new().num_teams(1).threads(64);
+        let inner = b.trip_const(4);
+        let k = b.build(|t| {
+            t.seq(|lane, _| lane.work(1));
+            // 40 team registers: 1 + 1 arg + 40 = 42 slots > the 32-slot slice.
+            for _ in 0..40 {
+                t.alloc_reg();
+            }
+            t.parallel(1, |p| {
+                p.simd(inner, |lane, _, _| lane.work(1));
+            });
         });
-    });
-    assert_eq!(k.analysis.teams_mode, ExecMode::Generic);
-    let report = k.lint(&DeviceArch::a100(), 1);
-    assert_eq!(report.with_code("E-TEAM-POST").count(), 1, "{}", report.render("kernel"));
+        assert_eq!(k.analysis.teams_mode, ExecMode::Generic);
+        let report = k.lint(&DeviceArch::a100(), 1);
+        assert_eq!(report.with_code("E-TEAM-POST").count(), 1, "{}", report.render("kernel"));
 
-    let mut dev = sanitized();
-    let out = dev.global.alloc_zeroed::<f64>(1);
-    let stats = k.launch(&mut dev, &[Slot::from_ptr(out)]).unwrap();
-    assert!(
-        stats.violations.iter().any(|v| matches!(v, Violation::LeakedFallback { .. })),
-        "expected a leaked-fallback report: {:#?}",
-        stats.violations
-    );
+        let mut dev = sanitized(cell);
+        let out = dev.global.alloc_zeroed::<f64>(1);
+        let stats = k.launch(&mut dev, &[Slot::from_ptr(out)]).unwrap();
+        assert!(
+            stats.violations.iter().any(|v| matches!(v, Violation::LeakedFallback { .. })),
+            "expected a leaked-fallback report: {:#?}",
+            stats.violations
+        );
+    }
 }
 
 /// A simd body declaring a register the generic-mode protocol never stages:
@@ -115,33 +121,35 @@ fn team_post_overflow_error_pairs_with_runtime_leak() {
 /// unwritten-read violation at runtime.
 #[test]
 fn never_staged_read_error_pairs_with_runtime_unwritten_read() {
-    let mut b = TargetBuilder::new().num_teams(1).threads(32);
-    let outer = b.trip_const(1);
-    let inner = b.trip_const(4);
-    let k = b.build(|t| {
-        t.distribute_parallel_for(outer, Schedule::Static, 32, |p, _i| {
-            p.seq(|lane, _| lane.work(1)); // opaque: keeps the region generic
-            p.simd_footprint(inner, Footprint::new().reads_regs(&[3]), |lane, _, _| {
-                // The staged payload occupies group-slice slots 0..3 (fn,
-                // trip, register 0); "register 3" would sit at slice slot 5
-                // — absolute slot 32 + 5 — which nothing ever writes.
-                lane.smem_read_slot(SmOff(0), 37);
+    for cell in &CELLS {
+        let mut b = TargetBuilder::new().num_teams(1).threads(32);
+        let outer = b.trip_const(1);
+        let inner = b.trip_const(4);
+        let k = b.build(|t| {
+            t.distribute_parallel_for(outer, Schedule::Static, 32, |p, _i| {
+                p.seq(|lane, _| lane.work(1)); // opaque: keeps the region generic
+                p.simd_footprint(inner, Footprint::new().reads_regs(&[3]), |lane, _, _| {
+                    // The staged payload occupies group-slice slots 0..3 (fn,
+                    // trip, register 0); "register 3" would sit at slice slot 5
+                    // — absolute slot 32 + 5 — which nothing ever writes.
+                    lane.smem_read_slot(SmOff(0), 37);
+                });
             });
         });
-    });
-    assert_eq!(k.analysis.parallels[0].desc.mode, ExecMode::Generic);
-    let report = k.lint(&DeviceArch::a100(), 0);
-    assert_eq!(report.with_code("E-REG").count(), 1, "{}", report.render("kernel"));
-    let diag = report.with_code("E-REG").next().unwrap();
-    assert!(diag.message.contains("staged"), "{}", diag.message);
+        assert_eq!(k.analysis.parallels[0].desc.mode, ExecMode::Generic);
+        let report = k.lint(&DeviceArch::a100(), 0);
+        assert_eq!(report.with_code("E-REG").count(), 1, "{}", report.render("kernel"));
+        let diag = report.with_code("E-REG").next().unwrap();
+        assert!(diag.message.contains("staged"), "{}", diag.message);
 
-    let mut dev = sanitized();
-    let stats = k.launch(&mut dev, &[]).unwrap();
-    assert!(
-        stats.violations.iter().any(|v| matches!(v, Violation::UnwrittenRead { slot: 37, .. })),
-        "expected an unwritten read of slot 37: {:#?}",
-        stats.violations
-    );
+        let mut dev = sanitized(cell);
+        let stats = k.launch(&mut dev, &[]).unwrap();
+        assert!(
+            stats.violations.iter().any(|v| matches!(v, Violation::UnwrittenRead { slot: 37, .. })),
+            "expected an unwritten read of slot 37: {:#?}",
+            stats.violations
+        );
+    }
 }
 
 /// Barrier-bearing code and cross-team reductions under a worksharing loop
@@ -192,32 +200,34 @@ fn degenerate_schedules_warn() {
 /// predicted `SharedMemRace` on each of them.
 #[test]
 fn static_race_errors_pair_with_runtime_shared_mem_races() {
-    let k = stencil2d::build_halo_demo(false);
-    let report = k.lint(&DeviceArch::a100(), 2);
-    assert_eq!(report.with_code("E-RACE").count(), 8, "{}", report.render("kernel"));
-    for diag in report.with_code("E-RACE") {
-        assert!(diag.message.contains("SharedMemRace"), "{}", diag.message);
-    }
+    for cell in &CELLS {
+        let k = stencil2d::build_halo_demo(false);
+        let report = k.lint(&DeviceArch::a100(), 2);
+        assert_eq!(report.with_code("E-RACE").count(), 8, "{}", report.render("kernel"));
+        for diag in report.with_code("E-RACE") {
+            assert!(diag.message.contains("SharedMemRace"), "{}", diag.message);
+        }
 
-    let mut dev = sanitized();
-    let row: Vec<f64> = (0..64).map(|x| (x * 3 % 23) as f64).collect();
-    let u = dev.global.alloc_from(&row);
-    let out = dev.global.alloc_zeroed::<f64>(32);
-    let stats = k.launch(&mut dev, &[Slot::from_ptr(u), Slot::from_ptr(out)]).unwrap();
-    for slot in 0..8u32 {
-        assert!(
-            stats
-                .violations
-                .iter()
-                .any(|v| matches!(v, Violation::SharedMemRace { slot: s, .. } if *s == slot)),
-            "statically proven race on slot {slot} never fired: {:#?}",
-            stats.violations
-        );
-    }
-    // And nothing raced outside the statically predicted slots.
-    for v in &stats.violations {
-        if let Violation::SharedMemRace { slot, .. } = v {
-            assert!(*slot < 8, "unpredicted race: {v}");
+        let mut dev = sanitized(cell);
+        let row: Vec<f64> = (0..64).map(|x| (x * 3 % 23) as f64).collect();
+        let u = dev.global.alloc_from(&row);
+        let out = dev.global.alloc_zeroed::<f64>(32);
+        let stats = k.launch(&mut dev, &[Slot::from_ptr(u), Slot::from_ptr(out)]).unwrap();
+        for slot in 0..8u32 {
+            assert!(
+                stats
+                    .violations
+                    .iter()
+                    .any(|v| matches!(v, Violation::SharedMemRace { slot: s, .. } if *s == slot)),
+                "statically proven race on slot {slot} never fired: {:#?}",
+                stats.violations
+            );
+        }
+        // And nothing raced outside the statically predicted slots.
+        for v in &stats.violations {
+            if let Violation::SharedMemRace { slot, .. } = v {
+                assert!(*slot < 8, "unpredicted race: {v}");
+            }
         }
     }
 }
@@ -227,16 +237,18 @@ fn static_race_errors_pair_with_runtime_shared_mem_races() {
 /// sanitizer-clean.
 #[test]
 fn protocol_ordered_halo_staging_is_race_free() {
-    let k = stencil2d::build_halo_demo(true);
-    let report = k.lint(&DeviceArch::a100(), 2);
-    assert!(!report.has_errors() && !report.has_warnings(), "{}", report.render("kernel"));
+    for cell in &CELLS {
+        let k = stencil2d::build_halo_demo(true);
+        let report = k.lint(&DeviceArch::a100(), 2);
+        assert!(!report.has_errors() && !report.has_warnings(), "{}", report.render("kernel"));
 
-    let mut dev = sanitized();
-    let row: Vec<f64> = (0..64).map(|x| (x * 3 % 23) as f64).collect();
-    let u = dev.global.alloc_from(&row);
-    let out = dev.global.alloc_zeroed::<f64>(32);
-    let stats = k.run(&mut dev, &[Slot::from_ptr(u), Slot::from_ptr(out)]);
-    assert!(stats.violations.is_empty(), "{:#?}", stats.violations);
+        let mut dev = sanitized(cell);
+        let row: Vec<f64> = (0..64).map(|x| (x * 3 % 23) as f64).collect();
+        let u = dev.global.alloc_from(&row);
+        let out = dev.global.alloc_zeroed::<f64>(32);
+        let stats = k.run(&mut dev, &[Slot::from_ptr(u), Slot::from_ptr(out)]);
+        assert!(stats.violations.is_empty(), "{:#?}", stats.violations);
+    }
 }
 
 /// A generic-mode simd body declaring its own warp-level barrier: legal on
@@ -246,42 +258,45 @@ fn protocol_ordered_halo_staging_is_race_free() {
 /// simtcheck report the predicted BarrierDivergence.
 #[test]
 fn arch_barrier_error_pairs_with_runtime_divergence() {
-    let mut b = TargetBuilder::new().num_teams(1).threads(64);
-    let rows = b.trip_const(2);
-    let inner = b.trip_const(8);
-    let k = b.build(|t| {
-        t.distribute_parallel_for_with_mode(
-            rows,
-            Schedule::Static,
-            8,
-            ExecMode::Generic,
-            |p, _row| {
-                p.simd_footprint(inner, Footprint::new().uses_barriers(), |lane, _, _| {
-                    lane.work(1);
-                });
-            },
+    for cell in &CELLS {
+        let mut b = TargetBuilder::new().num_teams(1).threads(64);
+        let rows = b.trip_const(2);
+        let inner = b.trip_const(8);
+        let k = b.build(|t| {
+            t.distribute_parallel_for_with_mode(
+                rows,
+                Schedule::Static,
+                8,
+                ExecMode::Generic,
+                |p, _row| {
+                    p.simd_footprint(inner, Footprint::new().uses_barriers(), |lane, _, _| {
+                        lane.work(1);
+                    });
+                },
+            );
+        });
+
+        // Clean case: the same plan on an arch with warp-level barriers.
+        let report = k.lint(&DeviceArch::a100(), 0);
+        assert_eq!(report.with_code("E-ARCH").count(), 0, "{}", report.render("kernel"));
+        assert!(!report.has_errors(), "{}", report.render("kernel"));
+        let mut dev = sanitized(cell);
+        let stats = k.run(&mut dev, &[]);
+        assert!(stats.violations.is_empty(), "{:#?}", stats.violations);
+
+        // mi100: statically rejected, dynamically divergent.
+        let report = k.lint(&DeviceArch::mi100(), 0);
+        assert_eq!(report.with_code("E-ARCH").count(), 1, "{}", report.render("kernel"));
+        let mut dev = Device::new(DeviceArch::mi100());
+        dev.set_sim_threads(cell.threads);
+        dev.enable_sanitizer();
+        let stats = k.launch(&mut dev, &[]).unwrap();
+        assert!(
+            stats.violations.iter().any(|v| matches!(v, Violation::BarrierDivergence { .. })),
+            "expected the predicted barrier divergence: {:#?}",
+            stats.violations
         );
-    });
-
-    // Clean case: the same plan on an arch with warp-level barriers.
-    let report = k.lint(&DeviceArch::a100(), 0);
-    assert_eq!(report.with_code("E-ARCH").count(), 0, "{}", report.render("kernel"));
-    assert!(!report.has_errors(), "{}", report.render("kernel"));
-    let mut dev = sanitized();
-    let stats = k.run(&mut dev, &[]);
-    assert!(stats.violations.is_empty(), "{:#?}", stats.violations);
-
-    // mi100: statically rejected, dynamically divergent.
-    let report = k.lint(&DeviceArch::mi100(), 0);
-    assert_eq!(report.with_code("E-ARCH").count(), 1, "{}", report.render("kernel"));
-    let mut dev = Device::new(DeviceArch::mi100());
-    dev.enable_sanitizer();
-    let stats = k.launch(&mut dev, &[]).unwrap();
-    assert!(
-        stats.violations.iter().any(|v| matches!(v, Violation::BarrierDivergence { .. })),
-        "expected the predicted barrier divergence: {:#?}",
-        stats.violations
-    );
+    }
 }
 
 /// The same generic-mode simd shape *without* a declared barrier is
@@ -290,42 +305,45 @@ fn arch_barrier_error_pairs_with_runtime_divergence() {
 /// sequential-fallback path (counted, sanitizer-clean).
 #[test]
 fn barrier_free_generic_simd_legalizes_with_remark() {
-    let mut b = TargetBuilder::new().num_teams(1).threads(64);
-    let rows = b.trip_const(2);
-    let inner = b.trip_const(8);
-    let k = b.build(|t| {
-        t.distribute_parallel_for_with_mode(
-            rows,
-            Schedule::Static,
-            8,
-            ExecMode::Generic,
-            |p, _row| {
-                p.simd_footprint(inner, Footprint::new(), |lane, _, _| {
-                    lane.work(1);
-                });
-            },
+    for cell in &CELLS {
+        let mut b = TargetBuilder::new().num_teams(1).threads(64);
+        let rows = b.trip_const(2);
+        let inner = b.trip_const(8);
+        let k = b.build(|t| {
+            t.distribute_parallel_for_with_mode(
+                rows,
+                Schedule::Static,
+                8,
+                ExecMode::Generic,
+                |p, _row| {
+                    p.simd_footprint(inner, Footprint::new(), |lane, _, _| {
+                        lane.work(1);
+                    });
+                },
+            );
+        });
+
+        // a100: the state machine runs; no remark, no error.
+        let report = k.lint(&DeviceArch::a100(), 0);
+        assert_eq!(report.with_code("R-SEQ-SIMD").count(), 0, "{}", report.render("kernel"));
+        assert!(!report.has_errors(), "{}", report.render("kernel"));
+
+        // mi100: legalized, remarked, not rejected.
+        let report = k.lint(&DeviceArch::mi100(), 0);
+        assert_eq!(report.with_code("E-ARCH").count(), 0, "{}", report.render("kernel"));
+        assert_eq!(report.with_code("R-SEQ-SIMD").count(), 1, "{}", report.render("kernel"));
+        assert!(!report.has_errors(), "{}", report.render("kernel"));
+
+        let mut dev = Device::new(DeviceArch::mi100());
+        dev.set_sim_threads(cell.threads);
+        dev.enable_sanitizer();
+        let stats = k.run(&mut dev, &[]);
+        assert!(stats.violations.is_empty(), "{:#?}", stats.violations);
+        assert!(
+            stats.counters.sequential_simd_fallbacks > 0,
+            "legalized launch must count its sequential-simd rewrites"
         );
-    });
-
-    // a100: the state machine runs; no remark, no error.
-    let report = k.lint(&DeviceArch::a100(), 0);
-    assert_eq!(report.with_code("R-SEQ-SIMD").count(), 0, "{}", report.render("kernel"));
-    assert!(!report.has_errors(), "{}", report.render("kernel"));
-
-    // mi100: legalized, remarked, not rejected.
-    let report = k.lint(&DeviceArch::mi100(), 0);
-    assert_eq!(report.with_code("E-ARCH").count(), 0, "{}", report.render("kernel"));
-    assert_eq!(report.with_code("R-SEQ-SIMD").count(), 1, "{}", report.render("kernel"));
-    assert!(!report.has_errors(), "{}", report.render("kernel"));
-
-    let mut dev = Device::new(DeviceArch::mi100());
-    dev.enable_sanitizer();
-    let stats = k.run(&mut dev, &[]);
-    assert!(stats.violations.is_empty(), "{:#?}", stats.violations);
-    assert!(
-        stats.counters.sequential_simd_fallbacks > 0,
-        "legalized launch must count its sequential-simd rewrites"
-    );
+    }
 }
 
 /// W-DEAD-STAGE verdicts, the builder's dead-stage shrink pass, and the
@@ -337,7 +355,9 @@ fn barrier_free_generic_simd_legalizes_with_remark() {
 /// `omp_core::sharing` arithmetic).
 #[test]
 fn dead_stage_verdicts_match_runtime_staging_counters() {
+    let mut cells = CELLS.iter().cycle();
     cases("dead_stage_vs_staging_counters", 24, |rng: &mut SimRng| {
+        let cell = cells.next().unwrap();
         let rows = rng.range_u64(1, 9);
         let gs = *rng.pick(&[2u32, 4, 8]);
         let extra = rng.range_usize(1, 6);
@@ -401,7 +421,7 @@ fn dead_stage_verdicts_match_runtime_staging_counters() {
         assert_eq!(sr.stage_slots, omp_core::sharing::stage_slots(expected_stage));
         assert!(!sr.falls_back, "default space must fit {} slots", sr.stage_slots);
 
-        let mut dev = sanitized();
+        let mut dev = sanitized(cell);
         let out = dev.global.alloc_zeroed::<f64>(64);
         let stats = k.run(&mut dev, &[Slot::from_ptr(out)]);
         assert!(stats.violations.is_empty(), "{:#?}", stats.violations);
@@ -447,40 +467,42 @@ fn run_gates_on_error_diagnostics() {
 /// and the promoted kernel runs sanitizer-clean with correct output.
 #[test]
 fn pure_team_seq_promotes_teams_and_runs_clean() {
-    let n = 32u64;
-    let mut b = TargetBuilder::new().num_teams(2).threads(64);
-    let inner = b.trip_const(n);
-    let k = b.build(|t| {
-        let scale = t.alloc_reg();
-        t.seq_footprint(
-            Footprint::new().reads_args(&[1]).writes_regs(&[scale.0]),
-            move |lane, v| {
-                lane.work(1);
-                v.regs[scale.0] = Slot::from_u64(v.args[1].as_u64() * 2);
-            },
-        );
-        t.parallel(8, |p| {
-            p.simd(inner, move |lane, iv, v| {
-                let out = v.args[0].as_ptr::<f64>();
-                let s = v.outer[scale.0].as_u64();
-                lane.write(out, iv, (iv * s) as f64);
+    for cell in &CELLS {
+        let n = 32u64;
+        let mut b = TargetBuilder::new().num_teams(2).threads(64);
+        let inner = b.trip_const(n);
+        let k = b.build(|t| {
+            let scale = t.alloc_reg();
+            t.seq_footprint(
+                Footprint::new().reads_args(&[1]).writes_regs(&[scale.0]),
+                move |lane, v| {
+                    lane.work(1);
+                    v.regs[scale.0] = Slot::from_u64(v.args[1].as_u64() * 2);
+                },
+            );
+            t.parallel(8, |p| {
+                p.simd(inner, move |lane, iv, v| {
+                    let out = v.args[0].as_ptr::<f64>();
+                    let s = v.outer[scale.0].as_u64();
+                    lane.write(out, iv, (iv * s) as f64);
+                });
             });
         });
-    });
-    assert_eq!(k.analysis.teams_mode, ExecMode::Spmd);
-    assert_eq!(k.config.teams_mode, ExecMode::Spmd);
-    assert!(k.analysis.promotions.iter().any(|p| p.region == "teams"));
-    let report = k.lint(&DeviceArch::a100(), 2);
-    assert_eq!(report.with_code("R-TEAMS-SPMDIZE").count(), 1, "{}", report.render("kernel"));
-    assert!(!report.has_errors() && !report.has_warnings(), "{}", report.render("kernel"));
+        assert_eq!(k.analysis.teams_mode, ExecMode::Spmd);
+        assert_eq!(k.config.teams_mode, ExecMode::Spmd);
+        assert!(k.analysis.promotions.iter().any(|p| p.region == "teams"));
+        let report = k.lint(&DeviceArch::a100(), 2);
+        assert_eq!(report.with_code("R-TEAMS-SPMDIZE").count(), 1, "{}", report.render("kernel"));
+        assert!(!report.has_errors() && !report.has_warnings(), "{}", report.render("kernel"));
 
-    let mut dev = sanitized();
-    let out = dev.global.alloc_zeroed::<f64>(n as usize);
-    let stats = k.run(&mut dev, &[Slot::from_ptr(out), Slot::from_u64(3)]);
-    assert!(stats.violations.is_empty(), "{:#?}", stats.violations);
-    let got = dev.global.read_slice(out, n as usize);
-    for iv in 0..n {
-        assert_eq!(got[iv as usize], (iv * 6) as f64);
+        let mut dev = sanitized(cell);
+        let out = dev.global.alloc_zeroed::<f64>(n as usize);
+        let stats = k.run(&mut dev, &[Slot::from_ptr(out), Slot::from_u64(3)]);
+        assert!(stats.violations.is_empty(), "{:#?}", stats.violations);
+        let got = dev.global.read_slice(out, n as usize);
+        for iv in 0..n {
+            assert_eq!(got[iv as usize], (iv * 6) as f64);
+        }
     }
 }
 
@@ -496,7 +518,9 @@ fn pure_team_seq_promotes_teams_and_runs_clean() {
 /// output must match the host reference.
 #[test]
 fn lint_verdicts_agree_with_runtime() {
+    let mut cells = CELLS.iter().cycle();
     cases("lint_verdicts_agree_with_runtime", 32, |rng: &mut SimRng| {
+        let cell = cells.next().unwrap();
         let teams = *rng.pick(&[1u32, 2, 4]);
         let threads = *rng.pick(&[32u32, 64, 128]);
         let gs = *rng.pick(&[1u32, 2, 4, 8, 16, 32]);
@@ -553,7 +577,7 @@ fn lint_verdicts_agree_with_runtime() {
             k.analysis.promotions
         );
 
-        let mut dev = sanitized();
+        let mut dev = sanitized(cell);
         let out = dev.global.alloc_zeroed::<f64>((rows * inner) as usize);
         let stats = k.run(&mut dev, &[Slot::from_ptr(out)]);
         let fell_back = stats.counters.sharing_global_fallbacks > 0;

@@ -1,9 +1,20 @@
 //! Tests of the SPMD-ness analysis: the builder must infer the execution
 //! modes the paper assigns to each kernel shape (§6.3, §6.4).
 
-use gpu_sim::{Device, Slot};
+use gpu_sim::{Device, DeviceArch, Slot};
 use omp_codegen::builder::{Schedule, TargetBuilder};
 use omp_core::config::ExecMode;
+use testkit::{Cell, CELLS};
+
+/// A device on `arch` with `cell`'s sim threads and sanitizer.
+fn cell_device(cell: &Cell, arch: DeviceArch) -> Device {
+    let mut dev = Device::new(arch);
+    dev.set_sim_threads(cell.threads);
+    if cell.sanitize {
+        dev.enable_sanitizer();
+    }
+    dev
+}
 
 #[test]
 fn tightly_nested_is_fully_spmd() {
@@ -144,42 +155,44 @@ fn forced_generic_teams_is_never_promoted() {
 
 #[test]
 fn compiled_kernel_runs_end_to_end() {
-    // Dot product with the simd_reduce extension, written entirely through
-    // the builder, verified against a host computation.
-    let n_rows = 8u64;
-    let inner = 16u64;
-    let mut dev = Device::a100();
-    let xs: Vec<f64> = (0..n_rows * inner).map(|i| (i as f64).sin()).collect();
-    let x = dev.global.alloc_from(&xs);
-    let out = dev.global.alloc_zeroed::<f64>(n_rows as usize);
+    for cell in &CELLS {
+        // Dot product with the simd_reduce extension, written entirely through
+        // the builder, verified against a host computation.
+        let n_rows = 8u64;
+        let inner = 16u64;
+        let mut dev = cell_device(cell, DeviceArch::a100());
+        let xs: Vec<f64> = (0..n_rows * inner).map(|i| (i as f64).sin()).collect();
+        let x = dev.global.alloc_from(&xs);
+        let out = dev.global.alloc_zeroed::<f64>(n_rows as usize);
 
-    let mut b = TargetBuilder::new().num_teams(2).threads(64);
-    let rows = b.trip_const(n_rows);
-    let nnz = b.trip_const(inner);
-    let k = b.build(|t| {
-        t.distribute_parallel_for(rows, Schedule::Static, 8, |p, row| {
-            let sum = p.simd_reduce(nnz, move |lane, iv, v| {
-                let x = v.args[0].as_ptr::<f64>();
-                let r = v.regs[row.0].as_u64();
-                lane.work(1);
-                lane.read(x, r * 16 + iv)
-            });
-            p.seq(move |lane, v| {
-                let out = v.args[1].as_ptr::<f64>();
-                let r = v.regs[row.0].as_u64();
-                let s = v.regs[sum.0].as_f64();
-                lane.write(out, r, s);
+        let mut b = TargetBuilder::new().num_teams(2).threads(64);
+        let rows = b.trip_const(n_rows);
+        let nnz = b.trip_const(inner);
+        let k = b.build(|t| {
+            t.distribute_parallel_for(rows, Schedule::Static, 8, |p, row| {
+                let sum = p.simd_reduce(nnz, move |lane, iv, v| {
+                    let x = v.args[0].as_ptr::<f64>();
+                    let r = v.regs[row.0].as_u64();
+                    lane.work(1);
+                    lane.read(x, r * 16 + iv)
+                });
+                p.seq(move |lane, v| {
+                    let out = v.args[1].as_ptr::<f64>();
+                    let r = v.regs[row.0].as_u64();
+                    let s = v.regs[sum.0].as_f64();
+                    lane.write(out, r, s);
+                });
             });
         });
-    });
-    // The trailing seq makes the region generic.
-    assert_eq!(k.analysis.parallels[0].desc.mode, ExecMode::Generic);
-    k.run(&mut dev, &[Slot::from_ptr(x), Slot::from_ptr(out)]);
+        // The trailing seq makes the region generic.
+        assert_eq!(k.analysis.parallels[0].desc.mode, ExecMode::Generic);
+        k.run(&mut dev, &[Slot::from_ptr(x), Slot::from_ptr(out)]);
 
-    let got = dev.global.read_slice(out, n_rows as usize);
-    for r in 0..n_rows as usize {
-        let want: f64 = xs[r * 16..(r + 1) * 16].iter().sum();
-        assert!((got[r] - want).abs() < 1e-12, "row {r}: {} vs {want}", got[r]);
+        let got = dev.global.read_slice(out, n_rows as usize);
+        for r in 0..n_rows as usize {
+            let want: f64 = xs[r * 16..(r + 1) * 16].iter().sum();
+            assert!((got[r] - want).abs() < 1e-12, "row {r}: {} vs {want}", got[r]);
+        }
     }
 }
 
@@ -201,27 +214,29 @@ fn staging_report_reflects_group_count() {
 
 #[test]
 fn staging_report_predicts_runtime_fallbacks() {
-    // The compile-time staging report and the runtime's actual fallback
-    // counter must agree, across group sizes and sharing-space sizes.
-    use omp_kernels::matrix::{CsrMatrix, RowProfile};
-    use omp_kernels::spmv;
+    for cell in &CELLS {
+        // The compile-time staging report and the runtime's actual fallback
+        // counter must agree, across group sizes and sharing-space sizes.
+        use omp_kernels::matrix::{CsrMatrix, RowProfile};
+        use omp_kernels::spmv;
 
-    let mat = CsrMatrix::generate(512, 512, RowProfile::Banded { min: 2, max: 20 }, 3);
-    let x: Vec<f64> = (0..512).map(|i| i as f64 * 0.25).collect();
-    for gs in [2u32, 4, 8, 16, 32] {
-        for bytes in [1024u32, 2048] {
-            let mut dev = Device::a100();
-            let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
-            let mut k = spmv::build_three_level(8, 128, gs);
-            k.config.sharing_space_bytes = bytes;
-            let report = k.analysis.staging_report(&k.config, 32, 0);
-            let (_, stats) = spmv::run(&mut dev, &k, &ops);
-            let fell_back = stats.counters.sharing_global_fallbacks > 0;
-            assert_eq!(
-                report.falls_back, fell_back,
-                "gs={gs} bytes={bytes}: report {report:?} vs counters {}",
-                stats.counters.sharing_global_fallbacks
-            );
+        let mat = CsrMatrix::generate(512, 512, RowProfile::Banded { min: 2, max: 20 }, 3);
+        let x: Vec<f64> = (0..512).map(|i| i as f64 * 0.25).collect();
+        for gs in [2u32, 4, 8, 16, 32] {
+            for bytes in [1024u32, 2048] {
+                let mut dev = cell_device(cell, DeviceArch::a100());
+                let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
+                let mut k = spmv::build_three_level(8, 128, gs);
+                k.config.sharing_space_bytes = bytes;
+                let report = k.analysis.staging_report(&k.config, 32, 0);
+                let (_, stats) = spmv::run(&mut dev, &k, &ops);
+                let fell_back = stats.counters.sharing_global_fallbacks > 0;
+                assert_eq!(
+                    report.falls_back, fell_back,
+                    "gs={gs} bytes={bytes}: report {report:?} vs counters {}",
+                    stats.counters.sharing_global_fallbacks
+                );
+            }
         }
     }
 }

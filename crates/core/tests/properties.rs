@@ -8,7 +8,17 @@ use omp_core::exec::launch_target;
 use omp_core::mapping::SimdMapping;
 use omp_core::plan::{ParallelOp, Schedule, TargetPlan, TeamOp, ThreadOp};
 use omp_core::workshare::{assign, rounds_for};
-use testkit::{cases, check, SimRng};
+use testkit::{cases, check, Cell, SimRng, CELLS};
+
+/// A device on `arch` with `cell`'s sim threads and sanitizer.
+fn cell_device(cell: &Cell, arch: DeviceArch) -> Device {
+    let mut dev = Device::new(arch);
+    dev.set_sim_threads(cell.threads);
+    if cell.sanitize {
+        dev.enable_sanitizer();
+    }
+    dev
+}
 
 fn any_schedule(rng: &mut SimRng) -> Schedule {
     match rng.range_u32(0, 5) {
@@ -91,7 +101,9 @@ fn simd_mapping_invariants() {
 /// OpenMP thread (SIMD group).
 #[test]
 fn simd_loop_executes_each_iteration_once() {
+    let mut cells = CELLS.iter().cycle();
     cases("simd_loop_executes_each_iteration_once", 64, |rng| {
+        let cell = cells.next().unwrap();
         let trip = rng.range_u64(0, 200);
         let gs = 1u32 << rng.range_u32(0, 6);
         let amd = rng.flip();
@@ -99,7 +111,7 @@ fn simd_loop_executes_each_iteration_once() {
         if !arch.warp_size.is_multiple_of(gs) {
             return;
         }
-        let mut dev = Device::new(arch);
+        let mut dev = cell_device(cell, arch);
         let out = dev.global.alloc_zeroed::<u64>(trip.max(1) as usize);
 
         let mut reg = Registry::new();
@@ -144,12 +156,14 @@ fn simd_loop_executes_each_iteration_once() {
 /// generic is never cheaper.
 #[test]
 fn generic_mode_costs_at_least_spmd() {
+    let mut cells = CELLS.iter().cycle();
     cases("generic_mode_costs_at_least_spmd", 48, |rng| {
+        let cell = cells.next().unwrap();
         let trip = rng.range_u64(1, 100);
         let rows = rng.range_u64(1, 64);
         let gs = 1u32 << rng.range_u32(1, 6);
         let run = |mode: ExecMode| {
-            let mut dev = Device::a100();
+            let mut dev = cell_device(cell, DeviceArch::a100());
             let out = dev.global.alloc_zeroed::<f64>((rows * trip) as usize);
             let mut reg = Registry::new();
             let rows_id = reg.trip(move |_, _| rows);

@@ -7,6 +7,17 @@ use omp_core::config::{ExecMode, KernelConfig, ParallelDesc};
 use omp_core::dispatch::Registry;
 use omp_core::exec::launch_target;
 use omp_core::plan::{ParallelOp, Schedule, TargetPlan, TeamOp, ThreadOp};
+use testkit::{Cell, CELLS};
+
+/// A device on `arch` with `cell`'s sim threads and sanitizer.
+fn cell_device(cell: &Cell, arch: DeviceArch) -> Device {
+    let mut dev = Device::new(arch);
+    dev.set_sim_threads(cell.threads);
+    if cell.sanitize {
+        dev.enable_sanitizer();
+    }
+    dev
+}
 
 /// Build a `teams distribute parallel for simd` SAXPY-like kernel:
 /// outer loop over `rows` chunks, inner simd loop over `inner` elements:
@@ -52,6 +63,8 @@ fn saxpy_plan(
     (plan, teams_mode)
 }
 
+/// Run the SAXPY kernel in every cell of the test matrix (sim threads,
+/// sanitizer); the cells must agree on results and stats.
 fn run_saxpy(
     arch: DeviceArch,
     teams_mode: ExecMode,
@@ -59,26 +72,36 @@ fn run_saxpy(
     rows: u64,
     inner: u64,
 ) -> (Vec<f64>, gpu_sim::LaunchStats) {
-    let mut dev = Device::new(arch);
-    let n = (rows * inner) as usize;
-    let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-    let ys: Vec<f64> = vec![1.0; n];
-    let x = dev.global.alloc_from(&xs);
-    let y = dev.global.alloc_from(&ys);
+    let runs = CELLS.map(|cell| {
+        let mut dev = cell_device(&cell, arch.clone());
+        let n = (rows * inner) as usize;
+        let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let ys: Vec<f64> = vec![1.0; n];
+        let x = dev.global.alloc_from(&xs);
+        let y = dev.global.alloc_from(&ys);
 
-    let mut reg = Registry::new();
-    let (plan, tm) = saxpy_plan(&mut reg, teams_mode, par);
-    let cfg =
-        KernelConfig { teams_mode: tm, num_teams: 4, threads_per_team: 64, ..Default::default() };
-    let args = [
-        Slot::from_ptr(x),
-        Slot::from_ptr(y),
-        Slot::from_f64(2.0),
-        Slot::from_u64(rows),
-        Slot::from_u64(inner),
-    ];
-    let stats = launch_target(&mut dev, &cfg, &plan, &reg, &args).unwrap();
-    (dev.global.read_slice(y, n), stats)
+        let mut reg = Registry::new();
+        let (plan, tm) = saxpy_plan(&mut reg, teams_mode, par);
+        let cfg = KernelConfig {
+            teams_mode: tm,
+            num_teams: 4,
+            threads_per_team: 64,
+            ..Default::default()
+        };
+        let args = [
+            Slot::from_ptr(x),
+            Slot::from_ptr(y),
+            Slot::from_f64(2.0),
+            Slot::from_u64(rows),
+            Slot::from_u64(inner),
+        ];
+        let stats = launch_target(&mut dev, &cfg, &plan, &reg, &args).unwrap();
+        (dev.global.read_slice(y, n), stats)
+    });
+    for (cell, run) in CELLS.iter().zip(&runs) {
+        assert_eq!(run, &runs[0], "{cell:?}");
+    }
+    runs[0].clone()
 }
 
 fn expected(rows: u64, inner: u64) -> Vec<f64> {
@@ -180,223 +203,238 @@ fn group_size_one_behaves_like_two_level() {
 
 #[test]
 fn distribute_splits_rows_across_teams() {
-    // teams distribute { parallel for } — the 2-level spmv shape.
-    let mut dev = Device::new(DeviceArch::tiny());
-    let n = 64u64;
-    let y = dev.global.alloc_zeroed::<f64>(n as usize);
+    for cell in &CELLS {
+        // teams distribute { parallel for } — the 2-level spmv shape.
+        let mut dev = cell_device(cell, DeviceArch::tiny());
+        let n = 64u64;
+        let y = dev.global.alloc_zeroed::<f64>(n as usize);
 
-    let mut reg = Registry::new();
-    let dist_trip = reg.trip(move |_, _| 8); // 8 outer chunks
-    let for_trip = reg.trip_const(8); // 8 elements each
-                                      // Inner "simd" loop is trivial (trip 1); the element index is the
-                                      // `for` iteration (regs[0]) under the `distribute` chunk (outer[0]).
-    let body = reg.body(move |lane, _iv, v| {
-        let y = v.args[0].as_ptr::<f64>();
-        let chunk = v.outer[0].as_u64();
-        let j = v.regs[0].as_u64();
-        let i = chunk * 8 + j;
-        lane.work(1);
-        lane.write(y, i, (i + 1) as f64);
-    });
-    let plan = TargetPlan {
-        ops: vec![TeamOp::Distribute {
-            trip: dist_trip,
-            sched: Schedule::Static,
-            iv_reg: 0,
-            ops: vec![TeamOp::Parallel(ParallelOp {
-                desc: ParallelDesc::spmd(1),
-                known: true,
-                nregs: 1,
-                stage_regs: 1,
-                ops: vec![ThreadOp::For {
-                    trip: for_trip,
-                    sched: Schedule::Static,
-                    iv_reg: 0,
-                    across_teams: false,
-                    ops: vec![ThreadOp::Simd { trip: reg.trip_const(1), body, known: true }],
-                }],
-            })],
-        }],
-        team_regs: 1,
-    };
+        let mut reg = Registry::new();
+        let dist_trip = reg.trip(move |_, _| 8); // 8 outer chunks
+        let for_trip = reg.trip_const(8); // 8 elements each
+                                          // Inner "simd" loop is trivial (trip 1); the element index is the
+                                          // `for` iteration (regs[0]) under the `distribute` chunk (outer[0]).
+        let body = reg.body(move |lane, _iv, v| {
+            let y = v.args[0].as_ptr::<f64>();
+            let chunk = v.outer[0].as_u64();
+            let j = v.regs[0].as_u64();
+            let i = chunk * 8 + j;
+            lane.work(1);
+            lane.write(y, i, (i + 1) as f64);
+        });
+        let plan = TargetPlan {
+            ops: vec![TeamOp::Distribute {
+                trip: dist_trip,
+                sched: Schedule::Static,
+                iv_reg: 0,
+                ops: vec![TeamOp::Parallel(ParallelOp {
+                    desc: ParallelDesc::spmd(1),
+                    known: true,
+                    nregs: 1,
+                    stage_regs: 1,
+                    ops: vec![ThreadOp::For {
+                        trip: for_trip,
+                        sched: Schedule::Static,
+                        iv_reg: 0,
+                        across_teams: false,
+                        ops: vec![ThreadOp::Simd { trip: reg.trip_const(1), body, known: true }],
+                    }],
+                })],
+            }],
+            team_regs: 1,
+        };
 
-    let cfg = KernelConfig {
-        teams_mode: ExecMode::Generic,
-        num_teams: 2,
-        threads_per_team: 32,
-        ..Default::default()
-    };
-    let args = [Slot::from_ptr(y)];
-    launch_target(&mut dev, &cfg, &plan, &reg, &args).unwrap();
-    let got = dev.global.read_slice(y, n as usize);
-    let want: Vec<f64> = (1..=n).map(|i| i as f64).collect();
-    assert_eq!(got, want);
+        let cfg = KernelConfig {
+            teams_mode: ExecMode::Generic,
+            num_teams: 2,
+            threads_per_team: 32,
+            ..Default::default()
+        };
+        let args = [Slot::from_ptr(y)];
+        launch_target(&mut dev, &cfg, &plan, &reg, &args).unwrap();
+        let got = dev.global.read_slice(y, n as usize);
+        let want: Vec<f64> = (1..=n).map(|i| i as f64).collect();
+        assert_eq!(got, want);
+    }
 }
 
 #[test]
 fn simd_reduce_computes_group_sums() {
-    // parallel for { r = simd-reduce(+) ; y[row] = r } — a dot-product-like
-    // pattern (the paper's §7 reduction extension).
-    let mut dev = Device::new(DeviceArch::a100());
-    let rows = 16u64;
-    let inner = 24u64;
-    let xs: Vec<f64> = (0..rows * inner).map(|i| (i % 7) as f64).collect();
-    let x = dev.global.alloc_from(&xs);
-    let y = dev.global.alloc_zeroed::<f64>(rows as usize);
+    for cell in &CELLS {
+        // parallel for { r = simd-reduce(+) ; y[row] = r } — a dot-product-like
+        // pattern (the paper's §7 reduction extension).
+        let mut dev = cell_device(cell, DeviceArch::a100());
+        let rows = 16u64;
+        let inner = 24u64;
+        let xs: Vec<f64> = (0..rows * inner).map(|i| (i % 7) as f64).collect();
+        let x = dev.global.alloc_from(&xs);
+        let y = dev.global.alloc_zeroed::<f64>(rows as usize);
 
-    let mut reg = Registry::new();
-    let for_trip = reg.trip_const(rows);
-    let simd_trip = reg.trip_const(inner);
-    let red = reg.red(move |lane, iv, v| {
-        let x = v.args[0].as_ptr::<f64>();
-        let row = v.regs[0].as_u64();
-        lane.work(1);
-        lane.read(x, row * inner + iv)
-    });
-    let store = reg.seq(move |lane, v| {
-        let y = v.args[1].as_ptr::<f64>();
-        let row = v.regs[0].as_u64();
-        let r = v.regs[1].as_f64();
-        lane.write(y, row, r);
-    });
-    let plan = TargetPlan {
-        ops: vec![TeamOp::Parallel(ParallelOp {
-            desc: ParallelDesc::generic(8),
-            known: true,
-            nregs: 2,
-            stage_regs: 2,
-            ops: vec![ThreadOp::For {
-                trip: for_trip,
-                sched: Schedule::Static,
-                iv_reg: 0,
-                across_teams: true,
-                ops: vec![
-                    ThreadOp::SimdReduce { trip: simd_trip, body: red, known: true, dst_reg: 1 },
-                    ThreadOp::Seq(store),
-                ],
-            }],
-        })],
-        team_regs: 0,
-    };
-    let cfg = KernelConfig {
-        teams_mode: ExecMode::Spmd,
-        num_teams: 1,
-        threads_per_team: 64,
-        ..Default::default()
-    };
-    let args = [Slot::from_ptr(x), Slot::from_ptr(y)];
-    launch_target(&mut dev, &cfg, &plan, &reg, &args).unwrap();
-    let got = dev.global.read_slice(y, rows as usize);
-    for row in 0..rows {
-        let want: f64 = (0..inner).map(|iv| ((row * inner + iv) % 7) as f64).sum();
-        assert_eq!(got[row as usize], want, "row {row}");
+        let mut reg = Registry::new();
+        let for_trip = reg.trip_const(rows);
+        let simd_trip = reg.trip_const(inner);
+        let red = reg.red(move |lane, iv, v| {
+            let x = v.args[0].as_ptr::<f64>();
+            let row = v.regs[0].as_u64();
+            lane.work(1);
+            lane.read(x, row * inner + iv)
+        });
+        let store = reg.seq(move |lane, v| {
+            let y = v.args[1].as_ptr::<f64>();
+            let row = v.regs[0].as_u64();
+            let r = v.regs[1].as_f64();
+            lane.write(y, row, r);
+        });
+        let plan = TargetPlan {
+            ops: vec![TeamOp::Parallel(ParallelOp {
+                desc: ParallelDesc::generic(8),
+                known: true,
+                nregs: 2,
+                stage_regs: 2,
+                ops: vec![ThreadOp::For {
+                    trip: for_trip,
+                    sched: Schedule::Static,
+                    iv_reg: 0,
+                    across_teams: true,
+                    ops: vec![
+                        ThreadOp::SimdReduce {
+                            trip: simd_trip,
+                            body: red,
+                            known: true,
+                            dst_reg: 1,
+                        },
+                        ThreadOp::Seq(store),
+                    ],
+                }],
+            })],
+            team_regs: 0,
+        };
+        let cfg = KernelConfig {
+            teams_mode: ExecMode::Spmd,
+            num_teams: 1,
+            threads_per_team: 64,
+            ..Default::default()
+        };
+        let args = [Slot::from_ptr(x), Slot::from_ptr(y)];
+        launch_target(&mut dev, &cfg, &plan, &reg, &args).unwrap();
+        let got = dev.global.read_slice(y, rows as usize);
+        for row in 0..rows {
+            let want: f64 = (0..inner).map(|iv| ((row * inner + iv) % 7) as f64).sum();
+            assert_eq!(got[row as usize], want, "row {row}");
+        }
     }
 }
 
 #[test]
 fn sharing_space_overflow_uses_global_fallback() {
-    // Many groups + small sharing space ⇒ zero-slot slices ⇒ global
-    // fallback allocations (§5.3.1), and the kernel still computes
-    // correctly.
-    let rows = 16u64;
-    let inner = 8u64;
-    let mut dev = Device::a100();
-    let n = (rows * inner) as usize;
-    let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-    let ys = vec![1.0f64; n];
-    let x = dev.global.alloc_from(&xs);
-    let y = dev.global.alloc_from(&ys);
+    for cell in &CELLS {
+        // Many groups + small sharing space ⇒ zero-slot slices ⇒ global
+        // fallback allocations (§5.3.1), and the kernel still computes
+        // correctly.
+        let rows = 16u64;
+        let inner = 8u64;
+        let mut dev = cell_device(cell, DeviceArch::a100());
+        let n = (rows * inner) as usize;
+        let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let ys = vec![1.0f64; n];
+        let x = dev.global.alloc_from(&xs);
+        let y = dev.global.alloc_from(&ys);
 
-    let mut reg = Registry::new();
-    let (plan, _) = saxpy_plan(
-        &mut reg,
-        ExecMode::Spmd,
-        ParallelDesc::generic(2), // 128 threads / 2 = 64 groups
-    );
-    let cfg = KernelConfig {
-        teams_mode: ExecMode::Spmd,
-        num_teams: 2,
-        threads_per_team: 128,
-        sharing_space_bytes: 1024, // legacy size: 128 slots, 96 for groups
-        ..Default::default()
-    };
-    let args = [
-        Slot::from_ptr(x),
-        Slot::from_ptr(y),
-        Slot::from_f64(2.0),
-        Slot::from_u64(rows),
-        Slot::from_u64(inner),
-    ];
-    let stats = launch_target(&mut dev, &cfg, &plan, &reg, &args).unwrap();
-    assert!(
-        stats.counters.sharing_global_fallbacks > 0,
-        "64 groups × 1 slot cannot fit 3 staged slots"
-    );
-    let got = dev.global.read_slice(y, n);
-    let want: Vec<f64> = (0..n).map(|i| 1.0 + 2.0 * i as f64).collect();
-    assert_eq!(got, want);
-    // Fallback segments were freed at end of the parallel region.
-    assert_eq!(dev.global.live_bytes(), (n * 8 * 2) as u64);
+        let mut reg = Registry::new();
+        let (plan, _) = saxpy_plan(
+            &mut reg,
+            ExecMode::Spmd,
+            ParallelDesc::generic(2), // 128 threads / 2 = 64 groups
+        );
+        let cfg = KernelConfig {
+            teams_mode: ExecMode::Spmd,
+            num_teams: 2,
+            threads_per_team: 128,
+            sharing_space_bytes: 1024, // legacy size: 128 slots, 96 for groups
+            ..Default::default()
+        };
+        let args = [
+            Slot::from_ptr(x),
+            Slot::from_ptr(y),
+            Slot::from_f64(2.0),
+            Slot::from_u64(rows),
+            Slot::from_u64(inner),
+        ];
+        let stats = launch_target(&mut dev, &cfg, &plan, &reg, &args).unwrap();
+        assert!(
+            stats.counters.sharing_global_fallbacks > 0,
+            "64 groups × 1 slot cannot fit 3 staged slots"
+        );
+        let got = dev.global.read_slice(y, n);
+        let want: Vec<f64> = (0..n).map(|i| 1.0 + 2.0 * i as f64).collect();
+        assert_eq!(got, want);
+        // Fallback segments were freed at end of the parallel region.
+        assert_eq!(dev.global.live_bytes(), (n * 8 * 2) as u64);
+    }
 }
 
 #[test]
 fn bigger_sharing_space_avoids_fallback() {
-    let rows = 16u64;
-    let inner = 8u64;
-    let mut dev = Device::a100();
-    let n = (rows * inner) as usize;
-    let x = dev.global.alloc_zeroed::<f64>(n);
-    let y = dev.global.alloc_zeroed::<f64>(n);
-    let mut reg = Registry::new();
-    let (plan, _) = saxpy_plan(&mut reg, ExecMode::Spmd, ParallelDesc::generic(8));
-    let cfg = KernelConfig {
-        teams_mode: ExecMode::Spmd,
-        num_teams: 2,
-        threads_per_team: 128,
-        sharing_space_bytes: 2048, // paper default: 16 groups, 14 slots each
-        ..Default::default()
-    };
-    let args = [
-        Slot::from_ptr(x),
-        Slot::from_ptr(y),
-        Slot::from_f64(2.0),
-        Slot::from_u64(rows),
-        Slot::from_u64(inner),
-    ];
-    let stats = launch_target(&mut dev, &cfg, &plan, &reg, &args).unwrap();
-    assert_eq!(stats.counters.sharing_global_fallbacks, 0);
+    for cell in &CELLS {
+        let rows = 16u64;
+        let inner = 8u64;
+        let mut dev = cell_device(cell, DeviceArch::a100());
+        let n = (rows * inner) as usize;
+        let x = dev.global.alloc_zeroed::<f64>(n);
+        let y = dev.global.alloc_zeroed::<f64>(n);
+        let mut reg = Registry::new();
+        let (plan, _) = saxpy_plan(&mut reg, ExecMode::Spmd, ParallelDesc::generic(8));
+        let cfg = KernelConfig {
+            teams_mode: ExecMode::Spmd,
+            num_teams: 2,
+            threads_per_team: 128,
+            sharing_space_bytes: 2048, // paper default: 16 groups, 14 slots each
+            ..Default::default()
+        };
+        let args = [
+            Slot::from_ptr(x),
+            Slot::from_ptr(y),
+            Slot::from_f64(2.0),
+            Slot::from_u64(rows),
+            Slot::from_u64(inner),
+        ];
+        let stats = launch_target(&mut dev, &cfg, &plan, &reg, &args).unwrap();
+        assert_eq!(stats.counters.sharing_global_fallbacks, 0);
+    }
 }
 
 #[test]
 fn unknown_bodies_pay_indirect_calls() {
-    let mut dev = Device::a100();
-    let y = dev.global.alloc_zeroed::<f64>(64);
-    let mut reg = Registry::new();
-    let body = reg.body_extern(move |lane, iv, v| {
-        let y = v.args[0].as_ptr::<f64>();
-        lane.write(y, iv, iv as f64);
-    });
-    let plan = TargetPlan {
-        ops: vec![TeamOp::Parallel(ParallelOp {
-            desc: ParallelDesc::spmd(32),
-            known: true,
-            nregs: 0,
-            stage_regs: 0,
-            ops: vec![ThreadOp::Simd { trip: reg.trip_const(64), body, known: false }],
-        })],
-        team_regs: 0,
-    };
-    let cfg = KernelConfig {
-        teams_mode: ExecMode::Spmd,
-        num_teams: 1,
-        threads_per_team: 32,
-        ..Default::default()
-    };
-    let stats = launch_target(&mut dev, &cfg, &plan, &reg, &[Slot::from_ptr(y)]).unwrap();
-    assert!(stats.counters.indirect_calls > 0);
-    // The parallel region itself is cascade-known; only the extern simd
-    // body pays the indirect call.
-    assert_eq!(stats.counters.cascade_dispatches, 1);
+    for cell in &CELLS {
+        let mut dev = cell_device(cell, DeviceArch::a100());
+        let y = dev.global.alloc_zeroed::<f64>(64);
+        let mut reg = Registry::new();
+        let body = reg.body_extern(move |lane, iv, v| {
+            let y = v.args[0].as_ptr::<f64>();
+            lane.write(y, iv, iv as f64);
+        });
+        let plan = TargetPlan {
+            ops: vec![TeamOp::Parallel(ParallelOp {
+                desc: ParallelDesc::spmd(32),
+                known: true,
+                nregs: 0,
+                stage_regs: 0,
+                ops: vec![ThreadOp::Simd { trip: reg.trip_const(64), body, known: false }],
+            })],
+            team_regs: 0,
+        };
+        let cfg = KernelConfig {
+            teams_mode: ExecMode::Spmd,
+            num_teams: 1,
+            threads_per_team: 32,
+            ..Default::default()
+        };
+        let stats = launch_target(&mut dev, &cfg, &plan, &reg, &[Slot::from_ptr(y)]).unwrap();
+        assert!(stats.counters.indirect_calls > 0);
+        // The parallel region itself is cascade-known; only the extern simd
+        // body pays the indirect call.
+        assert_eq!(stats.counters.cascade_dispatches, 1);
+    }
 }
 
 #[test]

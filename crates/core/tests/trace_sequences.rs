@@ -7,6 +7,7 @@ use omp_core::config::{ExecMode, KernelConfig, ParallelDesc};
 use omp_core::dispatch::Registry;
 use omp_core::exec::launch_target;
 use omp_core::plan::{ParallelOp, TargetPlan, TeamOp, ThreadOp};
+use testkit::{Cell, CELLS};
 
 fn one_simd_plan(reg: &mut Registry, mode: ExecMode, gs: u32) -> TargetPlan {
     let trip = reg.trip_const(64);
@@ -23,14 +24,33 @@ fn one_simd_plan(reg: &mut Registry, mode: ExecMode, gs: u32) -> TargetPlan {
     }
 }
 
-fn traced_run(teams_mode: ExecMode, par_mode: ExecMode, gs: u32) -> Device {
+/// A traced a100 device with `cell`'s sim threads and sanitizer.
+fn traced(cell: &Cell) -> Device {
     let mut dev = Device::a100();
+    dev.set_sim_threads(cell.threads);
+    if cell.sanitize {
+        dev.enable_sanitizer();
+    }
     dev.enable_trace(10_000);
-    let mut reg = Registry::new();
-    let plan = one_simd_plan(&mut reg, par_mode, gs);
-    let cfg = KernelConfig { teams_mode, num_teams: 1, threads_per_team: 64, ..Default::default() };
-    launch_target(&mut dev, &cfg, &plan, &reg, &[Slot(0)]).unwrap();
     dev
+}
+
+/// The traced one-simd-loop launch in every `testkit::CELLS` cell; the
+/// cells must record the same events. Returns the first cell's device.
+fn traced_run(teams_mode: ExecMode, par_mode: ExecMode, gs: u32) -> Device {
+    let [first, rest @ ..] = CELLS.map(|cell| {
+        let mut dev = traced(&cell);
+        let mut reg = Registry::new();
+        let plan = one_simd_plan(&mut reg, par_mode, gs);
+        let cfg =
+            KernelConfig { teams_mode, num_teams: 1, threads_per_team: 64, ..Default::default() };
+        launch_target(&mut dev, &cfg, &plan, &reg, &[Slot(0)]).unwrap();
+        dev
+    });
+    for (cell, dev) in CELLS[1..].iter().zip(&rest) {
+        assert_eq!(dev.trace.events(), first.trace.events(), "{cell:?}");
+    }
+    first
 }
 
 #[test]
@@ -81,31 +101,36 @@ fn generic_teams_emit_block_barriers_around_the_region() {
 
 #[test]
 fn sharing_overflow_emits_global_alloc_events() {
-    let mut dev = Device::a100();
-    dev.enable_trace(10_000);
-    let mut reg = Registry::new();
-    let trip = reg.trip_const(16);
-    let body = reg.body(|lane, _, _| lane.work(1));
-    // 64 groups × zero-capacity slices (tiny space) → fallback per group.
-    let plan = TargetPlan {
-        ops: vec![TeamOp::Parallel(ParallelOp {
-            desc: ParallelDesc::generic(2),
-            known: true,
-            nregs: 4,
-            stage_regs: 4,
-            ops: vec![ThreadOp::Simd { trip, body, known: true }],
-        })],
-        team_regs: 0,
-    };
-    let cfg = KernelConfig {
-        teams_mode: ExecMode::Spmd,
-        num_teams: 1,
-        threads_per_team: 128,
-        sharing_space_bytes: 512,
-        ..Default::default()
-    };
-    launch_target(&mut dev, &cfg, &plan, &reg, &[]).unwrap();
-    let allocs =
-        dev.trace.events().iter().filter(|e| matches!(e, TraceEvent::GlobalAlloc { .. })).count();
-    assert_eq!(allocs, 64, "one fallback allocation per SIMD group");
+    for cell in &CELLS {
+        let mut dev = traced(cell);
+        let mut reg = Registry::new();
+        let trip = reg.trip_const(16);
+        let body = reg.body(|lane, _, _| lane.work(1));
+        // 64 groups × zero-capacity slices (tiny space) → fallback per group.
+        let plan = TargetPlan {
+            ops: vec![TeamOp::Parallel(ParallelOp {
+                desc: ParallelDesc::generic(2),
+                known: true,
+                nregs: 4,
+                stage_regs: 4,
+                ops: vec![ThreadOp::Simd { trip, body, known: true }],
+            })],
+            team_regs: 0,
+        };
+        let cfg = KernelConfig {
+            teams_mode: ExecMode::Spmd,
+            num_teams: 1,
+            threads_per_team: 128,
+            sharing_space_bytes: 512,
+            ..Default::default()
+        };
+        launch_target(&mut dev, &cfg, &plan, &reg, &[]).unwrap();
+        let allocs = dev
+            .trace
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::GlobalAlloc { .. }))
+            .count();
+        assert_eq!(allocs, 64, "one fallback allocation per SIMD group");
+    }
 }

@@ -8,8 +8,8 @@
 //! its legalization on.
 //!
 //! Architectures are **registered**, not ad-hoc: [`ArchId`] names every
-//! backend the simulator ships (`ArchId::ALL`), resolves names (including
-//! the `SIMT_SIM_ARCH` environment selection, `ArchId::from_env`), and keys
+//! backend the simulator ships (`ArchId::ALL`), resolves names
+//! (`ArchId::lookup`), and keys
 //! the serve layer's warm-plan cache so one fleet can mix backends. Tests
 //! may still construct custom [`DeviceArch`] values directly — the
 //! registry is the named surface, not a straitjacket.
@@ -188,12 +188,6 @@ impl DeviceArch {
     pub fn warps_for(&self, threads: u32) -> u32 {
         threads.div_ceil(self.warp_size)
     }
-
-    /// The architecture `SIMT_SIM_ARCH` selects (default: `a100`).
-    /// Shorthand for [`ArchId::from_env`]`.arch()`.
-    pub fn from_env() -> DeviceArch {
-        ArchId::from_env().arch()
-    }
 }
 
 /// Key of one registered backend — `Copy + Eq + Hash`, so callers that
@@ -223,24 +217,7 @@ impl ArchId {
             .find(|id| id.name() == want || id.arch().name.to_ascii_lowercase() == want)
     }
 
-    /// The backend `SIMT_SIM_ARCH` names, defaulting to [`ArchId::A100`]
-    /// (the paper's test bed). An unknown name panics with the registry
-    /// listing — a silently substituted architecture would invalidate
-    /// every number a run produces.
-    pub fn from_env() -> ArchId {
-        match std::env::var("SIMT_SIM_ARCH") {
-            Ok(v) if !v.is_empty() => ArchId::lookup(&v).unwrap_or_else(|| {
-                panic!(
-                    "SIMT_SIM_ARCH={v:?} names no registered architecture \
-                     (known: {})",
-                    ArchId::ALL.map(ArchId::name).join(", ")
-                )
-            }),
-            _ => ArchId::A100,
-        }
-    }
-
-    /// Registry name (what `SIMT_SIM_ARCH` matches).
+    /// Registry name (what [`ArchId::lookup`] matches).
     pub fn name(self) -> &'static str {
         match self {
             ArchId::A100 => "a100",

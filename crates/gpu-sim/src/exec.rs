@@ -483,8 +483,8 @@ fn filter_slot(line: u64) -> usize {
 /// becoming thread-count dependent. Instead every block records `(line,
 /// sector-bits first requested by this block in this visit)` in its own
 /// execution order; the launch replays the logs in block-index order
-/// against one sequential touched-set, which reproduces the
-/// `SIMT_SIM_THREADS=1` attribution exactly at any thread count.
+/// against one sequential touched-set, which reproduces the one-thread
+/// attribution exactly at any thread count.
 ///
 /// Entries are packed `line << 8 | mask`. A direct-mapped filter of
 /// [`FILTER_SLOTS`] packed slots drops bits this block already logged for

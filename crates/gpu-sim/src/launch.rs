@@ -4,7 +4,7 @@
 //! are mutually independent (no inter-block synchronization exists within a
 //! launch), so they execute concurrently on the launching thread plus the
 //! device's resident pool of parked workers ([`crate::sched::BlockPool`],
-//! sized by `SIMT_SIM_THREADS`; 1 = serial, no worker threads). Each
+//! sized by [`Device::set_sim_threads`]; 1 = serial, no worker threads). Each
 //! thread runs the blocks it claims one after another in one [`TeamCtx`]
 //! built from its reused block state, and keeps what they produce in one
 //! batch that it hands back once. Per-block profiles, traces and sanitizer
@@ -301,21 +301,17 @@ pub struct Device {
     trace_enabled: bool,
     trace_cap: usize,
     sanitize_enabled: bool,
-    /// Block-execution thread count override; `None` = `SIMT_SIM_THREADS`
-    /// env or available parallelism (see [`sched::resolve_threads`]).
+    /// Block-execution thread count override; `None` = the host's
+    /// available parallelism (see [`sched::resolve_threads`]).
     sim_threads: Option<usize>,
     /// Parked block workers, created by the first multi-thread launch.
     pool: sched::BlockPool,
 }
 
 impl Device {
-    /// Create a device with the default cost model.
+    /// Create a device with the default cost model, the sanitizer off and
+    /// the default thread count.
     pub fn new(arch: DeviceArch) -> Device {
-        // `SIMT_SANITIZE=1` (or any non-empty value other than "0") turns
-        // simtcheck on for every device, so a whole test run can be
-        // sanitized without touching individual call sites.
-        let sanitize_env =
-            std::env::var("SIMT_SANITIZE").map(|v| !v.is_empty() && v != "0").unwrap_or(false);
         Device {
             arch,
             cost: CostModel::default(),
@@ -323,7 +319,7 @@ impl Device {
             trace: crate::trace::Trace::default(),
             trace_enabled: false,
             trace_cap: 0,
-            sanitize_enabled: sanitize_env,
+            sanitize_enabled: false,
             sim_threads: None,
             pool: sched::BlockPool::default(),
         }
@@ -337,9 +333,9 @@ impl Device {
         self.trace_cap = cap;
     }
 
-    /// Pin the number of host threads used to execute blocks, overriding
-    /// `SIMT_SIM_THREADS`. `Some(1)` forces the serial path; `None` returns
-    /// to environment/auto sizing.
+    /// Pin the number of host threads used to execute blocks. `Some(1)`
+    /// forces the serial path; `None` returns to the host's available
+    /// parallelism.
     pub fn set_sim_threads(&mut self, threads: Option<usize>) {
         self.sim_threads = threads;
     }
@@ -370,14 +366,6 @@ impl Device {
     /// A100-like device — the paper's test bed (§6.1).
     pub fn a100() -> Device {
         Device::new(DeviceArch::a100())
-    }
-
-    /// Device on the architecture `SIMT_SIM_ARCH` names (default `a100`;
-    /// see [`crate::arch::ArchId::from_env`]). Harnesses that should
-    /// participate in the CI arch axis construct their devices here; tests
-    /// pinning backend-specific numbers keep naming the arch explicitly.
-    pub fn from_env() -> Device {
-        Device::new(DeviceArch::from_env())
     }
 
     /// Validate a launch configuration against this device.
@@ -513,7 +501,7 @@ impl Device {
         // and charges their 64-byte burst atoms to `dram_atoms`. Which
         // visit wins a cross-block shared sector is interleaving-dependent
         // online, and the burst-atom count is nonlinear in that grouping —
-        // replaying here reproduces the `SIMT_SIM_THREADS=1` attribution
+        // replaying here reproduces the one-thread attribution
         // at any thread count. The touched set is emptied afterwards by
         // walking the logs again.
         profiles.clear();
@@ -598,6 +586,17 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::{Cell, CELLS};
+
+    /// A device on `arch` with `cell`'s sim threads and sanitizer.
+    fn cell_device(cell: &Cell, arch: DeviceArch) -> Device {
+        let mut dev = Device::new(arch);
+        dev.set_sim_threads(cell.threads);
+        if cell.sanitize {
+            dev.enable_sanitizer();
+        }
+        dev
+    }
 
     #[test]
     fn validation_rejects_bad_configs() {
@@ -621,86 +620,96 @@ mod tests {
 
     #[test]
     fn validation_rejects_sector_models_the_line_mask_cannot_hold() {
-        let ok = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
-        let mut d = Device::new(DeviceArch::tiny());
-        // 16 sectors of 8 B per 128 B line: bits 8.. of the u8 mask do not exist.
-        d.cost.sector_bytes = 8;
-        let err = LaunchError::BadSectorModel { line_bytes: 128, sector_bytes: 8 };
-        assert_eq!(d.validate(&ok), Err(err));
-        assert_eq!(d.launch(&ok, |_| {}).unwrap_err(), err);
-        d.cost.sector_bytes = 0;
-        assert!(matches!(
-            d.validate(&ok),
-            Err(LaunchError::BadSectorModel { line_bytes: 128, sector_bytes: 0 })
-        ));
-        // Exactly 8 sectors per line, and non-power-of-two sectors, still fit.
-        d.cost.sector_bytes = 16;
-        assert!(d.validate(&ok).is_ok());
-        d.cost.sector_bytes = 24;
-        assert!(d.validate(&ok).is_ok());
+        for cell in &CELLS {
+            let ok = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
+            let mut d = cell_device(cell, DeviceArch::tiny());
+            // 16 sectors of 8 B per 128 B line: bits 8.. of the u8 mask do not exist.
+            d.cost.sector_bytes = 8;
+            let err = LaunchError::BadSectorModel { line_bytes: 128, sector_bytes: 8 };
+            assert_eq!(d.validate(&ok), Err(err));
+            assert_eq!(d.launch(&ok, |_| {}).unwrap_err(), err);
+            d.cost.sector_bytes = 0;
+            assert!(matches!(
+                d.validate(&ok),
+                Err(LaunchError::BadSectorModel { line_bytes: 128, sector_bytes: 0 })
+            ));
+            // Exactly 8 sectors per line, and non-power-of-two sectors, still fit.
+            d.cost.sector_bytes = 16;
+            assert!(d.validate(&ok).is_ok());
+            d.cost.sector_bytes = 24;
+            assert!(d.validate(&ok).is_ok());
+        }
     }
 
     #[test]
     fn launch_runs_every_block_once() {
-        let mut d = Device::new(DeviceArch::tiny());
-        let p = d.global.alloc_zeroed::<u64>(16);
-        let cfg = LaunchConfig { num_blocks: 16, threads_per_block: 32, smem_bytes: 0 };
-        let stats = d
-            .launch(&cfg, |team| {
-                let bid = team.block_id as u64;
-                team.run_lanes(0, &[0], move |lane, _| {
-                    lane.write(p, bid, bid + 1);
-                });
-            })
-            .unwrap();
-        assert_eq!(stats.blocks, 16);
-        let out = d.global.read_slice(p, 16);
-        let expect: Vec<u64> = (1..=16).collect();
-        assert_eq!(out, expect);
+        for cell in &CELLS {
+            let mut d = cell_device(cell, DeviceArch::tiny());
+            let p = d.global.alloc_zeroed::<u64>(16);
+            let cfg = LaunchConfig { num_blocks: 16, threads_per_block: 32, smem_bytes: 0 };
+            let stats = d
+                .launch(&cfg, |team| {
+                    let bid = team.block_id as u64;
+                    team.run_lanes(0, &[0], move |lane, _| {
+                        lane.write(p, bid, bid + 1);
+                    });
+                })
+                .unwrap();
+            assert_eq!(stats.blocks, 16);
+            let out = d.global.read_slice(p, 16);
+            let expect: Vec<u64> = (1..=16).collect();
+            assert_eq!(out, expect);
+        }
     }
 
     #[test]
     fn launch_is_deterministic() {
-        let run = || {
-            let mut d = Device::a100();
-            let p = d.global.alloc_zeroed::<f64>(1024);
-            let cfg = LaunchConfig { num_blocks: 64, threads_per_block: 128, smem_bytes: 1024 };
-            d.launch(&cfg, |team| {
-                for w in 0..team.nwarps() {
-                    let lanes: Vec<u32> = (0..32).collect();
-                    team.run_lanes(w, &lanes, |lane, id| {
-                        let i = (w * 32 + id) as u64;
-                        let v = lane.read(p, i % 1024);
-                        lane.work(5);
-                        lane.write(p, i % 1024, v + 1.0);
-                    });
-                }
-                team.block_barrier();
-            })
-            .unwrap()
-            .cycles
-        };
-        assert_eq!(run(), run());
+        for cell in &CELLS {
+            let run = || {
+                let mut d = cell_device(cell, DeviceArch::a100());
+                let p = d.global.alloc_zeroed::<f64>(1024);
+                let cfg = LaunchConfig { num_blocks: 64, threads_per_block: 128, smem_bytes: 1024 };
+                d.launch(&cfg, |team| {
+                    for w in 0..team.nwarps() {
+                        let lanes: Vec<u32> = (0..32).collect();
+                        team.run_lanes(w, &lanes, |lane, id| {
+                            let i = (w * 32 + id) as u64;
+                            let v = lane.read(p, i % 1024);
+                            lane.work(5);
+                            lane.write(p, i % 1024, v + 1.0);
+                        });
+                    }
+                    team.block_barrier();
+                })
+                .unwrap()
+                .cycles
+            };
+            assert_eq!(run(), run());
+        }
     }
 
     #[test]
     fn more_blocks_take_longer() {
-        let mut d = Device::new(DeviceArch::tiny());
-        let cfg1 = LaunchConfig { num_blocks: 4, threads_per_block: 64, smem_bytes: 0 };
-        let cfg2 = LaunchConfig { num_blocks: 64, threads_per_block: 64, smem_bytes: 0 };
-        let body = |team: &mut TeamCtx<'_>| {
-            team.charge_alu(0, 10_000);
-        };
-        let t1 = d.launch(&cfg1, body).unwrap().cycles;
-        let t2 = d.launch(&cfg2, body).unwrap().cycles;
-        assert!(t2 > t1, "16x blocks must take longer: {t1} vs {t2}");
+        for cell in &CELLS {
+            let mut d = cell_device(cell, DeviceArch::tiny());
+            let cfg1 = LaunchConfig { num_blocks: 4, threads_per_block: 64, smem_bytes: 0 };
+            let cfg2 = LaunchConfig { num_blocks: 64, threads_per_block: 64, smem_bytes: 0 };
+            let body = |team: &mut TeamCtx<'_>| {
+                team.charge_alu(0, 10_000);
+            };
+            let t1 = d.launch(&cfg1, body).unwrap().cycles;
+            let t2 = d.launch(&cfg2, body).unwrap().cycles;
+            assert!(t2 > t1, "16x blocks must take longer: {t1} vs {t2}");
+        }
     }
 
     #[test]
     fn launch_overhead_is_floor() {
-        let mut d = Device::new(DeviceArch::tiny());
-        let cfg = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
-        let stats = d.launch(&cfg, |_| {}).unwrap();
-        assert_eq!(stats.cycles, d.cost.launch_overhead);
+        for cell in &CELLS {
+            let mut d = cell_device(cell, DeviceArch::tiny());
+            let cfg = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
+            let stats = d.launch(&cfg, |_| {}).unwrap();
+            assert_eq!(stats.cycles, d.cost.launch_overhead);
+        }
     }
 }

@@ -25,7 +25,7 @@
 //!   and [`launch::Device::enable_sanitizer`].
 //!
 //! Execution is fully deterministic: independent blocks may execute
-//! concurrently on host worker threads (`SIMT_SIM_THREADS`, see [`sched`]),
+//! concurrently on host worker threads (`Device::set_sim_threads`, see [`sched`]),
 //! but every block's work is self-contained, results merge in block-id
 //! order, and all cost accounting is integer cycle arithmetic — so a given
 //! kernel + workload always produces the *same* simulated cycle count at

@@ -912,9 +912,12 @@ mod tests {
         // drop them when it leaves the launch: a buffer freed afterwards
         // loses its last `Arc`, so its storage goes.
         use crate::launch::{Device, LaunchConfig};
-        for threads in [1, 2] {
+        for (threads, sanitize) in [(1, false), (2, false), (1, true), (2, true)] {
             let mut d = Device::new(crate::arch::DeviceArch::tiny());
             d.set_sim_threads(Some(threads));
+            if sanitize {
+                d.enable_sanitizer();
+            }
             let p = d.global.alloc_zeroed::<u64>(64);
             let weak = Arc::downgrade(&d.global.seg(p.seg));
             let cfg = LaunchConfig { num_blocks: 16, threads_per_block: 32, smem_bytes: 0 };

@@ -20,7 +20,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::arch::DeviceArch;
@@ -28,25 +28,18 @@ use crate::cost::CostModel;
 use crate::mem::hier;
 use crate::stats::BlockProfile;
 
-/// Environment variable selecting how many host threads execute blocks.
-/// `1` forces the serial path; unset or `0` means available parallelism.
-pub const SIM_THREADS_ENV: &str = "SIMT_SIM_THREADS";
-
 /// Resolve the block-execution thread count: an explicit per-device
-/// override wins, then [`SIM_THREADS_ENV`], then the host's available
-/// parallelism. Always ≥ 1.
+/// override wins, else the host's available parallelism, queried once per
+/// process: the query reads the affinity mask and the cgroup quota, which
+/// costs more than an empty launch. Always ≥ 1.
 pub fn resolve_threads(override_threads: Option<usize>) -> usize {
-    if let Some(n) = override_threads {
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var(SIM_THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    match override_threads {
+        Some(n) => n.max(1),
+        None => {
+            *DEFAULT.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         }
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// A device's parked block-execution workers, kept resident across
@@ -720,6 +713,11 @@ mod tests {
     fn resolve_threads_override_wins() {
         assert_eq!(resolve_threads(Some(3)), 3);
         assert_eq!(resolve_threads(Some(0)), 1);
-        assert!(resolve_threads(None) >= 1);
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_threads(None), host);
+        // The default is cached: later calls agree, and an override still
+        // wins after the cache is filled.
+        assert_eq!(resolve_threads(None), resolve_threads(None));
+        assert_eq!(resolve_threads(Some(5)), 5);
     }
 }

@@ -103,7 +103,7 @@ pub struct BlockProfile {
     /// dram_sectors`, with equality only for fully-coalesced fills.
     /// Filled by the launch's block-index-order visit replay (not during
     /// block execution) so the per-visit burst grouping is bit-identical
-    /// at any `SIMT_SIM_THREADS`.
+    /// at any sim thread count.
     pub dram_atoms: u64,
     /// L1-hit replay cycles included in `issue` and the warp clocks that
     /// the makespan moves off the issue pipe into the LSU: the whole
@@ -127,7 +127,7 @@ pub struct BlockProfile {
 
 /// Memory-hierarchy counters aggregated over a launch, merged from the
 /// per-block profiles in block-index order (DESIGN §11) so they are
-/// bit-identical at any `SIMT_SIM_THREADS`.
+/// bit-identical at any sim thread count.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Warp-L1 window hits (every requested sector already valid).
@@ -148,7 +148,7 @@ pub struct MemStats {
     /// L1-missing sectors per L2 bank slice (length =
     /// [`crate::arch::CacheGeom::l2_banks`]); sums to `l1_miss_sectors`.
     /// `u64` sums, so the launch's per-thread partial sums add up to the
-    /// same totals at any `SIMT_SIM_THREADS`.
+    /// same totals at any sim thread count.
     pub l2_bank_sectors: Vec<u64>,
     /// Compulsory (first-touch) sectors — DRAM traffic. Equals
     /// [`LaunchStats::total_dram_sectors`].

@@ -5,8 +5,12 @@
 //! These tests reach each cold branch through `TeamCtx::run_lanes`, the
 //! one path both engines and the sanitizer share.
 
+mod common;
+
+use common::panics_alike_sanitized_or_not;
 use gpu_sim::stats::RtCounters;
 use gpu_sim::{DPtr, Device, DeviceArch, LaunchConfig, LaunchStats, MemStats};
+use testkit::CELLS;
 
 fn one_thread_device() -> Device {
     let mut dev = Device::new(DeviceArch::a100());
@@ -21,11 +25,12 @@ fn one_block() -> LaunchConfig {
 #[test]
 #[should_panic(expected = "device OOB read: idx 3 >= len 3")]
 fn oob_read_through_a_lane_panics() {
-    let mut dev = one_thread_device();
-    let p = dev.global.alloc_zeroed::<f64>(3);
-    let _ = dev.launch(&one_block(), move |team| {
-        team.run_lanes(0, &[0], |lane, _| {
-            lane.read(p, 3);
+    panics_alike_sanitized_or_not(DeviceArch::a100(), |dev| {
+        let p = dev.global.alloc_zeroed::<f64>(3);
+        let _ = dev.launch(&one_block(), move |team| {
+            team.run_lanes(0, &[0], |lane, _| {
+                lane.read(p, 3);
+            });
         });
     });
 }
@@ -33,11 +38,12 @@ fn oob_read_through_a_lane_panics() {
 #[test]
 #[should_panic(expected = "device OOB write: idx 4 >= len 3")]
 fn oob_write_through_a_lane_panics() {
-    let mut dev = one_thread_device();
-    let p = dev.global.alloc_zeroed::<u32>(3);
-    let _ = dev.launch(&one_block(), move |team| {
-        team.run_lanes(0, &[0, 1], |lane, id| {
-            lane.write(p, 2 + 2 * id as u64, 1);
+    panics_alike_sanitized_or_not(DeviceArch::a100(), |dev| {
+        let p = dev.global.alloc_zeroed::<u32>(3);
+        let _ = dev.launch(&one_block(), move |team| {
+            team.run_lanes(0, &[0, 1], |lane, id| {
+                lane.write(p, 2 + 2 * id as u64, 1);
+            });
         });
     });
 }
@@ -45,11 +51,12 @@ fn oob_write_through_a_lane_panics() {
 #[test]
 #[should_panic(expected = "device OOB write: idx 5 >= len 4")]
 fn oob_atomic_add_f64_through_a_lane_panics() {
-    let mut dev = one_thread_device();
-    let p = dev.global.alloc_zeroed::<f64>(4);
-    let _ = dev.launch(&one_block(), move |team| {
-        team.run_lanes(0, &[0], |lane, _| {
-            lane.atomic_add_f64(p.add(2), 3, 1.0);
+    panics_alike_sanitized_or_not(DeviceArch::a100(), |dev| {
+        let p = dev.global.alloc_zeroed::<f64>(4);
+        let _ = dev.launch(&one_block(), move |team| {
+            team.run_lanes(0, &[0], |lane, _| {
+                lane.atomic_add_f64(p.add(2), 3, 1.0);
+            });
         });
     });
 }
@@ -61,11 +68,12 @@ fn oob_atomic_add_f64_through_a_lane_panics() {
 #[test]
 #[should_panic(expected = "device OOB read: idx 5 + 18446744073709551613 wraps (len 8)")]
 fn wrapping_read_through_a_lane_panics() {
-    let mut dev = one_thread_device();
-    let p = dev.global.alloc_from(&(0..8).map(|i| i as f64).collect::<Vec<_>>());
-    let _ = dev.launch(&one_block(), move |team| {
-        team.run_lanes(0, &[0], |lane, _| {
-            lane.read(p.add(5), -3i64 as u64);
+    panics_alike_sanitized_or_not(DeviceArch::a100(), |dev| {
+        let p = dev.global.alloc_from(&(0..8).map(|i| i as f64).collect::<Vec<_>>());
+        let _ = dev.launch(&one_block(), move |team| {
+            team.run_lanes(0, &[0], |lane, _| {
+                lane.read(p.add(5), -3i64 as u64);
+            });
         });
     });
 }
@@ -73,11 +81,12 @@ fn wrapping_read_through_a_lane_panics() {
 #[test]
 #[should_panic(expected = "device OOB write: idx 2 + 18446744073709551615 wraps (len 3)")]
 fn wrapping_write_through_a_lane_panics() {
-    let mut dev = one_thread_device();
-    let p = dev.global.alloc_zeroed::<u32>(3);
-    let _ = dev.launch(&one_block(), move |team| {
-        team.run_lanes(0, &[0], |lane, _| {
-            lane.write(p.add(2), u64::MAX, 1);
+    panics_alike_sanitized_or_not(DeviceArch::a100(), |dev| {
+        let p = dev.global.alloc_zeroed::<u32>(3);
+        let _ = dev.launch(&one_block(), move |team| {
+            team.run_lanes(0, &[0], |lane, _| {
+                lane.write(p.add(2), u64::MAX, 1);
+            });
         });
     });
 }
@@ -85,11 +94,12 @@ fn wrapping_write_through_a_lane_panics() {
 #[test]
 #[should_panic(expected = "device OOB write: idx 1 + 18446744073709551615 wraps (len 2)")]
 fn wrapping_atomic_through_a_lane_panics() {
-    let mut dev = one_thread_device();
-    let p = dev.global.alloc_zeroed::<u64>(2);
-    let _ = dev.launch(&one_block(), move |team| {
-        team.run_lanes(0, &[0], |lane, _| {
-            lane.atomic_add_u64(p.add(1), u64::MAX, 1);
+    panics_alike_sanitized_or_not(DeviceArch::a100(), |dev| {
+        let p = dev.global.alloc_zeroed::<u64>(2);
+        let _ = dev.launch(&one_block(), move |team| {
+            team.run_lanes(0, &[0], |lane, _| {
+                lane.atomic_add_u64(p.add(1), u64::MAX, 1);
+            });
         });
     });
 }
@@ -113,14 +123,15 @@ fn wrapping_host_address_panics() {
 #[test]
 #[should_panic(expected = "type confusion on segment 1: expected Vec<u32>")]
 fn type_confusion_through_a_lane_panics() {
-    let mut dev = one_thread_device();
-    let _first = dev.global.alloc_zeroed::<u64>(1);
-    let p = dev.global.alloc_zeroed::<f64>(3);
-    let q: DPtr<u32> = DPtr::from_bits(p.to_bits());
-    let _ = dev.launch(&one_block(), move |team| {
-        team.run_lanes(0, &[0], |lane, _| {
-            lane.read(p, 0);
-            lane.read(q, 0);
+    panics_alike_sanitized_or_not(DeviceArch::a100(), |dev| {
+        let _first = dev.global.alloc_zeroed::<u64>(1);
+        let p = dev.global.alloc_zeroed::<f64>(3);
+        let q: DPtr<u32> = DPtr::from_bits(p.to_bits());
+        let _ = dev.launch(&one_block(), move |team| {
+            team.run_lanes(0, &[0], |lane, _| {
+                lane.read(p, 0);
+                lane.read(q, 0);
+            });
         });
     });
 }
@@ -136,9 +147,12 @@ fn type_confusion_through_a_lane_panics() {
 ///   step reaches 12 ordinals, past the two the thread's accumulator held
 ///   when its first block began, and the atomic lands in ordinals other
 ///   lanes read plainly.
-fn cold_path_launch(threads: usize) -> (LaunchStats, Vec<f64>, Vec<u64>) {
+fn cold_path_launch(cell: &testkit::Cell) -> (LaunchStats, Vec<f64>, Vec<u64>) {
     let mut dev = Device::new(DeviceArch::a100());
-    dev.set_sim_threads(Some(threads));
+    dev.set_sim_threads(cell.threads);
+    if cell.sanitize {
+        dev.enable_sanitizer();
+    }
     let sums = dev.global.alloc_zeroed::<f64>(4);
     let counts = dev.global.alloc_zeroed::<u64>(2);
     let src = dev.global.alloc_from(&(0..256).map(|i| i as f64).collect::<Vec<_>>());
@@ -201,10 +215,10 @@ fn cold_branches_in_one_super_step_keep_their_pinned_stats() {
         counters: RtCounters::default(),
         violations: Vec::new(),
     };
-    for threads in [1, 4] {
-        let (stats, sums, counts) = cold_path_launch(threads);
-        assert_eq!(stats, want, "threads {threads}");
-        assert_eq!(sums, [24.0, 24.0, 0.0, 0.0], "threads {threads}");
-        assert_eq!(counts, [48, 48], "threads {threads}");
+    for cell in &CELLS {
+        let (stats, sums, counts) = cold_path_launch(cell);
+        assert_eq!(stats, want, "{cell:?}");
+        assert_eq!(sums, [24.0, 24.0, 0.0, 0.0], "{cell:?}");
+        assert_eq!(counts, [48, 48], "{cell:?}");
     }
 }

@@ -4,9 +4,16 @@
 use gpu_sim::mem::pod::DevValue;
 use gpu_sim::stats::RtCounters;
 use gpu_sim::{Device, DeviceArch, LaunchConfig, LaunchStats, MemStats};
+use testkit::{Cell, CELLS};
 
-fn device() -> Device {
-    Device::new(DeviceArch::a100())
+/// An a100 device with `cell`'s sim threads and sanitizer.
+fn device(cell: &Cell) -> Device {
+    let mut dev = Device::new(DeviceArch::a100());
+    dev.set_sim_threads(cell.threads);
+    if cell.sanitize {
+        dev.enable_sanitizer();
+    }
+    dev
 }
 
 fn one_block() -> LaunchConfig {
@@ -15,152 +22,166 @@ fn one_block() -> LaunchConfig {
 
 #[test]
 fn coalesced_warp_load_is_two_transactions() {
-    // 32 consecutive f64 = 256 B = 2 lines; issue cost = 2 × line_cycles
-    // plus sector traffic.
-    let mut dev = device();
-    let p = dev.global.alloc_zeroed::<f64>(32);
-    let lc = dev.cost.line_cycles;
-    let sc = dev.cost.sector_cycles;
-    let stats = dev
-        .launch(&one_block(), |team| {
-            let lanes: Vec<u32> = (0..32).collect();
-            team.run_lanes(0, &lanes, |lane, id| {
-                lane.read(p, id as u64);
-            });
-        })
-        .unwrap();
-    assert_eq!(stats.total_sectors, 8, "8 compulsory 32B sectors");
-    assert_eq!(stats.total_dram_sectors, 8);
-    assert_eq!(stats.total_issue, 2 * lc + 8 * sc);
+    for cell in &CELLS {
+        // 32 consecutive f64 = 256 B = 2 lines; issue cost = 2 × line_cycles
+        // plus sector traffic.
+        let mut dev = device(cell);
+        let p = dev.global.alloc_zeroed::<f64>(32);
+        let lc = dev.cost.line_cycles;
+        let sc = dev.cost.sector_cycles;
+        let stats = dev
+            .launch(&one_block(), |team| {
+                let lanes: Vec<u32> = (0..32).collect();
+                team.run_lanes(0, &lanes, |lane, id| {
+                    lane.read(p, id as u64);
+                });
+            })
+            .unwrap();
+        assert_eq!(stats.total_sectors, 8, "8 compulsory 32B sectors");
+        assert_eq!(stats.total_dram_sectors, 8);
+        assert_eq!(stats.total_issue, 2 * lc + 8 * sc);
+    }
 }
 
 #[test]
 fn strided_warp_load_is_32_transactions() {
-    // Stride of 128 B: every lane touches its own line.
-    let mut dev = device();
-    let p = dev.global.alloc_zeroed::<f64>(32 * 16);
-    let lc = dev.cost.line_cycles;
-    let sc = dev.cost.sector_cycles;
-    let stats = dev
-        .launch(&one_block(), |team| {
-            let lanes: Vec<u32> = (0..32).collect();
-            team.run_lanes(0, &lanes, |lane, id| {
-                lane.read(p, id as u64 * 16);
-            });
-        })
-        .unwrap();
-    assert_eq!(stats.total_sectors, 32);
-    assert_eq!(stats.total_issue, 32 * lc + 32 * sc);
+    for cell in &CELLS {
+        // Stride of 128 B: every lane touches its own line.
+        let mut dev = device(cell);
+        let p = dev.global.alloc_zeroed::<f64>(32 * 16);
+        let lc = dev.cost.line_cycles;
+        let sc = dev.cost.sector_cycles;
+        let stats = dev
+            .launch(&one_block(), |team| {
+                let lanes: Vec<u32> = (0..32).collect();
+                team.run_lanes(0, &lanes, |lane, id| {
+                    lane.read(p, id as u64 * 16);
+                });
+            })
+            .unwrap();
+        assert_eq!(stats.total_sectors, 32);
+        assert_eq!(stats.total_issue, 32 * lc + 32 * sc);
+    }
 }
 
 #[test]
 fn sectored_cache_charges_each_sector_once() {
-    // A lane streaming through one line (4 sectors, 16 f64) pays DRAM for
-    // each sector exactly once even though the line tag hits after the
-    // first access.
-    let mut dev = device();
-    let p = dev.global.alloc_zeroed::<f64>(16);
-    let stats = dev
-        .launch(&one_block(), |team| {
-            team.run_lanes(0, &[0], |lane, _| {
-                for i in 0..16u64 {
-                    lane.read(p, i);
-                }
-            });
-        })
-        .unwrap();
-    assert_eq!(stats.total_sectors, 4, "4 sectors of one line, each fetched once");
-    // 16 accesses = 16 line transactions, but only 4 carried DRAM traffic.
-    assert_eq!(stats.total_dram_sectors, 4);
+    for cell in &CELLS {
+        // A lane streaming through one line (4 sectors, 16 f64) pays DRAM for
+        // each sector exactly once even though the line tag hits after the
+        // first access.
+        let mut dev = device(cell);
+        let p = dev.global.alloc_zeroed::<f64>(16);
+        let stats = dev
+            .launch(&one_block(), |team| {
+                team.run_lanes(0, &[0], |lane, _| {
+                    for i in 0..16u64 {
+                        lane.read(p, i);
+                    }
+                });
+            })
+            .unwrap();
+        assert_eq!(stats.total_sectors, 4, "4 sectors of one line, each fetched once");
+        // 16 accesses = 16 line transactions, but only 4 carried DRAM traffic.
+        assert_eq!(stats.total_dram_sectors, 4);
+    }
 }
 
 #[test]
 fn warp_reuse_hits_the_l1_window() {
-    // Reading the same 32 values twice: the second pass is all line hits
-    // with no new traffic.
-    let mut dev = device();
-    let p = dev.global.alloc_zeroed::<f64>(32);
-    let stats = dev
-        .launch(&one_block(), |team| {
-            let lanes: Vec<u32> = (0..32).collect();
-            team.run_lanes(0, &lanes, |lane, id| {
-                lane.read(p, id as u64);
-                lane.read(p, id as u64); // second ordinal: same sectors
-            });
-        })
-        .unwrap();
-    assert_eq!(stats.total_sectors, 8, "second pass must not refetch");
-    assert!(stats.total_l1_hits > 0);
+    for cell in &CELLS {
+        // Reading the same 32 values twice: the second pass is all line hits
+        // with no new traffic.
+        let mut dev = device(cell);
+        let p = dev.global.alloc_zeroed::<f64>(32);
+        let stats = dev
+            .launch(&one_block(), |team| {
+                let lanes: Vec<u32> = (0..32).collect();
+                team.run_lanes(0, &lanes, |lane, id| {
+                    lane.read(p, id as u64);
+                    lane.read(p, id as u64); // second ordinal: same sectors
+                });
+            })
+            .unwrap();
+        assert_eq!(stats.total_sectors, 8, "second pass must not refetch");
+        assert!(stats.total_l1_hits > 0);
+    }
 }
 
 #[test]
 fn capacity_thrash_refetches_from_l2_not_dram() {
-    // A working set far beyond the per-warp window: revisiting it refetches
-    // (sectors counted twice = L2 traffic) but compulsory DRAM traffic
-    // counts each sector once.
-    let mut dev = device();
-    let n = 32 * 1024u64; // 256 KB ≫ the per-warp window
-    let p = dev.global.alloc_zeroed::<f64>(n as usize);
-    let stats = dev
-        .launch(&one_block(), |team| {
-            let lanes: Vec<u32> = (0..32).collect();
-            for pass in 0..2 {
-                let _ = pass;
-                team.run_lanes(0, &lanes, |lane, id| {
-                    let mut i = id as u64;
-                    while i < n {
-                        lane.read(p, i);
-                        i += 32;
-                    }
-                });
-            }
-        })
-        .unwrap();
-    let compulsory = n / 4; // 4 f64 per sector
-    assert_eq!(stats.total_dram_sectors, compulsory, "DRAM sees each sector once");
-    assert_eq!(stats.total_sectors, 2 * compulsory, "L2 serves the thrashed second pass");
+    for cell in &CELLS {
+        // A working set far beyond the per-warp window: revisiting it refetches
+        // (sectors counted twice = L2 traffic) but compulsory DRAM traffic
+        // counts each sector once.
+        let mut dev = device(cell);
+        let n = 32 * 1024u64; // 256 KB ≫ the per-warp window
+        let p = dev.global.alloc_zeroed::<f64>(n as usize);
+        let stats = dev
+            .launch(&one_block(), |team| {
+                let lanes: Vec<u32> = (0..32).collect();
+                for pass in 0..2 {
+                    let _ = pass;
+                    team.run_lanes(0, &lanes, |lane, id| {
+                        let mut i = id as u64;
+                        while i < n {
+                            lane.read(p, i);
+                            i += 32;
+                        }
+                    });
+                }
+            })
+            .unwrap();
+        let compulsory = n / 4; // 4 f64 per sector
+        assert_eq!(stats.total_dram_sectors, compulsory, "DRAM sees each sector once");
+        assert_eq!(stats.total_sectors, 2 * compulsory, "L2 serves the thrashed second pass");
+    }
 }
 
 #[test]
 fn different_warps_have_independent_windows() {
-    // Warp 1 reading what warp 0 cached still misses its own window (the
-    // traffic then deduplicates at the DRAM level, not L1).
-    let mut dev = device();
-    let p = dev.global.alloc_zeroed::<f64>(32);
-    let cfg = LaunchConfig { num_blocks: 1, threads_per_block: 64, smem_bytes: 0 };
-    let stats = dev
-        .launch(&cfg, |team| {
-            let lanes: Vec<u32> = (0..32).collect();
-            team.run_lanes(0, &lanes, |lane, id| {
-                lane.read(p, id as u64);
-            });
-            team.run_lanes(1, &lanes, |lane, id| {
-                lane.read(p, id as u64);
-            });
-        })
-        .unwrap();
-    assert_eq!(stats.total_sectors, 16, "both warps miss their own L1");
-    assert_eq!(stats.total_dram_sectors, 8, "but DRAM traffic deduplicates");
+    for cell in &CELLS {
+        // Warp 1 reading what warp 0 cached still misses its own window (the
+        // traffic then deduplicates at the DRAM level, not L1).
+        let mut dev = device(cell);
+        let p = dev.global.alloc_zeroed::<f64>(32);
+        let cfg = LaunchConfig { num_blocks: 1, threads_per_block: 64, smem_bytes: 0 };
+        let stats = dev
+            .launch(&cfg, |team| {
+                let lanes: Vec<u32> = (0..32).collect();
+                team.run_lanes(0, &lanes, |lane, id| {
+                    lane.read(p, id as u64);
+                });
+                team.run_lanes(1, &lanes, |lane, id| {
+                    lane.read(p, id as u64);
+                });
+            })
+            .unwrap();
+        assert_eq!(stats.total_sectors, 16, "both warps miss their own L1");
+        assert_eq!(stats.total_dram_sectors, 8, "but DRAM traffic deduplicates");
+    }
 }
 
 #[test]
 fn first_touch_resets_between_launches() {
-    let mut dev = device();
-    let p = dev.global.alloc_zeroed::<f64>(32);
-    let run = |dev: &mut Device| {
-        dev.launch(&one_block(), |team| {
-            let lanes: Vec<u32> = (0..32).collect();
-            team.run_lanes(0, &lanes, |lane, id| {
-                lane.read(p, id as u64);
-            });
-        })
-        .unwrap()
-        .total_dram_sectors
-    };
-    assert_eq!(run(&mut dev), 8);
-    // A new launch re-pays compulsory traffic (device caches are not
-    // assumed warm across kernels).
-    assert_eq!(run(&mut dev), 8);
+    for cell in &CELLS {
+        let mut dev = device(cell);
+        let p = dev.global.alloc_zeroed::<f64>(32);
+        let run = |dev: &mut Device| {
+            dev.launch(&one_block(), |team| {
+                let lanes: Vec<u32> = (0..32).collect();
+                team.run_lanes(0, &lanes, |lane, id| {
+                    lane.read(p, id as u64);
+                });
+            })
+            .unwrap()
+            .total_dram_sectors
+        };
+        assert_eq!(run(&mut dev), 8);
+        // A new launch re-pays compulsory traffic (device caches are not
+        // assumed warm across kernels).
+        assert_eq!(run(&mut dev), 8);
+    }
 }
 
 #[test]
@@ -175,10 +196,9 @@ fn cross_block_compulsory_traffic_survives_l1_refetches() {
     //   3 atoms each.
     // Totals: 28 DRAM sectors (= 8 lines x sectors {0,2,3} + lines 4..7
     // x sector 1) in 20 atoms. L1 misses: every block pays 5 + 10 + 1.
-    let run = |threads: usize| {
-        let mut dev = device();
+    let run = |cell: &Cell| {
+        let mut dev = device(cell);
         dev.cost.l1_lines = 4;
-        dev.set_sim_threads(Some(threads));
         let p = dev.global.alloc_zeroed::<f64>(16 * 8);
         let cfg = LaunchConfig { num_blocks: 4, threads_per_block: 32, smem_bytes: 0 };
         dev.launch(&cfg, |team| {
@@ -204,9 +224,9 @@ fn cross_block_compulsory_traffic_survives_l1_refetches() {
         })
         .unwrap()
     };
-    for threads in [1, 2, 4] {
-        let s = run(threads);
-        let at = format!("threads {threads}");
+    for cell in &CELLS {
+        let s = run(cell);
+        let at = format!("{cell:?}");
         assert_eq!(s.total_dram_sectors, 28, "{at}");
         assert_eq!(s.mem.dram_sectors, s.total_dram_sectors, "{at}");
         assert_eq!(s.mem.dram_atoms, 20, "{at}");
@@ -217,45 +237,50 @@ fn cross_block_compulsory_traffic_survives_l1_refetches() {
 
 #[test]
 fn smem_bank_conflicts_serialize() {
-    // 32 lanes hitting 32 consecutive slots: each bank once → 1 wavefront.
-    // 32 lanes striding by 32 slots: all in bank 0 → 32 wavefronts.
-    let cost = |stride: u32| {
-        let mut dev = device();
-        let sc = dev.cost.smem_cycles;
-        let cfg = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 32 * 32 * 8 };
-        let stats = dev
-            .launch(&cfg, |team| {
-                let off = team.smem.alloc(32 * 32 * 8).unwrap();
-                let lanes: Vec<u32> = (0..32).collect();
-                team.run_lanes(0, &lanes, |lane, id| {
-                    lane.smem_write_f64(off, id * stride, 1.0);
-                });
-            })
-            .unwrap();
-        (stats.total_issue, sc)
-    };
-    let (conflict_free, sc) = cost(1);
-    let (fully_conflicted, _) = cost(32);
-    assert_eq!(conflict_free, sc, "one wavefront");
-    assert_eq!(fully_conflicted, 32 * sc, "32-way serialization");
+    for cell in &CELLS {
+        // 32 lanes hitting 32 consecutive slots: each bank once → 1 wavefront.
+        // 32 lanes striding by 32 slots: all in bank 0 → 32 wavefronts.
+        let cost = |stride: u32| {
+            let mut dev = device(cell);
+            let sc = dev.cost.smem_cycles;
+            let cfg =
+                LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 32 * 32 * 8 };
+            let stats = dev
+                .launch(&cfg, |team| {
+                    let off = team.smem.alloc(32 * 32 * 8).unwrap();
+                    let lanes: Vec<u32> = (0..32).collect();
+                    team.run_lanes(0, &lanes, |lane, id| {
+                        lane.smem_write_f64(off, id * stride, 1.0);
+                    });
+                })
+                .unwrap();
+            (stats.total_issue, sc)
+        };
+        let (conflict_free, sc) = cost(1);
+        let (fully_conflicted, _) = cost(32);
+        assert_eq!(conflict_free, sc, "one wavefront");
+        assert_eq!(fully_conflicted, 32 * sc, "32-way serialization");
+    }
 }
 
 #[test]
 fn smem_broadcast_is_free_of_conflicts() {
-    // All lanes reading the SAME slot broadcast in one wavefront.
-    let mut dev = device();
-    let sc = dev.cost.smem_cycles;
-    let cfg = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 1024 };
-    let stats = dev
-        .launch(&cfg, |team| {
-            let off = team.smem.alloc(64).unwrap();
-            let lanes: Vec<u32> = (0..32).collect();
-            team.run_lanes(0, &lanes, |lane, _| {
-                lane.smem_read_slot(off, 0);
-            });
-        })
-        .unwrap();
-    assert_eq!(stats.total_issue, sc, "broadcast costs one wavefront");
+    for cell in &CELLS {
+        // All lanes reading the SAME slot broadcast in one wavefront.
+        let mut dev = device(cell);
+        let sc = dev.cost.smem_cycles;
+        let cfg = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 1024 };
+        let stats = dev
+            .launch(&cfg, |team| {
+                let off = team.smem.alloc(64).unwrap();
+                let lanes: Vec<u32> = (0..32).collect();
+                team.run_lanes(0, &lanes, |lane, _| {
+                    lane.smem_read_slot(off, 0);
+                });
+            })
+            .unwrap();
+        assert_eq!(stats.total_issue, sc, "broadcast costs one wavefront");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -269,20 +294,24 @@ fn smem_broadcast_is_free_of_conflicts() {
 /// of a zeroed `len`-element array of `T` (segments are 256-byte aligned,
 /// so element byte offsets are sector offsets). Returns the deduplicated
 /// sectors the LSU saw, after checking that the cold L1 sent every one of
-/// them to L2.
+/// them to L2 and that every cell of the test matrix saw the same count.
 fn step_sectors<T: DevValue + Default>(len: usize, n: u32, idx: impl Fn(u32) -> u64 + Sync) -> u64 {
-    let mut dev = device();
-    let p = dev.global.alloc_zeroed::<T>(len);
-    let lanes: Vec<u32> = (0..n).collect();
-    let stats = dev
-        .launch(&one_block(), |team| {
-            team.run_lanes(0, &lanes, |lane, id| {
-                lane.read(p, idx(id));
-            });
-        })
-        .unwrap();
-    assert_eq!(stats.total_sectors, stats.mem.lsu_sectors, "a cold L1 misses every sector");
-    stats.mem.lsu_sectors
+    let counts = CELLS.map(|cell| {
+        let mut dev = device(&cell);
+        let p = dev.global.alloc_zeroed::<T>(len);
+        let lanes: Vec<u32> = (0..n).collect();
+        let stats = dev
+            .launch(&one_block(), |team| {
+                team.run_lanes(0, &lanes, |lane, id| {
+                    lane.read(p, idx(id));
+                });
+            })
+            .unwrap();
+        assert_eq!(stats.total_sectors, stats.mem.lsu_sectors, "a cold L1 misses every sector");
+        stats.mem.lsu_sectors
+    });
+    assert!(counts.iter().all(|&c| c == counts[0]), "sectors vary across cells: {counts:?}");
+    counts[0]
 }
 
 /// A 12-byte element: at unit stride, every third one straddles a 32-byte
@@ -342,35 +371,37 @@ fn coalesce_is_monotone_in_active_lanes() {
 
 #[test]
 fn burst_atoms_separate_strided_from_coalesced_fills() {
-    // Equal useful DRAM traffic, different burst-atom cost: a coalesced
-    // fill pays one 64 B atom per two sectors; 128 B-strided single-sector
-    // fills pay a whole atom each, doubling their effective bandwidth at
-    // the hierarchical DRAM roof.
-    let mut dev = device();
-    let p = dev.global.alloc_zeroed::<f64>(32 * 16);
-    let coalesced = dev
-        .launch(&one_block(), |team| {
-            let lanes: Vec<u32> = (0..32).collect();
-            team.run_lanes(0, &lanes, |lane, id| {
-                lane.read(p, id as u64);
-            });
-        })
-        .unwrap();
-    assert_eq!(coalesced.mem.dram_sectors, 8);
-    assert_eq!(coalesced.mem.dram_atoms, 4, "fully-coalesced: 2 sectors per atom");
+    for cell in &CELLS {
+        // Equal useful DRAM traffic, different burst-atom cost: a coalesced
+        // fill pays one 64 B atom per two sectors; 128 B-strided single-sector
+        // fills pay a whole atom each, doubling their effective bandwidth at
+        // the hierarchical DRAM roof.
+        let mut dev = device(cell);
+        let p = dev.global.alloc_zeroed::<f64>(32 * 16);
+        let coalesced = dev
+            .launch(&one_block(), |team| {
+                let lanes: Vec<u32> = (0..32).collect();
+                team.run_lanes(0, &lanes, |lane, id| {
+                    lane.read(p, id as u64);
+                });
+            })
+            .unwrap();
+        assert_eq!(coalesced.mem.dram_sectors, 8);
+        assert_eq!(coalesced.mem.dram_atoms, 4, "fully-coalesced: 2 sectors per atom");
 
-    let mut dev = device();
-    let p = dev.global.alloc_zeroed::<f64>(32 * 16);
-    let strided = dev
-        .launch(&one_block(), |team| {
-            let lanes: Vec<u32> = (0..32).collect();
-            team.run_lanes(0, &lanes, |lane, id| {
-                lane.read(p, id as u64 * 16);
-            });
-        })
-        .unwrap();
-    assert_eq!(strided.mem.dram_sectors, 32);
-    assert_eq!(strided.mem.dram_atoms, 32, "single-sector fills burn one atom each");
+        let mut dev = device(cell);
+        let p = dev.global.alloc_zeroed::<f64>(32 * 16);
+        let strided = dev
+            .launch(&one_block(), |team| {
+                let lanes: Vec<u32> = (0..32).collect();
+                team.run_lanes(0, &lanes, |lane, id| {
+                    lane.read(p, id as u64 * 16);
+                });
+            })
+            .unwrap();
+        assert_eq!(strided.mem.dram_sectors, 32);
+        assert_eq!(strided.mem.dram_atoms, 32, "single-sector fills burn one atom each");
+    }
 }
 
 /// A launch of the reuse-isolation test. Every kind but `Target` needs
@@ -390,12 +421,15 @@ enum Reuse {
     TinyL1,
 }
 
-fn reuse_launch(kind: Reuse) -> gpu_sim::LaunchStats {
+fn reuse_launch(kind: Reuse, sanitize: bool) -> gpu_sim::LaunchStats {
     const LINES: u64 = 4096;
     let mut dev = match kind {
         Reuse::Wave64 => Device::new(DeviceArch::mi100()),
-        _ => device(),
+        _ => Device::new(DeviceArch::a100()),
     };
+    if sanitize {
+        dev.enable_sanitizer();
+    }
     match kind {
         Reuse::Sector24 => dev.cost.sector_bytes = 24,
         Reuse::TinyL1 => dev.cost.l1_lines = 2,
@@ -433,17 +467,19 @@ fn reuse_launch(kind: Reuse) -> gpu_sim::LaunchStats {
 
 #[test]
 fn reused_block_state_is_isolated_across_launches_and_cost_models() {
-    let fresh = |kind| std::thread::spawn(move || reuse_launch(kind)).join().unwrap();
-    let kinds = [Reuse::Target, Reuse::Wave64, Reuse::Sector24, Reuse::TinyL1, Reuse::Target];
-    let want: Vec<_> = kinds.iter().map(|&k| fresh(k)).collect();
-    let target = &want[0];
-    assert!(target.total_l1_hits > 0 && target.total_dram_sectors > 0, "{target:?}");
-    assert!(target.total_dram_sectors < target.total_sectors, "blocks must share lines");
-    assert_ne!(want[3].total_l1_hits, target.total_l1_hits, "the tiny L1 must change hits");
-    // One thread, so every launch after the first reuses block state.
-    let got = std::thread::spawn(move || kinds.map(reuse_launch)).join().unwrap();
-    for ((kind, got), want) in kinds.iter().zip(&got).zip(&want) {
-        assert_eq!(got, want, "{kind:?} after reuse differs from a fresh thread");
+    for san in [false, true] {
+        let fresh = |kind| std::thread::spawn(move || reuse_launch(kind, san)).join().unwrap();
+        let kinds = [Reuse::Target, Reuse::Wave64, Reuse::Sector24, Reuse::TinyL1, Reuse::Target];
+        let want: Vec<_> = kinds.iter().map(|&k| fresh(k)).collect();
+        let target = &want[0];
+        assert!(target.total_l1_hits > 0 && target.total_dram_sectors > 0, "{target:?}");
+        assert!(target.total_dram_sectors < target.total_sectors, "blocks must share lines");
+        assert_ne!(want[3].total_l1_hits, target.total_l1_hits, "the tiny L1 must change hits");
+        // One thread, so every launch after the first reuses block state.
+        let got = std::thread::spawn(move || kinds.map(|k| reuse_launch(k, san))).join().unwrap();
+        for ((kind, got), want) in kinds.iter().zip(&got).zip(&want) {
+            assert_eq!(got, want, "{kind:?} after reuse differs from a fresh thread (san {san})");
+        }
     }
 }
 
@@ -478,10 +514,9 @@ fn elem_of_line(line: u64) -> u64 {
 /// refetch brings back.
 const COLLIDING: [u64; 7] = [4097, 8194, 12291, 16388, 20485, 24582, 28679];
 
-fn colliding_lines_launch(threads: usize) -> LaunchStats {
-    let mut dev = device();
+fn colliding_lines_launch(cell: &Cell) -> LaunchStats {
+    let mut dev = device(cell);
     dev.cost.l1_lines = 4;
-    dev.set_sim_threads(Some(threads));
     let p = dev.global.alloc_zeroed::<f64>(elem_of_line(28680) as usize);
     let cfg = LaunchConfig { num_blocks: 4, threads_per_block: 64, smem_bytes: 0 };
     dev.launch(&cfg, |team| {
@@ -537,17 +572,16 @@ fn colliding_visit_filter_slots_keep_dram_exact() {
             mlp_stalls: 1,
         },
     );
-    for threads in [1, 4] {
-        assert_eq!(colliding_lines_launch(threads), want, "threads {threads}");
+    for cell in &CELLS {
+        assert_eq!(colliding_lines_launch(cell), want, "{cell:?}");
     }
 }
 
 /// Three blocks step a warp through overlapping windows of 24 lines with a
 /// 12-line L1: three sets, not a power of two, so the set index divides.
-fn twelve_line_launch(threads: usize) -> LaunchStats {
-    let mut dev = device();
+fn twelve_line_launch(cell: &Cell) -> LaunchStats {
+    let mut dev = device(cell);
     dev.cost.l1_lines = 12;
-    dev.set_sim_threads(Some(threads));
     let p = dev.global.alloc_zeroed::<f64>(64 * 16);
     let cfg = LaunchConfig { num_blocks: 3, threads_per_block: 32, smem_bytes: 0 };
     dev.launch(&cfg, |team| {
@@ -585,7 +619,7 @@ fn non_power_of_two_set_count_keeps_its_pinned_stats() {
             mlp_stalls: 11,
         },
     );
-    for threads in [1, 4] {
-        assert_eq!(twelve_line_launch(threads), want, "threads {threads}");
+    for cell in &CELLS {
+        assert_eq!(twelve_line_launch(cell), want, "{cell:?}");
     }
 }

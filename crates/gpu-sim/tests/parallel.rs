@@ -1,7 +1,7 @@
 //! Determinism of the parallel block execution engine.
 //!
 //! Blocks are independent, so the simulator executes them on a worker pool
-//! (`SIMT_SIM_THREADS`), and the whole design stands on one promise: the
+//! (`Device::set_sim_threads`), and the whole design stands on one promise: the
 //! merged [`LaunchStats`] — cycles, every counter, the violation multiset,
 //! the event trace — is **bit-identical** to the serial run at any thread
 //! count. This suite checks the promise on seeded random kernels, hammers
@@ -9,11 +9,14 @@
 //! exercises the cross-team fallback-race detector that only the parallel
 //! merge step can see.
 
+mod common;
+
+use common::panics_alike_sanitized_or_not;
 use gpu_sim::mem::shared::SmOff;
 use gpu_sim::{
     DPtr, Device, DeviceArch, LaneMask, LaunchConfig, LaunchStats, Slot, TraceEvent, Violation,
 };
-use testkit::SimRng;
+use testkit::{SimRng, CELLS};
 
 /// Shape of one randomly generated kernel.
 #[derive(Clone, Copy, Debug)]
@@ -141,10 +144,13 @@ fn launch_stats_bit_identical_across_thread_counts() {
 #[test]
 fn traces_identical_across_thread_counts() {
     let shape = KernelShape { num_blocks: 12, nwarps: 2, steps: 3, seed: 0xC0FFEE };
-    let trace_of = |threads: usize| {
+    let trace_of = |threads: usize, sanitize: bool| {
         let mut dev = Device::new(DeviceArch::tiny());
         dev.set_sim_threads(Some(threads));
         dev.enable_trace(4096);
+        if sanitize {
+            dev.enable_sanitizer();
+        }
         let cfg = LaunchConfig {
             num_blocks: shape.num_blocks,
             threads_per_block: shape.nwarps * 32,
@@ -160,10 +166,13 @@ fn traces_identical_across_thread_counts() {
         .unwrap();
         dev.trace.events().to_vec()
     };
-    let serial = trace_of(1);
-    assert!(serial.iter().any(|e| matches!(e, TraceEvent::BlockBarrier { .. })));
-    for threads in [2, 4, 8] {
-        assert_eq!(trace_of(threads), serial, "trace diverged at {threads} threads");
+    for sanitize in [false, true] {
+        let serial = trace_of(1, sanitize);
+        assert!(serial.iter().any(|e| matches!(e, TraceEvent::BlockBarrier { .. })));
+        for threads in [2, 4, 8] {
+            let trace = trace_of(threads, sanitize);
+            assert_eq!(trace, serial, "trace diverged at {threads} threads (sanitize {sanitize})");
+        }
     }
 }
 
@@ -178,6 +187,12 @@ fn stress_concurrent_blocks_on_shared_global_memory() {
         let cell = dev.global.alloc_zeroed::<u64>(1);
         let cfg = LaunchConfig { num_blocks: 64, threads_per_block: 64, smem_bytes: 0 };
         for round in 0..4u64 {
+            // Odd rounds run sanitized.
+            if round % 2 == 1 {
+                dev.enable_sanitizer();
+            } else {
+                dev.disable_sanitizer();
+            }
             let stats = dev
                 .launch(&cfg, move |team| {
                     for w in 0..team.nwarps() {
@@ -305,24 +320,24 @@ fn cross_team_join_ignores_freed_fallbacks() {
 #[test]
 #[should_panic(expected = "use after free")]
 fn foreign_read_of_a_freed_fallback_panics() {
-    let mut dev = Device::new(DeviceArch::tiny());
-    dev.set_sim_threads(Some(1));
-    let mailbox = dev.global.alloc_zeroed::<u64>(1);
-    let cfg = LaunchConfig { num_blocks: 2, threads_per_block: 32, smem_bytes: 256 };
-    let _ = dev.launch(&cfg, move |team| {
-        if team.block_id == 0 {
-            let p: DPtr<u64> = team.alloc_shared_fallback(0, 4);
-            team.run_lanes(0, &[0], move |lane, _| {
-                lane.write(p, 0, 7);
-                lane.write(mailbox, 0, p.to_bits());
-            });
-            team.free_shared_fallback(p);
-        } else {
-            team.run_lanes(0, &[0], move |lane, _| {
-                let p = DPtr::<u64>::from_bits(lane.read(mailbox, 0));
-                let _ = lane.read(p, 0);
-            });
-        }
+    panics_alike_sanitized_or_not(DeviceArch::tiny(), |dev| {
+        let mailbox = dev.global.alloc_zeroed::<u64>(1);
+        let cfg = LaunchConfig { num_blocks: 2, threads_per_block: 32, smem_bytes: 256 };
+        let _ = dev.launch(&cfg, move |team| {
+            if team.block_id == 0 {
+                let p: DPtr<u64> = team.alloc_shared_fallback(0, 4);
+                team.run_lanes(0, &[0], move |lane, _| {
+                    lane.write(p, 0, 7);
+                    lane.write(mailbox, 0, p.to_bits());
+                });
+                team.free_shared_fallback(p);
+            } else {
+                team.run_lanes(0, &[0], move |lane, _| {
+                    let p = DPtr::<u64>::from_bits(lane.read(mailbox, 0));
+                    let _ = lane.read(p, 0);
+                });
+            }
+        });
     });
 }
 
@@ -331,15 +346,15 @@ fn foreign_read_of_a_freed_fallback_panics() {
 #[test]
 #[should_panic(expected = "use after free")]
 fn stale_view_of_a_freed_host_segment_panics() {
-    let mut dev = Device::new(DeviceArch::tiny());
-    dev.set_sim_threads(Some(1));
-    let data = dev.global.alloc_from(&[1u64, 2]);
-    let cfg = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
-    let _ = dev.launch(&cfg, move |team| {
-        team.run_lanes(0, &[0], move |lane, _| assert_eq!(lane.read(data, 1), 2));
-        team.global_ref().free(data);
-        team.run_lanes(0, &[0], move |lane, _| {
-            let _ = lane.read(data, 1);
+    panics_alike_sanitized_or_not(DeviceArch::tiny(), |dev| {
+        let data = dev.global.alloc_from(&[1u64, 2]);
+        let cfg = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
+        let _ = dev.launch(&cfg, move |team| {
+            team.run_lanes(0, &[0], move |lane, _| assert_eq!(lane.read(data, 1), 2));
+            team.global_ref().free(data);
+            team.run_lanes(0, &[0], move |lane, _| {
+                let _ = lane.read(data, 1);
+            });
         });
     });
 }
@@ -406,10 +421,13 @@ fn alternating_devices_never_share_cached_segments() {
         KernelShape { num_blocks: 9, nwarps: 2, steps: 3, seed: 11 },
         KernelShape { num_blocks: 14, nwarps: 1, steps: 5, seed: 22 },
     ];
-    for threads in [1, 2] {
+    for cell in &CELLS {
         let device = |i: usize| {
             let mut dev = Device::new(DeviceArch::tiny());
-            dev.set_sim_threads(Some(threads));
+            dev.set_sim_threads(cell.threads);
+            if cell.sanitize {
+                dev.enable_sanitizer();
+            }
             // Device 1's layout starts with an f64 segment of another
             // length, so a stale segment 0 would be caught as type
             // confusion or read the wrong words.
@@ -431,7 +449,7 @@ fn alternating_devices_never_share_cached_segments() {
                 alternated[i].push(run_shape_on(dev, shapes[i]));
             }
         }
-        assert_eq!(alternated, alone, "threads={threads}");
+        assert_eq!(alternated, alone, "{cell:?}");
     }
 }
 

@@ -4,7 +4,17 @@
 use gpu_sim::cost::CostModel;
 use gpu_sim::mem::shared::SharedMem;
 use gpu_sim::{DPtr, Device, DeviceArch, LaneMask, LaunchConfig, Slot};
-use testkit::check;
+use testkit::{check, Cell, CELLS};
+
+/// A tiny device with `cell`'s sim threads and sanitizer.
+fn device(cell: &Cell) -> Device {
+    let mut dev = Device::new(DeviceArch::tiny());
+    dev.set_sim_threads(cell.threads);
+    if cell.sanitize {
+        dev.enable_sanitizer();
+    }
+    dev
+}
 
 /// Group masks partition the warp: disjoint, equal-sized, covering.
 #[test]
@@ -120,10 +130,11 @@ fn global_memory_roundtrip() {
 /// compute, independent of which lanes run.
 #[test]
 fn lockstep_is_max_combining() {
+    let mut cells = CELLS.iter().cycle();
     check("lockstep_is_max_combining", |rng| {
         let n = rng.range_usize(1, 32);
         let costs: Vec<u64> = (0..n).map(|_| rng.range_u64(1, 500)).collect();
-        let mut dev = Device::new(DeviceArch::tiny());
+        let mut dev = device(cells.next().unwrap());
         let cfg = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
         let costs2 = costs.clone();
         let stats = dev
@@ -143,12 +154,14 @@ fn lockstep_is_max_combining() {
 /// Launch cycle counts are deterministic for arbitrary compute shapes.
 #[test]
 fn launches_are_deterministic() {
+    let mut cells = CELLS.iter().cycle();
     check("launches_are_deterministic", |rng| {
+        let cell = cells.next().unwrap();
         let blocks = rng.range_u32(1, 16);
         let warps = rng.range_u32(1, 4);
         let work = rng.range_u64(1, 1000);
         let run = || {
-            let mut dev = Device::new(DeviceArch::tiny());
+            let mut dev = device(cell);
             let cfg =
                 LaunchConfig { num_blocks: blocks, threads_per_block: warps * 32, smem_bytes: 256 };
             dev.launch(&cfg, |team| {

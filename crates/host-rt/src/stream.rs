@@ -185,6 +185,15 @@ mod tests {
     use super::*;
     use crate::device::HostRuntime;
     use gpu_sim::LaunchConfig;
+    use testkit::{Cell, CELLS};
+
+    /// Set `dev`'s sim threads and sanitizer as `cell` says.
+    fn apply(cell: &Cell, dev: &mut gpu_sim::Device) {
+        dev.set_sim_threads(cell.threads);
+        if cell.sanitize {
+            dev.enable_sanitizer();
+        }
+    }
 
     #[test]
     fn stream_executes_in_order() {
@@ -208,42 +217,45 @@ mod tests {
 
     #[test]
     fn stream_runs_kernels_and_transfers() {
-        let rt = HostRuntime::new();
-        let s = Stream::new(rt.device(0));
-        let host: Vec<f64> = (0..256).map(|i| i as f64).collect();
-        let host2 = host.clone();
-        let dev = rt.device(0);
-        let p = dev.lock().dev.global.alloc_zeroed::<f64>(256);
+        for cell in &CELLS {
+            let rt = HostRuntime::new();
+            apply(cell, &mut rt.device(0).lock().dev);
+            let s = Stream::new(rt.device(0));
+            let host: Vec<f64> = (0..256).map(|i| i as f64).collect();
+            let host2 = host.clone();
+            let dev = rt.device(0);
+            let p = dev.lock().dev.global.alloc_zeroed::<f64>(256);
 
-        s.enqueue_h2d(move |md| {
-            md.dev.global.write_slice(p, &host2);
-            let model = md.model;
-            md.xfer.record_h2d(&model, 256 * 8);
-            model.cycles_for(256 * 8)
-        });
-        s.enqueue(move |md| {
-            let cfg = LaunchConfig { num_blocks: 2, threads_per_block: 32, smem_bytes: 0 };
-            md.dev
-                .launch(&cfg, |team| {
-                    let lanes: Vec<u32> = (0..32).collect();
-                    let bid = team.block_id as u64;
-                    team.run_lanes(0, &lanes, move |lane, id| {
-                        let i = bid * 128 + id as u64;
-                        let v = lane.read(p, i);
-                        lane.write(p, i, v * 2.0);
-                    });
-                })
-                .unwrap()
-                .cycles
-        });
-        let total = s.sync();
-        assert!(total > 0);
-        let got = dev.lock().dev.global.read_slice(p, 4);
-        assert_eq!(got, vec![0.0, 2.0, 4.0, 6.0]);
-        // Same stream: the kernel queued behind the transfer, no overlap.
-        let st = s.timeline().stats();
-        assert_eq!(st.makespan, st.serialized);
-        assert_eq!(st.overlap_ratio, 0.0);
+            s.enqueue_h2d(move |md| {
+                md.dev.global.write_slice(p, &host2);
+                let model = md.model;
+                md.xfer.record_h2d(&model, 256 * 8);
+                model.cycles_for(256 * 8)
+            });
+            s.enqueue(move |md| {
+                let cfg = LaunchConfig { num_blocks: 2, threads_per_block: 32, smem_bytes: 0 };
+                md.dev
+                    .launch(&cfg, |team| {
+                        let lanes: Vec<u32> = (0..32).collect();
+                        let bid = team.block_id as u64;
+                        team.run_lanes(0, &lanes, move |lane, id| {
+                            let i = bid * 128 + id as u64;
+                            let v = lane.read(p, i);
+                            lane.write(p, i, v * 2.0);
+                        });
+                    })
+                    .unwrap()
+                    .cycles
+            });
+            let total = s.sync();
+            assert!(total > 0);
+            let got = dev.lock().dev.global.read_slice(p, 4);
+            assert_eq!(got, vec![0.0, 2.0, 4.0, 6.0]);
+            // Same stream: the kernel queued behind the transfer, no overlap.
+            let st = s.timeline().stats();
+            assert_eq!(st.makespan, st.serialized);
+            assert_eq!(st.overlap_ratio, 0.0);
+        }
     }
 
     #[test]
@@ -316,20 +328,23 @@ mod tests {
 
     #[test]
     fn enqueue_launch_records_block_count_on_timeline() {
-        let rt = HostRuntime::new();
-        let s = rt.stream(0);
-        s.enqueue_h2d(|_| 50);
-        s.enqueue_launch(|md| {
-            let cfg = LaunchConfig { num_blocks: 6, threads_per_block: 64, smem_bytes: 0 };
-            md.dev.launch(&cfg, |team| team.charge_alu(0, 100)).unwrap()
-        });
-        s.sync();
-        let ops = s.timeline().scheduled_ops();
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].blocks, 0, "transfers carry no block count");
-        assert_eq!(ops[1].blocks, 6, "launch op must carry the real grid size");
-        assert_eq!(ops[1].resource, Some(Resource::Compute));
-        assert!(ops[1].cost > 0);
+        for cell in &CELLS {
+            let rt = HostRuntime::new();
+            apply(cell, &mut rt.device(0).lock().dev);
+            let s = rt.stream(0);
+            s.enqueue_h2d(|_| 50);
+            s.enqueue_launch(|md| {
+                let cfg = LaunchConfig { num_blocks: 6, threads_per_block: 64, smem_bytes: 0 };
+                md.dev.launch(&cfg, |team| team.charge_alu(0, 100)).unwrap()
+            });
+            s.sync();
+            let ops = s.timeline().scheduled_ops();
+            assert_eq!(ops.len(), 2);
+            assert_eq!(ops[0].blocks, 0, "transfers carry no block count");
+            assert_eq!(ops[1].blocks, 6, "launch op must carry the real grid size");
+            assert_eq!(ops[1].resource, Some(Resource::Compute));
+            assert!(ops[1].cost > 0);
+        }
     }
 
     #[test]

@@ -170,6 +170,8 @@ pub fn speedup(base_cycles: u64, new_cycles: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_cells::apply;
+    use testkit::CELLS;
 
     #[test]
     fn variant_labels() {
@@ -207,21 +209,25 @@ mod tests {
 
     #[test]
     fn measure_checks_determinism_and_error() {
-        let arch = gpu_sim::DeviceArch::tiny();
-        let run = measure("toy", &arch, 3, &[5.0], |dev| {
-            let p = dev.global.alloc_zeroed::<f64>(1);
-            let cfg = gpu_sim::LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
-            let stats = dev
-                .launch(&cfg, |team| {
-                    team.run_lanes(0, &[0], |lane, _| {
-                        lane.write(p, 0, 5.0);
-                    });
-                })
-                .unwrap();
-            (dev.global.read_slice(p, 1), stats)
-        });
-        assert!(run.verified(0.0));
-        assert!(run.cycles() > 0);
-        assert_eq!(run.job_id, ((lane_of("toy") as u64) << 32) | 2);
+        for cell in &CELLS {
+            let arch = gpu_sim::DeviceArch::tiny();
+            let run = measure("toy", &arch, 3, &[5.0], |dev| {
+                apply(cell, dev);
+                let p = dev.global.alloc_zeroed::<f64>(1);
+                let cfg =
+                    gpu_sim::LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
+                let stats = dev
+                    .launch(&cfg, |team| {
+                        team.run_lanes(0, &[0], |lane, _| {
+                            lane.write(p, 0, 5.0);
+                        });
+                    })
+                    .unwrap();
+                (dev.global.read_slice(p, 1), stats)
+            });
+            assert!(run.verified(0.0));
+            assert!(run.cycles() > 0);
+            assert_eq!(run.job_id, ((lane_of("toy") as u64) << 32) | 2);
+        }
     }
 }

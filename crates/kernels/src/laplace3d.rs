@@ -220,7 +220,9 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_cells::{device, oracle};
     use omp_core::config::ExecMode;
+    use testkit::CELLS;
 
     fn close(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(p, q)| (p - q).abs() <= 1e-12)
@@ -228,15 +230,19 @@ mod tests {
 
     #[test]
     fn all_variants_match_reference() {
-        let w = Laplace3dWorkload::generate(18);
-        let want = w.reference();
-        for variant in [Fig10Variant::NoSimd, Fig10Variant::SpmdSimd, Fig10Variant::GenericSimd] {
-            let mut dev = Device::a100();
-            let ops = Laplace3dDev::upload(&mut dev, &w);
-            let k = build(8, 64, variant);
-            assert_eq!(k.analysis.teams_mode, ExecMode::Spmd, "{variant:?}");
-            let (out, _) = run(&mut dev, &k, &ops);
-            assert!(close(&out, &want), "{variant:?}");
+        for cell in &CELLS {
+            let w = Laplace3dWorkload::generate(18);
+            let want = w.reference();
+            for variant in [Fig10Variant::NoSimd, Fig10Variant::SpmdSimd, Fig10Variant::GenericSimd]
+            {
+                let mut dev = device(cell, gpu_sim::DeviceArch::a100());
+                let ops = Laplace3dDev::upload(&mut dev, &w);
+                let k = build(8, 64, variant);
+                assert_eq!(k.analysis.teams_mode, ExecMode::Spmd, "{variant:?}");
+                oracle(cell, &mut dev, &k, &ops.args());
+                let (out, _) = run(&mut dev, &k, &ops);
+                assert!(close(&out, &want), "{variant:?}");
+            }
         }
     }
 

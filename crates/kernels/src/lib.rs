@@ -34,3 +34,5 @@ pub mod plangen;
 pub mod spmv;
 pub mod stencil2d;
 pub mod su3;
+#[cfg(test)]
+mod test_cells;

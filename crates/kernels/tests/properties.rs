@@ -2,18 +2,38 @@
 //! workloads, geometries and group sizes. Driven by the in-tree `testkit`
 //! harness; case counts are low because each case launches full kernels.
 //!
-//! Devices come from [`Device::from_env`], so `SIMT_SIM_ARCH=mi100` runs
-//! the whole suite on the wave64 backend (CI's backend axis): every team
-//! here is 64 threads and every group size divides 64, so the same
-//! geometry launches on either warp width.
+//! Successive cases take successive `testkit::CELLS`, so every property
+//! runs on both backends, at every thread count, sanitized and not, and
+//! through the engine oracle: every team here is 64 threads and every
+//! group size divides 64, so the same geometry launches on either warp
+//! width.
 
-use gpu_sim::{Device, DeviceArch};
+use gpu_sim::{ArchId, Device, Slot};
+use omp_codegen::CompiledKernel;
 use omp_core::config::ExecMode;
 use omp_core::sharing::SlotLayout;
 use omp_kernels::harness::{max_abs_err, Fig10Variant};
 use omp_kernels::matrix::{CsrMatrix, RowProfile};
 use omp_kernels::{ideal, laplace3d, muram, spmv, stencil2d, su3};
-use testkit::{cases, SimRng};
+use testkit::{cases, Cell, SimRng, CELLS};
+
+/// A device on `cell`'s backend and thread count, sanitized if it says so.
+fn device(cell: &Cell) -> Device {
+    let mut d = Device::new(ArchId::lookup(cell.arch).unwrap().arch());
+    d.set_sim_threads(cell.threads);
+    if cell.sanitize {
+        d.enable_sanitizer();
+    }
+    d
+}
+
+/// In an oracle cell, launch `k` on both engines (asserting equal stats
+/// and memory) before the kernel's own `run`.
+fn oracle(cell: &Cell, dev: &mut Device, k: &CompiledKernel, args: &[Slot]) {
+    if cell.oracle {
+        k.launch_oracle(dev, args).unwrap();
+    }
+}
 
 fn any_profile(rng: &mut SimRng) -> RowProfile {
     match rng.range_u32(0, 3) {
@@ -39,7 +59,9 @@ fn csr_generator_structurally_valid() {
 /// group sizes — including rows shorter than the group.
 #[test]
 fn spmv_matches_reference() {
+    let mut cells = CELLS.iter().cycle();
     cases("spmv_matches_reference", 24, |rng| {
+        let cell = cells.next().unwrap();
         let nrows = rng.range_usize(16, 300);
         let profile = any_profile(rng);
         let seed = rng.next_u64();
@@ -48,9 +70,10 @@ fn spmv_matches_reference() {
         let mat = CsrMatrix::generate(nrows, nrows, profile, seed);
         let x: Vec<f64> = (0..nrows).map(|i| ((i * 3) % 7) as f64 * 0.5).collect();
         let want = mat.spmv_ref(&x);
-        let mut dev = Device::from_env();
+        let mut dev = device(cell);
         let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
         let k = spmv::build_three_level(teams, 64, gs);
+        oracle(cell, &mut dev, &k, &ops.args());
         let (y, _) = spmv::run(&mut dev, &k, &ops);
         assert!(max_abs_err(&y, &want) < 1e-9);
     });
@@ -59,15 +82,18 @@ fn spmv_matches_reference() {
 /// SU3 matches the host reference for arbitrary site counts.
 #[test]
 fn su3_matches_reference() {
+    let mut cells = CELLS.iter().cycle();
     cases("su3_matches_reference", 24, |rng| {
+        let cell = cells.next().unwrap();
         let sites = rng.range_usize(1, 128);
         let seed = rng.next_u64();
         let gs = 1u32 << rng.range_u32(0, 6);
         let w = su3::Su3Workload::generate(sites, seed);
         let want = w.reference();
-        let mut dev = Device::from_env();
+        let mut dev = device(cell);
         let ops = su3::Su3Dev::upload(&mut dev, &w);
         let k = su3::build(4, 64, gs);
+        oracle(cell, &mut dev, &k, &ops.args());
         let (c, _) = su3::run(&mut dev, &k, &ops);
         assert!(max_abs_err(&c, &want) < 1e-12);
     });
@@ -76,15 +102,18 @@ fn su3_matches_reference() {
 /// The ideal kernel's permuted offsets never alias, for any outer size.
 #[test]
 fn ideal_matches_reference() {
+    let mut cells = CELLS.iter().cycle();
     cases("ideal_matches_reference", 24, |rng| {
+        let cell = cells.next().unwrap();
         let outer = rng.range_usize(1, 200);
         let seed = rng.next_u64();
         let gs = 1u32 << rng.range_u32(0, 6);
         let w = ideal::IdealWorkload::generate(outer, seed);
         let want = w.reference();
-        let mut dev = Device::from_env();
+        let mut dev = device(cell);
         let ops = ideal::IdealDev::upload(&mut dev, &w);
         let k = ideal::build(4, 64, gs);
+        oracle(cell, &mut dev, &k, &ops.args());
         let (out, _) = ideal::run(&mut dev, &k, &ops);
         assert_eq!(out, want);
     });
@@ -94,23 +123,27 @@ fn ideal_matches_reference() {
 /// variants.
 #[test]
 fn grid_kernels_match_reference() {
+    let mut cells = CELLS.iter().cycle();
     cases("grid_kernels_match_reference", 12, |rng| {
+        let cell = cells.next().unwrap();
         let n = rng.range_usize(5, 28);
         let variant = *rng.pick(&Fig10Variant::ALL);
         let lw = laplace3d::Laplace3dWorkload::generate(n);
         let want = lw.reference();
-        let mut dev = Device::from_env();
+        let mut dev = device(cell);
         let ops = laplace3d::Laplace3dDev::upload(&mut dev, &lw);
         let k = laplace3d::build(4, 64, variant);
+        oracle(cell, &mut dev, &k, &ops.args());
         let (out, _) = laplace3d::run(&mut dev, &k, &ops);
         assert!(max_abs_err(&out, &want) < 1e-12);
 
         let mw = muram::MuramWorkload::generate(n);
         for which in [muram::MuramKernel::Transpose, muram::MuramKernel::Interpol] {
             let want = mw.reference(which);
-            let mut dev = Device::from_env();
+            let mut dev = device(cell);
             let ops = muram::MuramDev::upload(&mut dev, &mw);
             let k = muram::build(which, 4, 64, variant);
+            oracle(cell, &mut dev, &k, &ops.args());
             let (out, _) = muram::run(&mut dev, &k, &ops);
             assert_eq!(&out, &want);
         }
@@ -127,7 +160,9 @@ fn grid_kernels_match_reference() {
 /// the static staging report.
 #[test]
 fn stencil_halo_staging_matches_spmd_reference() {
+    let mut cells = CELLS.iter().cycle();
     cases("stencil_halo_staging_matches_spmd_reference", 16, |rng| {
+        let cell = cells.next().unwrap();
         let nx = rng.range_usize(3, 48);
         let ny = rng.range_usize(3, 16);
         let tw = rng.range_u64(1, 13);
@@ -138,7 +173,7 @@ fn stencil_halo_staging_matches_spmd_reference() {
         let w = stencil2d::Stencil2dWorkload::generate(nx, ny);
         let want = w.reference();
 
-        let mut dev = Device::from_env();
+        let mut dev = device(cell);
         let ops = stencil2d::Stencil2dDev::upload(&mut dev, &w, tw);
         let halo = stencil2d::build(
             teams,
@@ -147,6 +182,7 @@ fn stencil_halo_staging_matches_spmd_reference() {
             sharing,
             stencil2d::Stencil2dVariant::HaloShared,
         );
+        oracle(cell, &mut dev, &halo, &ops.args());
         let (got, stats) = stencil2d::run(&mut dev, &halo, &ops);
         assert_eq!(
             max_abs_err(&got, &want),
@@ -154,7 +190,7 @@ fn stencil_halo_staging_matches_spmd_reference() {
             "nx={nx} ny={ny} tw={tw} gs={simdlen} sh={sharing}"
         );
 
-        let mut dev = Device::from_env();
+        let mut dev = device(cell);
         let ops = stencil2d::Stencil2dDev::upload(&mut dev, &w, tw);
         let spmd = stencil2d::build(
             teams,
@@ -163,6 +199,7 @@ fn stencil_halo_staging_matches_spmd_reference() {
             sharing,
             stencil2d::Stencil2dVariant::SpmdRef,
         );
+        oracle(cell, &mut dev, &spmd, &ops.args());
         let (ref_got, _) = stencil2d::run(&mut dev, &spmd, &ops);
         assert_eq!(got, ref_got, "halo-shared and SPMD kernels must agree bit-exactly");
 
@@ -170,7 +207,7 @@ fn stencil_halo_staging_matches_spmd_reference() {
         // the pure slot arithmetic. On a backend without warp sync the
         // generic simd region legalizes (§5.4.1) and never stages at all,
         // so the fallback counter stays zero regardless of the report.
-        let arch = DeviceArch::from_env();
+        let arch = dev.arch.clone();
         let report = halo.analysis.staging_report(&halo.config, arch.warp_size, 0);
         let layout = SlotLayout::for_bytes(sharing, threads / simdlen);
         let desc = &halo.analysis.parallels[0].desc;
@@ -198,15 +235,21 @@ fn stencil_halo_staging_matches_spmd_reference() {
 /// association-order tolerance.
 #[test]
 fn spmv_reduce_agrees_with_atomic() {
+    let mut cells = CELLS.iter().cycle();
     cases("spmv_reduce_agrees_with_atomic", 24, |rng| {
+        let cell = cells.next().unwrap();
         let seed = rng.next_u64();
         let gs = 1u32 << rng.range_u32(1, 6);
         let mat = CsrMatrix::generate(128, 128, RowProfile::Banded { min: 2, max: 24 }, seed);
         let x: Vec<f64> = (0..128).map(|i| (i % 5) as f64).collect();
-        let mut dev = Device::from_env();
+        let mut dev = device(cell);
         let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
-        let (ya, _) = spmv::run(&mut dev, &spmv::build_three_level(4, 64, gs), &ops);
-        let (yr, _) = spmv::run(&mut dev, &spmv::build_three_level_reduce(4, 64, gs), &ops);
+        let atomic = spmv::build_three_level(4, 64, gs);
+        let reduce = spmv::build_three_level_reduce(4, 64, gs);
+        oracle(cell, &mut dev, &atomic, &ops.args());
+        let (ya, _) = spmv::run(&mut dev, &atomic, &ops);
+        oracle(cell, &mut dev, &reduce, &ops.args());
+        let (yr, _) = spmv::run(&mut dev, &reduce, &ops);
         assert!(max_abs_err(&ya, &yr) < 1e-9);
     });
 }

@@ -12,7 +12,7 @@
 //! scratch [`Device`]** whose architecture comes from the unit's own plan
 //! key (`unit.key.arch`) — never from the worker that runs it. Device
 //! construction is cheap in this simulator, so a unit's [`LaunchStats`]
-//! is a pure function of (plan, workload, key arch, `SIMT_SIM_THREADS`)
+//! is a pure function of (plan, workload, key arch, sim thread count)
 //! no matter which worker runs it, in which order, concurrently with
 //! what — which is why stealing stays stats-neutral even on a
 //! **heterogeneous fleet** mixing backends. The fleet's *devices* exist

@@ -72,8 +72,8 @@ pub struct ServiceConfig {
     /// Verify every launch against its host reference (tests; costs a
     /// reference computation per unit).
     pub verify: bool,
-    /// Block-execution threads for scratch devices (`None` = honor
-    /// `SIMT_SIM_THREADS`).
+    /// Block-execution threads for scratch devices (`None` = the host's
+    /// available parallelism).
     pub sim_threads: Option<usize>,
     /// Start with draining paused: submissions queue but nothing runs
     /// until [`LaunchService::resume`]. With one worker this makes the

@@ -7,8 +7,9 @@
 //!
 //! The traffic mix is mostly single-block micro/ideal jobs (the coalesced
 //! inline path the service optimizes for) with a sprinkle of multi-block
-//! launches so the `SIMT_SIM_THREADS` CI matrix also exercises in-device
-//! parallelism underneath the service.
+//! launches, and each worker count runs its scratch devices at its own sim
+//! thread count, so the replay also exercises in-device parallelism
+//! underneath the service.
 
 use omp_serve::{JobKind, JobSpec, LaunchService, ServiceConfig, ServiceReport, SubmitError};
 use testkit::{with_deadline, SimRng};
@@ -17,6 +18,9 @@ const TENANTS: usize = 4;
 const JOBS_PER_TENANT: usize = 8_400;
 const DEVICES: u32 = 3;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+/// The scratch devices' sim threads at each worker count: every
+/// `testkit::CELLS` thread count but one.
+const SIM_THREADS: [Option<usize>; 3] = [Some(1), Some(4), None];
 
 /// The fixed schedule: for each submission slot, which tenant submits
 /// what. Pure function of the seed — every run replays it exactly.
@@ -42,8 +46,8 @@ fn schedule() -> Vec<(usize, JobSpec)> {
                     seed: rng.next_u64(),
                 }
             } else {
-                // Rare multi-block launches (per-block threads under
-                // SIMT_SIM_THREADS > 1).
+                // Rare multi-block launches (per-block threads when the
+                // scratch devices run more than one sim thread).
                 JobKind::Ideal { teams: 2, threads: 64, simdlen: 8, outer: 4, seed: rng.next_u64() }
             };
             let affinity = (rng.range_u32(0, 4) == 0).then(|| rng.range_u32(0, DEVICES));
@@ -66,10 +70,11 @@ fn submit_blocking(client: &omp_serve::Client, spec: &JobSpec) -> u64 {
     }
 }
 
-fn run(workers: usize, plan: &[(usize, JobSpec)]) -> ServiceReport {
+fn run(workers: usize, sim_threads: Option<usize>, plan: &[(usize, JobSpec)]) -> ServiceReport {
     let svc = LaunchService::start(ServiceConfig {
         devices: DEVICES,
         workers,
+        sim_threads,
         tenant_queue_cap: 2048,
         ..ServiceConfig::default()
     });
@@ -90,7 +95,8 @@ fn replayed_schedule_is_bit_identical_across_worker_counts() {
             "stress must drive >= 1e5 launches through the service (got {total_jobs})"
         );
 
-        let reports: Vec<ServiceReport> = WORKER_COUNTS.iter().map(|&w| run(w, &plan)).collect();
+        let reports: Vec<ServiceReport> =
+            WORKER_COUNTS.iter().zip(SIM_THREADS).map(|(&w, t)| run(w, t, &plan)).collect();
         let baseline = &reports[0];
         // Every job was admitted (retries absorb backpressure; `rejected`
         // counts the timing-dependent QueueFull events themselves and is

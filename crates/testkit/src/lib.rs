@@ -11,6 +11,9 @@
 //! * [`check`] / [`cases`] — a miniature property-test loop: run a closure
 //!   over `n` seeded random cases and report the failing case's seed on
 //!   panic so a failure can be replayed exactly.
+//! * [`Cell`] / [`CELLS`] — the test matrix: the sim thread counts,
+//!   backends, sanitizer settings and engines a test runs its launches
+//!   under, named by the test instead of read from the environment.
 
 /// Deterministic 64-bit PRNG: splitmix64 seeding + xorshift64* stream.
 ///
@@ -76,6 +79,38 @@ impl SimRng {
         &xs[self.range_usize(0, xs.len())]
     }
 }
+
+/// One test configuration. Plain data, applied by the test itself with the
+/// simulator's own API: `Device::set_sim_threads(cell.threads)`,
+/// `Device::enable_sanitizer()` when `sanitize`, `ArchId::lookup(cell.arch)`
+/// for a test whose backend is not fixed, and
+/// `CompiledKernel::launch_oracle` instead of `launch` when `oracle`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cell {
+    /// Block-execution threads; `None` is the host's available parallelism.
+    pub threads: Option<usize>,
+    /// Registry name of the backend (`"a100"` or `"mi100"`).
+    pub arch: &'static str,
+    /// Launch with simtcheck on.
+    pub sanitize: bool,
+    /// Launch compiled kernels on both engines and assert they agree. The
+    /// oracle returns the bytecode engine's own launch, so an oracle cell
+    /// also covers the plain launch.
+    pub oracle: bool,
+}
+
+/// The test matrix, a covering array over the four axes: threads 1, 4, 8
+/// and the host default; the warp-barrier backend and the wave64 one that
+/// legalizes generic simd to sequential execution (paper §5.4.1); the
+/// sanitizer on and off; the oracle on and off. The sanitized cells run the
+/// oracle on both backends, so the two engines' violation lists are
+/// compared on each; the plain cells run the bytecode engine alone.
+pub const CELLS: [Cell; 4] = [
+    Cell { threads: Some(1), arch: "a100", sanitize: true, oracle: true },
+    Cell { threads: Some(4), arch: "mi100", sanitize: true, oracle: true },
+    Cell { threads: Some(8), arch: "a100", sanitize: false, oracle: false },
+    Cell { threads: None, arch: "mi100", sanitize: false, oracle: false },
+];
 
 /// Default number of cases per property (mirrors proptest's 256).
 pub const DEFAULT_CASES: u64 = 256;
@@ -161,6 +196,21 @@ fn case_seed(name: &str, case: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cells_cover_every_axis_value() {
+        let has = |f: &dyn Fn(&Cell) -> bool| CELLS.iter().any(f);
+        for t in [Some(1), Some(4), Some(8), None] {
+            assert!(has(&|c| c.threads == t), "threads {t:?}");
+        }
+        for arch in ["a100", "mi100"] {
+            for sanitize in [false, true] {
+                assert!(has(&|c| c.arch == arch && c.sanitize == sanitize), "{arch} {sanitize}");
+            }
+            assert!(has(&|c| c.arch == arch && c.sanitize && c.oracle), "{arch} oracle");
+        }
+        assert!(has(&|c| !c.oracle), "oracle off");
+    }
 
     #[test]
     fn rng_is_deterministic() {

@@ -17,22 +17,23 @@ use simt_omp::kernels::harness::Fig10Variant;
 use simt_omp::kernels::matrix::{CsrMatrix, RowProfile};
 use simt_omp::kernels::plangen::{self, random_portable_kernel};
 use simt_omp::kernels::{batched, ideal, laplace3d, muram, spmv, stencil2d, su3};
-use testkit::cases;
+use testkit::{cases, CELLS};
 
 /// Uploads a workload onto a fresh device; returns the argument payload
 /// and a reader for the host-visible output.
 type Setup<'a> = &'a mut dyn FnMut(&mut Device) -> (Vec<Slot>, Box<dyn Fn(&Device) -> Vec<f64>>);
 
 /// Run `k` on one architecture: lint gate (errors forbidden, remarks
-/// fine), differential oracle across sim-thread counts with stats pinned
-/// across them, one sanitized run that must stay violation-free. Returns
-/// the output bits.
+/// fine), differential oracle in every `testkit::CELLS` thread count and
+/// sanitizer setting, stats pinned across the unsanitized cells and the
+/// sanitized ones violation-free. Returns the output bits.
 fn run_on(label: &str, k: &CompiledKernel, arch: &DeviceArch, setup: Setup<'_>) -> Vec<u64> {
     let mut bits: Option<Vec<u64>> = None;
     let mut stats0 = None;
-    for (threads, sanitize) in [(1usize, false), (4, false), (1, true)] {
+    for cell in &CELLS {
+        let (threads, sanitize) = (cell.threads, cell.sanitize);
         let mut dev = Device::new(arch.clone());
-        dev.set_sim_threads(Some(threads));
+        dev.set_sim_threads(threads);
         if sanitize {
             dev.enable_sanitizer();
         }
@@ -46,7 +47,7 @@ fn run_on(label: &str, k: &CompiledKernel, arch: &DeviceArch, setup: Setup<'_>) 
         );
         let stats = k
             .launch_oracle(&mut dev, &args)
-            .unwrap_or_else(|e| panic!("{label} on {} (threads={threads}): {e:?}", arch.name));
+            .unwrap_or_else(|e| panic!("{label} on {} ({cell:?}): {e:?}", arch.name));
         assert!(
             stats.violations.is_empty(),
             "{label} on {}: sanitizer violations {:#?}",
@@ -67,7 +68,7 @@ fn run_on(label: &str, k: &CompiledKernel, arch: &DeviceArch, setup: Setup<'_>) 
                 None => stats0 = Some(stats),
                 Some(s0) => assert_eq!(
                     s0, &stats,
-                    "{label} on {}: stats vary with SIMT_SIM_THREADS",
+                    "{label} on {}: stats vary with the sim thread count",
                     arch.name
                 ),
             }
@@ -197,16 +198,18 @@ fn random_portable_plans_match_across_backends() {
     // 40 seeded random plans at portable geometry: one compiled plan,
     // both backends, bit-equal output. Workload parameters are drawn
     // before the arch loop so both backends see identical inputs.
+    let mut cells = CELLS.iter().cycle();
     cases("random_portable_plans_match_across_backends", 40, |rng| {
+        let cell = cells.next().unwrap();
         let k = random_portable_kernel(rng);
         let tbl = [rng.range_u64(0, 7), rng.range_u64(1, 9)];
         let n = rng.range_u64(1, 7);
-        let sim_threads = if rng.flip() { 1 } else { 4 };
-        // The fuzz surface includes deliberately degenerate plans (e.g.
-        // sharing_space = 0 → E-TEAM-POST), so the lint contract here is
-        // not "clean": it is that the wave64 backend reports exactly the
-        // same errors as a100 — legalization demotes E-ARCH to a remark,
-        // so going wave64 never *adds* an error.
+        let _ = rng.flip(); // the thread-count draw the cells replaced
+                            // The fuzz surface includes deliberately degenerate plans (e.g.
+                            // sharing_space = 0 → E-TEAM-POST), so the lint contract here is
+                            // not "clean": it is that the wave64 backend reports exactly the
+                            // same errors as a100 — legalization demotes E-ARCH to a remark,
+                            // so going wave64 never *adds* an error.
         let baseline: Vec<&str> = {
             let r = k.lint(&DeviceArch::a100(), 3);
             r.diags
@@ -239,7 +242,10 @@ fn random_portable_plans_match_across_backends() {
             );
             let name = arch.name;
             let mut dev = Device::new(arch);
-            dev.set_sim_threads(Some(sim_threads));
+            dev.set_sim_threads(cell.threads);
+            if cell.sanitize {
+                dev.enable_sanitizer();
+            }
             let out = dev.global.alloc_zeroed::<f64>(plangen::OUT_SLOTS);
             let dtbl = dev.global.alloc_from(&tbl);
             let args = [Slot::from_ptr(out), Slot::from_ptr(dtbl), Slot::from_u64(n)];
@@ -275,23 +281,28 @@ fn legalization_is_never_faster_at_equal_geometry() {
 
     let w = ideal::IdealWorkload::generate(24, 5);
     let k = ideal::build_forced_generic(2, 64, 8);
-    let run = |arch: &DeviceArch| {
-        let mut dev = Device::new(arch.clone());
-        dev.set_sim_threads(Some(1));
-        let d = ideal::IdealDev::upload(&mut dev, &w);
-        let stats = k.launch_oracle(&mut dev, &d.args()).expect("launch failed");
-        let bits: Vec<u64> = d.read_out(&dev).iter().map(|x| x.to_bits()).collect();
-        (stats, bits)
-    };
-    let (sm, sm_bits) = run(&with_sync);
-    let (seq, seq_bits) = run(&no_sync);
-    assert_eq!(sm.counters.sequential_simd_fallbacks, 0);
-    assert!(seq.counters.sequential_simd_fallbacks > 0, "no-warp-sync arch must legalize");
-    assert_eq!(sm_bits, seq_bits, "legalization changed the results");
-    assert!(
-        seq.cycles >= sm.cycles,
-        "sequential-simd legalization beat the state machine: {} < {}",
-        seq.cycles,
-        sm.cycles
-    );
+    for cell in &CELLS {
+        let run = |arch: &DeviceArch| {
+            let mut dev = Device::new(arch.clone());
+            dev.set_sim_threads(cell.threads);
+            if cell.sanitize {
+                dev.enable_sanitizer();
+            }
+            let d = ideal::IdealDev::upload(&mut dev, &w);
+            let stats = k.launch_oracle(&mut dev, &d.args()).expect("launch failed");
+            let bits: Vec<u64> = d.read_out(&dev).iter().map(|x| x.to_bits()).collect();
+            (stats, bits)
+        };
+        let (sm, sm_bits) = run(&with_sync);
+        let (seq, seq_bits) = run(&no_sync);
+        assert_eq!(sm.counters.sequential_simd_fallbacks, 0);
+        assert!(seq.counters.sequential_simd_fallbacks > 0, "no-warp-sync arch must legalize");
+        assert_eq!(sm_bits, seq_bits, "{cell:?}: legalization changed the results");
+        assert!(
+            seq.cycles >= sm.cycles,
+            "{cell:?}: sequential-simd legalization beat the state machine: {} < {}",
+            seq.cycles,
+            sm.cycles
+        );
+    }
 }

@@ -16,10 +16,10 @@ use simt_omp::kernels::harness::Fig10Variant;
 use simt_omp::kernels::matrix::{CsrMatrix, RowProfile};
 use simt_omp::kernels::plangen::{self, random_kernel};
 use simt_omp::kernels::{batched, ideal, laplace3d, muram, spmv, stencil2d, su3};
-use testkit::cases;
+use testkit::{cases, CELLS};
 
-/// Run one kernel through the oracle across the sim-thread / sanitizer
-/// matrix. `setup` uploads the workload and returns the argument payload.
+/// Run one kernel through the oracle in every `testkit::CELLS` thread count
+/// and sanitizer setting. `setup` uploads the workload and returns the argument payload.
 /// Lint-clean kernels must run violation-free; the rest (e.g. a zero-byte
 /// sharing space, whose team posts leak their fallbacks) must only agree.
 fn oracle_matrix(
@@ -28,20 +28,18 @@ fn oracle_matrix(
     arch: &DeviceArch,
     mut setup: impl FnMut(&mut Device) -> Vec<Slot>,
 ) {
-    for threads in [1usize, 4] {
-        for sanitize in [false, true] {
-            let mut dev = Device::new(arch.clone());
-            dev.set_sim_threads(Some(threads));
-            if sanitize {
-                dev.enable_sanitizer();
-            }
-            let args = setup(&mut dev);
-            let stats = k
-                .launch_oracle(&mut dev, &args)
-                .unwrap_or_else(|e| panic!("{label} (threads={threads}): {e:?}"));
-            if !k.lint(arch, args.len()).has_errors() {
-                assert!(stats.violations.is_empty(), "{label}: {:#?}", stats.violations);
-            }
+    for cell in &CELLS {
+        let mut dev = Device::new(arch.clone());
+        dev.set_sim_threads(cell.threads);
+        if cell.sanitize {
+            dev.enable_sanitizer();
+        }
+        let args = setup(&mut dev);
+        let stats = k
+            .launch_oracle(&mut dev, &args)
+            .unwrap_or_else(|e| panic!("{label} ({cell:?}): {e:?}"));
+        if !k.lint(arch, args.len()).has_errors() {
+            assert!(stats.violations.is_empty(), "{label}: {:#?}", stats.violations);
         }
     }
 }
@@ -163,13 +161,15 @@ fn random_plans_engines_agree() {
     // Plans come from the shared seeded generator
     // (`omp_kernels::plangen`), whose kernels are deterministic under
     // parallel block execution — the property the oracle needs.
+    let mut cells = CELLS.iter().cycle();
     cases("random_plans_engines_agree", 40, |rng| {
+        let cell = cells.next().unwrap();
         let (k, arch) = random_kernel(rng);
-        let sim_threads = if rng.flip() { 1 } else { 4 };
-        let sanitize = rng.range_u32(0, 4) == 0;
+        // The thread-count and sanitizer draws the cells replaced.
+        let _ = (rng.flip(), rng.range_u32(0, 4));
         let mut dev = Device::new(arch);
-        dev.set_sim_threads(Some(sim_threads));
-        if sanitize {
+        dev.set_sim_threads(cell.threads);
+        if cell.sanitize {
             dev.enable_sanitizer();
         }
         let out = dev.global.alloc_zeroed::<f64>(plangen::OUT_SLOTS);

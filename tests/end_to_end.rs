@@ -1,7 +1,11 @@
 //! Cross-crate integration tests: host runtime + compiler layer + device
 //! runtime + kernels working together through the public facade.
+//!
+//! Each test's launches take successive `testkit::CELLS` (sim threads,
+//! sanitizer, engine oracle); a test's backend is its own.
 
 use simt_omp::codegen::builder::{Schedule, TargetBuilder};
+use simt_omp::codegen::CompiledKernel;
 use simt_omp::gpu::{Device, DeviceArch, Slot};
 use simt_omp::host::{HelperPool, HostRuntime};
 use simt_omp::kernels::harness::{max_abs_err, Fig10Variant};
@@ -9,6 +13,32 @@ use simt_omp::kernels::matrix::{CsrMatrix, RowProfile};
 use simt_omp::kernels::{laplace3d, muram, spmv, su3};
 use simt_omp::rt::config::ExecMode;
 use std::sync::Arc;
+use testkit::{Cell, CELLS};
+
+/// Set `dev`'s thread count and sanitizer as `cell` says.
+fn apply(cell: &Cell, dev: &mut Device) {
+    dev.set_sim_threads(cell.threads);
+    if cell.sanitize {
+        dev.enable_sanitizer();
+    } else {
+        dev.disable_sanitizer();
+    }
+}
+
+/// A device on `arch` set up as `cell` says.
+fn device(cell: &Cell, arch: DeviceArch) -> Device {
+    let mut dev = Device::new(arch);
+    apply(cell, &mut dev);
+    dev
+}
+
+/// In an oracle cell, launch `k` on both engines (asserting equal stats
+/// and memory) before the test's own `run`.
+fn oracle(cell: &Cell, dev: &mut Device, k: &CompiledKernel, args: &[Slot]) {
+    if cell.oracle {
+        k.launch_oracle(dev, args).unwrap();
+    }
+}
 
 #[test]
 fn offload_roundtrip_through_host_runtime() {
@@ -33,19 +63,24 @@ fn offload_roundtrip_through_host_runtime() {
         });
     });
 
-    {
+    for (n, cell) in CELLS.iter().enumerate() {
+        host_out.fill(0.0);
         let mut md = dev.lock();
+        apply(cell, &mut md.dev);
         let src = md.map_to(&host_in);
         let dst = md.map_alloc(&host_out);
-        k.run(&mut md.dev, &[Slot::from_ptr(src), Slot::from_ptr(dst)]);
+        let args = [Slot::from_ptr(src), Slot::from_ptr(dst)];
+        oracle(cell, &mut md.dev, &k, &args);
+        k.run(&mut md.dev, &args);
         md.map_release(&host_in);
         md.map_from(&mut host_out);
         assert_eq!(md.mapped_entries(), 0);
-        assert_eq!(md.xfer.h2d_count, 1);
-        assert_eq!(md.xfer.d2h_count, 1);
-    }
-    for i in 0..4096 {
-        assert_eq!(host_out[i], host_in[i] + 1.0);
+        assert_eq!(md.xfer.h2d_count, n as u64 + 1);
+        assert_eq!(md.xfer.d2h_count, n as u64 + 1);
+        drop(md);
+        for i in 0..4096 {
+            assert_eq!(host_out[i], host_in[i] + 1.0, "{cell:?}");
+        }
     }
 }
 
@@ -62,7 +97,7 @@ fn deferred_target_tasks_on_helper_threads() {
         }
     }
     let pool = HelperPool::new(2);
-    for (t, p) in ptrs.iter().copied().enumerate() {
+    for ((t, p), cell) in ptrs.iter().copied().enumerate().zip(CELLS) {
         let dev = Arc::clone(&dev);
         pool.submit(move || {
             let mut b = TargetBuilder::new().num_teams(4).threads(64);
@@ -78,7 +113,10 @@ fn deferred_target_tasks_on_helper_threads() {
                 });
             });
             let mut md = dev.lock();
-            k.run(&mut md.dev, &[Slot::from_ptr(p), Slot::from_f64(t as f64 + 1.0)]);
+            apply(&cell, &mut md.dev);
+            let args = [Slot::from_ptr(p), Slot::from_f64(t as f64 + 1.0)];
+            oracle(&cell, &mut md.dev, &k, &args);
+            k.run(&mut md.dev, &args);
         });
     }
     pool.wait_all();
@@ -96,38 +134,36 @@ fn three_level_spmv_beats_two_level_baseline() {
     let mat = CsrMatrix::generate(8192, 8192, RowProfile::Banded { min: 4, max: 44 }, 42);
     let x: Vec<f64> = (0..8192).map(|i| (i % 17) as f64).collect();
     let want = mat.spmv_ref(&x);
-
-    let base = {
-        let mut dev = Device::a100();
+    let mut cells = CELLS.iter().cycle();
+    let mut run = |k: CompiledKernel| {
+        let cell = cells.next().unwrap();
+        let mut dev = device(cell, DeviceArch::a100());
         let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
-        let k = spmv::build_two_level(864);
+        oracle(cell, &mut dev, &k, &ops.args());
         let (y, s) = spmv::run(&mut dev, &k, &ops);
-        assert!(max_abs_err(&y, &want) < 1e-9);
+        assert!(max_abs_err(&y, &want) < 1e-9, "{cell:?}");
         s.cycles
     };
-    let run_gs = |gs: u32| {
-        let mut dev = Device::a100();
-        let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
-        let k = spmv::build_three_level(108, 128, gs);
-        let (y, s) = spmv::run(&mut dev, &k, &ops);
-        assert!(max_abs_err(&y, &want) < 1e-9, "gs={gs}");
-        s.cycles
-    };
-    let gs8 = run_gs(8);
-    let gs32 = run_gs(32);
+    let base = run(spmv::build_two_level(864));
+    let gs8 = run(spmv::build_three_level(108, 128, 8));
+    let gs32 = run(spmv::build_three_level(108, 128, 32));
+    let gs4 = run(spmv::build_three_level(108, 128, 4));
     assert!(gs8 * 2 < base, "3-level gs8 should be >2x faster: {gs8} vs {base}");
-    assert!(gs8 < gs32, "mid group sizes beat 32 on varying sparsity");
+    assert!(gs8 < gs32 && gs4 < gs32, "mid group sizes beat 32 on varying sparsity");
 }
 
 #[test]
 fn fig10_mode_ordering_holds() {
     // SPMD-SIMD within ±15% of No-SIMD; generic strictly slower than SPMD.
+    let mut cells = CELLS.iter().cycle();
     for which in [muram::MuramKernel::Transpose, muram::MuramKernel::Interpol] {
         let w = muram::MuramWorkload::generate(48);
-        let cycles = |v: Fig10Variant| {
-            let mut dev = Device::a100();
+        let mut cycles = |v: Fig10Variant| {
+            let cell = cells.next().unwrap();
+            let mut dev = device(cell, DeviceArch::a100());
             let ops = muram::MuramDev::upload(&mut dev, &w);
             let k = muram::build(which, 108, 128, v);
+            oracle(cell, &mut dev, &k, &ops.args());
             let (out, s) = muram::run(&mut dev, &k, &ops);
             assert_eq!(out, w.reference(which), "{which:?} {v:?}");
             s.cycles as f64
@@ -147,11 +183,14 @@ fn fig10_mode_ordering_holds() {
 fn laplace_all_variants_verified_on_both_vendors() {
     let w = laplace3d::Laplace3dWorkload::generate(20);
     let want = w.reference();
+    let mut cells = CELLS.iter().cycle();
     for arch in [DeviceArch::a100(), DeviceArch::mi100()] {
         for v in Fig10Variant::ALL {
-            let mut dev = Device::new(arch.clone());
+            let cell = cells.next().unwrap();
+            let mut dev = device(cell, arch.clone());
             let ops = laplace3d::Laplace3dDev::upload(&mut dev, &w);
             let k = laplace3d::build(8, 64, v);
+            oracle(cell, &mut dev, &k, &ops.args());
             let (out, _) = laplace3d::run(&mut dev, &k, &ops);
             assert!(max_abs_err(&out, &want) < 1e-12, "{} {v:?}", arch.name);
         }
@@ -163,10 +202,11 @@ fn su3_results_identical_across_group_sizes_and_modes() {
     let w = su3::Su3Workload::generate(256, 3);
     let want = w.reference();
     let mut cycle_set = Vec::new();
-    for gs in [1u32, 4, 32] {
-        let mut dev = Device::a100();
+    for (gs, cell) in [1u32, 4, 8, 32].into_iter().zip(&CELLS) {
+        let mut dev = device(cell, DeviceArch::a100());
         let ops = su3::Su3Dev::upload(&mut dev, &w);
         let k = su3::build(16, 64, gs);
+        oracle(cell, &mut dev, &k, &ops.args());
         let (c, s) = su3::run(&mut dev, &k, &ops);
         assert!(max_abs_err(&c, &want) < 1e-12, "gs={gs}");
         cycle_set.push(s.cycles);
@@ -180,20 +220,25 @@ fn reduction_extension_agrees_with_atomics() {
     let mat = CsrMatrix::generate(2048, 2048, RowProfile::PowerLaw { min: 2, cap: 120 }, 9);
     let x: Vec<f64> = (0..2048).map(|i| ((i * 7) % 23) as f64 * 0.125).collect();
     let want = mat.spmv_ref(&x);
-    let mut dev = Device::a100();
-    let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
     let atomic_k = spmv::build_three_level(32, 128, 8);
-    let (ya, sa) = spmv::run(&mut dev, &atomic_k, &ops);
     let reduce_k = spmv::build_three_level_reduce(32, 128, 8);
-    let (yr, sr) = spmv::run(&mut dev, &reduce_k, &ops);
-    assert!(max_abs_err(&ya, &want) < 1e-9);
-    assert!(max_abs_err(&yr, &want) < 1e-9);
-    assert!(
-        sr.cycles < sa.cycles,
-        "tree reduction ({}) should beat per-lane atomics ({})",
-        sr.cycles,
-        sa.cycles
-    );
+    for (atomic, reduce) in [(&CELLS[0], &CELLS[1]), (&CELLS[2], &CELLS[3])] {
+        let mut dev = device(atomic, DeviceArch::a100());
+        let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
+        oracle(atomic, &mut dev, &atomic_k, &ops.args());
+        let (ya, sa) = spmv::run(&mut dev, &atomic_k, &ops);
+        apply(reduce, &mut dev);
+        oracle(reduce, &mut dev, &reduce_k, &ops.args());
+        let (yr, sr) = spmv::run(&mut dev, &reduce_k, &ops);
+        assert!(max_abs_err(&ya, &want) < 1e-9);
+        assert!(max_abs_err(&yr, &want) < 1e-9);
+        assert!(
+            sr.cycles < sa.cycles,
+            "tree reduction ({}) should beat per-lane atomics ({})",
+            sr.cycles,
+            sa.cycles
+        );
+    }
 }
 
 #[test]
@@ -211,13 +256,17 @@ fn mode_inference_matches_paper_assignments() {
 
 #[test]
 fn whole_stack_is_deterministic() {
-    let run = || {
+    let run = |cell: &Cell| {
         let mat = CsrMatrix::generate(1024, 1024, RowProfile::Banded { min: 2, max: 30 }, 5);
         let x: Vec<f64> = (0..1024).map(|i| i as f64).collect();
-        let mut dev = Device::a100();
+        let mut dev = device(cell, DeviceArch::a100());
         let ops = spmv::SpmvDev::upload(&mut dev, &mat, &x);
         let k = spmv::build_three_level(16, 128, 4);
-        spmv::run(&mut dev, &k, &ops).1.cycles
+        oracle(cell, &mut dev, &k, &ops.args());
+        spmv::run(&mut dev, &k, &ops).1
     };
-    assert_eq!(run(), run());
+    let first = run(&CELLS[0]);
+    for cell in &CELLS {
+        assert_eq!(run(cell).cycles, first.cycles, "{cell:?}");
+    }
 }

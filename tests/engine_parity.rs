@@ -262,7 +262,8 @@ fn broken_plans_report_identical_violations_on_both_engines() {
 // Event-trace parity
 // ---------------------------------------------------------------------------
 
-/// Trace one raw plan launch on each engine; assert identical events.
+/// Trace one raw plan launch on each engine, sanitizer off and on; assert
+/// identical events.
 fn assert_trace_parity(
     label: &str,
     arch: &DeviceArch,
@@ -270,22 +271,29 @@ fn assert_trace_parity(
     plan: &TargetPlan,
     reg: &Registry,
 ) {
-    let traced = || {
-        let mut dev = Device::new(arch.clone());
-        dev.set_sim_threads(Some(1));
-        dev.enable_trace(100_000);
-        dev
-    };
-    let mut dev = traced();
-    let tree = launch_target(&mut dev, cfg, plan, reg, &[]).unwrap();
-    let tree_trace = std::mem::take(&mut dev.trace);
-    let prog = FlatProgram::lower(plan, reg, cfg, arch, 0);
-    let mut dev = traced();
-    let flat = launch_flat(&mut dev, cfg, &prog, reg, &[]).unwrap();
-    assert_eq!(tree, flat, "{label}: engines disagree on LaunchStats");
-    assert_eq!(tree_trace.dropped(), 0, "{label}: trace cap too small");
-    assert!(!tree_trace.events().is_empty(), "{label}: nothing traced");
-    assert_eq!(tree_trace.events(), dev.trace.events(), "{label}: engines disagree on the trace");
+    for sanitize in [false, true] {
+        let traced = || {
+            let mut dev = Device::new(arch.clone());
+            dev.set_sim_threads(Some(1));
+            dev.enable_trace(100_000);
+            if sanitize {
+                dev.enable_sanitizer();
+            }
+            dev
+        };
+        let label = format!("{label} (sanitize {sanitize})");
+        let mut dev = traced();
+        let tree = launch_target(&mut dev, cfg, plan, reg, &[]).unwrap();
+        let tree_trace = std::mem::take(&mut dev.trace);
+        let prog = FlatProgram::lower(plan, reg, cfg, arch, 0);
+        let mut dev = traced();
+        let flat = launch_flat(&mut dev, cfg, &prog, reg, &[]).unwrap();
+        assert_eq!(tree, flat, "{label}: engines disagree on LaunchStats");
+        assert_eq!(tree_trace.dropped(), 0, "{label}: trace cap too small");
+        assert!(!tree_trace.events().is_empty(), "{label}: nothing traced");
+        let flat_events = dev.trace.events();
+        assert_eq!(tree_trace.events(), flat_events, "{label}: engines disagree on the trace");
+    }
 }
 
 /// The `trace_sequences` protocol plan: one `simd` loop of `trip`

@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 use simt_omp::gpu::{Device, GlobalMem, LaunchConfig, LaunchStats, Slot};
 use simt_omp::host::ManagedDevice;
 use simt_omp::kernels::stencil2d::{self, Stencil2dVariant, Stencil2dWorkload};
+use testkit::{Cell, CELLS};
 
 /// Ping-pong launches of the halo test.
 const LAUNCHES: usize = 200;
@@ -34,6 +35,15 @@ fn serial() -> MutexGuard<'static, ()> {
 /// Live block-pool workers in this process, from `/proc/self/task` (the
 /// pool names its threads `simt-block-<i>`); `None` off Linux. Counting
 /// by name keeps the test harness's own threads out of the count.
+/// Turn `dev`'s sanitizer on or off as `cell` says.
+fn apply_sanitizer(cell: &Cell, dev: &mut Device) {
+    if cell.sanitize {
+        dev.enable_sanitizer();
+    } else {
+        dev.disable_sanitizer();
+    }
+}
+
 fn block_workers() -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     let named = |e: &std::fs::DirEntry| {
@@ -60,7 +70,8 @@ fn block_workers_settled(want: usize) -> Option<usize> {
 /// stencil2d `HaloShared` with a 256 B sharing space stages every tile
 /// through a global fallback. 200 ping-pong launches on one
 /// `ManagedDevice` must reproduce the host reference and make the same
-/// number of fallbacks on every launch.
+/// number of fallbacks on every launch. Successive launches take
+/// successive `testkit::CELLS` sanitizer and oracle settings.
 #[test]
 fn halo_fallback_device_stays_correct_over_200_launches() {
     let _serial = serial();
@@ -75,7 +86,7 @@ fn halo_fallback_device_stays_correct_over_200_launches() {
         let (pa, pb) = (md.map_to(&a), md.map_to(&b));
         let mut want = init;
         let mut fallbacks = Vec::with_capacity(LAUNCHES);
-        for s in 0..LAUNCHES {
+        for (s, cell) in (0..LAUNCHES).zip(CELLS.iter().cycle()) {
             let (src, dst) = if s % 2 == 0 { (pa, pb) } else { (pb, pa) };
             let args = [
                 Slot::from_ptr(src),
@@ -84,6 +95,10 @@ fn halo_fallback_device_stays_correct_over_200_launches() {
                 Slot::from_u64(ny as u64),
                 Slot::from_u64(tile),
             ];
+            apply_sanitizer(cell, &mut md.dev);
+            if cell.oracle {
+                kern.launch_oracle(&mut md.dev, &args).unwrap();
+            }
             let stats = kern.run(&mut md.dev, &args);
             fallbacks.push(stats.counters.sharing_global_fallbacks);
             want = Stencil2dWorkload { nx, ny, u: want }.reference();
@@ -127,7 +142,8 @@ fn arena_churn_of_100k_segments_finishes_inside_the_deadline() {
 }
 
 /// 100 devices at 4 sim threads, each launched twice, park three workers
-/// apiece; dropping the devices joins all 300.
+/// apiece; dropping the devices joins all 300. The devices take the
+/// `testkit::CELLS` sanitizer settings in turn.
 #[test]
 fn dropped_devices_join_their_block_workers() {
     let _serial = serial();
@@ -136,9 +152,10 @@ fn dropped_devices_join_their_block_workers() {
         let baseline = block_workers();
         let mut want: Option<LaunchStats> = None;
         let mut devs = Vec::with_capacity(100);
-        for _ in 0..100 {
+        for cell in CELLS.iter().cycle().take(100) {
             let mut dev = Device::a100();
             dev.set_sim_threads(Some(4));
+            apply_sanitizer(cell, &mut dev);
             let p = dev.global.alloc_zeroed::<u64>(16 * 64);
             for _ in 0..2 {
                 let stats = dev
@@ -172,7 +189,8 @@ fn dropped_devices_join_their_block_workers() {
 
 /// One `ManagedDevice` switches its sim thread count between launches,
 /// 4 → 2 → 1 → 3: every launch's stats equal the serial launch's, and
-/// the pool is rebuilt to the new width.
+/// the pool is rebuilt to the new width. The launches take the
+/// `testkit::CELLS` sanitizer and oracle settings in turn.
 #[test]
 fn switching_sim_threads_between_launches_keeps_stats_serial() {
     let _serial = serial();
@@ -195,9 +213,13 @@ fn switching_sim_threads_between_launches_keeps_stats_serial() {
         let serial = kern.run(&mut md.dev, &args);
         assert!(serial.blocks > 1, "the launch must have blocks to spread");
         assert_eq!(block_workers(), baseline, "a serial launch parks no worker");
-        for threads in [4, 2, 1, 3] {
+        for (threads, cell) in [4, 2, 1, 3].into_iter().zip(&CELLS) {
             md.dev.set_sim_threads(Some(threads));
-            assert_eq!(kern.run(&mut md.dev, &args), serial, "threads={threads}");
+            apply_sanitizer(cell, &mut md.dev);
+            if cell.oracle {
+                kern.launch_oracle(&mut md.dev, &args).unwrap();
+            }
+            assert_eq!(kern.run(&mut md.dev, &args), serial, "threads={threads} {cell:?}");
             if let (Some(base), true) = (baseline, threads > 1) {
                 assert_eq!(block_workers_settled(base + threads - 1), Some(base + threads - 1));
             }

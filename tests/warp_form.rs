@@ -193,20 +193,28 @@ fn warps_wider_than_a_lane_mask_are_a_typed_error() {
     use simt_omp::gpu::{LaunchConfig, LaunchError};
     let mut arch = DeviceArch::a100();
     arch.warp_size = 128;
-    let mut dev = Device::new(arch);
-    let cfg = LaunchConfig { num_blocks: 2, threads_per_block: 256, smem_bytes: 0 };
-    assert_eq!(dev.validate(&cfg), Err(LaunchError::BadWarpSize { warp: 128 }));
-    let raw = dev.launch(&cfg, |_| panic!("no block may run"));
-    assert_eq!(raw.unwrap_err(), LaunchError::BadWarpSize { warp: 128 });
-    let w = su3::Su3Workload::generate(4, 1);
-    let ops = su3::Su3Dev::upload(&mut dev, &w);
-    let k = su3::build(2, 256, 4);
-    for engine in [Engine::Tree, Engine::Bytecode] {
-        let err = k.launch_with_engine(&mut dev, &ops.args(), engine).unwrap_err();
-        assert_eq!(err, LaunchError::BadWarpSize { warp: 128 }, "{engine:?}");
+    for cell in &testkit::CELLS {
+        let mut dev = Device::new(arch.clone());
+        dev.set_sim_threads(cell.threads);
+        if cell.sanitize {
+            dev.enable_sanitizer();
+        }
+        let cfg = LaunchConfig { num_blocks: 2, threads_per_block: 256, smem_bytes: 0 };
+        assert_eq!(dev.validate(&cfg), Err(LaunchError::BadWarpSize { warp: 128 }));
+        let raw = dev.launch(&cfg, |_| panic!("no block may run"));
+        assert_eq!(raw.unwrap_err(), LaunchError::BadWarpSize { warp: 128 });
+        let w = su3::Su3Workload::generate(4, 1);
+        let ops = su3::Su3Dev::upload(&mut dev, &w);
+        let k = su3::build(2, 256, 4);
+        for engine in [Engine::Tree, Engine::Bytecode] {
+            let err = k.launch_with_engine(&mut dev, &ops.args(), engine).unwrap_err();
+            assert_eq!(err, LaunchError::BadWarpSize { warp: 128 }, "{engine:?}");
+        }
+        let launched = if cell.oracle {
+            k.launch_oracle(&mut dev, &ops.args())
+        } else {
+            k.launch(&mut dev, &ops.args())
+        };
+        assert_eq!(launched.unwrap_err(), LaunchError::BadWarpSize { warp: 128 }, "{cell:?}");
     }
-    assert_eq!(
-        k.launch(&mut dev, &ops.args()).unwrap_err(),
-        LaunchError::BadWarpSize { warp: 128 }
-    );
 }
