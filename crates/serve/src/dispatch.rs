@@ -29,25 +29,6 @@ use omp_kernels::{batched, ideal};
 use crate::plan::WarmPlan;
 use crate::queue::{Unit, UnitKind};
 
-/// Everything one unit execution produced, before the deterministic fold.
-#[derive(Clone, Debug)]
-pub struct UnitOutcome {
-    /// The unit (members, home device, drain stamp).
-    pub unit: Unit,
-    /// The launch's stats — shared by every member of a batch.
-    pub stats: LaunchStats,
-    /// Plan fingerprint of the kernel that ran.
-    pub plan_hash: u64,
-    /// Max abs error vs the host reference, when verification ran.
-    pub max_abs_err: Option<f64>,
-    /// Executing worker (diagnostics only — excluded from digests, since
-    /// which worker ran a unit is scheduling-dependent by design).
-    pub executed_by: u32,
-    /// Whether the executing worker's home device differed from the
-    /// unit's (a steal). Diagnostics only, like `executed_by`.
-    pub stolen: bool,
-}
-
 /// Execute one unit on a fresh scratch device of the unit's keyed
 /// architecture and return its outcome fields (stats + optional
 /// verification).
@@ -59,33 +40,46 @@ pub fn execute_unit(
 ) -> (LaunchStats, Option<f64>) {
     let mut dev = Device::new(unit.key.arch.arch());
     dev.set_sim_threads(sim_threads);
+    execute_unit_on(&mut dev, unit, plan, verify)
+}
+
+/// Execute one unit on `dev`, which must be a fresh device of the unit's
+/// keyed architecture: upload the unit's workload, launch the warm plan,
+/// and verify when asked. The caller picks the device's settings, so a
+/// sanitized device checks exactly the launch the service makes.
+pub fn execute_unit_on(
+    dev: &mut Device,
+    unit: &Unit,
+    plan: &WarmPlan,
+    verify: bool,
+) -> (LaunchStats, Option<f64>) {
     match unit.kind {
         UnitKind::Ideal { outer, seed } => {
             let w = ideal::IdealWorkload::generate(outer, seed);
-            let ops = ideal::IdealDev::upload(&mut dev, &w);
+            let ops = ideal::IdealDev::upload(dev, &w);
             let stats = launch_flat(
-                &mut dev,
+                dev,
                 &plan.kernel.config,
                 &plan.flat,
                 &plan.kernel.registry,
                 &ops.args(),
             )
             .expect("service launch failed");
-            let err = verify.then(|| max_abs_err(&ops.read_out(&dev), &w.reference()));
+            let err = verify.then(|| max_abs_err(&ops.read_out(dev), &w.reference()));
             (stats, err)
         }
         UnitKind::Micro { rows, inner } => {
             let w = batched::BatchedWorkload::generate(unit.members.len(), rows, inner);
-            let ops = batched::BatchedDev::upload(&mut dev, &w);
+            let ops = batched::BatchedDev::upload(dev, &w);
             let stats = launch_flat(
-                &mut dev,
+                dev,
                 &plan.kernel.config,
                 &plan.flat,
                 &plan.kernel.registry,
                 &ops.args(),
             )
             .expect("service launch failed");
-            let err = verify.then(|| max_abs_err(&ops.read_out(&dev), &w.reference()));
+            let err = verify.then(|| max_abs_err(&ops.read_out(dev), &w.reference()));
             (stats, err)
         }
     }
@@ -151,6 +145,44 @@ mod tests {
         let (a, _) = execute_unit(&u, &plan, Some(1), false);
         let (b, _) = execute_unit(&u, &plan, Some(1), false);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn service_launches_are_clean_and_unchanged_under_simtcheck() {
+        // The launch a worker makes, rerun on a sanitized device: an ideal
+        // unit and a three-panel micro batch on each backend.
+        for arch in [ArchId::A100, ArchId::Mi100] {
+            let units = [
+                unit_on(
+                    UnitKind::Ideal { outer: 3, seed: 5 },
+                    1,
+                    PlanKernel::Ideal { teams: 2, threads: 64, simdlen: 8 },
+                    arch,
+                ),
+                unit_on(
+                    UnitKind::Micro { rows: 2, inner: 8 },
+                    3,
+                    PlanKernel::MicroBatch { k: 3 },
+                    arch,
+                ),
+            ];
+            for u in &units {
+                let plan = build_warm_plan(&u.key);
+                let (stats, _) = execute_unit(u, &plan, Some(1), false);
+                let mut dev = Device::new(arch.arch());
+                dev.set_sim_threads(Some(1));
+                dev.enable_sanitizer();
+                let (checked, err) = execute_unit_on(&mut dev, u, &plan, true);
+                assert!(
+                    checked.violations.is_empty(),
+                    "{arch:?} {:?}: {:?}",
+                    u.kind,
+                    checked.violations
+                );
+                assert_eq!(checked, stats, "{arch:?} {:?}: simtcheck changed the stats", u.kind);
+                assert_eq!(err, Some(0.0));
+            }
+        }
     }
 
     #[test]

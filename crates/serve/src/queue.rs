@@ -124,6 +124,8 @@ pub struct Admission {
     closed: bool,
     paused: bool,
     rejected: u64,
+    /// What [`Admission::submit_left_drainable`] reports.
+    submit_drainable: bool,
 }
 
 impl Admission {
@@ -151,6 +153,7 @@ impl Admission {
             closed: false,
             paused: false,
             rejected: 0,
+            submit_drainable: false,
         }
     }
 
@@ -192,6 +195,16 @@ impl Admission {
         self.closed
     }
 
+    /// Whether the latest [`Admission::submit`] left work that
+    /// [`Admission::drain_round`] could release at once: the fleet was not
+    /// paused and the submit put a unit on a tenant queue (an ideal job, or
+    /// a micro batch it sealed). A paused submit, a micro job that only
+    /// joined an open batch, and a refused job leave nothing new to drain,
+    /// so the service wakes no worker for them.
+    pub fn submit_left_drainable(&self) -> bool {
+        self.submit_drainable
+    }
+
     /// No queued units and no open batches remain.
     pub fn is_drained(&self) -> bool {
         self.tenants.iter().all(|t| t.queue.is_empty() && t.open.is_none())
@@ -225,6 +238,7 @@ impl Admission {
     /// was not admitted. A job its home backend cannot run is refused
     /// before it takes a job id, so it leaves no trace in the session.
     pub fn submit(&mut self, tenant: u32, spec: &JobSpec) -> Result<u64, SubmitError> {
+        self.submit_drainable = false;
         if self.closed {
             return Err(SubmitError::Closed);
         }
@@ -239,6 +253,7 @@ impl Admission {
             return Err(SubmitError::QueueFull { tenant, cap: self.tenant_queue_cap });
         }
         let job_id = self.tenants[ti].ids.next();
+        let queued_before = self.tenants[ti].queue.len();
         let member = Member { job_id, tenant, arrival_vt: spec.arrival_vt };
         match spec.kind {
             JobKind::Ideal { teams, threads, simdlen, outer, seed } => {
@@ -278,7 +293,9 @@ impl Admission {
                 }
             }
         }
-        self.tenants[ti].queued_jobs += 1;
+        let t = &mut self.tenants[ti];
+        t.queued_jobs += 1;
+        self.submit_drainable = !self.paused && t.queue.len() > queued_before;
         Ok(job_id)
     }
 
@@ -437,6 +454,48 @@ mod tests {
         // Batch size is content-addressed into the plan key.
         assert!(matches!(out[0].key.kernel, PlanKernel::MicroBatch { k: 4 }));
         assert!(matches!(out[1].key.kernel, PlanKernel::MicroBatch { k: 1 }));
+    }
+
+    #[test]
+    fn submits_that_queue_no_unit_on_a_running_fleet_report_nothing_to_drain() {
+        let mut a = Admission::new(vec![ArchId::A100, ArchId::Mi100], true, 2, 4, 1_000_000);
+        let t = a.register("t");
+        // Paused: even an ideal job, which queues a unit, wakes nobody.
+        a.set_paused(true);
+        a.submit(t, &ideal(0)).unwrap();
+        assert!(!a.submit_left_drainable(), "a paused submit leaves nothing drainable");
+        a.set_paused(false);
+        assert!(!a.submit_left_drainable(), "resuming does not revise the paused submit");
+        // A micro job that opens or joins a batch below batch_max.
+        a.submit(t, &micro(1)).unwrap();
+        assert!(!a.submit_left_drainable(), "an open batch cannot drain");
+        // Each refusal follows a submit that did report work, so the flag
+        // must be cleared by the refused submit itself.
+        a.submit(t, &ideal(2)).unwrap_err();
+        assert!(!a.submit_left_drainable(), "a rejected job queues nothing");
+        let mut out = Vec::new();
+        a.drain_round(&mut out);
+        a.submit(t, &ideal(3)).unwrap();
+        assert!(a.submit_left_drainable());
+        let half_wave = JobSpec { affinity: Some(1), ..ideal(4) };
+        assert!(matches!(a.submit(t, &half_wave), Err(SubmitError::Unsupported { .. })));
+        assert!(!a.submit_left_drainable(), "an unsupported job queues nothing");
+    }
+
+    #[test]
+    fn an_ideal_job_or_a_batch_sealed_at_batch_max_is_drainable() {
+        let mut a = adm();
+        let t = a.register("t");
+        for i in 0..3 {
+            a.submit(t, &micro(i)).unwrap();
+            assert!(!a.submit_left_drainable(), "micro {i} only fills the open batch");
+        }
+        a.submit(t, &micro(3)).unwrap();
+        assert!(a.submit_left_drainable(), "the fourth micro seals the batch at batch_max");
+        a.submit(t, &ideal(4)).unwrap();
+        assert!(a.submit_left_drainable(), "an ideal job is a unit of its own");
+        let mut out = Vec::new();
+        assert_eq!(a.drain_round(&mut out), 2, "both reported units drain");
     }
 
     #[test]

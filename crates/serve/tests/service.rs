@@ -2,6 +2,10 @@
 //! references, typed backpressure and shutdown behave, stealing happens
 //! under skewed affinity without perturbing the deterministic report.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+use std::time::Duration;
+
 use gpu_sim::ArchId;
 use omp_serve::{JobKind, JobSpec, LaunchService, ServiceConfig, SubmitError};
 
@@ -300,4 +304,74 @@ fn quiesce_returns_at_once_on_an_empty_fleet() {
         svc.quiesce();
         assert!(svc.shutdown().jobs.is_empty());
     });
+}
+
+#[test]
+fn a_running_fleet_drains_the_units_an_ideal_submit_queues() {
+    // Five micro jobs stay below `batch_max` (8), so they only fill an open
+    // batch and their submits wake nobody. The ideal job seals the batch
+    // and queues itself; its submit must get both units run before
+    // shutdown, and the session must fold as if it had been submitted
+    // paused and then resumed.
+    let run = |paused: bool| {
+        let svc = LaunchService::start(ServiceConfig {
+            devices: 1,
+            workers: 1,
+            start_paused: paused,
+            sim_threads: Some(1),
+            ..ServiceConfig::default()
+        });
+        let c = svc.client("t");
+        for i in 0..5u64 {
+            c.submit(&micro(1, 8, i)).unwrap();
+        }
+        c.submit(&ideal(1, 7, 5)).unwrap();
+        if paused {
+            svc.resume();
+        }
+        // A worker builds each unit's plan as it takes the unit.
+        while svc.cached_plans() < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let report = svc.shutdown();
+        assert_eq!((report.jobs.len(), report.launches), (6, 2));
+        report.digest()
+    };
+    testkit::with_deadline("serve-wake", Duration::from_secs(60), move || {
+        assert_eq!(run(false), run(true), "waking on submit must not change the fold");
+    });
+}
+
+#[test]
+fn batch_members_share_their_launch_stats() {
+    let svc = LaunchService::start(ServiceConfig {
+        devices: 2,
+        workers: 2,
+        sim_threads: Some(1),
+        ..ServiceConfig::default()
+    });
+    let a = svc.client("a");
+    let b = svc.client("b");
+    for i in 0..40u64 {
+        // Runs of 10 same-shape micros: full batches of 8 and partial ones.
+        a.submit(&micro(1 + (i as usize / 10) % 2, 8, i)).unwrap();
+        b.submit(&ideal(1, i, i)).unwrap();
+    }
+    let report = svc.shutdown();
+    assert!(report.jobs.iter().any(|j| j.batch_size > 1), "micro jobs should coalesce");
+
+    // A launch's members have consecutive job ids and batch indices 0.. in
+    // order, so each launch is one run of the id-sorted reports.
+    let runs: Vec<_> = report.jobs.chunk_by(|x, y| y.batch_index == x.batch_index + 1).collect();
+    assert_eq!(runs.len() as u64, report.launches);
+    for run in &runs {
+        assert_eq!(run.len(), run[0].batch_size as usize);
+        assert!(
+            run.iter().all(|j| Arc::ptr_eq(&j.stats, &run[0].stats)),
+            "launch of job {:#x}: members hold different stats",
+            run[0].job_id
+        );
+    }
+    let distinct: HashSet<_> = report.jobs.iter().map(|j| Arc::as_ptr(&j.stats)).collect();
+    assert_eq!(distinct.len() as u64, report.launches, "one shared stats value per launch");
 }
