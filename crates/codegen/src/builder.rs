@@ -52,8 +52,6 @@ pub struct KernelParams {
     pub threads_per_team: u32,
     /// Variable sharing space size, bytes (paper default 2048, §5.3.1).
     pub sharing_space_bytes: u32,
-    /// Additional static shared memory, bytes.
-    pub extra_smem_bytes: u32,
 }
 
 impl Default for KernelParams {
@@ -62,7 +60,6 @@ impl Default for KernelParams {
             num_teams: 108,
             threads_per_team: 128,
             sharing_space_bytes: KernelConfig::SHARING_SPACE_DEFAULT,
-            extra_smem_bytes: 0,
         }
     }
 }
@@ -106,12 +103,6 @@ impl TargetBuilder {
     /// pre-paper legacy; both are exercised by the ablation benches).
     pub fn sharing_space(mut self, bytes: u32) -> Self {
         self.params.sharing_space_bytes = bytes;
-        self
-    }
-
-    /// Reserve additional static shared memory (globalized user arrays).
-    pub fn extra_smem(mut self, bytes: u32) -> Self {
-        self.params.extra_smem_bytes = bytes;
         self
     }
 
@@ -187,7 +178,7 @@ impl TargetBuilder {
             num_teams: self.params.num_teams,
             threads_per_team: self.params.threads_per_team,
             sharing_space_bytes: self.params.sharing_space_bytes,
-            extra_smem_bytes: self.params.extra_smem_bytes,
+            extra_smem_bytes: 0,
         };
         // OpenMPOpt-style SPMD-ization: declared-pure footprints can prove
         // an inferred-generic region safe to promote (see crate::lint).

@@ -23,10 +23,10 @@
 //!   simtlint's `Analysis::staging_report` uses (§5.3.1);
 //! * **SIMD mapping**: group size, groups-per-warp, leader lanes and warp
 //!   sync masks (§5.1) — all pure functions of the launch geometry;
-//! * **trip sources**: constant trips inline ([`TripSrc::Const`]),
-//!   lane-free trips bind their pure closure ([`TripSrc::Pure`]), and only
+//! * **trip sources**: constant trips inline (`TripSrc::Const`),
+//!   lane-free trips bind their pure closure (`TripSrc::Pure`), and only
 //!   genuinely device-touching trips keep the lane path
-//!   ([`TripSrc::Lane`]).
+//!   (`TripSrc::Lane`).
 //!
 //! The executor ([`run_flat_block`]) replays the **exact** charge sequence
 //! of the tree-walk interpreter — same `charge_*` calls, same barriers and

@@ -22,7 +22,7 @@
 //!
 //! The consumers live next door: `lint.rs` runs the interval-powered
 //! verification walk and the static race detector on top of these
-//! lattices, and [`shrink_dead_stages`] is the builder pass that trims
+//! lattices, and `shrink_dead_stages` is the builder pass that trims
 //! generic-mode staging to the registers some `simd` body actually reads.
 
 use omp_core::dispatch::{Registry, TripMeta};

@@ -17,7 +17,7 @@
 //!   generic simd regions on a barrier-less architecture are *not* errors:
 //!   they legalize to sequential leader-lane execution, recorded as an
 //!   `R-SEQ-SIMD` remark;
-//! * **optimization** — [`spmdize`] promotes inferred-generic regions to
+//! * **optimization** — `spmdize` promotes inferred-generic regions to
 //!   [`ExecMode::Spmd`] when declared effect footprints prove no sequential
 //!   side effects need the state machine, recording each promotion as a
 //!   structured [`Promotion`] remark (rendered like `-Rpass` output). A

@@ -81,13 +81,6 @@ pub struct VarsMut<'e> {
     pub regs: &'e mut [Slot],
 }
 
-impl<'e> VarsMut<'e> {
-    /// Reborrow as a read-only view.
-    pub fn ro(&self) -> Vars<'_> {
-        Vars { args: self.args, outer: self.outer, regs: self.regs }
-    }
-}
-
 /// Index of a registered thread-sequential function.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SeqId(pub u32);

@@ -1009,7 +1009,7 @@ fn sort_lines(lines: &mut Vec<u64>) {
 /// global memory, cost model and counters.
 ///
 /// [`crate::launch::Device::launch`] builds one per sim thread from the
-/// thread's [`Spare`] and runs the thread's blocks in it one after
+/// thread's `Spare` and runs the thread's blocks in it one after
 /// another, passing it to the kernel entry function once per block.
 pub struct TeamCtx<'g> {
     /// Id of this block within the launch grid.
@@ -1561,7 +1561,7 @@ impl<'g> TeamCtx<'g> {
     /// traffic depends on cross-block first-touch order, so the launch
     /// fills both during the block-index-order replay of the
     /// line-visit logs. The block's storage goes back to this
-    /// thread's [`SPARE`] for its next block.
+    /// thread's `SPARE` for its next block.
     pub fn finish(mut self, threads: u32, smem_bytes: u32) -> (BlockProfile, RtCounters) {
         let done = self.end(threads, smem_bytes);
         self.into_spare().put_back();

@@ -22,7 +22,7 @@
 //!   access is a scan of a few ids plus an index, with no lock and no
 //!   refcount traffic. During a launch the list is launch-scoped per sim
 //!   thread: one view serves all of the thread's blocks in turn
-//!   ([`GlobalView::begin_block`]), so a thread looks a segment up once
+//!   (`GlobalView::begin_block`), so a thread looks a segment up once
 //!   per launch, and drops the `Arc`s when it leaves the launch. A cached
 //!   segment shares its `alive` flag with the table, so use after free
 //!   still panics;

@@ -302,7 +302,7 @@ struct WarpSyncState {
 
 /// The per-block sanitizer state. Attached by the launch path when
 /// [`crate::Device::enable_sanitizer`] is on; fed by [`crate::TeamCtx`].
-/// A sim thread keeps one from block to block and [`Sanitizer::reset`]s
+/// A sim thread keeps one from block to block and `Sanitizer::reset`s
 /// it, so its tables are allocated once.
 #[derive(Debug, Default)]
 pub struct Sanitizer {
@@ -766,7 +766,7 @@ impl Sanitizer {
 
     /// End of the block (`__target_deinit` has run): check for leaked
     /// fallbacks and return all findings. A leak is kept even past
-    /// [`MAX_VIOLATIONS`]: there is at most one per block.
+    /// `MAX_VIOLATIONS`: there is at most one per block.
     pub fn finish(mut self) -> Vec<Violation> {
         self.report_leak();
         self.violations

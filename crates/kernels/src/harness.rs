@@ -2,66 +2,6 @@
 //! benchmarks.
 
 use gpu_sim::{Device, DeviceArch, LaunchStats};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Stable 32-bit lane id derived from a name (FNV-1a fold). Reruns of the
-/// same program get the same lane for the same name regardless of thread
-/// scheduling — the property a plain global counter cannot give.
-pub fn lane_of(name: &str) -> u32 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    (h ^ (h >> 32)) as u32
-}
-
-/// A monotonic job-id source partitioned into **lanes**: each id packs
-/// `(lane << 32) | seq`, where `seq` counts submissions within the lane in
-/// program order. Because the lane is supplied by the caller (a tenant
-/// index, or [`lane_of`] a stable name) and the sequence is per-lane,
-/// every id is a pure function of *(who submitted, how many they had
-/// submitted before)* — bit-identical across reruns and across any thread
-/// interleaving of *other* lanes. This is the shared id scheme for
-/// [`measure`] reps and the serve crate's per-tenant job ids; nothing in
-/// either path derives ordering from a cross-thread global counter.
-pub struct JobIdLane {
-    lane: u32,
-    next: AtomicU64,
-}
-
-impl JobIdLane {
-    /// A lane with an explicit index (e.g. a tenant's registration order).
-    pub fn new(lane: u32) -> JobIdLane {
-        JobIdLane { lane, next: AtomicU64::new(0) }
-    }
-
-    /// A lane keyed by a stable name (see [`lane_of`]).
-    pub fn named(name: &str) -> JobIdLane {
-        JobIdLane::new(lane_of(name))
-    }
-
-    /// The lane index.
-    pub fn lane(&self) -> u32 {
-        self.lane
-    }
-
-    /// Allocate the next id in this lane: `(lane << 32) | seq`.
-    pub fn next(&self) -> u64 {
-        let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        assert!(seq <= u32::MAX as u64, "job-id lane overflow");
-        ((self.lane as u64) << 32) | seq
-    }
-}
-
-/// Lane component of a packed job id.
-pub fn job_lane(id: u64) -> u32 {
-    (id >> 32) as u32
-}
-
-/// Per-lane sequence component of a packed job id.
-pub fn job_seq(id: u64) -> u32 {
-    id as u32
-}
 
 /// The three versions Fig 10 compares for each kernel (§6.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,10 +42,6 @@ pub struct KernelRun {
     pub stats: LaunchStats,
     /// Maximum absolute error against the host reference.
     pub max_abs_err: f64,
-    /// Job id of the final rep: `(lane_of(name) << 32) | (reps − 1)` — a
-    /// pure function of the measurement's identity, stable across reruns
-    /// (see [`JobIdLane`]).
-    pub job_id: u64,
 }
 
 impl KernelRun {
@@ -142,24 +78,21 @@ pub fn measure(
     mut f: impl FnMut(&mut Device) -> (Vec<f64>, LaunchStats),
 ) -> KernelRun {
     assert!(reps >= 1);
-    let name = name.into();
-    let ids = JobIdLane::named(&name);
-    let mut last: Option<(Vec<f64>, LaunchStats, u64)> = None;
+    let mut last: Option<(Vec<f64>, LaunchStats)> = None;
     for _ in 0..reps {
         let mut dev = Device::new(arch.clone());
         let out = f(&mut dev);
-        let job_id = ids.next();
-        if let Some((prev_got, prev, _)) = &last {
+        if let Some((prev_got, prev)) = &last {
             assert_eq!(prev, &out.1, "non-deterministic simulation (stats diverged across reps)");
             assert_eq!(
                 prev_got, &out.0,
                 "non-deterministic simulation (results diverged across reps)"
             );
         }
-        last = Some((out.0, out.1, job_id));
+        last = Some(out);
     }
-    let (got, stats, job_id) = last.unwrap();
-    KernelRun { name, stats, max_abs_err: max_abs_err(&got, want), job_id }
+    let (got, stats) = last.unwrap();
+    KernelRun { name: name.into(), stats, max_abs_err: max_abs_err(&got, want) }
 }
 
 /// Relative speedup of `base` over `new` (>1 means `new` is faster).
@@ -192,22 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn job_ids_are_pure_functions_of_lane_and_order() {
-        // Same name → same lane, every rerun.
-        assert_eq!(lane_of("spmv gs=8"), lane_of("spmv gs=8"));
-        assert_ne!(lane_of("spmv gs=8"), lane_of("spmv gs=16"));
-        let a = JobIdLane::new(7);
-        let b = JobIdLane::new(9);
-        let ids = [a.next(), b.next(), a.next(), b.next()];
-        // Interleaving across lanes never changes either lane's ids.
-        assert_eq!(ids.map(job_lane), [7, 9, 7, 9]);
-        assert_eq!(ids.map(job_seq), [0, 0, 1, 1]);
-        assert_eq!(ids[0], 7u64 << 32);
-        // Fresh source replays identically.
-        assert_eq!(JobIdLane::new(7).next(), ids[0]);
-    }
-
-    #[test]
     fn measure_checks_determinism_and_error() {
         for cell in &CELLS {
             let arch = gpu_sim::DeviceArch::tiny();
@@ -227,7 +144,6 @@ mod tests {
             });
             assert!(run.verified(0.0));
             assert!(run.cycles() > 0);
-            assert_eq!(run.job_id, ((lane_of("toy") as u64) << 32) | 2);
         }
     }
 }

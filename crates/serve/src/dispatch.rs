@@ -27,7 +27,8 @@ use omp_kernels::harness::max_abs_err;
 use omp_kernels::{batched, ideal};
 
 use crate::plan::WarmPlan;
-use crate::queue::{Unit, UnitKind};
+use crate::queue::Unit;
+use crate::spec::JobKind;
 
 /// Execute one unit on a fresh scratch device of the unit's keyed
 /// architecture and return its outcome fields (stats + optional
@@ -54,7 +55,7 @@ pub fn execute_unit_on(
     verify: bool,
 ) -> (LaunchStats, Option<f64>) {
     match unit.kind {
-        UnitKind::Ideal { outer, seed } => {
+        JobKind::Ideal { outer, seed, .. } => {
             let w = ideal::IdealWorkload::generate(outer, seed);
             let ops = ideal::IdealDev::upload(dev, &w);
             let stats = launch_flat(
@@ -68,8 +69,8 @@ pub fn execute_unit_on(
             let err = verify.then(|| max_abs_err(&ops.read_out(dev), &w.reference()));
             (stats, err)
         }
-        UnitKind::Micro { rows, inner } => {
-            let w = batched::BatchedWorkload::generate(unit.members.len(), rows, inner);
+        JobKind::Micro { rows, inner } => {
+            let w = batched::BatchedWorkload::generate(unit.count as usize, rows, inner);
             let ops = batched::BatchedDev::upload(dev, &w);
             let stats = launch_flat(
                 dev,
@@ -89,34 +90,42 @@ pub fn execute_unit_on(
 mod tests {
     use super::*;
     use crate::plan::build_warm_plan;
-    use crate::queue::Member;
-    use crate::spec::{PlanKernel, PlanKey, NARGS};
+    use crate::spec::{PlanKernel, PlanKey};
     use gpu_sim::ArchId;
 
-    fn unit_on(kind: UnitKind, members: usize, kernel: PlanKernel, arch: ArchId) -> Unit {
+    /// A unit of `count` jobs of `kind`, keyed as admission keys it.
+    fn unit_on(kind: JobKind, count: u32, arch: ArchId) -> Unit {
+        let kernel = match kind {
+            JobKind::Ideal { teams, threads, simdlen, .. } => {
+                PlanKernel::Ideal { teams, threads, simdlen }
+            }
+            JobKind::Micro { .. } => PlanKernel::MicroBatch { k: count as usize },
+        };
         Unit {
             device: 0,
+            tenant: 0,
             kind,
-            key: PlanKey { kernel, arch, nargs: NARGS, lint: true },
-            members: (0..members)
-                .map(|i| Member { job_id: i as u64, tenant: 0, arrival_vt: 0 })
-                .collect(),
+            key: PlanKey { kernel, arch, lint: true },
+            first_seq: 0,
+            count,
             arrival_vt: 0,
             drain_seq: 0,
         }
     }
 
-    fn unit(kind: UnitKind, members: usize, kernel: PlanKernel) -> Unit {
-        unit_on(kind, members, kernel, ArchId::A100)
+    fn unit(kind: JobKind, count: u32) -> Unit {
+        unit_on(kind, count, ArchId::A100)
     }
+
+    fn ideal(teams: u32, threads: u32, outer: usize, seed: u64) -> JobKind {
+        JobKind::Ideal { teams, threads, simdlen: 8, outer, seed }
+    }
+
+    const MICRO: JobKind = JobKind::Micro { rows: 2, inner: 8 };
 
     #[test]
     fn ideal_unit_executes_and_verifies() {
-        let u = unit(
-            UnitKind::Ideal { outer: 4, seed: 3 },
-            1,
-            PlanKernel::Ideal { teams: 1, threads: 32, simdlen: 8 },
-        );
+        let u = unit(ideal(1, 32, 4, 3), 1);
         let plan = build_warm_plan(&u.key);
         let (stats, err) = execute_unit(&u, &plan, Some(1), true);
         assert!(stats.cycles > 0);
@@ -125,7 +134,7 @@ mod tests {
 
     #[test]
     fn micro_batch_executes_all_members_in_one_launch() {
-        let u = unit(UnitKind::Micro { rows: 2, inner: 8 }, 3, PlanKernel::MicroBatch { k: 3 });
+        let u = unit(MICRO, 3);
         let plan = build_warm_plan(&u.key);
         let (stats, err) = execute_unit(&u, &plan, Some(1), true);
         assert!(stats.cycles > 0);
@@ -136,11 +145,7 @@ mod tests {
 
     #[test]
     fn repeated_execution_is_bit_identical() {
-        let u = unit(
-            UnitKind::Ideal { outer: 2, seed: 9 },
-            1,
-            PlanKernel::Ideal { teams: 1, threads: 32, simdlen: 8 },
-        );
+        let u = unit(ideal(1, 32, 2, 9), 1);
         let plan = build_warm_plan(&u.key);
         let (a, _) = execute_unit(&u, &plan, Some(1), false);
         let (b, _) = execute_unit(&u, &plan, Some(1), false);
@@ -152,20 +157,7 @@ mod tests {
         // The launch a worker makes, rerun on a sanitized device: an ideal
         // unit and a three-panel micro batch on each backend.
         for arch in [ArchId::A100, ArchId::Mi100] {
-            let units = [
-                unit_on(
-                    UnitKind::Ideal { outer: 3, seed: 5 },
-                    1,
-                    PlanKernel::Ideal { teams: 2, threads: 64, simdlen: 8 },
-                    arch,
-                ),
-                unit_on(
-                    UnitKind::Micro { rows: 2, inner: 8 },
-                    3,
-                    PlanKernel::MicroBatch { k: 3 },
-                    arch,
-                ),
-            ];
+            let units = [unit_on(ideal(2, 64, 3, 5), 1, arch), unit_on(MICRO, 3, arch)];
             for u in &units {
                 let plan = build_warm_plan(&u.key);
                 let (stats, _) = execute_unit(u, &plan, Some(1), false);
@@ -192,12 +184,7 @@ mod tests {
         // footprint), so the wave64 lowering bakes in sequential-simd
         // legalization; execution on a wave64 scratch device must still
         // match the host reference.
-        let u = unit_on(
-            UnitKind::Micro { rows: 2, inner: 8 },
-            3,
-            PlanKernel::MicroBatch { k: 3 },
-            ArchId::Mi100,
-        );
+        let u = unit_on(MICRO, 3, ArchId::Mi100);
         let plan = build_warm_plan(&u.key);
         let (stats, err) = execute_unit(&u, &plan, Some(1), true);
         assert!(stats.cycles > 0);

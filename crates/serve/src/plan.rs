@@ -6,10 +6,10 @@
 //! pays the full builder + lint fixpoint + lowering + verifier pipeline,
 //! a warm submit pays a read-lock and an `Arc` clone. The cache is
 //! **content-addressed** on [`PlanKey`] — kernel identity, target arch,
-//! argument count, lint configuration — and stores nothing derived from
-//! input data, so it is a pure memoization: evicting and rebuilding any
-//! entry mid-stream must (and, per the differential test, does) reproduce
-//! bit-identical launches. Because the arch is part of the key, one cache
+//! lint configuration — and stores nothing derived from input data, so
+//! it is a pure memoization: evicting and rebuilding any entry mid-stream
+//! must (and, per the differential test, does) reproduce bit-identical
+//! launches. Because the arch is part of the key, one cache
 //! serves a heterogeneous fleet: an a100 worker and an mi100 worker
 //! requesting the same kernel fill two independent entries whose lowered
 //! bytecode differs (warp width, sequential-simd legalization).
@@ -20,7 +20,7 @@ use std::sync::{Arc, RwLock};
 
 use omp_codegen::{CompiledKernel, FlatProgram};
 
-use crate::spec::PlanKey;
+use crate::spec::{PlanKey, NARGS};
 
 /// A fully prepared plan: the compiled kernel plus its flat-bytecode
 /// lowering for the keyed launch geometry, ready to launch with no
@@ -28,7 +28,7 @@ use crate::spec::PlanKey;
 pub struct WarmPlan {
     /// Compiled kernel (plan + registry + config + analysis).
     pub kernel: Arc<CompiledKernel>,
-    /// Flat-bytecode program lowered for the keyed arch and `nargs`.
+    /// Flat-bytecode program lowered for the keyed arch and [`NARGS`].
     pub flat: Arc<FlatProgram>,
     /// Content fingerprint of the compiled kernel
     /// ([`CompiledKernel::plan_hash`]); folded into every job report so
@@ -46,7 +46,7 @@ pub fn build_warm_plan(key: &PlanKey) -> WarmPlan {
     let arch = key.arch.arch();
     let kernel = key.kernel.build();
     if key.lint {
-        let report = kernel.lint(&arch, key.nargs);
+        let report = kernel.lint(&arch, NARGS);
         if report.has_errors() {
             panic!(
                 "simtlint rejected a service kernel {:?} on {}:\n{}",
@@ -56,7 +56,7 @@ pub fn build_warm_plan(key: &PlanKey) -> WarmPlan {
             );
         }
     }
-    let flat = kernel.flat_program(&arch, key.nargs);
+    let flat = kernel.flat_program(&arch, NARGS);
     let plan_hash = kernel.plan_hash();
     WarmPlan { kernel: Arc::new(kernel), flat, plan_hash }
 }
@@ -141,7 +141,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{PlanKernel, NARGS};
+    use crate::spec::PlanKernel;
     use gpu_sim::ArchId;
 
     fn key(simdlen: u32) -> PlanKey {
@@ -149,12 +149,7 @@ mod tests {
     }
 
     fn key_on(simdlen: u32, arch: ArchId) -> PlanKey {
-        PlanKey {
-            kernel: PlanKernel::Ideal { teams: 1, threads: 64, simdlen },
-            arch,
-            nargs: NARGS,
-            lint: true,
-        }
+        PlanKey { kernel: PlanKernel::Ideal { teams: 1, threads: 64, simdlen }, arch, lint: true }
     }
 
     #[test]

@@ -19,53 +19,29 @@
 use std::collections::VecDeque;
 
 use gpu_sim::ArchId;
-use omp_kernels::harness::JobIdLane;
 
-use crate::spec::{JobKind, JobSpec, PlanKernel, PlanKey, SubmitError, NARGS};
+use crate::spec::{JobKind, JobSpec, PlanKernel, PlanKey, SubmitError};
 
-/// One job inside a work unit.
+/// A sealed, dispatchable work unit: one kernel launch covering `count`
+/// consecutive jobs of one tenant. A batch seals as soon as its tenant
+/// submits anything that cannot join it, and a refused job takes no id,
+/// so a unit's jobs are always the seqs `first_seq..first_seq + count`.
 #[derive(Clone, Copy, Debug)]
-pub struct Member {
-    /// Packed job id (`tenant lane << 32 | per-tenant seq`).
-    pub job_id: u64,
-    /// Owning tenant's lane index.
-    pub tenant: u32,
-    /// Virtual arrival time of this job.
-    pub arrival_vt: u64,
-}
-
-/// What a sealed unit launches.
-#[derive(Clone, Copy, Debug)]
-pub enum UnitKind {
-    /// One ideal launch (always a single member).
-    Ideal {
-        /// Outer iterations.
-        outer: usize,
-        /// Input seed.
-        seed: u64,
-    },
-    /// One batched launch of `members.len()` same-shape micro panels.
-    Micro {
-        /// Rows per panel.
-        rows: usize,
-        /// Elements per row.
-        inner: usize,
-    },
-}
-
-/// A sealed, dispatchable work unit: one kernel launch covering one or
-/// more jobs.
-#[derive(Clone, Debug)]
 pub struct Unit {
     /// Home device (affinity sharding).
     pub device: u32,
-    /// Workload of the launch.
-    pub kind: UnitKind,
+    /// Owning tenant's lane index.
+    pub tenant: u32,
+    /// Workload of every job covered: one ideal job, or `count` same-shape
+    /// micro panels.
+    pub kind: JobKind,
     /// Plan-cache address of the launch.
     pub key: PlanKey,
-    /// Jobs covered, in submission order.
-    pub members: Vec<Member>,
-    /// Latest member arrival — the unit cannot start before every member
+    /// Per-tenant seq of the first job covered.
+    pub first_seq: u32,
+    /// Jobs covered.
+    pub count: u32,
+    /// Latest job arrival — the unit cannot start before every job
     /// exists, so this is its release constraint on the fleet timeline.
     pub arrival_vt: u64,
     /// Global drain sequence number, stamped when DRR releases the unit
@@ -74,37 +50,29 @@ pub struct Unit {
 }
 
 impl Unit {
-    /// DRR weight: summed member work estimate.
+    /// DRR weight: summed job work estimate.
     pub fn weight(&self) -> u64 {
-        match self.kind {
-            UnitKind::Ideal { outer, .. } => {
-                JobKind::Ideal { teams: 0, threads: 0, simdlen: 0, outer, seed: 0 }.weight()
-            }
-            UnitKind::Micro { rows, inner } => {
-                JobKind::Micro { rows, inner }.weight() * self.members.len() as u64
-            }
-        }
+        self.kind.weight() * self.count as u64
     }
 }
 
-/// A not-yet-sealed micro batch.
-struct OpenBatch {
-    rows: usize,
-    inner: usize,
-    device: u32,
-    members: Vec<Member>,
-    arrival_vt: u64,
+/// Pack a job id: `tenant << 32 | per-tenant seq`.
+pub(crate) fn job_id(tenant: u32, seq: u32) -> u64 {
+    ((tenant as u64) << 32) | seq as u64
 }
 
 struct Tenant {
     #[allow(dead_code)] // reports and debugging; the lane index is the identity
     name: String,
-    ids: JobIdLane,
+    /// Arrival time of every admitted job, indexed by seq: a job's seq is
+    /// the log's length when it is admitted.
+    arrivals: Vec<u64>,
     queue: VecDeque<Unit>,
-    /// Jobs currently admitted (queued units + open batch members) —
-    /// what the capacity bound counts.
+    /// Jobs currently admitted (queued units + open batch jobs) — what
+    /// the capacity bound counts.
     queued_jobs: usize,
-    open: Option<OpenBatch>,
+    /// The not-yet-sealed micro batch; sealing sets its key's batch size.
+    open: Option<Unit>,
     deficit: u64,
 }
 
@@ -176,7 +144,7 @@ impl Admission {
         let lane = self.tenants.len() as u32;
         self.tenants.push(Tenant {
             name: name.to_string(),
-            ids: JobIdLane::new(lane),
+            arrivals: Vec::new(),
             queue: VecDeque::new(),
             queued_jobs: 0,
             open: None,
@@ -210,27 +178,16 @@ impl Admission {
         self.tenants.iter().all(|t| t.queue.is_empty() && t.open.is_none())
     }
 
+    /// Virtual arrival times of `tenant`'s admitted jobs, indexed by seq.
+    pub fn arrivals(&self, tenant: u32) -> &[u64] {
+        &self.tenants[tenant as usize].arrivals
+    }
+
     fn seal_open(&mut self, tenant: usize) {
-        let arch = match &self.tenants[tenant].open {
-            Some(open) => self.archs[open.device as usize],
-            None => return,
-        };
         let t = &mut self.tenants[tenant];
-        if let Some(open) = t.open.take() {
-            let k = open.members.len();
-            t.queue.push_back(Unit {
-                device: open.device,
-                kind: UnitKind::Micro { rows: open.rows, inner: open.inner },
-                key: PlanKey {
-                    kernel: PlanKernel::MicroBatch { k },
-                    arch,
-                    nargs: NARGS,
-                    lint: self.lint,
-                },
-                members: open.members,
-                arrival_vt: open.arrival_vt,
-                drain_seq: 0,
-            });
+        if let Some(mut unit) = t.open.take() {
+            unit.key.kernel = PlanKernel::MicroBatch { k: unit.count as usize };
+            t.queue.push_back(unit);
         }
     }
 
@@ -252,51 +209,50 @@ impl Admission {
             self.rejected += 1;
             return Err(SubmitError::QueueFull { tenant, cap: self.tenant_queue_cap });
         }
-        let job_id = self.tenants[ti].ids.next();
+        let seq = self.tenants[ti].arrivals.len();
+        assert!(seq <= u32::MAX as usize, "tenant {tenant} ran out of job ids");
+        let seq = seq as u32;
+        self.tenants[ti].arrivals.push(spec.arrival_vt);
         let queued_before = self.tenants[ti].queue.len();
-        let member = Member { job_id, tenant, arrival_vt: spec.arrival_vt };
-        match spec.kind {
-            JobKind::Ideal { teams, threads, simdlen, outer, seed } => {
-                // An ideal job cannot join a micro batch; seal any open one
-                // first so per-tenant dispatch order tracks submission order.
+        match &mut self.tenants[ti].open {
+            Some(open) if open.kind == spec.kind && open.device == device => {
+                open.count += 1;
+                open.arrival_vt = open.arrival_vt.max(spec.arrival_vt);
+            }
+            // Whatever cannot join the open batch seals it first, so
+            // per-tenant dispatch order tracks submission order and every
+            // unit covers consecutive seqs.
+            _ => {
                 self.seal_open(ti);
-                let key = PlanKey {
-                    kernel: PlanKernel::Ideal { teams, threads, simdlen },
-                    arch,
-                    nargs: NARGS,
-                    lint: self.lint,
+                let kernel = match spec.kind {
+                    JobKind::Ideal { teams, threads, simdlen, .. } => {
+                        PlanKernel::Ideal { teams, threads, simdlen }
+                    }
+                    JobKind::Micro { .. } => PlanKernel::MicroBatch { k: 1 },
                 };
-                self.tenants[ti].queue.push_back(Unit {
+                let unit = Unit {
                     device,
-                    kind: UnitKind::Ideal { outer, seed },
-                    key,
-                    members: vec![member],
+                    tenant,
+                    kind: spec.kind,
+                    key: PlanKey { kernel, arch, lint: self.lint },
+                    first_seq: seq,
+                    count: 1,
                     arrival_vt: spec.arrival_vt,
                     drain_seq: 0,
-                });
-            }
-            JobKind::Micro { rows, inner } => {
-                let joins = matches!(
-                    &self.tenants[ti].open,
-                    Some(o) if o.rows == rows && o.inner == inner && o.device == device
-                );
-                if !joins {
-                    self.seal_open(ti);
-                    self.tenants[ti].open =
-                        Some(OpenBatch { rows, inner, device, members: Vec::new(), arrival_vt: 0 });
-                }
-                let open = self.tenants[ti].open.as_mut().expect("open batch just ensured");
-                open.members.push(member);
-                open.arrival_vt = open.arrival_vt.max(spec.arrival_vt);
-                if open.members.len() >= self.batch_max {
-                    self.seal_open(ti);
+                };
+                match spec.kind {
+                    JobKind::Ideal { .. } => self.tenants[ti].queue.push_back(unit),
+                    JobKind::Micro { .. } => self.tenants[ti].open = Some(unit),
                 }
             }
+        }
+        if self.tenants[ti].open.as_ref().is_some_and(|o| o.count as usize >= self.batch_max) {
+            self.seal_open(ti);
         }
         let t = &mut self.tenants[ti];
         t.queued_jobs += 1;
         self.submit_drainable = !self.paused && t.queue.len() > queued_before;
-        Ok(job_id)
+        Ok(job_id(tenant, seq))
     }
 
     /// Seal every open micro batch (partial batches become drainable
@@ -342,7 +298,7 @@ impl Admission {
                 }
                 t.deficit -= w;
                 let mut unit = t.queue.pop_front().expect("front just observed");
-                t.queued_jobs -= unit.members.len();
+                t.queued_jobs -= unit.count as usize;
                 unit.drain_seq = self.drain_seq;
                 self.drain_seq += 1;
                 out.push(unit);
@@ -392,13 +348,34 @@ mod tests {
         let mut a = Admission::new(vec![ArchId::A100], true, 2, 4, 1_000_000);
         let t = a.register("t");
         a.submit(t, &ideal(0)).unwrap();
-        a.submit(t, &ideal(0)).unwrap();
-        assert_eq!(a.submit(t, &ideal(0)), Err(SubmitError::QueueFull { tenant: t, cap: 2 }));
+        a.submit(t, &ideal(1)).unwrap();
+        assert_eq!(a.submit(t, &ideal(2)), Err(SubmitError::QueueFull { tenant: t, cap: 2 }));
         assert_eq!(a.rejected(), 1);
         // Draining frees capacity.
         let mut out = Vec::new();
         assert_eq!(a.drain_round(&mut out), 2);
-        a.submit(t, &ideal(0)).unwrap();
+        assert_eq!(a.submit(t, &ideal(3)), Ok(2), "the rejected job took no id");
+        assert_eq!(a.arrivals(t), [0, 1, 3], "nor an arrival");
+    }
+
+    #[test]
+    fn a_unit_covers_consecutive_ids_across_a_refused_job() {
+        let mut a = Admission::new(vec![ArchId::A100, ArchId::Mi100], true, 16, 4, 1_000_000);
+        let t = a.register("t");
+        assert_eq!(a.submit(t, &micro(10)), Ok(0));
+        assert_eq!(a.submit(t, &micro(20)), Ok(1));
+        // Half a wavefront on the mi100: refused before it takes an id.
+        let half_wave = JobSpec { affinity: Some(1), ..ideal(30) };
+        assert!(matches!(a.submit(t, &half_wave), Err(SubmitError::Unsupported { .. })));
+        assert_eq!(a.submit(t, &micro(40)), Ok(2), "the refused job took no id");
+        assert_eq!(a.arrivals(t), [10, 20, 40], "nor an arrival");
+        a.close();
+        let mut out = Vec::new();
+        assert_eq!(a.drain_round(&mut out), 1, "the refused job did not seal the batch");
+        let u = out[0];
+        assert_eq!((u.tenant, u.first_seq, u.count), (t, 0, 3));
+        assert_eq!(u.arrival_vt, 40);
+        assert!(matches!(u.key.kernel, PlanKernel::MicroBatch { k: 3 }));
     }
 
     #[test]
@@ -445,12 +422,13 @@ mod tests {
         let mut out = Vec::new();
         a.drain_round(&mut out);
         assert_eq!(out.len(), 3);
-        assert_eq!(out[0].members.len(), 4);
-        assert!(matches!(out[0].kind, UnitKind::Micro { .. }));
-        assert_eq!(out[0].arrival_vt, 3, "batch released when its last member arrived");
-        assert_eq!(out[1].members.len(), 1);
-        assert!(matches!(out[1].kind, UnitKind::Micro { .. }));
-        assert!(matches!(out[2].kind, UnitKind::Ideal { .. }));
+        assert_eq!((out[0].first_seq, out[0].count), (0, 4));
+        assert!(matches!(out[0].kind, JobKind::Micro { .. }));
+        assert_eq!(out[0].arrival_vt, 3, "batch released when its last job arrived");
+        assert_eq!((out[1].first_seq, out[1].count), (4, 1));
+        assert!(matches!(out[1].kind, JobKind::Micro { .. }));
+        assert!(matches!(out[2].kind, JobKind::Ideal { .. }));
+        assert_eq!((out[2].first_seq, out[2].count), (5, 1));
         // Batch size is content-addressed into the plan key.
         assert!(matches!(out[0].key.kernel, PlanKernel::MicroBatch { k: 4 }));
         assert!(matches!(out[1].key.kernel, PlanKernel::MicroBatch { k: 1 }));
@@ -531,7 +509,7 @@ mod tests {
         let mut out = Vec::new();
         a.drain_round(&mut out);
         a.drain_round(&mut out);
-        let light_done = out.iter().filter(|u| u.members[0].tenant == light).count();
+        let light_done = out.iter().filter(|u| u.tenant == light).count();
         assert_eq!(light_done, 2, "light tenant drains alongside the flood, not after it");
         assert_eq!(out.len(), 4);
         // Drain stamps are globally ordered.

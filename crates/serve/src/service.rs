@@ -40,7 +40,7 @@ use omp_host::{DeviceBusy, TimelineStats};
 
 use crate::dispatch::execute_unit;
 use crate::plan::PlanCache;
-use crate::queue::{Admission, Unit};
+use crate::queue::{job_id, Admission, Unit};
 use crate::spec::{JobSpec, SubmitError};
 
 /// Service-wide configuration.
@@ -170,11 +170,6 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    /// Canonical queueing delay: cycles between arrival and virtual start.
-    pub fn queue_delay(&self) -> u64 {
-        self.start_vt - self.arrival_vt
-    }
-
     /// Canonical submit-to-complete virtual latency.
     pub fn latency(&self) -> u64 {
         self.finish_vt - self.arrival_vt
@@ -474,15 +469,14 @@ fn worker_loop(shared: &Shared, worker: u32) {
     shared.outcomes.lock().merge(local);
 }
 
-/// What the workers hand the fold: per executed unit, what the replays
-/// read and what its members' reports share; per job, a key naming its
-/// unit. A worker records a unit right after executing it and drops the
-/// unit there, so the serial fold neither reads nor frees a [`Unit`].
+/// What the workers hand the fold, per executed unit: what the replays
+/// read, and what its jobs' reports share. A worker records a unit right
+/// after executing it and drops the unit there, so the serial fold neither
+/// reads nor frees a [`Unit`].
 #[derive(Default)]
 struct Outcomes {
     slots: Vec<Slot>,
     units: Vec<UnitOutcome>,
-    members: Vec<MemberKey>,
 }
 
 impl Outcomes {
@@ -495,23 +489,16 @@ impl Outcomes {
         executed_by: u32,
         stolen: bool,
     ) {
-        let i = self.units.len() as u32;
-        self.members.extend(unit.members.iter().enumerate().map(|(index, m)| MemberKey {
-            job_id: m.job_id,
-            arrival_vt: m.arrival_vt,
-            tenant: m.tenant,
-            unit: i,
-            index: index as u32,
-        }));
         self.slots.push(Slot {
             device: unit.device,
             arrival_vt: unit.arrival_vt,
             cycles: stats.cycles,
         });
         self.units.push(UnitOutcome {
-            first_job: unit.members[0].job_id,
+            tenant: unit.tenant,
+            first_seq: unit.first_seq,
+            count: unit.count,
             drain_seq: unit.drain_seq,
-            batch_size: unit.members.len() as u32,
             stats: Arc::new(stats),
             plan_hash,
             max_abs_err,
@@ -520,29 +507,29 @@ impl Outcomes {
         });
     }
 
-    /// Append another worker's outcomes, rebasing its members' unit
-    /// indices. The first worker's buffers are taken over, not copied.
+    /// Append another worker's outcomes. The first worker's buffers are
+    /// taken over, not copied.
     fn merge(&mut self, mut other: Outcomes) {
         if self.units.is_empty() {
             *self = other;
             return;
         }
-        let base = self.units.len() as u32;
-        self.members.extend(other.members.iter().map(|m| MemberKey { unit: m.unit + base, ..*m }));
         self.slots.append(&mut other.slots);
         self.units.append(&mut other.units);
     }
 }
 
-/// One executed unit, as its members' reports and the replay orders need
-/// it. Its replay inputs are the [`Slot`] at the same index.
+/// One executed unit, as its jobs' reports and the replay orders need it.
+/// Its replay inputs are the [`Slot`] at the same index.
 struct UnitOutcome {
-    /// The first member's job id: the canonical order's tie-break.
-    first_job: u64,
+    /// The unit's jobs: `tenant`'s seqs `first_seq..first_seq + count`.
+    /// Their first id is the canonical order's tie-break.
+    tenant: u32,
+    first_seq: u32,
+    count: u32,
     /// Drain stamp: the dispatch-order replay's order.
     drain_seq: u64,
-    batch_size: u32,
-    /// The launch's stats, shared by every member's report.
+    /// The launch's stats, shared by every job's report.
     stats: Arc<LaunchStats>,
     plan_hash: u64,
     max_abs_err: Option<f64>,
@@ -550,35 +537,25 @@ struct UnitOutcome {
     stolen: bool,
 }
 
-/// One job's place in the fold: its own fields and its unit's index.
-#[derive(Clone, Copy)]
-struct MemberKey {
-    job_id: u64,
-    arrival_vt: u64,
-    tenant: u32,
-    unit: u32,
-    /// Position within the unit's launch.
-    index: u32,
-}
-
 /// The deterministic fold of a stopped fleet: the canonical replay (per
 /// device, in arrival order), the dispatch-order replay (in drain order),
 /// then per-job reports in job-id order. The sorts move compact keys that
 /// end in a unit index.
 fn fold(shared: &Shared) -> ServiceReport {
-    let Outcomes { slots, units, mut members } = std::mem::take(&mut *shared.outcomes.lock());
+    let Outcomes { slots, units } = std::mem::take(&mut *shared.outcomes.lock());
     let devices = shared.cfg.devices;
 
     // Canonical replay: per device, serve units in (arrival, first-job-id)
-    // order — a pure function of what was submitted.
-    let mut canonical: Vec<(u32, u64, u64, u32)> = slots
+    // order — a pure function of what was submitted. A job id orders as
+    // its (tenant, seq) pair.
+    let mut canonical: Vec<(u32, u64, u32, u32, u32)> = slots
         .iter()
         .zip(&units)
         .enumerate()
-        .map(|(i, (s, u))| (s.device, s.arrival_vt, u.first_job, i as u32))
+        .map(|(i, (s, u))| (s.device, s.arrival_vt, u.tenant, u.first_seq, i as u32))
         .collect();
     canonical.sort_unstable();
-    let times = replay(&slots, canonical.iter().map(|k| k.3 as usize), devices);
+    let times = replay(&slots, canonical.iter().map(|k| k.4 as usize), devices);
     let timeline = timeline_stats(&slots, &times, devices);
 
     // Dispatch-order replay: serve units in drain order (what DRR and the
@@ -588,39 +565,43 @@ fn fold(shared: &Shared) -> ServiceReport {
     drained.sort_unstable();
     let dtimes = replay(&slots, drained.iter().map(|k| k.1 as usize), devices);
 
-    // Build each report once, in its final place.
-    members.sort_unstable_by_key(|m| m.job_id);
-    let jobs = members
-        .iter()
-        .map(|m| {
-            let i = m.unit as usize;
-            let u = &units[i];
-            JobReport {
-                job_id: m.job_id,
-                tenant: m.tenant,
-                device: slots[i].device,
-                arrival_vt: m.arrival_vt,
-                batch_size: u.batch_size,
-                batch_index: m.index,
-                plan_hash: u.plan_hash,
-                stats: Arc::clone(&u.stats),
-                max_abs_err: u.max_abs_err,
-                start_vt: times[i].0,
-                finish_vt: times[i].1,
-                disp_start_vt: dtimes[i].0,
-                disp_finish_vt: dtimes[i].1,
-                executed_by: u.executed_by,
-                stolen: u.stolen,
-            }
-        })
-        .collect();
+    // Units cover disjoint runs of consecutive ids, so expanding them in
+    // first-job order builds each report once, in job-id order. Arrivals
+    // come from the admission log.
+    let mut by_id: Vec<(u32, u32, u32)> =
+        units.iter().enumerate().map(|(i, u)| (u.tenant, u.first_seq, i as u32)).collect();
+    by_id.sort_unstable();
+    let adm = shared.admission.lock();
+    let mut jobs = Vec::with_capacity(units.iter().map(|u| u.count as usize).sum());
+    for &(tenant, first_seq, i) in &by_id {
+        let i = i as usize;
+        let u = &units[i];
+        let arrivals = &adm.arrivals(tenant)[first_seq as usize..][..u.count as usize];
+        jobs.extend((first_seq..).zip(arrivals).map(|(seq, &arrival_vt)| JobReport {
+            job_id: job_id(tenant, seq),
+            tenant,
+            device: slots[i].device,
+            arrival_vt,
+            batch_size: u.count,
+            batch_index: seq - first_seq,
+            plan_hash: u.plan_hash,
+            stats: Arc::clone(&u.stats),
+            max_abs_err: u.max_abs_err,
+            start_vt: times[i].0,
+            finish_vt: times[i].1,
+            disp_start_vt: dtimes[i].0,
+            disp_finish_vt: dtimes[i].1,
+            executed_by: u.executed_by,
+            stolen: u.stolen,
+        }));
+    }
     ServiceReport {
         jobs,
         timeline,
         plan_hits: shared.cache.hits(),
         plan_misses: shared.cache.misses(),
         launches: units.len() as u64,
-        rejected: shared.admission.lock().rejected(),
+        rejected: adm.rejected(),
         steals: shared.steals.load(Ordering::Relaxed),
     }
 }

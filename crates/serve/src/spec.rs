@@ -164,8 +164,6 @@ pub struct PlanKey {
     /// equal warp width — this is what lets one fleet serve a
     /// heterogeneous device mix from a single cache.
     pub arch: ArchId,
-    /// Argument-slot count the lowering was specialized for.
-    pub nargs: usize,
     /// Whether the simtlint gate ran as part of plan preparation.
     pub lint: bool,
 }
@@ -228,7 +226,6 @@ mod tests {
         let k = |simdlen| PlanKey {
             kernel: PlanKernel::Ideal { teams: 1, threads: 32, simdlen },
             arch: ArchId::A100,
-            nargs: NARGS,
             lint: true,
         };
         assert_eq!(k(8), k(8));
@@ -240,7 +237,6 @@ mod tests {
         let k = |arch| PlanKey {
             kernel: PlanKernel::Ideal { teams: 1, threads: 64, simdlen: 8 },
             arch,
-            nargs: NARGS,
             lint: true,
         };
         assert_ne!(k(ArchId::A100), k(ArchId::Mi100));

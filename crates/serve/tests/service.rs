@@ -375,3 +375,31 @@ fn batch_members_share_their_launch_stats() {
     let distinct: HashSet<_> = report.jobs.iter().map(|j| Arc::as_ptr(&j.stats)).collect();
     assert_eq!(distinct.len() as u64, report.launches, "one shared stats value per launch");
 }
+
+#[test]
+fn a_batch_reports_each_jobs_own_arrival_and_releases_at_the_latest() {
+    let svc = LaunchService::start(ServiceConfig {
+        devices: 1,
+        workers: 1,
+        batch_max: 4,
+        sim_threads: Some(1),
+        start_paused: true,
+        ..ServiceConfig::default()
+    });
+    let c = svc.client("t");
+    let arrivals = [300, 100, 400, 200];
+    for &vt in &arrivals {
+        c.submit(&micro(1, 8, vt)).unwrap();
+    }
+    svc.resume();
+    let report = svc.shutdown();
+    assert_eq!(report.launches, 1);
+    let got: Vec<u64> = report.jobs.iter().map(|j| j.arrival_vt).collect();
+    assert_eq!(got, arrivals, "each job keeps its own arrival, in id order");
+    let ids: Vec<u64> = report.jobs.iter().map(|j| j.job_id).collect();
+    assert_eq!(ids, [0, 1, 2, 3]);
+    assert!(
+        report.jobs.iter().all(|j| j.start_vt == 400),
+        "the batch starts once its last job has arrived"
+    );
+}
