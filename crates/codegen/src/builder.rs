@@ -178,7 +178,6 @@ impl TargetBuilder {
             num_teams: self.params.num_teams,
             threads_per_team: self.params.threads_per_team,
             sharing_space_bytes: self.params.sharing_space_bytes,
-            extra_smem_bytes: 0,
         };
         // OpenMPOpt-style SPMD-ization: declared-pure footprints can prove
         // an inferred-generic region safe to promote (see crate::lint).
@@ -792,7 +791,9 @@ impl CompiledKernel {
         h.u32(self.config.num_teams);
         h.u32(self.config.threads_per_team);
         h.u32(self.config.sharing_space_bytes);
-        h.u32(self.config.extra_smem_bytes);
+        // A constant word that keeps every plan hash, and the service
+        // digests built on them, at their pinned values.
+        h.u32(0);
         h.u64(self.plan.team_regs as u64);
         team_ops(&mut h, &self.plan.ops, &self.registry);
         h.u32(self.registry.cascade_len());

@@ -33,8 +33,6 @@ pub struct KernelConfig {
     /// paper grew this from 1024 to 2048 bytes to accommodate SIMD groups
     /// (§5.3.1); both values are exercised by the ablation benchmarks.
     pub sharing_space_bytes: u32,
-    /// Additional static shared memory (globalized variables, user arrays).
-    pub extra_smem_bytes: u32,
 }
 
 impl Default for KernelConfig {
@@ -44,7 +42,6 @@ impl Default for KernelConfig {
             num_teams: 108,
             threads_per_team: 128,
             sharing_space_bytes: 2048,
-            extra_smem_bytes: 0,
         }
     }
 }
@@ -57,7 +54,8 @@ impl KernelConfig {
 
     /// Compute the hardware launch geometry: generic mode reserves one
     /// extra warp for the team main thread (paper Fig 2: "One additional
-    /// warp is included to act as the main thread in the team").
+    /// warp is included to act as the main thread in the team"), and the
+    /// block's shared memory is the sharing space.
     pub fn launch_config(&self, arch: &DeviceArch) -> LaunchConfig {
         let extra = match self.teams_mode {
             ExecMode::Generic => arch.warp_size,
@@ -66,7 +64,7 @@ impl KernelConfig {
         LaunchConfig {
             num_blocks: self.num_teams,
             threads_per_block: self.threads_per_team + extra,
-            smem_bytes: self.sharing_space_bytes + self.extra_smem_bytes,
+            smem_bytes: self.sharing_space_bytes,
         }
     }
 
@@ -153,11 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn smem_combines_sharing_space_and_extras() {
+    fn smem_is_the_sharing_space() {
         let arch = DeviceArch::a100();
-        let cfg =
-            KernelConfig { sharing_space_bytes: 2048, extra_smem_bytes: 512, ..Default::default() };
-        assert_eq!(cfg.launch_config(&arch).smem_bytes, 2560);
+        let cfg = KernelConfig { sharing_space_bytes: 1024, ..Default::default() };
+        assert_eq!(cfg.launch_config(&arch).smem_bytes, 1024);
     }
 
     #[test]

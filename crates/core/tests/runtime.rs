@@ -351,7 +351,6 @@ fn sharing_space_overflow_uses_global_fallback() {
             num_teams: 2,
             threads_per_team: 128,
             sharing_space_bytes: 1024, // legacy size: 128 slots, 96 for groups
-            ..Default::default()
         };
         let args = [
             Slot::from_ptr(x),
@@ -389,7 +388,6 @@ fn bigger_sharing_space_avoids_fallback() {
             num_teams: 2,
             threads_per_team: 128,
             sharing_space_bytes: 2048, // paper default: 16 groups, 14 slots each
-            ..Default::default()
         };
         let args = [
             Slot::from_ptr(x),

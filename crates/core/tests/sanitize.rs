@@ -71,7 +71,6 @@ fn run_clean(teams_mode: ExecMode, par_mode: ExecMode, arch: DeviceArch, sharing
             num_teams: 2,
             threads_per_team: 64,
             sharing_space_bytes: sharing,
-            ..Default::default()
         };
         let stats = launch_target(
             &mut dev,
@@ -136,7 +135,6 @@ fn zero_slot_group_slices_force_clean_global_fallback() {
             // 33 slots: the 32-slot team slice eats all of it, leaving every
             // SIMD group a zero-slot slice.
             sharing_space_bytes: 33 * 8,
-            ..Default::default()
         };
         let stats = launch_target(
             &mut dev,

@@ -122,7 +122,6 @@ fn sharing_overflow_emits_global_alloc_events() {
             num_teams: 1,
             threads_per_team: 128,
             sharing_space_bytes: 512,
-            ..Default::default()
         };
         launch_target(&mut dev, &cfg, &plan, &reg, &[]).unwrap();
         let allocs = dev

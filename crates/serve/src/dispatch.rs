@@ -109,7 +109,6 @@ mod tests {
             first_seq: 0,
             count,
             arrival_vt: 0,
-            drain_seq: 0,
         }
     }
 

@@ -15,6 +15,9 @@
 //! `quantum` weight-units per round and releases queued units while its
 //! deficit covers them, so a tenant flooding the service cannot starve a
 //! light tenant — the light tenant's few units always fit its own quantum.
+//! The drain order is the order of [`Admission::drain_round`]'s output,
+//! and DRR's fairness is tested there, on a unit's position in it
+//! (`tests/fairness.rs`); the service's fold never reads it.
 
 use std::collections::VecDeque;
 
@@ -44,9 +47,6 @@ pub struct Unit {
     /// Latest job arrival — the unit cannot start before every job
     /// exists, so this is its release constraint on the fleet timeline.
     pub arrival_vt: u64,
-    /// Global drain sequence number, stamped when DRR releases the unit
-    /// (deterministic only under a single worker; see DESIGN §16).
-    pub drain_seq: u64,
 }
 
 impl Unit {
@@ -62,8 +62,6 @@ pub(crate) fn job_id(tenant: u32, seq: u32) -> u64 {
 }
 
 struct Tenant {
-    #[allow(dead_code)] // reports and debugging; the lane index is the identity
-    name: String,
     /// Arrival time of every admitted job, indexed by seq: a job's seq is
     /// the log's length when it is admitted.
     arrivals: Vec<u64>,
@@ -88,7 +86,6 @@ pub struct Admission {
     batch_max: usize,
     drr_quantum: u64,
     cursor: usize,
-    drain_seq: u64,
     closed: bool,
     paused: bool,
     rejected: u64,
@@ -117,7 +114,6 @@ impl Admission {
             batch_max,
             drr_quantum,
             cursor: 0,
-            drain_seq: 0,
             closed: false,
             paused: false,
             rejected: 0,
@@ -139,11 +135,11 @@ impl Admission {
 
     /// Register a tenant; the returned lane index is its identity and the
     /// high half of all its job ids (registration order = lane order, so
-    /// reruns with the same registration program get the same lanes).
-    pub fn register(&mut self, name: &str) -> u32 {
+    /// reruns with the same registration program get the same lanes). The
+    /// name is the caller's label only: admission keeps no copy of it.
+    pub fn register(&mut self, _name: &str) -> u32 {
         let lane = self.tenants.len() as u32;
         self.tenants.push(Tenant {
-            name: name.to_string(),
             arrivals: Vec::new(),
             queue: VecDeque::new(),
             queued_jobs: 0,
@@ -238,7 +234,6 @@ impl Admission {
                     first_seq: seq,
                     count: 1,
                     arrival_vt: spec.arrival_vt,
-                    drain_seq: 0,
                 };
                 match spec.kind {
                     JobKind::Ideal { .. } => self.tenants[ti].queue.push_back(unit),
@@ -273,8 +268,8 @@ impl Admission {
 
     /// One deficit-round-robin round: every tenant with queued units earns
     /// one quantum and releases the units its deficit covers, in queue
-    /// order, stamping each with a global drain sequence number. Released
-    /// units are appended to `out`; returns how many were released.
+    /// order. Released units are appended to `out` in drain order; returns
+    /// how many were released.
     pub fn drain_round(&mut self, out: &mut Vec<Unit>) -> usize {
         let n = self.tenants.len();
         if n == 0 || self.paused {
@@ -297,10 +292,8 @@ impl Admission {
                     break;
                 }
                 t.deficit -= w;
-                let mut unit = t.queue.pop_front().expect("front just observed");
+                let unit = t.queue.pop_front().expect("front just observed");
                 t.queued_jobs -= unit.count as usize;
-                unit.drain_seq = self.drain_seq;
-                self.drain_seq += 1;
                 out.push(unit);
                 moved += 1;
             }
@@ -512,8 +505,6 @@ mod tests {
         let light_done = out.iter().filter(|u| u.tenant == light).count();
         assert_eq!(light_done, 2, "light tenant drains alongside the flood, not after it");
         assert_eq!(out.len(), 4);
-        // Drain stamps are globally ordered.
-        assert!(out.windows(2).all(|w| w[0].drain_seq < w[1].drain_seq));
     }
 
     #[test]

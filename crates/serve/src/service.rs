@@ -3,9 +3,9 @@
 //! ## Lifecycle
 //!
 //! [`LaunchService::start`] spawns `workers` OS threads over a fleet of
-//! `devices` virtual devices, each running a registered backend
-//! ([`ServiceConfig::arch`], or per-device via
-//! [`ServiceConfig::device_archs`]). [`LaunchService::client`]
+//! `devices` virtual devices, each running a registered backend (a100
+//! unless [`ServiceConfig::device_archs`] names one per device).
+//! [`LaunchService::client`]
 //! registers a tenant and returns a cloneable submit handle;
 //! [`Client::submit`] admits a job (or returns typed backpressure).
 //! [`LaunchService::shutdown`] closes admission, lets the fleet run dry,
@@ -13,19 +13,19 @@
 //!
 //! ## The determinism contract (DESIGN §16)
 //!
-//! Per-job [`gpu_sim::LaunchStats`] and the virtual start/finish times in
-//! [`JobReport`] are **bit-identical for any worker count and any
-//! interleaving**, because every input to them is scheduling-independent:
-//! job ids are per-tenant submission ranks, batch composition is sealed at
-//! admission in submission order, execution is isolated on scratch
-//! devices, and the fleet timeline is *replayed* at fold time in a
-//! canonical order (per device, by `(arrival_vt, first job id)`) rather
-//! than recorded in completion order. Work stealing moves *host* work
-//! between OS threads; it cannot move a job between virtual devices or
-//! reorder the canonical replay. The only scheduling-dependent outputs —
-//! which worker ran a unit, whether it was stolen, the drain stamps and
-//! the dispatch-order timeline derived from them — are kept out of
-//! [`ServiceReport::digest`].
+//! Every [`JobReport`] field — per-job [`gpu_sim::LaunchStats`] and the
+//! virtual start/finish times included — is **bit-identical for any worker
+//! count and any interleaving**, because every input to it is
+//! scheduling-independent: job ids are per-tenant submission ranks, batch
+//! composition is sealed at admission in submission order, execution is
+//! isolated on scratch devices, and the fleet timeline is *replayed* once
+//! at fold time in a canonical order (per device, by `(arrival_vt, first
+//! job id)`) rather than recorded in completion order. Work stealing moves
+//! *host* work between OS threads; it cannot move a job between virtual
+//! devices or reorder the replay. The only scheduling-dependent outputs
+//! are the fleet-wide counters [`ServiceReport::steals`] and
+//! [`ServiceReport::rejected`], which [`ServiceReport::digest`] leaves
+//! out.
 
 use std::collections::VecDeque;
 use std::fmt::Write;
@@ -46,14 +46,12 @@ use crate::spec::{JobSpec, SubmitError};
 /// Service-wide configuration.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Default backend of every fleet device (registry id). Stealing
+    /// Backend of each fleet device (registry id), for a **heterogeneous
+    /// fleet**. Empty means every device is an a100; otherwise it must
+    /// name exactly one backend per device (`len() == devices`). Stealing
     /// across devices stays stats-neutral even when backends differ,
     /// because a unit's execution architecture rides its plan key — never
     /// the worker that happens to run it.
-    pub arch: ArchId,
-    /// Per-device backend override for a **heterogeneous fleet**. Empty
-    /// means every device runs `arch`; otherwise it must name exactly one
-    /// backend per device (`len() == devices`).
     pub device_archs: Vec<ArchId>,
     /// Virtual devices in the fleet.
     pub devices: u32,
@@ -77,17 +75,14 @@ pub struct ServiceConfig {
     /// available parallelism).
     pub sim_threads: Option<usize>,
     /// Start with draining paused: submissions queue but nothing runs
-    /// until [`LaunchService::resume`]. With one worker this makes the
-    /// drain order a pure function of the queued backlog (no race against
-    /// the submitting thread) — what the fairness test needs to observe
-    /// DRR deterministically.
+    /// until [`LaunchService::resume`], so a bench can queue the whole
+    /// backlog before it times the fleet.
     pub start_paused: bool,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            arch: ArchId::A100,
             device_archs: Vec::new(),
             devices: 2,
             workers: 4,
@@ -157,27 +152,12 @@ pub struct JobReport {
     pub start_vt: u64,
     /// Canonical virtual finish.
     pub finish_vt: u64,
-    /// Virtual start under the *dispatch-order* replay (drain order) —
-    /// what the fairness test observes. Deterministic only for a single
-    /// worker; excluded from [`ServiceReport::digest`].
-    pub disp_start_vt: u64,
-    /// Virtual finish under the dispatch-order replay.
-    pub disp_finish_vt: u64,
-    /// Executing worker (diagnostics; excluded from the digest).
-    pub executed_by: u32,
-    /// Whether the unit was stolen (diagnostics; excluded from the digest).
-    pub stolen: bool,
 }
 
 impl JobReport {
     /// Canonical submit-to-complete virtual latency.
     pub fn latency(&self) -> u64 {
         self.finish_vt - self.arrival_vt
-    }
-
-    /// Queueing delay under the dispatch-order replay (fairness metric).
-    pub fn dispatch_delay(&self) -> u64 {
-        self.disp_start_vt - self.arrival_vt
     }
 }
 
@@ -255,14 +235,6 @@ impl ServiceReport {
         v.sort_unstable();
         v
     }
-
-    /// Sorted dispatch-order queueing delays for one tenant (fairness).
-    pub fn dispatch_delays(&self, tenant: u32) -> Vec<u64> {
-        let mut v: Vec<u64> =
-            self.jobs.iter().filter(|j| j.tenant == tenant).map(|j| j.dispatch_delay()).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// Percentile over an ascending-sorted slice (nearest-rank; `p` in 0..=100).
@@ -312,7 +284,7 @@ impl LaunchService {
     pub fn start(cfg: ServiceConfig) -> LaunchService {
         assert!(cfg.workers >= 1, "the service needs at least one worker");
         let archs: Vec<ArchId> = if cfg.device_archs.is_empty() {
-            vec![cfg.arch; cfg.devices as usize]
+            vec![ArchId::A100; cfg.devices as usize]
         } else {
             assert_eq!(
                 cfg.device_archs.len(),
@@ -341,7 +313,7 @@ impl LaunchService {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w as u32))
+                    .spawn(move || worker_loop(&shared, w))
                     .expect("spawn service worker")
             })
             .collect();
@@ -415,8 +387,8 @@ fn pop_or_steal(shared: &Shared, home: usize) -> Option<(Unit, bool)> {
     None
 }
 
-fn worker_loop(shared: &Shared, worker: u32) {
-    let home = worker as usize % shared.deques.len();
+fn worker_loop(shared: &Shared, worker: usize) {
+    let home = worker % shared.deques.len();
     let mut local = Outcomes::default();
     let mut drained: Vec<Unit> = Vec::new();
     loop {
@@ -432,7 +404,7 @@ fn worker_loop(shared: &Shared, worker: u32) {
             };
             let (stats, max_abs_err) =
                 execute_unit(&unit, &plan, shared.cfg.sim_threads, shared.cfg.verify);
-            local.record(&unit, stats, plan.plan_hash, max_abs_err, worker, stolen);
+            local.record(&unit, stats, plan.plan_hash, max_abs_err);
             shared.completed_units.fetch_add(1, Ordering::Release);
             continue;
         }
@@ -469,8 +441,8 @@ fn worker_loop(shared: &Shared, worker: u32) {
     shared.outcomes.lock().merge(local);
 }
 
-/// What the workers hand the fold, per executed unit: what the replays
-/// read, and what its jobs' reports share. A worker records a unit right
+/// What the workers hand the fold, per executed unit: what the replay
+/// reads, and what its jobs' reports share. A worker records a unit right
 /// after executing it and drops the unit there, so the serial fold neither
 /// reads nor frees a [`Unit`].
 #[derive(Default)]
@@ -486,8 +458,6 @@ impl Outcomes {
         stats: LaunchStats,
         plan_hash: u64,
         max_abs_err: Option<f64>,
-        executed_by: u32,
-        stolen: bool,
     ) {
         self.slots.push(Slot {
             device: unit.device,
@@ -498,12 +468,9 @@ impl Outcomes {
             tenant: unit.tenant,
             first_seq: unit.first_seq,
             count: unit.count,
-            drain_seq: unit.drain_seq,
             stats: Arc::new(stats),
             plan_hash,
             max_abs_err,
-            executed_by,
-            stolen,
         });
     }
 
@@ -519,7 +486,7 @@ impl Outcomes {
     }
 }
 
-/// One executed unit, as its jobs' reports and the replay orders need it.
+/// One executed unit, as its jobs' reports and the replay order need it.
 /// Its replay inputs are the [`Slot`] at the same index.
 struct UnitOutcome {
     /// The unit's jobs: `tenant`'s seqs `first_seq..first_seq + count`.
@@ -527,20 +494,15 @@ struct UnitOutcome {
     tenant: u32,
     first_seq: u32,
     count: u32,
-    /// Drain stamp: the dispatch-order replay's order.
-    drain_seq: u64,
     /// The launch's stats, shared by every job's report.
     stats: Arc<LaunchStats>,
     plan_hash: u64,
     max_abs_err: Option<f64>,
-    executed_by: u32,
-    stolen: bool,
 }
 
 /// The deterministic fold of a stopped fleet: the canonical replay (per
-/// device, in arrival order), the dispatch-order replay (in drain order),
-/// then per-job reports in job-id order. The sorts move compact keys that
-/// end in a unit index.
+/// device, in arrival order), then per-job reports in job-id order. The
+/// sorts move compact keys that end in a unit index.
 fn fold(shared: &Shared) -> ServiceReport {
     let Outcomes { slots, units } = std::mem::take(&mut *shared.outcomes.lock());
     let devices = shared.cfg.devices;
@@ -557,13 +519,6 @@ fn fold(shared: &Shared) -> ServiceReport {
     canonical.sort_unstable();
     let times = replay(&slots, canonical.iter().map(|k| k.4 as usize), devices);
     let timeline = timeline_stats(&slots, &times, devices);
-
-    // Dispatch-order replay: serve units in drain order (what DRR and the
-    // deques actually decided). Scheduling-dependent beyond one worker.
-    let mut drained: Vec<(u64, u32)> =
-        units.iter().enumerate().map(|(i, u)| (u.drain_seq, i as u32)).collect();
-    drained.sort_unstable();
-    let dtimes = replay(&slots, drained.iter().map(|k| k.1 as usize), devices);
 
     // Units cover disjoint runs of consecutive ids, so expanding them in
     // first-job order builds each report once, in job-id order. Arrivals
@@ -589,10 +544,6 @@ fn fold(shared: &Shared) -> ServiceReport {
             max_abs_err: u.max_abs_err,
             start_vt: times[i].0,
             finish_vt: times[i].1,
-            disp_start_vt: dtimes[i].0,
-            disp_finish_vt: dtimes[i].1,
-            executed_by: u.executed_by,
-            stolen: u.stolen,
         }));
     }
     ServiceReport {
@@ -606,7 +557,7 @@ fn fold(shared: &Shared) -> ServiceReport {
     }
 }
 
-/// What the replays read of one unit: its device queue, its release time
+/// What the replay reads of one unit: its device queue, its release time
 /// and its launch's cycles.
 #[derive(Clone, Copy)]
 struct Slot {

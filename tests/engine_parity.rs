@@ -422,7 +422,6 @@ fn sharing_overflow_trace_matches_across_engines() {
         num_teams: 1,
         threads_per_team: 128,
         sharing_space_bytes: 512,
-        ..Default::default()
     };
     assert_trace_parity("sharing overflow", &DeviceArch::a100(), &cfg, &plan, &reg);
 }

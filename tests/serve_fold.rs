@@ -1,9 +1,8 @@
-//! Pins the launch service's fold: the canonical and dispatch-order
-//! replays of a fixed one-worker session, and the fleet timeline they
-//! aggregate into, must stay bit-identical to the recorded values.
+//! Pins the launch service's fold: the canonical replay of a fixed
+//! session, as every job's report and the fleet timeline it aggregates
+//! into, must stay bit-identical to the recorded values.
 //!
-//! One worker and `start_paused` make the drain order a pure function of
-//! the queued backlog, so the dispatch-order times are deterministic too.
+//! `start_paused` queues the whole backlog before the one worker starts.
 //! The fleet is heterogeneous (a100, mi100, a100) and every job is pinned
 //! to devices 0 and 1, so device 2 stays idle: the fold must still report
 //! it, with zero busy cycles.
@@ -72,19 +71,6 @@ fn session(plan: &[(u32, JobSpec)]) -> ServiceReport {
     svc.shutdown()
 }
 
-/// FNV-1a over every job's dispatch-order interval, in report order.
-fn dispatch_digest(report: &ServiceReport) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for j in &report.jobs {
-        for v in [j.job_id, j.disp_start_vt, j.disp_finish_vt] {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-            }
-        }
-    }
-    h
-}
-
 #[test]
 fn fold_matches_the_pinned_replay() {
     let report = session(&plan());
@@ -92,12 +78,7 @@ fn fold_matches_the_pinned_replay() {
     assert!(report.jobs.iter().all(|j| j.device < 2), "device 2 must stay idle");
     assert!(report.jobs.iter().any(|j| j.batch_size > 1), "micro jobs should coalesce");
     assert!(report.jobs.iter().any(|j| j.start_vt > j.arrival_vt), "some unit must queue");
-    assert!(
-        report.jobs.iter().any(|j| j.disp_start_vt != j.start_vt),
-        "the drain order must differ from the canonical order somewhere"
-    );
     assert_eq!(report.digest(), 0x7d4f01faf16d4cf0);
-    assert_eq!(dispatch_digest(&report), 0xf1d2f2c757e07afc);
     assert_eq!(format!("{:?}", report.timeline), TIMELINE);
 }
 
