@@ -84,8 +84,9 @@ pub struct DeviceArch {
     /// Whether a warp-level barrier over a lane mask exists. The generic
     /// SIMD execution mode requires it (paper §5.4.1).
     pub warp_sync_supported: bool,
-    /// Independent shared-memory banks. Successive 8-byte slots hash to
-    /// successive banks; distinct slots landing in one bank serialize into
+    /// Independent shared-memory banks, a power of two
+    /// ([`crate::Device::validate`] rejects other counts). Successive
+    /// 8-byte slots map to successive banks; distinct slots landing in one bank serialize into
     /// wavefronts ([`crate::exec::BankAcc`]). NVIDIA SMs expose 32 banks;
     /// the wave64 LDS is modeled as one bank per lane (64), so a stride-1
     /// full-wavefront access is conflict-free on both families.

@@ -5,8 +5,8 @@
 //! represented with plausible magnitudes:
 //!
 //! * compute issue throughput per SM (warp instructions / cycle),
-//! * memory traffic in 32-byte sectors (coalescing) with a device-level
-//!   bandwidth roof,
+//! * memory traffic in 32-byte sectors of 128-byte lines (coalescing)
+//!   with a device-level bandwidth roof,
 //! * partially-hidden memory latency (the visible fraction shrinks with
 //!   occupancy — modeled as a fixed exposed-latency constant calibrated for
 //!   the mid-occupancy regime the paper's kernels run in),
@@ -18,7 +18,17 @@
 //! * atomic cost with same-address serialization inside a warp.
 //!
 //! Every benchmark and test uses the same constants; nothing is tuned per
-//! figure. All constants are documented so deviations can be audited.
+//! figure. All constants are documented so deviations can be audited. The
+//! sector and line sizes are the one geometry every modelled device shares
+//! ([`SECTOR_BYTES`], [`LINE_BYTES`]), not fields of [`CostModel`]: the
+//! access path splits addresses with shifts by them.
+
+/// Bytes per DRAM traffic sector: the coalescing granularity.
+pub const SECTOR_BYTES: u64 = 32;
+
+/// Bytes per L1 cache line (transaction granularity of the LSU): four
+/// sectors, so a line's sector-validity mask fits in a byte.
+pub const LINE_BYTES: u64 = 128;
 
 /// Cycle-cost constants for a simulated device.
 ///
@@ -29,13 +39,9 @@
 /// cycles when not contended).
 #[derive(Clone, Debug)]
 pub struct CostModel {
-    /// Bytes per DRAM traffic sector.
-    pub sector_bytes: u32,
     /// Warp-visible cycles charged per global-memory sector *missing* the
     /// L1 window (DRAM transaction issue).
     pub sector_cycles: u64,
-    /// Bytes per L1 cache line (transaction granularity of the LSU).
-    pub line_bytes: u32,
     /// Warp-visible cycles per distinct cache line touched by one memory
     /// instruction. An uncoalesced instruction touching 32 lines replays
     /// 32 transactions; a fully coalesced one touches 1–2.
@@ -47,11 +53,13 @@ pub struct CostModel {
     pub exposed_latency: u64,
 
     /// Per-warp L1 window capacity in 128-byte cache lines (4-way set
-    /// associative). A100 has 192 KB combined L1 per SM shared by up to 64
-    /// resident warps, so a warp's fair slice is only a few KB — strided
-    /// access patterns whose per-warp footprint exceeds it (32 lanes × a
-    /// line each = 4 KB) thrash, which is exactly the coalescing penalty
-    /// the paper's `simd` mapping removes.
+    /// associative, so `l1_lines / 4` sets; [`crate::Device::validate`]
+    /// rejects a set count that is not a power of two). A100 has 192 KB
+    /// combined L1 per SM shared by up to 64 resident warps, so a warp's
+    /// fair slice is only a few KB — strided access patterns whose
+    /// per-warp footprint exceeds it (32 lanes × a line each = 4 KB)
+    /// thrash, which is exactly the coalescing penalty the paper's `simd`
+    /// mapping removes.
     pub l1_lines: u32,
     /// Warp-visible cycles per shared-memory access wavefront. Shared
     /// memory has [`crate::arch::DeviceArch::smem_banks`] banks (8-byte
@@ -111,9 +119,7 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
-            sector_bytes: 32,
             sector_cycles: 2,
-            line_bytes: 128,
             line_cycles: 6,
             exposed_latency: 6,
             l1_lines: 512,
@@ -136,50 +142,9 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// Sectors per L1 line, or `None` when the L1's 8-bit per-way sector
-    /// mask cannot represent the line: zero-byte sectors, or more than 8
-    /// sectors per line. [`crate::Device::validate`] rejects such models.
-    pub fn sectors_per_line(&self) -> Option<u64> {
-        let spl = self.line_bytes.checked_div(self.sector_bytes)?.max(1);
-        (spl <= 8).then_some(spl as u64)
-    }
-
-    /// Number of sectors needed to cover `bytes` bytes starting at `addr`,
-    /// assuming sector-aligned transaction boundaries.
-    #[inline]
-    pub fn sectors_for(&self, addr: u64, bytes: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        let sb = self.sector_bytes as u64;
-        let first = addr / sb;
-        let last = (addr + bytes - 1) / sb;
-        last - first + 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sector_counting_aligned() {
-        let c = CostModel::default();
-        assert_eq!(c.sectors_for(0, 32), 1);
-        assert_eq!(c.sectors_for(0, 33), 2);
-        assert_eq!(c.sectors_for(0, 64), 2);
-        assert_eq!(c.sectors_for(0, 0), 0);
-    }
-
-    #[test]
-    fn sector_counting_unaligned() {
-        let c = CostModel::default();
-        // 8 bytes straddling a sector boundary costs two sectors.
-        assert_eq!(c.sectors_for(28, 8), 2);
-        assert_eq!(c.sectors_for(31, 1), 1);
-        assert_eq!(c.sectors_for(31, 2), 2);
-    }
 
     #[test]
     fn cascade_walk_overtakes_indirect_call_at_some_depth() {

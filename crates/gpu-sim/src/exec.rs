@@ -25,7 +25,7 @@
 //! (state-machine posts, dispatch costs…) are explicit [`TeamCtx`] methods.
 
 use crate::arch::DeviceArch;
-use crate::cost::CostModel;
+use crate::cost::{CostModel, LINE_BYTES, SECTOR_BYTES};
 use crate::mem::global::{GlobalMem, GlobalView, ViewStore};
 use crate::mem::hier::L2BankIndex;
 use crate::mem::pod::DevValue;
@@ -33,6 +33,22 @@ use crate::mem::ptr::{DPtr, Slot};
 use crate::mem::shared::{SharedMem, SmOff};
 use crate::sanitize::Sanitizer;
 use crate::stats::{BlockProfile, RtCounters};
+
+/// log2 of [`SECTOR_BYTES`]: a byte address shifts right by it to its sector.
+const SECTOR_SHIFT: u32 = SECTOR_BYTES.trailing_zeros();
+
+/// Sectors per cache line, at most the 8 bits of a line's sector mask.
+const SPL: u64 = LINE_BYTES / SECTOR_BYTES;
+const _: () = assert!(SECTOR_BYTES.is_power_of_two() && SPL.is_power_of_two() && SPL <= 8);
+
+/// A way's sector mask with every sector of its line valid.
+const FULL_LINE: u8 = ((1u16 << SPL) - 1) as u8;
+
+/// Sector `s`'s line, and its bit in that line's sector mask.
+#[inline(always)]
+fn split_sector(s: u64) -> (u64, u64) {
+    (s >> SPL.trailing_zeros(), s & (SPL - 1))
+}
 
 /// How a lane touched a shared-memory slot (the sanitizer's race rules:
 /// atomics never race with each other).
@@ -115,7 +131,8 @@ impl OrdAcc {
 
 /// Shared-memory bank-conflict accumulator for one ordinal (the k-th smem
 /// access of every lane in a super-step), parameterized by the device's
-/// bank count ([`crate::arch::DeviceArch::smem_banks`]). Distinct slots
+/// bank count ([`crate::arch::DeviceArch::smem_banks`], a power of two, so
+/// a slot's bank is its low bits). Distinct slots
 /// landing in one bank serialize into wavefronts; same-slot accesses
 /// broadcast. Per-bank depth is a `u32`, so a deep conflict counts fully,
 /// and the bank count follows the arch, so a wave64 LDS is not folded onto
@@ -128,20 +145,17 @@ pub struct BankAcc {
     /// of a wide warp on one bank, ordinal after ordinal) must count
     /// fully, not saturate at 255.
     bank_waves: Vec<u32>,
-    /// `banks - 1` when the bank count is a power of two (the bank index
-    /// masks), `None` when it is not (the bank index divides).
-    bank_mask: Option<u32>,
     worst: u32,
 }
 
 impl BankAcc {
-    /// Accumulator over `banks` independent banks.
+    /// Accumulator over `banks` independent banks, a power of two
+    /// (`Device::validate` rejects other counts before a launch).
     pub fn new(banks: u32) -> BankAcc {
-        assert!(banks >= 1, "a device needs at least one shared-memory bank");
+        assert!(banks.is_power_of_two(), "{banks} shared-memory banks: not a power of two");
         BankAcc {
             bank_slots: vec![u32::MAX; banks as usize],
             bank_waves: vec![0; banks as usize],
-            bank_mask: banks.is_power_of_two().then(|| banks - 1),
             worst: 0,
         }
     }
@@ -156,10 +170,7 @@ impl BankAcc {
     /// Fold in one lane's access to an 8-byte slot.
     #[inline]
     pub fn visit(&mut self, slot: u32) {
-        let b = match self.bank_mask {
-            Some(m) => slot & m,
-            None => slot % self.bank_slots.len() as u32,
-        } as usize;
+        let b = slot as usize & (self.bank_slots.len() - 1);
         if self.bank_slots[b] != slot {
             // New distinct slot in this bank: one more wavefront
             // (approximate: tracks the last slot seen per bank).
@@ -190,10 +201,6 @@ struct StepAcc {
     lane_smem_ops: u64,
     lane_ord: usize,
     lane_smem_ord: usize,
-    /// [`CostModel::sector_bytes`], and its log2 when it is a power of two
-    /// (the shift replaces the division on every access).
-    sector_bytes: u64,
-    sector_shift: Option<u32>,
     /// Shared-memory bank count new ordinal accumulators are sized to
     /// ([`crate::arch::DeviceArch::smem_banks`]).
     smem_banks: u32,
@@ -202,13 +209,8 @@ struct StepAcc {
 }
 
 impl StepAcc {
-    fn new(sector_bytes: u32, smem_banks: u32) -> StepAcc {
-        StepAcc {
-            sector_bytes: sector_bytes as u64,
-            sector_shift: sector_bytes.is_power_of_two().then(|| sector_bytes.trailing_zeros()),
-            smem_banks,
-            ..Default::default()
-        }
+    fn new(smem_banks: u32) -> StepAcc {
+        StepAcc { smem_banks, ..Default::default() }
     }
 
     /// Prepare for a new super-step: clear the ordinals the previous step
@@ -252,7 +254,7 @@ impl StepAcc {
         if k >= self.ords.len() {
             self.grow_ords();
         }
-        let (first, last) = self.sectors(addr, bytes);
+        let (first, last) = StepAcc::sectors(addr, bytes);
         let o = &mut self.ords[k];
         o.push_sector(first);
         if first != last {
@@ -263,22 +265,12 @@ impl StepAcc {
         }
     }
 
-    /// The first and last sector of a `bytes`-wide access at `addr`.
+    /// The first and last sector of a `bytes`-wide access at `addr`
+    /// (`bytes` ≥ 1).
     #[inline(always)]
-    fn sectors(&self, addr: u64, bytes: u32) -> (u64, u64) {
+    fn sectors(addr: u64, bytes: u32) -> (u64, u64) {
         let end = addr + bytes as u64 - 1;
-        match self.sector_shift {
-            Some(shift) => (addr >> shift, end >> shift),
-            None => self.divide_sectors(addr, end),
-        }
-    }
-
-    /// The sectors of `addr` and `end` for a sector size that is not a
-    /// power of two.
-    #[cold]
-    #[inline(never)]
-    fn divide_sectors(&self, addr: u64, end: u64) -> (u64, u64) {
-        (addr / self.sector_bytes, end / self.sector_bytes)
+        (addr >> SECTOR_SHIFT, end >> SECTOR_SHIFT)
     }
 
     /// Add the ordinal a lane's access reached first in this block.
@@ -395,31 +387,27 @@ impl L1Set {
 }
 
 /// A warp's L1 window: 4-way set-associative, line-granular tags, LRU,
-/// one [`L1Set`] per four lines. Empty until the warp's first commit, and
-/// for good when the cost model has fewer than 4 lines. A window outlives
-/// its block (see [`Spare`]): each set carries the epoch of the block that
-/// last filled it, and a set stamped with an older epoch is empty.
+/// one [`L1Set`] per four lines, a power of two of them (a line's set is
+/// the low bits of its hash). Empty until the warp's first commit. A
+/// window outlives its block (see [`Spare`]): each set carries the epoch
+/// of the block that last filled it, and a set stamped with an older
+/// epoch is empty.
 #[derive(Clone, Debug, Default)]
 struct L1Window {
     sets: Vec<L1Set>,
-    /// `sets.len() - 1` when the set count is a power of two (the set
-    /// index masks), `None` when it is not (the set index divides).
-    set_mask: Option<u64>,
     /// The current block's epoch.
     epoch: u32,
 }
 
 impl L1Window {
     /// Take a warp's window out of `slot` for a commit (the commit puts it
-    /// back), allocating `lines / 4` sets on first use.
+    /// back), allocating `lines / 4` sets on first use: a power of two
+    /// (`Device::validate` rejects other counts before a launch).
     fn take(slot: &mut L1Window, lines: u32) -> L1Window {
-        let n = lines as usize / 4;
-        if slot.sets.is_empty() && n >= 1 {
-            return L1Window {
-                sets: vec![L1Set::EMPTY; n],
-                set_mask: n.is_power_of_two().then(|| n as u64 - 1),
-                epoch: 0,
-            };
+        if slot.sets.is_empty() {
+            let n = lines as usize / 4;
+            assert!(n.is_power_of_two(), "an L1 of {lines} lines: sets not a power of two");
+            return L1Window { sets: vec![L1Set::EMPTY; n], epoch: 0 };
         }
         std::mem::take(slot)
     }
@@ -440,11 +428,8 @@ impl L1Window {
     #[inline]
     fn set(&mut self, line: u64) -> &mut L1Set {
         let h = line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        let s = match self.set_mask {
-            Some(m) => h & m,
-            None => h % self.sets.len() as u64,
-        };
-        let set = &mut self.sets[s as usize];
+        let s = h as usize & (self.sets.len() - 1);
+        let set = &mut self.sets[s];
         if set.stamp != self.epoch {
             *set = L1Set { stamp: self.epoch, ..L1Set::EMPTY };
         }
@@ -564,10 +549,10 @@ pub(crate) struct Spare {
 
 impl Spare {
     /// This thread's spare state, rebuilt where it does not fit the cost
-    /// model and arch: the sector size and bank count shape [`StepAcc`],
-    /// the line count the L1 windows.
+    /// model and arch: the bank count shapes [`StepAcc`], the line count
+    /// the L1 windows.
     pub(crate) fn take(cost: &CostModel, arch: &DeviceArch) -> Spare {
-        let fresh = || (Vec::new(), StepAcc::new(cost.sector_bytes, arch.smem_banks));
+        let fresh = || (Vec::new(), StepAcc::new(arch.smem_banks));
         match SPARE.take() {
             Some(s) if s.fits(cost, arch) => s,
             Some(s) => {
@@ -592,9 +577,7 @@ impl Spare {
     }
 
     fn fits(&self, cost: &CostModel, arch: &DeviceArch) -> bool {
-        self.l1_lines == cost.l1_lines
-            && self.acc.sector_bytes == cost.sector_bytes as u64
-            && self.acc.smem_banks == arch.smem_banks
+        self.l1_lines == cost.l1_lines && self.acc.smem_banks == arch.smem_banks
     }
 
     /// Give the state back to this thread for its next launch, dropping
@@ -835,7 +818,7 @@ impl<'a, 'g> Warp<'a, 'g> {
             WarpForm::Lane(lane) => out[0] = lane.read(p, idx(0)),
             WarpForm::Issue(issue) => {
                 let seg = issue.tc.gview.checked(p);
-                let mut set = LineSet::new(&mut issue.tc.acc, issue.tc.spl);
+                let mut set = LineSet::new(&mut issue.tc.acc);
                 for (l, o) in out[..self.n].iter_mut().enumerate() {
                     let (addr, v) = seg.load(p, idx(l));
                     *o = v;
@@ -861,7 +844,7 @@ impl<'a, 'g> Warp<'a, 'g> {
             WarpForm::Lane(lane) => lane.write(p, idx(0), v(0)),
             WarpForm::Issue(issue) => {
                 let seg = issue.tc.gview.checked(p);
-                let mut set = LineSet::new(&mut issue.tc.acc, issue.tc.spl);
+                let mut set = LineSet::new(&mut issue.tc.acc);
                 for l in 0..self.n {
                     let addr = seg.store(p, idx(l), v(l));
                     set.access(addr, std::mem::size_of::<T>() as u32);
@@ -897,7 +880,6 @@ impl Issue<'_, '_> {
     #[inline(always)]
     fn commit(&mut self) {
         let tc = &mut *self.tc;
-        let spl = tc.spl;
         let mut walk = Walk::default();
         let mut lsu = 0u64;
         for &packed in &tc.acc.lines {
@@ -907,7 +889,6 @@ impl Issue<'_, '_> {
                 &mut walk,
                 packed >> 8,
                 mask,
-                spl,
                 &mut self.l1,
                 &mut tc.visits,
                 &mut tc.l2_bank_sectors,
@@ -925,9 +906,6 @@ impl Issue<'_, '_> {
 /// else is sorted and merged once, in [`LineSet::finish`].
 struct LineSet<'s> {
     acc: &'s mut StepAcc,
-    /// Sectors per line, and its log2 when it is a power of two.
-    spl: u64,
-    spl_shift: Option<u32>,
     /// The entry being built (its mask is 0 before the first access).
     line: u64,
     mask: u8,
@@ -937,16 +915,15 @@ struct LineSet<'s> {
 
 impl<'s> LineSet<'s> {
     #[inline(always)]
-    fn new(acc: &'s mut StepAcc, spl: u64) -> LineSet<'s> {
+    fn new(acc: &'s mut StepAcc) -> LineSet<'s> {
         acc.lines.clear();
-        let spl_shift = spl.is_power_of_two().then(|| spl.trailing_zeros());
-        LineSet { acc, spl, spl_shift, line: 0, mask: 0, sorted: true }
+        LineSet { acc, line: 0, mask: 0, sorted: true }
     }
 
     /// Add the sectors of a `bytes`-wide access at `addr`.
     #[inline(always)]
     fn access(&mut self, addr: u64, bytes: u32) {
-        let (first, last) = self.acc.sectors(addr, bytes);
+        let (first, last) = StepAcc::sectors(addr, bytes);
         self.sector(first);
         if first != last {
             self.span(first + 1, last);
@@ -964,10 +941,7 @@ impl<'s> LineSet<'s> {
 
     #[inline(always)]
     fn sector(&mut self, s: u64) {
-        let (line, bit) = match self.spl_shift {
-            Some(shift) => (s >> shift, s & (self.spl - 1)),
-            None => (s / self.spl, s % self.spl),
-        };
+        let (line, bit) = split_sector(s);
         if line == self.line {
             self.mask |= 1 << bit;
             return;
@@ -1021,8 +995,6 @@ pub struct TeamCtx<'g> {
     pub smem: SharedMem,
     gview: GlobalView<'g>,
     cost: &'g CostModel,
-    /// Sectors per cache line ([`CostModel::sectors_per_line`]).
-    spl: u64,
     arch: &'g DeviceArch,
     warps: Vec<WarpState>,
     /// Runtime-behavior counters for this block.
@@ -1074,7 +1046,6 @@ impl<'g> TeamCtx<'g> {
         arch: &'g DeviceArch,
     ) -> TeamCtx<'g> {
         assert!(nwarps >= 1, "a block needs at least one warp");
-        let spl = cost.sectors_per_line().expect("a line of at most 8 sectors (Device::validate)");
         let Spare {
             mut warps,
             acc,
@@ -1097,7 +1068,6 @@ impl<'g> TeamCtx<'g> {
             smem,
             gview: global.view_in(view),
             cost,
-            spl,
             arch,
             warps,
             counters: RtCounters::default(),
@@ -1317,7 +1287,6 @@ impl<'g> TeamCtx<'g> {
         step.alu(acc.max_alu + smem_wavefronts * cost.smem_cycles);
         let mut l1 = L1Window::take(&mut self.warps[warp as usize].l1, cost.l1_lines);
         let mut banks = std::mem::take(&mut self.l2_bank_sectors);
-        let spl = self.spl;
 
         // Every ordinal below `max_ord` holds at least the longest lane's
         // access, so none is empty.
@@ -1327,7 +1296,7 @@ impl<'g> TeamCtx<'g> {
                 o.sectors.dedup();
             }
             let (lines, missing, hits, full_hits) =
-                line_walk(&o.sectors, spl, &mut l1, &mut self.visits, &mut banks, self.l2_bank);
+                line_walk(&o.sectors, &mut l1, &mut self.visits, &mut banks, self.l2_bank);
             let walk = Walk { lines, missing, hits, full_hits };
             let atomic = atomic_serialize_cycles(&mut o.atomics, cost);
             step.instr(walk, o.sectors.len() as u64, atomic, cost);
@@ -1692,39 +1661,31 @@ struct Walk {
     full_hits: u64,
 }
 
-/// Walk one ordinal's unique, sorted sector set grouped by cache line,
-/// each line through [`walk_line`]. Returns `(lines, dram-bound sectors,
-/// line hits, full-line hits)`.
-///
-/// `spl` (sectors per line) is at most 8, the width of a way's sector
-/// mask (see [`CostModel::sectors_per_line`]). A power-of-two `spl`
-/// splits sector ids with a shift and a mask instead of a division.
+/// Walk one ordinal's unique, sorted sector set grouped by cache line
+/// ([`split_sector`]), each line through [`walk_line`]. Returns `(lines,
+/// dram-bound sectors, line hits, full-line hits)`.
 fn line_walk(
     sectors: &[u64],
-    spl: u64,
     l1: &mut L1Window,
     visits: &mut VisitLog,
     banks: &mut [u64],
     bank: L2BankIndex,
 ) -> (u64, u64, u64, u64) {
-    let pow2 = spl.is_power_of_two();
-    let shift = spl.trailing_zeros();
-    let split = |s: u64| if pow2 { (s >> shift, s & (spl - 1)) } else { (s / spl, s % spl) };
     let mut walk = Walk::default();
     let mut i = 0usize;
     while i < sectors.len() {
-        let (line, first) = split(sectors[i]);
+        let (line, first) = split_sector(sectors[i]);
         let mut smask = 1u8 << first;
         i += 1;
         while i < sectors.len() {
-            let (l, s) = split(sectors[i]);
+            let (l, s) = split_sector(sectors[i]);
             if l != line {
                 break;
             }
             smask |= 1u8 << s;
             i += 1;
         }
-        walk_line::<false>(&mut walk, line, smask, spl, l1, visits, banks, bank);
+        walk_line::<false>(&mut walk, line, smask, l1, visits, banks, bank);
     }
     (walk.lines, walk.missing, walk.hits, walk.full_hits)
 }
@@ -1750,7 +1711,6 @@ fn walk_line<const TAG_MASK: bool>(
     walk: &mut Walk,
     line: u64,
     smask: u8,
-    spl: u64,
     l1: &mut L1Window,
     visits: &mut VisitLog,
     banks: &mut [u64],
@@ -1759,13 +1719,8 @@ fn walk_line<const TAG_MASK: bool>(
     walk.lines += 1;
     let mut missing = |mask: u8| {
         walk.missing += mask.count_ones() as u64;
-        bank_missing_sectors(mask, line, spl, banks, bank);
+        bank_missing_sectors(mask, line, banks, bank);
     };
-    if l1.sets.is_empty() {
-        visits.record(line, smask);
-        missing(smask);
-        return;
-    }
     let set = l1.set(line);
     let way =
         if TAG_MASK { set.way_by_mask(line) } else { set.tags.iter().position(|&t| t == line) };
@@ -1775,7 +1730,7 @@ fn walk_line<const TAG_MASK: bool>(
         let new = smask & !set.masks[w];
         if new == 0 {
             walk.hits += 1;
-            if set.masks[w] == ((1u16 << spl) - 1) as u8 {
+            if set.masks[w] == FULL_LINE {
                 walk.full_hits += 1;
             }
         } else {
@@ -1799,7 +1754,7 @@ fn walk_line<const TAG_MASK: bool>(
 /// L1-missing sector total, which is what the hierarchical makespan's
 /// per-bank L2 roof consumes.
 #[inline]
-fn bank_missing_sectors(mask: u8, line: u64, spl: u64, banks: &mut [u64], bank: L2BankIndex) {
+fn bank_missing_sectors(mask: u8, line: u64, banks: &mut [u64], bank: L2BankIndex) {
     if banks.is_empty() {
         return;
     }
@@ -1807,7 +1762,7 @@ fn bank_missing_sectors(mask: u8, line: u64, spl: u64, banks: &mut [u64], bank: 
     while m != 0 {
         let bit = m.trailing_zeros() as u64;
         m &= m - 1;
-        banks[bank.of(line * spl + bit) as usize] += 1;
+        banks[bank.of(line * SPL + bit) as usize] += 1;
     }
 }
 
@@ -2093,54 +2048,49 @@ mod tests {
     fn warp_instructions_cost_what_their_lanes_do() {
         // Lane `id` runs `trips[id]` rounds, so each round's lanes are a
         // subset of the previous round's. Both modes must leave the same
-        // profile, visit log, bank counts and memory, on a power-of-two
-        // geometry and on sectors and lines that are not.
+        // profile, visit log, bank counts and memory.
         let trips: Vec<u64> = (0..32u64).map(|id| 5 - id % 6).collect();
-        let odd = CostModel { sector_bytes: 40, line_bytes: 120, ..CostModel::default() };
-        for cost in [CostModel::default(), odd] {
-            let a = DeviceArch::a100();
-            let mut runs = Vec::new();
-            for warp_mode in [false, true] {
-                let g = GlobalMem::new();
-                let p = g.alloc_from(&(0..4096).map(|i| i as f64).collect::<Vec<_>>());
-                let q = g.alloc_from(&(0..23).map(|i| [i as f64; 5]).collect::<Vec<_>>());
-                let mut t = TeamCtx::new(0, 1, 2, 0, &g, &cost, &a);
-                let lanes: Vec<u32> = (0..32).collect();
-                for warp in 0..2 {
-                    if warp_mode {
-                        t.run_warp(warp, 32, |rounds| {
-                            for r in 0.. {
-                                let ids: Vec<u32> = lanes
-                                    .iter()
-                                    .copied()
-                                    .filter(|&id| r < trips[id as usize])
-                                    .collect();
-                                if ids.is_empty() {
-                                    break;
-                                }
-                                warp_body(rounds.round(ids.len()), &ids, r, p, q);
+        let (cost, a) = (CostModel::default(), DeviceArch::a100());
+        let mut runs = Vec::new();
+        for warp_mode in [false, true] {
+            let g = GlobalMem::new();
+            let p = g.alloc_from(&(0..4096).map(|i| i as f64).collect::<Vec<_>>());
+            let q = g.alloc_from(&(0..23).map(|i| [i as f64; 5]).collect::<Vec<_>>());
+            let mut t = TeamCtx::new(0, 1, 2, 0, &g, &cost, &a);
+            let lanes: Vec<u32> = (0..32).collect();
+            for warp in 0..2 {
+                if warp_mode {
+                    t.run_warp(warp, 32, |rounds| {
+                        for r in 0.. {
+                            let ids: Vec<u32> = lanes
+                                .iter()
+                                .copied()
+                                .filter(|&id| r < trips[id as usize])
+                                .collect();
+                            if ids.is_empty() {
+                                break;
                             }
-                        });
-                    } else {
-                        t.run_lanes(warp, &lanes, |lane, id| {
-                            for r in 0..trips[id as usize] {
-                                warp_body(&mut Warp::lane(lane), &[id], r, p, q);
-                            }
-                        });
-                    }
+                            warp_body(rounds.round(ids.len()), &ids, r, p, q);
+                        }
+                    });
+                } else {
+                    t.run_lanes(warp, &lanes, |lane, id| {
+                        for r in 0..trips[id as usize] {
+                            warp_body(&mut Warp::lane(lane), &[id], r, p, q);
+                        }
+                    });
                 }
-                let visits = t.visits().to_vec();
-                let banks = t.l2_bank_sectors().to_vec();
-                let profile = t.finish(64, 0);
-                runs.push((profile, visits, banks, g.read_slice(p, 4096)));
             }
-            let geometry = format!("sector {} B, line {} B", cost.sector_bytes, cost.line_bytes);
-            assert_eq!(runs[0].0, runs[1].0, "{geometry}: profile");
-            assert_eq!(runs[0].1, runs[1].1, "{geometry}: visit log");
-            assert_eq!(runs[0].2, runs[1].2, "{geometry}: bank counts");
-            assert_eq!(runs[0].3, runs[1].3, "{geometry}: memory");
-            assert!(runs[0].0 .0.l1_hits > 0 && runs[0].0 .0.sectors > 0);
+            let visits = t.visits().to_vec();
+            let banks = t.l2_bank_sectors().to_vec();
+            let profile = t.finish(64, 0);
+            runs.push((profile, visits, banks, g.read_slice(p, 4096)));
         }
+        assert_eq!(runs[0].0, runs[1].0, "profile");
+        assert_eq!(runs[0].1, runs[1].1, "visit log");
+        assert_eq!(runs[0].2, runs[1].2, "bank counts");
+        assert_eq!(runs[0].3, runs[1].3, "memory");
+        assert!(runs[0].0 .0.l1_hits > 0 && runs[0].0 .0.sectors > 0);
     }
 
     #[test]
@@ -2317,7 +2267,7 @@ mod tests {
         );
     }
 
-    /// Sector ids of `lines` whole lines at the default 4 sectors/line.
+    /// Sector ids of `lines` whole lines of 4 sectors.
     fn whole_lines(lines: std::ops::Range<u64>) -> Vec<u64> {
         lines.flat_map(|l| l * 4..l * 4 + 4).collect()
     }
@@ -2328,7 +2278,7 @@ mod tests {
 
     /// `line_walk` with no L2 banks to attribute.
     fn walk(sectors: &[u64], l1: &mut L1Window, visits: &mut VisitLog) -> (u64, u64, u64, u64) {
-        line_walk(sectors, 4, l1, visits, &mut [], L2BankIndex::new(0))
+        line_walk(sectors, l1, visits, &mut [], L2BankIndex::new(0))
     }
 
     #[test]
@@ -2536,35 +2486,18 @@ mod tests {
     }
 
     #[test]
-    fn non_pow2_sector_divides() {
-        // A 24-byte sector has no shift, so the accumulator divides.
-        let c = CostModel { sector_bytes: 24, ..Default::default() };
-        let a = DeviceArch::a100();
-        let g = GlobalMem::new();
-        let p = g.alloc_zeroed::<f64>(64);
-        let mut t = TeamCtx::new(0, 1, 1, 0, &g, &c, &a);
-        let lanes: Vec<u32> = (0..8).collect();
-        t.run_lanes(0, &lanes, |lane, id| {
-            lane.read(p, id as u64);
+    fn sector_split_covers_every_byte_with_at_most_one_extra() {
+        testkit::check("sector_split_covers_every_byte_with_at_most_one_extra", |rng| {
+            let addr = rng.range_u64(0, 1_000_000);
+            let bytes = rng.range_u32(1, 4096);
+            let (first, last) = StepAcc::sectors(addr, bytes);
+            // The sectors holding the first and the last byte, so every
+            // byte in between is covered.
+            let last_byte = addr + bytes as u64 - 1;
+            assert_eq!((first, last), (addr / SECTOR_BYTES, last_byte / SECTOR_BYTES));
+            // Bounds: at least the ceiling, at most one extra.
+            let least = (bytes as u64).div_ceil(SECTOR_BYTES);
+            assert!((least..=least + 1).contains(&(last - first + 1)), "{addr} +{bytes}");
         });
-        assert_eq!(t.visits(), [527]);
-        assert_eq!(
-            t.l2_bank_sectors(),
-            [
-                0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0,
-            ]
-        );
-        let (profile, counters) = t.finish(32, 0);
-        assert_eq!(counters, RtCounters::default());
-        let expect = BlockProfile {
-            issue: 14,
-            sectors: 4,
-            lsu_sectors: 4,
-            resid_cycles: 20,
-            threads: 32,
-            ..Default::default()
-        };
-        assert_eq!(profile, expect);
     }
 }

@@ -251,9 +251,10 @@ pub enum LaunchError {
     SmemTooLarge { requested: u32, max: u32 },
     /// The block shape fits no SM (occupancy zero).
     ZeroOccupancy,
-    /// The device's cost model has zero-byte sectors, or more sectors per
-    /// line than the L1's 8-bit per-way sector mask holds.
-    BadSectorModel { line_bytes: u32, sector_bytes: u32 },
+    /// The L1 window's set count (`l1_lines / 4`, sets of 4 lines) or the
+    /// shared-memory bank count is not a power of two: the access path
+    /// indexes sets and banks with a mask.
+    BadGeometry { l1_lines: u32, smem_banks: u32 },
     /// The device's warps are wider than a [`crate::LaneMask`]
     /// ([`crate::exec::MAX_LANES`] lanes).
     BadWarpSize { warp: u32 },
@@ -273,9 +274,10 @@ impl std::fmt::Display for LaunchError {
                 write!(f, "shared memory {requested} B exceeds per-block limit {max} B")
             }
             LaunchError::ZeroOccupancy => write!(f, "block shape fits no SM"),
-            LaunchError::BadSectorModel { line_bytes, sector_bytes } => write!(
+            LaunchError::BadGeometry { l1_lines, smem_banks } => write!(
                 f,
-                "{line_bytes} B lines of {sector_bytes} B sectors do not fit the 8-sector line mask"
+                "an L1 of {l1_lines} lines (sets of 4) and {smem_banks} shared-memory banks: \
+                 set and bank counts must be powers of two"
             ),
             LaunchError::BadWarpSize { warp } => write!(
                 f,
@@ -370,11 +372,9 @@ impl Device {
 
     /// Validate a launch configuration against this device.
     pub fn validate(&self, cfg: &LaunchConfig) -> Result<u32, LaunchError> {
-        if self.cost.sectors_per_line().is_none() {
-            return Err(LaunchError::BadSectorModel {
-                line_bytes: self.cost.line_bytes,
-                sector_bytes: self.cost.sector_bytes,
-            });
+        let (l1_lines, smem_banks) = (self.cost.l1_lines, self.arch.smem_banks);
+        if !(l1_lines / 4).is_power_of_two() || !smem_banks.is_power_of_two() {
+            return Err(LaunchError::BadGeometry { l1_lines, smem_banks });
         }
         if self.arch.warp_size as usize > crate::exec::MAX_LANES {
             return Err(LaunchError::BadWarpSize { warp: self.arch.warp_size });
@@ -619,25 +619,23 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_sector_models_the_line_mask_cannot_hold() {
+    fn validation_rejects_set_and_bank_counts_that_are_not_powers_of_two() {
         for cell in &CELLS {
             let ok = LaunchConfig { num_blocks: 1, threads_per_block: 32, smem_bytes: 0 };
             let mut d = cell_device(cell, DeviceArch::tiny());
-            // 16 sectors of 8 B per 128 B line: bits 8.. of the u8 mask do not exist.
-            d.cost.sector_bytes = 8;
-            let err = LaunchError::BadSectorModel { line_bytes: 128, sector_bytes: 8 };
-            assert_eq!(d.validate(&ok), Err(err));
-            assert_eq!(d.launch(&ok, |_| {}).unwrap_err(), err);
-            d.cost.sector_bytes = 0;
-            assert!(matches!(
-                d.validate(&ok),
-                Err(LaunchError::BadSectorModel { line_bytes: 128, sector_bytes: 0 })
-            ));
-            // Exactly 8 sectors per line, and non-power-of-two sectors, still fit.
-            d.cost.sector_bytes = 16;
+            // 12 lines are 3 sets; 2 lines are not one set.
+            for l1_lines in [12, 2] {
+                d.cost.l1_lines = l1_lines;
+                let err = LaunchError::BadGeometry { l1_lines, smem_banks: 32 };
+                assert_eq!(d.validate(&ok), Err(err));
+                assert_eq!(d.launch(&ok, |_| panic!("no block may run")).unwrap_err(), err);
+            }
+            // One set of 4 lines fits.
+            d.cost.l1_lines = 4;
             assert!(d.validate(&ok).is_ok());
-            d.cost.sector_bytes = 24;
-            assert!(d.validate(&ok).is_ok());
+            d.arch.smem_banks = 48;
+            let err = LaunchError::BadGeometry { l1_lines: 4, smem_banks: 48 };
+            assert_eq!(d.launch(&ok, |_| panic!("no block may run")).unwrap_err(), err);
         }
     }
 

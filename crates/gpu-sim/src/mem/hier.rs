@@ -45,16 +45,12 @@
 
 use crate::arch::CacheGeom;
 
-/// L2 bank slice an L1-missing sector is served by. Fibonacci-hashed (with
-/// a different shift than the L1 set hash) so power-of-two strides spread
-/// instead of camping on one slice.
-#[inline]
-pub fn l2_bank_of(sector: u64, n_banks: u32) -> u32 {
-    L2BankIndex::new(n_banks).of(sector)
-}
-
-/// [`l2_bank_of`] for one bank count, with the modulo turned into a
-/// multiply by a reciprocal computed once, so a block's line walk divides
+/// The L2 bank slice an L1-missing sector is served by, for one bank
+/// count. The sector id is Fibonacci-hashed (with a different shift than
+/// the L1 set hash) so power-of-two strides spread instead of camping on
+/// one slice. Bank counts need not be powers of two (a100 has 40), so the
+/// hash is reduced modulo the count, with the modulo turned into a
+/// multiply by a reciprocal computed once: a block's line walk divides
 /// nowhere.
 ///
 /// `recip = ⌊(2⁶⁴ − 1) / n⌋` underestimates `2⁶⁴ / n` by at most one, so
@@ -139,8 +135,9 @@ mod tests {
         // 128 consecutive lines' worth of stride-4 sectors (a power-of-two
         // pattern) must not all camp on a handful of banks.
         let mut counts = vec![0u64; 40];
+        let bank = L2BankIndex::new(40);
         for i in 0..128u64 {
-            counts[l2_bank_of(i * 4, 40) as usize] += 1;
+            counts[bank.of(i * 4) as usize] += 1;
         }
         let used = counts.iter().filter(|&&c| c > 0).count();
         assert!(used >= 20, "stride-4 pattern used only {used}/40 banks");

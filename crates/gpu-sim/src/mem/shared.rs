@@ -118,13 +118,6 @@ impl SharedMem {
     pub fn write_f64(&mut self, off: SmOff, idx: u32, v: f64) {
         self.store((off.0 + idx) as usize, v.to_bits());
     }
-
-    /// Clear all contents and the allocator (block re-use between launches).
-    pub fn reset_all(&mut self) {
-        self.slots.fill(0);
-        self.cursor = 0;
-        self.dirty = 0;
-    }
 }
 
 #[cfg(test)]
@@ -182,16 +175,5 @@ mod tests {
         assert_eq!((sm.capacity_bytes(), sm.mark(), sm.peak_bytes()), (32, SmOff(0), 0));
         sm.reuse(64);
         assert!((0..8).all(|i| sm.read_slot(SmOff(0), i).as_u64() == 0));
-    }
-
-    #[test]
-    fn reset_all_clears_contents() {
-        let mut sm = SharedMem::new(32);
-        let off = sm.alloc(8).unwrap();
-        sm.write_f64(off, 0, 1.0);
-        sm.reset_all();
-        let off2 = sm.alloc(8).unwrap();
-        assert_eq!(off2, SmOff(0));
-        assert_eq!(sm.read_f64(off2, 0), 0.0);
     }
 }

@@ -3,7 +3,7 @@
 
 use gpu_sim::mem::pod::DevValue;
 use gpu_sim::stats::RtCounters;
-use gpu_sim::{Device, DeviceArch, LaunchConfig, LaunchStats, MemStats};
+use gpu_sim::{Device, DeviceArch, LaunchConfig, LaunchError, LaunchStats, MemStats};
 use testkit::{Cell, CELLS};
 
 /// An a100 device with `cell`'s sim threads and sanitizer.
@@ -415,9 +415,7 @@ enum Reuse {
     Target,
     /// mi100: wave64 lanes and 64 shared-memory banks.
     Wave64,
-    /// 24-byte sectors: the accumulator divides instead of shifting.
-    Sector24,
-    /// A 2-line L1: too small for one 4-way set, so no window at all.
+    /// A 4-line L1: one 4-way set.
     TinyL1,
 }
 
@@ -431,8 +429,7 @@ fn reuse_launch(kind: Reuse, sanitize: bool) -> gpu_sim::LaunchStats {
         dev.enable_sanitizer();
     }
     match kind {
-        Reuse::Sector24 => dev.cost.sector_bytes = 24,
-        Reuse::TinyL1 => dev.cost.l1_lines = 2,
+        Reuse::TinyL1 => dev.cost.l1_lines = 4,
         Reuse::Target | Reuse::Wave64 => {}
     }
     dev.set_sim_threads(Some(1));
@@ -469,12 +466,12 @@ fn reuse_launch(kind: Reuse, sanitize: bool) -> gpu_sim::LaunchStats {
 fn reused_block_state_is_isolated_across_launches_and_cost_models() {
     for san in [false, true] {
         let fresh = |kind| std::thread::spawn(move || reuse_launch(kind, san)).join().unwrap();
-        let kinds = [Reuse::Target, Reuse::Wave64, Reuse::Sector24, Reuse::TinyL1, Reuse::Target];
+        let kinds = [Reuse::Target, Reuse::Wave64, Reuse::TinyL1, Reuse::Target];
         let want: Vec<_> = kinds.iter().map(|&k| fresh(k)).collect();
         let target = &want[0];
         assert!(target.total_l1_hits > 0 && target.total_dram_sectors > 0, "{target:?}");
         assert!(target.total_dram_sectors < target.total_sectors, "blocks must share lines");
-        assert_ne!(want[3].total_l1_hits, target.total_l1_hits, "the tiny L1 must change hits");
+        assert_ne!(want[2].total_l1_hits, target.total_l1_hits, "the tiny L1 must change hits");
         // One thread, so every launch after the first reuses block state.
         let got = std::thread::spawn(move || kinds.map(|k| reuse_launch(k, san))).join().unwrap();
         for ((kind, got), want) in kinds.iter().zip(&got).zip(&want) {
@@ -577,49 +574,14 @@ fn colliding_visit_filter_slots_keep_dram_exact() {
     }
 }
 
-/// Three blocks step a warp through overlapping windows of 24 lines with a
-/// 12-line L1: three sets, not a power of two, so the set index divides.
-fn twelve_line_launch(cell: &Cell) -> LaunchStats {
-    let mut dev = device(cell);
-    dev.cost.l1_lines = 12;
-    let p = dev.global.alloc_zeroed::<f64>(64 * 16);
-    let cfg = LaunchConfig { num_blocks: 3, threads_per_block: 32, smem_bytes: 0 };
-    dev.launch(&cfg, |team| {
-        let b = team.block_id as u64;
-        let lanes: Vec<u32> = (0..32).collect();
-        for rep in 0..4u64 {
-            team.run_lanes(0, &lanes, |lane, id| {
-                let line = (b * 3 + id as u64 / 2 + rep * 2) % 24;
-                lane.read(p, line * 16 + (id as u64 % 4) * 4);
-            });
-        }
-    })
-    .unwrap()
-}
-
+/// A 12-line L1 is three sets, not a power of two, so the set index would
+/// need a divide: the launch is rejected before any block runs.
 #[test]
-fn non_power_of_two_set_count_keeps_its_pinned_stats() {
-    let want = a100_stats(
-        3,
-        4674,
-        1824,
-        92,
-        MemStats {
-            l1_hits: 24,
-            l1_full_hits: 0,
-            l1_miss_sectors: 336,
-            lsu_sectors: 384,
-            tx_cycles: 96,
-            l2_bank_sectors: vec![
-                5, 14, 11, 7, 11, 2, 5, 11, 6, 14, 13, 5, 12, 5, 6, 14, 7, 10, 10, 1, 14, 7, 6, 13,
-                5, 11, 8, 6, 14, 6, 4, 10, 3, 11, 14, 7, 9, 6, 5, 8,
-            ],
-            dram_sectors: 92,
-            dram_atoms: 46,
-            mlp_stalls: 11,
-        },
-    );
+fn non_power_of_two_set_count_is_rejected() {
     for cell in &CELLS {
-        assert_eq!(twelve_line_launch(cell), want, "{cell:?}");
+        let mut dev = device(cell);
+        dev.cost.l1_lines = 12;
+        let err = dev.launch(&one_block(), |_| panic!("no block may run")).unwrap_err();
+        assert_eq!(err, LaunchError::BadGeometry { l1_lines: 12, smem_banks: 32 }, "{cell:?}");
     }
 }

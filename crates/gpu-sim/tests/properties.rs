@@ -1,7 +1,6 @@
 //! Property-based tests of the simulator's core invariants, driven by the
 //! in-tree `testkit` harness (seeded random cases, replayable on failure).
 
-use gpu_sim::cost::CostModel;
 use gpu_sim::mem::shared::SharedMem;
 use gpu_sim::{DPtr, Device, DeviceArch, LaneMask, LaunchConfig, Slot};
 use testkit::{check, Cell, CELLS};
@@ -46,27 +45,6 @@ fn mask_algebra_identities() {
         assert_eq!(lanes.len() as u32, ma.count());
         assert!(lanes.windows(2).all(|w| w[0] < w[1]));
         assert!(lanes.iter().all(|&l| ma.contains(l)));
-    });
-}
-
-/// Sector counting covers every byte exactly (no gaps, no overlaps).
-#[test]
-fn sector_counting_is_exact() {
-    check("sector_counting_is_exact", |rng| {
-        let addr = rng.range_u64(0, 1_000_000);
-        let bytes = rng.range_u64(0, 4096);
-        let c = CostModel::default();
-        let sectors = c.sectors_for(addr, bytes);
-        if bytes == 0 {
-            assert_eq!(sectors, 0);
-        } else {
-            let sb = c.sector_bytes as u64;
-            let expect = (addr + bytes - 1) / sb - addr / sb + 1;
-            assert_eq!(sectors, expect);
-            // Bounds: at least the ceiling, at most one extra.
-            assert!(sectors >= bytes.div_ceil(sb));
-            assert!(sectors <= bytes.div_ceil(sb) + 1);
-        }
     });
 }
 

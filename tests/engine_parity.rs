@@ -20,7 +20,7 @@
 use simt_omp::codegen::builder::{Schedule, TargetBuilder};
 use simt_omp::codegen::{launch_flat, CompiledKernel, Engine, FlatProgram};
 use simt_omp::gpu::mem::shared::SmOff;
-use simt_omp::gpu::{Device, DeviceArch, LaunchStats, Slot, Violation};
+use simt_omp::gpu::{Device, DeviceArch, LaunchError, LaunchStats, Slot, Violation};
 use simt_omp::kernels::plangen::{self, random_kernel};
 use simt_omp::rt::config::{ExecMode, KernelConfig, ParallelDesc};
 use simt_omp::rt::dispatch::{Footprint, Registry};
@@ -255,6 +255,26 @@ fn broken_plans_report_identical_violations_on_both_engines() {
                 stats.violations
             );
         }
+    }
+}
+
+#[test]
+fn both_engines_reject_an_l1_set_count_that_is_not_a_power_of_two() {
+    // A 12-line L1 is three 4-way sets: both engines and the oracle must
+    // return the typed error before any block runs, not panic.
+    let mut b = TargetBuilder::new().num_teams(2).threads(64);
+    let inner = b.trip_const(8);
+    let k = b.build(|t| t.parallel(8, |p| p.simd(inner, |lane, _, _| lane.work(1))));
+    let err = LaunchError::BadGeometry { l1_lines: 12, smem_banks: 32 };
+    for cell in &testkit::CELLS {
+        let mut dev = Device::a100();
+        dev.cost.l1_lines = 12;
+        dev.set_sim_threads(cell.threads);
+        if cell.sanitize {
+            dev.enable_sanitizer();
+        }
+        assert_eq!(k.launch(&mut dev, &[]), Err(err), "launch {cell:?}");
+        assert_eq!(k.launch_oracle(&mut dev, &[]), Err(err), "launch_oracle {cell:?}");
     }
 }
 
