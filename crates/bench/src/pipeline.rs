@@ -6,17 +6,14 @@
 //! download for every chunk on one stream, so the DMA links and the compute
 //! engine take strict turns. The **pipelined** leg puts transfers on a copy
 //! stream and kernels on a compute stream with event edges between them
-//! (the `target nowait` + `depend` pattern): while the kernel chews chunk
-//! *k*, the H2D link is already feeding chunk *k+1* and the D2H link is
-//! draining chunk *k−1*. Both legs execute the identical op set — same
+//! (the `target nowait` + `depend` pattern): on the virtual timeline, the
+//! H2D link feeds chunk *k+1* and the D2H link drains chunk *k−1* while the
+//! kernel chews chunk *k*. Both legs execute the identical op set — same
 //! per-op cycle costs — so the makespan difference is pure overlap, and
 //! `overlap_ratio = 1 − makespan/serialized` reports exactly the fraction
 //! of the naive schedule the pipeline hides.
 
-use std::sync::Arc;
-
 use gpu_sim::DeviceArch;
-use omp_host::sync::Mutex;
 use omp_host::HostRuntime;
 use omp_kernels::matrix::{CsrMatrix, RowProfile};
 use omp_kernels::spmv;
@@ -90,8 +87,8 @@ pub fn run_leg(rows: usize, chunks: usize, pipelined: bool) -> PipeRow {
     let down = rt.stream(0);
     // Pipelined leg: uploads, kernels, and downloads each get their own
     // in-order stream, chained per chunk by events — so h2d(k+1), kernel(k)
-    // and d2h(k−1) run concurrently (the DMA link is duplex). Serialized
-    // leg: everything funnels through one stream in program order.
+    // and d2h(k−1) overlap on the timeline (the DMA link is duplex).
+    // Serialized leg: everything funnels through one stream.
     let (copy_q, compute_q, down_q) =
         if pipelined { (&copy, &compute, &down) } else { (&copy, &copy, &copy) };
 
@@ -106,48 +103,40 @@ pub fn run_leg(rows: usize, chunks: usize, pipelined: bool) -> PipeRow {
     compute_q.wait_event(&x_ready);
 
     let per = rows.div_ceil(chunks);
-    let results: Vec<Arc<Mutex<Vec<f64>>>> =
-        (0..chunks).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
-    for (c, result) in results.iter().enumerate() {
+    let k = spmv::build_three_level(108, 128, 8);
+    let mut y = Vec::with_capacity(rows);
+    for c in 0..chunks {
         let (lo, hi) = (c * per, ((c + 1) * per).min(rows));
         let slice = mat.row_slice(lo, hi);
         let bytes = chunk_h2d_bytes(&slice);
         let y_bytes = (slice.nrows * 8) as u64;
-        let xs = x.clone();
         // The H2D op lands the chunk's operand; the compute op (gated by
         // the chunk's event when pipelined) runs the kernel; the D2H op
         // (gated by the kernel's event) drains the chunk's y.
-        let ops_cell: Arc<Mutex<Option<spmv::SpmvDev>>> = Arc::new(Mutex::new(None));
-        let ops_in = Arc::clone(&ops_cell);
-        copy_q.enqueue_h2d(move |md| {
-            *ops_in.lock() = Some(spmv::SpmvDev::upload(&mut md.dev, &slice, &xs));
+        let mut ops = None;
+        copy_q.enqueue_h2d(|md| {
+            ops = Some(spmv::SpmvDev::upload(&mut md.dev, &slice, &x));
             let model = md.model;
             md.xfer.record_h2d(&model, bytes);
             model.cycles_for(bytes)
         });
         let uploaded = copy_q.record_event();
         compute_q.wait_event(&uploaded);
-        let out = Arc::clone(result);
-        compute_q.enqueue(move |md| {
-            let k = spmv::build_three_level(108, 128, 8);
-            let ops = ops_cell.lock().take().expect("chunk uploaded before compute");
-            let (y, stats) = spmv::run(&mut md.dev, &k, &ops);
-            *out.lock() = y;
+        compute_q.enqueue(|md| {
+            let ops = ops.expect("chunk uploaded before compute");
+            let (chunk_y, stats) = spmv::run(&mut md.dev, &k, &ops);
+            y.extend(chunk_y);
             stats.cycles
         });
         let computed = compute_q.record_event();
         down_q.wait_event(&computed);
-        down_q.enqueue_d2h(move |md| {
+        down_q.enqueue_d2h(|md| {
             let model = md.model;
             md.xfer.record_d2h(&model, y_bytes);
             model.cycles_for(y_bytes)
         });
     }
-    copy.sync();
-    compute.sync();
-    down.sync();
 
-    let y: Vec<f64> = results.iter().flat_map(|r| r.lock().clone()).collect();
     let max_err = y.iter().zip(&want).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
 
     let stats = rt.timeline_stats();

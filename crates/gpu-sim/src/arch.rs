@@ -86,8 +86,10 @@ pub struct DeviceArch {
     pub warp_sync_supported: bool,
     /// Independent shared-memory banks, a power of two
     /// ([`crate::Device::validate`] rejects other counts). Successive
-    /// 8-byte slots map to successive banks; distinct slots landing in one bank serialize into
-    /// wavefronts ([`crate::exec::BankAcc`]). NVIDIA SMs expose 32 banks;
+    /// 8-byte slots map to successive banks; distinct slots that one
+    /// warp's shared-memory accesses ([`crate::Lane::smem_read_slot`] and
+    /// its siblings) land in one bank serialize into wavefronts, charged
+    /// as issue cycles. NVIDIA SMs expose 32 banks;
     /// the wave64 LDS is modeled as one bank per lane (64), so a stride-1
     /// full-wavefront access is conflict-free on both families.
     pub smem_banks: u32,

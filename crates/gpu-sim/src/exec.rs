@@ -138,7 +138,7 @@ impl OrdAcc {
 /// and the bank count follows the arch, so a wave64 LDS is not folded onto
 /// 32 banks.
 #[derive(Clone, Debug, Default)]
-pub struct BankAcc {
+pub(crate) struct BankAcc {
     /// Last slot seen per bank (`u32::MAX` = none) — the broadcast filter.
     bank_slots: Vec<u32>,
     /// Serialized wavefronts per bank. `u32`: a deep conflict (every lane
@@ -293,9 +293,11 @@ impl StepAcc {
 }
 
 /// Per-warp accounting state, including the warp's [`L1Window`] of
-/// recently touched lines and sectors. Re-touching a cached
-/// sector costs [`CostModel::l1_hit_cycles`] instead of a DRAM sector —
-/// this is what lets a thread streaming through its own block of memory
+/// recently touched lines and sectors. Re-touching a cached sector pays
+/// only its line's [`CostModel::line_cycles`] instead of a DRAM sector
+/// beat and the exposed latency, and `hit_replay_offload` moves that
+/// charge (all of it for a full-line hit, all but one `sector_cycles`
+/// beat for a partial one) to the LSU pipe — this is what lets a thread streaming through its own block of memory
 /// (e.g. the serial inner loops of the two-level baselines) avoid paying
 /// full DRAM cost for every element of a 32-byte sector.
 #[derive(Clone, Debug, Default)]

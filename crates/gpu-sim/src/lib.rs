@@ -47,9 +47,7 @@ pub mod stats;
 pub mod trace;
 
 pub use arch::{ArchId, CacheGeom, DeviceArch, Vendor};
-pub use exec::{
-    BankAcc, DispatchKind, Lane, ObservedEffects, TeamCtx, Warp, WarpRounds, MAX_LANES,
-};
+pub use exec::{DispatchKind, Lane, ObservedEffects, TeamCtx, Warp, WarpRounds, MAX_LANES};
 pub use launch::{Device, LaunchConfig, LaunchError};
 pub use mask::LaneMask;
 pub use mem::global::{FallbackRange, GlobalMem, GlobalView, MemCheckpoint};

@@ -42,7 +42,8 @@ impl HostRuntime {
         self.devices.len()
     }
 
-    /// Shared handle to device `i` (cloneable into target tasks).
+    /// Shared handle to device `i`: the lock its streams run their ops
+    /// under, and what a host thread locks to drive the device directly.
     pub fn device(&self, i: usize) -> Arc<Mutex<ManagedDevice>> {
         Arc::clone(&self.devices[i])
     }
@@ -105,10 +106,8 @@ mod tests {
         let s1 = rt.stream(1);
         s0.enqueue(|_| 100);
         s1.enqueue(|_| 60);
-        s0.sync();
-        s1.sync();
         let st = rt.timeline_stats();
-        // Two devices compute concurrently on the shared timeline.
+        // Two devices' computes overlap on the shared timeline.
         assert_eq!(st.makespan, 100);
         assert_eq!(st.serialized, 160);
         assert_eq!(st.per_device.len(), 2);

@@ -5,84 +5,33 @@
 //! "everything enqueued on that stream so far" (a *watermark*), exactly
 //! like `cudaEventRecord`. Another stream calls
 //! [`crate::stream::Stream::wait_event`] to make all of *its* subsequent
-//! operations wait for the event — a cross-stream edge that exists on two
-//! planes at once:
+//! operations wait for the event: the edge is recorded in the
+//! [`crate::timeline::Timeline`], where the scheduler makes the consumer's
+//! simulated start `≥` the producer prefix's simulated finish.
 //!
-//! * **real execution** — the consumer stream's helper thread blocks until
-//!   the producer stream has actually completed every operation below the
-//!   watermark, so device memory effects are ordered;
-//! * **virtual time** — the edge is recorded in the
-//!   [`crate::timeline::Timeline`], where the scheduler makes the
-//!   consumer's simulated start `≥` the producer prefix's simulated
-//!   finish.
+//! Stream ops run when they are enqueued, so an event exists only after
+//! every op below it has returned: device memory effects are ordered by
+//! program order, and the DAG is acyclic by construction.
 //!
 //! Events are cheap value handles (`Clone`), so one event can gate many
-//! consumer streams. The DAG is acyclic by construction as long as events
-//! are recorded before they are waited on, which program order guarantees
-//! for a single enqueueing host thread.
+//! consumer streams on the same timeline.
 
-use std::sync::Arc;
-
-use crate::sync::{Condvar, Mutex};
-
-/// Real-completion tracker of one stream: how many enqueued jobs (real
-/// operations *and* wait markers) have finished executing.
-pub(crate) struct StreamDone {
-    count: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl StreamDone {
-    pub(crate) fn new() -> Arc<StreamDone> {
-        Arc::new(StreamDone { count: Mutex::new(0), cv: Condvar::new() })
-    }
-
-    /// One more job finished; wake event waiters.
-    pub(crate) fn bump(&self) {
-        let mut c = self.count.lock();
-        *c += 1;
-        self.cv.notify_all();
-    }
-
-    pub(crate) fn completed(&self) -> u64 {
-        *self.count.lock()
-    }
-
-    /// Block until at least `watermark` jobs completed.
-    pub(crate) fn wait_for(&self, watermark: u64) {
-        let mut c = self.count.lock();
-        while *c < watermark {
-            self.cv.wait(&mut c);
-        }
-    }
-}
+use crate::timeline::Timeline;
 
 /// A recorded point on a stream's queue (`cudaEventRecord` analog): all
 /// operations enqueued on the producing stream before the record are
 /// "below" the event.
 #[derive(Clone)]
 pub struct Event {
+    /// Timeline the producing stream records on.
+    pub(crate) timeline: Timeline,
     /// Producing stream's id in the timeline.
     pub(crate) stream: u32,
     /// Number of jobs enqueued on the producing stream at record time.
     pub(crate) watermark: u32,
-    /// Producing stream's real-completion tracker.
-    pub(crate) done: Arc<StreamDone>,
 }
 
 impl Event {
-    /// `true` once every operation below the event has really completed
-    /// (`cudaEventQuery` analog).
-    pub fn is_ready(&self) -> bool {
-        self.done.completed() >= self.watermark as u64
-    }
-
-    /// Block the calling host thread until the event is ready
-    /// (`cudaEventSynchronize` analog).
-    pub fn synchronize(&self) {
-        self.done.wait_for(self.watermark as u64);
-    }
-
     /// The producing stream's timeline id.
     pub fn stream_id(&self) -> u32 {
         self.stream
@@ -99,46 +48,6 @@ impl std::fmt::Debug for Event {
         f.debug_struct("Event")
             .field("stream", &self.stream)
             .field("watermark", &self.watermark)
-            .field("ready", &self.is_ready())
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn event_tracks_producer_progress() {
-        let done = StreamDone::new();
-        let ev = Event { stream: 0, watermark: 2, done: Arc::clone(&done) };
-        assert!(!ev.is_ready());
-        done.bump();
-        assert!(!ev.is_ready());
-        done.bump();
-        assert!(ev.is_ready());
-        ev.synchronize(); // must not block once ready
-    }
-
-    #[test]
-    fn zero_watermark_event_is_immediately_ready() {
-        let ev = Event { stream: 3, watermark: 0, done: StreamDone::new() };
-        assert!(ev.is_ready());
-        ev.synchronize();
-        assert_eq!(ev.stream_id(), 3);
-        assert_eq!(ev.watermark(), 0);
-    }
-
-    #[test]
-    fn synchronize_blocks_until_bumped() {
-        let done = StreamDone::new();
-        let ev = Event { stream: 0, watermark: 1, done: Arc::clone(&done) };
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            done.bump();
-        });
-        ev.synchronize();
-        assert!(ev.is_ready());
-        h.join().unwrap();
     }
 }

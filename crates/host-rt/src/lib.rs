@@ -10,11 +10,9 @@
 //! * the **data-mapping table** with `map(to/from/alloc/release)` reference
 //!   counting and `target update` ([`map::ManagedDevice`]);
 //! * a **transfer cost model** in device-clock cycles ([`xfer`]);
-//! * **deferred target tasks** on hidden helper threads
-//!   ([`task::HelperPool`]), reproducing the concurrency substrate of the
-//!   paper's reference \[26\];
-//! * **streams** ([`stream::Stream`]): in-order asynchronous per-device
-//!   work queues;
+//! * **streams** ([`stream::Stream`]): in-order per-device work queues
+//!   (`target nowait` analog) whose ops run at once on the caller's thread
+//!   and are logged on the virtual timeline, the only clock;
 //! * **events** ([`event::Event`]): recorded on streams and waited on by
 //!   others, forming a dependence DAG across streams and devices
 //!   (`target nowait` + `depend` analog);
@@ -33,7 +31,6 @@ pub mod event;
 pub mod map;
 pub mod stream;
 pub mod sync;
-pub mod task;
 pub mod timeline;
 pub mod xfer;
 
@@ -41,6 +38,5 @@ pub use device::HostRuntime;
 pub use event::Event;
 pub use map::{pipelined_map_to, pipelined_to_compute, ManagedDevice};
 pub use stream::Stream;
-pub use task::HelperPool;
 pub use timeline::{DeviceBusy, OpView, Timeline, TimelineStats};
 pub use xfer::{XferModel, XferStats};

@@ -190,12 +190,11 @@ pub fn pipelined_map_to<T: DevValue>(
     let p = copy.device().lock().map_alloc(host);
     let mut out = Vec::new();
     for range in chunk_ranges(host.len(), chunks) {
-        let data = host[range.clone()].to_vec();
-        let start = range.start as u64;
-        copy.enqueue_h2d(move |md| {
-            md.dev.global.write_slice(p.add(start), &data);
+        let data = &host[range.clone()];
+        copy.enqueue_h2d(|md| {
+            md.dev.global.write_slice(p.add(range.start as u64), data);
             let model = md.model;
-            let bytes = std::mem::size_of_val(&data[..]) as u64;
+            let bytes = std::mem::size_of_val(data) as u64;
             md.xfer.record_h2d(&model, bytes);
             model.cycles_for(bytes)
         });
@@ -217,22 +216,20 @@ pub fn pipelined_to_compute<T, F>(
     compute: &Stream,
     host: &[T],
     chunks: usize,
-    kernel: F,
+    mut kernel: F,
 ) -> DPtr<T>
 where
     T: DevValue,
-    F: Fn(&mut ManagedDevice, DPtr<T>, Range<usize>) -> u64 + Send + Sync + 'static,
+    F: FnMut(&mut ManagedDevice, DPtr<T>, Range<usize>) -> u64,
 {
     assert!(
         Arc::ptr_eq(copy.device(), compute.device()),
         "pipelined_to_compute: copy and compute streams target different devices"
     );
     let (p, chunk_events) = pipelined_map_to(copy, host, chunks);
-    let kernel = Arc::new(kernel);
     for (ev, range) in chunk_events {
         compute.wait_event(&ev);
-        let kernel = Arc::clone(&kernel);
-        compute.enqueue(move |md| kernel(md, p, range));
+        compute.enqueue(|md| kernel(md, p, range));
     }
     p
 }
@@ -335,7 +332,6 @@ mod tests {
         let host: Vec<f64> = (0..1000).map(|i| i as f64 * 0.5).collect();
         let (p, chunk_events) = pipelined_map_to(&copy, &host, 4);
         assert_eq!(chunk_events.len(), 4);
-        copy.sync();
         let md = rt.device(0);
         let mut md = md.lock();
         assert_eq!(md.dev.global.read_slice(p, 1000), host);
@@ -354,18 +350,14 @@ mod tests {
         let copy = rt.stream(0);
         let compute = rt.stream(0);
         let host: Vec<f64> = vec![1.0; 4096];
-        let done = std::sync::Arc::new(crate::sync::Mutex::new(Vec::new()));
-        let done2 = std::sync::Arc::clone(&done);
-        pipelined_to_compute(&copy, &compute, &host, 4, move |md, p, range| {
+        let mut ranges = Vec::new();
+        pipelined_to_compute(&copy, &compute, &host, 4, |md, p, range| {
             // Touch the slice so mis-sequencing would be observable.
             assert_eq!(md.dev.global.read(p, range.start as u64), 1.0);
-            done2.lock().push(range.clone());
+            ranges.push(range.clone());
             range.len() as u64
         });
-        copy.sync();
-        compute.sync();
         // Every slice ran, in order.
-        let ranges = done.lock().clone();
         assert_eq!(ranges.len(), 4);
         assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
         // H2D of later chunks overlapped compute of earlier ones.

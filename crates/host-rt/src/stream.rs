@@ -1,40 +1,34 @@
-//! Streams: in-order asynchronous work queues per device, the host-side
-//! abstraction CUDA calls a *stream* and OpenMP reaches through `nowait` +
-//! dependences. Each stream owns one hidden helper thread, so enqueued
-//! operations execute in order but asynchronously to the host; operations
-//! on the same device serialize on the device lock exactly like same-device
-//! kernels do on real hardware.
+//! Streams: in-order per-device work queues, the host-side abstraction
+//! CUDA calls a *stream* and OpenMP reaches through `nowait` + dependences.
+//! An enqueued op runs at once on the caller's thread, under the device
+//! lock; the host only schedules kernels and moves data, so nothing is
+//! gained by running ops on threads of their own.
 //!
-//! Simulated time is *not* what the helper threads measure: every enqueue
-//! is also recorded on a [`Timeline`], ops are tagged with the device
-//! resource they occupy ([`Resource::H2D`], [`Resource::D2H`],
-//! [`Resource::Compute`]), and [`Event`]s recorded here / waited there add
-//! cross-stream dependence edges. The timeline's scheduler then lets
-//! transfers overlap kernels (and each other) in simulated cycles — see
-//! [`crate::timeline`] for the model.
+//! Simulated time is what streams model: every op is logged on a
+//! [`Timeline`] with its cost and the device resource it occupies
+//! ([`Resource::H2D`], [`Resource::D2H`], [`Resource::Compute`]), and
+//! [`Event`]s recorded here / waited there add cross-stream dependence
+//! edges. The timeline's scheduler then lets transfers overlap kernels (and
+//! each other) in simulated cycles — see [`crate::timeline`] for the model.
+//!
+//! An op holds its device's lock while it runs, so it must not enqueue on a
+//! stream bound to that same device.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gpu_sim::Resource;
 
-use crate::event::{Event, StreamDone};
+use crate::event::Event;
 use crate::map::ManagedDevice;
 use crate::sync::Mutex;
-use crate::task::HelperPool;
 use crate::timeline::Timeline;
 
-/// An in-order asynchronous queue of device operations.
+/// An in-order queue of device operations on the virtual timeline.
 pub struct Stream {
     dev: Arc<Mutex<ManagedDevice>>,
-    pool: HelperPool,
     timeline: Timeline,
     /// This stream's id on the timeline.
     id: u32,
-    /// Real-completion tracker events wait on.
-    done: Arc<StreamDone>,
-    /// Real operations enqueued so far (wait markers excluded).
-    enqueued: AtomicU64,
 }
 
 impl Stream {
@@ -50,42 +44,29 @@ impl Stream {
     pub fn on_timeline(dev: Arc<Mutex<ManagedDevice>>, timeline: &Timeline, device: u32) -> Stream {
         let timeline = timeline.clone();
         let id = timeline.register_stream(device);
-        Stream {
-            dev,
-            pool: HelperPool::new(1), // one thread ⇒ in-order execution
-            timeline,
-            id,
-            done: StreamDone::new(),
-            enqueued: AtomicU64::new(0),
-        }
+        Stream { dev, timeline, id }
     }
 
-    /// Enqueue an operation occupying `resource`. `op` receives the locked
-    /// device and returns the simulated cycles it consumed (kernel launches
-    /// return `stats.cycles`; transfers return link cycles).
-    pub fn enqueue_on(
-        &self,
-        resource: Resource,
-        op: impl FnOnce(&mut ManagedDevice) -> u64 + Send + 'static,
-    ) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-        let op_id = self.timeline.begin_op(self.id, resource);
-        let dev = Arc::clone(&self.dev);
-        let timeline = self.timeline.clone();
-        let done = Arc::clone(&self.done);
-        self.pool.submit(move || {
-            let cycles = {
-                let mut md = dev.lock();
-                op(&mut md)
-            };
-            timeline.finish_op(op_id, cycles);
-            done.bump();
-        });
+    /// Run `op` on the locked device and log it on `resource` with the
+    /// `(cycles, blocks)` it returns. The log entry is appended under the
+    /// device lock, so the log order is the execution order.
+    fn run(&self, resource: Resource, op: impl FnOnce(&mut ManagedDevice) -> (u64, u32)) {
+        let mut md = self.dev.lock();
+        let (cost, blocks) = op(&mut md);
+        self.timeline.push_op(self.id, resource, cost, blocks);
+    }
+
+    /// Enqueue an operation occupying `resource`. `op` runs at once on the
+    /// locked device and returns the simulated cycles it consumed (kernel
+    /// launches return `stats.cycles`; transfers return link cycles). A
+    /// panic in `op` reaches the caller and logs nothing.
+    pub fn enqueue_on(&self, resource: Resource, op: impl FnOnce(&mut ManagedDevice) -> u64) {
+        self.run(resource, |md| (op(md), 0));
     }
 
     /// Enqueue a compute operation (kernel launch). Equivalent to
     /// [`Stream::enqueue_on`] with [`Resource::Compute`].
-    pub fn enqueue(&self, op: impl FnOnce(&mut ManagedDevice) -> u64 + Send + 'static) {
+    pub fn enqueue(&self, op: impl FnOnce(&mut ManagedDevice) -> u64) {
         self.enqueue_on(Resource::Compute, op);
     }
 
@@ -93,32 +74,20 @@ impl Stream {
     /// [`gpu_sim::LaunchStats`]: the timeline's compute op records the
     /// launch's real block count alongside its simulated cycles, so
     /// per-launch grid sizes are visible in [`crate::timeline::OpView`].
-    pub fn enqueue_launch(
-        &self,
-        op: impl FnOnce(&mut ManagedDevice) -> gpu_sim::LaunchStats + Send + 'static,
-    ) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-        let op_id = self.timeline.begin_op(self.id, Resource::Compute);
-        let dev = Arc::clone(&self.dev);
-        let timeline = self.timeline.clone();
-        let done = Arc::clone(&self.done);
-        self.pool.submit(move || {
-            let stats = {
-                let mut md = dev.lock();
-                op(&mut md)
-            };
-            timeline.finish_op_with_blocks(op_id, stats.cycles, stats.blocks);
-            done.bump();
+    pub fn enqueue_launch(&self, op: impl FnOnce(&mut ManagedDevice) -> gpu_sim::LaunchStats) {
+        self.run(Resource::Compute, |md| {
+            let stats = op(md);
+            (stats.cycles, stats.blocks)
         });
     }
 
     /// Enqueue a host→device transfer (occupies the H2D DMA link).
-    pub fn enqueue_h2d(&self, op: impl FnOnce(&mut ManagedDevice) -> u64 + Send + 'static) {
+    pub fn enqueue_h2d(&self, op: impl FnOnce(&mut ManagedDevice) -> u64) {
         self.enqueue_on(Resource::H2D, op);
     }
 
     /// Enqueue a device→host transfer (occupies the D2H DMA link).
-    pub fn enqueue_d2h(&self, op: impl FnOnce(&mut ManagedDevice) -> u64 + Send + 'static) {
+    pub fn enqueue_d2h(&self, op: impl FnOnce(&mut ManagedDevice) -> u64) {
         self.enqueue_on(Resource::D2H, op);
     }
 
@@ -126,42 +95,28 @@ impl Stream {
     /// (`cudaEventRecord`).
     pub fn record_event(&self) -> Event {
         Event {
+            timeline: self.timeline.clone(),
             stream: self.id,
             watermark: self.timeline.watermark(self.id),
-            done: Arc::clone(&self.done),
         }
     }
 
     /// Make every operation enqueued on this stream *after* this call wait
-    /// for `event` (`cudaStreamWaitEvent`): the helper thread really blocks
-    /// until the producer's covered ops completed, and the timeline gains
-    /// the dependence edge. Waiting on an event recorded later on this very
-    /// stream (or any event cycle) deadlocks, as on real hardware; with a
-    /// single enqueueing host thread program order makes cycles impossible.
+    /// for `event` on the simulated timeline (`cudaStreamWaitEvent`). The
+    /// ops below the event have already run, so only the dependence edge
+    /// is logged. Panics if `event` was recorded on another timeline.
     pub fn wait_event(&self, event: &Event) {
-        let op_id = self.timeline.begin_wait(self.id, (event.stream, event.watermark));
-        let ev = event.clone();
-        let timeline = self.timeline.clone();
-        let done = Arc::clone(&self.done);
-        self.pool.submit(move || {
-            ev.synchronize();
-            timeline.finish_op(op_id, 0);
-            done.bump();
-        });
+        assert!(
+            self.timeline.same_as(&event.timeline),
+            "wait_event: event recorded on another timeline"
+        );
+        self.timeline.push_wait(self.id, (event.stream, event.watermark));
     }
 
-    /// Block until every enqueued operation completed; returns the stream's
-    /// finish time on the simulated timeline (for a lone stream starting at
-    /// zero this equals the sum of its op cycles).
+    /// The stream's finish time on the simulated timeline (for a lone
+    /// stream starting at zero this equals the sum of its op cycles).
     pub fn sync(&self) -> u64 {
-        self.pool.wait_all();
         self.timeline.stream_finish(self.id)
-    }
-
-    /// Number of real operations enqueued over the stream's lifetime (wait
-    /// markers are not counted).
-    pub fn ops_enqueued(&self) -> u64 {
-        self.enqueued.load(Ordering::Relaxed)
     }
 
     /// The timeline this stream records on.
@@ -211,7 +166,7 @@ mod tests {
         }
         let cycles = s.sync();
         assert_eq!(cycles, 30);
-        assert_eq!(s.ops_enqueued(), 3);
+        assert_eq!(s.timeline().stats().ops, 3);
         assert_eq!(dev.lock().dev.global.read_slice(p, 4), vec![0.0, 1.0, 2.0, 3.0]);
     }
 
@@ -222,17 +177,16 @@ mod tests {
             apply(cell, &mut rt.device(0).lock().dev);
             let s = Stream::new(rt.device(0));
             let host: Vec<f64> = (0..256).map(|i| i as f64).collect();
-            let host2 = host.clone();
             let dev = rt.device(0);
             let p = dev.lock().dev.global.alloc_zeroed::<f64>(256);
 
-            s.enqueue_h2d(move |md| {
-                md.dev.global.write_slice(p, &host2);
+            s.enqueue_h2d(|md| {
+                md.dev.global.write_slice(p, &host);
                 let model = md.model;
                 md.xfer.record_h2d(&model, 256 * 8);
                 model.cycles_for(256 * 8)
             });
-            s.enqueue(move |md| {
+            s.enqueue(|md| {
                 let cfg = LaunchConfig { num_blocks: 2, threads_per_block: 32, smem_bytes: 0 };
                 md.dev
                     .launch(&cfg, |team| {
@@ -282,29 +236,26 @@ mod tests {
     }
 
     #[test]
-    fn wait_event_orders_real_execution_across_streams() {
+    fn wait_event_orders_execution_across_streams() {
         let rt = HostRuntime::new();
         let p = rt.device(0).lock().dev.global.alloc_zeroed::<f64>(1);
         let producer = rt.stream(0);
         let consumer = rt.stream(0);
-        producer.enqueue(move |md| {
-            // Slow producer: the consumer must still see its write.
-            std::thread::sleep(std::time::Duration::from_millis(10));
+        producer.enqueue(|md| {
             md.dev.global.write(p, 0, 42.0);
             100
         });
         let ev = producer.record_event();
+        assert_eq!((ev.stream_id(), ev.watermark()), (producer.id(), 1));
         consumer.wait_event(&ev);
-        let seen = Arc::new(Mutex::new(0.0f64));
-        let seen2 = Arc::clone(&seen);
-        consumer.enqueue(move |md| {
-            *seen2.lock() = md.dev.global.read(p, 0);
+        let mut seen = 0.0;
+        consumer.enqueue(|md| {
+            seen = md.dev.global.read(p, 0);
             50
         });
-        consumer.sync();
-        producer.sync();
-        assert_eq!(*seen.lock(), 42.0);
+        assert_eq!(seen, 42.0);
         // Virtual time: the consumer op starts at the producer's finish.
+        assert_eq!(producer.sync(), 100);
         assert_eq!(consumer.sync(), 150);
     }
 
@@ -348,19 +299,61 @@ mod tests {
     }
 
     #[test]
-    fn event_synchronize_blocks_the_host() {
-        let rt = HostRuntime::new();
-        let s = rt.stream(0);
-        let flag = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let f2 = Arc::clone(&flag);
-        s.enqueue(move |_| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            f2.store(7, Ordering::SeqCst);
-            10
+    fn a_panicking_op_reaches_the_caller() {
+        testkit::with_deadline("panicking-op", std::time::Duration::from_secs(30), || {
+            let rt = HostRuntime::new();
+            let s = rt.stream(0);
+            s.enqueue(|_| 5);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.enqueue(|_| panic!("op failed"));
+            }));
+            assert!(caught.is_err(), "the op's panic must reach the caller");
+            // The stream and its device stay usable; the failed op logged
+            // nothing.
+            s.enqueue(|md| {
+                md.dev.global.alloc_zeroed::<f64>(1);
+                7
+            });
+            assert_eq!(s.sync(), 12);
+            assert_eq!(rt.timeline_stats().ops, 2);
         });
-        let ev = s.record_event();
-        ev.synchronize();
-        assert_eq!(flag.load(Ordering::SeqCst), 7);
-        assert!(ev.is_ready());
+    }
+
+    #[test]
+    #[should_panic(expected = "event recorded on another timeline")]
+    fn wait_event_rejects_an_event_from_another_timeline() {
+        let rt = HostRuntime::new();
+        let a = Stream::new(rt.device(0));
+        let b = Stream::new(rt.device(0));
+        a.enqueue(|_| 10);
+        b.wait_event(&a.record_event());
+    }
+
+    /// Names of this process's threads, as the kernel reports them.
+    #[cfg(target_os = "linux")]
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .expect("list /proc/self/task")
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .map(|n| n.trim_end().to_string())
+            .collect()
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn streams_start_no_threads() {
+        let rt = HostRuntime::new();
+        let streams: Vec<Stream> =
+            (0..4).map(|_| rt.stream(0)).chain([Stream::new(rt.device(0))]).collect();
+        // A spawned thread sets its own name once it runs, so run an op on
+        // each stream before looking.
+        for s in &streams {
+            s.enqueue(|_| 1);
+            s.sync();
+        }
+        // The kernel truncates thread names to 15 bytes.
+        let helpers: Vec<String> =
+            thread_names().into_iter().filter(|n| n.starts_with("omp-hidden-")).collect();
+        assert!(helpers.is_empty(), "streams started helper threads: {helpers:?}");
     }
 }

@@ -21,14 +21,12 @@
 //! interval — which is exactly the overlap `target nowait` pipelines buy
 //! on real hardware, and what the serialized counter could never show.
 //!
-//! **Determinism.** Scheduling is a pure function of the log, not of the
-//! wall-clock order in which helper threads happened to run: ops are
-//! admitted earliest-start-first (ties broken by stream id), and the log
-//! itself is fixed by program order of the enqueues. Repeated runs of the
+//! **Determinism.** An op is logged with its cost right after it ran, so
+//! the log is fixed by program order of the enqueues and every logged op is
+//! schedulable. Scheduling is a pure function of the log: ops are admitted
+//! earliest-start-first (ties broken by stream id). Repeated runs of the
 //! same program therefore report identical simulated totals, which the
-//! stress suite asserts. Costs of operations that have not yet executed
-//! for real are unknown, so [`Timeline::stats`] is a snapshot over the
-//! completed prefix; once every stream quiesced the snapshot is total.
+//! stress suite asserts.
 
 use std::sync::Arc;
 
@@ -45,12 +43,10 @@ struct OpRec {
     device: u32,
     /// `None` marks a `wait_event` edge (zero cost, no resource).
     resource: Option<Resource>,
-    /// Simulated cycles; `None` until the op really executed.
-    cost: Option<u64>,
+    /// Simulated cycles.
+    cost: u64,
     /// Dependences: `(producer stream, watermark)` pairs from events.
     deps: Vec<(u32, u32)>,
-    /// Global real-completion stamp (order the helper threads finished in).
-    completed_at: Option<u64>,
     /// Thread blocks the op launched (kernel launches only; 0 otherwise).
     blocks: u32,
 }
@@ -63,25 +59,23 @@ struct StreamRec {
 struct TlInner {
     streams: Vec<StreamRec>,
     ops: Vec<OpRec>,
-    completion_stamp: u64,
     /// The last [`schedule`] of the log, with the [`TlInner::key`] it was
     /// computed at.
     cached: Option<(SchedKey, Arc<Sched>)>,
 }
 
-/// `(ops, completion stamp, streams)`: every change to the log changes
-/// it. An enqueue appends an op, a finished op bumps the stamp, and a new
-/// stream appends a stream.
-type SchedKey = (usize, u64, usize);
+/// `(ops, streams)`: every change to the log changes it. An enqueue or a
+/// wait appends an op, and a new stream appends a stream.
+type SchedKey = (usize, usize);
 
 impl TlInner {
     fn key(&self) -> SchedKey {
-        (self.ops.len(), self.completion_stamp, self.streams.len())
+        (self.ops.len(), self.streams.len())
     }
 
     /// The schedule of the log as it is now. Queries between two changes
     /// share one [`schedule`] pass, so a sync storm costs one pass per
-    /// finished op instead of one per query.
+    /// logged op instead of one per query.
     fn sched(&mut self) -> Arc<Sched> {
         let key = self.key();
         if let Some((k, s)) = &self.cached {
@@ -129,8 +123,6 @@ pub struct OpView {
     pub finish: u64,
     /// Dependence edges `(producer stream, watermark)`.
     pub deps: Vec<(u32, u32)>,
-    /// Real completion stamp, if the op has executed.
-    pub completed_at: Option<u64>,
     /// Thread blocks launched by this op (kernel launches enqueued via
     /// [`crate::Stream::enqueue_launch`]; 0 for transfers and waits).
     pub blocks: u32,
@@ -163,9 +155,6 @@ pub struct TimelineStats {
     pub ops: u64,
     /// Scheduled wait markers.
     pub waits: u64,
-    /// Real operations enqueued but not yet executed (their cost — and so
-    /// their place on the timeline — is still unknown).
-    pub pending: u64,
     /// Busy cycles per device and resource.
     pub per_device: Vec<DeviceBusy>,
 }
@@ -194,8 +183,8 @@ impl std::fmt::Display for TimelineStats {
 
 /// Result of one scheduling pass.
 struct Sched {
-    /// `(start, finish)` per op id; `None` if not yet schedulable.
-    times: Vec<Option<(u64, u64)>>,
+    /// `(start, finish)` per op id.
+    times: Vec<(u64, u64)>,
     stats: TimelineStats,
 }
 
@@ -206,7 +195,6 @@ impl Timeline {
             inner: Arc::new(Mutex::new(TlInner {
                 streams: Vec::new(),
                 ops: Vec::new(),
-                completion_stamp: 0,
                 cached: None,
             })),
         }
@@ -219,59 +207,38 @@ impl Timeline {
         (tl.streams.len() - 1) as u32
     }
 
-    /// Append a real operation to `stream`'s queue; its cost arrives later
-    /// via [`Timeline::finish_op`].
-    pub(crate) fn begin_op(&self, stream: u32, resource: Resource) -> OpId {
-        self.push(stream, Some(resource), None, Vec::new())
+    /// Append an operation that ran on `resource` of `stream`'s device,
+    /// consuming `cost` simulated cycles and launching `blocks` thread
+    /// blocks (kernel launches report their grid size; 0 otherwise).
+    pub(crate) fn push_op(&self, stream: u32, resource: Resource, cost: u64, blocks: u32) {
+        self.push(stream, Some(resource), cost, Vec::new(), blocks);
     }
 
     /// Append a wait marker: a zero-cost op depending on
     /// `(producer stream, watermark)`.
-    pub(crate) fn begin_wait(&self, stream: u32, dep: (u32, u32)) -> OpId {
-        self.push(stream, None, Some(0), vec![dep])
+    pub(crate) fn push_wait(&self, stream: u32, dep: (u32, u32)) {
+        self.push(stream, None, 0, vec![dep], 0);
     }
 
     fn push(
         &self,
         stream: u32,
         resource: Option<Resource>,
-        cost: Option<u64>,
+        cost: u64,
         deps: Vec<(u32, u32)>,
-    ) -> OpId {
+        blocks: u32,
+    ) {
         let mut tl = self.inner.lock();
         let id = tl.ops.len();
-        let seq = tl.streams[stream as usize].ops.len() as u32;
-        let device = tl.streams[stream as usize].device;
-        tl.ops.push(OpRec {
-            stream,
-            seq,
-            device,
-            resource,
-            cost,
-            deps,
-            completed_at: None,
-            blocks: 0,
-        });
-        tl.streams[stream as usize].ops.push(id);
-        id
+        let srec = &mut tl.streams[stream as usize];
+        let (seq, device) = (srec.ops.len() as u32, srec.device);
+        srec.ops.push(id);
+        tl.ops.push(OpRec { stream, seq, device, resource, cost, deps, blocks });
     }
 
-    /// Record that `op` really executed, consuming `cost` simulated cycles.
-    pub(crate) fn finish_op(&self, op: OpId, cost: u64) {
-        self.finish_op_with_blocks(op, cost, 0);
-    }
-
-    /// Like [`Timeline::finish_op`], also recording how many thread blocks
-    /// the op launched (kernel launches report their grid size so tooling
-    /// can see the real per-launch parallelism, not just cycles).
-    pub(crate) fn finish_op_with_blocks(&self, op: OpId, cost: u64, blocks: u32) {
-        let mut tl = self.inner.lock();
-        let stamp = tl.completion_stamp;
-        tl.completion_stamp = stamp + 1;
-        let rec = &mut tl.ops[op];
-        rec.cost = Some(cost);
-        rec.completed_at = Some(stamp);
-        rec.blocks = blocks;
+    /// `true` if `self` and `other` are handles to the same timeline.
+    pub(crate) fn same_as(&self, other: &Timeline) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Jobs enqueued on `stream` so far — the watermark an event recorded
@@ -280,58 +247,48 @@ impl Timeline {
         self.inner.lock().streams[stream as usize].ops.len() as u32
     }
 
-    /// Aggregate statistics over the currently schedulable prefix.
+    /// Aggregate statistics over the whole log.
     pub fn stats(&self) -> TimelineStats {
         self.inner.lock().sched().stats.clone()
     }
 
-    /// The scheduled operations (ops whose cost is still unknown are
-    /// omitted), in log order. Primarily for tests and tooling.
+    /// The scheduled operations, in log order. Primarily for tests and
+    /// tooling.
     pub fn scheduled_ops(&self) -> Vec<OpView> {
         let mut tl = self.inner.lock();
         let sched = tl.sched();
         tl.ops
             .iter()
+            .zip(&sched.times)
             .enumerate()
-            .filter_map(|(id, op)| {
-                let (start, finish) = sched.times[id]?;
-                Some(OpView {
-                    id,
-                    stream: op.stream,
-                    seq: op.seq,
-                    device: op.device,
-                    resource: op.resource,
-                    cost: op.cost.unwrap_or(0),
-                    start,
-                    finish,
-                    deps: op.deps.clone(),
-                    completed_at: op.completed_at,
-                    blocks: op.blocks,
-                })
+            .map(|(id, (op, &(start, finish)))| OpView {
+                id,
+                stream: op.stream,
+                seq: op.seq,
+                device: op.device,
+                resource: op.resource,
+                cost: op.cost,
+                start,
+                finish,
+                deps: op.deps.clone(),
+                blocks: op.blocks,
             })
             .collect()
     }
 
-    /// Simulated time at which `stream`'s last scheduled op finishes (0 if
-    /// nothing scheduled yet). After `Stream::sync` this is the stream's
-    /// completion point on the shared timeline.
+    /// Simulated time at which `stream`'s last op finishes (0 for an empty
+    /// stream): the stream's completion point on the shared timeline.
     pub(crate) fn stream_finish(&self, stream: u32) -> u64 {
         let mut tl = self.inner.lock();
         let sched = tl.sched();
-        tl.streams[stream as usize]
-            .ops
-            .iter()
-            .filter_map(|&id| sched.times[id])
-            .map(|(_, f)| f)
-            .max()
-            .unwrap_or(0)
+        tl.streams[stream as usize].ops.iter().map(|&id| sched.times[id].1).max().unwrap_or(0)
     }
 }
 
-/// Deterministic list scheduling over the costed prefix of the log.
+/// Deterministic list scheduling over the whole log.
 fn schedule(tl: &TlInner) -> Sched {
     let nstreams = tl.streams.len();
-    let mut times: Vec<Option<(u64, u64)>> = vec![None; tl.ops.len()];
+    let mut times: Vec<(u64, u64)> = vec![(0, 0); tl.ops.len()];
     // Longest dependence-only path ending at each op (resource edges
     // excluded) — the critical path accumulator.
     let mut cp: Vec<u64> = vec![0; tl.ops.len()];
@@ -355,9 +312,6 @@ fn schedule(tl: &TlInner) -> Sched {
         'streams: for (s, srec) in tl.streams.iter().enumerate() {
             let Some(&id) = srec.ops.get(next[s]) else { continue };
             let op = &tl.ops[id];
-            if op.cost.is_none() {
-                continue; // not yet executed for real — cost unknown
-            }
             let mut dep_ready = 0u64;
             let mut dep_cp = 0u64;
             for &(ps, w) in &op.deps {
@@ -379,9 +333,9 @@ fn schedule(tl: &TlInner) -> Sched {
         let Some((start, s, id, dep_cp)) = best else { break };
         let s = s as usize;
         let op = &tl.ops[id];
-        let cost = op.cost.expect("candidate had a cost");
+        let cost = op.cost;
         let finish = start + cost;
-        times[id] = Some((start, finish));
+        times[id] = (start, finish);
         cp[id] = stream_cp[s].max(dep_cp) + cost;
         if let Some(r) = op.resource {
             res_ready[op.device as usize][r.index()] = finish;
@@ -400,12 +354,11 @@ fn schedule(tl: &TlInner) -> Sched {
         prefix_cp[s].push(stream_cp[s]);
     }
 
-    stats.pending = tl
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(id, op)| op.resource.is_some() && times[*id].is_none())
-        .count() as u64;
+    debug_assert_eq!(
+        next.iter().sum::<usize>(),
+        tl.ops.len(),
+        "events only cover logged ops, so the log is a DAG"
+    );
     stats.overlap_ratio = if stats.serialized > 0 {
         1.0 - stats.makespan as f64 / stats.serialized as f64
     } else {
@@ -423,11 +376,9 @@ fn schedule(tl: &TlInner) -> Sched {
 mod tests {
     use super::*;
 
-    /// Drive the timeline directly (no helper threads): enqueue + finish.
-    fn op(tl: &Timeline, s: u32, r: Resource, cost: u64) -> OpId {
-        let id = tl.begin_op(s, r);
-        tl.finish_op(id, cost);
-        id
+    /// Drive the timeline directly, without a device.
+    fn op(tl: &Timeline, s: u32, r: Resource, cost: u64) {
+        tl.push_op(s, r, cost, 0);
     }
 
     #[test]
@@ -494,8 +445,7 @@ mod tests {
         op(&tl, a, Resource::H2D, 100);
         let w = tl.watermark(a);
         assert_eq!(w, 1);
-        let wid = tl.begin_wait(b, (a, w));
-        tl.finish_op(wid, 0);
+        tl.push_wait(b, (a, w));
         op(&tl, b, Resource::Compute, 50);
         let st = tl.stats();
         // Compute can only start once the H2D below the event finished.
@@ -509,20 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn uncosted_ops_hold_back_dependents_only() {
-        let tl = Timeline::new();
-        let a = tl.register_stream(0);
-        let b = tl.register_stream(0);
-        let pending = tl.begin_op(a, Resource::Compute); // never finished
-        let _ = pending;
-        op(&tl, b, Resource::H2D, 10);
-        let st = tl.stats();
-        assert_eq!(st.ops, 1);
-        assert_eq!(st.pending, 1);
-        assert_eq!(st.makespan, 10);
-    }
-
-    #[test]
     fn earliest_start_first_lets_ready_work_jump_a_blocked_head() {
         let tl = Timeline::new();
         let a = tl.register_stream(0);
@@ -533,8 +469,7 @@ mod tests {
         // compute (start 1000) before c's (start 0); earliest-start-first
         // must let c run in the gap.
         op(&tl, a, Resource::H2D, 1000);
-        let wid = tl.begin_wait(b, (a, tl.watermark(a)));
-        tl.finish_op(wid, 0);
+        tl.push_wait(b, (a, tl.watermark(a)));
         op(&tl, b, Resource::Compute, 100);
         op(&tl, c, Resource::Compute, 300);
         let views = tl.scheduled_ops();
@@ -563,36 +498,25 @@ mod tests {
     fn cached_schedule_matches_a_fresh_pass_after_every_change() {
         let tl = Timeline::new();
         let mut rng = testkit::SimRng::seed_from_u64(9);
-        let mut pending: Vec<OpId> = Vec::new();
         let resources = [Resource::H2D, Resource::D2H, Resource::Compute];
         tl.register_stream(0);
         for step in 0..400 {
             let streams = tl.inner.lock().streams.len() as u32;
             let s = rng.range_u32(0, streams);
-            match rng.range_u32(0, 6) {
+            match rng.range_u32(0, 4) {
                 0 => {
                     tl.register_stream(rng.range_u32(0, 3));
                 }
-                1 | 2 => pending.push(tl.begin_op(s, *rng.pick(&resources))),
-                3 if !pending.is_empty() => {
-                    let op = pending.swap_remove(rng.range_usize(0, pending.len()));
-                    tl.finish_op(op, rng.range_u64(1, 50));
-                }
-                4 => {
+                1 => {
                     let producer = rng.range_u32(0, streams);
-                    tl.begin_wait(s, (producer, tl.watermark(producer)));
+                    tl.push_wait(s, (producer, tl.watermark(producer)));
                 }
-                _ => {
-                    let op = tl.begin_op(s, *rng.pick(&resources));
-                    tl.finish_op(op, rng.range_u64(1, 50));
-                }
+                _ => op(&tl, s, *rng.pick(&resources), rng.range_u64(1, 50)),
             }
             let fresh = schedule(&tl.inner.lock());
             for _ in 0..2 {
-                let mut times = vec![None; fresh.times.len()];
-                for v in tl.scheduled_ops() {
-                    times[v.id] = Some((v.start, v.finish));
-                }
+                let times: Vec<_> =
+                    tl.scheduled_ops().iter().map(|v| (v.start, v.finish)).collect();
                 assert_eq!(times, fresh.times, "step {step}");
                 assert_eq!(
                     format!("{:?}", tl.stats()),
@@ -603,7 +527,7 @@ mod tests {
             let finish = |s: u32| {
                 let tl = tl.inner.lock();
                 let ops = &tl.streams[s as usize].ops;
-                ops.iter().filter_map(|&id| fresh.times[id]).map(|(_, f)| f).max().unwrap_or(0)
+                ops.iter().map(|&id| fresh.times[id].1).max().unwrap_or(0)
             };
             assert_eq!(tl.stream_finish(s), finish(s), "step {step}");
         }

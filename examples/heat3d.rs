@@ -7,10 +7,7 @@
 //! cargo run --release --example heat3d [n] [sweeps]
 //! ```
 
-use std::sync::Arc;
-
-use simt_omp::gpu::{DPtr, Slot};
-use simt_omp::host::sync::Mutex;
+use simt_omp::gpu::Slot;
 use simt_omp::host::HostRuntime;
 use simt_omp::kernels::harness::Fig10Variant;
 use simt_omp::kernels::laplace3d::{build, Laplace3dWorkload};
@@ -78,74 +75,58 @@ fn main() {
     batched_instances(n.min(32), sweeps);
 }
 
-/// Ping-pong grid pair handed from the upload op to the compute op.
-type GridPair = Arc<Mutex<Option<(DPtr<f64>, DPtr<f64>)>>>;
-
 /// Double-buffered batch: several independent heat instances streamed
 /// through upload → sweeps → download on three streams (H2D, compute, D2H)
-/// chained by events, so instance *k+1* uploads while *k* computes and
-/// *k−1* drains — the `target nowait` pipeline on the virtual timeline.
+/// chained by events, so on the virtual timeline instance *k+1* uploads
+/// while *k* computes and *k−1* drains — the `target nowait` pipeline.
 fn batched_instances(n: usize, sweeps: usize) {
     let batch = 4usize;
     let rt = HostRuntime::new();
     let copy = rt.stream(0);
     let compute = rt.stream(0);
     let down = rt.stream(0);
-    let kernel = Arc::new(build(108, 128, Fig10Variant::SpmdSimd));
+    let kernel = build(108, 128, Fig10Variant::SpmdSimd);
 
-    let mut outputs: Vec<Arc<Mutex<Vec<f64>>>> = Vec::new();
+    let mut outputs: Vec<Vec<f64>> = Vec::new();
     for _ in 0..batch {
-        let w = Laplace3dWorkload::generate(n);
-        let u = w.u.clone();
+        let u = Laplace3dWorkload::generate(n).u;
         let bytes = (u.len() * 8) as u64;
-        let grids: GridPair = Arc::new(Mutex::new(None));
 
-        let g_in = Arc::clone(&grids);
-        copy.enqueue_h2d(move |md| {
+        let mut grids = None;
+        copy.enqueue_h2d(|md| {
             let a = md.dev.global.alloc_zeroed::<f64>(u.len());
             let b = md.dev.global.alloc_zeroed::<f64>(u.len());
             md.dev.global.write_slice(a, &u);
             md.dev.global.write_slice(b, &u);
-            *g_in.lock() = Some((a, b));
+            grids = Some((a, b));
             let model = md.model;
             md.xfer.record_h2d(&model, 2 * bytes);
             model.cycles_for(2 * bytes)
         });
+        let (a, b) = grids.expect("uploaded before compute");
         let uploaded = copy.record_event();
 
         compute.wait_event(&uploaded);
-        let g_run = Arc::clone(&grids);
-        let k = Arc::clone(&kernel);
-        compute.enqueue(move |md| {
-            let (a, b) = g_run.lock().expect("uploaded before compute");
+        compute.enqueue(|md| {
             let mut cycles = 0;
             for s in 0..sweeps {
                 let (src, dst) = if s % 2 == 0 { (a, b) } else { (b, a) };
                 let args = [Slot::from_ptr(src), Slot::from_ptr(dst), Slot::from_u64(n as u64)];
-                cycles += k.run(&mut md.dev, &args).cycles;
+                cycles += kernel.run(&mut md.dev, &args).cycles;
             }
             cycles
         });
         let computed = compute.record_event();
 
         down.wait_event(&computed);
-        let out = Arc::new(Mutex::new(Vec::new()));
-        outputs.push(Arc::clone(&out));
-        let g_out = Arc::clone(&grids);
-        let len = w.u.len();
-        down.enqueue_d2h(move |md| {
-            let (a, b) = g_out.lock().take().expect("computed before download");
+        down.enqueue_d2h(|md| {
             let result = if sweeps % 2 == 1 { b } else { a };
-            *out.lock() = md.dev.global.read_slice(result, len);
+            outputs.push(md.dev.global.read_slice(result, u.len()));
             let model = md.model;
             md.xfer.record_d2h(&model, bytes);
             model.cycles_for(bytes)
         });
     }
-
-    copy.sync();
-    compute.sync();
-    down.sync();
 
     let tl = rt.timeline_stats();
     println!("\nbatched {batch} instances of {n}³ × {sweeps} sweeps, double-buffered:");
@@ -159,8 +140,7 @@ fn batched_instances(n: usize, sweeps: usize) {
         for _ in 0..sweeps {
             cur = Laplace3dWorkload { n, u: cur }.reference();
         }
-        let got = out.lock();
-        let err = got.iter().zip(cur.iter()).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+        let err = out.iter().zip(cur.iter()).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
         assert!(err < 1e-9, "instance {i} diverged: {err:.2e}");
     }
     println!("all {batch} instances match the host reference");

@@ -28,32 +28,21 @@ fn main() {
     let rt = HostRuntime::with_archs(vec![DeviceArch::a100(), DeviceArch::a100()]);
     println!("devices: {}", rt.num_devices());
 
-    type HalfResult = std::sync::Arc<simt_omp::host::sync::Mutex<(Vec<f64>, u64)>>;
-    let results: Vec<HalfResult> = (0..2)
-        .map(|_| std::sync::Arc::new(simt_omp::host::sync::Mutex::new((Vec::new(), 0))))
-        .collect();
-
     // Streams from the runtime share one virtual timeline, so the two
     // devices' overlap shows up in `rt.timeline_stats()` below.
-    let mut streams = Vec::new();
+    let k = spmv::build_three_level(108, 128, 8);
+    let mut y = Vec::with_capacity(rows);
+    let mut cycles = Vec::new();
     for (d, part) in [top, bottom].into_iter().enumerate() {
         let stream = rt.stream(d);
-        let xs = x.clone();
-        let out = std::sync::Arc::clone(&results[d]);
-        stream.enqueue(move |md| {
-            let ops = spmv::SpmvDev::upload(&mut md.dev, &part, &xs);
-            let k = spmv::build_three_level(108, 128, 8);
-            let (y, stats) = spmv::run(&mut md.dev, &k, &ops);
-            *out.lock() = (y, stats.cycles);
+        stream.enqueue(|md| {
+            let ops = spmv::SpmvDev::upload(&mut md.dev, &part, &x);
+            let (part_y, stats) = spmv::run(&mut md.dev, &k, &ops);
+            y.extend(part_y);
             stats.cycles
         });
-        streams.push(stream);
+        cycles.push(stream.sync());
     }
-
-    // Both devices run concurrently; end-to-end time is the slower one.
-    let cycles: Vec<u64> = streams.iter().map(|s| s.sync()).collect();
-    let mut y = results[0].lock().0.clone();
-    y.extend_from_slice(&results[1].lock().0);
 
     let max_err = y.iter().zip(&want).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
     println!(
@@ -75,7 +64,6 @@ fn main() {
         let dev = rt.device(0);
         let mut md = dev.lock();
         let ops = spmv::SpmvDev::upload(&mut md.dev, &mat, &x);
-        let k = spmv::build_three_level(108, 128, 8);
         spmv::run(&mut md.dev, &k, &ops).1.cycles
     };
     println!(

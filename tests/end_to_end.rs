@@ -7,12 +7,11 @@
 use simt_omp::codegen::builder::{Schedule, TargetBuilder};
 use simt_omp::codegen::CompiledKernel;
 use simt_omp::gpu::{Device, DeviceArch, Slot};
-use simt_omp::host::{HelperPool, HostRuntime};
+use simt_omp::host::HostRuntime;
 use simt_omp::kernels::harness::{max_abs_err, Fig10Variant};
 use simt_omp::kernels::matrix::{CsrMatrix, RowProfile};
 use simt_omp::kernels::{laplace3d, muram, spmv, su3};
 use simt_omp::rt::config::ExecMode;
-use std::sync::Arc;
 use testkit::{Cell, CELLS};
 
 /// Set `dev`'s thread count and sanitizer as `cell` says.
@@ -85,8 +84,8 @@ fn offload_roundtrip_through_host_runtime() {
 }
 
 #[test]
-fn deferred_target_tasks_on_helper_threads() {
-    // Four `target nowait` kernels on one device, drained by `taskwait`.
+fn deferred_target_tasks_on_streams() {
+    // Four `target nowait` kernels on one device, one stream each.
     let rt = HostRuntime::new();
     let dev = rt.device(0);
     let mut ptrs = Vec::new();
@@ -96,30 +95,30 @@ fn deferred_target_tasks_on_helper_threads() {
             ptrs.push(md.dev.global.alloc_zeroed::<f64>(1024));
         }
     }
-    let pool = HelperPool::new(2);
-    for ((t, p), cell) in ptrs.iter().copied().enumerate().zip(CELLS) {
-        let dev = Arc::clone(&dev);
-        pool.submit(move || {
-            let mut b = TargetBuilder::new().num_teams(4).threads(64);
-            let n = b.trip_const(32);
-            let inner = b.trip_const(32);
-            let k = b.build(|t| {
-                t.distribute_parallel_for(n, Schedule::Cyclic(1), 4, |pp, row| {
-                    pp.simd(inner, move |lane, iv, v| {
-                        let d = v.args[0].as_ptr::<f64>();
-                        let i = v.regs[row.0].as_u64() * 32 + iv;
-                        lane.write(d, i, v.args[1].as_f64());
-                    });
-                });
+    let mut b = TargetBuilder::new().num_teams(4).threads(64);
+    let n = b.trip_const(32);
+    let inner = b.trip_const(32);
+    let k = b.build(|t| {
+        t.distribute_parallel_for(n, Schedule::Cyclic(1), 4, |pp, row| {
+            pp.simd(inner, move |lane, iv, v| {
+                let d = v.args[0].as_ptr::<f64>();
+                let i = v.regs[row.0].as_u64() * 32 + iv;
+                lane.write(d, i, v.args[1].as_f64());
             });
-            let mut md = dev.lock();
+        });
+    });
+    let streams: Vec<_> = (0..4).map(|_| rt.stream(0)).collect();
+    for (((t, p), cell), s) in ptrs.iter().copied().enumerate().zip(CELLS).zip(&streams) {
+        s.enqueue_launch(|md| {
             apply(&cell, &mut md.dev);
             let args = [Slot::from_ptr(p), Slot::from_f64(t as f64 + 1.0)];
             oracle(&cell, &mut md.dev, &k, &args);
-            k.run(&mut md.dev, &args);
+            k.run(&mut md.dev, &args)
         });
     }
-    pool.wait_all();
+    let st = rt.timeline_stats();
+    assert_eq!(st.ops, 4);
+    assert!(st.per_device[0].busy.compute > 0);
     let md = dev.lock();
     for (t, p) in ptrs.iter().copied().enumerate() {
         let got = md.dev.global.read_slice(p, 1024);

@@ -16,7 +16,7 @@ const JOBS: usize = 720;
 
 /// `ServiceReport::timeline` of the pinned session.
 const TIMELINE: &str = "TimelineStats { makespan: 2630879, serialized: 2764850, \
-    critical_path: 1399720, overlap_ratio: 0.04845506989529269, ops: 639, waits: 0, pending: 0, \
+    critical_path: 1399720, overlap_ratio: 0.04845506989529269, ops: 639, waits: 0, \
     per_device: [\
     DeviceBusy { device: 0, busy: ResourceCycles { h2d: 0, d2h: 0, compute: 1399720 } }, \
     DeviceBusy { device: 1, busy: ResourceCycles { h2d: 0, d2h: 0, compute: 1365130 } }, \
@@ -24,7 +24,7 @@ const TIMELINE: &str = "TimelineStats { makespan: 2630879, serialized: 2764850, 
 
 /// `ServiceReport::timeline` of a session that admitted no job.
 const EMPTY_TIMELINE: &str = "TimelineStats { makespan: 0, serialized: 0, critical_path: 0, \
-    overlap_ratio: 0.0, ops: 0, waits: 0, pending: 0, per_device: [\
+    overlap_ratio: 0.0, ops: 0, waits: 0, per_device: [\
     DeviceBusy { device: 0, busy: ResourceCycles { h2d: 0, d2h: 0, compute: 0 } }, \
     DeviceBusy { device: 1, busy: ResourceCycles { h2d: 0, d2h: 0, compute: 0 } }, \
     DeviceBusy { device: 2, busy: ResourceCycles { h2d: 0, d2h: 0, compute: 0 } }] }";
