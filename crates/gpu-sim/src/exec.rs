@@ -86,29 +86,60 @@ pub struct ObservedEffects {
     pub global_atomics: bool,
 }
 
-/// One global-memory ordinal of the super-step accumulator: the k-th access of
-/// every lane in the super-step, reduced to its unique-sector set plus the
-/// atomic target addresses (kept with multiplicity for serialization).
+/// One memory instruction's line set: the sectors its lanes request, as
+/// packed `line << 8 | sector-mask` entries, plus its atomic target
+/// addresses (kept with multiplicity for serialization). The per-lane
+/// path keeps one per global ordinal (the k-th access of every lane in a
+/// super-step); a warp instruction builds ordinal 0's in one go.
+///
+/// A sector of the open entry's line merges into it, so a coalesced
+/// instruction builds its sorted set as its lanes run; anything else is
+/// sorted and merged once, in [`LineAcc::close`].
 #[derive(Default)]
-struct OrdAcc {
-    sectors: Vec<u64>,
+struct LineAcc {
+    /// The open entry (its mask is 0 before the first sector).
+    line: u64,
+    mask: u8,
+    /// An entry was pushed below the one before it.
+    unsorted: bool,
+    lines: Vec<u64>,
     atomics: Vec<u64>,
-    /// Sectors were pushed in ascending order (with adjacent duplicates
-    /// skipped), so they are already sorted *and* deduplicated — the common
-    /// case for coalesced loops, which skips the commit-time sort entirely.
-    sorted: bool,
 }
 
-impl OrdAcc {
-    /// Add sector `s`, skipping an adjacent duplicate and noting order.
+impl LineAcc {
+    /// The first and last sector of a `bytes`-wide access at `addr`
+    /// (`bytes` ≥ 1).
+    #[inline(always)]
+    fn sectors(addr: u64, bytes: u32) -> (u64, u64) {
+        let end = addr + bytes as u64 - 1;
+        (addr >> SECTOR_SHIFT, end >> SECTOR_SHIFT)
+    }
+
+    /// Add the sectors of a `bytes`-wide access at `addr`.
+    #[inline(always)]
+    fn access(&mut self, addr: u64, bytes: u32) {
+        let (first, last) = LineAcc::sectors(addr, bytes);
+        self.push_sector(first);
+        if first != last {
+            self.push_span(first + 1, last);
+        }
+    }
+
+    /// Add sector `s`: merge it into the open entry, or push that entry
+    /// and open `s`'s line.
     #[inline(always)]
     fn push_sector(&mut self, s: u64) {
-        match self.sectors.last() {
-            Some(&prev) if prev == s => return, // adjacent duplicate
-            Some(&prev) if prev > s => self.sorted = false,
-            _ => {}
+        let (line, bit) = split_sector(s);
+        if line == self.line {
+            self.mask |= 1 << bit;
+            return;
         }
-        self.sectors.push(s);
+        if self.mask != 0 {
+            self.unsorted |= line < self.line;
+            self.lines.push(self.line << 8 | self.mask as u64);
+        }
+        self.line = line;
+        self.mask = 1 << bit;
     }
 
     /// Add sectors `first..=last`, the rest of an access that spans more
@@ -127,6 +158,41 @@ impl OrdAcc {
     fn push_atomic(&mut self, addr: u64) {
         self.atomics.push(addr);
     }
+
+    /// Close the set: `lines` then holds one entry per line, in ascending
+    /// line order. The set must hold a sector.
+    #[inline(always)]
+    fn close(&mut self) {
+        debug_assert!(self.mask != 0, "closing an empty line set");
+        self.lines.push(self.line << 8 | self.mask as u64);
+        if self.unsorted {
+            sort_lines(&mut self.lines);
+        }
+    }
+
+    /// Empty the set for the next instruction. A zero mask closes the
+    /// open entry, whatever its line.
+    #[inline(always)]
+    fn clear(&mut self) {
+        self.mask = 0;
+        self.unsorted = false;
+        self.lines.clear();
+        self.atomics.clear();
+    }
+}
+
+/// Sort packed line entries and merge each line's entries into one.
+#[cold]
+#[inline(never)]
+fn sort_lines(lines: &mut Vec<u64>) {
+    lines.sort_unstable();
+    lines.dedup_by(|next, kept| {
+        let same = *next >> 8 == *kept >> 8;
+        if same {
+            *kept |= *next & 0xff;
+        }
+        same
+    });
 }
 
 /// Shared-memory bank-conflict accumulator for one ordinal (the k-th smem
@@ -191,7 +257,10 @@ impl BankAcc {
 /// accesses in as they run, so no per-lane access list is ever built.
 #[derive(Default)]
 struct StepAcc {
-    ords: Vec<OrdAcc>,
+    /// One line set per global ordinal. Each is empty outside a commit
+    /// ([`TeamCtx::walk_ord`] empties what it walks), and ordinal 0 always
+    /// exists: a warp instruction builds its set there.
+    ords: Vec<LineAcc>,
     smem_ords: Vec<BankAcc>,
     max_alu: u64,
     max_smem_ops: u64,
@@ -204,23 +273,17 @@ struct StepAcc {
     /// Shared-memory bank count new ordinal accumulators are sized to
     /// ([`crate::arch::DeviceArch::smem_banks`]).
     smem_banks: u32,
-    /// A warp instruction's line set under construction ([`LineSet`]).
-    lines: Vec<u64>,
 }
 
 impl StepAcc {
     fn new(smem_banks: u32) -> StepAcc {
-        StepAcc { smem_banks, ..Default::default() }
+        StepAcc { ords: vec![LineAcc::default()], smem_banks, ..Default::default() }
     }
 
-    /// Prepare for a new super-step: clear the ordinals the previous step
-    /// used (untouched entries are already clear) and reset the maxima.
+    /// Prepare for a new super-step: clear the shared-memory ordinals the
+    /// previous step used (untouched entries are already clear) and reset
+    /// the maxima.
     fn reset(&mut self) {
-        for o in &mut self.ords[..self.max_ord] {
-            o.sectors.clear();
-            o.atomics.clear();
-            o.sorted = true;
-        }
         for s in &mut self.smem_ords[..self.max_smem_ord] {
             s.clear();
         }
@@ -254,30 +317,18 @@ impl StepAcc {
         if k >= self.ords.len() {
             self.grow_ords();
         }
-        let (first, last) = StepAcc::sectors(addr, bytes);
         let o = &mut self.ords[k];
-        o.push_sector(first);
-        if first != last {
-            o.push_span(first + 1, last);
-        }
+        o.access(addr, bytes);
         if atomic {
             o.push_atomic(addr);
         }
-    }
-
-    /// The first and last sector of a `bytes`-wide access at `addr`
-    /// (`bytes` ≥ 1).
-    #[inline(always)]
-    fn sectors(addr: u64, bytes: u32) -> (u64, u64) {
-        let end = addr + bytes as u64 - 1;
-        (addr >> SECTOR_SHIFT, end >> SECTOR_SHIFT)
     }
 
     /// Add the ordinal a lane's access reached first in this block.
     #[cold]
     #[inline(never)]
     fn grow_ords(&mut self) {
-        self.ords.push(OrdAcc { sectors: Vec::new(), atomics: Vec::new(), sorted: true });
+        self.ords.push(LineAcc::default());
     }
 
     #[inline]
@@ -479,7 +530,7 @@ fn filter_slot(line: u64) -> usize {
 /// forgets bits the block logged before, so a re-logged bit is already in
 /// the replay's touched set when its entry is replayed, and every entry's
 /// fresh mask — hence `dram_sectors` and `dram_atoms` — is what a
-/// lossless filter would give. [`line_walk`] records only L1 misses and
+/// lossless filter would give. [`walk_line`] records only L1 misses and
 /// tag hits that add sectors: a way's valid sectors were all recorded
 /// when they were fetched, so a pure hit could never add a bit here.
 struct VisitLog {
@@ -820,14 +871,13 @@ impl<'a, 'g> Warp<'a, 'g> {
             WarpForm::Lane(lane) => out[0] = lane.read(p, idx(0)),
             WarpForm::Issue(issue) => {
                 let seg = issue.tc.gview.checked(p);
-                let mut set = LineSet::new(&mut issue.tc.acc);
+                let set = &mut issue.tc.acc.ords[0];
                 for (l, o) in out[..self.n].iter_mut().enumerate() {
                     let (addr, v) = seg.load(p, idx(l));
                     *o = v;
                     set.access(addr, std::mem::size_of::<T>() as u32);
                 }
-                set.finish();
-                issue.commit();
+                issue.tc.walk_ord::<true>(0, &mut issue.l1, &mut issue.step);
             }
         }
         out
@@ -846,13 +896,12 @@ impl<'a, 'g> Warp<'a, 'g> {
             WarpForm::Lane(lane) => lane.write(p, idx(0), v(0)),
             WarpForm::Issue(issue) => {
                 let seg = issue.tc.gview.checked(p);
-                let mut set = LineSet::new(&mut issue.tc.acc);
+                let set = &mut issue.tc.acc.ords[0];
                 for l in 0..self.n {
                     let addr = seg.store(p, idx(l), v(l));
                     set.access(addr, std::mem::size_of::<T>() as u32);
                 }
-                set.finish();
-                issue.commit();
+                issue.tc.walk_ord::<true>(0, &mut issue.l1, &mut issue.step);
             }
         }
     }
@@ -874,111 +923,6 @@ impl<'a, 'g> WarpRounds<'a, 'g> {
         self.warp.n = lanes;
         &mut self.warp
     }
-}
-
-impl Issue<'_, '_> {
-    /// Walk the instruction's line set ([`StepAcc::lines`], closed by
-    /// [`LineSet::finish`]) and fold its cost into the step.
-    #[inline(always)]
-    fn commit(&mut self) {
-        let tc = &mut *self.tc;
-        let mut walk = Walk::default();
-        let mut lsu = 0u64;
-        for &packed in &tc.acc.lines {
-            let mask = packed as u8;
-            lsu += mask.count_ones() as u64;
-            walk_line::<true>(
-                &mut walk,
-                packed >> 8,
-                mask,
-                &mut self.l1,
-                &mut tc.visits,
-                &mut tc.l2_bank_sectors,
-                tc.l2_bank,
-            );
-        }
-        self.step.instr(walk, lsu, 0, tc.cost);
-    }
-}
-
-/// A warp instruction's requested lines, built lane by lane into
-/// [`StepAcc::lines`] as packed `line << 8 | sector-mask` entries. A
-/// sector of the line the previous lane touched merges into its entry, so
-/// a coalesced instruction builds its sorted set as it goes; anything
-/// else is sorted and merged once, in [`LineSet::finish`].
-struct LineSet<'s> {
-    acc: &'s mut StepAcc,
-    /// The entry being built (its mask is 0 before the first access).
-    line: u64,
-    mask: u8,
-    /// The entries pushed so far ascend.
-    sorted: bool,
-}
-
-impl<'s> LineSet<'s> {
-    #[inline(always)]
-    fn new(acc: &'s mut StepAcc) -> LineSet<'s> {
-        acc.lines.clear();
-        LineSet { acc, line: 0, mask: 0, sorted: true }
-    }
-
-    /// Add the sectors of a `bytes`-wide access at `addr`.
-    #[inline(always)]
-    fn access(&mut self, addr: u64, bytes: u32) {
-        let (first, last) = StepAcc::sectors(addr, bytes);
-        self.sector(first);
-        if first != last {
-            self.span(first + 1, last);
-        }
-    }
-
-    /// The rest of an access that spans more than one sector.
-    #[cold]
-    #[inline(never)]
-    fn span(&mut self, first: u64, last: u64) {
-        for s in first..=last {
-            self.sector(s);
-        }
-    }
-
-    #[inline(always)]
-    fn sector(&mut self, s: u64) {
-        let (line, bit) = split_sector(s);
-        if line == self.line {
-            self.mask |= 1 << bit;
-            return;
-        }
-        if self.mask != 0 {
-            self.sorted &= line > self.line;
-            self.acc.lines.push(self.line << 8 | self.mask as u64);
-        }
-        self.line = line;
-        self.mask = 1 << bit;
-    }
-
-    /// Close the set: [`StepAcc::lines`] then holds one entry per line,
-    /// in ascending line order.
-    #[inline(always)]
-    fn finish(self) {
-        self.acc.lines.push(self.line << 8 | self.mask as u64);
-        if !self.sorted {
-            sort_lines(&mut self.acc.lines);
-        }
-    }
-}
-
-/// Sort packed line entries and merge each line's entries into one.
-#[cold]
-#[inline(never)]
-fn sort_lines(lines: &mut Vec<u64>) {
-    lines.sort_unstable();
-    lines.dedup_by(|next, kept| {
-        let same = *next >> 8 == *kept >> 8;
-        if same {
-            *kept |= *next & 0xff;
-        }
-        same
-    });
 }
 
 /// The per-block execution context: warps, shared memory, a mutable view of
@@ -1019,7 +963,8 @@ pub struct TeamCtx<'g> {
 impl<'g> TeamCtx<'g> {
     /// Create a block context. `nwarps` is the number of warps in the block
     /// (including any extra runtime warp the caller decided to reserve).
-    pub fn new(
+    #[cfg(test)]
+    fn new(
         block_id: u32,
         num_blocks: u32,
         nwarps: u32,
@@ -1098,25 +1043,26 @@ impl<'g> TeamCtx<'g> {
 
     /// Attach an event trace (taken over from the device during a traced
     /// launch).
-    pub fn attach_trace(&mut self, t: crate::trace::Trace) {
+    pub(crate) fn attach_trace(&mut self, t: crate::trace::Trace) {
         self.event_trace = Some(t);
     }
 
     /// Detach the event trace again.
-    pub fn detach_trace(&mut self) -> crate::trace::Trace {
+    pub(crate) fn detach_trace(&mut self) -> crate::trace::Trace {
         self.event_trace.take().unwrap_or_default()
     }
 
     /// Attach a simtcheck sanitizer for this block (see
     /// [`crate::sanitize`]). All synchronization events and shared-memory
     /// accesses from here on are validated.
-    pub fn attach_sanitizer(&mut self, s: Box<Sanitizer>) {
+    #[cfg(test)]
+    fn attach_sanitizer(&mut self, s: Box<Sanitizer>) {
         self.sanitizer = Some(s);
     }
 
     /// Attach the thread's reused sanitizer, reset for this block with
-    /// `smem_slots` shared-memory slots (the launch path's
-    /// [`Self::attach_sanitizer`]).
+    /// `smem_slots` shared-memory slots. From here on the sanitizer
+    /// validates every synchronization event and shared-memory access.
     pub(crate) fn sanitize(&mut self, smem_slots: u32) {
         let mut s = self.sanitizer.take().or(self.idle_sanitizer.take()).unwrap_or_default();
         s.reset(self.block_id, self.nwarps, self.arch.warp_size, smem_slots);
@@ -1136,7 +1082,8 @@ impl<'g> TeamCtx<'g> {
     }
 
     /// Detach the sanitizer again (e.g. to collect its findings).
-    pub fn detach_sanitizer(&mut self) -> Option<Box<Sanitizer>> {
+    #[cfg(test)]
+    fn detach_sanitizer(&mut self) -> Option<Box<Sanitizer>> {
         self.sanitizer.take()
     }
 
@@ -1203,7 +1150,8 @@ impl<'g> TeamCtx<'g> {
     }
 
     /// Current clock of a warp, cycles.
-    pub fn warp_clock(&self, warp: u32) -> u64 {
+    #[cfg(test)]
+    fn warp_clock(&self, warp: u32) -> u64 {
         self.warps[warp as usize].clock
     }
 
@@ -1275,39 +1223,53 @@ impl<'g> TeamCtx<'g> {
     /// walk, replay and atomic-serialization cycles.
     fn commit(&mut self, warp: u32, lanes: u32) {
         let cost = self.cost;
-        let mut acc = std::mem::take(&mut self.acc);
 
         // Shared memory: the k-th smem access of all lanes is one
         // instruction; distinct slots landing in the same bank serialize
         // into wavefronts, same-slot accesses broadcast.
         let mut smem_wavefronts = 0u64;
-        for s in &acc.smem_ords[..acc.max_smem_ord] {
+        for s in &self.acc.smem_ords[..self.acc.max_smem_ord] {
             smem_wavefronts += s.worst().max(1) as u64;
         }
 
         let mut step = StepCost::default();
-        step.alu(acc.max_alu + smem_wavefronts * cost.smem_cycles);
+        step.alu(self.acc.max_alu + smem_wavefronts * cost.smem_cycles);
         let mut l1 = L1Window::take(&mut self.warps[warp as usize].l1, cost.l1_lines);
-        let mut banks = std::mem::take(&mut self.l2_bank_sectors);
-
         // Every ordinal below `max_ord` holds at least the longest lane's
         // access, so none is empty.
-        for o in &mut acc.ords[..acc.max_ord] {
-            if !o.sorted {
-                o.sectors.sort_unstable();
-                o.sectors.dedup();
-            }
-            let (lines, missing, hits, full_hits) =
-                line_walk(&o.sectors, &mut l1, &mut self.visits, &mut banks, self.l2_bank);
-            let walk = Walk { lines, missing, hits, full_hits };
-            let atomic = atomic_serialize_cycles(&mut o.atomics, cost);
-            step.instr(walk, o.sectors.len() as u64, atomic, cost);
+        for k in 0..self.acc.max_ord {
+            self.walk_ord::<false>(k, &mut l1, &mut step);
         }
-
         self.warps[warp as usize].l1 = l1;
-        self.l2_bank_sectors = banks;
-        self.end_step(warp, lanes, step, acc.max_smem_ops);
-        self.acc = acc;
+        self.end_step(warp, lanes, step, self.acc.max_smem_ops);
+    }
+
+    /// Close ordinal `k`'s line set, walk each line through `l1` with
+    /// [`walk_line`], fold the instruction into `step` and empty the set.
+    /// Both body forms price every memory instruction here: the per-lane
+    /// commit walks each ordinal, the warp instruction ordinal 0.
+    #[inline(always)]
+    fn walk_ord<const TAG_MASK: bool>(&mut self, k: usize, l1: &mut L1Window, step: &mut StepCost) {
+        let set = &mut self.acc.ords[k];
+        set.close();
+        let mut walk = Walk::default();
+        let mut lsu = 0u64;
+        for &packed in &set.lines {
+            let mask = packed as u8;
+            lsu += mask.count_ones() as u64;
+            walk_line::<TAG_MASK>(
+                &mut walk,
+                packed >> 8,
+                mask,
+                l1,
+                &mut self.visits,
+                &mut self.l2_bank_sectors,
+                self.l2_bank,
+            );
+        }
+        let atomic = atomic_serialize_cycles(&mut set.atomics, self.cost);
+        step.instr(walk, lsu, atomic, self.cost);
+        set.clear();
     }
 
     /// Close a super-step of `lanes` lanes on `warp`: record it in the
@@ -1526,22 +1488,23 @@ impl<'g> TeamCtx<'g> {
         &self.l2_bank_sectors
     }
 
-    /// Finish the block: produce its resource profile. `threads` and
-    /// `smem_bytes` are the occupancy inputs recorded by the launch.
-    /// `dram_sectors` and `dram_atoms` are left at zero here — compulsory
-    /// traffic depends on cross-block first-touch order, so the launch
-    /// fills both during the block-index-order replay of the
-    /// line-visit logs. The block's storage goes back to this
-    /// thread's `SPARE` for its next block.
-    pub fn finish(mut self, threads: u32, smem_bytes: u32) -> (BlockProfile, RtCounters) {
+    /// [`Self::end`] the block and give its storage back to this thread's
+    /// `SPARE`.
+    #[cfg(test)]
+    fn finish(mut self, threads: u32, smem_bytes: u32) -> (BlockProfile, RtCounters) {
         let done = self.end(threads, smem_bytes);
         self.into_spare().put_back();
         done
     }
 
-    /// [`Self::finish`] in place: the block's profile and counters, with
-    /// its visit filter and L2 bank counts emptied for the next
+    /// End the block in place: its resource profile and counters, with its
+    /// visit filter and L2 bank counts emptied for the next
     /// [`Self::begin`]. Its visit-log entries stay in the thread's log.
+    /// `threads` and `smem_bytes` are the occupancy inputs recorded by the
+    /// launch. `dram_sectors` and `dram_atoms` are left at zero here —
+    /// compulsory traffic depends on cross-block first-touch order, so the
+    /// launch fills both during the block-index-order replay of the
+    /// line-visit logs.
     pub(crate) fn end(&mut self, threads: u32, smem_bytes: u32) -> (BlockProfile, RtCounters) {
         self.visits.clear_filter();
         self.visits.start = self.visits.log.len();
@@ -1583,13 +1546,13 @@ impl<'g> TeamCtx<'g> {
     }
 }
 
-/// Replay cycles of an ordinal's L1 hits that the hierarchical makespan
+/// Replay cycles of an instruction's L1 hits that the hierarchical makespan
 /// may retire through the LSU pipe instead of the issue pipe: the full
 /// `line_cycles` charge for a full-line hit (the data is entirely L1
 /// resident), and all but one `sector_cycles` beat for a partial-line hit
 /// — its sector drains off the in-flight fill buffer at sector cost on
 /// the issue path, while the fill's bandwidth cost is carried by the DRAM
-/// burst wall. It is pure arithmetic over `line_walk`'s counts.
+/// burst wall. It is pure arithmetic over a [`Walk`]'s counts.
 #[inline]
 fn hit_replay_offload(hits: u64, full_hits: u64, cost: &CostModel) -> u64 {
     let partial = hits - full_hits;
@@ -1663,35 +1626,6 @@ struct Walk {
     full_hits: u64,
 }
 
-/// Walk one ordinal's unique, sorted sector set grouped by cache line
-/// ([`split_sector`]), each line through [`walk_line`]. Returns `(lines,
-/// dram-bound sectors, line hits, full-line hits)`.
-fn line_walk(
-    sectors: &[u64],
-    l1: &mut L1Window,
-    visits: &mut VisitLog,
-    banks: &mut [u64],
-    bank: L2BankIndex,
-) -> (u64, u64, u64, u64) {
-    let mut walk = Walk::default();
-    let mut i = 0usize;
-    while i < sectors.len() {
-        let (line, first) = split_sector(sectors[i]);
-        let mut smask = 1u8 << first;
-        i += 1;
-        while i < sectors.len() {
-            let (l, s) = split_sector(sectors[i]);
-            if l != line {
-                break;
-            }
-            smask |= 1u8 << s;
-            i += 1;
-        }
-        walk_line::<false>(&mut walk, line, smask, l1, visits, banks, bank);
-    }
-    (walk.lines, walk.missing, walk.hits, walk.full_hits)
-}
-
 /// Walk one line of an instruction, requesting the sectors in `smask`,
 /// and fold the outcome into `walk`. The line is one LSU transaction; a
 /// line missing the warp's L1 window (4-way LRU, line tags, sectored
@@ -1705,8 +1639,9 @@ fn line_walk(
 /// L1-missing sector is attributed to its L2 bank slice in `banks` (no-op
 /// when `banks` is empty).
 ///
-/// The per-lane commit ([`line_walk`]) and the warp instruction
-/// ([`Warp::read`]) both walk their lines here, in ascending line order.
+/// Every memory instruction walks its lines here, in ascending line order,
+/// through [`TeamCtx::walk_ord`]: each ordinal of the per-lane commit and
+/// each warp instruction ([`Warp::read`]) alike.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn walk_line<const TAG_MASK: bool>(
@@ -2096,6 +2031,84 @@ mod tests {
     }
 
     #[test]
+    fn line_sets_match_a_sector_map_reference() {
+        // Random 1–40 B accesses, ascending, descending, with repeats or
+        // scattered, so they cross sectors and lines out of order. Fed
+        // lane by lane into the ordinals and as one warp instruction per
+        // ordinal, each closed set must be the reference's lines and
+        // masks, ascending. Each case runs twice on the same line sets, so
+        // a set that `clear` left stale shows too.
+        let mut acc = StepAcc::new(32);
+        let mut warp = LineAcc::default();
+        testkit::check("line_sets_match_a_sector_map_reference", |rng| {
+            for _ in 0..2 {
+                let (lanes, ords) = (rng.range_usize(1, 33), rng.range_usize(1, 7));
+                let counts: Vec<usize> = (0..lanes).map(|_| rng.range_usize(1, ords + 1)).collect();
+                // ordinal k: (lane, addr, bytes, atomic) in lane order.
+                let mut by_ord = vec![Vec::new(); ords];
+                for (k, accesses) in by_ord.iter_mut().enumerate() {
+                    let (base, stride) = (rng.range_u64(4096, 1 << 20), rng.range_u64(1, 128));
+                    let order = rng.range_u32(0, 4);
+                    for (l, _) in counts.iter().enumerate().filter(|&(_, &c)| k < c) {
+                        let i = l as u64;
+                        let addr = match order {
+                            0 => base + i * stride,
+                            1 => base - i * stride,
+                            2 => base + i % 3 * stride,
+                            _ => base + rng.range_u64(0, 2048),
+                        };
+                        accesses.push((l, addr, rng.range_u32(1, 41), rng.range_u32(0, 8) == 0));
+                    }
+                }
+                // Ordinals past the longest lane's last access stay empty.
+                by_ord.retain(|accesses| !accesses.is_empty());
+                let want: Vec<Vec<u64>> = by_ord
+                    .iter()
+                    .map(|accesses| {
+                        let mut lines = std::collections::BTreeMap::<u64, u64>::new();
+                        for &(_, addr, bytes, _) in accesses {
+                            let last = (addr + bytes as u64 - 1) / SECTOR_BYTES;
+                            for s in addr / SECTOR_BYTES..=last {
+                                *lines.entry(s / SPL).or_default() |= 1 << (s % SPL);
+                            }
+                        }
+                        lines.into_iter().map(|(line, mask)| line << 8 | mask).collect()
+                    })
+                    .collect();
+
+                acc.reset();
+                for l in 0..lanes {
+                    acc.begin_lane();
+                    for accesses in &by_ord[..counts[l]] {
+                        let &(_, addr, bytes, atomic) =
+                            accesses.iter().find(|a| a.0 == l).expect("lane's access");
+                        acc.global(addr, bytes, atomic);
+                    }
+                    acc.end_lane();
+                }
+                assert_eq!(acc.max_ord, by_ord.len());
+                for (k, accesses) in by_ord.iter().enumerate() {
+                    let set = &mut acc.ords[k];
+                    set.close();
+                    assert_eq!(set.lines, want[k], "ordinal {k}, lane by lane");
+                    let atomics: Vec<u64> = accesses.iter().filter(|a| a.3).map(|a| a.1).collect();
+                    assert_eq!(set.atomics, atomics, "ordinal {k}'s atomics");
+                    set.clear();
+                }
+
+                for (k, accesses) in by_ord.iter().enumerate() {
+                    for &(_, addr, bytes, _) in accesses {
+                        warp.access(addr, bytes);
+                    }
+                    warp.close();
+                    assert_eq!(warp.lines, want[k], "ordinal {k}, one warp instruction");
+                    warp.clear();
+                }
+            }
+        });
+    }
+
+    #[test]
     fn pinned_mixed_access_patterns() {
         // Coalesced + strided + ragged lane participation + multi-ordinal.
         assert_pinned(
@@ -2269,29 +2282,31 @@ mod tests {
         );
     }
 
-    /// Sector ids of `lines` whole lines of 4 sectors.
-    fn whole_lines(lines: std::ops::Range<u64>) -> Vec<u64> {
-        lines.flat_map(|l| l * 4..l * 4 + 4).collect()
-    }
-
     fn empty_log() -> VisitLog {
         VisitLog { filter: visit_filter(), log: Vec::new(), start: 0 }
     }
 
-    /// `line_walk` with no L2 banks to attribute.
-    fn walk(sectors: &[u64], l1: &mut L1Window, visits: &mut VisitLog) -> (u64, u64, u64, u64) {
-        line_walk(sectors, l1, visits, &mut [], L2BankIndex::new(0))
+    /// The per-lane walk of whole `lines`, with no L2 banks to attribute.
+    fn walk(
+        lines: std::ops::Range<u64>,
+        l1: &mut L1Window,
+        visits: &mut VisitLog,
+    ) -> (u64, u64, u64, u64) {
+        let mut w = Walk::default();
+        for line in lines {
+            walk_line::<false>(&mut w, line, FULL_LINE, l1, visits, &mut [], L2BankIndex::new(0));
+        }
+        (w.lines, w.missing, w.hits, w.full_hits)
     }
 
     #[test]
     fn a_new_block_empties_the_l1_window_by_epoch() {
         let mut l1 = L1Window::take(&mut L1Window::default(), 16);
         let mut visits = empty_log();
-        let lines = whole_lines(0..4);
-        assert_eq!(walk(&lines, &mut l1, &mut visits), (4, 16, 0, 0));
-        assert_eq!(walk(&lines, &mut l1, &mut visits), (4, 0, 4, 4), "same block: all hits");
+        assert_eq!(walk(0..4, &mut l1, &mut visits), (4, 16, 0, 0));
+        assert_eq!(walk(0..4, &mut l1, &mut visits), (4, 0, 4, 4), "same block: all hits");
         l1.new_block();
-        assert_eq!(walk(&lines, &mut l1, &mut visits), (4, 16, 0, 0), "new block: all misses");
+        assert_eq!(walk(0..4, &mut l1, &mut visits), (4, 16, 0, 0), "new block: all misses");
     }
 
     #[test]
@@ -2299,7 +2314,7 @@ mod tests {
         let mut l1 = L1Window::take(&mut L1Window::default(), 64);
         let mut visits = empty_log();
         // 256 distinct lines over 16 sets of 4 ways: every set fills.
-        walk(&whole_lines(0..256), &mut l1, &mut visits);
+        walk(0..256, &mut l1, &mut visits);
         assert!(l1.sets.iter().all(|s| !s.tags.contains(&u64::MAX)), "every way holds a line");
         // Every set current at the last epoch before the wrap.
         l1.epoch = u32::MAX;
@@ -2309,7 +2324,7 @@ mod tests {
         l1.new_block();
         assert_eq!(l1.epoch, 0);
         assert!(l1.sets.iter().all(|&s| s == L1Set::EMPTY));
-        let (lines, missing, hits, _) = walk(&whole_lines(0..256), &mut l1, &mut visits);
+        let (lines, missing, hits, _) = walk(0..256, &mut l1, &mut visits);
         assert_eq!((lines, missing, hits), (256, 1024, 0));
     }
 
@@ -2340,11 +2355,11 @@ mod tests {
         // ways, so the ways fill from last to first.
         let mut l1 = L1Window::take(&mut L1Window::default(), 4);
         let mut visits = empty_log();
-        walk(&whole_lines(10..14), &mut l1, &mut visits);
+        walk(10..14, &mut l1, &mut visits);
         assert_eq!(l1.sets[0].tags, [13, 12, 11, 10]);
         assert_eq!(l1.sets[0].ages, [0, 1, 2, 3]);
         // A fifth line evicts line 10, the oldest, from way 3.
-        walk(&whole_lines(14..15), &mut l1, &mut visits);
+        walk(14..15, &mut l1, &mut visits);
         assert_eq!(l1.sets[0].tags, [13, 12, 11, 14]);
     }
 
@@ -2492,7 +2507,7 @@ mod tests {
         testkit::check("sector_split_covers_every_byte_with_at_most_one_extra", |rng| {
             let addr = rng.range_u64(0, 1_000_000);
             let bytes = rng.range_u32(1, 4096);
-            let (first, last) = StepAcc::sectors(addr, bytes);
+            let (first, last) = LineAcc::sectors(addr, bytes);
             // The sectors holding the first and the last byte, so every
             // byte in between is covered.
             let last_byte = addr + bytes as u64 - 1;

@@ -354,6 +354,13 @@ impl GlobalMem {
         self.push_segment(default_words::<T>(n), n, None)
     }
 
+    /// Allocate a segment of `n` elements without initializing them, as
+    /// `map(alloc:)` does: it holds zero words, whatever value of `T`
+    /// those decode to.
+    pub fn alloc_uninit<T: DevValue>(&self, n: usize) -> DPtr<T> {
+        self.push_segment(zeroed_words(n * T::WORDS), n, None)
+    }
+
     /// Free a segment. Accessing it afterwards panics (simulated
     /// use-after-free detection), also through a view that cached it
     /// earlier. The word storage is reclaimed once such views drop.

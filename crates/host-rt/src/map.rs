@@ -64,13 +64,12 @@ impl ManagedDevice {
             return DPtr::from_bits(e.bits);
         }
         let p = if copy {
-            let p = self.dev.global.alloc_from(host);
             self.xfer.record_h2d(&self.model, std::mem::size_of_val(host) as u64);
-            p
+            self.dev.global.alloc_from(host)
         } else {
-            // `alloc:` — device memory without initialization transfer.
-            let p = self.dev.global.alloc_from(host); // contents present but uncharged
-            p
+            // `alloc:` — device memory without the initializing transfer,
+            // so it does not hold the host's values.
+            self.dev.global.alloc_uninit(host.len())
         };
         self.table.insert(
             key,
@@ -279,8 +278,9 @@ mod tests {
     fn alloc_skips_initial_copy() {
         let mut md = dev();
         let host = vec![7u32; 8];
-        let _ = md.map_alloc(&host);
+        let p = md.map_alloc(&host);
         assert_eq!(md.xfer.h2d_count, 0);
+        assert_eq!(md.dev.global.read_slice(p, 8), [0; 8], "no host value was copied");
         md.map_release(&host);
         assert_eq!(md.mapped_entries(), 0);
     }
