@@ -17,8 +17,8 @@
 //!   baseline on the virtual timeline (streams + events + per-device
 //!   resource overlap).
 //! * [`simspeed`] — what the simulator's own wall-clock pays for the
-//!   sanitizer (off / adaptive / dense, 1 host thread) and what the
-//!   bytecode engine saves over the tree walker.
+//!   sanitizer (off / adaptive, 1 host thread) and what the bytecode
+//!   engine saves over the tree walker.
 //! * [`mem`] — the Fig 9 sweep's memory-traffic counters: DRAM sectors,
 //!   burst atoms, L1 hits and MLP stalls, the inputs the memory model's
 //!   makespan consumes.

@@ -6,7 +6,7 @@
 //! like `cudaEventRecord`. Another stream calls
 //! [`crate::stream::Stream::wait_event`] to make all of *its* subsequent
 //! operations wait for the event: the edge is recorded in the
-//! [`crate::timeline::Timeline`], where the scheduler makes the consumer's
+//! [`crate::timeline::Timeline`], whose placement makes the consumer's
 //! simulated start `≥` the producer prefix's simulated finish.
 //!
 //! Stream ops run when they are enqueued, so an event exists only after

@@ -16,8 +16,8 @@
 //! * **events** ([`event::Event`]): recorded on streams and waited on by
 //!   others, forming a dependence DAG across streams and devices
 //!   (`target nowait` + `depend` analog);
-//! * the **virtual timeline** ([`timeline::Timeline`]): a deterministic
-//!   scheduler that replays the recorded DAG against three resources per
+//! * the **virtual timeline** ([`timeline::Timeline`]): places each
+//!   logged op once, deterministically, on one of three resources per
 //!   device (H2D link, D2H link, compute), so transfers overlap kernels —
 //!   and each other, duplex — in simulated cycles, with per-resource busy
 //!   time, critical path, and overlap ratio in

@@ -8,7 +8,7 @@
 //! [`Timeline`] with its cost and the device resource it occupies
 //! ([`Resource::H2D`], [`Resource::D2H`], [`Resource::Compute`]), and
 //! [`Event`]s recorded here / waited there add cross-stream dependence
-//! edges. The timeline's scheduler then lets transfers overlap kernels (and
+//! edges. The timeline then lets transfers overlap kernels (and
 //! each other) in simulated cycles — see [`crate::timeline`] for the model.
 //!
 //! An op holds its device's lock while it runs, so it must not enqueue on a

@@ -1,16 +1,17 @@
-//! The virtual timeline: a deterministic scheduler that replays the
-//! recorded stream/event DAG in *simulated* device time.
+//! The virtual timeline: a deterministic clock that places each recorded
+//! stream/event op in *simulated* device time once, when it is logged.
 //!
 //! The old stream accounting summed op cycles into one counter, so a
 //! transfer could never overlap a kernel no matter how the host structured
 //! the work. Here every enqueued operation becomes a record in a shared
-//! log — `(stream, seq, device, resource, cost, deps)` — and simulated
-//! time is computed from the log alone:
+//! log — `(stream, seq, device, resource, cost, deps)` — placed as it is
+//! appended:
 //!
 //! ```text
-//! start(op) = max( finish(stream predecessor),        // in-order queue
-//!                  finish(every dependence event),    // wait_event edges
-//!                  ready(device resource) )           // H2D | D2H | Compute
+//! ready(op)  = max( finish(stream predecessor),        // in-order queue
+//!                   finish(every dependence prefix) )  // wait_event edges
+//! start(op)  = earliest t >= ready(op) such that [t, t + cost) is idle
+//!              on the op's device resource            // H2D | D2H | Compute
 //! finish(op) = start(op) + cost(op)
 //! ```
 //!
@@ -20,13 +21,18 @@
 //! a D2H copy-back, and a kernel can all occupy the same simulated
 //! interval — which is exactly the overlap `target nowait` pipelines buy
 //! on real hardware, and what the serialized counter could never show.
+//! An op may also fill an idle gap that an earlier-logged op left on its
+//! resource while it waited for a dependence.
 //!
-//! **Determinism.** An op is logged with its cost right after it ran, so
-//! the log is fixed by program order of the enqueues and every logged op is
-//! schedulable. Scheduling is a pure function of the log: ops are admitted
-//! earliest-start-first (ties broken by stream id). Repeated runs of the
-//! same program therefore report identical simulated totals, which the
-//! stress suite asserts.
+//! **Determinism.** An op is logged with its cost right after it ran,
+//! under its device's lock, so every dependence it names is already
+//! placed. Placement reads only earlier ops, and a placed op never moves:
+//! a time `sync` has returned stays true. Each device's schedule therefore
+//! follows the order its ops were logged, which is program order whenever
+//! one host thread drives the device; ops on different devices never
+//! share a resource, so threads driving separate devices cannot perturb
+//! each other. Repeated runs of the same program report identical
+//! simulated totals, which the stress suite asserts.
 
 use std::sync::Arc;
 
@@ -49,6 +55,11 @@ struct OpRec {
     deps: Vec<(u32, u32)>,
     /// Thread blocks the op launched (kernel launches only; 0 otherwise).
     blocks: u32,
+    /// Simulated start, fixed when the op is logged.
+    start: u64,
+    /// Longest dependence-only path (stream order + event edges) ending at
+    /// this op.
+    cp: u64,
 }
 
 struct StreamRec {
@@ -59,34 +70,11 @@ struct StreamRec {
 struct TlInner {
     streams: Vec<StreamRec>,
     ops: Vec<OpRec>,
-    /// The last [`schedule`] of the log, with the [`TlInner::key`] it was
-    /// computed at.
-    cached: Option<(SchedKey, Arc<Sched>)>,
-}
-
-/// `(ops, streams)`: every change to the log changes it. An enqueue or a
-/// wait appends an op, and a new stream appends a stream.
-type SchedKey = (usize, usize);
-
-impl TlInner {
-    fn key(&self) -> SchedKey {
-        (self.ops.len(), self.streams.len())
-    }
-
-    /// The schedule of the log as it is now. Queries between two changes
-    /// share one [`schedule`] pass, so a sync storm costs one pass per
-    /// logged op instead of one per query.
-    fn sched(&mut self) -> Arc<Sched> {
-        let key = self.key();
-        if let Some((k, s)) = &self.cached {
-            if *k == key {
-                return Arc::clone(s);
-            }
-        }
-        let s = Arc::new(schedule(self));
-        self.cached = Some((key, Arc::clone(&s)));
-        s
-    }
+    /// Busy intervals `[start, finish)` per device and [`Resource::index`]:
+    /// sorted, disjoint, and merged where they touch.
+    engines: Vec<[Vec<(u64, u64)>; 3]>,
+    /// Running totals over the log (`overlap_ratio` is derived on read).
+    stats: TimelineStats,
 }
 
 /// Shared, cloneable handle to one timeline (one per [`crate::HostRuntime`],
@@ -181,13 +169,6 @@ impl std::fmt::Display for TimelineStats {
     }
 }
 
-/// Result of one scheduling pass.
-struct Sched {
-    /// `(start, finish)` per op id.
-    times: Vec<(u64, u64)>,
-    stats: TimelineStats,
-}
-
 impl Timeline {
     /// Create an empty timeline.
     pub fn new() -> Timeline {
@@ -195,7 +176,8 @@ impl Timeline {
             inner: Arc::new(Mutex::new(TlInner {
                 streams: Vec::new(),
                 ops: Vec::new(),
-                cached: None,
+                engines: Vec::new(),
+                stats: TimelineStats::default(),
             })),
         }
     }
@@ -203,6 +185,12 @@ impl Timeline {
     /// Register a stream bound to `device`; returns its timeline id.
     pub(crate) fn register_stream(&self, device: u32) -> u32 {
         let mut tl = self.inner.lock();
+        let devices = tl.engines.len().max(device as usize + 1);
+        tl.engines.resize_with(devices, Default::default);
+        let known = tl.stats.per_device.len();
+        tl.stats.per_device.extend(
+            (known..devices).map(|d| DeviceBusy { device: d as u32, busy: Default::default() }),
+        );
         tl.streams.push(StreamRec { device, ops: Vec::new() });
         (tl.streams.len() - 1) as u32
     }
@@ -220,6 +208,9 @@ impl Timeline {
         self.push(stream, None, 0, vec![dep], 0);
     }
 
+    /// Log an op and place it: it starts at the earliest idle gap of its
+    /// resource, at or after every op it depends on has finished, and
+    /// keeps that start for good.
     fn push(
         &self,
         stream: u32,
@@ -228,12 +219,43 @@ impl Timeline {
         deps: Vec<(u32, u32)>,
         blocks: u32,
     ) {
-        let mut tl = self.inner.lock();
-        let id = tl.ops.len();
-        let srec = &mut tl.streams[stream as usize];
+        let mut guard = self.inner.lock();
+        let tl = &mut *guard;
+        let srec = &tl.streams[stream as usize];
         let (seq, device) = (srec.ops.len() as u32, srec.device);
-        srec.ops.push(id);
-        tl.ops.push(OpRec { stream, seq, device, resource, cost, deps, blocks });
+        // `(finish, cp)` of a stream's first `w` ops. Neither decreases
+        // along a stream, so the prefix's are its last op's.
+        let prefix = |s: u32, w: u32| match w.checked_sub(1) {
+            Some(q) => {
+                let op = &tl.ops[tl.streams[s as usize].ops[q as usize]];
+                (op.start + op.cost, op.cp)
+            }
+            None => (0, 0),
+        };
+        let (mut ready, mut cp) = prefix(stream, seq);
+        for &(ps, w) in &deps {
+            let (f, c) = prefix(ps, w);
+            ready = ready.max(f);
+            cp = cp.max(c);
+        }
+        let start = match resource {
+            Some(r) => {
+                tl.stats.ops += 1;
+                tl.stats.per_device[device as usize].busy.add(r, cost);
+                place(&mut tl.engines[device as usize][r.index()], ready, cost)
+            }
+            None => {
+                tl.stats.waits += 1;
+                ready
+            }
+        };
+        let cp = cp + cost;
+        tl.stats.serialized += cost;
+        tl.stats.makespan = tl.stats.makespan.max(start + cost);
+        tl.stats.critical_path = tl.stats.critical_path.max(cp);
+        let id = tl.ops.len();
+        tl.streams[stream as usize].ops.push(id);
+        tl.ops.push(OpRec { stream, seq, device, resource, cost, deps, blocks, start, cp });
     }
 
     /// `true` if `self` and `other` are handles to the same timeline.
@@ -249,27 +271,29 @@ impl Timeline {
 
     /// Aggregate statistics over the whole log.
     pub fn stats(&self) -> TimelineStats {
-        self.inner.lock().sched().stats.clone()
+        let mut stats = self.inner.lock().stats.clone();
+        if stats.serialized > 0 {
+            stats.overlap_ratio = 1.0 - stats.makespan as f64 / stats.serialized as f64;
+        }
+        stats
     }
 
     /// The scheduled operations, in log order. Primarily for tests and
     /// tooling.
     pub fn scheduled_ops(&self) -> Vec<OpView> {
-        let mut tl = self.inner.lock();
-        let sched = tl.sched();
+        let tl = self.inner.lock();
         tl.ops
             .iter()
-            .zip(&sched.times)
             .enumerate()
-            .map(|(id, (op, &(start, finish)))| OpView {
+            .map(|(id, op)| OpView {
                 id,
                 stream: op.stream,
                 seq: op.seq,
                 device: op.device,
                 resource: op.resource,
                 cost: op.cost,
-                start,
-                finish,
+                start: op.start,
+                finish: op.start + op.cost,
                 deps: op.deps.clone(),
                 blocks: op.blocks,
             })
@@ -279,97 +303,34 @@ impl Timeline {
     /// Simulated time at which `stream`'s last op finishes (0 for an empty
     /// stream): the stream's completion point on the shared timeline.
     pub(crate) fn stream_finish(&self, stream: u32) -> u64 {
-        let mut tl = self.inner.lock();
-        let sched = tl.sched();
-        tl.streams[stream as usize].ops.iter().map(|&id| sched.times[id].1).max().unwrap_or(0)
+        let tl = self.inner.lock();
+        tl.streams[stream as usize].ops.last().map_or(0, |&id| tl.ops[id].start + tl.ops[id].cost)
     }
 }
 
-/// Deterministic list scheduling over the whole log.
-fn schedule(tl: &TlInner) -> Sched {
-    let nstreams = tl.streams.len();
-    let mut times: Vec<(u64, u64)> = vec![(0, 0); tl.ops.len()];
-    // Longest dependence-only path ending at each op (resource edges
-    // excluded) — the critical path accumulator.
-    let mut cp: Vec<u64> = vec![0; tl.ops.len()];
-    // Per-stream scheduling cursor and running prefix maxima.
-    let mut next: Vec<usize> = vec![0; nstreams];
-    let mut stream_ready: Vec<u64> = vec![0; nstreams];
-    let mut stream_cp: Vec<u64> = vec![0; nstreams];
-    // finish/cp prefix maxima per stream, indexed by job count.
-    let mut prefix_fin: Vec<Vec<u64>> = vec![vec![0]; nstreams];
-    let mut prefix_cp: Vec<Vec<u64>> = vec![vec![0]; nstreams];
-    let max_dev = tl.streams.iter().map(|s| s.device).max().map(|d| d as usize + 1).unwrap_or(0);
-    let mut res_ready: Vec<[u64; 3]> = vec![[0; 3]; max_dev];
-    let mut busy: Vec<ResourceCycles> = vec![ResourceCycles::default(); max_dev];
-
-    let mut stats = TimelineStats::default();
-
-    loop {
-        // Earliest-start-first among the streams' head ops; ties go to the
-        // lower stream id (fixed, so the schedule is deterministic).
-        let mut best: Option<(u64, u32, OpId, u64)> = None; // (start, stream, op, dep_cp)
-        'streams: for (s, srec) in tl.streams.iter().enumerate() {
-            let Some(&id) = srec.ops.get(next[s]) else { continue };
-            let op = &tl.ops[id];
-            let mut dep_ready = 0u64;
-            let mut dep_cp = 0u64;
-            for &(ps, w) in &op.deps {
-                let (ps, w) = (ps as usize, w as usize);
-                if next[ps] < w {
-                    continue 'streams; // producer prefix not yet scheduled
-                }
-                dep_ready = dep_ready.max(prefix_fin[ps][w]);
-                dep_cp = dep_cp.max(prefix_cp[ps][w]);
-            }
-            let mut start = stream_ready[s].max(dep_ready);
-            if let Some(r) = op.resource {
-                start = start.max(res_ready[op.device as usize][r.index()]);
-            }
-            if best.is_none_or(|(bs, bsid, ..)| (start, s as u32) < (bs, bsid)) {
-                best = Some((start, s as u32, id, dep_cp));
-            }
+/// Start `cost` cycles on one engine's busy list at the earliest gap at or
+/// after `ready` that holds them, and mark them busy.
+fn place(busy: &mut Vec<(u64, u64)>, ready: u64, cost: u64) -> u64 {
+    let mut i = busy.partition_point(|&(_, end)| end <= ready);
+    let mut start = ready;
+    while let Some(&(s, e)) = busy.get(i) {
+        if start + cost <= s {
+            break;
         }
-        let Some((start, s, id, dep_cp)) = best else { break };
-        let s = s as usize;
-        let op = &tl.ops[id];
-        let cost = op.cost;
-        let finish = start + cost;
-        times[id] = (start, finish);
-        cp[id] = stream_cp[s].max(dep_cp) + cost;
-        if let Some(r) = op.resource {
-            res_ready[op.device as usize][r.index()] = finish;
-            busy[op.device as usize].add(r, cost);
-            stats.ops += 1;
-        } else {
-            stats.waits += 1;
-        }
-        stats.serialized += cost;
-        stats.makespan = stats.makespan.max(finish);
-        stats.critical_path = stats.critical_path.max(cp[id]);
-        stream_ready[s] = stream_ready[s].max(finish);
-        stream_cp[s] = stream_cp[s].max(cp[id]);
-        next[s] += 1;
-        prefix_fin[s].push(stream_ready[s]);
-        prefix_cp[s].push(stream_cp[s]);
+        start = e;
+        i += 1;
     }
-
-    debug_assert_eq!(
-        next.iter().sum::<usize>(),
-        tl.ops.len(),
-        "events only cover logged ops, so the log is a DAG"
-    );
-    stats.overlap_ratio = if stats.serialized > 0 {
-        1.0 - stats.makespan as f64 / stats.serialized as f64
-    } else {
-        0.0
-    };
-    stats.per_device = busy
-        .into_iter()
-        .enumerate()
-        .map(|(d, b)| DeviceBusy { device: d as u32, busy: b })
-        .collect();
-    Sched { times, stats }
+    let finish = start + cost;
+    let joins_prev = i > 0 && busy[i - 1].1 == start;
+    let joins_next = busy.get(i).is_some_and(|&(s, _)| s == finish);
+    match (joins_prev, joins_next) {
+        _ if cost == 0 => {}
+        (true, true) => busy[i - 1].1 = busy.remove(i).1,
+        (true, false) => busy[i - 1].1 = finish,
+        (false, true) => busy[i].0 = start,
+        (false, false) => busy.insert(i, (start, finish)),
+    }
+    start
 }
 
 #[cfg(test)]
@@ -465,9 +426,9 @@ mod tests {
         let b = tl.register_stream(0);
         let c = tl.register_stream(0);
         // Stream a: long H2D; stream b waits for it then computes; stream c
-        // computes immediately. Stream-id-order arbitration would admit b's
-        // compute (start 1000) before c's (start 0); earliest-start-first
-        // must let c run in the gap.
+        // computes immediately. b's compute is logged first and waits for
+        // the H2D, leaving compute idle over [0, 1000); c's compute, logged
+        // later, must take that gap instead of queueing behind b's.
         op(&tl, a, Resource::H2D, 1000);
         tl.push_wait(b, (a, tl.watermark(a)));
         op(&tl, b, Resource::Compute, 100);
@@ -489,48 +450,6 @@ mod tests {
         op(&tl, b, Resource::H2D, 30);
         assert_eq!(tl.stream_finish(a), 100);
         assert_eq!(tl.stream_finish(b), 30);
-    }
-
-    /// The cached schedule is exact: after every kind of change to the
-    /// log, in a seeded random order, each query answers what a fresh
-    /// `schedule` pass over the same log does.
-    #[test]
-    fn cached_schedule_matches_a_fresh_pass_after_every_change() {
-        let tl = Timeline::new();
-        let mut rng = testkit::SimRng::seed_from_u64(9);
-        let resources = [Resource::H2D, Resource::D2H, Resource::Compute];
-        tl.register_stream(0);
-        for step in 0..400 {
-            let streams = tl.inner.lock().streams.len() as u32;
-            let s = rng.range_u32(0, streams);
-            match rng.range_u32(0, 4) {
-                0 => {
-                    tl.register_stream(rng.range_u32(0, 3));
-                }
-                1 => {
-                    let producer = rng.range_u32(0, streams);
-                    tl.push_wait(s, (producer, tl.watermark(producer)));
-                }
-                _ => op(&tl, s, *rng.pick(&resources), rng.range_u64(1, 50)),
-            }
-            let fresh = schedule(&tl.inner.lock());
-            for _ in 0..2 {
-                let times: Vec<_> =
-                    tl.scheduled_ops().iter().map(|v| (v.start, v.finish)).collect();
-                assert_eq!(times, fresh.times, "step {step}");
-                assert_eq!(
-                    format!("{:?}", tl.stats()),
-                    format!("{:?}", fresh.stats),
-                    "step {step}"
-                );
-            }
-            let finish = |s: u32| {
-                let tl = tl.inner.lock();
-                let ops = &tl.streams[s as usize].ops;
-                ops.iter().map(|&id| fresh.times[id].1).max().unwrap_or(0)
-            };
-            assert_eq!(tl.stream_finish(s), finish(s), "step {step}");
-        }
     }
 
     #[test]

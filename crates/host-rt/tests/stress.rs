@@ -38,11 +38,37 @@ struct Summary {
     per_device: Vec<DeviceBusy>,
 }
 
+/// Enqueue `OPS_PER_STREAM` rounds of seeded random ops on `streams`, with
+/// `wait_event` edges only among them and a host-side sync now and then.
+fn drive(rng: &mut SimRng, streams: &[Stream]) {
+    let resources = [gpu_sim::Resource::H2D, gpu_sim::Resource::D2H, gpu_sim::Resource::Compute];
+    let mut events: Vec<Event> = Vec::new();
+    for round in 0..OPS_PER_STREAM {
+        for s in streams {
+            if !events.is_empty() && rng.flip() {
+                s.wait_event(rng.pick(&events));
+            }
+            let resource = *rng.pick(&resources);
+            let cost = rng.range_u64(1, 2_000);
+            s.enqueue_on(resource, move |_| cost);
+            // Keep the event pool bounded but fresh.
+            if rng.flip() {
+                events.push(s.record_event());
+                if events.len() > 64 {
+                    events.remove(0);
+                }
+            }
+        }
+        if round % 8 == 0 {
+            streams[round % streams.len()].sync();
+        }
+    }
+}
+
 fn scenario(seed: u64) -> Summary {
     let rng = &mut SimRng::seed_from_u64(seed);
     let rt = HostRuntime::with_archs(vec![DeviceArch::a100(), DeviceArch::a100()]);
     let streams: Vec<Stream> = (0..STREAMS).map(|s| rt.stream(s % 2)).collect();
-    let resources = [gpu_sim::Resource::H2D, gpu_sim::Resource::D2H, gpu_sim::Resource::Compute];
 
     // Aggressive concurrent observers: sync random streams and take stats
     // snapshots while the main thread is still enqueueing. They must never
@@ -66,28 +92,8 @@ fn scenario(seed: u64) -> Summary {
             })
             .collect();
 
-        let mut events: Vec<Event> = Vec::new();
-        for round in 0..OPS_PER_STREAM {
-            for s in &streams {
-                if !events.is_empty() && rng.flip() {
-                    s.wait_event(rng.pick(&events));
-                }
-                let resource = *rng.pick(&resources);
-                let cost = rng.range_u64(1, 2_000);
-                s.enqueue_on(resource, move |_| cost);
-                // Keep the event pool bounded but fresh.
-                if rng.flip() {
-                    events.push(s.record_event());
-                    if events.len() > 64 {
-                        events.remove(0);
-                    }
-                }
-            }
-            if round % 8 == 0 {
-                // Host-side sync mid-construction, racing the observers.
-                streams[round % STREAMS].sync();
-            }
-        }
+        // Host-side syncs mid-construction race the observers.
+        drive(rng, streams_ref);
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         for h in observers {
             h.join().expect("observer thread panicked");
@@ -144,5 +150,41 @@ fn stress_sync_storm_on_one_stream() {
         // All 200 ops ran before the callers started, so the stream's finish
         // is total and identical for every caller.
         assert!(finals.iter().all(|&f| f == 1400), "{finals:?}");
+    });
+}
+
+#[test]
+fn host_threads_on_separate_devices_get_identical_timelines() {
+    // Two host threads share one runtime, and each drives only its own
+    // device's streams. However their appends interleave in the shared log,
+    // every op's interval and the stats must come out the same.
+    fn run() -> (String, Vec<(u32, u32, u64, u64)>) {
+        let rt = HostRuntime::with_archs(vec![DeviceArch::a100(), DeviceArch::a100()]);
+        let per_device: Vec<Vec<Stream>> =
+            (0..2).map(|d| (0..STREAMS / 2).map(|_| rt.stream(d)).collect()).collect();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (d, streams) in per_device.iter().enumerate() {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    drive(&mut SimRng::seed_from_u64(d as u64 + 1), streams);
+                });
+            }
+        });
+        let mut intervals: Vec<_> = rt
+            .timeline()
+            .scheduled_ops()
+            .iter()
+            .map(|v| (v.stream, v.seq, v.start, v.finish))
+            .collect();
+        intervals.sort_unstable();
+        (format!("{:?}", rt.timeline_stats()), intervals)
+    }
+    with_deadline("two host threads", Duration::from_secs(120), || {
+        let first = run();
+        for round in 0..20 {
+            assert!(run() == first, "round {round}: simulated times depend on thread interleaving");
+        }
     });
 }

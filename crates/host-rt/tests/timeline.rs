@@ -212,3 +212,61 @@ fn real_completion_order_is_a_topological_order_of_the_dag() {
         }
     });
 }
+
+#[test]
+fn no_logged_time_moves_after_a_later_append() {
+    // One step at a time: after every enqueue or wait, each earlier op
+    // keeps its (start, finish), and each value an earlier `sync` returned
+    // is still the finish of the stream prefix it covered.
+    cases("timeline-no-moves", 64, |rng| {
+        let ndev = rng.range_usize(1, 3);
+        let rt = HostRuntime::with_archs(vec![DeviceArch::a100(); ndev]);
+        let streams: Vec<Stream> =
+            (0..rng.range_usize(1, 5)).map(|s| rt.stream(s % ndev)).collect();
+        let mut events: Vec<Event> = Vec::new();
+        let mut placed: Vec<(u64, u64)> = Vec::new();
+        // (stream, ops covered, value returned)
+        let mut synced: Vec<(u32, u32, u64)> = Vec::new();
+        for step in 0..rng.range_usize(2, 30) {
+            let s = rng.pick(&streams);
+            if !events.is_empty() && rng.flip() {
+                s.wait_event(rng.pick(&events));
+            } else {
+                let (resource, cost) = (*rng.pick(&RESOURCES), rng.range_u64(1, 2_000));
+                s.enqueue_on(resource, move |_| cost);
+            }
+            if rng.flip() {
+                events.push(s.record_event());
+            }
+            let views = rt.timeline().scheduled_ops();
+            let times: Vec<(u64, u64)> = views.iter().map(|v| (v.start, v.finish)).collect();
+            assert_eq!(times[..placed.len()], placed[..], "step {step}: a logged op moved");
+            placed = times;
+            let pos = by_position(&views);
+            for &(st, n, value) in &synced {
+                assert_eq!(prefix_finish(&pos, st, n), value, "step {step}: a synced time moved");
+            }
+            let t = rng.pick(&streams);
+            let n = views.iter().filter(|v| v.stream == t.id()).count() as u32;
+            synced.push((t.id(), n, t.sync()));
+        }
+    });
+}
+
+#[test]
+fn a_synced_finish_stays_put_when_a_later_op_fills_the_resource() {
+    let rt = HostRuntime::new();
+    let (a, b, c) = (rt.stream(0), rt.stream(0), rt.stream(0));
+    a.enqueue_h2d(|_| 1_000);
+    b.wait_event(&a.record_event());
+    b.enqueue(|_| 100);
+    assert_eq!(b.sync(), 1_100);
+    // Compute is idle over [0, 1,000) but 1,500 cycles do not fit there,
+    // so c's compute queues behind b's instead of pushing it back.
+    c.enqueue(|_| 1_500);
+    assert_eq!(b.sync(), 1_100);
+    let views = rt.timeline().scheduled_ops();
+    let k = views.iter().find(|v| v.stream == c.id()).unwrap();
+    assert_eq!((k.start, k.finish), (1_100, 2_600));
+    assert_eq!(rt.timeline_stats().makespan, 2_600);
+}
