@@ -3,10 +3,10 @@
 //! Sweeps clients × devices × kernel mix through [`omp_serve::LaunchService`]
 //! and reports host-side throughput (jobs and kernel launches per
 //! wall-clock second), virtual-latency percentiles from the canonical
-//! fold, plan-cache hit rates, and steal counts. A separate ablation runs
-//! one fixed schedule with the warm-plan cache on and off (`warm_cache:
-//! false` rebuilds compile → simtlint → flat lowering for every launch) —
-//! the service's headline amortization; the two legs must fold to the same
+//! fold, and plan-cache hit rates. A separate ablation runs one fixed
+//! schedule with the warm-plan cache on and off (`warm_cache: false`
+//! rebuilds compile → simtlint → flat lowering for every launch) — the
+//! service's headline amortization; the two legs must fold to the same
 //! digest, since caching is pure memoization.
 //!
 //! Emits `target/figures/BENCH_serve.json`.
@@ -57,8 +57,6 @@ pub struct ServeRow {
     pub plan_misses: u64,
     /// Distinct plans the completed jobs ran (by plan hash).
     pub plans: u64,
-    /// Units executed by a non-home worker.
-    pub steals: u64,
     /// Fleet-timeline makespan of the canonical replay.
     pub makespan_vt: u64,
     /// Cold-leg wall-clock divided by this row's (ablation rows only;
@@ -85,7 +83,6 @@ impl JsonRow for ServeRow {
             ("plan_hits", JsonValue::U64(self.plan_hits)),
             ("plan_misses", JsonValue::U64(self.plan_misses)),
             ("plans", JsonValue::U64(self.plans)),
-            ("steals", JsonValue::U64(self.steals)),
             ("makespan_vt", JsonValue::U64(self.makespan_vt)),
             ("speedup_vs_cold", JsonValue::F64(self.speedup_vs_cold)),
         ]
@@ -205,7 +202,6 @@ fn row(
         plan_hits: report.plan_hits,
         plan_misses: report.plan_misses,
         plans: report.jobs.iter().map(|j| j.plan_hash).collect::<HashSet<_>>().len() as u64,
-        steals: report.steals,
         makespan_vt: report.timeline.makespan,
         speedup_vs_cold,
     }
@@ -304,7 +300,6 @@ pub fn report(rows: &[ServeRow]) {
                 r.p50_vt.to_string(),
                 r.p99_vt.to_string(),
                 format!("{}/{}", r.plan_hits, r.plan_hits + r.plan_misses),
-                r.steals.to_string(),
                 if r.speedup_vs_cold.is_finite() {
                     format!("{:.1}x", r.speedup_vs_cold)
                 } else {
@@ -328,7 +323,6 @@ pub fn report(rows: &[ServeRow]) {
             "p50_vt",
             "p99_vt",
             "cache",
-            "steals",
             "warm_speedup",
         ],
         &table,

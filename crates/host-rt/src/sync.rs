@@ -65,22 +65,6 @@ impl Condvar {
         guard.inner = Some(g);
     }
 
-    /// Like [`Condvar::wait`], but give up after `timeout`. Returns `true`
-    /// if the wait timed out (the lock is reacquired either way) — the
-    /// hook watchdog-style callers need to bound waits on a possibly-stuck
-    /// dependency without external crates.
-    pub fn wait_timeout<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> bool {
-        let g = guard.inner.take().expect("guard taken");
-        let (g, r) =
-            self.inner.wait_timeout(g, timeout).unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.inner = Some(g);
-        r.timed_out()
-    }
-
     /// Wake every waiting thread.
     pub fn notify_all(&self) {
         self.inner.notify_all();
@@ -120,17 +104,5 @@ mod tests {
         }
         drop(done);
         h.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_timeout_reports_expiry() {
-        let m = Mutex::new(0u32);
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        // Nobody notifies: the wait must expire and reacquire the lock.
-        assert!(cv.wait_timeout(&mut g, std::time::Duration::from_millis(10)));
-        *g += 1;
-        drop(g);
-        assert_eq!(*m.lock(), 1);
     }
 }

@@ -1,23 +1,15 @@
-//! The work-stealing dispatcher: per-device worker deques, a deterministic
-//! steal scan, and isolated per-unit execution.
+//! Isolated per-unit execution.
 //!
-//! Each sealed [`Unit`] lands on its home device's deque (affinity
-//! sharding). A worker prefers its own device's deque (popping the front,
-//! FIFO) and, when empty, scans the other deques in a fixed order stealing
-//! from the back — the classic owner-front/thief-back discipline, which
-//! keeps stolen work coarse (the oldest, largest backlog) and owner work
-//! cache-warm.
-//!
-//! **Why stealing cannot perturb stats.** A unit executes on a **fresh
+//! **Why the worker cannot perturb stats.** A unit executes on a **fresh
 //! scratch [`Device`]** whose architecture comes from the unit's own plan
 //! key (`unit.key.arch`) — never from the worker that runs it. Device
 //! construction is cheap in this simulator, so a unit's [`LaunchStats`]
 //! is a pure function of (plan, workload, key arch, sim thread count)
 //! no matter which worker runs it, in which order, concurrently with
-//! what — which is why stealing stays stats-neutral even on a
+//! what — so any worker may take any device's unit, even on a
 //! **heterogeneous fleet** mixing backends. The fleet's *devices* exist
 //! only as in-order queues in the fold's virtual-time replay (see
-//! `service.rs`); they own no mutable execution state a steal could
+//! `service.rs`); they own no mutable execution state a worker could
 //! disturb. This is DESIGN §11's isolate-then-fold discipline lifted to
 //! the service layer.
 

@@ -17,13 +17,14 @@
 //! * [`queue`] — **admission control**: bounded per-tenant queues with
 //!   typed backpressure, micro-job coalescing sealed in submission order,
 //!   and a deficit-round-robin drain for per-tenant fairness;
-//! * [`dispatch`] — the **work-stealing dispatcher**: per-device worker
-//!   deques, owner-front/thief-back stealing, isolated per-unit execution
-//!   on scratch devices;
-//! * [`service`] — the [`LaunchService`] itself plus the deterministic
-//!   fold: per-job [`service::JobReport`]s with bit-identical stats and
-//!   virtual latencies under any worker count (the DESIGN §11 contract
-//!   extended to the service layer, see DESIGN §16).
+//! * [`dispatch`] — **isolated per-unit execution** on scratch devices of
+//!   the unit's keyed backend;
+//! * [`service`] — the [`LaunchService`] itself: workers that take units
+//!   from admission in drain order under its one lock, and the
+//!   deterministic fold: per-job [`service::JobReport`]s with
+//!   bit-identical stats and virtual latencies under any worker count
+//!   (the DESIGN §11 contract extended to the service layer, see DESIGN
+//!   §16).
 
 pub mod dispatch;
 pub mod plan;

@@ -169,6 +169,13 @@ impl Admission {
         self.submit_drainable
     }
 
+    /// Whether [`Admission::drain_round`] has a sealed unit to release, in
+    /// this round or a later one: draining is not paused and some tenant
+    /// queue is nonempty.
+    pub(crate) fn has_queued_units(&self) -> bool {
+        !self.paused && self.tenants.iter().any(|t| !t.queue.is_empty())
+    }
+
     /// No queued units and no open batches remain.
     pub fn is_drained(&self) -> bool {
         self.tenants.iter().all(|t| t.queue.is_empty() && t.open.is_none())

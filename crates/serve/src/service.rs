@@ -20,19 +20,26 @@
 //! composition is sealed at admission in submission order, execution is
 //! isolated on scratch devices, and the fleet timeline is *replayed* once
 //! at fold time in a canonical order (per device, by `(arrival_vt, first
-//! job id)`) rather than recorded in completion order. Work stealing moves
-//! *host* work between OS threads; it cannot move a job between virtual
-//! devices or reorder the replay. The only scheduling-dependent outputs
-//! are the fleet-wide counters [`ServiceReport::steals`] and
-//! [`ServiceReport::rejected`], which [`ServiceReport::digest`] leaves
-//! out.
+//! job id)`) rather than recorded in completion order. Which worker runs a
+//! unit, and when, is host scheduling only; it cannot move a job between
+//! virtual devices or reorder the replay. The only scheduling-dependent
+//! output is the fleet-wide counter [`ServiceReport::rejected`], which
+//! [`ServiceReport::digest`] leaves out.
+//!
+//! ## The run queue
+//!
+//! Workers take units straight from admission, in DRR drain order, under
+//! the one lock admission already has: a worker with nothing to run drains
+//! rounds into the queue's ready list until one releases a unit, runs the
+//! unit outside the lock, and counts it in flight meanwhile. Whatever can
+//! make a unit available (a submit, `resume`, `quiesce`, `close`, or a
+//! round that released more than one unit) happens under that lock and
+//! then notifies, so a worker parks without a timeout.
 
 use std::collections::VecDeque;
 use std::fmt::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use gpu_sim::{ArchId, LaunchStats, ResourceCycles};
 use omp_host::sync::{Condvar, Mutex};
@@ -48,8 +55,8 @@ use crate::spec::{JobSpec, SubmitError};
 pub struct ServiceConfig {
     /// Backend of each fleet device (registry id), for a **heterogeneous
     /// fleet**. Empty means every device is an a100; otherwise it must
-    /// name exactly one backend per device (`len() == devices`). Stealing
-    /// across devices stays stats-neutral even when backends differ,
+    /// name exactly one backend per device (`len() == devices`). Any
+    /// worker may run any device's unit, even when backends differ,
     /// because a unit's execution architecture rides its plan key — never
     /// the worker that happens to run it.
     pub device_archs: Vec<ArchId>,
@@ -100,29 +107,46 @@ impl Default for ServiceConfig {
 
 struct Shared {
     cfg: ServiceConfig,
-    admission: Mutex<Admission>,
+    queue: Mutex<RunQueue>,
+    /// Signalled when a unit may have become available to take.
     work_cv: Condvar,
-    deques: Vec<Mutex<VecDeque<Unit>>>,
     outcomes: Mutex<Outcomes>,
     cache: PlanCache,
-    steals: AtomicU64,
-    /// Signalled under the admission lock by a worker that finds the
-    /// service [`Shared::quiescent`]; [`LaunchService::quiesce`] parks on it.
+    /// Signalled under the queue lock by a worker that finds the queue
+    /// [`RunQueue::quiescent`]; [`LaunchService::quiesce`] parks on it.
     quiesced_cv: Condvar,
-    /// Units moved from admission to the deques / units fully executed —
-    /// equal iff nothing is in flight (quiescence detection).
-    drained_units: AtomicU64,
-    completed_units: AtomicU64,
 }
 
-impl Shared {
-    /// Admission holds no unit and every drained unit has executed (so the
-    /// deques are empty too). `adm` is the held admission lock, under
-    /// which `drained_units` moves.
-    fn quiescent(&self, adm: &Admission) -> bool {
-        adm.is_drained()
-            && self.drained_units.load(Ordering::Acquire)
-                == self.completed_units.load(Ordering::Acquire)
+/// Admission and the units drained from it, under the service's one lock.
+struct RunQueue {
+    adm: Admission,
+    /// Units a DRR round released that no worker has taken yet, in drain
+    /// order.
+    ready: VecDeque<Unit>,
+    /// Units taken and not yet recorded.
+    in_flight: usize,
+}
+
+impl RunQueue {
+    /// The next unit to run: the front of `ready`, else the first unit the
+    /// next DRR rounds release. A round can release nothing when the front
+    /// unit outweighs the quantum, but each round adds a quantum to the
+    /// deficit, so rounds run until one does. `None` when no sealed unit
+    /// can drain.
+    fn next(&mut self) -> Option<Unit> {
+        while self.ready.is_empty() && self.adm.has_queued_units() {
+            // `ready` is empty: the round fills its buffer, with no copy
+            // either way.
+            let mut round = Vec::from(std::mem::take(&mut self.ready));
+            self.adm.drain_round(&mut round);
+            self.ready = round.into();
+        }
+        self.ready.pop_front()
+    }
+
+    /// Admission holds no unit, no drained unit waits, and none runs.
+    fn quiescent(&self) -> bool {
+        self.adm.is_drained() && self.ready.is_empty() && self.in_flight == 0
     }
 }
 
@@ -178,8 +202,9 @@ pub struct ServiceReport {
     pub launches: u64,
     /// Jobs rejected with [`SubmitError::QueueFull`].
     pub rejected: u64,
-    /// Units executed by a worker whose home device differed from the
-    /// unit's (scheduling-dependent; excluded from the digest).
+    /// Always 0: workers take units from one shared queue, so no unit is
+    /// stolen. Kept for readers of earlier reports; excluded from the
+    /// digest.
     pub steals: u64,
 }
 
@@ -260,10 +285,10 @@ impl Client {
 
     /// Submit one job; returns its id, or typed backpressure.
     pub fn submit(&self, spec: &JobSpec) -> Result<u64, SubmitError> {
-        let mut adm = self.shared.admission.lock();
-        let id = adm.submit(self.tenant, spec)?;
-        let wake = adm.submit_left_drainable();
-        drop(adm);
+        let mut q = self.shared.queue.lock();
+        let id = q.adm.submit(self.tenant, spec)?;
+        let wake = q.adm.submit_left_drainable();
+        drop(q);
         // One new unit needs one worker; the worker that drains it wakes
         // the rest if the round released more.
         if wake {
@@ -297,15 +322,11 @@ impl LaunchService {
             Admission::new(archs, cfg.lint, cfg.tenant_queue_cap, cfg.batch_max, cfg.drr_quantum);
         admission.set_paused(cfg.start_paused);
         let shared = Arc::new(Shared {
-            deques: (0..cfg.devices).map(|_| Mutex::new(VecDeque::new())).collect(),
-            admission: Mutex::new(admission),
+            queue: Mutex::new(RunQueue { adm: admission, ready: VecDeque::new(), in_flight: 0 }),
             work_cv: Condvar::new(),
             quiesced_cv: Condvar::new(),
             outcomes: Mutex::new(Outcomes::default()),
             cache: PlanCache::new(),
-            steals: AtomicU64::new(0),
-            drained_units: AtomicU64::new(0),
-            completed_units: AtomicU64::new(0),
             cfg,
         });
         let workers = (0..shared.cfg.workers)
@@ -313,7 +334,7 @@ impl LaunchService {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn service worker")
             })
             .collect();
@@ -324,14 +345,14 @@ impl LaunchService {
     /// registration order, so a rerun registering the same tenants in the
     /// same order reproduces every job id.
     pub fn client(&self, name: &str) -> Client {
-        let tenant = self.shared.admission.lock().register(name);
+        let tenant = self.shared.queue.lock().adm.register(name);
         Client { shared: Arc::clone(&self.shared), tenant }
     }
 
     /// Release a paused fleet ([`ServiceConfig::start_paused`]): draining
     /// begins against the complete queued backlog. Idempotent.
     pub fn resume(&self) {
-        self.shared.admission.lock().set_paused(false);
+        self.shared.queue.lock().adm.set_paused(false);
         self.shared.work_cv.notify_all();
     }
 
@@ -342,11 +363,11 @@ impl LaunchService {
     /// not be called on a paused fleet with queued work (it could never
     /// drain).
     pub fn quiesce(&self) {
-        let mut adm = self.shared.admission.lock();
-        adm.seal_all_open();
+        let mut q = self.shared.queue.lock();
+        q.adm.seal_all_open();
         self.shared.work_cv.notify_all();
-        while !self.shared.quiescent(&adm) {
-            self.shared.quiesced_cv.wait(&mut adm);
+        while !q.quiescent() {
+            self.shared.quiesced_cv.wait(&mut q);
         }
     }
 
@@ -363,7 +384,7 @@ impl LaunchService {
 
     /// Close admission, run the fleet dry, join the workers, and fold.
     pub fn shutdown(self) -> ServiceReport {
-        self.shared.admission.lock().close();
+        self.shared.queue.lock().adm.close();
         self.shared.work_cv.notify_all();
         for w in self.workers {
             w.join().expect("service worker panicked");
@@ -372,72 +393,45 @@ impl LaunchService {
     }
 }
 
-/// Pop from the worker's home deque (front) or steal from another device's
-/// deque (back), scanning homes in a fixed ring order.
-fn pop_or_steal(shared: &Shared, home: usize) -> Option<(Unit, bool)> {
-    if let Some(u) = shared.deques[home].lock().pop_front() {
-        return Some((u, false));
-    }
-    let n = shared.deques.len();
-    for off in 1..n {
-        if let Some(u) = shared.deques[(home + off) % n].lock().pop_back() {
-            return Some((u, true));
-        }
-    }
-    None
-}
-
-fn worker_loop(shared: &Shared, worker: usize) {
-    let home = worker % shared.deques.len();
+fn worker_loop(shared: &Shared) {
     let mut local = Outcomes::default();
-    let mut drained: Vec<Unit> = Vec::new();
+    let mut q = shared.queue.lock();
     loop {
-        if let Some((unit, stolen)) = pop_or_steal(shared, home) {
-            if stolen {
-                shared.steals.fetch_add(1, Ordering::Relaxed);
+        let drains = q.ready.is_empty();
+        let Some(unit) = q.next() else {
+            // The worker that ran the last in-flight unit gets here next,
+            // so a parked `quiesce` always hears of it.
+            if q.quiescent() {
+                shared.quiesced_cv.notify_all();
             }
-            let plan = if shared.cfg.warm_cache {
-                shared.cache.get_or_build(&unit.key)
-            } else {
-                // Cold leg of the ablation: full rebuild per launch.
-                Arc::new(crate::plan::build_warm_plan(&unit.key))
-            };
-            let (stats, max_abs_err) =
-                execute_unit(&unit, &plan, shared.cfg.sim_threads, shared.cfg.verify);
-            local.record(&unit, stats, plan.plan_hash, max_abs_err);
-            shared.completed_units.fetch_add(1, Ordering::Release);
-            continue;
-        }
-        let mut adm = shared.admission.lock();
-        drained.clear();
-        let moved = adm.drain_round(&mut drained);
-        if moved > 0 {
-            shared.drained_units.fetch_add(moved as u64, Ordering::Release);
-            for unit in drained.drain(..) {
-                let d = unit.device as usize;
-                shared.deques[d].lock().push_back(unit);
-            }
-            drop(adm);
-            shared.work_cv.notify_all();
-            continue;
-        }
-        // The worker that ran the last in-flight unit gets here next, so a
-        // parked `quiesce` always hears of it.
-        if shared.quiescent(&adm) {
-            shared.quiesced_cv.notify_all();
-        }
-        if adm.closed() {
-            if adm.is_drained() {
+            // Close seals every open batch and lifts the pause, so a closed
+            // queue with no unit to take is empty for good.
+            if q.adm.closed() {
                 break;
             }
-            // Closed with queued work the quantum didn't cover yet: keep
-            // draining rather than parking.
+            shared.work_cv.wait(&mut q);
             continue;
+        };
+        q.in_flight += 1;
+        let wake = drains && !q.ready.is_empty();
+        drop(q);
+        // The round released more units than this worker takes.
+        if wake {
+            shared.work_cv.notify_all();
         }
-        // Idle: park until a submit/close signal (with a timeout so a
-        // missed wakeup can never wedge the fleet).
-        shared.work_cv.wait_timeout(&mut adm, Duration::from_millis(1));
+        let plan = if shared.cfg.warm_cache {
+            shared.cache.get_or_build(&unit.key)
+        } else {
+            // Cold leg of the ablation: full rebuild per launch.
+            Arc::new(crate::plan::build_warm_plan(&unit.key))
+        };
+        let (stats, max_abs_err) =
+            execute_unit(&unit, &plan, shared.cfg.sim_threads, shared.cfg.verify);
+        local.record(&unit, stats, plan.plan_hash, max_abs_err);
+        q = shared.queue.lock();
+        q.in_flight -= 1;
     }
+    drop(q);
     shared.outcomes.lock().merge(local);
 }
 
@@ -526,7 +520,8 @@ fn fold(shared: &Shared) -> ServiceReport {
     let mut by_id: Vec<(u32, u32, u32)> =
         units.iter().enumerate().map(|(i, u)| (u.tenant, u.first_seq, i as u32)).collect();
     by_id.sort_unstable();
-    let adm = shared.admission.lock();
+    let q = shared.queue.lock();
+    let adm = &q.adm;
     let mut jobs = Vec::with_capacity(units.iter().map(|u| u.count as usize).sum());
     for &(tenant, first_seq, i) in &by_id {
         let i = i as usize;
@@ -553,7 +548,7 @@ fn fold(shared: &Shared) -> ServiceReport {
         plan_misses: shared.cache.misses(),
         launches: units.len() as u64,
         rejected: adm.rejected(),
-        steals: shared.steals.load(Ordering::Relaxed),
+        steals: 0,
     }
 }
 

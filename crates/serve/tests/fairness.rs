@@ -16,9 +16,12 @@
 //! which the fold's canonical replay ignores, so a fair and a starved
 //! session fold to the same digest.
 
+use std::time::Duration;
+
 use gpu_sim::ArchId;
 use omp_serve::queue::Admission;
 use omp_serve::{percentile, JobKind, JobSpec, LaunchService, ServiceConfig, ServiceReport};
+use testkit::with_deadline;
 
 const HEAVY_JOBS: usize = 2_000;
 const LIGHT_JOBS: usize = 20; // 100x imbalance
@@ -108,8 +111,10 @@ fn session(quantum: u64) -> ServiceReport {
 
 #[test]
 fn fair_and_starved_quanta_fold_to_the_same_digest() {
-    let fair = session(FAIR);
-    let starved = session(STARVED);
-    assert_eq!(fair.jobs.len(), HEAVY_JOBS + LIGHT_JOBS);
-    assert_eq!(fair.digest(), starved.digest(), "the quantum must not reach the report");
+    with_deadline("serve-fairness", Duration::from_secs(300), || {
+        let fair = session(FAIR);
+        let starved = session(STARVED);
+        assert_eq!(fair.jobs.len(), HEAVY_JOBS + LIGHT_JOBS);
+        assert_eq!(fair.digest(), starved.digest(), "the quantum must not reach the report");
+    });
 }

@@ -5,8 +5,10 @@
 //! flight — and all three must fold to bit-identical reports, verified
 //! outputs included.
 
+use std::time::Duration;
+
 use omp_serve::{JobKind, JobSpec, LaunchService, ServiceConfig, ServiceReport};
-use testkit::SimRng;
+use testkit::{with_deadline, SimRng};
 
 const TENANTS: usize = 2;
 const JOBS_PER_TENANT: usize = 240;
@@ -72,29 +74,31 @@ fn run(plan: &[(usize, JobSpec)], warm_cache: bool, flush_every: Option<usize>) 
 
 #[test]
 fn evict_and_rebuild_mid_stream_is_bit_identical() {
-    let plan = schedule();
-    let warm = run(&plan, true, None);
-    let cold = run(&plan, false, None);
-    let churned = run(&plan, true, Some(60));
+    with_deadline("serve-plancache", Duration::from_secs(300), || {
+        let plan = schedule();
+        let warm = run(&plan, true, None);
+        let cold = run(&plan, false, None);
+        let churned = run(&plan, true, Some(60));
 
-    assert_eq!(warm.jobs.len(), plan.len());
-    for j in &warm.jobs {
-        assert_eq!(j.max_abs_err, Some(0.0), "job {:#x} diverged from reference", j.job_id);
-    }
+        assert_eq!(warm.jobs.len(), plan.len());
+        for j in &warm.jobs {
+            assert_eq!(j.max_abs_err, Some(0.0), "job {:#x} diverged from reference", j.job_id);
+        }
 
-    // The cache is pure memoization: presence, absence, and mid-stream
-    // churn of cached plans must be invisible to every folded output.
-    assert_eq!(warm.digest(), cold.digest(), "warm vs cold rebuild diverged");
-    assert_eq!(warm.digest(), churned.digest(), "mid-stream eviction diverged");
-    assert_eq!(warm.launches, cold.launches);
-    assert_eq!(warm.timeline.makespan, cold.timeline.makespan);
+        // The cache is pure memoization: presence, absence, and mid-stream
+        // churn of cached plans must be invisible to every folded output.
+        assert_eq!(warm.digest(), cold.digest(), "warm vs cold rebuild diverged");
+        assert_eq!(warm.digest(), churned.digest(), "mid-stream eviction diverged");
+        assert_eq!(warm.launches, cold.launches);
+        assert_eq!(warm.timeline.makespan, cold.timeline.makespan);
 
-    // The three legs really took the three different plan paths:
-    // - warm: one compile per distinct plan, everything else a hit;
-    // - cold: bypasses the cache entirely;
-    // - churned: flushes forced strictly more compiles than warm.
-    assert!(warm.plan_hits > warm.plan_misses);
-    assert_eq!((cold.plan_hits, cold.plan_misses), (0, 0));
-    assert!(churned.plan_misses > warm.plan_misses);
-    assert_eq!(warm.plan_hits + warm.plan_misses, warm.launches);
+        // The three legs really took the three different plan paths:
+        // - warm: one compile per distinct plan, everything else a hit;
+        // - cold: bypasses the cache entirely;
+        // - churned: flushes forced strictly more compiles than warm.
+        assert!(warm.plan_hits > warm.plan_misses);
+        assert_eq!((cold.plan_hits, cold.plan_misses), (0, 0));
+        assert!(churned.plan_misses > warm.plan_misses);
+        assert_eq!(warm.plan_hits + warm.plan_misses, warm.launches);
+    });
 }

@@ -7,9 +7,11 @@
 //! to devices 0 and 1, so device 2 stays idle: the fold must still report
 //! it, with zero busy cycles.
 
+use std::time::Duration;
+
 use gpu_sim::ArchId;
 use omp_serve::{JobKind, JobSpec, LaunchService, ServiceConfig, ServiceReport};
-use testkit::SimRng;
+use testkit::{with_deadline, SimRng};
 
 const TENANTS: u32 = 3;
 const JOBS: usize = 720;
@@ -73,20 +75,24 @@ fn session(plan: &[(u32, JobSpec)]) -> ServiceReport {
 
 #[test]
 fn fold_matches_the_pinned_replay() {
-    let report = session(&plan());
-    assert_eq!(report.jobs.len(), JOBS);
-    assert!(report.jobs.iter().all(|j| j.device < 2), "device 2 must stay idle");
-    assert!(report.jobs.iter().any(|j| j.batch_size > 1), "micro jobs should coalesce");
-    assert!(report.jobs.iter().any(|j| j.start_vt > j.arrival_vt), "some unit must queue");
-    assert_eq!(report.digest(), 0x7d4f01faf16d4cf0);
-    assert_eq!(format!("{:?}", report.timeline), TIMELINE);
+    with_deadline("serve-fold", Duration::from_secs(300), || {
+        let report = session(&plan());
+        assert_eq!(report.jobs.len(), JOBS);
+        assert!(report.jobs.iter().all(|j| j.device < 2), "device 2 must stay idle");
+        assert!(report.jobs.iter().any(|j| j.batch_size > 1), "micro jobs should coalesce");
+        assert!(report.jobs.iter().any(|j| j.start_vt > j.arrival_vt), "some unit must queue");
+        assert_eq!(report.digest(), 0x7d4f01faf16d4cf0);
+        assert_eq!(format!("{:?}", report.timeline), TIMELINE);
+    });
 }
 
 #[test]
 fn empty_session_folds_to_an_idle_fleet() {
-    let report = session(&[]);
-    assert!(report.jobs.is_empty());
-    assert_eq!(report.launches, 0);
-    assert_eq!(report.digest(), 0xcbf29ce484222325, "the digest of no jobs is the FNV basis");
-    assert_eq!(format!("{:?}", report.timeline), EMPTY_TIMELINE);
+    with_deadline("serve-fold-empty", Duration::from_secs(300), || {
+        let report = session(&[]);
+        assert!(report.jobs.is_empty());
+        assert_eq!(report.launches, 0);
+        assert_eq!(report.digest(), 0xcbf29ce484222325, "the digest of no jobs is the FNV basis");
+        assert_eq!(format!("{:?}", report.timeline), EMPTY_TIMELINE);
+    });
 }
