@@ -36,8 +36,8 @@
 use std::time::Instant;
 
 use gpu_sim::Device;
-use omp_codegen::bytecode::Engine;
 use omp_codegen::CompiledKernel;
+use omp_core::exec::launch_target;
 use omp_kernels::harness::Fig10Variant;
 use omp_kernels::matrix::{CsrMatrix, RowProfile};
 use omp_kernels::{ideal, laplace3d, spmv, stencil2d, su3};
@@ -276,17 +276,22 @@ fn engine_leg(reps: u32) -> Vec<SimspeedRow> {
         // several rounds and keep the best so host-scheduler noise hits
         // both sides equally.
         for round in 0..(4 + 2 * reps) {
-            for (i, eng) in [Engine::Tree, Engine::Bytecode].into_iter().enumerate() {
+            for i in 0..2 {
                 let mut dev = Device::a100();
                 dev.set_sim_threads(Some(1));
                 let args = prep(&mut dev);
+                // Index 0 is the tree walker, 1 the bytecode engine.
+                let launch = |dev: &mut Device| match i {
+                    0 => launch_target(dev, &k.config, &k.plan, &k.registry, &args),
+                    _ => k.launch(dev, &args),
+                };
                 if round == 0 {
                     // Warm-up: populate caches (and the compiled flat
                     // program) before any timed run.
-                    k.launch_with_engine(&mut dev, &args, eng).unwrap();
+                    launch(&mut dev).unwrap();
                 }
                 let t0 = Instant::now();
-                let stats = k.launch_with_engine(&mut dev, &args, eng).unwrap();
+                let stats = launch(&mut dev).unwrap();
                 walls[i] = walls[i].min(t0.elapsed().as_secs_f64() * 1e3);
                 assert!(cycles[i] == 0 || cycles[i] == stats.cycles);
                 cycles[i] = stats.cycles;
@@ -342,8 +347,7 @@ fn launch_floor_leg(quick: bool) -> Vec<SimspeedRow> {
         Device::a100(),
     )];
     for (name, k, args, dev) in strong_kernels() {
-        let launch =
-            move |d: &mut Device| k.launch_with_engine(d, &args, Engine::Bytecode).unwrap().cycles;
+        let launch = move |d: &mut Device| k.launch(d, &args).unwrap().cycles;
         kernels.push((name, Box::new(launch), dev));
     }
     // (kernel, threads, sanitizer) → (best µs per launch, cycles).
@@ -421,10 +425,10 @@ fn warp_form_leg(sites: usize, reps: u32) -> Vec<SimspeedRow> {
                     let ops = su3::Su3Dev::upload(&mut dev, &w);
                     if round == 0 {
                         // Warm-up: caches and the compiled flat program.
-                        k.launch_with_engine(&mut dev, &ops.args(), Engine::Bytecode).unwrap();
+                        k.launch(&mut dev, &ops.args()).unwrap();
                     }
                     let t0 = Instant::now();
-                    let s = k.launch_with_engine(&mut dev, &ops.args(), Engine::Bytecode).unwrap();
+                    let s = k.launch(&mut dev, &ops.args()).unwrap();
                     walls[i] = walls[i].min(t0.elapsed().as_secs_f64() * 1e3);
                     stats[i] = Some(s);
                 }
@@ -539,7 +543,7 @@ mod tests {
                 assert!((r.overhead_vs_off - 1.0).abs() < 1e-9);
             }
         }
-        // Engine-leg rows: the ratio is well-formed (tree rows pin 1.0);
+        // Rows of the engine leg: the ratio is well-formed (tree rows pin 1.0);
         // the headline ≥5× is a benchmark result, not a unit-test assert —
         // wall-clock ratios on a loaded CI host are not deterministic.
         for r in rows.iter().filter(|r| !r.vs_tree.is_nan()) {

@@ -23,11 +23,10 @@ use omp_core::exec::launch_target;
 pub use omp_core::plan::Schedule;
 use omp_core::plan::{ParallelOp, TargetPlan, TeamOp, ThreadOp, TripId, Vars, VarsMut, WarpVars};
 
-use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::OnceLock;
 
 use crate::analysis::{infer_parallel_mode, infer_teams_mode, Analysis, ParallelInfo};
-use crate::bytecode::{launch_flat, Engine, FlatProgram};
+use crate::bytecode::{run_flat_block, FlatProgram, LoweringKey};
 use crate::diag::LintReport;
 
 /// Handle to a trip-count callback plus its uniformity classification
@@ -185,13 +184,7 @@ impl TargetBuilder {
         // Dead-stage shrink: stage only the register prefix some simd body
         // declares it reads (see crate::dataflow).
         crate::dataflow::shrink_dead_stages(&mut plan, &mut analysis, &self.reg);
-        CompiledKernel {
-            plan,
-            registry: self.reg,
-            config,
-            analysis,
-            flat: RwLock::new(HashMap::new()),
-        }
+        CompiledKernel { plan, registry: self.reg, config, analysis, flat: FlatCache::default() }
     }
 }
 
@@ -584,14 +577,30 @@ impl<'b> ParScope<'b> {
     }
 }
 
-/// Cached flat-bytecode lowerings, keyed by launch geometry
-/// (warp size, argument count). Read-mostly: warm launches take the read
-/// lock, clone the `Arc`, and never serialize against each other; a miss
-/// lowers *outside* any lock and publishes under a brief write section
-/// (first writer wins, so concurrent misses converge on one shared
-/// program). The old single-slot `Mutex<Option<..>>` both serialized every
-/// warm launch on one lock and thrashed when two geometries alternated.
-type FlatCache = RwLock<HashMap<(u32, bool, usize), Arc<FlatProgram>>>;
+/// Cached flat-bytecode lowerings, one per [`LoweringKey`]: everything a
+/// lowering bakes in (the kernel config, the warp width, the warp-sync
+/// capability and the argument count). An append-only list whose links
+/// are each set once, so a warm launch walks it with no lock and no
+/// reference count, and concurrent launches of one kernel write no shared
+/// cache line. A kernel has one or two lowerings in practice, so the walk
+/// is short. Concurrent misses at the list's end wait for one lowering and
+/// converge on it.
+#[derive(Default)]
+struct FlatCache(OnceLock<Box<(FlatProgram, FlatCache)>>);
+
+impl FlatCache {
+    /// The cached lowering for `key`, or `lower`'s, appended.
+    fn get_or_lower(&self, key: &LoweringKey, lower: impl Fn() -> FlatProgram) -> &FlatProgram {
+        let mut link = self;
+        loop {
+            let (prog, next) = &**link.0.get_or_init(|| Box::new((lower(), FlatCache::default())));
+            if prog.key == *key {
+                return prog;
+            }
+            link = next;
+        }
+    }
+}
 
 /// A compiled target region, ready to launch.
 pub struct CompiledKernel {
@@ -603,9 +612,8 @@ pub struct CompiledKernel {
     pub config: KernelConfig,
     /// What the mode analysis decided and why.
     pub analysis: Analysis,
-    /// Cached flat-bytecode lowering, keyed by (warp size, warp-sync
-    /// capability, argument count) — the launch-geometry and legalization
-    /// inputs the lowering bakes in.
+    /// Cached flat-bytecode lowerings: the one copy every launch of this
+    /// kernel, the launch service's included, runs.
     flat: FlatCache,
 }
 
@@ -617,60 +625,37 @@ impl CompiledKernel {
         crate::lint::lint_kernel(self, arch, nargs)
     }
 
-    /// Launch on a device with the given argument payload. Does **not**
-    /// run the lint gate — the escape hatch for deliberately-broken plans
-    /// (negative tests, sanitizer demos).
+    /// Launch on a device with the given argument payload through the
+    /// flat-bytecode executor. Does **not** run the lint gate — the escape
+    /// hatch for deliberately-broken plans (negative tests, sanitizer
+    /// demos). [`omp_core::exec::launch_target`] runs the same launch on
+    /// the tree walker, and [`Self::launch_oracle`] runs both.
     ///
-    /// Runs the flat-bytecode executor. [`Self::launch_with_engine`] picks
-    /// an engine explicitly, and [`Self::launch_oracle`] runs both.
+    /// The launch is validated before the kernel is lowered, so a device
+    /// the lowering cannot serve (say, warps wider than
+    /// [`gpu_sim::MAX_LANES`]) is a [`LaunchError`], not a panic. Sanitized
+    /// and traced launches run here too, with the tree walker's simtcheck
+    /// calls and event trace.
     pub fn launch(&self, dev: &mut Device, args: &[Slot]) -> Result<LaunchStats, LaunchError> {
-        self.launch_with_engine(dev, args, Engine::Bytecode)
+        let lcfg = self.config.launch_config(&dev.arch);
+        dev.validate(&lcfg)?;
+        let prog = self.flat_program(&dev.arch, args.len());
+        dev.launch(&lcfg, |tc| run_flat_block(tc, &self.config, prog, &self.registry, args))
     }
 
-    /// Launch with an explicit engine choice. Both engines run sanitized
-    /// and traced launches themselves: each makes the same simtcheck calls
-    /// and records the same event trace. The launch is validated before
-    /// either engine sees it, so a device the lowering cannot serve (say,
-    /// warps wider than [`gpu_sim::MAX_LANES`]) is a [`LaunchError`], not a
-    /// panic.
-    pub fn launch_with_engine(
-        &self,
-        dev: &mut Device,
-        args: &[Slot],
-        engine: Engine,
-    ) -> Result<LaunchStats, LaunchError> {
-        dev.validate(&self.config.launch_config(&dev.arch))?;
-        match engine {
-            Engine::Tree => launch_target(dev, &self.config, &self.plan, &self.registry, args),
-            Engine::Bytecode => {
-                let prog = self.flat_program(&dev.arch, args.len());
-                launch_flat(dev, &self.config, &prog, &self.registry, args)
+    /// The flat-bytecode lowering of this kernel for its current config
+    /// and one launch geometry, compiled on first use and cached. Every
+    /// lowering is checked by the [`FlatProgram::verify`] invariant walker
+    /// before it is published — a side table inconsistent with the plan is
+    /// a compiler bug, not a launch error, so divergence panics here.
+    pub fn flat_program(&self, arch: &DeviceArch, nargs: usize) -> &FlatProgram {
+        self.flat.get_or_lower(&LoweringKey::new(&self.config, arch, nargs), || {
+            let prog = FlatProgram::lower(&self.plan, &self.registry, &self.config, arch, nargs);
+            if let Err(e) = prog.verify(&self.plan, &self.registry, &self.config, arch, nargs) {
+                panic!("flat-bytecode verifier rejected the lowering: {e}");
             }
-        }
-    }
-
-    /// The flat-bytecode lowering of this kernel for one launch geometry,
-    /// compiled on first use and cached. Every lowering is checked by the
-    /// [`FlatProgram::verify`] invariant walker before it is published —
-    /// a side table inconsistent with the plan is a compiler bug, not a
-    /// launch error, so divergence panics here.
-    pub fn flat_program(&self, arch: &DeviceArch, nargs: usize) -> Arc<FlatProgram> {
-        // The warp-sync capability is part of the key: sequential-simd
-        // legalization (§5.4.1) is baked into the lowered [`ParMeta`], so
-        // a wave64 program and an equally-wide warp-barrier program are
-        // different bytecode.
-        let key = (arch.warp_size, arch.warp_sync_supported, nargs);
-        if let Some(prog) = self.flat.read().unwrap().get(&key) {
-            return Arc::clone(prog);
-        }
-        // Miss: lower and verify with no lock held, so warm launches on
-        // other geometries keep streaming through the read path meanwhile.
-        let prog =
-            Arc::new(FlatProgram::lower(&self.plan, &self.registry, &self.config, arch, nargs));
-        if let Err(e) = prog.verify(&self.plan, &self.registry, &self.config, arch, nargs) {
-            panic!("flat-bytecode verifier rejected the lowering: {e}");
-        }
-        Arc::clone(self.flat.write().unwrap().entry(key).or_insert(prog))
+            prog
+        })
     }
 
     /// A content fingerprint of the compiled kernel: an FNV-1a walk over
@@ -815,7 +800,7 @@ impl CompiledKernel {
         let tree_trace = std::mem::take(&mut dev.trace);
         let post_tree = dev.global.checkpoint();
         dev.global.restore(&pre);
-        let flat = self.launch_with_engine(dev, args, Engine::Bytecode);
+        let flat = self.launch(dev, args);
         let post_flat = dev.global.checkpoint();
         match (&tree, &flat) {
             (Ok(t), Ok(f)) => {

@@ -57,9 +57,7 @@
 use std::sync::Arc;
 
 use gpu_sim::mem::ptr::DPtr;
-use gpu_sim::{
-    Device, DeviceArch, DispatchKind, LaneMask, LaunchError, LaunchStats, Slot, TeamCtx, MAX_LANES,
-};
+use gpu_sim::{DeviceArch, DispatchKind, LaneMask, Slot, TeamCtx, MAX_LANES};
 use omp_core::config::{ExecMode, KernelConfig};
 use omp_core::dispatch::{
     validate_observed, validate_reg_writes, warp_body_on_lane, BodyForm, Footprint, PureTripFn,
@@ -84,13 +82,29 @@ macro_rules! ensure {
     };
 }
 
-/// Which execution engine runs a launch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// The tree-walk interpreter in [`omp_core::exec`] (the oracle).
-    Tree,
-    /// The flat-bytecode executor in this module.
-    Bytecode,
+/// What a lowering bakes in besides the plan: the kernel config (the
+/// §5.3.1 staging decision, the team-main warp), the warp width, the
+/// warp-sync capability (sequential-simd legalization, §5.4.1, lives in
+/// [`ParMeta`]) and the argument count. [`crate::CompiledKernel`] caches
+/// one lowering per key, and every program carries the key it was lowered
+/// for.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct LoweringKey {
+    config: KernelConfig,
+    warp_size: u32,
+    warp_sync: bool,
+    nargs: usize,
+}
+
+impl LoweringKey {
+    pub(crate) fn new(config: &KernelConfig, arch: &DeviceArch, nargs: usize) -> LoweringKey {
+        LoweringKey {
+            config: config.clone(),
+            warp_size: arch.warp_size,
+            warp_sync: arch.warp_sync_supported,
+            nargs,
+        }
+    }
 }
 
 /// Where a flat op's trip count comes from, resolved at lowering time.
@@ -188,8 +202,9 @@ struct SimdMeta {
 }
 
 /// A [`TargetPlan`] compiled to a flat op stream with pre-resolved operand
-/// tables. Lowered per (warp size, argument count); see
-/// [`crate::CompiledKernel::flat_program`] for the cache.
+/// tables. Lowered per kernel config, warp width, warp-sync capability and
+/// argument count; see [`crate::CompiledKernel::flat_program`] for the
+/// cache.
 #[derive(Clone)]
 pub struct FlatProgram {
     ops: Vec<FlatOp>,
@@ -200,14 +215,10 @@ pub struct FlatProgram {
     /// The all-lanes list `0..warp_size` (SPMD team-scope cohorts).
     all_lanes: Vec<u32>,
     team_regs: usize,
-    /// Geometry the program was lowered for (asserted at execution).
-    warp_size: u32,
-    /// Warp-sync capability of the lowering arch (asserted at execution):
-    /// sequential-simd legalization is baked into [`ParMeta`], so running
-    /// a program on an arch with the other capability would silently
-    /// mis-charge the state machine.
-    warp_sync: bool,
-    nargs: usize,
+    /// What the program was lowered for, asserted by every block: run
+    /// under another config or arch it would silently mis-charge the state
+    /// machine or write past its sharing space.
+    pub(crate) key: LoweringKey,
 }
 
 impl FlatProgram {
@@ -227,9 +238,7 @@ impl FlatProgram {
             pures: Vec::new(),
             all_lanes: (0..arch.warp_size).collect(),
             team_regs: plan.team_regs,
-            warp_size: arch.warp_size,
-            warp_sync: arch.warp_sync_supported,
-            nargs,
+            key: LoweringKey::new(config, arch, nargs),
         };
         let mut lw = Lowerer { prog: &mut p, reg, config, arch, nargs, team_regs: plan.team_regs };
         lw.team_ops(&plan.ops);
@@ -278,22 +287,11 @@ impl FlatProgram {
         arch: &DeviceArch,
         nargs: usize,
     ) -> Result<(), String> {
+        let key = LoweringKey::new(config, arch, nargs);
         ensure!(
-            self.warp_size == arch.warp_size,
-            "program lowered for warp size {} but verifying against {}",
-            self.warp_size,
-            arch.warp_size
-        );
-        ensure!(
-            self.warp_sync == arch.warp_sync_supported,
-            "program lowered with warp_sync={} but verifying against an arch with {}",
-            self.warp_sync,
-            arch.warp_sync_supported
-        );
-        ensure!(
-            self.nargs == nargs,
-            "program lowered for {} args but verifying against {nargs}",
-            self.nargs
+            self.key == key,
+            "program lowered for {:?} but verifying against {key:?}",
+            self.key
         );
         ensure!(
             self.team_regs == plan.team_regs,
@@ -931,24 +929,6 @@ fn resolve_dispatch(registry_pos: Option<u32>, known: bool) -> DispatchKind {
     }
 }
 
-/// Launch a lowered program on a device (the bytecode analog of
-/// [`omp_core::exec::launch_target`]).
-pub fn launch_flat(
-    dev: &mut Device,
-    cfg: &KernelConfig,
-    prog: &FlatProgram,
-    reg: &Registry,
-    args: &[Slot],
-) -> Result<LaunchStats, LaunchError> {
-    let lcfg = cfg.launch_config(&dev.arch);
-    assert_eq!(
-        (prog.warp_size, prog.warp_sync, prog.nargs),
-        (dev.arch.warp_size, dev.arch.warp_sync_supported, args.len()),
-        "flat program was lowered for a different launch geometry or arch capability"
-    );
-    dev.launch(&lcfg, |tc| run_flat_block(tc, cfg, prog, reg, args))
-}
-
 /// Execute one team of a lowered program. Mirrors
 /// [`omp_core::exec::run_target_block`] charge for charge.
 pub fn run_flat_block(
@@ -972,6 +952,11 @@ pub fn run_flat_block(
         tc.nwarps(),
         worker_warps + main_warp.map_or(0, |_| 1),
         "launch geometry does not match the kernel config"
+    );
+    assert_eq!(
+        prog.key,
+        LoweringKey::new(cfg, tc.arch(), args.len()),
+        "flat program was lowered for a different config, launch geometry or arch capability"
     );
     let sharing = SharingSpace::reserve(&mut tc.smem, cfg.sharing_space_bytes);
 

@@ -46,7 +46,7 @@ pub use analysis::{
 pub use builder::{
     CompiledKernel, KernelParams, ParScope, RegH, Schedule, TargetBuilder, TeamsScope, TripH,
 };
-pub use bytecode::{launch_flat, run_flat_block, Engine, FlatProgram};
+pub use bytecode::{run_flat_block, FlatProgram};
 pub use dataflow::{AbsVal, Interval, Lattice, Proof, Written};
 pub use diag::{Diagnostic, LintReport, Severity};
 pub use lint::lint_kernel;

@@ -20,7 +20,7 @@ pub enum ExecMode {
 }
 
 /// Per-kernel configuration, fixed at launch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Execution mode of the `teams` region.
     pub teams_mode: ExecMode,

@@ -12,15 +12,18 @@
 //! `service.rs`); they own no mutable execution state a worker could
 //! disturb. This is DESIGN §11's isolate-then-fold discipline lifted to
 //! the service layer.
+//!
+//! Every unit, whatever its job kind, launches through the one bytecode
+//! entry, [`omp_codegen::CompiledKernel::launch`], on the warm plan's
+//! kernel, which looks up the lowering `build_warm_plan` made.
 
-use gpu_sim::{Device, LaunchStats};
-use omp_codegen::launch_flat;
+use gpu_sim::{Device, LaunchStats, Slot};
 use omp_kernels::harness::max_abs_err;
 use omp_kernels::{batched, ideal};
 
 use crate::plan::WarmPlan;
 use crate::queue::Unit;
-use crate::spec::JobKind;
+use crate::spec::{JobKind, NARGS};
 
 /// Execute one unit on a fresh scratch device of the unit's keyed
 /// architecture and return its outcome fields (stats + optional
@@ -46,36 +49,23 @@ pub fn execute_unit_on(
     plan: &WarmPlan,
     verify: bool,
 ) -> (LaunchStats, Option<f64>) {
-    match unit.kind {
+    // The unit's arguments, and the check of its result against the host
+    // reference.
+    type Check = Box<dyn FnOnce(&Device) -> f64>;
+    let (args, check): ([Slot; NARGS], Check) = match unit.kind {
         JobKind::Ideal { outer, seed, .. } => {
             let w = ideal::IdealWorkload::generate(outer, seed);
             let ops = ideal::IdealDev::upload(dev, &w);
-            let stats = launch_flat(
-                dev,
-                &plan.kernel.config,
-                &plan.flat,
-                &plan.kernel.registry,
-                &ops.args(),
-            )
-            .expect("service launch failed");
-            let err = verify.then(|| max_abs_err(&ops.read_out(dev), &w.reference()));
-            (stats, err)
+            (ops.args(), Box::new(move |dev| max_abs_err(&ops.read_out(dev), &w.reference())))
         }
         JobKind::Micro { rows, inner } => {
             let w = batched::BatchedWorkload::generate(unit.count as usize, rows, inner);
             let ops = batched::BatchedDev::upload(dev, &w);
-            let stats = launch_flat(
-                dev,
-                &plan.kernel.config,
-                &plan.flat,
-                &plan.kernel.registry,
-                &ops.args(),
-            )
-            .expect("service launch failed");
-            let err = verify.then(|| max_abs_err(&ops.read_out(dev), &w.reference()));
-            (stats, err)
+            (ops.args(), Box::new(move |dev| max_abs_err(&ops.read_out(dev), &w.reference())))
         }
-    }
+    };
+    let stats = plan.kernel.launch(dev, &args).expect("service launch failed");
+    (stats, verify.then(|| check(dev)))
 }
 
 #[cfg(test)]

@@ -4,32 +4,34 @@
 //! This is the service's headline amortization (the serving-side analogue
 //! of the paper's runtime doing its setup once per kernel): a cold submit
 //! pays the full builder + lint fixpoint + lowering + verifier pipeline,
-//! a warm submit pays a read-lock and an `Arc` clone. The cache is
-//! **content-addressed** on [`PlanKey`] — kernel identity, target arch,
-//! lint configuration — and stores nothing derived from input data, so
-//! it is a pure memoization: evicting and rebuilding any entry mid-stream
-//! must (and, per the differential test, does) reproduce bit-identical
-//! launches. Because the arch is part of the key, one cache
-//! serves a heterogeneous fleet: an a100 worker and an mi100 worker
-//! requesting the same kernel fill two independent entries whose lowered
-//! bytecode differs (warp width, sequential-simd legalization).
+//! a warm submit pays a read-lock and an `Arc` clone here, then a
+//! lock-free lookup in the kernel's own lowering cache
+//! ([`CompiledKernel::flat_program`]), which is the only holder of the
+//! lowering. The cache is **content-addressed** on [`PlanKey`] — kernel
+//! identity, target arch, lint configuration — and stores nothing derived
+//! from input data, so it is a pure memoization: flushing it and
+//! rebuilding every entry mid-stream must (and, per the differential
+//! test, does) reproduce bit-identical launches. Because the arch is part
+//! of the key, one cache serves a heterogeneous fleet: an a100 worker and
+//! an mi100 worker requesting the same kernel fill two independent entries
+//! whose lowered bytecode differs (warp width, sequential-simd
+//! legalization).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use omp_codegen::{CompiledKernel, FlatProgram};
+use omp_codegen::CompiledKernel;
 
 use crate::spec::{PlanKey, NARGS};
 
-/// A fully prepared plan: the compiled kernel plus its flat-bytecode
-/// lowering for the keyed launch geometry, ready to launch with no
-/// per-submit compile work.
+/// A fully prepared plan: the compiled kernel, already lowered for the
+/// keyed arch and [`NARGS`], ready to launch with no per-submit compile
+/// work.
 pub struct WarmPlan {
-    /// Compiled kernel (plan + registry + config + analysis).
+    /// Compiled kernel (plan + registry + config + analysis), holding its
+    /// flat-bytecode lowering in its own cache.
     pub kernel: Arc<CompiledKernel>,
-    /// Flat-bytecode program lowered for the keyed arch and [`NARGS`].
-    pub flat: Arc<FlatProgram>,
     /// Content fingerprint of the compiled kernel
     /// ([`CompiledKernel::plan_hash`]); folded into every job report so
     /// the stress digests also prove cold and warm builds agree.
@@ -41,7 +43,8 @@ pub struct WarmPlan {
 /// (`key.arch`). Runs the simtlint gate when `key.lint` is set; a lint
 /// error is a panic, not a job failure: every kernel the service can name
 /// is in-tree and lint-clean (legalization remarks are fine), so a
-/// rejection here is a build bug.
+/// rejection here is a build bug. The kernel is lowered and verified here,
+/// so a warm launch only looks its lowering up.
 pub fn build_warm_plan(key: &PlanKey) -> WarmPlan {
     let arch = key.arch.arch();
     let kernel = key.kernel.build();
@@ -56,9 +59,9 @@ pub fn build_warm_plan(key: &PlanKey) -> WarmPlan {
             );
         }
     }
-    let flat = kernel.flat_program(&arch, NARGS);
+    kernel.flat_program(&arch, NARGS);
     let plan_hash = kernel.plan_hash();
-    WarmPlan { kernel: Arc::new(kernel), flat, plan_hash }
+    WarmPlan { kernel: Arc::new(kernel), plan_hash }
 }
 
 /// Read-mostly plan cache: one `RwLock<HashMap>`, so warm launches from
@@ -102,14 +105,9 @@ impl PlanCache {
         Arc::clone(plans.entry(*key).or_insert(plan))
     }
 
-    /// Drop one entry; returns whether it was present. Subsequent lookups
-    /// rebuild it — by construction bit-identically.
-    pub fn evict(&self, key: &PlanKey) -> bool {
-        self.plans.write().unwrap().remove(key).is_some()
-    }
-
     /// Drop every entry (the mid-stream eviction the differential test
-    /// exercises, and a memory valve for long-lived services).
+    /// exercises, and a memory valve for long-lived services). Subsequent
+    /// lookups rebuild them — by construction bit-identically.
     pub fn evict_all(&self) {
         self.plans.write().unwrap().clear();
     }
@@ -189,11 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn evict_rebuilds_identically() {
+    fn evict_all_rebuilds_identically() {
         let cache = PlanCache::new();
         let a = cache.get_or_build(&key(8));
-        assert!(cache.evict(&key(8)));
-        assert!(!cache.evict(&key(8)));
+        cache.evict_all();
+        assert!(cache.is_empty());
         let b = cache.get_or_build(&key(8));
         assert!(!Arc::ptr_eq(&a, &b), "evicted entry must be rebuilt");
         assert_eq!(a.plan_hash, b.plan_hash, "rebuild must produce the identical plan");

@@ -11,13 +11,21 @@
 //! sanitizer on and off. In the sanitized cells both legs run sanitized
 //! and the oracle compares their violation lists too; every corpus entry
 //! lints clean, so it must also come out violation-free. The random-plan
-//! property is in `tests/engine_parity.rs`.
+//! property is in `tests/engine_parity.rs`. A kernel whose config is
+//! edited after a launch must be lowered again, and a program lowered for
+//! another config is refused.
 //!
 //! [`CompiledKernel::launch_oracle`]: simt_omp::codegen::CompiledKernel::launch_oracle
 //! [`LaunchStats`]: simt_omp::gpu::LaunchStats
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use simt_omp::codegen::{run_flat_block, CompiledKernel, FlatProgram};
 use simt_omp::gpu::{ArchId, Device, DeviceArch};
 use simt_omp::kernels::corpus::{self, Entry};
+use simt_omp::kernels::matrix::{CsrMatrix, RowProfile};
+use simt_omp::kernels::spmv::{self, SpmvDev};
+use simt_omp::rt::config::KernelConfig;
 use testkit::CELLS;
 
 /// The suite's team geometry: small, and a whole mi100 wavefront.
@@ -100,4 +108,51 @@ fn amd_sequential_fallback_engines_agree() {
         let fallbacks = oracle(e, DeviceArch::mi100(), cell.threads, cell.sanitize);
         assert!(fallbacks > 0, "{cell:?}: mi100 must legalize the generic-mode simd loop");
     }
+}
+
+#[test]
+fn a_config_edited_after_a_launch_is_lowered_again() {
+    // The lowering bakes in the kernel's config, so an edit after a launch
+    // must lower again: the legacy 1024 B space no longer fits gs=4's 32
+    // groups and takes the §5.3.1 global fallback. The edited kernel must
+    // match, in stats and host-visible memory, a kernel built with 1024 B
+    // before its first launch, through the oracle too.
+    let mat = CsrMatrix::generate(256, 256, RowProfile::Banded { min: 2, max: 20 }, 3);
+    let x: Vec<f64> = (0..256).map(|i| i as f64 * 0.25).collect();
+    let run = |k: &CompiledKernel, oracle: bool| {
+        let mut dev = Device::a100();
+        dev.set_sim_threads(Some(1));
+        let args = SpmvDev::upload(&mut dev, &mat, &x).args();
+        let launched =
+            if oracle { k.launch_oracle(&mut dev, &args) } else { k.launch(&mut dev, &args) };
+        (launched.unwrap(), dev.global.checkpoint())
+    };
+    let legacy = |c: &mut KernelConfig| c.sharing_space_bytes = KernelConfig::SHARING_SPACE_LEGACY;
+    let mut fresh = spmv::build_three_level(8, 128, 4);
+    legacy(&mut fresh.config);
+    let (want, want_mem) = run(&fresh, false);
+    assert!(want.counters.sharing_global_fallbacks > 0);
+    let mut edited = spmv::build_three_level(8, 128, 4);
+    assert_eq!(run(&edited, false).0.counters.sharing_global_fallbacks, 0);
+    legacy(&mut edited.config);
+    for oracle in [false, true] {
+        let (got, mem) = run(&edited, oracle);
+        assert_eq!(got, want, "oracle {oracle}: stats after the edit");
+        if let Some(diff) = want_mem.host_mismatch(&mem) {
+            panic!("oracle {oracle}: memory after the edit:\n{diff}");
+        }
+    }
+    // A program lowered for the old config is refused under the new one.
+    let old = KernelConfig { sharing_space_bytes: 2048, ..edited.config.clone() };
+    let stale = FlatProgram::lower(&edited.plan, &edited.registry, &old, &DeviceArch::a100(), 6);
+    let mut dev = Device::a100();
+    dev.set_sim_threads(Some(1));
+    let args = SpmvDev::upload(&mut dev, &mat, &x).args();
+    let lcfg = edited.config.launch_config(&dev.arch);
+    let refused = catch_unwind(AssertUnwindSafe(|| {
+        dev.launch(&lcfg, |tc| run_flat_block(tc, &edited.config, &stale, &edited.registry, &args))
+    }))
+    .unwrap_err();
+    let msg = refused.downcast_ref::<String>().map_or("", |m| m.as_str());
+    assert!(msg.contains("lowered for a different config"), "{msg}");
 }

@@ -8,7 +8,8 @@
 //!
 //! * one deliberately broken plan per runtime-reported violation kind must
 //!   yield the same non-empty violation list (and equal [`LaunchStats`])
-//!   under [`Engine::Tree`] and [`Engine::Bytecode`];
+//!   under the tree walker ([`launch_target`]) and the bytecode engine
+//!   ([`CompiledKernel::launch`]);
 //! * the Fig 4 / Fig 3/5 protocol plans and a seeded stream of random
 //!   plans record identical `TraceEvent` sequences on both engines,
 //!   `SuperStep.lanes` included (the bytecode engine's idle-lane skip must
@@ -20,7 +21,7 @@
 //! is checked by `tests/archmatrix.rs` and `tests/bytecode.rs`.
 
 use simt_omp::codegen::builder::{Schedule, TargetBuilder};
-use simt_omp::codegen::{launch_flat, CompiledKernel, Engine, FlatProgram};
+use simt_omp::codegen::{run_flat_block, CompiledKernel, FlatProgram};
 use simt_omp::gpu::mem::shared::SmOff;
 use simt_omp::gpu::{Device, DeviceArch, LaunchError, LaunchStats, Slot, Violation};
 use simt_omp::kernels::plangen::{self, random_kernel};
@@ -43,16 +44,17 @@ fn sanitized_pair(
     threads: usize,
     setup: &Setup,
 ) -> LaunchStats {
-    let run = |engine| {
+    type Launch<'a> = &'a dyn Fn(&mut Device, &[Slot]) -> Result<LaunchStats, LaunchError>;
+    let run = |engine: &str, launch: Launch<'_>| {
         let mut dev = Device::new(arch.clone());
         dev.set_sim_threads(Some(threads));
         dev.enable_sanitizer();
         let args = setup(&mut dev);
-        k.launch_with_engine(&mut dev, &args, engine)
-            .unwrap_or_else(|e| panic!("{label} ({engine:?}, threads={threads}): {e:?}"))
+        launch(&mut dev, &args)
+            .unwrap_or_else(|e| panic!("{label} ({engine}, threads={threads}): {e:?}"))
     };
-    let tree = run(Engine::Tree);
-    let flat = run(Engine::Bytecode);
+    let tree = run("tree", &|dev, args| launch_target(dev, &k.config, &k.plan, &k.registry, args));
+    let flat = run("bytecode", &|dev, args| k.launch(dev, args));
     assert_eq!(tree, flat, "{label} (threads={threads}): engines disagree under the sanitizer");
     flat
 }
@@ -324,7 +326,8 @@ fn assert_trace_parity(
         let tree_trace = std::mem::take(&mut dev.trace);
         let prog = FlatProgram::lower(plan, reg, cfg, arch, 0);
         let mut dev = traced();
-        let flat = launch_flat(&mut dev, cfg, &prog, reg, &[]).unwrap();
+        let lcfg = cfg.launch_config(arch);
+        let flat = dev.launch(&lcfg, |tc| run_flat_block(tc, cfg, &prog, reg, &[])).unwrap();
         assert_eq!(tree, flat, "{label}: engines disagree on LaunchStats");
         assert_eq!(tree_trace.dropped(), 0, "{label}: trace cap too small");
         assert!(!tree_trace.events().is_empty(), "{label}: nothing traced");

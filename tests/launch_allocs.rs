@@ -11,7 +11,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use simt_omp::codegen::bytecode::Engine;
 use simt_omp::gpu::mem::shared::SmOff;
 use simt_omp::gpu::{DPtr, Device, LaneMask, LaunchConfig, Slot, TeamCtx};
 use simt_omp::kernels::harness::Fig10Variant;
@@ -141,7 +140,7 @@ fn launch_allocations_do_not_grow_with_the_grid() {
             // first launch lowers its program, so both are warmed up.
             let lap_args = Laplace3dDev::upload(&mut dev, &lap_w).args();
             let run_lap = |dev: &mut Device, k: usize| {
-                let stats = lap[k].launch_with_engine(dev, &lap_args, Engine::Bytecode).unwrap();
+                let stats = lap[k].launch(dev, &lap_args).unwrap();
                 assert!(stats.violations.is_empty(), "{:?}", stats.violations);
             };
             run_lap(&mut dev, 1);
@@ -154,7 +153,7 @@ fn launch_allocations_do_not_grow_with_the_grid() {
             // lane-mode adapter sanitized.
             let su3_args = Su3Dev::upload(&mut dev, &su3_w).args();
             let run_su3 = |dev: &mut Device, k: usize| {
-                let stats = su3[k].launch_with_engine(dev, &su3_args, Engine::Bytecode).unwrap();
+                let stats = su3[k].launch(dev, &su3_args).unwrap();
                 assert!(stats.violations.is_empty(), "{:?}", stats.violations);
             };
             run_su3(&mut dev, 1);

@@ -3,11 +3,14 @@
 //!
 //! Three contracts:
 //!
-//! 1. **Differential**: every in-tree kernel runs under both execution
-//!    engines across the `testkit::CELLS` thread counts and sanitizer
-//!    settings. All four runs must produce bit-identical [`LaunchStats`] —
-//!    including every [`MemStats`] counter, whose block-index-order merge
-//!    (DESIGN §11) is exactly what this asserts.
+//! 1. **Differential**: a few configurations of each in-tree kernel,
+//!    at larger sizes than the kernel corpus's, run in every
+//!    `testkit::CELLS` cell (thread count and sanitizer setting), on the
+//!    bytecode engine (`CompiledKernel::launch`) and the tree walker
+//!    (`launch_target`) in alternate cells. All four runs must produce
+//!    bit-identical [`LaunchStats`] — including every [`MemStats`]
+//!    counter, whose block-index-order merge (DESIGN §11) is exactly what
+//!    this asserts.
 //! 2. **Pins**: the charge counters (issue, sectors, L1 hits, DRAM
 //!    sectors, blocks) are pinned to the values the seed produced — the
 //!    makespan model never changed how blocks are charged — and the
@@ -22,13 +25,14 @@
 //!
 //! [`MemStats`]: simt_omp::gpu::MemStats
 
-use simt_omp::codegen::{CompiledKernel, Engine};
+use simt_omp::codegen::CompiledKernel;
 use simt_omp::gpu::{Device, DeviceArch, LaunchStats, Slot};
 use simt_omp::kernels::harness::Fig10Variant;
 use simt_omp::kernels::matrix::{CsrMatrix, RowProfile};
 use simt_omp::kernels::stencil2d::Stencil2dVariant;
 use simt_omp::kernels::{batched, ideal, laplace3d, muram, spmv, stencil2d, su3};
 use simt_omp::rt::config::KernelConfig;
+use simt_omp::rt::exec::launch_target;
 use testkit::{Cell, CELLS};
 
 /// A device on `arch` with `cell`'s thread count and sanitizer.
@@ -41,8 +45,9 @@ fn device(cell: &Cell, arch: DeviceArch) -> Device {
     dev
 }
 
-/// Run one kernel on each engine in alternate cells, assert bit-identical
-/// stats in every run, and return the canonical stats.
+/// Run one kernel on the bytecode engine and the tree walker in alternate
+/// cells, assert bit-identical stats in every run, and return the
+/// canonical stats.
 fn engine_matrix(
     label: &str,
     k: &CompiledKernel,
@@ -50,15 +55,19 @@ fn engine_matrix(
     mut setup: impl FnMut(&mut Device) -> Vec<Slot>,
 ) -> LaunchStats {
     let mut first: Option<LaunchStats> = None;
-    for (engine, cell) in [Engine::Bytecode, Engine::Tree].into_iter().cycle().zip(&CELLS) {
+    for (tree, cell) in [false, true].into_iter().cycle().zip(&CELLS) {
         let mut dev = device(cell, arch.clone());
         let args = setup(&mut dev);
-        let stats = k
-            .launch_with_engine(&mut dev, &args, engine)
-            .unwrap_or_else(|e| panic!("{label} {engine:?}: {e:?}"));
+        let engine = if tree { "tree" } else { "bytecode" };
+        let launched = if tree {
+            launch_target(&mut dev, &k.config, &k.plan, &k.registry, &args)
+        } else {
+            k.launch(&mut dev, &args)
+        };
+        let stats = launched.unwrap_or_else(|e| panic!("{label} {engine}: {e:?}"));
         match &first {
             None => first = Some(stats),
-            Some(c) => assert_eq!(*c, stats, "{label}: {engine:?} {cell:?} diverged"),
+            Some(c) => assert_eq!(*c, stats, "{label}: {engine} {cell:?} diverged"),
         }
     }
     first.unwrap()

@@ -2,7 +2,9 @@
 //! session, as every job's report and the fleet timeline it aggregates
 //! into, must stay bit-identical to the recorded values.
 //!
-//! `start_paused` queues the whole backlog before the one worker starts.
+//! `start_paused` queues the whole backlog before the workers start. The
+//! session runs on one worker and on two, and both must fold to the same
+//! pins: which worker runs a unit, and when, must not show in the fold.
 //! The fleet is heterogeneous (a100, mi100, a100) and every job is pinned
 //! to devices 0 and 1, so device 2 stays idle: the fold must still report
 //! it, with zero busy cycles.
@@ -54,11 +56,11 @@ fn plan() -> Vec<(u32, JobSpec)> {
         .collect()
 }
 
-fn session(plan: &[(u32, JobSpec)]) -> ServiceReport {
+fn session(plan: &[(u32, JobSpec)], workers: usize) -> ServiceReport {
     let svc = LaunchService::start(ServiceConfig {
         device_archs: vec![ArchId::A100, ArchId::Mi100, ArchId::A100],
         devices: 3,
-        workers: 1,
+        workers,
         tenant_queue_cap: JOBS,
         start_paused: true,
         sim_threads: Some(1),
@@ -68,7 +70,7 @@ fn session(plan: &[(u32, JobSpec)]) -> ServiceReport {
     for (t, spec) in plan {
         clients[*t as usize].submit(spec).unwrap();
     }
-    // Closing admission releases the pause; the one worker then drains the
+    // Closing admission releases the pause; the workers then drain the
     // whole backlog.
     svc.shutdown()
 }
@@ -76,20 +78,23 @@ fn session(plan: &[(u32, JobSpec)]) -> ServiceReport {
 #[test]
 fn fold_matches_the_pinned_replay() {
     with_deadline("serve-fold", Duration::from_secs(300), || {
-        let report = session(&plan());
-        assert_eq!(report.jobs.len(), JOBS);
-        assert!(report.jobs.iter().all(|j| j.device < 2), "device 2 must stay idle");
-        assert!(report.jobs.iter().any(|j| j.batch_size > 1), "micro jobs should coalesce");
-        assert!(report.jobs.iter().any(|j| j.start_vt > j.arrival_vt), "some unit must queue");
-        assert_eq!(report.digest(), 0x7d4f01faf16d4cf0);
-        assert_eq!(format!("{:?}", report.timeline), TIMELINE);
+        let plan = plan();
+        for workers in [1, 2] {
+            let report = session(&plan, workers);
+            assert_eq!(report.jobs.len(), JOBS);
+            assert!(report.jobs.iter().all(|j| j.device < 2), "device 2 must stay idle");
+            assert!(report.jobs.iter().any(|j| j.batch_size > 1), "micro jobs should coalesce");
+            assert!(report.jobs.iter().any(|j| j.start_vt > j.arrival_vt), "some unit must queue");
+            assert_eq!(report.digest(), 0x7d4f01faf16d4cf0, "{workers} workers");
+            assert_eq!(format!("{:?}", report.timeline), TIMELINE, "{workers} workers");
+        }
     });
 }
 
 #[test]
 fn empty_session_folds_to_an_idle_fleet() {
     with_deadline("serve-fold-empty", Duration::from_secs(300), || {
-        let report = session(&[]);
+        let report = session(&[], 1);
         assert!(report.jobs.is_empty());
         assert_eq!(report.launches, 0);
         assert_eq!(report.digest(), 0xcbf29ce484222325, "the digest of no jobs is the FNV basis");

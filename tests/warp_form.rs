@@ -10,10 +10,20 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use simt_omp::codegen::builder::{Schedule, TargetBuilder};
-use simt_omp::codegen::{CompiledKernel, Engine};
-use simt_omp::gpu::{Device, DeviceArch, LaunchStats, Slot, TraceEvent};
+use simt_omp::codegen::CompiledKernel;
+use simt_omp::gpu::{Device, DeviceArch, LaunchError, LaunchStats, Slot, TraceEvent};
 use simt_omp::kernels::su3;
 use simt_omp::rt::config::ExecMode;
+use simt_omp::rt::exec::launch_target;
+
+/// One engine's launch entry.
+type Launch = fn(&CompiledKernel, &mut Device, &[Slot]) -> Result<LaunchStats, LaunchError>;
+
+/// Both engines by name: the tree walker and the bytecode engine.
+const ENGINES: [(&str, Launch); 2] = [
+    ("tree", |k, dev, args| launch_target(dev, &k.config, &k.plan, &k.registry, args)),
+    ("bytecode", CompiledKernel::launch),
+];
 
 /// What one launch left behind: its stats, the product array and the
 /// event trace (empty when untraced).
@@ -25,7 +35,7 @@ fn run_su3(
     w: &su3::Su3Workload,
     arch: &DeviceArch,
     threads: usize,
-    engine: Engine,
+    launch: Launch,
     sanitize: bool,
     trace: bool,
 ) -> Outcome {
@@ -40,7 +50,7 @@ fn run_su3(
         dev.enable_trace(1 << 16);
     }
     let ops = su3::Su3Dev::upload(&mut dev, w);
-    let stats = k.launch_with_engine(&mut dev, &ops.args(), engine).expect("su3 launches");
+    let stats = launch(k, &mut dev, &ops.args()).expect("su3 launches");
     (stats, ops.read_c(&dev), dev.trace.events().to_vec())
 }
 
@@ -53,15 +63,15 @@ fn su3_warp_form_matches_its_per_lane_twin() {
         let lane = su3::build_per_lane(4, 64, gs);
         for arch in [DeviceArch::a100(), DeviceArch::mi100()] {
             for threads in [1usize, 2, 4] {
-                for engine in [Engine::Tree, Engine::Bytecode] {
+                for (engine, launch) in ENGINES {
                     for (sanitize, trace) in [(false, false), (true, false), (false, true)] {
                         let cell = format!(
-                            "gs={gs} {} threads={threads} {engine:?} sanitize={sanitize} \
+                            "gs={gs} {} threads={threads} {engine} sanitize={sanitize} \
                              trace={trace}",
                             arch.name
                         );
-                        let a = run_su3(&warp, &w, &arch, threads, engine, sanitize, trace);
-                        let b = run_su3(&lane, &w, &arch, threads, engine, sanitize, trace);
+                        let a = run_su3(&warp, &w, &arch, threads, launch, sanitize, trace);
+                        let b = run_su3(&lane, &w, &arch, threads, launch, sanitize, trace);
                         assert_eq!(a.0, b.0, "{cell}: stats differ");
                         assert_eq!(a.2, b.2, "{cell}: event traces differ");
                         assert!(a.1.iter().zip(&b.1).all(|(x, y)| x.to_bits() == y.to_bits()));
@@ -123,7 +133,7 @@ fn copy_kernel(
 fn launch_copy(
     k: &CompiledKernel,
     arch: &DeviceArch,
-    engine: Engine,
+    launch: Launch,
     trip: u64,
     free_input: bool,
 ) -> Result<(LaunchStats, Vec<f64>), String> {
@@ -137,7 +147,7 @@ fn launch_copy(
         dev.global.free(input);
     }
     let args = [Slot::from_ptr(input), Slot::from_ptr(out), Slot::from_u64(12)];
-    let launched = catch_unwind(AssertUnwindSafe(|| k.launch_with_engine(&mut dev, &args, engine)));
+    let launched = catch_unwind(AssertUnwindSafe(|| launch(k, &mut dev, &args)));
     match launched {
         Ok(stats) => Ok((stats.expect("launches"), dev.global.read_slice(out, n))),
         Err(payload) => Err(payload
@@ -157,10 +167,10 @@ fn generic_and_legalized_twins_match() {
         let warp = copy_kernel(true, mode, 13, u64::MAX, 0);
         let lane = copy_kernel(false, mode, 13, u64::MAX, 0);
         for arch in [DeviceArch::a100(), DeviceArch::mi100()] {
-            for engine in [Engine::Tree, Engine::Bytecode] {
-                let a = launch_copy(&warp, &arch, engine, 13, false).expect("in bounds");
-                let b = launch_copy(&lane, &arch, engine, 13, false).expect("in bounds");
-                assert_eq!(a, b, "{mode:?} {} {engine:?}", arch.name);
+            for (engine, launch) in ENGINES {
+                let a = launch_copy(&warp, &arch, launch, 13, false).expect("in bounds");
+                let b = launch_copy(&lane, &arch, launch, 13, false).expect("in bounds");
+                assert_eq!(a, b, "{mode:?} {} {engine}", arch.name);
             }
         }
     }
@@ -171,26 +181,26 @@ fn one_out_of_bounds_lane_panics_like_its_per_lane_twin() {
     // Iteration 5 of site 0 reads 10,000 elements past the input's end.
     let warp = copy_kernel(true, None, 16, 5, 10_000);
     let lane = copy_kernel(false, None, 16, 5, 10_000);
-    for engine in [Engine::Tree, Engine::Bytecode] {
-        let a = launch_copy(&warp, &DeviceArch::a100(), engine, 16, false).unwrap_err();
-        let b = launch_copy(&lane, &DeviceArch::a100(), engine, 16, false).unwrap_err();
-        assert!(a.contains("device OOB read: idx 10005 >= len 192"), "{engine:?}: {a}");
-        assert_eq!(a, b, "{engine:?}");
+    for (engine, launch) in ENGINES {
+        let a = launch_copy(&warp, &DeviceArch::a100(), launch, 16, false).unwrap_err();
+        let b = launch_copy(&lane, &DeviceArch::a100(), launch, 16, false).unwrap_err();
+        assert!(a.contains("device OOB read: idx 10005 >= len 192"), "{engine}: {a}");
+        assert_eq!(a, b, "{engine}");
     }
 }
 
 #[test]
 fn a_freed_segment_panics_use_after_free_through_a_warp_read() {
     let warp = copy_kernel(true, None, 16, u64::MAX, 0);
-    for engine in [Engine::Tree, Engine::Bytecode] {
-        let msg = launch_copy(&warp, &DeviceArch::a100(), engine, 16, true).unwrap_err();
-        assert!(msg.contains("use after free of segment"), "{engine:?}: {msg}");
+    for (engine, launch) in ENGINES {
+        let msg = launch_copy(&warp, &DeviceArch::a100(), launch, 16, true).unwrap_err();
+        assert!(msg.contains("use after free of segment"), "{engine}: {msg}");
     }
 }
 
 #[test]
 fn warps_wider_than_a_lane_mask_are_a_typed_error() {
-    use simt_omp::gpu::{LaunchConfig, LaunchError};
+    use simt_omp::gpu::LaunchConfig;
     let mut arch = DeviceArch::a100();
     arch.warp_size = 128;
     for cell in &testkit::CELLS {
@@ -206,9 +216,9 @@ fn warps_wider_than_a_lane_mask_are_a_typed_error() {
         let w = su3::Su3Workload::generate(4, 1);
         let ops = su3::Su3Dev::upload(&mut dev, &w);
         let k = su3::build(2, 256, 4);
-        for engine in [Engine::Tree, Engine::Bytecode] {
-            let err = k.launch_with_engine(&mut dev, &ops.args(), engine).unwrap_err();
-            assert_eq!(err, LaunchError::BadWarpSize { warp: 128 }, "{engine:?}");
+        for (engine, launch) in ENGINES {
+            let err = launch(&k, &mut dev, &ops.args()).unwrap_err();
+            assert_eq!(err, LaunchError::BadWarpSize { warp: 128 }, "{engine}");
         }
         let launched = if cell.oracle {
             k.launch_oracle(&mut dev, &ops.args())
