@@ -35,7 +35,7 @@
 
 use std::time::Instant;
 
-use gpu_sim::Device;
+use gpu_sim::{Device, LaunchError, LaunchStats, Slot};
 use omp_codegen::CompiledKernel;
 use omp_core::exec::launch_target;
 use omp_kernels::harness::Fig10Variant;
@@ -239,6 +239,16 @@ pub fn run(quick: bool) -> Vec<SimspeedRow> {
     rows
 }
 
+/// One engine's launch entry.
+type Launch = fn(&CompiledKernel, &mut Device, &[Slot]) -> Result<LaunchStats, LaunchError>;
+
+/// Both engines by name: the tree walker (index 0, the `vs_tree` base)
+/// and the bytecode engine.
+const ENGINES: [(&str, Launch); 2] = [
+    ("tree", |k, dev, args| launch_target(dev, &k.config, &k.plan, &k.registry, args)),
+    ("bytecode", CompiledKernel::launch),
+];
+
 /// The engine-comparison leg: tree-walk vs flat bytecode, 1 host thread,
 /// sanitizer off, on strong-scaling configurations (small problem, full
 /// 108-team grid). The problem sizes are deliberately interpreter-bound:
@@ -254,7 +264,7 @@ fn engine_leg(reps: u32) -> Vec<SimspeedRow> {
     // space is reserved.
     let st_k = stencil2d::build(108, 128, 8, 0, stencil2d::Stencil2dVariant::SpmdRef);
 
-    type Prep<'a> = Box<dyn FnMut(&mut Device) -> Vec<gpu_sim::Slot> + 'a>;
+    type Prep<'a> = Box<dyn FnMut(&mut Device) -> Vec<Slot> + 'a>;
     let legs: [(&'static str, &CompiledKernel, Prep<'_>); 2] = [
         (
             "laplace3d-n6",
@@ -276,29 +286,24 @@ fn engine_leg(reps: u32) -> Vec<SimspeedRow> {
         // several rounds and keep the best so host-scheduler noise hits
         // both sides equally.
         for round in 0..(4 + 2 * reps) {
-            for i in 0..2 {
+            for (i, (_, launch)) in ENGINES.into_iter().enumerate() {
                 let mut dev = Device::a100();
                 dev.set_sim_threads(Some(1));
                 let args = prep(&mut dev);
-                // Index 0 is the tree walker, 1 the bytecode engine.
-                let launch = |dev: &mut Device| match i {
-                    0 => launch_target(dev, &k.config, &k.plan, &k.registry, &args),
-                    _ => k.launch(dev, &args),
-                };
                 if round == 0 {
                     // Warm-up: populate caches (and the compiled flat
                     // program) before any timed run.
-                    launch(&mut dev).unwrap();
+                    launch(k, &mut dev, &args).unwrap();
                 }
                 let t0 = Instant::now();
-                let stats = launch(&mut dev).unwrap();
+                let stats = launch(k, &mut dev, &args).unwrap();
                 walls[i] = walls[i].min(t0.elapsed().as_secs_f64() * 1e3);
                 assert!(cycles[i] == 0 || cycles[i] == stats.cycles);
                 cycles[i] = stats.cycles;
             }
         }
         assert_eq!(cycles[0], cycles[1], "{kernel}: engines must agree on simulated cycles");
-        for (i, engine) in ["tree", "bytecode"].into_iter().enumerate() {
+        for (i, (engine, _)) in ENGINES.into_iter().enumerate() {
             rows.push(SimspeedRow {
                 kernel,
                 sanitizer: "off",
@@ -320,7 +325,7 @@ fn engine_leg(reps: u32) -> Vec<SimspeedRow> {
 
 /// The strong-scaling laplace3d (6³) and stencil2d (26×14) kernels on the
 /// full 108×128 A100 grid, as the engine leg builds them.
-fn strong_kernels() -> [(&'static str, CompiledKernel, Vec<gpu_sim::Slot>, Device); 2] {
+fn strong_kernels() -> [(&'static str, CompiledKernel, Vec<Slot>, Device); 2] {
     let lap_w = laplace3d::Laplace3dWorkload::generate(6);
     let lap_k = laplace3d::build(108, 128, Fig10Variant::SpmdSimd);
     let mut lap_dev = Device::a100();

@@ -23,7 +23,8 @@ use omp_core::exec::launch_target;
 pub use omp_core::plan::Schedule;
 use omp_core::plan::{ParallelOp, TargetPlan, TeamOp, ThreadOp, TripId, Vars, VarsMut, WarpVars};
 
-use std::sync::OnceLock;
+use std::collections::HashMap;
+use std::sync::{Arc, RwLock};
 
 use crate::analysis::{infer_parallel_mode, infer_teams_mode, Analysis, ParallelInfo};
 use crate::bytecode::{run_flat_block, FlatProgram, LoweringKey};
@@ -184,7 +185,7 @@ impl TargetBuilder {
         // Dead-stage shrink: stage only the register prefix some simd body
         // declares it reads (see crate::dataflow).
         crate::dataflow::shrink_dead_stages(&mut plan, &mut analysis, &self.reg);
-        CompiledKernel { plan, registry: self.reg, config, analysis, flat: FlatCache::default() }
+        CompiledKernel { plan, registry: self.reg, config, analysis, flat: RwLock::default() }
     }
 }
 
@@ -579,28 +580,12 @@ impl<'b> ParScope<'b> {
 
 /// Cached flat-bytecode lowerings, one per [`LoweringKey`]: everything a
 /// lowering bakes in (the kernel config, the warp width, the warp-sync
-/// capability and the argument count). An append-only list whose links
-/// are each set once, so a warm launch walks it with no lock and no
-/// reference count, and concurrent launches of one kernel write no shared
-/// cache line. A kernel has one or two lowerings in practice, so the walk
-/// is short. Concurrent misses at the list's end wait for one lowering and
-/// converge on it.
-#[derive(Default)]
-struct FlatCache(OnceLock<Box<(FlatProgram, FlatCache)>>);
-
-impl FlatCache {
-    /// The cached lowering for `key`, or `lower`'s, appended.
-    fn get_or_lower(&self, key: &LoweringKey, lower: impl Fn() -> FlatProgram) -> &FlatProgram {
-        let mut link = self;
-        loop {
-            let (prog, next) = &**link.0.get_or_init(|| Box::new((lower(), FlatCache::default())));
-            if prog.key == *key {
-                return prog;
-            }
-            link = next;
-        }
-    }
-}
+/// capability and the argument count). Read-mostly: warm launches take the
+/// read lock, clone the `Arc`, and never serialize against each other; a
+/// miss lowers *outside* any lock and publishes under a brief write section
+/// (first writer wins, so concurrent misses converge on one shared
+/// program).
+type FlatCache = RwLock<HashMap<LoweringKey, Arc<FlatProgram>>>;
 
 /// A compiled target region, ready to launch.
 pub struct CompiledKernel {
@@ -640,7 +625,7 @@ impl CompiledKernel {
         let lcfg = self.config.launch_config(&dev.arch);
         dev.validate(&lcfg)?;
         let prog = self.flat_program(&dev.arch, args.len());
-        dev.launch(&lcfg, |tc| run_flat_block(tc, &self.config, prog, &self.registry, args))
+        dev.launch(&lcfg, |tc| run_flat_block(tc, &self.config, &prog, &self.registry, args))
     }
 
     /// The flat-bytecode lowering of this kernel for its current config
@@ -648,14 +633,19 @@ impl CompiledKernel {
     /// lowering is checked by the [`FlatProgram::verify`] invariant walker
     /// before it is published — a side table inconsistent with the plan is
     /// a compiler bug, not a launch error, so divergence panics here.
-    pub fn flat_program(&self, arch: &DeviceArch, nargs: usize) -> &FlatProgram {
-        self.flat.get_or_lower(&LoweringKey::new(&self.config, arch, nargs), || {
-            let prog = FlatProgram::lower(&self.plan, &self.registry, &self.config, arch, nargs);
-            if let Err(e) = prog.verify(&self.plan, &self.registry, &self.config, arch, nargs) {
-                panic!("flat-bytecode verifier rejected the lowering: {e}");
-            }
-            prog
-        })
+    pub fn flat_program(&self, arch: &DeviceArch, nargs: usize) -> Arc<FlatProgram> {
+        let key = LoweringKey::new(&self.config, arch, nargs);
+        if let Some(prog) = self.flat.read().unwrap().get(&key) {
+            return Arc::clone(prog);
+        }
+        // Miss: lower and verify with no lock held, so warm launches on
+        // other keys keep streaming through the read path meanwhile.
+        let prog =
+            Arc::new(FlatProgram::lower(&self.plan, &self.registry, &self.config, arch, nargs));
+        if let Err(e) = prog.verify(&self.plan, &self.registry, &self.config, arch, nargs) {
+            panic!("flat-bytecode verifier rejected the lowering: {e}");
+        }
+        Arc::clone(self.flat.write().unwrap().entry(key).or_insert(prog))
     }
 
     /// A content fingerprint of the compiled kernel: an FNV-1a walk over

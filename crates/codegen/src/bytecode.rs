@@ -88,7 +88,7 @@ macro_rules! ensure {
 /// [`ParMeta`]) and the argument count. [`crate::CompiledKernel`] caches
 /// one lowering per key, and every program carries the key it was lowered
 /// for.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct LoweringKey {
     config: KernelConfig,
     warp_size: u32,

@@ -9,7 +9,7 @@
 use gpu_sim::{DeviceArch, LaunchConfig};
 
 /// Execution model of a `teams` or `parallel` region.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// CPU-centric: one main thread runs sequential code, workers idle in a
     /// state machine until work is posted (§3.1, §5.3).
@@ -20,7 +20,7 @@ pub enum ExecMode {
 }
 
 /// Per-kernel configuration, fixed at launch.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct KernelConfig {
     /// Execution mode of the `teams` region.
     pub teams_mode: ExecMode,

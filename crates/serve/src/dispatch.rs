@@ -23,7 +23,7 @@ use omp_kernels::{batched, ideal};
 
 use crate::plan::WarmPlan;
 use crate::queue::Unit;
-use crate::spec::{JobKind, NARGS};
+use crate::spec::JobKind;
 
 /// Execute one unit on a fresh scratch device of the unit's keyed
 /// architecture and return its outcome fields (stats + optional
@@ -49,23 +49,23 @@ pub fn execute_unit_on(
     plan: &WarmPlan,
     verify: bool,
 ) -> (LaunchStats, Option<f64>) {
-    // The unit's arguments, and the check of its result against the host
-    // reference.
-    type Check = Box<dyn FnOnce(&Device) -> f64>;
-    let (args, check): ([Slot; NARGS], Check) = match unit.kind {
+    let launch = |dev: &mut Device, args: &[Slot]| {
+        plan.kernel.launch(dev, args).expect("service launch failed")
+    };
+    match unit.kind {
         JobKind::Ideal { outer, seed, .. } => {
             let w = ideal::IdealWorkload::generate(outer, seed);
             let ops = ideal::IdealDev::upload(dev, &w);
-            (ops.args(), Box::new(move |dev| max_abs_err(&ops.read_out(dev), &w.reference())))
+            let stats = launch(dev, &ops.args());
+            (stats, verify.then(|| max_abs_err(&ops.read_out(dev), &w.reference())))
         }
         JobKind::Micro { rows, inner } => {
             let w = batched::BatchedWorkload::generate(unit.count as usize, rows, inner);
             let ops = batched::BatchedDev::upload(dev, &w);
-            (ops.args(), Box::new(move |dev| max_abs_err(&ops.read_out(dev), &w.reference())))
+            let stats = launch(dev, &ops.args());
+            (stats, verify.then(|| max_abs_err(&ops.read_out(dev), &w.reference())))
         }
-    };
-    let stats = plan.kernel.launch(dev, &args).expect("service launch failed");
-    (stats, verify.then(|| check(dev)))
+    }
 }
 
 #[cfg(test)]

@@ -20,6 +20,8 @@
 //! violation-free and with equal stats on both engines under the sanitizer
 //! is checked by `tests/archmatrix.rs` and `tests/bytecode.rs`.
 
+mod engines;
+
 use simt_omp::codegen::builder::{Schedule, TargetBuilder};
 use simt_omp::codegen::{run_flat_block, CompiledKernel, FlatProgram};
 use simt_omp::gpu::mem::shared::SmOff;
@@ -31,6 +33,8 @@ use simt_omp::rt::dispatch::{Footprint, Registry};
 use simt_omp::rt::exec::launch_target;
 use simt_omp::rt::plan::{ParallelOp, TargetPlan, TeamOp, ThreadOp};
 use testkit::{cases, CELLS};
+
+use engines::ENGINES;
 
 /// Allocates a plan's arguments on a fresh device and returns the payload.
 type Setup = Box<dyn Fn(&mut Device) -> Vec<Slot>>;
@@ -44,17 +48,14 @@ fn sanitized_pair(
     threads: usize,
     setup: &Setup,
 ) -> LaunchStats {
-    type Launch<'a> = &'a dyn Fn(&mut Device, &[Slot]) -> Result<LaunchStats, LaunchError>;
-    let run = |engine: &str, launch: Launch<'_>| {
+    let [tree, flat] = ENGINES.map(|(engine, launch)| {
         let mut dev = Device::new(arch.clone());
         dev.set_sim_threads(Some(threads));
         dev.enable_sanitizer();
         let args = setup(&mut dev);
-        launch(&mut dev, &args)
+        launch(k, &mut dev, &args)
             .unwrap_or_else(|e| panic!("{label} ({engine}, threads={threads}): {e:?}"))
-    };
-    let tree = run("tree", &|dev, args| launch_target(dev, &k.config, &k.plan, &k.registry, args));
-    let flat = run("bytecode", &|dev, args| k.launch(dev, args));
+    });
     assert_eq!(tree, flat, "{label} (threads={threads}): engines disagree under the sanitizer");
     flat
 }

@@ -25,6 +25,8 @@
 //!
 //! [`MemStats`]: simt_omp::gpu::MemStats
 
+mod engines;
+
 use simt_omp::codegen::CompiledKernel;
 use simt_omp::gpu::{Device, DeviceArch, LaunchStats, Slot};
 use simt_omp::kernels::harness::Fig10Variant;
@@ -32,8 +34,9 @@ use simt_omp::kernels::matrix::{CsrMatrix, RowProfile};
 use simt_omp::kernels::stencil2d::Stencil2dVariant;
 use simt_omp::kernels::{batched, ideal, laplace3d, muram, spmv, stencil2d, su3};
 use simt_omp::rt::config::KernelConfig;
-use simt_omp::rt::exec::launch_target;
 use testkit::{Cell, CELLS};
+
+use engines::ENGINES;
 
 /// A device on `arch` with `cell`'s thread count and sanitizer.
 fn device(cell: &Cell, arch: DeviceArch) -> Device {
@@ -55,16 +58,11 @@ fn engine_matrix(
     mut setup: impl FnMut(&mut Device) -> Vec<Slot>,
 ) -> LaunchStats {
     let mut first: Option<LaunchStats> = None;
-    for (tree, cell) in [false, true].into_iter().cycle().zip(&CELLS) {
+    for ((engine, launch), cell) in ENGINES.into_iter().rev().cycle().zip(&CELLS) {
         let mut dev = device(cell, arch.clone());
         let args = setup(&mut dev);
-        let engine = if tree { "tree" } else { "bytecode" };
-        let launched = if tree {
-            launch_target(&mut dev, &k.config, &k.plan, &k.registry, &args)
-        } else {
-            k.launch(&mut dev, &args)
-        };
-        let stats = launched.unwrap_or_else(|e| panic!("{label} {engine}: {e:?}"));
+        let stats =
+            launch(k, &mut dev, &args).unwrap_or_else(|e| panic!("{label} {engine}: {e:?}"));
         match &first {
             None => first = Some(stats),
             Some(c) => assert_eq!(*c, stats, "{label}: {engine} {cell:?} diverged"),

@@ -7,6 +7,8 @@
 //! finding and every event-trace record must be identical — across sim
 //! threads, both engines, both backends, with the sanitizer on and off.
 
+mod engines;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use simt_omp::codegen::builder::{Schedule, TargetBuilder};
@@ -14,16 +16,8 @@ use simt_omp::codegen::CompiledKernel;
 use simt_omp::gpu::{Device, DeviceArch, LaunchError, LaunchStats, Slot, TraceEvent};
 use simt_omp::kernels::su3;
 use simt_omp::rt::config::ExecMode;
-use simt_omp::rt::exec::launch_target;
 
-/// One engine's launch entry.
-type Launch = fn(&CompiledKernel, &mut Device, &[Slot]) -> Result<LaunchStats, LaunchError>;
-
-/// Both engines by name: the tree walker and the bytecode engine.
-const ENGINES: [(&str, Launch); 2] = [
-    ("tree", |k, dev, args| launch_target(dev, &k.config, &k.plan, &k.registry, args)),
-    ("bytecode", CompiledKernel::launch),
-];
+use engines::{Launch, ENGINES};
 
 /// What one launch left behind: its stats, the product array and the
 /// event trace (empty when untraced).
